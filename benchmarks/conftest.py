@@ -10,7 +10,10 @@ Conventions:
   direction trends move;
 * every bench records its rows into ``benchmarks/results/*.json`` so
   EXPERIMENTS.md can be regenerated from a bench run
-  (``python examples/regenerate_experiments.py``).
+  (``python examples/regenerate_experiments.py``).  The files are
+  tracked and pinned, so a run rewrites one only when a field
+  ``check_results_drift.drift`` pins has moved — wall-clock churn
+  alone leaves the tree clean.
 
 Scale: dataset stand-ins are 10^4–10^5 edges (see DESIGN.md §2);
 partition counts are trimmed to keep the full suite within a few
@@ -24,6 +27,8 @@ from pathlib import Path
 
 import pytest
 
+from check_results_drift import drift
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -35,11 +40,21 @@ def results_dir() -> Path:
 
 @pytest.fixture
 def record(results_dir):
-    """Store an experiment's rows as JSON: ``record(name, rows)``."""
+    """Store an experiment's rows as JSON: ``record(name, rows)``.
+
+    An existing file is kept byte-for-byte when the new rows differ
+    from it only in timing fields.
+    """
     def _record(name: str, rows) -> None:
         path = results_dir / f"{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, default=str)
+        text = json.dumps(rows, indent=2, default=str)
+        try:
+            unchanged = not drift(json.loads(path.read_text("utf-8")),
+                                  json.loads(text))
+        except (OSError, ValueError):
+            unchanged = False   # absent or unreadable: (re)write it
+        if not unchanged:
+            path.write_text(text, encoding="utf-8")
     return _record
 
 

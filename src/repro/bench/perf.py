@@ -24,6 +24,12 @@ speedups it claims and future PRs can track regressions:
   budget), so the vectorized kernel's per-call setup can outweigh its
   batching — the row records where the crossover actually sits rather
   than hiding it;
+* ``dne_p_scaling`` — the flatness trend behind ROADMAP's "DNE wall
+  time flat in |P| at fixed work": one vectorized run per
+  |P| ∈ {8, 64, 256} on the same graph (the largest edge scale), the
+  |P| = 8 run as the baseline (``python_seconds``), ``seconds_p<N>``
+  per width and ``slowdown_vs_p8`` for the widest.  No smoke floor —
+  the row exists so the trajectory file shows the trend;
 * ``dne_backend_threads`` / ``dne_backend_processes`` — execution
   backends (``repro.cluster.backends``): one full DNE run per backend
   against the ``simulated`` scheduler baseline at the same scale
@@ -106,6 +112,9 @@ __all__ = ["run_perf", "bench_graph", "bench_allocation_phases",
 
 #: RMAT edge factor used by every perf graph.
 _EDGE_FACTOR = 8
+
+#: cluster widths of the ``dne_p_scaling`` row (first = baseline)
+_SCALING_PARTITIONS = (8, 64, 256)
 
 
 def bench_graph(edge_scale: int, seed: int = 0) -> CSRGraph:
@@ -654,7 +663,9 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
     latency, and the non-200 count in the row's ``http_*`` fields).
     The ``observability_overhead`` row (same scale) pairs an untraced
     ``dne_p256`` run against one with the full telemetry plane live —
-    metrics registry installed and Chrome tracer attached.
+    metrics registry installed and Chrome tracer attached.  The
+    ``dne_p_scaling`` row (same graph) times one vectorized run per
+    |P| ∈ {8, 64, 256}.
 
     Returns the result document: ``{"meta": ..., "kernels": [rows]}``
     with one row per (kernel, scale) holding both kernels' seconds and
@@ -762,6 +773,20 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
         "traced_seconds": row["vectorized_seconds"],
         "overhead_ratio": round(t_on / t_off, 4)
         if t_off > 0 else float("inf"),
+    })
+    rows.append(row)
+
+    # |P|-scaling of one vectorized DNE run at fixed work (same graph).
+    t_by_p = {p: bench_dne_end_to_end(serving_graph, p, "vectorized")
+              for p in _SCALING_PARTITIONS}
+    narrow, wide = _SCALING_PARTITIONS[0], _SCALING_PARTITIONS[-1]
+    row = _row("dne_p_scaling", serving_scale, serving_graph,
+               t_by_p[narrow], t_by_p[wide])
+    row.update({
+        "baseline": f"p{narrow}",
+        **{f"seconds_p{p}": round(t, 6) for p, t in t_by_p.items()},
+        f"slowdown_vs_p{narrow}": round(t_by_p[wide] / t_by_p[narrow], 2)
+        if t_by_p[narrow] > 0 else float("inf"),
     })
     rows.append(row)
 

@@ -15,8 +15,10 @@ three schedulers:
   gathers/scatters genuinely overlap.
 * ``processes`` — :mod:`repro.cluster.backends.processes`: steps run in
   worker processes holding the big arrays as zero-copy
-  ``multiprocessing.shared_memory`` views; only the barrier-batched
-  ``(src, dst, tag)`` payload buffers cross the parent boundary.
+  ``multiprocessing.shared_memory`` views; only message payloads —
+  barrier-batched ``(src, dst, tag)`` buffers and whole
+  :class:`~repro.cluster.runtime.SegmentBatch` sweeps — cross the
+  parent boundary.
 
 The deterministic-equivalence rule every parallel backend must obey:
 a step executes with its outbox armed (``Process._outbox``), so its
@@ -95,16 +97,19 @@ def apply_outbox(cluster, src_pid, outbox: list) -> None:
 
     Entries are the exact calls the step would have made inline
     (``send`` -> per-message accounting + in-flight queue, ``batched``
-    -> per-(src, dst, tag) buffer append, ``resident`` -> memory
-    report, ``rpc`` -> the seed-scan request/response counter pattern),
-    so replaying every step's outbox in step-list order reproduces the
-    simulated scheduler's cluster state bit-for-bit.
+    -> per-(src, dst, tag) buffer append, ``segments`` -> one bulk-priced
+    :class:`~repro.cluster.runtime.SegmentBatch` sweep, ``resident`` ->
+    memory report, ``rpc`` -> the seed-scan request/response counter
+    pattern), so replaying every step's outbox in step-list order
+    reproduces the simulated scheduler's cluster state bit-for-bit.
     """
     stats = cluster.stats
     for entry in outbox:
         kind = entry[0]
         if kind == "batched":
             cluster._send_batched(src_pid, entry[1], entry[2], entry[3])
+        elif kind == "segments":
+            cluster.deliver_segments(entry[1], entry[2])
         elif kind == "send":
             cluster._send(src_pid, entry[1], entry[2], entry[3])
         elif kind == "resident":
@@ -287,10 +292,10 @@ class SimulatedBackend(ExecutionBackend):
     def _run_fused(self, method, steps, gather) -> dict:
         """One plane call for the whole superstep, effects inline.
 
-        Outboxes stay unarmed, so the plane's per-process emission order
-        (machines ascending, destinations ascending) creates the payload
-        buffers in exactly the order sequential per-process steps would
-        have.
+        Outboxes stay unarmed, so each emission sweep is priced and
+        delivered as the plane hands it over, its segments in the order
+        (machines ascending, destinations ascending) sequential
+        per-process steps would have created their buffers in.
         """
         run_pids = [pid for pid, m, _ in steps if m is not None]
         t0 = time.perf_counter()

@@ -4,9 +4,13 @@ Real OS processes run the supersteps.  The big read-only structures —
 the CSR graph arrays and the flat per-partition state — are mapped
 into every worker as zero-copy ``multiprocessing.shared_memory`` views
 (:mod:`repro.cluster.backends.shm`); the only data crossing the parent
-boundary per superstep is the barrier-batched ``(src, dst, tag)``
-payload buffers (worker outboxes in, drained mailboxes out) plus small
-counter gathers.
+boundary per superstep is message payloads (worker outboxes in,
+delivered mail out) plus small counter gathers.  Mail travels in the
+layout it was delivered in: per-``(dst, tag)`` lists for the
+``send`` / ``send_batched`` planes, and for segment sweeps
+(:class:`~repro.cluster.runtime.SegmentBatch`) one vectorised
+sub-batch per worker, selected by destination mask — never one object
+per ``(src, dst)`` pair.
 
 Topology: each worker owns a fixed subset of the cluster's process
 ids for the whole run — process objects are *built inside* the worker
@@ -14,8 +18,8 @@ ids for the whole run — process objects are *built inside* the worker
 superstep the parent
 
 1. routes each step to the worker owning its pid and ships, to every
-   worker, the mailbox entries delivered (at the last barrier) for the
-   pids it owns;
+   worker, the mail delivered (since the last superstep) for the pids
+   it owns;
 2. workers run their steps with outboxes armed, against a local
    mailbox-only cluster;
 3. the parent merges the returned outboxes in global step-list order
@@ -66,6 +70,8 @@ import multiprocessing as mp
 import os
 import time
 import traceback
+
+import numpy as np
 
 from repro.cluster.backends.base import (ExecutionBackend, StepResult,
                                          WorkerStepError, apply_outbox)
@@ -144,8 +150,9 @@ def _run_items(procs, plane, items, gather):
     Short-circuited items (``method is None``) cost nothing but still
     gather.  When every live item names the same plane-supported
     method, one fused plane call replaces the per-item loop, with
-    every live pid's outbox armed so each process's emissions land in
-    its own replay slot.
+    every live pid's outbox armed so each process's effects land in
+    its own replay slot (an emission sweep of the whole call is one
+    entry in its first live pid's).
     """
     fused = _fused_items_method(plane, items)
     if fused is not None:
@@ -199,13 +206,14 @@ def _run_items(procs, plane, items, gather):
 def _snapshot_worker(procs, wcluster, plane):
     """Everything the parent needs to rebuild this worker elsewhere.
 
-    ``(per-pid state blobs, undrained worker mailbox entries,
+    ``(per-pid state blobs, undrained worker mail in both layouts,
     fused-plane transients)`` — exactly the state a respawned worker
     restores before re-running a failed superstep.
     """
     states = {pid: proc.checkpoint_state() for pid, proc in procs.items()}
-    mail = [(key, list(msgs))
-            for key, msgs in wcluster._delivered.items() if msgs]
+    mail = ([(key, list(msgs))
+             for key, msgs in wcluster._delivered.items() if msgs],
+            wcluster.segment_mail())
     plane_state = None
     if plane is not None and hasattr(plane, "checkpoint_state"):
         plane_state = plane.checkpoint_state()
@@ -218,10 +226,19 @@ def _restore_worker(procs, wcluster, plane, snapshot) -> None:
     for pid, state in states.items():
         procs[pid].restore_state(state)
     wcluster._delivered.clear()
-    for key, msgs in mail:
-        wcluster._delivered[key].extend(msgs)
+    wcluster.pop_segment_mail()
+    _file_mail(wcluster, mail)
     if plane is not None and plane_state is not None:
         plane.restore_state(plane_state)
+
+
+def _file_mail(cluster, mail) -> None:
+    """File already-priced ``(per-pid lists, segment sweeps)`` mail."""
+    listed, sweeps = mail
+    for key, msgs in listed:
+        cluster._delivered[key].extend(msgs)
+    for tag, batch in sweeps:
+        cluster.put_segments(tag, batch)
 
 
 def _inject_fault(fault, items, owned_pids, conn):
@@ -277,8 +294,7 @@ def _worker_main(conn, program: WorkerProgram, owned_pids,
                 if fault is not None and _inject_fault(
                         fault, items, owned_pids, conn):
                     continue
-                for key, delivered in inbox:
-                    wcluster._delivered[key].extend(delivered)
+                _file_mail(wcluster, inbox)
                 results, failure = _run_items(procs, plane, items, gather)
                 if failure is not None:
                     conn.send(("step_error", failure[0], failure[1]))
@@ -403,6 +419,18 @@ class ProcessesBackend(ExecutionBackend):
         for pid, w in self._worker_of.items():
             owned[w].append(pid)
         self._owned = owned
+        #: role -> worker index per machine slot (-1 = unowned), for
+        #: routing segment sweeps, which address ``(role, slot)``
+        by_role: dict = {}
+        for pid, w in self._worker_of.items():
+            if (isinstance(pid, tuple) and len(pid) == 2
+                    and isinstance(pid[1], int) and pid[1] >= 0):
+                by_role.setdefault(pid[0], {})[pid[1]] = w
+        self._slot_worker = {}
+        for role, by_slot in by_role.items():
+            table = np.full(max(by_slot) + 1, -1, dtype=np.int64)
+            table[list(by_slot)] = list(by_slot.values())
+            self._slot_worker[role] = table
         self._specs = {name: arena.spec()
                        for name, arena in self._arenas.items()}
         self._snapshots = [None] * nworkers
@@ -518,12 +546,22 @@ class ProcessesBackend(ExecutionBackend):
         # step is acknowledged: a retried step gets the identical mail
         # re-shipped, and a terminal failure pushes it back into the
         # cluster so the delivered map is well-defined afterwards.
-        inboxes = [[] for _ in range(nworkers)]
+        inboxes = [([], []) for _ in range(nworkers)]
         delivered = self.cluster._delivered
         for key in list(delivered.keys()):
             w = self._worker_of.get(key[0])
             if w is not None:
-                inboxes[w].append((key, delivered.pop(key)))
+                inboxes[w][0].append((key, delivered.pop(key)))
+        for tag, batch in self.cluster.pop_segment_mail():
+            # One destination-masked sub-batch per addressed worker;
+            # like listed mail, segments nobody owns stay put.
+            owner = self._slot_worker[batch.dst_role][batch.dst_slots]
+            for w in np.unique(owner).tolist():
+                part = batch.select(np.flatnonzero(owner == w))
+                if w < 0:
+                    self.cluster.put_segments(tag, part)
+                else:
+                    inboxes[w][1].append((tag, part))
         gather = tuple(gather)
         plan = self.fault_plan
         failures: dict = {}
@@ -574,8 +612,7 @@ class ProcessesBackend(ExecutionBackend):
                 # Worker-local state is indeterminate — only close() is
                 # supported on this backend afterwards.
                 for inbox in inboxes:
-                    for key, payload in inbox:
-                        delivered[key].extend(payload)
+                    _file_mail(self.cluster, inbox)
                 raise error
         results = []
         for w, reply in replies.items():

@@ -110,9 +110,13 @@ class ThreadsBackend(ExecutionBackend):
         """Run one contiguous pid chunk of a fused superstep.
 
         Arms every chunk member's outbox for the duration of the plane
-        call: all of a process's emissions land in its own outbox no
-        matter which chunk thread made them, so replay order is
-        governed purely by step-list order, as for per-process steps.
+        call: per-process effects (resident reports, RPC accounting)
+        land in that process's own outbox, and each emission sweep of
+        the chunk is one ``segments`` entry in the outbox of the
+        chunk's first machine — so replay order is governed purely by
+        step-list order, as for per-process steps.  Chunks take
+        disjoint destination subsets of the delivered sweeps
+        (``SimulatedCluster.take_segments`` is thread-safe).
         """
         procs = [self._procs[pid] for pid in chunk]
         outboxes = {}

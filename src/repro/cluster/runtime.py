@@ -49,6 +49,33 @@ is unchanged:
 * eagerly-sent (``send``) messages of the same window are delivered
   first, in send order.
 
+Segment sweeps
+--------------
+At |P| ≫ 64 a DNE phase emits O(|P|²) tiny ``(src, dst)`` buffers per
+superstep, and one Python object per buffer is what the run spends its
+time on.  :class:`SegmentBatch` makes a whole emission sweep a single
+value — one row array, segment offsets, aligned source/destination
+slots — and :meth:`Process.send_segments` /
+:meth:`SimulatedCluster.deliver_segments` move it as such:
+
+* pricing is one integer pass over the offsets, total-identical to one
+  ``send_batched`` per segment drained at the next barrier (one
+  message and one batch per segment, wire bytes zero iff the machine
+  slots match; integer adds commute) — pinned by
+  ``tests/test_cluster_batched.py``;
+* a mailbox may therefore hold two layouts: per-``(dst, tag)`` lists of
+  ``(src, payload)`` (the ``send`` / ``send_batched`` planes) and, per
+  ``(dst_role, tag)``, a list of delivered :class:`SegmentBatch`
+  sweeps — **one entry per sweep**, however many processes it
+  addresses.  ``Process.receive`` reads both (segment mail comes back
+  as the same ``(src, payload)`` pairs, payloads being row slices);
+  bulk consumers take whole sweeps with
+  :meth:`SimulatedCluster.take_segments` and never materialise the
+  per-buffer objects;
+* ``send_segments`` is outbox-aware like every other helper: under a
+  parallel backend the sweep is one recorded entry that the parent
+  replays through the same ``deliver_segments``.
+
 Execution backends
 ------------------
 The cluster itself is a passive mailbox + accountant; *who* runs the
@@ -59,25 +86,28 @@ step methods inline (the deterministic reference scheduler); the
 workers.  To keep accounting and delivery order bit-identical under
 concurrency, a parallel backend arms each process with an *outbox*
 (:attr:`Process._outbox`) before running its step: every ``send`` /
-``send_batched`` / ``set_resident`` / RPC-accounting call is recorded
-instead of applied, and the parent replays the outboxes against the
-cluster in deterministic step order afterwards (see
-``repro.cluster.backends.base.apply_outbox``).  Replay is exactly the
-call sequence the simulated scheduler would have made, so totals,
-mailbox order, and memory peaks cannot diverge.
+``send_batched`` / ``send_segments`` / ``set_resident`` /
+RPC-accounting call is recorded instead of applied, and the parent
+replays the outboxes against the cluster in deterministic step order
+afterwards (see ``repro.cluster.backends.base.apply_outbox``).  Replay
+is exactly the call sequence the simulated scheduler would have made,
+so totals, mailbox order, and memory peaks cannot diverge.
 """
 
 from __future__ import annotations
 
 import copy
+import threading
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.accounting import (ClusterStats, payload_nbytes,
                                       record_rpc_pair)
 
-__all__ = ["Process", "SimulatedCluster", "pair_array", "restore_attr"]
+__all__ = ["Process", "SegmentBatch", "SegmentQueue", "SimulatedCluster",
+           "pair_array", "restore_attr"]
 
 
 def restore_attr(obj, name: str, value) -> None:
@@ -132,6 +162,167 @@ def pair_array(payload) -> np.ndarray:
         return payload
     arr = np.asarray(payload, dtype=np.int64)
     return arr.reshape(-1, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentBatch:
+    """One emission sweep as a single value.
+
+    Segment ``i`` is the payload ``rows[offsets[i]:offsets[i + 1]]``
+    sent by process ``(src_role, src_slots[i])`` to process
+    ``(dst_role, dst_slots[i])``.  ``rows`` is one ``(k, 2)`` or
+    ``(k,)`` int64 array for the whole sweep; segments are never empty
+    and every ``(src, dst)`` pair appears at most once, so a segment is
+    exactly one single-payload ``send_batched`` buffer and the order of
+    the segments is the order those buffers would have been created
+    in; ``offsets`` runs from 0 to ``len(rows)``.  Immutable by
+    convention — batches are shared between outboxes, mailboxes and
+    snapshots without copying.
+    """
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    src_role: str
+    src_slots: np.ndarray
+    dst_role: str
+    dst_slots: np.ndarray
+
+    @classmethod
+    def from_runs(cls, rows: np.ndarray, src_role: str, src: np.ndarray,
+                  dst_role: str, dst: np.ndarray) -> "SegmentBatch":
+        """Batch whose segments are the maximal runs of equal
+        ``(src[i], dst[i])`` over the (non-empty) per-row slot arrays —
+        the form a kernel holds right after its stable
+        ``(source, destination)`` sort."""
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))))
+        return cls(rows, np.append(starts, len(rows)), src_role,
+                   src[starts], dst_role, dst[starts])
+
+    @staticmethod
+    def merge(batches: list) -> "SegmentBatch":
+        """Concatenate same-role batches, segments in list order."""
+        if len(batches) == 1:
+            return batches[0]
+        offsets = np.zeros(sum(len(b) for b in batches) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([b.lengths for b in batches]),
+                  out=offsets[1:])
+        first = batches[0]
+        return SegmentBatch(
+            np.concatenate([b.rows for b in batches]), offsets,
+            first.src_role, np.concatenate([b.src_slots for b in batches]),
+            first.dst_role, np.concatenate([b.dst_slots for b in batches]))
+
+    def __len__(self) -> int:
+        return len(self.dst_slots)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Rows per segment."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @property
+    def nbytes(self) -> np.ndarray:
+        """Payload bytes per segment (what ``ndarray.nbytes`` reports
+        for each segment's row slice)."""
+        return self.lengths * self.rows[:1].nbytes
+
+    def select(self, index: np.ndarray) -> "SegmentBatch":
+        """The sub-batch of segments ``index`` (an integer index array;
+        its order becomes the segment order) — one row gather, no
+        per-segment objects."""
+        lengths = self.lengths[index]
+        offsets = np.zeros(len(index) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = (np.repeat(self.offsets[index] - offsets[:-1], lengths)
+                  + np.arange(offsets[-1], dtype=np.int64))
+        return SegmentBatch(self.rows[gather], offsets, self.src_role,
+                            self.src_slots[index], self.dst_role,
+                            self.dst_slots[index])
+
+    def messages(self) -> list:
+        """The sweep as per-buffer ``(dst_pid, (src_pid, payload))``
+        entries in segment order — the per-message view
+        ``Process.receive`` serves; bulk consumers never call this."""
+        bounds = self.offsets.tolist()
+        return [((self.dst_role, dst),
+                 ((self.src_role, src), self.rows[a:b]))
+                for dst, src, a, b in zip(self.dst_slots.tolist(),
+                                          self.src_slots.tolist(),
+                                          bounds, bounds[1:])]
+
+
+class SegmentQueue:
+    """Delivered sweeps awaiting their addressees: put whole, taken by
+    destination slot.
+
+    Thread-pool chunks of one fused superstep take disjoint slot
+    subsets of the same sweeps concurrently, so the bookkeeping runs
+    under a lock and a partial take only *marks* segments — each
+    segment's rows are gathered once, by whoever takes it, outside the
+    lock; the stored batches are never copied or rebuilt.
+    """
+
+    def __init__(self, batches=()):
+        #: (batch, remaining) pairs: ``remaining`` indexes the segments
+        #: nobody took yet (``None`` = all of them)
+        self._entries: list = []
+        #: destination slots with a segment waiting
+        self._slots: set = set()
+        self._lock = threading.Lock()
+        for batch in batches:
+            self.put(batch)
+
+    def put(self, batch: SegmentBatch) -> None:
+        slots = np.unique(batch.dst_slots).tolist()
+        with self._lock:
+            self._entries.append((batch, None))
+            self._slots.update(slots)
+
+    def has(self, slot) -> bool:
+        """True when a segment addressed to ``slot`` is waiting."""
+        return slot in self._slots
+
+    @staticmethod
+    def _materialise(entries: list) -> list:
+        return [batch if remaining is None else batch.select(remaining)
+                for batch, remaining in entries]
+
+    def batches(self) -> list:
+        """The waiting segments as batches, put order kept."""
+        with self._lock:
+            entries = list(self._entries)
+        return self._materialise(entries)
+
+    def take(self, slots) -> list:
+        """Remove and return, as batches in put order, every waiting
+        segment addressed to one of ``slots`` (whole sweeps pass
+        through uncopied)."""
+        with self._lock:
+            wanted = self._slots.intersection(slots)
+            if not wanted:
+                return []
+            self._slots -= wanted
+            if not self._slots:
+                picked, self._entries = self._entries, []
+            else:
+                wanted = np.fromiter(wanted, dtype=np.int64)
+                picked, kept = [], []
+                for entry in self._entries:
+                    batch, remaining = entry
+                    mask = np.isin(batch.dst_slots if remaining is None
+                                   else batch.dst_slots[remaining], wanted)
+                    if mask.all():
+                        picked.append(entry)
+                    elif mask.any():
+                        if remaining is None:
+                            remaining = np.arange(len(batch))
+                        picked.append((batch, remaining[mask]))
+                        kept.append((batch, remaining[~mask]))
+                    else:
+                        kept.append(entry)
+                self._entries = kept
+        return self._materialise(picked)
 
 
 class Process:
@@ -239,6 +430,22 @@ class Process:
         assert self.cluster is not None, "process not registered with a cluster"
         self.cluster._send_fanout(self.pid, tag, dest_payloads)
 
+    def send_segments(self, tag: str, batch: SegmentBatch) -> None:
+        """Hand a whole emission sweep to the segment plane.
+
+        The batch names its own sources, so this process is only the
+        *carrier*: the sweep is priced and delivered at once
+        (:meth:`SimulatedCluster.deliver_segments`), or — outbox armed —
+        recorded as a single entry the parent replays through the same
+        call.  The carrier must be a process of the step that produced
+        the sweep, so the entry lands in that step's replay slot.
+        """
+        if self._outbox is not None:
+            self._outbox.append(("segments", tag, batch))
+            return
+        assert self.cluster is not None, "process not registered with a cluster"
+        self.cluster.deliver_segments(tag, batch)
+
     def receive(self, tag: str) -> list:
         """Pop and return all delivered ``(src, payload)`` pairs for ``tag``."""
         assert self.cluster is not None, "process not registered with a cluster"
@@ -315,6 +522,9 @@ class SimulatedCluster:
         self._processes: dict = {}
         #: (dst, tag) -> list of (src, payload), already delivered
         self._delivered: dict = defaultdict(list)
+        #: (dst_role, tag) -> SegmentQueue of delivered sweeps, one
+        #: entry per sweep
+        self._segment_mail: dict = {}
         #: in-flight messages, delivered at the next barrier
         self._in_flight: list = []
         #: (src, dst, tag) -> list of payloads awaiting bulk accounting
@@ -334,6 +544,17 @@ class SimulatedCluster:
 
     def process(self, pid) -> Process:
         return self._processes[pid]
+
+    def close(self) -> None:
+        """Forget the registered processes (``stats`` stays readable).
+
+        Cluster and processes reference each other, so a finished run's
+        state — every process's arrays — would otherwise live until
+        the cyclic collector next runs, and runs that allocate few
+        Python objects (the segment plane's whole point) trigger it
+        rarely.  Breaking the cycle frees it by refcount.
+        """
+        self._processes.clear()
 
     @property
     def pids(self) -> list:
@@ -405,53 +626,97 @@ class SimulatedCluster:
 
     def _receive(self, pid, tag: str) -> list:
         out = self._delivered.pop((pid, tag), [])
+        if self._segment_mail and isinstance(pid, tuple) and len(pid) == 2:
+            for batch in self.take_segments(pid[0], tag, [pid[1]]):
+                out.extend(mail for _, mail in batch.messages())
         return out
 
-    def deliver_segments(self, tag: str, entries, src_role: str,
-                         src_slots, dst_role: str, dst_slots,
-                         nbytes) -> None:
-        """Deliver one emission sweep of single-payload segment batches,
-        priced in bulk.
+    def has_mail(self, pid, tag: str) -> bool:
+        """True when ``receive(tag)`` on ``pid`` would return anything —
+        the probe behind the drivers' empty-mailbox short-circuit."""
+        if (pid, tag) in self._delivered:
+            return True
+        if not (isinstance(pid, tuple) and len(pid) == 2):
+            return False
+        queue = self._segment_mail.get((pid[0], tag))
+        return queue is not None and queue.has(pid[1])
 
-        ``entries`` is the sweep's ``(dst_pid, (src_pid, payload))``
-        list in creation order; ``src_slots`` / ``dst_slots`` are the
-        aligned machine slots and ``nbytes`` the aligned payload sizes
-        (int64 ndarrays).  Every ``(src, dst)`` pair must be distinct
-        within the sweep, so each entry is exactly one batched buffer:
-        totals are identical to one ``send_batched`` per entry drained
-        at the next barrier — one message and one batch each, wire
-        bytes zero iff the machine slots match — but the accounting
-        collapses to one bulk update per touched process and delivery
-        happens inline, in the order the batched plane would have
-        drained the sweep's buffers.  Callers own cross-sweep ordering:
-        within a superstep no other sender may target a ``(dst, tag)``
-        mailbox this sweep also targets.  Not outbox-aware — parallel
-        backends arm process outboxes, and senders must fall back to
-        the per-process send helpers there.
+    # -- segment sweeps --------------------------------------------------
+    def deliver_segments(self, tag: str, batch: SegmentBatch) -> None:
+        """Price and deliver one emission sweep.
+
+        Totals are identical to one ``send_batched`` per segment
+        drained at the next barrier — one message and one batch each,
+        wire bytes zero iff the machine slots match — but accounting is
+        one integer pass over the segment offsets plus one update per
+        touched process, and the sweep lands in the mailbox as a single
+        entry.  Delivery is inline, in the order the batched plane
+        would have drained the sweep's buffers.  Callers own
+        cross-sweep ordering: within a superstep no other sender may
+        target a ``(dst, tag)`` mailbox this sweep also targets.
         """
-        if not entries:
-            return
-        delivered = self._delivered
-        for dst_pid, mail in entries:
-            delivered[dst_pid, tag].append(mail)
-        wire = np.where(src_slots == dst_slots, 0, nbytes)
-        stats = self.stats
-        for role, slots, sending in ((src_role, src_slots, True),
-                                     (dst_role, dst_slots, False)):
+        nbytes = batch.nbytes
+        if not len(batch) or (nbytes <= 0).any():
+            raise ValueError("a segment sweep carries no empty segment")
+        wire = np.where(batch.src_slots == batch.dst_slots, 0, nbytes)
+        sides = []
+        for role, slots in ((batch.src_role, batch.src_slots),
+                            (batch.dst_role, batch.dst_slots)):
             counts = np.bincount(slots)
-            totals = np.bincount(slots, weights=wire)
-            for slot in np.flatnonzero(counts):
-                st = stats.stats_for((role, int(slot)))
-                n = int(counts[slot])
-                b = int(totals[slot])
+            # int64 scatter-add, not bincount(weights=...): float64
+            # sums stop being exact past 2**53 bytes.
+            totals = np.zeros(len(counts), dtype=np.int64)
+            np.add.at(totals, slots, wire)
+            sides.append((role, np.flatnonzero(counts).tolist(),
+                          counts.tolist(), totals.tolist()))
+        for slot in sides[1][1]:
+            if (batch.dst_role, slot) not in self._processes:
+                raise KeyError("unknown destination process "
+                               f"{(batch.dst_role, slot)!r}")
+        stats = self.stats
+        for sending, (role, touched, counts, totals) in zip((True, False),
+                                                            sides):
+            for slot in touched:
+                st = stats.stats_for((role, slot))
                 if sending:
-                    st.messages_sent += n
-                    st.bytes_sent += b
-                    st.send_batches += n
+                    st.messages_sent += counts[slot]
+                    st.bytes_sent += totals[slot]
+                    st.send_batches += counts[slot]
                 else:
-                    st.messages_received += n
-                    st.bytes_received += b
-                    st.receive_batches += n
+                    st.messages_received += counts[slot]
+                    st.bytes_received += totals[slot]
+                    st.receive_batches += counts[slot]
+        self.put_segments(tag, batch)
+
+    def put_segments(self, tag: str, batch: SegmentBatch) -> None:
+        """File an already-priced sweep in the mailbox (delivery, and
+        mail moving between a parent cluster and its workers')."""
+        queue = self._segment_mail.get((batch.dst_role, tag))
+        if queue is None:
+            queue = self._segment_mail[batch.dst_role, tag] = SegmentQueue()
+        queue.put(batch)
+
+    def take_segments(self, dst_role: str, tag: str, slots) -> list:
+        """Remove and return the delivered segments addressed to
+        ``(dst_role, s)`` for ``s`` in ``slots``, as a list of batches
+        in delivery order (whole sweeps when every addressee is
+        named, destination-masked sub-batches otherwise)."""
+        queue = self._segment_mail.get((dst_role, tag))
+        return queue.take(slots) if queue is not None else []
+
+    def segment_mail(self) -> list:
+        """Every undrained sweep as ``(tag, batch)`` pairs, per-mailbox
+        delivery order kept."""
+        return [(tag, batch)
+                for (_, tag), queue in self._segment_mail.items()
+                for batch in queue.batches()]
+
+    def pop_segment_mail(self) -> list:
+        """:meth:`segment_mail`, emptying the mailboxes — how a parent
+        cluster hands its segment mail to workers."""
+        out = self.segment_mail()
+        self._segment_mail.clear()
+        return out
 
     # -- synchronisation -------------------------------------------------
     def _drain(self) -> None:

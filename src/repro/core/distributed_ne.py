@@ -37,8 +37,9 @@ one step per process and the backend decides who runs them —
 ``backend="simulated"`` (default) executes inline in deterministic
 order, ``"threads"`` on a thread pool over the GIL-releasing NumPy
 kernels, ``"processes"`` on worker processes with the CSR graph and
-the flat per-partition state mapped in via shared memory (only the
-barrier-batched message buffers cross the parent boundary).  All three
+the flat per-partition state mapped in via shared memory (only message
+payloads — one ``SegmentBatch`` per emission sweep under fused
+dispatch — cross the parent boundary).  All three
 produce bit-identical assignments and accounting totals — the backend
 only changes *where* the arithmetic happens, pinned by
 ``tests/test_backends.py``.
@@ -226,10 +227,12 @@ class DistributedNE(Partitioner):
         Fused cross-partition phase dispatch (default on for the
         vectorized kernel; no-op under ``kernel="python"``).  Each
         scheduler builds a :class:`~repro.core.fused.FusedDnePlane`
-        over its processes, so every selection/one-hop/two-hop
+        over its processes, so every selection/one-hop/two-hop/update
         superstep is one segmented kernel call (machine id as a data
-        axis) instead of ``|P|`` small ones — this is what breaks the
-        |P| ≫ 64 dispatch-overhead crossover.  Bit-identical to
+        axis) instead of ``|P|`` small ones, and every emission sweep
+        is one ``SegmentBatch`` from kernel to mailbox to the next
+        phase's input — this is what breaks the |P| ≫ 64
+        dispatch-overhead crossover.  Bit-identical to
         per-process dispatch on assignments, counters, message
         traffic, and memory totals (pinned by the kernel-equivalence
         and backend tests); ``fused=False`` forces per-process steps.
@@ -459,10 +462,10 @@ class DistributedNE(Partitioner):
             # the mail delivered at the last barrier — is absent is
             # submitted with ``method=None`` (gather-only) on every
             # backend.  The reference step would be a no-op: send sites
-            # never emit empty payloads, so key presence in the parent
-            # mailboxes is exactly "this step has work"; skipped steps
-            # emit nothing and report nothing, keeping totals identical.
-            delivered = cluster._delivered
+            # never emit empty payloads, so `cluster.has_mail` on the
+            # parent mailboxes is exactly "this step has work"; skipped
+            # steps emit nothing and report nothing, keeping totals
+            # identical.
             finished_prev = dict.fromkeys(exp_pids, False)
             if resume_snapshot is not None:
                 CheckpointStore.check_meta(resume_snapshot, meta)
@@ -509,7 +512,7 @@ class DistributedNE(Partitioner):
                 cluster.barrier()  # Step 2
 
                 ta = time.perf_counter()
-                one_ran = {pid: (pid, TAG_SELECT) in delivered
+                one_ran = {pid: cluster.has_mail(pid, TAG_SELECT)
                            for pid in alloc_pids}
                 one = traced_superstep(  # Step 3
                     "one_hop",
@@ -524,7 +527,7 @@ class DistributedNE(Partitioner):
                 two = traced_superstep(  # Step 4
                     "two_hop",
                     [(pid, "two_hop_and_report"
-                      if one_ran[pid] or (pid, TAG_SYNC) in delivered
+                      if one_ran[pid] or cluster.has_mail(pid, TAG_SYNC)
                       else None, ())
                      for pid in alloc_pids],
                     gather=("ops_one_hop", "ops_two_hop"))
@@ -544,8 +547,8 @@ class DistributedNE(Partitioner):
                 upd = traced_superstep(
                     "update_state",
                     [(pid, "update_state"
-                      if (pid, TAG_BOUNDARY) in delivered
-                      or (pid, TAG_EDGES) in delivered else None, ())
+                      if cluster.has_mail(pid, TAG_BOUNDARY)
+                      or cluster.has_mail(pid, TAG_EDGES) else None, ())
                      for pid in exp_pids],
                     gather=("edge_count",))
                 global_allocated = int(cluster.all_gather_sum(
@@ -623,6 +626,7 @@ class DistributedNE(Partitioner):
             steps_skipped = backend.steps_skipped
         finally:
             backend.close()
+            cluster.close()
 
         if tracer.enabled:
             tracer.span("run:distributed_ne", cat="run",

@@ -3,12 +3,25 @@
 At |P| ≫ 64 the vectorized kernels lose end-to-end: per iteration the
 driver dispatches one step *per machine* per phase, and each step's
 batch is tiny — the per-call NumPy setup floor of ~|P| small kernel
-invocations dominates (ROADMAP's |P| ≫ 64 crossover, `dne_p256` at
-0.5×).  :class:`FusedDnePlane` removes the dispatch axis: machine id
-becomes a *segment axis* of one concatenated state, and each DNE phase
-runs as a single batched kernel over per-machine segments
-(``searchsorted`` / ``np.add.at`` / segment splits over offset arrays
-instead of a Python loop over processes).
+invocations dominates (ROADMAP's |P| ≫ 64 crossover).
+:class:`FusedDnePlane` removes the dispatch axis: machine id becomes a
+*segment axis* of one concatenated state, and each DNE phase runs as a
+single batched kernel over per-machine segments (``searchsorted`` /
+``np.add.at`` / stable sorts over offset arrays instead of a Python
+loop over processes).
+
+The message plane between the phases is segment-level too.  A phase's
+whole emission sweep is one
+:class:`~repro.cluster.runtime.SegmentBatch` — one row array, segment
+offsets, aligned source/destination slots — that the kernel builds
+straight from its ``(source, destination)`` sort, hands to
+``Process.send_segments`` (priced in one pass, stored as one mailbox
+entry, one outbox entry under a parallel backend), and that the next
+phase's kernel takes back whole with
+``SimulatedCluster.take_segments``: ``np.repeat(dst_slots, lengths)``
+is the per-row machine index, no per-``(src, dst, tag)`` object is
+ever created.  Per-superstep Python work is O(|P|) (the per-process
+state objects), not O(|P|²) buffers, on all three backends.
 
 Equivalence contract (the hard constraint, pinned by
 ``tests/test_kernel_equivalence.py`` and ``tests/test_backends.py``):
@@ -31,19 +44,23 @@ order, and memory reports.  The mechanisms:
   batch.  Machines' states are disjoint, so a round's batched probe of
   pre-round state is exactly each machine's pre-group probe, and
   sequential rounds reproduce each machine's group order.
-* **Deterministic emission order.**  Fused payload buffers are sliced
-  back into the exact per-``(src, dst, tag)`` batches the accounting
-  model prices: one stable sort by (machine, destination) recovers
-  each process's per-destination concatenation, and emission loops run
-  machines ascending, destinations ascending — the order the simulated
-  scheduler's sequential steps would have created the buffers in.  All
-  traffic goes through the owning ``Process`` helpers, so outbox
-  capture on parallel backends works unchanged.
+* **Deterministic emission and ingest order.**  One stable sort by
+  (machine, destination) makes a sweep's segments exactly the
+  per-``(src, dst, tag)`` buffers the accounting model prices, in the
+  order sequential per-process steps would have created them
+  (machines ascending, destinations ascending).  On ingest, where
+  order matters (two-hop's first-occurrence dedup walks each mailbox
+  front to back), one stable sort of the taken segments by
+  (destination, own-rows-first, source) rebuilds every mailbox's
+  source-ascending order — whatever order a parallel backend replayed
+  the sweeps in.
 
-The plane serves ``select_and_multicast``, ``one_hop_and_sync`` and
-``two_hop_and_report``; ``update_state`` / ``check_termination`` stay
-per-process (cheap folds of each process's own mailbox).  Vectorized
-kernel only — the reference kernel keeps its per-process steps.
+The plane serves ``select_and_multicast``, ``one_hop_and_sync``,
+``two_hop_and_report`` and ``update_state``; ``check_termination``
+stays per-process (no mail, one comparison).  It reads segment mail
+only, so a scheduler either fuses every mail-carrying phase or none —
+which is what ``_fusable_method`` does.  Vectorized kernel only — the
+reference kernel keeps its per-process steps and per-message sends.
 
 Invariants pinned by the tests — where to look when a change here
 breaks CI:
@@ -57,9 +74,10 @@ breaks CI:
   checkpoint/resume and fault-recovery replay see the same step
   sequence on every backend (``tests/test_backends.py``,
   ``tests/test_faults.py``);
-* bulk-priced delivery (``SimulatedCluster.deliver_segments``) equals
-  the per-buffer pricing path on every message/byte total — integer
-  bincount commutativity, pinned by ``tests/test_cluster_batched.py``;
+* a ``SegmentBatch`` delivery equals one ``send_batched`` per segment
+  on every counter and on mailbox order, and the number of mailbox
+  entries per superstep does not depend on |P|:
+  ``tests/test_cluster_batched.py``;
 * the ``dne_p256`` end-to-end speedup floor:
   ``benchmarks/perf/test_perf_smoke.py::test_dne_p256_end_to_end_at_least_2x``
   (CI perf-smoke matrix, its own entry).
@@ -67,29 +85,26 @@ breaks CI:
 
 from __future__ import annotations
 
-import copy
 import time
 
 import numpy as np
 
-from repro.cluster.runtime import pair_array
-from repro.core.allocation import (TAG_SELECT, TAG_SYNC,
-                                   AllocationProcess)
+from repro.cluster.runtime import SegmentBatch, SegmentQueue
+from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
+                                   TAG_SYNC, AllocationProcess)
 from repro.core.expansion import ExpansionProcess
 from repro.graph.csr import adjacency_slots, first_occurrence
 
 __all__ = ["FusedDnePlane"]
 
 
-def _segments(arr: np.ndarray, starts: np.ndarray) -> list:
-    """Segment views ``arr[starts[i]:starts[i+1]]`` (the last running to
-    the end) — what ``np.split(arr, starts[1:])`` returns, without its
-    per-segment ``swapaxes`` machinery (phases emit hundreds of tiny
-    segments, so the split overhead shows up in the |P| = 256 profile).
-    """
+def _runs(keys: np.ndarray):
+    """``(value, start, end)`` per maximal run of equal values in
+    ``keys`` (non-empty, grouped)."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     bounds = starts.tolist()
-    bounds.append(len(arr))
-    return [arr[a:b] for a, b in zip(bounds, bounds[1:])]
+    bounds.append(len(keys))
+    return zip(keys[starts].tolist(), bounds, bounds[1:])
 
 
 class FusedDnePlane:
@@ -104,7 +119,7 @@ class FusedDnePlane:
 
     #: step methods the plane can fuse
     methods = frozenset({"select_and_multicast", "one_hop_and_sync",
-                         "two_hop_and_report"})
+                         "two_hop_and_report", "update_state"})
 
     def __init__(self, processes, placement):
         allocs = sorted((p for p in processes
@@ -123,11 +138,19 @@ class FusedDnePlane:
         self._machines = np.array([a.machine for a in allocs],
                                   dtype=np.int64)
         self._mindex = {int(a.machine): i for i, a in enumerate(allocs)}
+        #: machine slot -> machine idx (the segment axis), -1 elsewhere
+        self._mi_of_slot = np.full(placement.num_processes, -1,
+                                   dtype=np.int64)
+        self._mi_of_slot[self._machines] = np.arange(m, dtype=np.int64)
+        #: one-hop outputs parked until two_hop_and_report: the new
+        #: boundary (u, p) rows and the (p, edge id) allocation events,
+        #: one machine-segmented batch per one-hop call (thread-pool
+        #: chunks park and take disjoint machine sets concurrently)
+        self._pending_bp = SegmentQueue()
+        self._pending_edges = SegmentQueue()
         if not m:
             self._width = placement.num_processes
             self._g = 1
-            self._pending_bp: dict = {}
-            self._pending_edges: dict = {}
             return
         self._g = max(allocs[0].graph.num_vertices, 1)
         width = len(allocs[0]._part_loads)
@@ -197,10 +220,6 @@ class FusedDnePlane:
                 a._member._words = words[self._voff[i]:self._voff[i + 1]]
             self._member._words = words
 
-        #: one-hop outputs awaiting two_hop_and_report, per machine idx
-        self._pending_bp = {}
-        self._pending_edges = {}
-
     # ------------------------------------------------------------------
     def checkpoint_state(self) -> dict:
         """Snapshot the plane's cross-superstep transients.
@@ -210,14 +229,23 @@ class FusedDnePlane:
         is the one-hop output parked between the one-hop and two-hop
         supersteps.  Worker supervision captures this alongside the
         per-process blobs so a worker respawned between those two
-        supersteps replays two-hop on identical inputs.
+        supersteps replays two-hop on identical inputs.  Batches are
+        immutable, so the snapshot shares them.
         """
-        return {"pending_bp": copy.deepcopy(self._pending_bp),
-                "pending_edges": copy.deepcopy(self._pending_edges)}
+        return {"pending_bp": self._pending_bp.batches(),
+                "pending_edges": self._pending_edges.batches()}
 
     def restore_state(self, state: dict) -> None:
-        self._pending_bp = copy.deepcopy(state["pending_bp"])
-        self._pending_edges = copy.deepcopy(state["pending_edges"])
+        self._pending_bp = SegmentQueue(state["pending_bp"])
+        self._pending_edges = SegmentQueue(state["pending_edges"])
+
+    def _park(self, pending: SegmentQueue, rows: np.ndarray,
+              mi_rows: np.ndarray) -> None:
+        """Park ``rows`` (grouped by machine idx ``mi_rows``) as one
+        machine-segmented batch."""
+        slots = self._machines[mi_rows]
+        pending.put(SegmentBatch.from_runs(rows, "alloc", slots,
+                                           "alloc", slots))
 
     # ------------------------------------------------------------------
     def run(self, method: str, pids) -> dict:
@@ -228,12 +256,14 @@ class FusedDnePlane:
             return self._run_one_hop(pids)
         if method == "two_hop_and_report":
             return self._run_two_hop(pids)
+        if method == "update_state":
+            return self._run_update(pids)
         raise ValueError(f"unsupported fused method {method!r}")
 
     # ------------------------------------------------------------------
     # Selection: per-process pops (boundary state is per-process), one
-    # batched replica_membership over every selected vertex, fused
-    # fan-out sliced back per (source, destination).
+    # batched replica_membership over every selected vertex, the whole
+    # multicast emitted as one (source, destination)-segmented sweep.
     # ------------------------------------------------------------------
     def _run_select(self, pids) -> dict:
         values: dict = {}
@@ -262,58 +292,24 @@ class FusedDnePlane:
         counts = np.array([len(c) for c in sel_chunks], dtype=np.int64)
         selected = np.concatenate(sel_chunks)
         src_idx = np.repeat(np.arange(len(srcs), dtype=np.int64), counts)
+        src_parts = np.array([p.partition for p in srcs], dtype=np.int64)
         rows = np.empty((len(selected), 2), dtype=np.int64)
         rows[:, 0] = selected
-        rows[:, 1] = np.repeat(
-            np.array([p.partition for p in srcs], dtype=np.int64), counts)
+        rows[:, 1] = np.repeat(src_parts, counts)
 
         masks = self._placement.replica_membership(selected)
-        width = masks.shape[1]
         vidx, dsts = np.nonzero(masks)
         hit_src = src_idx[vidx]
         ops = np.bincount(hit_src, minlength=len(srcs))
         for i, proc in enumerate(srcs):
             proc.selection_ops += int(ops[i])
         # Stable sort by (source, destination): within a pair, hits stay
-        # in selection order — each source's per-destination payload is
+        # in selection order — each source's per-destination segment is
         # exactly its per-process `masks.T` fan-out slice.
-        key = hit_src * width + dsts
-        order = np.argsort(key, kind="stable")
-        hit_rows = rows[vidx[order]]
-        kord = key[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], kord[1:] != kord[:-1])))
-        chunks = _segments(hit_rows, starts)
-        seg_key = kord[starts]
-        seg_src = (seg_key // width).tolist()
-        seg_dst = (seg_key % width).tolist()
-        nseg = len(starts)
-        if srcs[0]._outbox is None:
-            # Simulated scheduler: one bulk-priced delivery for the
-            # whole multicast sweep ((src, dst) pairs are distinct by
-            # construction — one group per pair).
-            bounds = np.append(starts, len(hit_rows))
-            nb = (bounds[1:] - bounds[:-1]) * hit_rows.itemsize * 2
-            src_parts = np.array([p.partition for p in srcs],
-                                 dtype=np.int64)
-            src_pids = [p.pid for p in srcs]
-            entries = [(("alloc", seg_dst[i]),
-                        (src_pids[seg_src[i]], chunks[i]))
-                       for i in range(nseg)]
-            srcs[0].cluster.deliver_segments(
-                TAG_SELECT, entries,
-                "expansion", src_parts[seg_key // width],
-                "alloc", seg_key % width, nb)
-            return values
-        si = 0
-        for i, proc in enumerate(srcs):
-            dest_payloads = []
-            while si < nseg and seg_src[si] == i:
-                dest_payloads.append((("alloc", int(seg_dst[si])),
-                                      chunks[si]))
-                si += 1
-            if dest_payloads:
-                proc.send_fanout(TAG_SELECT, dest_payloads)
+        order = np.argsort(hit_src * masks.shape[1] + dsts, kind="stable")
+        srcs[0].send_segments(TAG_SELECT, SegmentBatch.from_runs(
+            rows[vidx[order]], "expansion", src_parts[hit_src[order]],
+            "alloc", dsts[order]))
         return values
 
     # ------------------------------------------------------------------
@@ -322,23 +318,18 @@ class FusedDnePlane:
     def _run_one_hop(self, pids) -> dict:
         mis = sorted(self._mindex[pid[1]] for pid in pids)
         out = {("alloc", int(self._machines[mi])): None for mi in mis}
-        for mi in mis:
-            self._pending_bp.pop(mi, None)
-            self._pending_edges.pop(mi, None)
         g, width, m = self._g, self._width, self._m
-        chunks: list = []
-        chunk_mi: list = []
-        for mi in mis:
-            for _, payload in self._alloc_procs[mi].receive(TAG_SELECT):
-                c = pair_array(payload)
-                if len(c):
-                    chunks.append(c)
-                    chunk_mi.append(mi)
-        if not chunks:
+        # Cluster and outbox state come from a process of THIS call's
+        # subset: thread-pool chunks arm outboxes per chunk, workers
+        # own a private cluster.
+        carrier = self._alloc_procs[mis[0]]
+        mail = carrier.cluster.take_segments(
+            "alloc", TAG_SELECT, self._machines[mis].tolist())
+        if not mail:
             return out
-        arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        m_row = np.repeat(np.array(chunk_mi, dtype=np.int64),
-                          np.array([len(c) for c in chunks]))
+        select = SegmentBatch.merge(mail)
+        arr = select.rows
+        m_row = np.repeat(self._mi_of_slot[select.dst_slots], select.lengths)
         if int(arr[:, 1].max()) >= width:
             raise ValueError(
                 "fused dispatch cannot grow partition capacity; "
@@ -451,18 +442,13 @@ class FusedDnePlane:
                    + np.bincount(self._ldst[nl], minlength=total_nv))
             np.add.at(self._loads, (mv, pv), 1)
             nalloc = np.bincount(mv, minlength=m)
-            # Pending TAG_EDGES events per machine, event order (rounds
-            # ascend = each machine's partition groups ascending).
+            # Park the TAG_EDGES events per machine, event order kept
+            # (rounds ascend = each machine's partition groups
+            # ascending), as (partition, global edge id) rows.
             ordm = np.argsort(mv, kind="stable")
-            mv_s = mv[ordm]
-            mseg = np.flatnonzero(np.concatenate(
-                ([True], mv_s[1:] != mv_s[:-1])))
-            mseg_end = np.concatenate((mseg[1:], [len(mv_s)]))
-            geids = self._eids[nl[ordm]]
-            pv_s = pv[ordm]
-            for s, e in zip(mseg.tolist(), mseg_end.tolist()):
-                self._pending_edges[int(mv_s[s])] = (pv_s[s:e],
-                                                     geids[s:e])
+            self._park(self._pending_edges,
+                       np.column_stack((pv[ordm], self._eids[nl[ordm]])),
+                       mv[ordm])
         else:
             dec = None
             nalloc = np.zeros(m, dtype=np.int64)
@@ -478,58 +464,21 @@ class FusedDnePlane:
             bp_rows = np.concatenate(bp_chunks)
             bpm = np.concatenate(bp_mi)
             ordb = np.argsort(bpm, kind="stable")
-            bpm_s = bpm[ordb]
-            bseg = np.flatnonzero(np.concatenate(
-                ([True], bpm_s[1:] != bpm_s[:-1])))
-            bseg_end = np.concatenate((bseg[1:], [len(bpm_s)]))
-            rows_s = bp_rows[ordb]
-            for s, e in zip(bseg.tolist(), bseg_end.tolist()):
-                self._pending_bp[int(bpm_s[s])] = rows_s[s:e]
+            self._park(self._pending_bp, bp_rows[ordb], bpm[ordb])
             if sync_src:
                 s_src = np.concatenate(sync_src)
                 s_dst = np.concatenate(sync_dst)
                 s_pos = np.concatenate(sync_pos)
                 # (machine asc, destination asc); hits within a pair
-                # stay in group/row order — each pair's gathered slice
-                # is the per-process sync_out concatenation.
-                key = s_src * (self._width + 1) + s_dst
-                order2 = np.argsort(key, kind="stable")
-                gathered = bp_rows[s_pos[order2]]
-                k2 = key[order2]
-                sstarts = np.flatnonzero(np.concatenate(
-                    ([True], k2[1:] != k2[:-1])))
-                segs = _segments(gathered, sstarts)
-                seg_key = k2[sstarts]
-                seg_src = (seg_key // (self._width + 1)).tolist()
-                seg_dst = (seg_key % (self._width + 1)).tolist()
-                nseg = len(seg_src)
-                procs = self._alloc_procs
-                # Arming is uniform across the pids of one fused call,
-                # but NOT across the whole plane (threads chunks) — the
-                # probe must use a proc from this call's subset.
-                if procs[mis[0]]._outbox is None:
-                    bounds = np.append(sstarts, len(gathered))
-                    nb = ((bounds[1:] - bounds[:-1])
-                          * gathered.itemsize * 2)
-                    src_idx = seg_key // (self._width + 1)
-                    entries = [(("alloc", seg_dst[i]),
-                                (procs[seg_src[i]].pid, segs[i]))
-                               for i in range(nseg)]
-                    procs[0].cluster.deliver_segments(
-                        TAG_SYNC, entries,
-                        "alloc", self._machines[src_idx],
-                        "alloc", seg_key % (self._width + 1), nb)
-                else:
-                    si = 0
-                    while si < nseg:
-                        src_mi = seg_src[si]
-                        pairs = []
-                        while si < nseg and seg_src[si] == src_mi:
-                            pairs.append((("alloc", int(seg_dst[si])),
-                                          segs[si]))
-                            si += 1
-                        procs[src_mi].send_fanout(TAG_SYNC, pairs)
+                # stay in group/row order — each pair's gathered
+                # segment is the per-process sync_out concatenation.
+                order2 = np.argsort(s_src * width + s_dst, kind="stable")
+                carrier.send_segments(TAG_SYNC, SegmentBatch.from_runs(
+                    bp_rows[s_pos[order2]],
+                    "alloc", self._machines[s_src[order2]],
+                    "alloc", s_dst[order2]))
         return out
+
     # ------------------------------------------------------------------
     # Sync merge + two-hop allocation + Drest/edge reports.
     # ------------------------------------------------------------------
@@ -538,30 +487,29 @@ class FusedDnePlane:
         out = {("alloc", int(self._machines[mi])): None for mi in mis}
         g, width, m = self._g, self._width, self._m
         member = self._member
-        rows_chunks: list = []
-        chunk_mi: list = []
-        chunk_forced: list = []
-        for mi in mis:
-            bp = self._pending_bp.pop(mi, None)
-            if bp is not None and len(bp):
-                rows_chunks.append(bp)
-                chunk_mi.append(mi)
-                chunk_forced.append(True)
-            for _, payload in self._alloc_procs[mi].receive(TAG_SYNC):
-                c = pair_array(payload)
-                if len(c):
-                    rows_chunks.append(c)
-                    chunk_mi.append(mi)
-                    chunk_forced.append(False)
+        procs = self._alloc_procs
+        carrier = procs[mis[0]]       # this call's cluster + outbox
+        slots = self._machines[mis].tolist()
+        parts = self._pending_bp.take(slots)
+        nforced = sum(len(b) for b in parts)
+        parts += carrier.cluster.take_segments("alloc", TAG_SYNC, slots)
 
         merged_rows = np.empty((0, 2), dtype=np.int64)
         merged_lv = merged_m = np.empty(0, dtype=np.int64)
-        if rows_chunks:
-            arr = (rows_chunks[0] if len(rows_chunks) == 1
-                   else np.concatenate(rows_chunks))
-            lens = np.array([len(c) for c in rows_chunks])
-            m_row = np.repeat(np.array(chunk_mi, dtype=np.int64), lens)
-            forced = np.repeat(np.array(chunk_forced, dtype=bool), lens)
+        if parts:
+            mail = SegmentBatch.merge(parts)
+            # Rebuild every mailbox's reference walk order: machine
+            # ascending; per machine its own one-hop rows first
+            # (merged unconditionally), then sync mail by ascending
+            # source — independent of the order sweeps were replayed in.
+            seg_mi = self._mi_of_slot[mail.dst_slots]
+            rank = np.where(np.arange(len(mail)) < nforced, 0,
+                            mail.src_slots + 1)
+            order = np.argsort(seg_mi * (width + 1) + rank, kind="stable")
+            mail = mail.select(order)
+            arr = mail.rows
+            m_row = np.repeat(seg_mi[order], mail.lengths)
+            forced = np.repeat(order < nforced, mail.lengths)
             vk = m_row * g + arr[:, 0]
             nvk = len(self._vkeys)
             pos = np.searchsorted(self._vkeys, vk)
@@ -642,122 +590,94 @@ class FusedDnePlane:
                             proc.unallocated -= int(nalloc[mi])
                         cand_tgt = tgt
                         cand_geids = self._eids[cand_les]
-        th_bounds = np.searchsorted(cand_mi,
-                                    np.arange(m + 1, dtype=np.int64))
-
-        # Drest rows, unique (machine, vertex, partition) and sorted —
-        # each machine's slice is its reference np.unique(merged) walk.
+        # Drest report, one sweep for all machines.  The unique
+        # (machine, vertex, partition) keys come out sorted, so after
+        # the stable (machine, partition) regroup each segment keeps
+        # its vertices ascending — the reference's np.unique(merged)
+        # walk, sliced per destination partition.
         if len(merged_rows):
             ukeys = np.unique((merged_m * g + merged_rows[:, 0]) * width
                               + merged_rows[:, 1])
             u_mi = ukeys // (g * width)
             u_v = (ukeys // width) % g
-            u_p = ukeys % width
-            u_bounds = np.searchsorted(u_mi,
-                                       np.arange(m + 1, dtype=np.int64))
-        else:
-            u_bounds = np.zeros(m + 1, dtype=np.int64)
+            drest = np.concatenate([a.rest_degree for a in procs])[
+                np.searchsorted(self._vkeys, u_mi * g + u_v)]
+            keep = np.flatnonzero(drest > 0)
+            if len(keep):
+                keep = keep[np.argsort(
+                    u_mi[keep] * width + ukeys[keep] % width, kind="stable")]
+                rows_out = np.empty((len(keep), 2), dtype=np.int64)
+                rows_out[:, 0] = u_v[keep]
+                rows_out[:, 1] = drest[keep]
+                carrier.send_segments(TAG_BOUNDARY, SegmentBatch.from_runs(
+                    rows_out, "alloc", self._machines[u_mi[keep]],
+                    "expansion", ukeys[keep] % width))
 
-        from repro.core.allocation import TAG_BOUNDARY, TAG_EDGES
-        # Bulk inline delivery (simulated scheduler only): report
-        # buffers are collected across the machine loop and priced in
-        # one sweep per tag — per-(dst, tag) mailbox order (machine
-        # ascending, partition ascending within a machine) is exactly
-        # the per-process buffer-creation order.
-        bulk = self._alloc_procs[mis[0]]._outbox is None if mis else False
-        b_entries: list = []
-        b_src: list = []
-        b_dst: list = []
-        b_nb: list = []
-        e_entries: list = []
-        e_src: list = []
-        e_dst: list = []
-        e_nb: list = []
+        # Edge report, one sweep: every machine's parked one-hop events
+        # then its two-hop events, stably regrouped by (machine,
+        # partition) — each segment is the reference's _ep_new[p] chunk
+        # concatenation.
+        parked = self._pending_edges.take(slots)
+        if parked:
+            oh = SegmentBatch.merge(parked)
+            ev_mi = np.concatenate((
+                np.repeat(self._mi_of_slot[oh.dst_slots], oh.lengths),
+                cand_mi))
+            ev_p = np.concatenate((oh.rows[:, 0], cand_tgt))
+            ev_eid = np.concatenate((oh.rows[:, 1], cand_geids))
+        else:
+            ev_mi, ev_p, ev_eid = cand_mi, cand_tgt, cand_geids
+        if len(ev_mi):
+            eord = np.argsort(ev_mi * width + ev_p, kind="stable")
+            carrier.send_segments(TAG_EDGES, SegmentBatch.from_runs(
+                ev_eid[eord], "alloc", self._machines[ev_mi[eord]],
+                "expansion", ev_p[eord]))
+
         for mi in mis:
-            proc = self._alloc_procs[mi]
-            proc.ops_two_hop += int(ops2[mi])
-            a, b = int(u_bounds[mi]), int(u_bounds[mi + 1])
-            if b > a:
-                v_m, p_m = u_v[a:b], u_p[a:b]
-                local = np.searchsorted(self._vkeys, mi * g + v_m) \
-                    - self._voff[mi]
-                drest = proc.rest_degree[local]
-                keep = drest > 0
-                if keep.any():
-                    rows_out = np.empty((int(keep.sum()), 2),
-                                        dtype=np.int64)
-                    rows_out[:, 0] = v_m[keep]
-                    rows_out[:, 1] = drest[keep]
-                    ps_k = p_m[keep]
-                    pord = np.argsort(ps_k, kind="stable")
-                    ps_s = ps_k[pord]
-                    rows_s = rows_out[pord]
-                    pst = np.flatnonzero(np.concatenate(
-                        ([True], ps_s[1:] != ps_s[:-1])))
-                    if bulk:
-                        mslot = int(self._machines[mi])
-                        src_pid = proc.pid
-                        for p, seg in zip(ps_s[pst].tolist(),
-                                          _segments(rows_s, pst)):
-                            b_entries.append((("expansion", p),
-                                              (src_pid, seg)))
-                            b_src.append(mslot)
-                            b_dst.append(p)
-                            b_nb.append(seg.nbytes)
-                    else:
-                        proc.send_fanout(TAG_BOUNDARY, [
-                            (("expansion", int(p)), seg)
-                            for p, seg in zip(ps_s[pst].tolist(),
-                                              _segments(rows_s, pst))])
-            # Edge reports: one-hop events (already partition-grouped
-            # ascending) then two-hop events, stably regrouped per
-            # partition — each payload is the reference's _ep_new[p]
-            # chunk concatenation.
-            oh = self._pending_edges.pop(mi, None)
-            ta, tb = int(th_bounds[mi]), int(th_bounds[mi + 1])
-            parts = []
-            if oh is not None:
-                parts.append(oh)
-            if tb > ta:
-                parts.append((cand_tgt[ta:tb], cand_geids[ta:tb]))
-            if parts:
-                p_comb = (parts[0][0] if len(parts) == 1
-                          else np.concatenate([p for p, _ in parts]))
-                e_comb = (parts[0][1] if len(parts) == 1
-                          else np.concatenate([e for _, e in parts]))
-                eord = np.argsort(p_comb, kind="stable")
-                p_s = p_comb[eord]
-                e_s = e_comb[eord]
-                est = np.flatnonzero(np.concatenate(
-                    ([True], p_s[1:] != p_s[:-1])))
-                if bulk:
-                    mslot = int(self._machines[mi])
-                    src_pid = proc.pid
-                    for p, seg in zip(p_s[est].tolist(),
-                                      _segments(e_s, est)):
-                        e_entries.append((("expansion", p),
-                                          (src_pid, seg)))
-                        e_src.append(mslot)
-                        e_dst.append(p)
-                        e_nb.append(seg.nbytes)
-                else:
-                    proc.send_fanout(TAG_EDGES, [
-                        (("expansion", int(p)), seg)
-                        for p, seg in zip(p_s[est].tolist(),
-                                          _segments(e_s, est))])
-            proc.report_memory()
-        if b_entries:
-            cl = self._alloc_procs[mis[0]].cluster
-            cl.deliver_segments(
-                TAG_BOUNDARY, b_entries,
-                "alloc", np.array(b_src, dtype=np.int64),
-                "expansion", np.array(b_dst, dtype=np.int64),
-                np.array(b_nb, dtype=np.int64))
-        if e_entries:
-            cl = self._alloc_procs[mis[0]].cluster
-            cl.deliver_segments(
-                TAG_EDGES, e_entries,
-                "alloc", np.array(e_src, dtype=np.int64),
-                "expansion", np.array(e_dst, dtype=np.int64),
-                np.array(e_nb, dtype=np.int64))
+            procs[mi].ops_two_hop += int(ops2[mi])
+            procs[mi].report_memory()
         return out
+
+    # ------------------------------------------------------------------
+    # Expansion-side fold of the boundary and edge reports.
+    # ------------------------------------------------------------------
+    def _run_update(self, pids) -> dict:
+        exps = [self._exp[pid] for pid in pids]
+        cluster = exps[0].cluster
+        slots = [proc.partition for proc in exps]
+        mail = cluster.take_segments("expansion", TAG_BOUNDARY, slots)
+        if mail:
+            # Per-process local Drest scores summed into global ones:
+            # the unique (partition, vertex) keys come out sorted, so
+            # each partition's slice inserts in ascending vertex order
+            # (the reference's sorted-dict iteration).
+            report = SegmentBatch.merge(mail)
+            g = int(report.rows[:, 0].max()) + 1
+            keys, inverse = np.unique(
+                np.repeat(report.dst_slots, report.lengths) * g
+                + report.rows[:, 0], return_inverse=True)
+            sums = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(sums, inverse, report.rows[:, 1])
+            vs = keys % g
+            for p, a, b in _runs(keys // g):
+                self._exp["expansion", p].boundary.insert_many(vs[a:b],
+                                                               sums[a:b])
+        mail = cluster.take_segments("expansion", TAG_EDGES, slots)
+        if mail:
+            # Mailbox order (destination, then ascending source) makes
+            # a partition's edge ids one contiguous row range.
+            report = SegmentBatch.merge(mail)
+            report = report.select(np.argsort(
+                report.dst_slots * (int(report.src_slots.max()) + 1)
+                + report.src_slots, kind="stable"))
+            bounds = report.offsets.tolist()
+            for p, a, b in _runs(report.dst_slots):
+                proc = self._exp["expansion", p]
+                proc.edge_ids.append(report.rows[bounds[a]:bounds[b]])
+                proc.edge_count += bounds[b] - bounds[a]
+        for proc in exps:
+            # Memory model: boundary entries + received partition edges
+            # (one 64-bit edge id per collected edge).
+            proc.set_resident("boundary", len(proc.boundary) * 16)
+            proc.set_resident("partition_edges", proc.edge_count * 8)
+        return dict.fromkeys(pids)

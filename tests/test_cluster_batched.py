@@ -8,13 +8,22 @@ message/byte totals (bulk pricing = sum of per-payload
 semantics unchanged (``flush`` drains without counting).  These tests
 pin that contract centrally so the PR-2 byte-equality pins cannot rot
 silently under coalescing.
+
+Segment sweeps get the same treatment: a ``SegmentBatch`` delivery must
+equal one ``send_batched`` per segment on every per-process counter and
+on mailbox order, survive outbox replay and destination-mask
+sub-batching unchanged, and stay one mailbox entry per sweep at any |P|.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.cluster.accounting import payload_nbytes
-from repro.cluster.runtime import Process, SimulatedCluster, pair_array
+from repro.cluster.backends.base import apply_outbox
+from repro.cluster.runtime import (Process, SegmentBatch, SimulatedCluster,
+                                   pair_array)
 
 #: payload shapes spanning the whole contract: ndarray pair batches,
 #: reference tuple lists, id arrays, scalars, and control messages
@@ -217,3 +226,225 @@ class TestDeliveryOrder:
             cluster.barrier()
             orders[plane] = procs[0].receive("t")
         assert orders["send"] == orders["send_batched"]
+
+
+# ----------------------------------------------------------------------
+# Segment sweeps: one SegmentBatch per emission sweep
+# ----------------------------------------------------------------------
+_COUNTERS = ("messages_sent", "bytes_sent", "messages_received",
+             "bytes_received", "send_batches", "receive_batches")
+
+
+def _dne_cluster(machines):
+    pids = ([("alloc", k) for k in range(machines)]
+            + [("expansion", k) for k in range(machines)])
+    return _cluster(pids)[0], pids
+
+
+def _counters(cluster, pids):
+    return {pid: tuple(getattr(cluster.stats.stats_for(pid), c)
+                       for c in _COUNTERS) for pid in pids}
+
+
+def _random_sweep(rng, machines, shape, dst_role="alloc", width=2):
+    """A sweep in creation order (sources ascending, destinations
+    ascending): distinct (src, dst) pairs, no empty segment."""
+    if shape == "all_to_all":
+        pairs = [(s, d) for s in range(machines) for d in range(machines)]
+    elif shape == "single_destination":
+        pairs = [(s, machines // 2) for s in range(machines)]
+    elif shape == "colocated":
+        pairs = [(s, s) for s in range(machines)] + [(0, machines - 1)]
+    else:
+        hit = rng.random((machines, machines)) < 0.3
+        hit[0, 1] = True
+        pairs = [(s, d) for s in range(machines) for d in range(machines)
+                 if hit[s, d]]
+    pairs.sort()
+    lengths = rng.integers(1, 6, size=len(pairs))
+    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    rows = rng.integers(0, 1000, size=(int(offsets[-1]), width))
+    if width == 1:
+        rows = rows[:, 0]
+    return SegmentBatch(rows.astype(np.int64), offsets,
+                        "alloc", np.array([s for s, _ in pairs]),
+                        dst_role, np.array([d for _, d in pairs]))
+
+
+def _mailboxes(cluster, pids, tag):
+    return {pid: [(src, payload.tolist())
+                  for src, payload in cluster.process(pid).receive(tag)]
+            for pid in pids}
+
+
+class TestSegmentBatchDelivery:
+    """A SegmentBatch delivery is observationally one ``send_batched``
+    per segment drained at the barrier."""
+
+    @pytest.mark.parametrize("shape", ["random", "colocated",
+                                       "single_destination", "all_to_all"])
+    @pytest.mark.parametrize("dst_role,width", [("alloc", 2),
+                                                ("expansion", 1)])
+    def test_equals_send_batched_per_segment(self, shape, dst_role, width):
+        rng = np.random.default_rng(hash((shape, width)) % 2**32)
+        for _ in range(5):
+            machines = int(rng.integers(2, 9))
+            batch = _random_sweep(rng, machines, shape, dst_role, width)
+            swept, pids = _dne_cluster(machines)
+            plain, _ = _dne_cluster(machines)
+            swept.process(("alloc", 0)).send_segments("t", batch)
+            for dst, (src, payload) in batch.messages():
+                plain.process(src).send_batched(dst, "t", payload)
+            assert _counters(swept, pids) != _counters(plain, pids)
+            plain.barrier()
+            swept.barrier()
+            assert _counters(swept, pids) == _counters(plain, pids)
+            assert all(swept.has_mail(pid, "t") == plain.has_mail(pid, "t")
+                       for pid in pids)
+            assert _mailboxes(swept, pids, "t") == _mailboxes(plain, pids, "t")
+            assert not any(swept.has_mail(pid, "t") for pid in pids)
+
+    def test_one_mailbox_entry_per_sweep(self):
+        cluster, _ = _dne_cluster(6)
+        batch = _random_sweep(np.random.default_rng(1), 6, "all_to_all")
+        cluster.deliver_segments("t", batch)
+        assert not cluster._delivered
+        assert len(cluster.segment_mail()) == 1
+
+    def test_empty_segment_rejected(self):
+        cluster, _ = _dne_cluster(2)
+        batch = SegmentBatch(np.zeros((3, 2), dtype=np.int64),
+                             np.array([0, 3, 3]), "alloc", np.array([0, 1]),
+                             "alloc", np.array([1, 0]))
+        with pytest.raises(ValueError):
+            cluster.deliver_segments("t", batch)
+
+    def test_unknown_destination_raises_before_accounting(self):
+        cluster, pids = _dne_cluster(2)
+        batch = SegmentBatch(np.zeros((2, 2), dtype=np.int64),
+                             np.array([0, 1, 2]), "alloc", np.array([0, 0]),
+                             "alloc", np.array([1, 7]))
+        before = _counters(cluster, pids)
+        with pytest.raises(KeyError):
+            cluster.deliver_segments("t", batch)
+        assert _counters(cluster, pids) == before
+
+    def test_byte_totals_exact_past_2_to_53(self):
+        """Wire bytes accumulate in int64: 2**56 + 8 is not a float64
+        (spacing 16 up there), so a float-weighted bincount would
+        round it."""
+        cluster, _ = _dne_cluster(3)
+        big = 2 ** 53
+        rows = np.broadcast_to(np.int64(0), (big + 1,))  # no memory behind it
+        batch = SegmentBatch(rows, np.array([0, big, big + 1]),
+                             "alloc", np.array([0, 1]),
+                             "expansion", np.array([2, 2]))
+        cluster.deliver_segments("t", batch)
+        total = 8 * (big + 1)
+        assert total > 2 ** 53 and int(float(total)) != total
+        assert cluster.stats.stats_for(("expansion", 2)).bytes_received \
+            == total
+        assert cluster.stats.stats_for(("alloc", 0)).bytes_sent == 8 * big
+        assert cluster.stats.stats_for(("alloc", 1)).bytes_sent == 8
+
+    def test_outbox_replay_equals_inline_delivery(self):
+        batch = _random_sweep(np.random.default_rng(2), 5, "random")
+        inline, pids = _dne_cluster(5)
+        replayed, _ = _dne_cluster(5)
+        inline.process(("alloc", 3)).send_segments("t", batch)
+        carrier = replayed.process(("alloc", 3))
+        carrier._outbox = []
+        carrier.send_segments("t", batch)
+        outbox, carrier._outbox = carrier._outbox, None
+        assert len(outbox) == 1
+        assert _counters(replayed, pids) != _counters(inline, pids)
+        apply_outbox(replayed, carrier.pid, outbox)
+        assert _counters(replayed, pids) == _counters(inline, pids)
+        assert _mailboxes(replayed, pids, "t") == _mailboxes(inline, pids, "t")
+
+    def test_destination_mask_sub_batches_round_trip(self):
+        """What the processes backend ships: one sub-batch per worker,
+        selected by destination mask, pickled over a pipe, filed in the
+        worker's own cluster — every mailbox reads back unchanged."""
+        rng = np.random.default_rng(3)
+        machines, workers = 7, 3
+        batch = _random_sweep(rng, machines, "all_to_all")
+        parent, pids = _dne_cluster(machines)
+        parent.deliver_segments("t", batch)
+        expected = _mailboxes(parent, pids, "t")
+        got = {}
+        for w in range(workers):
+            part = batch.select(np.flatnonzero(batch.dst_slots % workers == w))
+            part = pickle.loads(pickle.dumps(part))
+            assert set(part.dst_slots.tolist()) \
+                == set(range(w, machines, workers))
+            wcluster, wpids = _dne_cluster(machines)
+            wcluster.put_segments("t", part)
+            assert all(v == (0,) * len(_COUNTERS)
+                       for v in _counters(wcluster, wpids).values())
+            owned = [pid for pid in wpids if pid[1] % workers == w]
+            got.update(_mailboxes(wcluster, owned, "t"))
+            assert not wcluster.segment_mail()
+        assert got == expected
+
+    def test_take_segments_by_slot_subset(self):
+        """Bulk consumers (thread-pool chunks) take disjoint slot
+        subsets of one sweep; nothing is lost or seen twice."""
+        batch = _random_sweep(np.random.default_rng(4), 6, "all_to_all")
+        cluster, _ = _dne_cluster(6)
+        cluster.deliver_segments("t", batch)
+        first = SegmentBatch.merge(cluster.take_segments("alloc", "t", [0, 4]))
+        assert set(first.dst_slots.tolist()) == {0, 4}
+        assert not cluster.has_mail(("alloc", 0), "t")
+        assert cluster.has_mail(("alloc", 1), "t")
+        assert cluster.take_segments("alloc", "t", [0, 4]) == []
+        rest = SegmentBatch.merge(
+            cluster.take_segments("alloc", "t", [1, 2, 3, 5]))
+        assert len(first) + len(rest) == len(batch)
+        assert len(first.rows) + len(rest.rows) == len(batch.rows)
+        assert not cluster.segment_mail()
+
+
+class TestMailboxEntriesIndependentOfP:
+    def test_same_entries_per_superstep_at_16_and_64(self, monkeypatch):
+        """Structural pin of the segment plane: the number of
+        Python-level mailbox entries a DNE superstep creates does not
+        depend on |P| — one per emission sweep, never one per
+        (src, dst) buffer."""
+        from repro.cluster.backends.base import SimulatedBackend
+        from repro.core.distributed_ne import DistributedNE
+        from repro.graph.csr import CSRGraph
+        from repro.graph.generators import rmat_edges
+
+        created = []
+        put = SimulatedCluster.put_segments
+        execute = SimulatedBackend._execute_superstep
+
+        def counting_put(self, tag, batch):
+            created.append(tag)
+            put(self, tag, batch)
+
+        def counting_execute(self, steps, gather=()):
+            methods = {m for _, m, _ in steps if m is not None}
+            before = len(created)
+            out = execute(self, steps, gather)
+            listed = sum(len(v) for v in self.cluster._delivered.values())
+            if methods:
+                per_step.setdefault(methods.pop(), set()).add(
+                    len(created) - before + listed)
+            return out
+
+        monkeypatch.setattr(SimulatedCluster, "put_segments", counting_put)
+        monkeypatch.setattr(SimulatedBackend, "_execute_superstep",
+                            counting_execute)
+        graph = CSRGraph(rmat_edges(10, 8, seed=0))
+        entries = {}
+        for p in (16, 64):
+            per_step: dict = {}
+            DistributedNE(p, seed=0).partition(graph)
+            entries[p] = {m: max(v) for m, v in per_step.items()}
+        assert entries[16] == entries[64] == {
+            "select_and_multicast": 1, "one_hop_and_sync": 1,
+            "two_hop_and_report": 2, "update_state": 0,
+            "check_termination": 0}

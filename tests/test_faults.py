@@ -131,6 +131,19 @@ class TestRecoveryEquivalence:
         _assert_identical(res, base64)
         assert not plan.pending()
 
+    def test_kill_between_one_hop_and_two_hop(self, graph, workers, base64):
+        """Superstep 8 is iteration 2's two-hop: the worker dies with
+        the fused plane's one-hop output parked (pending boundary and
+        edge batches) and sync sweeps already shipped to it.  The
+        respawn restores both from the post-one-hop snapshot and
+        replays two-hop on identical inputs."""
+        plan = FaultPlan().kill(0, 8)
+        res = DistributedNE(64, seed=0, backend="processes",
+                            workers=workers, step_timeout=60,
+                            max_retries=1, fault_plan=plan).partition(graph)
+        _assert_identical(res, base64)
+        assert not plan.pending()
+
     def test_seeded_delays_are_result_neutral(self, graph, workers, base4):
         """Seeded scheduling jitter (delays on every worker/superstep
         pair) must not change any pinned total."""
@@ -195,6 +208,18 @@ class TestCheckpointResume:
         res = DistributedNE(4, seed=0, checkpoint_dir=ckpt,
                             resume=True).partition(graph)
         _assert_identical(res, base4)
+
+    def test_resume_across_backends_wide(self, graph, workers, tmp_path,
+                                         base64):
+        """|P| = 64 across the backend boundary: the processes run
+        moves its mail as per-worker segment sub-batches, the resumed
+        simulated run as whole sweeps — same state blobs, same result."""
+        ckpt = str(tmp_path / "ckpt")
+        DistributedNE(64, seed=0, max_iterations=3, backend="processes",
+                      workers=workers, checkpoint_dir=ckpt).partition(graph)
+        res = DistributedNE(64, seed=0, checkpoint_dir=ckpt,
+                            resume=True).partition(graph)
+        _assert_identical(res, base64)
 
     def test_resume_with_history(self, graph, tmp_path):
         """The per-iteration trace survives a checkpoint boundary."""

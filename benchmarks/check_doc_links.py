@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail if any relative markdown link in README/docs is broken.
+"""Fail if a markdown link or a code reference in README/docs is broken.
 
 Scans ``README.md``, ``docs/*.md``, and the other top-level markdown
 files for ``[text](target)`` links and checks every *relative* target
@@ -13,8 +13,19 @@ design:
   not a checkout path.
 
 Anchors on relative links (``FILE.md#section``) are checked for the
-file part only.  Stdlib-only so the lint job can run it without the
-scientific stack.  Exit code 0 when every link resolves, 1 otherwise.
+file part only.
+
+``README.md`` and ``docs/*.md`` are additionally checked for code
+references, so a deletion cannot leave the docs naming what is gone:
+every backticked ``path/file.py`` must be an existing file — relative
+to the checkout root, ``src/`` or ``src/repro/``, the three spellings
+the docs use — and every ``path/test_x.py::Name`` (or
+``::Class::method``) must also find a ``class``/``def`` of each name in
+that file.  Bare file names with no directory part are prose shorthand
+and are not checked.
+
+Stdlib-only so the lint job can run it without the scientific stack.
+Exit code 0 when everything resolves, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +41,11 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+#: `dir/file.py` or `dir/file.py::Name[::name]` in backticks
+_CODE_REF = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.py)((?:::\w+)*)`")
+#: where a documented path may be rooted
+_CODE_ROOTS = ("", "src", os.path.join("src", "repro"))
 
 
 def _markdown_files(root: str) -> list[str]:
@@ -62,15 +78,47 @@ def check(root: str) -> list[str]:
     return broken
 
 
+def check_code_refs(root: str) -> list[str]:
+    """Broken backticked ``path/file.py[::Name]`` references in
+    ``README.md`` and ``docs/*.md``."""
+    root = os.path.realpath(root)
+    broken: list[str] = []
+    docs = [os.path.join(root, "README.md")]
+    docs += sorted(glob.glob(os.path.join(root, "docs", "*.md")))
+    for md in docs:
+        if not os.path.exists(md):
+            continue
+        with open(md, encoding="utf-8") as fh:
+            text = _FENCE.sub("", fh.read())
+        for match in _CODE_REF.finditer(text):
+            path, names = match.group(1), match.group(2)
+            where = os.path.relpath(md, root)
+            found = next(
+                (candidate for candidate in
+                 (os.path.join(root, base, path) for base in _CODE_ROOTS)
+                 if os.path.isfile(candidate)), None)
+            if found is None:
+                broken.append(f"{where}: `{path}` (no such file)")
+                continue
+            with open(found, encoding="utf-8") as fh:
+                source = fh.read()
+            for name in filter(None, names.split("::")):
+                if not re.search(rf"^\s*(?:class|(?:async\s+)?def)\s+{name}\b",
+                                 source, re.MULTILINE):
+                    broken.append(f"{where}: `{path}{names}` "
+                                  f"(no class/def {name})")
+    return broken
+
+
 def main() -> int:
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir)
-    broken = check(root)
+    broken = check(root) + check_code_refs(root)
     for line in broken:
         print(f"BROKEN {line}")
     checked = len(_markdown_files(os.path.realpath(root)))
     print(f"checked {checked} markdown files: "
-          f"{len(broken)} broken link(s)")
+          f"{len(broken)} broken link(s) or code reference(s)")
     return 1 if broken else 0
 
 

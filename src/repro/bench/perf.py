@@ -7,15 +7,19 @@ against.  This module times both on RMAT graphs at several scales and
 emits one JSON row per (kernel, scale), so each PR can check the
 speedups it claims and future PRs can track regressions:
 
-* ``dne_one_hop`` / ``dne_two_hop`` — the allocation phases of
-  Distributed NE (Algorithms 2–3), driven by a synthetic selection
-  schedule over a single allocation process that owns the whole graph;
+* ``dne_one_hop`` / ``dne_two_hop`` / ``dne_two_hop_conflict`` — the
+  allocation phases of Distributed NE (Algorithms 2–3), driven by a
+  synthetic selection (or sync-flood) schedule over a single
+  allocation process that owns the whole graph;
 * ``dne_selection`` / ``dne_boundary_fold`` — the expansion-side
   selection plane (§7.4's scale-out bottleneck): boundary-queue pops +
   replica multicast, and the received-boundary fold, timed over a full
   cluster of expansion processes at ``selection_partitions`` machines
   (array-backed queue + batched membership + ndarray payloads vs the
-  heapq/tuple-list reference);
+  heapq/tuple-list reference).  All five ``dne_*`` component rows time
+  the code production runs execute: the vectorized arm is fed
+  ``send_segments`` sweeps and steps through
+  :class:`~repro.core.fused.FusedDnePlane`;
 * ``dne_p256`` — the |P| ≫ 64 *end-to-end* weak-scaling row: one full
   Distributed NE run per kernel at ``wide_partitions`` machines,
   exercising the packed-bitset membership end-to-end.  No smoke floor:
@@ -92,10 +96,12 @@ import numpy as np
 
 from repro.apps.engine import AppRunStats, DistributedGraphEngine
 from repro.cluster.backends import validate_backend
-from repro.cluster.runtime import Process, SimulatedCluster, _same_machine
+from repro.cluster.runtime import (Process, SegmentBatch, SimulatedCluster,
+                                   _same_machine)
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
                                    TAG_SYNC, AllocationProcess)
-from repro.core.expansion import ExpansionProcess
+from repro.core.expansion import DirectSeedSource, ExpansionProcess
+from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph, symmetrised_csr
 from repro.graph.edgelist import canonical_edges
@@ -126,6 +132,39 @@ def bench_graph(edge_scale: int, seed: int = 0) -> CSRGraph:
 # ----------------------------------------------------------------------
 # DNE allocation phases
 # ----------------------------------------------------------------------
+def _feed(cluster: SimulatedCluster, kernel: str, tag: str,
+          rows: np.ndarray, src_role: str, src_slots: np.ndarray,
+          dst_role: str, dst_slots: np.ndarray) -> None:
+    """Untimed feed of one emission sweep, in the mail format ``kernel``
+    reads — what the previous DNE phase would have delivered.
+
+    ``rows`` with per-row slot arrays grouped by ``(src, dst)``, as
+    :meth:`SegmentBatch.from_runs` takes them.  The vectorized kernel
+    (the plane) gets the sweep whole; the reference gets the same
+    segments one eager ``send`` each, pair rows as tuple lists.  Both
+    price identically.
+    """
+    batch = SegmentBatch.from_runs(rows, src_role, src_slots,
+                                   dst_role, dst_slots)
+    if kernel == "vectorized":
+        cluster.deliver_segments(tag, batch)
+        return
+    for dst, (src, payload) in batch.messages():
+        if payload.ndim == 2:
+            payload = [tuple(row) for row in payload.tolist()]
+        cluster.process(src).send(dst, tag, payload)
+
+
+def _discard_mail(cluster: SimulatedCluster, role: str, slots: int,
+                  *tags: str) -> None:
+    """Drop the mail delivered to ``role`` so payloads don't pile up
+    across rounds (both mailbox layouts)."""
+    cluster.pop_segment_mail()
+    for slot in range(slots):
+        for tag in tags:
+            cluster._receive((role, slot), tag)
+
+
 def _selection_schedule(graph: CSRGraph, partitions: int,
                         batch: int, seed: int = 0) -> list:
     """Deterministic multi-round ⟨v, p⟩ selection trace.
@@ -133,39 +172,49 @@ def _selection_schedule(graph: CSRGraph, partitions: int,
     Every vertex is selected exactly once, round-robin across
     partitions in batches — the steady-state shape of Algorithm 4's
     multi-expansion selections, without the expansion processes in the
-    timed loop.
+    timed loop.  One ``(k, 2)`` int64 row array per round, grouped by
+    ascending partition.
     """
     order = np.random.default_rng(seed).permutation(graph.num_vertices)
     per_round = batch * partitions
     rounds = []
     for start in range(0, len(order), per_round):
         chunk = order[start:start + per_round]
-        rounds.append([
-            [(int(v), p) for v in chunk[p * batch:(p + 1) * batch]]
-            for p in range(partitions)])
+        rounds.append(np.column_stack(
+            [chunk, np.arange(len(chunk)) // batch]).astype(np.int64))
     return rounds
+
+
+def _bench_allocator(graph: CSRGraph, partitions: int, kernel: str):
+    """A cluster with one allocation process owning every edge, plus
+    stand-in expansion processes to address."""
+    cluster = SimulatedCluster()
+    alloc = cluster.add_process(AllocationProcess(
+        0, graph, np.arange(graph.num_edges), Hash2DPlacement(1, seed=0),
+        kernel=kernel))
+    # One machine, `partitions` partitions: the vectorized kernel sizes
+    # its partition width before the first step.
+    alloc._ensure_partition_capacity(partitions - 1)
+    for p in range(partitions):
+        cluster.add_process(Process(("expansion", p)))
+    return cluster, alloc
+
 
 def bench_allocation_phases(graph: CSRGraph, partitions: int, kernel: str,
                             batch: int = 64) -> tuple[float, float]:
     """Cumulative (one-hop, two-hop) seconds over a full selection sweep.
 
     One allocation process owns every edge; a driver replays the same
-    deterministic selection schedule for either kernel and times the
-    two allocation phases separately.
+    deterministic selection schedule for either kernel — one
+    ``select`` sweep per round from the partitions' expansion
+    processes — and times the two allocation phases separately.  The
+    vectorized kernel steps through the plane, as production runs do.
     """
-    cluster = SimulatedCluster()
-    placement = Hash2DPlacement(1, seed=0)
-    alloc = cluster.add_process(AllocationProcess(
-        0, graph, np.arange(graph.num_edges), placement, kernel=kernel))
-    driver = cluster.add_process(Process(("expansion", 0)))
-    for p in range(1, partitions):
-        cluster.add_process(Process(("expansion", p)))
-
+    cluster, alloc = _bench_allocator(graph, partitions, kernel)
     one_hop = two_hop = 0.0
-    for round_payloads in _selection_schedule(graph, partitions, batch):
-        for payload in round_payloads:
-            if payload:
-                driver.send_batched(alloc.pid, TAG_SELECT, payload)
+    for rows in _selection_schedule(graph, partitions, batch):
+        _feed(cluster, kernel, TAG_SELECT, rows, "expansion", rows[:, 1],
+              "alloc", np.zeros(len(rows), dtype=np.int64))
         cluster.barrier()
         t0 = time.perf_counter()
         alloc.one_hop_and_sync()
@@ -175,10 +224,8 @@ def bench_allocation_phases(graph: CSRGraph, partitions: int, kernel: str,
         alloc.two_hop_and_report()
         two_hop += time.perf_counter() - t0
         cluster.barrier()
-        # Drain the expansion mailboxes so delivered payloads don't pile up.
-        for p in range(partitions):
-            cluster._receive(("expansion", p), "boundary")
-            cluster._receive(("expansion", p), "edges")
+        _discard_mail(cluster, "expansion", partitions,
+                      TAG_BOUNDARY, TAG_EDGES)
     return one_hop, two_hop
 
 
@@ -192,38 +239,31 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
     several partitions with their neighbours — the regime where
     contested (multi-shared) edges dominate and the loads-delta
     tie-break replay is the whole phase.  The schedule is identical for
-    both kernels (tuple lists for the reference, ndarray pairs for the
-    vectorized kernel).
+    both kernels (a tuple list over ``send`` for the reference, a
+    one-segment sweep for the vectorized kernel).
     """
-    cluster = SimulatedCluster()
-    placement = Hash2DPlacement(1, seed=0)
-    alloc = cluster.add_process(AllocationProcess(
-        0, graph, np.arange(graph.num_edges), placement, kernel=kernel))
-    peer = cluster.add_process(Process(("alloc", 1)))
-    for p in range(partitions):
-        cluster.add_process(Process(("expansion", p)))
+    cluster, alloc = _bench_allocator(graph, partitions, kernel)
+    cluster.add_process(Process(("alloc", 1)))
 
     rng = np.random.default_rng(seed)
     if batch is None:
         batch = max(64, graph.num_vertices // 2)
+    peer = np.ones(batch, dtype=np.int64)      # ("alloc", 1) -> ("alloc", 0)
     elapsed = 0.0
     for _ in range(rounds):
         vs = rng.integers(0, graph.num_vertices, batch)
         ps = rng.integers(0, partitions, batch)
-        if kernel == "python":
-            payload = list(zip(vs.tolist(), ps.tolist()))
-        else:
-            payload = np.column_stack([vs, ps]).astype(np.int64)
-        peer.send_batched(alloc.pid, TAG_SYNC, payload)
+        _feed(cluster, kernel, TAG_SYNC,
+              np.column_stack([vs, ps]).astype(np.int64),
+              "alloc", peer, "alloc", np.zeros_like(peer))
         alloc.one_hop_and_sync()   # no selects: just arms the phase state
         cluster.barrier()
         t0 = time.perf_counter()
         alloc.two_hop_and_report()
         elapsed += time.perf_counter() - t0
         cluster.barrier()
-        for p in range(partitions):
-            cluster._receive(("expansion", p), TAG_BOUNDARY)
-            cluster._receive(("expansion", p), TAG_EDGES)
+        _discard_mail(cluster, "expansion", partitions,
+                      TAG_BOUNDARY, TAG_EDGES)
     return elapsed
 
 
@@ -257,8 +297,10 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
     them in, and selects/multicasts its ``ceil(lam |B|)``
     minimum-Drest vertices; after the stream is exhausted, expanders
     drain until their boundary falls under one feed batch.  The
-    schedule is identical for both kernels — payloads are tuple lists
-    for the reference, ndarrays for the vectorized kernel, sized
+    schedule is identical for both kernels — tuple lists over eager
+    ``send`` and per-process steps for the reference; ``send_segments``
+    sweeps and one plane call per phase over all expanders (the
+    dispatch production runs use) for the vectorized kernel, sized
     identically by the accounting model — so the timings isolate the
     boundary-queue, multicast, and fold implementations.
     """
@@ -267,12 +309,26 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
         stream = min(n, max(192, n // 24))
     cluster = SimulatedCluster()
     placement = Hash2DPlacement(partitions, seed=0)
+    allocators = [cluster.add_process(_SeedlessAlloc(("alloc", k)))
+                  for k in range(partitions)]
+    seed_source = DirectSeedSource(allocators)
     expanders = [cluster.add_process(ExpansionProcess(
         k, partitions, limit=graph.num_edges + 1,
         total_edges=graph.num_edges, lam=lam, seed=0,
-        placement=placement, kernel=kernel)) for k in range(partitions)]
-    allocators = [cluster.add_process(_SeedlessAlloc(("alloc", k)))
-                  for k in range(partitions)]
+        placement=placement, kernel=kernel, seed_source=seed_source))
+        for k in range(partitions)]
+    if kernel == "vectorized":
+        # Production dispatch: one plane call per phase for the whole
+        # cluster of expanders.
+        plane = FusedDnePlane(expanders, placement)
+        pids = [e.pid for e in expanders]
+
+        def step(method):
+            plane.run(method, pids)
+    else:
+        def step(method):
+            for e in expanders:
+                getattr(e, method)()
 
     rng = np.random.default_rng(0)
     order = rng.permutation(n)[:stream]
@@ -281,26 +337,27 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
     feeds = [order[start:start + chunk]
              for start in range(0, stream, chunk)]
     eid_feed = rng.integers(0, max(graph.num_edges, 1), size=4 * chunk)
+    every = np.arange(partitions, dtype=np.int64)
 
     t_select = t_fold = 0.0
     pos = 0
     while True:
-        # Feed phase (untimed): one boundary + edge batch per expander.
+        # Feed phase (untimed): one boundary + edge batch per expander,
+        # all from allocator 0.
         if pos < len(feeds):
             vs = feeds[pos]
             pos += 1
-            if kernel == "python":
-                payload = list(zip(vs.tolist(), degs[vs].tolist()))
-            else:
-                payload = np.column_stack([vs, degs[vs]]).astype(np.int64)
-            for e in expanders:
-                allocators[0].send_batched(e.pid, TAG_BOUNDARY, payload)
-                allocators[0].send_batched(e.pid, TAG_EDGES, eid_feed)
+            for tag, payload in (
+                    (TAG_BOUNDARY, np.column_stack([vs, degs[vs]])),
+                    (TAG_EDGES, eid_feed)):
+                dst = np.repeat(every, len(payload))
+                _feed(cluster, kernel, tag,
+                      np.concatenate([payload] * partitions).astype(np.int64),
+                      "alloc", np.zeros_like(dst), "expansion", dst)
         cluster.barrier()
 
         t0 = time.perf_counter()
-        for e in expanders:
-            e.update_state()
+        step("update_state")
         t_fold += time.perf_counter() - t0
 
         if pos >= len(feeds):
@@ -314,12 +371,10 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
                 break
 
         t0 = time.perf_counter()
-        for e in expanders:
-            e.select_and_multicast(allocators)
+        step("select_and_multicast")
         t_select += time.perf_counter() - t0
         cluster.barrier()
-        for k in range(partitions):
-            cluster._receive(("alloc", k), TAG_SELECT)
+        _discard_mail(cluster, "alloc", partitions, TAG_SELECT)
     return t_select, t_fold
 
 

@@ -79,8 +79,8 @@ class ProcessStats:
     bytes_sent: int = 0
     messages_received: int = 0
     bytes_received: int = 0
-    #: bulk accounting passes (one per coalesced (src, dst, tag) buffer
-    #: or collective fan-out) — the batching-efficiency counters; they
+    #: bulk accounting passes (one per segment of a delivered sweep or
+    #: collective fan-out) — the batching-efficiency counters; they
     #: never affect the message/byte totals
     send_batches: int = 0
     receive_batches: int = 0
@@ -100,10 +100,9 @@ class ProcessStats:
         """Account ``count`` sends totalling ``nbytes`` in one update.
 
         Senders with a regular wire pattern — collectives that know
-        their whole fan-out up front, and the barrier-batched message
-        plane's per-(src, dst, tag) buffers — replace ``count``
-        per-message calls with one bulk update; the message/byte totals
-        are identical, and ``send_batches`` counts the coalesced passes.
+        their whole fan-out up front — replace ``count`` per-message
+        calls with one bulk update; the message/byte totals are
+        identical, and ``send_batches`` counts the coalesced passes.
         """
         self.messages_sent += count
         self.bytes_sent += nbytes
@@ -155,9 +154,8 @@ class ClusterStats:
 
     @property
     def total_send_batches(self) -> int:
-        """Bulk accounting passes across processes — with the batched
-        message plane this is the number of (src, dst, tag) edges
-        priced, the quantity the per-barrier coalescing optimises."""
+        """Bulk accounting passes across processes — for segment sweeps
+        the number of (src, dst) segments priced."""
         return sum(s.send_batches for s in self.per_process.values())
 
     @property

@@ -16,7 +16,7 @@ three schedulers:
 * ``processes`` — :mod:`repro.cluster.backends.processes`: steps run in
   worker processes holding the big arrays as zero-copy
   ``multiprocessing.shared_memory`` views; only message payloads —
-  barrier-batched ``(src, dst, tag)`` buffers and whole
+  eager ``send`` messages and whole
   :class:`~repro.cluster.runtime.SegmentBatch` sweeps — cross the
   parent boundary.
 
@@ -96,19 +96,17 @@ def apply_outbox(cluster, src_pid, outbox: list) -> None:
     """Replay one step's recorded effects against the parent cluster.
 
     Entries are the exact calls the step would have made inline
-    (``send`` -> per-message accounting + in-flight queue, ``batched``
-    -> per-(src, dst, tag) buffer append, ``segments`` -> one bulk-priced
-    :class:`~repro.cluster.runtime.SegmentBatch` sweep, ``resident`` ->
-    memory report, ``rpc`` -> the seed-scan request/response counter
-    pattern), so replaying every step's outbox in step-list order
-    reproduces the simulated scheduler's cluster state bit-for-bit.
+    (``send`` -> per-message accounting + in-flight queue, ``segments``
+    -> one bulk-priced :class:`~repro.cluster.runtime.SegmentBatch`
+    sweep, ``resident`` -> memory report, ``rpc`` -> the seed-scan
+    request/response counter pattern), so replaying every step's outbox
+    in step-list order reproduces the simulated scheduler's cluster
+    state bit-for-bit.
     """
     stats = cluster.stats
     for entry in outbox:
         kind = entry[0]
-        if kind == "batched":
-            cluster._send_batched(src_pid, entry[1], entry[2], entry[3])
-        elif kind == "segments":
+        if kind == "segments":
             cluster.deliver_segments(entry[1], entry[2])
         elif kind == "send":
             cluster._send(src_pid, entry[1], entry[2], entry[3])

@@ -6,8 +6,8 @@ into every worker as zero-copy ``multiprocessing.shared_memory`` views
 (:mod:`repro.cluster.backends.shm`); the only data crossing the parent
 boundary per superstep is message payloads (worker outboxes in,
 delivered mail out) plus small counter gathers.  Mail travels in the
-layout it was delivered in: per-``(dst, tag)`` lists for the
-``send`` / ``send_batched`` planes, and for segment sweeps
+layout it was delivered in: per-``(dst, tag)`` lists for the eager
+``send`` plane, and for segment sweeps
 (:class:`~repro.cluster.runtime.SegmentBatch`) one vectorised
 sub-batch per worker, selected by destination mask — never one object
 per ``(src, dst)`` pair.

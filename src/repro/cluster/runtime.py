@@ -21,57 +21,38 @@ Payload contract
 ----------------
 Payloads are sized by :func:`repro.cluster.accounting.payload_nbytes`,
 which prices a ``(k, 2)`` int64 ndarray and a list of ``k`` int pairs
-identically (``16k`` bytes) — so the vectorized kernels ship structured
-ndarrays end-to-end (``select`` / ``sync`` / ``boundary`` pair batches,
-``edges`` id arrays) while the reference kernels ship tuple lists, and
+identically (``16k`` bytes) — so the vectorized kernel ships structured
+ndarrays end-to-end (``select`` / ``sync`` / ``boundary`` pair rows,
+``edges`` id rows) while the reference kernel ships tuple lists, and
 the two stay byte-for-byte identical under the accounting model.
-Receivers that must accept either form normalise through
-:func:`pair_array`, the contract's single conversion point.
 
-Barrier-batched sends
----------------------
-``send`` prices and accounts each message at call time — the
-per-message floor the selection bench hit.  ``send_batched`` is the
-bulk plane: payloads are appended to a per-``(src, dst, tag)`` buffer
-(one dict hit + one list append per call) and the whole buffer is
-priced, accounted, and delivered in one pass per *communication-graph
-edge* at the next ``barrier()`` / ``flush()``.  The observable contract
-is unchanged:
+Two send planes, one job each
+-----------------------------
+``send`` is the eager plane: one message, priced and accounted at call
+time, delivered at the next ``barrier()`` / ``flush()`` in send order.
+The reference kernel and all control traffic use it.
 
-* per-process message/byte totals are exactly what the same ``send``
-  calls would have produced (bulk pricing is the sum of the
-  per-payload :func:`payload_nbytes` prices — pinned by the batched
-  accounting property test);
-* mailbox order groups by ``(src, dst, tag)`` buffer in first-send
-  order, payloads in append order within a buffer.  Callers that send
-  at most one message per ``(dst, tag)`` per barrier window — every
-  DNE phase does — observe the identical delivery order as ``send``;
-* eagerly-sent (``send``) messages of the same window are delivered
-  first, in send order.
-
-Segment sweeps
---------------
-At |P| ≫ 64 a DNE phase emits O(|P|²) tiny ``(src, dst)`` buffers per
-superstep, and one Python object per buffer is what the run spends its
-time on.  :class:`SegmentBatch` makes a whole emission sweep a single
-value — one row array, segment offsets, aligned source/destination
-slots — and :meth:`Process.send_segments` /
+``send_segments`` is the vectorized kernel's plane.  At |P| ≫ 64 a DNE
+phase emits O(|P|²) tiny ``(src, dst)`` payloads per superstep, and one
+Python object per payload is what the run would spend its time on.
+:class:`SegmentBatch` makes a whole emission sweep a single value — one
+row array, segment offsets, aligned source/destination slots — and
+:meth:`Process.send_segments` /
 :meth:`SimulatedCluster.deliver_segments` move it as such:
 
 * pricing is one integer pass over the offsets, total-identical to one
-  ``send_batched`` per segment drained at the next barrier (one
-  message and one batch per segment, wire bytes zero iff the machine
-  slots match; integer adds commute) — pinned by
-  ``tests/test_cluster_batched.py``;
+  eager ``send`` per segment (one message per segment, wire bytes zero
+  iff the machine slots match; integer adds commute) — pinned by
+  ``tests/test_cluster_batched.py``; ``send_batches`` /
+  ``receive_batches`` additionally count one bulk pass per segment;
 * a mailbox may therefore hold two layouts: per-``(dst, tag)`` lists of
-  ``(src, payload)`` (the ``send`` / ``send_batched`` planes) and, per
-  ``(dst_role, tag)``, a list of delivered :class:`SegmentBatch`
-  sweeps — **one entry per sweep**, however many processes it
-  addresses.  ``Process.receive`` reads both (segment mail comes back
-  as the same ``(src, payload)`` pairs, payloads being row slices);
-  bulk consumers take whole sweeps with
-  :meth:`SimulatedCluster.take_segments` and never materialise the
-  per-buffer objects;
+  ``(src, payload)`` (the ``send`` plane) and, per ``(dst_role, tag)``,
+  a list of delivered :class:`SegmentBatch` sweeps — **one entry per
+  sweep**, however many processes it addresses.  ``Process.receive``
+  reads both (eager mail first, then segment mail as the same
+  ``(src, payload)`` pairs, payloads being row slices); bulk consumers
+  take whole sweeps with :meth:`SimulatedCluster.take_segments` and
+  never materialise the per-segment objects;
 * ``send_segments`` is outbox-aware like every other helper: under a
   parallel backend the sweep is one recorded entry that the parent
   replays through the same ``deliver_segments``.
@@ -86,12 +67,12 @@ step methods inline (the deterministic reference scheduler); the
 workers.  To keep accounting and delivery order bit-identical under
 concurrency, a parallel backend arms each process with an *outbox*
 (:attr:`Process._outbox`) before running its step: every ``send`` /
-``send_batched`` / ``send_segments`` / ``set_resident`` /
-RPC-accounting call is recorded instead of applied, and the parent
-replays the outboxes against the cluster in deterministic step order
-afterwards (see ``repro.cluster.backends.base.apply_outbox``).  Replay
-is exactly the call sequence the simulated scheduler would have made,
-so totals, mailbox order, and memory peaks cannot diverge.
+``send_segments`` / ``set_resident`` / RPC-accounting call is recorded
+instead of applied, and the parent replays the outboxes against the
+cluster in deterministic step order afterwards (see
+``repro.cluster.backends.base.apply_outbox``).  Replay is exactly the
+call sequence the simulated scheduler would have made, so totals,
+mailbox order, and memory peaks cannot diverge.
 """
 
 from __future__ import annotations
@@ -107,7 +88,7 @@ from repro.cluster.accounting import (ClusterStats, payload_nbytes,
                                       record_rpc_pair)
 
 __all__ = ["Process", "SegmentBatch", "SegmentQueue", "SimulatedCluster",
-           "pair_array", "restore_attr"]
+           "restore_attr"]
 
 
 def restore_attr(obj, name: str, value) -> None:
@@ -149,21 +130,6 @@ def restore_attr(obj, name: str, value) -> None:
     setattr(obj, name, value)
 
 
-def pair_array(payload) -> np.ndarray:
-    """Normalise a pair-batch payload to a ``(k, 2)`` int64 ndarray.
-
-    The vectorized kernels already send ndarrays (returned as-is, no
-    copy); reference tuple lists are converted.  An empty payload
-    yields a ``(0, 2)`` array, so downstream concatenation and column
-    slicing never special-case.
-    """
-    if isinstance(payload, np.ndarray) and payload.dtype == np.int64 \
-            and payload.ndim == 2:
-        return payload
-    arr = np.asarray(payload, dtype=np.int64)
-    return arr.reshape(-1, 2)
-
-
 @dataclass(frozen=True, eq=False)
 class SegmentBatch:
     """One emission sweep as a single value.
@@ -173,9 +139,9 @@ class SegmentBatch:
     ``(dst_role, dst_slots[i])``.  ``rows`` is one ``(k, 2)`` or
     ``(k,)`` int64 array for the whole sweep; segments are never empty
     and every ``(src, dst)`` pair appears at most once, so a segment is
-    exactly one single-payload ``send_batched`` buffer and the order of
-    the segments is the order those buffers would have been created
-    in; ``offsets`` runs from 0 to ``len(rows)``.  Immutable by
+    exactly one message and the order of the segments is the order
+    sequential per-process steps would have sent them in; ``offsets``
+    runs from 0 to ``len(rows)``.  Immutable by
     convention — batches are shared between outboxes, mailboxes and
     snapshots without copying.
     """
@@ -241,7 +207,7 @@ class SegmentBatch:
                             self.dst_slots[index])
 
     def messages(self) -> list:
-        """The sweep as per-buffer ``(dst_pid, (src_pid, payload))``
+        """The sweep as per-segment ``(dst_pid, (src_pid, payload))``
         entries in segment order — the per-message view
         ``Process.receive`` serves; bulk consumers never call this."""
         bounds = self.offsets.tolist()
@@ -398,38 +364,6 @@ class Process:
         assert self.cluster is not None, "process not registered with a cluster"
         self.cluster._send(self.pid, dst, tag, payload)
 
-    def send_batched(self, dst, tag: str, payload=None) -> None:
-        """Send ``payload`` on the barrier-batched plane.
-
-        Same totals and (for one-message-per-destination senders) same
-        delivery order as :meth:`send`; accounting is deferred to the
-        next ``barrier()``/``flush()`` and done once per
-        ``(src, dst, tag)`` buffer instead of once per message.
-        """
-        if self._outbox is not None:
-            self._outbox.append(("batched", dst, tag, payload))
-            return
-        assert self.cluster is not None, "process not registered with a cluster"
-        self.cluster._send_batched(self.pid, dst, tag, payload)
-
-    def send_fanout(self, tag: str, dest_payloads) -> None:
-        """Hand a whole multicast to the barrier-batched plane at once.
-
-        ``dest_payloads`` is an iterable of ``(dst, payload)`` pairs;
-        equivalent to one :meth:`send_batched` per pair, minus the
-        per-message dispatch — the hot-path form for selection
-        multicasts that fan out to O(sqrt |P|) destinations every
-        iteration.
-        """
-        if self._outbox is not None:
-            # Captured pair-by-pair: replay is a loop of _send_batched
-            # calls, which produces the identical buffer append order.
-            self._outbox.extend(("batched", dst, tag, payload)
-                                for dst, payload in dest_payloads)
-            return
-        assert self.cluster is not None, "process not registered with a cluster"
-        self.cluster._send_fanout(self.pid, tag, dest_payloads)
-
     def send_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Hand a whole emission sweep to the segment plane.
 
@@ -527,9 +461,6 @@ class SimulatedCluster:
         self._segment_mail: dict = {}
         #: in-flight messages, delivered at the next barrier
         self._in_flight: list = []
-        #: (src, dst, tag) -> list of payloads awaiting bulk accounting
-        #: and delivery (the barrier-batched plane; insertion-ordered)
-        self._batched: dict = {}
         self.stats = ClusterStats()
 
     # -- membership ----------------------------------------------------
@@ -597,33 +528,6 @@ class SimulatedCluster:
         stats.bytes_received += nbytes
         self._in_flight.append((src, dst, tag, payload))
 
-    def _send_batched(self, src, dst, tag: str, payload) -> None:
-        # The hot path is one dict hit and one append; the destination
-        # check runs only when a (src, dst, tag) buffer first appears,
-        # so a barrier window's worth of sends to one destination pays
-        # it once.
-        key = (src, dst, tag)
-        buf = self._batched.get(key)
-        if buf is None:
-            if dst not in self._processes:
-                raise KeyError(f"unknown destination process {dst!r}")
-            buf = self._batched[key] = []
-        buf.append(payload)
-
-    def _send_fanout(self, src, tag: str, dest_payloads) -> None:
-        # One loop with hoisted lookups instead of one _send_batched
-        # dispatch per destination.
-        batched = self._batched
-        processes = self._processes
-        for dst, payload in dest_payloads:
-            key = (src, dst, tag)
-            buf = batched.get(key)
-            if buf is None:
-                if dst not in processes:
-                    raise KeyError(f"unknown destination process {dst!r}")
-                buf = batched[key] = []
-            buf.append(payload)
-
     def _receive(self, pid, tag: str) -> list:
         out = self._delivered.pop((pid, tag), [])
         if self._segment_mail and isinstance(pid, tuple) and len(pid) == 2:
@@ -645,15 +549,15 @@ class SimulatedCluster:
     def deliver_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Price and deliver one emission sweep.
 
-        Totals are identical to one ``send_batched`` per segment
-        drained at the next barrier — one message and one batch each,
-        wire bytes zero iff the machine slots match — but accounting is
-        one integer pass over the segment offsets plus one update per
-        touched process, and the sweep lands in the mailbox as a single
-        entry.  Delivery is inline, in the order the batched plane
-        would have drained the sweep's buffers.  Callers own
-        cross-sweep ordering: within a superstep no other sender may
-        target a ``(dst, tag)`` mailbox this sweep also targets.
+        Totals are identical to one eager ``send`` per segment — one
+        message each, wire bytes zero iff the machine slots match, plus
+        one ``send_batches`` / ``receive_batches`` tick per segment —
+        but accounting is one integer pass over the segment offsets
+        plus one update per touched process, and the sweep lands in the
+        mailbox as a single entry.  Delivery is inline, segments in
+        sweep order.  Callers own cross-sweep ordering: within a
+        superstep no other sender may target a ``(dst, tag)`` mailbox
+        this sweep also targets.
         """
         nbytes = batch.nbytes
         if not len(batch) or (nbytes <= 0).any():
@@ -720,74 +624,12 @@ class SimulatedCluster:
 
     # -- synchronisation -------------------------------------------------
     def _drain(self) -> None:
-        """Deliver every pending message: eager sends first (send
-        order), then the batched buffers — one pricing + accounting
-        pass per (src, dst, tag) edge of the communication graph,
-        totals identical to per-message ``send`` accounting."""
+        """Deliver every in-flight eager message, in send order
+        (segment sweeps were delivered when they were sent)."""
         delivered = self._delivered
         for src, dst, tag, payload in self._in_flight:
             delivered[(dst, tag)].append((src, payload))
         self._in_flight.clear()
-        if not self._batched:
-            return
-        # One accounting update per *process* rather than per buffer:
-        # the bulk counters are plain integer adds, so accumulating the
-        # per-buffer (count, bytes, batches) contributions in local
-        # dicts and applying each process's sum once is total-identical
-        # to a record_send_bulk/record_receive_bulk pair per buffer
-        # (send_batches/receive_batches advance by the buffer count).
-        send_acc: dict = {}
-        recv_acc: dict = {}
-        for (src, dst, tag), payloads in self._batched.items():
-            count = len(payloads)
-            # _same_machine, inlined: this loop runs once per buffer of
-            # a barrier window (sparse, barely-repeating keys, so
-            # memoising verdicts loses to just checking).  The 2-tuple
-            # slot compare subsumes the src == dst case.
-            if (type(src) is tuple and type(dst) is tuple
-                    and len(src) == 2 and len(dst) == 2):
-                same = src[1] == dst[1]
-            else:
-                same = src == dst
-            if same:
-                nbytes = 0
-            elif count == 1:
-                # payload_nbytes is the one home of the pricing rule
-                # (its ndarray fast path is O(1)); this pass runs once
-                # per buffer at barrier, not per message.
-                p = payloads[0]
-                nbytes = (int(p.nbytes) if isinstance(p, np.ndarray)
-                          else payload_nbytes(p))
-            else:
-                nbytes = sum(payload_nbytes(p) for p in payloads)
-            acc = send_acc.get(src)
-            if acc is None:
-                acc = send_acc[src] = [0, 0, 0]
-            acc[0] += count
-            acc[1] += nbytes
-            acc[2] += 1
-            acc = recv_acc.get(dst)
-            if acc is None:
-                acc = recv_acc[dst] = [0, 0, 0]
-            acc[0] += count
-            acc[1] += nbytes
-            acc[2] += 1
-            mailbox = delivered[(dst, tag)]
-            if count == 1:
-                mailbox.append((src, payloads[0]))
-            else:
-                mailbox.extend((src, p) for p in payloads)
-        for src, (count, nbytes, batches) in send_acc.items():
-            stats = self.stats.stats_for(src)
-            stats.messages_sent += count
-            stats.bytes_sent += nbytes
-            stats.send_batches += batches
-        for dst, (count, nbytes, batches) in recv_acc.items():
-            stats = self.stats.stats_for(dst)
-            stats.messages_received += count
-            stats.bytes_received += nbytes
-            stats.receive_batches += batches
-        self._batched.clear()
 
     def barrier(self) -> None:
         """Deliver all in-flight messages; counts one global barrier."""

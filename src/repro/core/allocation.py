@@ -29,27 +29,28 @@ The paper's §4 data-structure argument is that everything the
 allocation phases touch lives in *flat arrays* (CSR ``indptr`` /
 ``indices`` parallels), never in pointer-chasing maps — that is where
 the order-of-magnitude speed and memory win over ParMETIS-style code
-comes from.  This module mirrors the argument with two interchangeable
-kernels:
+comes from.  The phases exist in exactly two implementations:
 
-* ``kernel="vectorized"`` (default) — replica membership is a
+* ``kernel="vectorized"`` (default) — the flat-array kernels of
+  :class:`~repro.core.fused.FusedDnePlane`: replica membership is a
   per-local-vertex partition-set matrix (see *Membership backends*
   below), one-hop allocation is a batched gather of whole adjacency
   slices via ``indptr`` fancy-indexing followed by first-occurrence
   dedup, ``rest_degree`` / per-partition load updates are
-  ``np.bincount`` scatter-adds, and every message payload is a
-  structured int64 ndarray under the payload contract of
-  :mod:`repro.cluster.runtime` — tuple lists never materialise.
-  Payloads ride the barrier-batched message plane (``send_batched``):
-  they are priced and delivered in one bulk pass per (src, dst, tag)
-  at the next barrier instead of per message.  Per iteration the work
-  is O(slots touched), with no per-slot Python dispatch.
-* ``kernel="python"`` — the slow reference: dict-of-set replica state
-  walked one adjacency slot at a time, exchanging tuple-list payloads
-  over eager per-message ``send`` (the per-message accounting plane,
-  kept as-is), kept for golden equivalence tests
-  (``tests/test_kernel_equivalence.py`` pins vectorized == reference
-  bit-for-bit) and as executable documentation of Algorithms 2–3.
+  ``np.bincount`` scatter-adds, and every emission sweep is one
+  :class:`~repro.cluster.runtime.SegmentBatch` on ``send_segments``.
+  A scheduler builds one plane over all the processes it owns; a
+  process whose step methods are called directly (unit harnesses, the
+  microbenchmarks) runs *its own one-machine plane*, built on the
+  first such call — the same kernel over a one-machine subset, not a
+  second implementation.  Either way the process reads segment mail
+  only, and sizes its partition width before the first step.
+* ``kernel="python"`` — the slow reference, implemented here:
+  dict-of-set replica state walked one adjacency slot at a time,
+  exchanging tuple-list payloads over eager per-message ``send``, kept
+  for golden equivalence tests (``tests/test_kernel_equivalence.py``
+  pins vectorized == reference bit-for-bit) and as executable
+  documentation of Algorithms 2–3.
 
 Both kernels produce identical ``alloc`` arrays, identical message
 payloads (byte size *and* order under the accounting model), and
@@ -80,9 +81,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.cluster.runtime import Process, pair_array
+from repro.cluster.runtime import Process
 from repro.core.hash2d import unpack_bool_matrix
-from repro.graph.csr import CSRGraph, adjacency_slots, first_occurrence
+from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 
 __all__ = ["AllocationProcess", "DenseMembership", "PackedMembership",
@@ -144,13 +145,6 @@ class DenseMembership:
     def width(self) -> int:
         return self._mat.shape[1]
 
-    def grow(self, width: int) -> None:
-        if width > self.width:
-            self._mat = np.concatenate(
-                [self._mat,
-                 np.zeros((self._mat.shape[0], width - self.width),
-                          dtype=bool)], axis=1)
-
     def entries(self) -> int:
         """Number of set (vertex, partition) bits."""
         return int(self._mat.sum())
@@ -170,14 +164,7 @@ class DenseMembership:
     def set_bit(self, v: int, p: int) -> None:
         self._mat[v, p] = True
 
-    # -- single-partition column ops (one-hop) -------------------------
-    def test_col(self, idx: np.ndarray, p: int) -> np.ndarray:
-        return self._mat[idx, p]
-
-    def set_col(self, idx: np.ndarray, p: int) -> None:
-        self._mat[idx, p] = True
-
-    # -- (vertex, partition) pair ops (sync merge) ---------------------
+    # -- (vertex, partition) pair ops (one-hop, sync merge) ------------
     def test_pairs(self, idx: np.ndarray, ps: np.ndarray) -> np.ndarray:
         return self._mat[idx, ps]
 
@@ -229,17 +216,6 @@ class PackedMembership:
     def width(self) -> int:
         return self._width
 
-    def grow(self, width: int) -> None:
-        if width <= self._width:
-            return
-        need = (width + 63) // 64
-        if need > self._words.shape[1]:
-            self._words = np.concatenate(
-                [self._words,
-                 np.zeros((self._words.shape[0], need - self._words.shape[1]),
-                          dtype=np.uint64)], axis=1)
-        self._width = width
-
     def entries(self) -> int:
         return int(np.bitwise_count(self._words).sum())
 
@@ -255,15 +231,6 @@ class PackedMembership:
 
     def set_bit(self, v: int, p: int) -> None:
         self._words[v, p >> 6] |= _U64_ONE << np.uint64(p & 63)
-
-    def test_col(self, idx: np.ndarray, p: int) -> np.ndarray:
-        word, bit = p >> 6, np.uint64(p & 63)
-        return (self._words[idx, word] >> bit) & _U64_ONE != 0
-
-    def set_col(self, idx: np.ndarray, p: int) -> None:
-        # All updates OR the same bit, so buffered fancy |= is exact
-        # even with duplicate indices.
-        self._words[idx, p >> 6] |= _U64_ONE << np.uint64(p & 63)
 
     def test_pairs(self, idx: np.ndarray, ps: np.ndarray) -> np.ndarray:
         bits = (ps & 63).astype(np.uint64)
@@ -313,12 +280,14 @@ class AllocationProcess(Process):
     """One allocation process holding a 2D-hash slice of the graph."""
 
     #: checkpoint/restore excludes: the shared CSR graph and placement,
-    #: plus the local index structures derived once in the constructor
+    #: the local index structures derived once in the constructor
     #: (immutable for the life of the process, rebuilt identically by a
-    #: respawned worker) — everything else is mutable allocation state.
+    #: respawned worker), and the own one-machine plane (kernel wiring
+    #: over this process's arrays, not state) — everything else is
+    #: mutable allocation state.
     _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({
         "graph", "placement", "eids", "local_vertices", "_lsrc", "_ldst",
-        "_vindex", "_adj_ptr", "_adj_eid", "_adj_other"})
+        "_vindex", "_adj_ptr", "_adj_eid", "_adj_other", "_plane"})
 
     def __init__(self, machine: int, graph: CSRGraph, edge_ids: np.ndarray,
                  placement, two_hop: bool = True,
@@ -371,6 +340,9 @@ class AllocationProcess(Process):
         self.unallocated = k
         #: local view of |E_p| — flat array in both kernels (exact ints)
         self._part_loads = np.zeros(self.num_partitions, dtype=np.int64)
+        #: the one-machine plane a directly stepped vectorized process
+        #: runs its phases through (see :meth:`_own_plane`)
+        self._plane = None
         if kernel == "python":
             #: reference replica state: local vid -> set of partitions
             self._parts: dict[int, set] | None = defaultdict(set)
@@ -391,12 +363,14 @@ class AllocationProcess(Process):
         self.ops_one_hop = 0
         self.ops_two_hop = 0
 
-        # Per-iteration outboxes of the allocation phases, reset by
-        # two_hop_and_report.  Initialised here (not lazily in
-        # one_hop_and_sync) so a superstep scheduler may skip an
-        # empty-mailbox one-hop step and still run the two-hop step.
-        self._ep_new: dict[int, list] = defaultdict(list)
-        self._bp_new: list = []
+        if kernel == "python":
+            # Per-iteration outboxes of the reference's allocation
+            # phases, reset by two_hop_and_report.  Initialised here
+            # (not lazily in one_hop_and_sync) so a superstep scheduler
+            # may skip an empty-mailbox one-hop step and still run the
+            # two-hop step.
+            self._ep_new: dict[int, list] = defaultdict(list)
+            self._bp_new: list = []
 
         self.report_memory()
 
@@ -438,15 +412,21 @@ class AllocationProcess(Process):
         In a DNE deployment partitions and allocation processes are
         1:1, so the initial ``num_processes`` width already covers every
         id; unit harnesses may drive more partitions than processes.
+        The reference kernel grows whenever a wider id arrives; the
+        vectorized kernel's width is fixed once a plane holds its state,
+        so its harnesses call this before the first step.
         """
         width = len(self._part_loads)
         if p < width:
             return
-        grow = p + 1 - width
-        self._part_loads = np.concatenate(
-            [self._part_loads, np.zeros(grow, dtype=np.int64)])
         if self._member is not None:
-            self._member.grow(p + 1)
+            if self._plane is not None:
+                raise ValueError(
+                    "the vectorized kernel sizes its partition width "
+                    "before the first step")
+            self._member = type(self._member)(len(self.local_vertices), p + 1)
+        self._part_loads = np.concatenate(
+            [self._part_loads, np.zeros(p + 1 - width, dtype=np.int64)])
 
     def _replica_entries(self) -> int:
         """Number of real (vertex, partition) replica pairs held locally."""
@@ -498,42 +478,45 @@ class AllocationProcess(Process):
         return seed_vertex_min_degree(self.local_vertices, self.rest_degree)
 
     # ------------------------------------------------------------------
+    # Vectorized kernel: the phases live in the plane.
+    # ------------------------------------------------------------------
+    def _own_plane(self):
+        """The one-machine plane behind a directly stepped vectorized
+        process, built on the first such step.
+
+        A scheduler's plane spans every process it owns and never comes
+        through here; a harness that calls the step methods itself gets
+        the same kernel over this machine alone.  The plane re-points
+        ``alloc`` / ``_part_loads`` / the membership matrix at its own
+        arrays, so a process is stepped either directly or through a
+        scheduler's plane, never both.
+        """
+        if self._plane is None:
+            # fused.py imports this module (tags, the process classes).
+            from repro.core.fused import FusedDnePlane
+            self._plane = FusedDnePlane([self], self.placement)
+        return self._plane
+
+    # ------------------------------------------------------------------
     # Phase 1+2: one-hop allocation, then send syncs.
     # ------------------------------------------------------------------
     def one_hop_and_sync(self) -> None:
+        if self.kernel == "vectorized":
+            self._own_plane().run("one_hop_and_sync", [self.pid])
+            return
         received = self.receive(TAG_SELECT)
         self._ep_new: dict[int, list] = defaultdict(list)  # p -> global eids
-        if self.kernel == "python":
-            #: (global vid, p) new pairs, tuple list (reference)
-            self._bp_new: list = []
-            # Deterministic order: by (partition, vertex) over all messages.
-            pairs = sorted({(int(p), int(v)) for _, payload in received
-                            for (v, p) in payload})
-            sync_out: dict[int, list] = defaultdict(list)
-            if pairs:
-                self._ensure_partition_capacity(max(p for p, _ in pairs))
-            self._one_hop_python(pairs, sync_out)
-            for proc, payload in sorted(sync_out.items()):
-                self.send(("alloc", proc), TAG_SYNC, payload)
-            return
-
-        #: (global vid, p) new pairs, list of (k, 2) array chunks
-        self._bp_new = []
-        sync_out = defaultdict(list)               # proc -> array chunks
-        chunks = [pair_array(payload) for _, payload in received]
-        chunks = [c for c in chunks if len(c)]
-        if chunks:
-            arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            # Deterministic dedup: unique (p, v) rows come out of
-            # np.unique lexicographically sorted — the reference's
-            # sorted-set iteration order.
-            pv = np.unique(arr[:, ::-1], axis=0)
-            self._ensure_partition_capacity(int(pv[-1, 0]))
-            self._one_hop_vectorized(pv[:, 0], pv[:, 1], sync_out)
-        for proc, parts in sorted(sync_out.items()):
-            self.send_batched(
-                ("alloc", proc), TAG_SYNC,
-                parts[0] if len(parts) == 1 else np.concatenate(parts))
+        #: (global vid, p) new pairs
+        self._bp_new: list = []
+        # Deterministic order: by (partition, vertex) over all messages.
+        pairs = sorted({(int(p), int(v)) for _, payload in received
+                        for (v, p) in payload})
+        sync_out: dict[int, list] = defaultdict(list)
+        if pairs:
+            self._ensure_partition_capacity(max(p for p, _ in pairs))
+        self._one_hop_python(pairs, sync_out)
+        for proc, payload in sorted(sync_out.items()):
+            self.send(("alloc", proc), TAG_SYNC, payload)
 
     def _one_hop_python(self, pairs, sync_out) -> None:
         """Reference one-hop: one adjacency slot at a time."""
@@ -564,119 +547,14 @@ class AllocationProcess(Process):
                         if proc != self.machine:
                             sync_out[proc].append((u, p))
 
-    def _one_hop_vectorized(self, parr, varr, sync_out) -> None:
-        """Flat-array one-hop: per partition, gather every selected
-        vertex's adjacency slice at once, allocate the first-occurrence
-        free edges, and batch the boundary/sync bookkeeping.
-
-        ``parr`` / ``varr`` are the deduped selection pairs as parallel
-        arrays, sorted by (partition, vertex).
-
-        Equivalence with the sequential reference (which walks pairs in
-        (p, v) order):
-
-        * within one partition group every free edge incident to a
-          selected vertex ends up allocated to p regardless of walk
-          order, so keeping the *first-occurrence* slot per edge
-          reproduces the reference's allocation set and its append
-          order;
-        * a boundary pair (x, p) is emitted exactly when x's first
-          "other endpoint" event fires while p is not yet in x's
-          replica set.  Selected vertices only receive such events from
-          *smaller* selected vertices (a larger one's shared edge is
-          already taken), i.e. always before their own membership
-          update — so probing the membership matrix before applying
-          this group's updates is exact.
-        """
-        if not len(parr):
-            return
-        # Map global -> local vertex ids; drop vertices not held here.
-        pos = np.searchsorted(self.local_vertices, varr)
-        nv = len(self.local_vertices)
-        pos_c = np.minimum(pos, max(nv - 1, 0))
-        present = (pos < nv) & (self.local_vertices[pos_c] == varr) \
-            if nv else np.zeros(len(varr), dtype=bool)
-        if not present.any():
-            return
-        parr, lvs_all = parr[present], pos[present]
-        # Partition groups are contiguous (pairs sorted by p first) and
-        # lvs ascend within each group (local ids are order-isomorphic
-        # to global ids).  Groups run in ascending p: first-writer-wins
-        # across partitions, as in the reference.
-        group_starts = np.flatnonzero(np.concatenate(
-            ([True], parr[1:] != parr[:-1])))
-        group_ends = np.concatenate((group_starts[1:], [len(parr)]))
-        for gs, ge in zip(group_starts.tolist(), group_ends.tolist()):
-            self._one_hop_group(int(parr[gs]), lvs_all[gs:ge], sync_out)
-
-    def _one_hop_group(self, p: int, lvs: np.ndarray, sync_out) -> None:
-        """One-hop allocation of every selected vertex of one partition."""
-        # Concatenated adjacency slices of all selected vertices, in
-        # (selected vertex, slot) order — the reference's walk order.
-        slot_idx, _ = adjacency_slots(self._adj_ptr, lvs)
-        total = len(slot_idx)
-        self.ops_one_hop += total
-        member = self._member
-        if total == 0:
-            member.set_col(lvs, p)
-            return
-        les = self._adj_eid[slot_idx]
-        others = self._adj_other[slot_idx]
-        free = self.alloc[les] == -1
-        les_f = les[free]
-        if len(les_f) == 0:
-            member.set_col(lvs, p)
-            return
-        # First-occurrence slot per free edge = the slot that allocates
-        # it in the sequential walk (a second occurrence means both
-        # endpoints were selected; the edge is already taken by then).
-        occ = first_occurrence(les_f)
-        new_les = les_f[occ]                       # allocation order
-        ev_targets = others[free][occ]             # other endpoint per event
-
-        self.alloc[new_les] = p
-        self._ep_new[p].append(self.eids[new_les])
-        nv = len(self.local_vertices)
-        dec = (np.bincount(self._lsrc[new_les], minlength=nv)
-               + np.bincount(self._ldst[new_les], minlength=nv))
-        self.rest_degree -= dec.astype(self.rest_degree.dtype)
-        self._part_loads[p] += len(new_les)
-        self.unallocated -= len(new_les)
-
-        # Boundary events: first event per target vertex, and only for
-        # targets not already replicated on p (pre-group state — see
-        # docstring for why selected vertices cannot race this probe).
-        unknown = ~member.test_col(ev_targets, p)
-        cand = ev_targets[unknown]
-        new_targets = cand[first_occurrence(cand)] if len(cand) else cand
-        member.set_col(lvs, p)
-        member.set_col(ev_targets, p)
-
-        if len(new_targets):
-            us = self.local_vertices[new_targets]
-            rows = np.empty((len(us), 2), dtype=np.int64)
-            rows[:, 0] = us
-            rows[:, 1] = p
-            self._bp_new.append(rows)
-            # Batched sync fan-out: one replica-membership mask per
-            # destination process instead of per-vertex set algebra.
-            masks = self.placement.replica_membership(us)
-            for proc in range(masks.shape[1]):
-                if proc == self.machine:
-                    continue
-                hit = masks[:, proc]
-                if hit.any():
-                    sync_out[proc].append(rows[hit])
-
     # ------------------------------------------------------------------
     # Phase 2(recv)+3+4: merge syncs, two-hop allocation, local Drest.
     # ------------------------------------------------------------------
     def two_hop_and_report(self) -> None:
-        received = self.receive(TAG_SYNC)
-        if self.kernel == "python":
-            self._two_hop_and_report_python(received)
-        else:
-            self._two_hop_and_report_vectorized(received)
+        if self.kernel == "vectorized":
+            self._own_plane().run("two_hop_and_report", [self.pid])
+            return
+        self._two_hop_and_report_python(self.receive(TAG_SYNC))
         self._bp_new = []
         self._ep_new = defaultdict(list)
         self.report_memory()
@@ -712,78 +590,6 @@ class AllocationProcess(Process):
             self.send(("expansion", p), TAG_EDGES,
                       np.asarray(eids, dtype=np.int64))
 
-    def _two_hop_and_report_vectorized(self, received) -> None:
-        merged = self._merge_sync_vectorized(received)
-
-        if self.two_hop:
-            self._allocate_two_hop_vectorized(merged)
-
-        # Batched Drest report: unique (v, p) rows come out of
-        # np.unique lexicographically sorted — the exact iteration
-        # order of the reference loop — so per-partition payloads keep
-        # v ascending.
-        if len(merged):
-            arr = np.unique(merged, axis=0)
-            lvs = np.searchsorted(self.local_vertices, arr[:, 0])
-            drest = self.rest_degree[lvs]
-            keep = drest > 0
-            rows = np.empty((int(keep.sum()), 2), dtype=np.int64)
-            rows[:, 0] = arr[keep, 0]
-            rows[:, 1] = drest[keep]
-            ps = arr[keep, 1]
-            for p in np.unique(ps).tolist():
-                self.send_batched(("expansion", p), TAG_BOUNDARY,
-                                  rows[ps == p])
-
-        for p, chunks in sorted(self._ep_new.items()):
-            self.send_batched(("expansion", p), TAG_EDGES,
-                              np.asarray(chunks[0], dtype=np.int64)
-                              if len(chunks) == 1
-                              else np.concatenate(chunks))
-
-    def _merge_sync_vectorized(self, received) -> np.ndarray:
-        """Merge sync payloads into the membership state; returns the
-        merged new-pair rows ``(v, p)`` in the reference walk order.
-
-        Local ``_bp_new`` rows come first and are merged
-        unconditionally (their membership bits were set during
-        one-hop); received rows are kept when the (vertex, partition)
-        bit is still unset, with first-occurrence dedup standing in for
-        the reference's set-as-you-go sequential filter (membership
-        only ever turns on, so probing pre-state plus intra-batch dedup
-        is exact).
-        """
-        chunks = list(self._bp_new)
-        nbp = sum(len(c) for c in chunks)
-        chunks.extend(pair_array(payload) for _, payload in received)
-        chunks = [c for c in chunks if len(c)]
-        if not chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        forced = np.arange(len(arr)) < nbp
-
-        # Presence filter (sync rows may name vertices not held here).
-        vs = arr[:, 0]
-        pos = np.searchsorted(self.local_vertices, vs)
-        nv = len(self.local_vertices)
-        pos_c = np.minimum(pos, max(nv - 1, 0))
-        present = (pos < nv) & (self.local_vertices[pos_c] == vs) \
-            if nv else np.zeros(len(vs), dtype=bool)
-        if not present.any():
-            return np.empty((0, 2), dtype=np.int64)
-        arr, lvs, forced = arr[present], pos[present], forced[present]
-
-        ps = arr[:, 1]
-        self._ensure_partition_capacity(int(ps.max()))
-        width = len(self._part_loads)
-        occ = first_occurrence(lvs * width + ps)
-        arr, lvs, ps, forced = arr[occ], lvs[occ], ps[occ], forced[occ]
-
-        fresh = forced | ~self._member.test_pairs(lvs, ps)
-        arr, lvs, ps = arr[fresh], lvs[fresh], ps[fresh]
-        self._member.set_pairs(lvs, ps)
-        return arr
-
     def _allocate_two_hop(self, merged: list[tuple[int, int]]) -> None:
         """Condition 5 (reference): allocate local edges whose endpoints
         share partitions, one adjacency slot at a time."""
@@ -814,157 +620,6 @@ class AllocationProcess(Process):
                            key=lambda q: (self._part_loads[q], q))
                 self._allocate_local(le, pnew)
                 self._ep_new[pnew].append(int(self.eids[le]))
-
-    def _allocate_two_hop_vectorized(self, merged: np.ndarray) -> None:
-        """Condition 5, flat-array form.
-
-        Gathers the adjacency slices of every merged vertex in one
-        batch, computes shared-partition masks as membership row ANDs
-        (boolean or packed-word, backend-dependent), and assigns
-        single-shared edges — the overwhelmingly common case — in
-        bulk.  Multi-shared (contested) edges resolve through the
-        loads-delta batching of :meth:`_resolve_multi_shared`:
-        position-dependent running loads are reconstructed with sorted
-        segment reductions and only genuinely order-dependent
-        collisions replay sequentially, matching the reference's
-        running least-loaded walk bit-for-bit.
-        """
-        if not len(merged):
-            return
-        lvs_all = np.searchsorted(self.local_vertices, merged[:, 0])
-        # Dedup vertices, keeping first-occurrence order (the walk order).
-        lvs = lvs_all[first_occurrence(lvs_all)]
-
-        slot_idx, counts = adjacency_slots(self._adj_ptr, lvs)
-        self.ops_two_hop += len(slot_idx)
-        if len(slot_idx) == 0:
-            return
-        les = self._adj_eid[slot_idx]
-        lws = self._adj_other[slot_idx]
-        lv_rep = np.repeat(lvs, counts)
-
-        free = self.alloc[les] == -1
-        if not free.any():
-            return
-        member = self._member
-        shared = member.rows_and(lv_rep[free], lws[free])
-        has = member.mask_any(shared)
-        if not has.any():
-            return
-        les_f = les[free][has]
-        shared_f = shared[has]
-        # First visit allocates; later visits (other endpoint also
-        # merged) see the edge taken.
-        occ = first_occurrence(les_f)
-        cand_les = les_f[occ]
-        cand_shared = shared_f[occ]
-
-        nshared = member.mask_count(cand_shared)
-        tgt = np.where(nshared == 1,
-                       member.mask_single_partition(cand_shared), -1)
-        multi = np.flatnonzero(nshared > 1)
-        loads = self._part_loads
-        if len(multi):
-            self._resolve_multi_shared(cand_shared, tgt, multi)
-        if len(tgt):
-            loads += np.bincount(tgt, minlength=len(loads))
-
-        self.alloc[cand_les] = tgt.astype(self.alloc.dtype)
-        nv = len(self.local_vertices)
-        dec = (np.bincount(self._lsrc[cand_les], minlength=nv)
-               + np.bincount(self._ldst[cand_les], minlength=nv))
-        self.rest_degree -= dec.astype(self.rest_degree.dtype)
-        self.unallocated -= len(cand_les)
-        geids = self.eids[cand_les]
-        for p in np.unique(tgt).tolist():
-            self._ep_new[p].append(geids[tgt == p])
-
-    def _resolve_multi_shared(self, cand_shared: np.ndarray,
-                              tgt: np.ndarray, multi: np.ndarray) -> None:
-        """Loads-delta batching for the multi-shared tie-break.
-
-        The reference walks the candidate edges in order, allocating
-        each contested edge to the least-loaded shared partition under
-        the *running* loads.  The running load of partition q at walk
-        position i decomposes as::
-
-            base[q] + #{single-shared edges before i targeting q}
-                    + #{contested edges before i that chose q}
-
-        The first two terms are position-dependent but order-free: the
-        single-shared prefix counts come out of one sorted-segment
-        ``searchsorted`` over (partition, position) keys for every
-        (contested edge, candidate) pair at once.  Only the third term
-        is genuinely order-dependent, and it is nonzero only for
-        contested edges whose candidate set overlaps another contested
-        edge's — an edge whose candidates appear in no other contested
-        edge can never receive a delta from one (a contested edge only
-        ever bumps its own candidates).  Those *collisions* replay
-        sequentially in walk order; isolated contested edges resolve in
-        one vectorized segment-min.
-
-        In real DNE runs the colliding edges dominate the contested set
-        (hub partitions recur across candidate sets), so the speedup
-        comes from the batched prefix-count base — the reference's
-        inner loop over every intervening single-shared edge is gone —
-        and from a replay that touches only contested edges, not from
-        the isolated fast path.
-
-        Fills ``tgt[multi]`` in place; the caller applies the load
-        increments for the whole candidate batch in one bincount.
-        """
-        member = self._member
-        rows, cols = member.mask_nonzero(cand_shared[multi])
-        row_starts = np.searchsorted(rows, np.arange(len(multi) + 1))
-        width = len(self._part_loads)
-        cols64 = cols.astype(np.int64)
-
-        # Single-shared prefix counts per (contested edge, candidate):
-        # sort the single-shared events by (partition, walk position),
-        # then each pair's count is one segment searchsorted.
-        num_cand = len(tgt)
-        single_pos = np.flatnonzero(tgt >= 0)
-        single_keys = (tgt[single_pos].astype(np.int64) * (num_cand + 1)
-                       + single_pos)
-        single_keys.sort()
-        seg_lo = cols64 * (num_cand + 1)
-        abs_pos = multi[rows]
-        prefix = (np.searchsorted(single_keys, seg_lo + abs_pos)
-                  - np.searchsorted(single_keys, seg_lo))
-        run_loads = self._part_loads[cols] + prefix
-
-        # Collision detection: candidates appearing in >1 contested edge.
-        col_multiplicity = np.bincount(cols, minlength=width)
-        pair_shared = (col_multiplicity[cols] > 1).astype(np.int8)
-        row_shared = np.maximum.reduceat(pair_shared, row_starts[:-1])
-
-        # Isolated contested edges: vectorized min over (load, id) keys
-        # per row segment.
-        min_key = np.minimum.reduceat(run_loads * width + cols64,
-                                      row_starts[:-1])
-        iso = np.flatnonzero(row_shared == 0)
-        tgt[multi[iso]] = min_key[iso] % width
-
-        colliding = np.flatnonzero(row_shared > 0)
-        if len(colliding):
-            # Sequential replay of the genuinely order-dependent tail:
-            # running deltas restricted to the colliding edges' own
-            # candidates (isolated decisions never touch them).
-            cols_l = cols.tolist()
-            base_l = run_loads.tolist()
-            starts_l = row_starts.tolist()
-            delta = [0] * width
-            for j in colliding.tolist():
-                lo, hi = starts_l[j], starts_l[j + 1]
-                best_q = cols_l[lo]
-                best_v = base_l[lo] + delta[best_q]
-                for k in range(lo + 1, hi):
-                    q = cols_l[k]
-                    v = base_l[k] + delta[q]
-                    if v < best_v:
-                        best_v, best_q = v, q
-                tgt[multi[j]] = best_q
-                delta[best_q] += 1
 
     def _allocate_local(self, le: int, p: int) -> None:
         self.alloc[le] = p

@@ -38,11 +38,19 @@ one step per process and the backend decides who runs them —
 order, ``"threads"`` on a thread pool over the GIL-releasing NumPy
 kernels, ``"processes"`` on worker processes with the CSR graph and
 the flat per-partition state mapped in via shared memory (only message
-payloads — one ``SegmentBatch`` per emission sweep under fused
-dispatch — cross the parent boundary).  All three
+payloads — one ``SegmentBatch`` per emission sweep under the
+vectorized kernel — cross the parent boundary).  All three
 produce bit-identical assignments and accounting totals — the backend
 only changes *where* the arithmetic happens, pinned by
 ``tests/test_backends.py``.
+
+Two kernels, one dispatch rule
+------------------------------
+``kernel="python"`` runs the reference step methods one process at a
+time; ``kernel="vectorized"`` runs every mail-carrying phase through a
+:class:`~repro.core.fused.FusedDnePlane` — the driver (and each worker
+of the processes backend) builds one over the processes it owns iff
+the kernel is vectorized.  There is no third arm.
 """
 
 from __future__ import annotations
@@ -120,7 +128,7 @@ class DneWorkerProgram(WorkerProgram):
 
     def __init__(self, num_partitions: int, placement, two_hop: bool,
                  kernel: str, lam: float, seed: int, seed_strategy: str,
-                 limit: int, total_edges: int, fused: bool = True):
+                 limit: int, total_edges: int):
         self.num_partitions = num_partitions
         self.placement = placement
         self.two_hop = two_hop
@@ -130,7 +138,6 @@ class DneWorkerProgram(WorkerProgram):
         self.seed_strategy = seed_strategy
         self.limit = limit
         self.total_edges = total_edges
-        self.fused = fused
 
     def build(self, owned_pids, views: dict) -> dict:
         garena = views["graph"]
@@ -163,7 +170,7 @@ class DneWorkerProgram(WorkerProgram):
         return procs
 
     def build_plane(self, procs: dict):
-        if not self.fused or self.kernel != "vectorized":
+        if self.kernel != "vectorized":
             return None
         return FusedDnePlane(list(procs.values()), self.placement)
 
@@ -193,7 +200,8 @@ class DistributedNE(Partitioner):
     seed_strategy:
         ``"random"`` (paper) or ``"min_degree"`` seed-vertex choice.
     max_iterations:
-        Safety valve for pathological inputs; ``None`` = unbounded.
+        Safety valve for pathological inputs: stop after this many
+        iterations (at least 1); ``None`` = unbounded.
     collect_history:
         When True, record a per-iteration trace (allocated edges,
         boundary sizes, live partitions, vertices selected) into
@@ -201,18 +209,23 @@ class DistributedNE(Partitioner):
         plots.
     kernel:
         ``"vectorized"`` (default) runs the allocation *and* selection
-        phases as flat-array NumPy kernels — batched one/two-hop
+        phases as the flat-array kernels of
+        :class:`~repro.core.fused.FusedDnePlane`: every
+        selection/one-hop/two-hop/update superstep is one segmented
+        kernel call over all the scheduler's processes (machine id as
+        a data axis) instead of ``|P|`` small ones — batched one/two-hop
         allocation (loads-delta batching for the two-hop tie-break),
-        the array-backed boundary queue, batched multicast fan-out,
-        and structured ndarray payloads shipped on the simulator's
-        barrier-batched message plane (bulk per-(src, dst, tag)
-        pricing at each barrier); ``"python"`` runs the
-        per-slot/per-pair reference loops with tuple-list payloads
-        over eager per-message sends.  Both produce bit-identical assignments,
-        counters, and message traffic (pinned by the kernel
-        equivalence tests).  At ``num_partitions > 64`` the vectorized
-        replica membership switches to the packed uint64-bitset
-        backend (``extra["membership"]``), still bit-identical.
+        the array-backed boundary queue, batched multicast fan-out —
+        and every emission sweep is one ``SegmentBatch`` from kernel to
+        mailbox to the next phase's input, which is what breaks the
+        |P| ≫ 64 dispatch-overhead crossover.  ``"python"`` runs the
+        per-slot/per-pair reference loops, one step per process, with
+        tuple-list payloads over eager per-message sends.  Both
+        produce bit-identical assignments, counters, message traffic
+        and memory totals (pinned by the kernel equivalence tests).
+        At ``num_partitions > 64`` the vectorized replica membership
+        switches to the packed uint64-bitset backend
+        (``extra["membership"]``), still bit-identical.
     backend:
         Execution backend for the per-partition supersteps:
         ``"simulated"`` (default, inline deterministic scheduler),
@@ -223,19 +236,6 @@ class DistributedNE(Partitioner):
     workers:
         Worker count for the parallel backends (default 4; ignored by
         ``"simulated"``).
-    fused:
-        Fused cross-partition phase dispatch (default on for the
-        vectorized kernel; no-op under ``kernel="python"``).  Each
-        scheduler builds a :class:`~repro.core.fused.FusedDnePlane`
-        over its processes, so every selection/one-hop/two-hop/update
-        superstep is one segmented kernel call (machine id as a data
-        axis) instead of ``|P|`` small ones, and every emission sweep
-        is one ``SegmentBatch`` from kernel to mailbox to the next
-        phase's input — this is what breaks the |P| ≫ 64
-        dispatch-overhead crossover.  Bit-identical to
-        per-process dispatch on assignments, counters, message
-        traffic, and memory totals (pinned by the kernel-equivalence
-        and backend tests); ``fused=False`` forces per-process steps.
     checkpoint_dir:
         Directory for superstep-granular checkpoints (any backend).
         At every ``checkpoint_every``-th iteration boundary — a point
@@ -287,7 +287,6 @@ class DistributedNE(Partitioner):
                  kernel: str = "vectorized",
                  backend: str = "simulated",
                  workers: int | None = None,
-                 fused: bool | None = None,
                  checkpoint_dir: str | None = None,
                  checkpoint_every: int = 1,
                  resume: bool = False,
@@ -304,6 +303,8 @@ class DistributedNE(Partitioner):
             raise ValueError("placement must be '2d' or '1d'")
         if seed_strategy not in ("random", "min_degree"):
             raise ValueError("seed_strategy must be 'random' or 'min_degree'")
+        if max_iterations is not None and max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1 (or None)")
         self.alpha = alpha
         self.lam = lam
         self.two_hop = two_hop
@@ -318,7 +319,6 @@ class DistributedNE(Partitioner):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.fused = fused
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if resume and checkpoint_dir is None:
@@ -334,12 +334,6 @@ class DistributedNE(Partitioner):
         self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.tracer = tracer
-
-    def _use_fused(self) -> bool:
-        """Fused dispatch applies only to the vectorized kernel."""
-        if self.kernel != "vectorized":
-            return False
-        return True if self.fused is None else bool(self.fused)
 
     # ------------------------------------------------------------------
     def _partition(self, graph: CSRGraph) -> EdgePartition:
@@ -435,9 +429,8 @@ class DistributedNE(Partitioner):
                 seed_source = DirectSeedSource(allocators)
                 for expander in expanders:
                     expander.seed_source = seed_source
-                plane = None
-                if self._use_fused():
-                    plane = FusedDnePlane(allocators + expanders, placement)
+                plane = (FusedDnePlane(allocators + expanders, placement)
+                         if self.kernel == "vectorized" else None)
                 backend.attach(cluster, allocators + expanders, plane=plane)
             load_seconds = time.perf_counter() - t0
 
@@ -582,8 +575,8 @@ class DistributedNE(Partitioner):
                 if sent == 0 and all(term[pid].gathered["finished"]
                                      for pid in exp_pids):
                     break  # capped tail: leftovers handled by the sweep
-                hit_valve = bool(self.max_iterations
-                                 and iterations >= self.max_iterations)
+                hit_valve = (self.max_iterations is not None
+                             and iterations >= self.max_iterations)
                 if store is not None and (
                         hit_valve
                         or iterations % self.checkpoint_every == 0):
@@ -740,8 +733,7 @@ class DistributedNE(Partitioner):
 
             program = DneWorkerProgram(
                 p, placement, self.two_hop, self.kernel, self.lam,
-                self.seed, self.seed_strategy, limit, graph.num_edges,
-                fused=self._use_fused())
+                self.seed, self.seed_strategy, limit, graph.num_edges)
             backend.start(cluster, program, pid_to_worker, arenas)
         except BaseException:
             for arena in arenas.values():

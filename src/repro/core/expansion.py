@@ -25,28 +25,28 @@ Kernel architecture
 -------------------
 §7.4 of the paper shows the vertex-selection phase growing from <1% of
 wall clock at 4 machines to 30.3% at 256 — at scale-out the selection
-plane is the bottleneck, so it ships in the same two interchangeable
-kernels as the allocation plane:
+plane is the bottleneck, so it ships in the same two kernels as the
+allocation plane:
 
 * ``kernel="vectorized"`` (default) — the boundary is a flat-array
   priority structure (:class:`BoundaryQueue`: parallel ``drest`` /
   ``vertex`` int64 arrays plus a boolean membership mask, batched
-  ``insert_many`` and ``pop_k_min``), the multicast fan-out is one
-  batched ``replica_membership`` call sliced per destination process,
-  the boundary fold is a concatenated-payload ``np.unique`` +
-  scatter-add, and every message payload is a structured ``(k, 2)``
-  int64 ndarray (see the payload contract in
-  :mod:`repro.cluster.runtime`) — no Python tuples ever cross the
-  simulated wire, and the whole multicast rides the barrier-batched
-  plane in one ``send_fanout`` call (payloads buffered per
-  destination, priced and delivered in bulk at the delivering
-  barrier).
-* ``kernel="python"`` — the per-pair reference: a heapq/set boundary
-  (:class:`HeapqBoundaryQueue`), a per-vertex ``replica_processes``
-  fan-out into tuple lists sent eagerly one message at a time (the
-  per-message accounting plane, kept as-is), and a dict-accumulator
-  boundary fold.  Kept as executable documentation of Algorithm 4 and
-  for the golden equivalence tests.
+  ``insert_many`` and ``pop_k_min``); selection + multicast and the
+  boundary/edge fold are the ``select_and_multicast`` /
+  ``update_state`` kernels of
+  :class:`~repro.core.fused.FusedDnePlane` — one batched
+  ``replica_membership`` call, the whole multicast one
+  :class:`~repro.cluster.runtime.SegmentBatch` on ``send_segments``,
+  the fold a ``np.unique`` + scatter-add over the taken sweeps.  A
+  scheduler runs one plane over all its processes; a process stepped
+  directly runs its own one-machine plane (same kernel, built on the
+  first such call) and reads segment mail only.
+* ``kernel="python"`` — the per-pair reference, implemented here: a
+  heapq/set boundary (:class:`HeapqBoundaryQueue`), a per-vertex
+  ``replica_processes`` fan-out into tuple lists sent eagerly one
+  message at a time, and a dict-accumulator boundary fold.  Kept as
+  executable documentation of Algorithm 4 and for the golden
+  equivalence tests.
 
 Both kernels produce identical selections, identical message payloads
 byte-for-byte under the accounting model (a ``(k, 2)`` int64 array and
@@ -63,7 +63,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.cluster.runtime import Process, pair_array
+from repro.cluster.runtime import Process
 from repro.core.allocation import TAG_BOUNDARY, TAG_EDGES, TAG_SELECT
 from repro.graph.csr import first_occurrence
 from repro.kernels import validate_kernel
@@ -244,12 +244,12 @@ class BoundaryQueue:
 class ExpansionProcess(Process):
     """Drives the expansion of one partition."""
 
-    #: checkpoint/restore excludes: the shared placement and the
-    #: injected seed source (backend-specific wiring, not state) —
+    #: checkpoint/restore excludes: the shared placement, the injected
+    #: seed source and the own one-machine plane (wiring, not state) —
     #: boundary queue, RNG, collected edges and counters all ride the
     #: snapshot.
     _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({
-        "placement", "seed_source"})
+        "placement", "seed_source", "_plane"})
 
     def __init__(self, partition: int, num_partitions: int,
                  limit: int, total_edges: int, lam: float,
@@ -271,6 +271,9 @@ class ExpansionProcess(Process):
         #: injected by the driver (or worker program) after construction
         #: when not given here.  See :class:`DirectSeedSource`.
         self.seed_source = seed_source
+        #: the one-machine plane a directly stepped vectorized process
+        #: runs its phases through (see :meth:`_own_plane`)
+        self._plane = None
         self.boundary = (BoundaryQueue() if kernel == "vectorized"
                          else HeapqBoundaryQueue())
         self.edge_count = 0                     # |E_p|
@@ -288,24 +291,30 @@ class ExpansionProcess(Process):
     # ------------------------------------------------------------------
     # Iteration phase A: select vertices and multicast to allocators.
     # ------------------------------------------------------------------
-    def select_and_multicast(self, alloc_processes=None) -> int:
+    def _own_plane(self):
+        """The one-machine plane behind a directly stepped vectorized
+        process, built on the first such step (a scheduler's plane
+        spans every process it owns and never comes through here)."""
+        if self._plane is None:
+            # fused.py imports this module.
+            from repro.core.fused import FusedDnePlane
+            self._plane = FusedDnePlane([self], self.placement)
+        return self._plane
+
+    def select_and_multicast(self) -> int:
         """Run the selection step.  Returns how many vertices were sent.
 
-        ``alloc_processes`` (a list of allocation objects indexed by
-        machine) is the legacy in-process form, wrapped in a
-        :class:`DirectSeedSource`; when omitted, the injected
-        :attr:`seed_source` serves the empty-boundary fallback — the
-        form every execution backend uses.
+        The injected :attr:`seed_source` serves the empty-boundary
+        fallback.
         """
+        if self.kernel == "vectorized":
+            return self._own_plane().run("select_and_multicast",
+                                         [self.pid])[self.pid]
         if self.finished:
             return 0
-        source = (DirectSeedSource(alloc_processes)
-                  if alloc_processes is not None else self.seed_source)
-        if self.kernel == "python":
-            return self._select_and_multicast_python(source)
-        return self._select_and_multicast_vectorized(source)
+        return self._select_and_multicast_python()
 
-    def _select_and_multicast_python(self, seed_source) -> int:
+    def _select_and_multicast_python(self) -> int:
         """Reference selection: heapq pops, per-vertex replica fan-out
         into per-process tuple lists."""
         start = time.perf_counter()
@@ -314,7 +323,7 @@ class ExpansionProcess(Process):
             k = max(1, int(np.ceil(self.lam * len(self.boundary))))
             selected = self.boundary.pop_k_min(k)
         else:
-            v = self._random_seed(seed_source)
+            v = self._random_seed()
             if v is not None:
                 selected = [v]
         self.selection_seconds += time.perf_counter() - start
@@ -331,44 +340,7 @@ class ExpansionProcess(Process):
             self.send(("alloc", proc), TAG_SELECT, payload)
         return len(selected)
 
-    def _select_and_multicast_vectorized(self, seed_source) -> int:
-        """Flat-array selection: one partition-select pop, one batched
-        ``replica_membership`` call, boolean-mask payload slicing."""
-        start = time.perf_counter()
-        if len(self.boundary):
-            k = max(1, int(np.ceil(self.lam * len(self.boundary))))
-            selected = self.boundary.pop_k_min_array(k)
-        else:
-            v = self._random_seed(seed_source)
-            selected = (np.empty(0, dtype=np.int64) if v is None
-                        else np.array([v], dtype=np.int64))
-        self.selection_seconds += time.perf_counter() - start
-        if not len(selected):
-            return 0
-
-        # Batched multicast: one membership matrix over every selected
-        # vertex; one nonzero pass yields the (process, vertex) hits
-        # grouped by ascending process with selection order preserved
-        # inside each group — the reference's per-vertex loop output,
-        # without touching processes that receive nothing.
-        masks = self.placement.replica_membership(selected)
-        payload = np.empty((len(selected), 2), dtype=np.int64)
-        payload[:, 0] = selected
-        payload[:, 1] = self.partition
-        pidx, vidx = np.nonzero(masks.T)
-        self.selection_ops += len(pidx)
-        starts = np.flatnonzero(np.concatenate(
-            ([True], pidx[1:] != pidx[:-1])))
-        # One bulk gather of every ⟨v, p⟩ row in fan-out order, then
-        # zero-copy views per destination (the per-destination fancy
-        # index was the last per-message cost in this loop).
-        rows = payload[vidx]
-        chunks = np.split(rows, starts[1:])
-        self.send_fanout(TAG_SELECT, zip(
-            [("alloc", p) for p in pidx[starts].tolist()], chunks))
-        return len(selected)
-
-    def _random_seed(self, seed_source) -> int | None:
+    def _random_seed(self) -> int | None:
         """Seed lookup: co-located allocator first, then remote scan.
 
         Remote lookups are accounted as one request/response message
@@ -378,13 +350,13 @@ class ExpansionProcess(Process):
         parallel backends capture in the outbox instead of letting this
         step touch another process's counters mid-superstep.
         """
+        seed_source = self.seed_source
         if seed_source is None:
             raise RuntimeError(
                 f"expansion process {self.pid!r} hit the empty-boundary "
-                "seed fallback but no seed source is available — pass "
-                "alloc_processes to select_and_multicast or inject "
+                "seed fallback but no seed source is available — inject "
                 "seed_source (DirectSeedSource / the backend's shared-"
-                "memory source) after construction")
+                "memory source) at or after construction")
         self.random_seed_requests += 1
         order = [self.partition] + [
             p for p in range(self.num_partitions) if p != self.partition]
@@ -420,28 +392,15 @@ class ExpansionProcess(Process):
     # Iteration phase B: fold in allocation results.
     # ------------------------------------------------------------------
     def update_state(self) -> None:
-        if self.kernel == "python":
-            drest_sums: dict[int, int] = defaultdict(int)
-            for _, payload in self.receive(TAG_BOUNDARY):
-                for v, local_drest in payload:
-                    drest_sums[int(v)] += int(local_drest)
-            for v in sorted(drest_sums):
-                self.boundary.insert(v, drest_sums[v])
-        else:
-            # Batched boundary fold: concatenate every ⟨v, drest⟩
-            # payload, sum per-process local scores into global Drest
-            # with a unique/scatter-add, and batch-insert in ascending
-            # vertex order (the reference's sorted-dict iteration).
-            chunks = [pair_array(payload)
-                      for _, payload in self.receive(TAG_BOUNDARY)]
-            if chunks:
-                arr = (chunks[0] if len(chunks) == 1
-                       else np.concatenate(chunks))
-                if len(arr):
-                    vs, inverse = np.unique(arr[:, 0], return_inverse=True)
-                    sums = np.zeros(len(vs), dtype=np.int64)
-                    np.add.at(sums, inverse, arr[:, 1])
-                    self.boundary.insert_many(vs, sums)
+        if self.kernel == "vectorized":
+            self._own_plane().run("update_state", [self.pid])
+            return
+        drest_sums: dict[int, int] = defaultdict(int)
+        for _, payload in self.receive(TAG_BOUNDARY):
+            for v, local_drest in payload:
+                drest_sums[int(v)] += int(local_drest)
+        for v in sorted(drest_sums):
+            self.boundary.insert(v, drest_sums[v])
 
         for _, payload in self.receive(TAG_EDGES):
             if len(payload):

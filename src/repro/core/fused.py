@@ -1,14 +1,21 @@
-"""Fused cross-partition phase dispatch for Distributed NE.
+"""The vectorized kernel of every Distributed NE phase.
 
-At |P| ≫ 64 the vectorized kernels lose end-to-end: per iteration the
-driver dispatches one step *per machine* per phase, and each step's
-batch is tiny — the per-call NumPy setup floor of ~|P| small kernel
-invocations dominates (ROADMAP's |P| ≫ 64 crossover).
-:class:`FusedDnePlane` removes the dispatch axis: machine id becomes a
-*segment axis* of one concatenated state, and each DNE phase runs as a
-single batched kernel over per-machine segments (``searchsorted`` /
-``np.add.at`` / stable sorts over offset arrays instead of a Python
-loop over processes).
+Dispatching one step *per machine* per phase loses end-to-end at
+|P| ≫ 64: each step's batch is tiny and the per-call NumPy setup floor
+of ~|P| small kernel invocations dominates.  :class:`FusedDnePlane`
+removes the dispatch axis: machine id becomes a *segment axis* of one
+concatenated state, and each DNE phase runs as a single batched kernel
+over per-machine segments (``searchsorted`` / ``np.add.at`` / stable
+sorts over offset arrays instead of a Python loop over processes).
+
+It is the *only* vectorized implementation of the phases — the DNE
+code has two tiers, the ``kernel="python"`` reference in
+``allocation.py`` / ``expansion.py`` and this plane.  A scheduler
+builds one plane over the processes it owns (the whole cluster for the
+simulated/threads backends, one worker's share for the processes
+backend); a vectorized process whose step methods are called directly
+runs its own plane over a one-machine subset, so per-process dispatch
+is this same kernel, not a second one.
 
 The message plane between the phases is segment-level too.  A phase's
 whole emission sweep is one
@@ -21,13 +28,14 @@ phase's kernel takes back whole with
 ``SimulatedCluster.take_segments``: ``np.repeat(dst_slots, lengths)``
 is the per-row machine index, no per-``(src, dst, tag)`` object is
 ever created.  Per-superstep Python work is O(|P|) (the per-process
-state objects), not O(|P|²) buffers, on all three backends.
+state objects), not O(|P|²) messages, on all three backends.
 
 Equivalence contract (the hard constraint, pinned by
 ``tests/test_kernel_equivalence.py`` and ``tests/test_backends.py``):
-the plane is *observationally identical* to per-process dispatch —
-bit-identical assignments, ops counters, message payloads, payload
-order, and memory reports.  The mechanisms:
+the plane is *observationally identical* to the reference's sequential
+per-process steps — bit-identical assignments, ops counters, message
+payloads, payload order, and memory reports — over any machine subset.
+The mechanisms:
 
 * **Shared mutable state, fused layout.**  Each allocator's ``alloc``
   array, ``_part_loads`` vector and membership matrix are re-pointed at
@@ -36,37 +44,39 @@ order, and memory reports.  The mechanisms:
   stays per-process — the processes backend maps it into shared
   memory per machine.  Read-only structures (adjacency, CSR maps) are
   plane-private fused copies; the per-process originals keep serving
-  the memory model.
-* **Round-synchronous one-hop.**  The per-process kernel walks its
+  the memory model.  The partition width is fixed at construction: a
+  wider partition id raises instead of growing.
+* **Round-synchronous one-hop.**  The reference walks a machine's
   (partition, vertex) groups in ascending partition order, each group
-  observing the writes of earlier groups.  The fused kernel runs
-  *rounds*: round j processes the j-th group of every machine in one
-  batch.  Machines' states are disjoint, so a round's batched probe of
+  observing the writes of earlier groups.  The plane runs *rounds*:
+  round j processes the j-th group of every machine in one batch.
+  Machines' states are disjoint, so a round's batched probe of
   pre-round state is exactly each machine's pre-group probe, and
   sequential rounds reproduce each machine's group order.
 * **Deterministic emission and ingest order.**  One stable sort by
   (machine, destination) makes a sweep's segments exactly the
-  per-``(src, dst, tag)`` buffers the accounting model prices, in the
-  order sequential per-process steps would have created them
-  (machines ascending, destinations ascending).  On ingest, where
-  order matters (two-hop's first-occurrence dedup walks each mailbox
-  front to back), one stable sort of the taken segments by
-  (destination, own-rows-first, source) rebuilds every mailbox's
-  source-ascending order — whatever order a parallel backend replayed
-  the sweeps in.
+  per-``(src, dst, tag)`` messages the accounting model prices, in the
+  order sequential per-process steps would have sent them (machines
+  ascending, destinations ascending).  On ingest, where order matters
+  (two-hop's first-occurrence dedup walks each mailbox front to back),
+  one stable sort of the taken segments by (destination,
+  own-rows-first, source) rebuilds every mailbox's source-ascending
+  order — whatever order a parallel backend replayed the sweeps in.
 
 The plane serves ``select_and_multicast``, ``one_hop_and_sync``,
 ``two_hop_and_report`` and ``update_state``; ``check_termination``
 stays per-process (no mail, one comparison).  It reads segment mail
-only, so a scheduler either fuses every mail-carrying phase or none —
-which is what ``_fusable_method`` does.  Vectorized kernel only — the
-reference kernel keeps its per-process steps and per-message sends.
+only, so whoever feeds a vectorized process — a scheduler's previous
+phase or a test harness — delivers a ``SegmentBatch``.  Vectorized
+kernel only — the reference kernel keeps its per-process steps and
+per-message sends.
 
 Invariants pinned by the tests — where to look when a change here
 breaks CI:
 
-* fused == per-process (``fused=False``) == python reference on
-  assignments and every accounting total at |P| ∈ {4, 64, 256}:
+* plane == python reference on assignments and every accounting total
+  at |P| ∈ {4, 64, 256}, and a directly stepped process == the same
+  process inside a whole-cluster plane:
   ``tests/test_kernel_equivalence.py::TestFusedDispatchEquivalence``;
 * the superstep *ledger* is backend-invariant: empty-mailbox
   short-circuits are decided by the driver and submitted as counted
@@ -74,8 +84,8 @@ breaks CI:
   checkpoint/resume and fault-recovery replay see the same step
   sequence on every backend (``tests/test_backends.py``,
   ``tests/test_faults.py``);
-* a ``SegmentBatch`` delivery equals one ``send_batched`` per segment
-  on every counter and on mailbox order, and the number of mailbox
+* a ``SegmentBatch`` delivery equals one eager ``send`` per segment on
+  every counter and on mailbox order, and the number of mailbox
   entries per superstep does not depend on |P|:
   ``tests/test_cluster_batched.py``;
 * the ``dne_p256`` end-to-end speedup floor:
@@ -107,14 +117,105 @@ def _runs(keys: np.ndarray):
     return zip(keys[starts].tolist(), bounds, bounds[1:])
 
 
+def _resolve_multi_shared(member, loads: np.ndarray,
+                          cand_shared: np.ndarray, tgt: np.ndarray,
+                          multi: np.ndarray) -> None:
+    """Loads-delta batching for the multi-shared tie-break.
+
+    The reference walks the candidate edges in order, allocating
+    each contested edge to the least-loaded shared partition under
+    the *running* loads.  The running load of partition q at walk
+    position i decomposes as::
+
+        base[q] + #{single-shared edges before i targeting q}
+                + #{contested edges before i that chose q}
+
+    The first two terms are position-dependent but order-free: the
+    single-shared prefix counts come out of one sorted-segment
+    ``searchsorted`` over (partition, position) keys for every
+    (contested edge, candidate) pair at once.  Only the third term
+    is genuinely order-dependent, and it is nonzero only for
+    contested edges whose candidate set overlaps another contested
+    edge's — an edge whose candidates appear in no other contested
+    edge can never receive a delta from one (a contested edge only
+    ever bumps its own candidates).  Those *collisions* replay
+    sequentially in walk order; isolated contested edges resolve in
+    one vectorized segment-min.
+
+    In real DNE runs the colliding edges dominate the contested set
+    (hub partitions recur across candidate sets), so the speedup
+    comes from the batched prefix-count base — the reference's
+    inner loop over every intervening single-shared edge is gone —
+    and from a replay that touches only contested edges, not from
+    the isolated fast path.
+
+    ``member`` is the membership layout ``cand_shared`` is in and
+    ``loads`` one machine's per-partition load row.  Fills
+    ``tgt[multi]`` in place; the caller applies the load increments
+    for the whole candidate batch in one scatter-add.
+    """
+    rows, cols = member.mask_nonzero(cand_shared[multi])
+    row_starts = np.searchsorted(rows, np.arange(len(multi) + 1))
+    width = len(loads)
+    cols64 = cols.astype(np.int64)
+
+    # Single-shared prefix counts per (contested edge, candidate):
+    # sort the single-shared events by (partition, walk position),
+    # then each pair's count is one segment searchsorted.
+    num_cand = len(tgt)
+    single_pos = np.flatnonzero(tgt >= 0)
+    single_keys = (tgt[single_pos].astype(np.int64) * (num_cand + 1)
+                   + single_pos)
+    single_keys.sort()
+    seg_lo = cols64 * (num_cand + 1)
+    abs_pos = multi[rows]
+    prefix = (np.searchsorted(single_keys, seg_lo + abs_pos)
+              - np.searchsorted(single_keys, seg_lo))
+    run_loads = loads[cols] + prefix
+
+    # Collision detection: candidates appearing in >1 contested edge.
+    col_multiplicity = np.bincount(cols, minlength=width)
+    pair_shared = (col_multiplicity[cols] > 1).astype(np.int8)
+    row_shared = np.maximum.reduceat(pair_shared, row_starts[:-1])
+
+    # Isolated contested edges: vectorized min over (load, id) keys
+    # per row segment.
+    min_key = np.minimum.reduceat(run_loads * width + cols64,
+                                  row_starts[:-1])
+    iso = np.flatnonzero(row_shared == 0)
+    tgt[multi[iso]] = min_key[iso] % width
+
+    colliding = np.flatnonzero(row_shared > 0)
+    if len(colliding):
+        # Sequential replay of the genuinely order-dependent tail:
+        # running deltas restricted to the colliding edges' own
+        # candidates (isolated decisions never touch them).
+        cols_l = cols.tolist()
+        base_l = run_loads.tolist()
+        starts_l = row_starts.tolist()
+        delta = [0] * width
+        for j in colliding.tolist():
+            lo, hi = starts_l[j], starts_l[j + 1]
+            best_q = cols_l[lo]
+            best_v = base_l[lo] + delta[best_q]
+            for k in range(lo + 1, hi):
+                q = cols_l[k]
+                v = base_l[k] + delta[q]
+                if v < best_v:
+                    best_v, best_q = v, q
+            tgt[multi[j]] = best_q
+            delta[best_q] += 1
+
+
 class FusedDnePlane:
     """Single-kernel-call-per-phase dispatch over a set of DNE processes.
 
     Built from the (subset of) allocation/expansion processes one
     scheduler owns — the whole cluster for the simulated/threads
-    backends, one worker's share for the processes backend.  ``run``
-    may be called with any subset of the attached pids (empty-mailbox
-    steps are short-circuited by the driver before dispatch).
+    backends, one worker's share for the processes backend, a single
+    process when that process is stepped directly.  ``run`` may be
+    called with any subset of the attached pids (empty-mailbox steps
+    are short-circuited by the driver before dispatch).
     """
 
     #: step methods the plane can fuse
@@ -279,7 +380,7 @@ class FusedDnePlane:
                 k = max(1, int(np.ceil(proc.lam * len(proc.boundary))))
                 sel = proc.boundary.pop_k_min_array(k)
             else:
-                v = proc._random_seed(proc.seed_source)
+                v = proc._random_seed()
                 sel = (np.empty(0, dtype=np.int64) if v is None
                        else np.array([v], dtype=np.int64))
             proc.selection_seconds += time.perf_counter() - start
@@ -305,7 +406,7 @@ class FusedDnePlane:
             proc.selection_ops += int(ops[i])
         # Stable sort by (source, destination): within a pair, hits stay
         # in selection order — each source's per-destination segment is
-        # exactly its per-process `masks.T` fan-out slice.
+        # exactly the payload the reference's per-vertex fan-out builds.
         order = np.argsort(hit_src * masks.shape[1] + dsts, kind="stable")
         srcs[0].send_segments(TAG_SELECT, SegmentBatch.from_runs(
             rows[vidx[order]], "expansion", src_parts[hit_src[order]],
@@ -471,7 +572,7 @@ class FusedDnePlane:
                 s_pos = np.concatenate(sync_pos)
                 # (machine asc, destination asc); hits within a pair
                 # stay in group/row order — each pair's gathered
-                # segment is the per-process sync_out concatenation.
+                # segment is the reference's sync_out[destination] list.
                 order2 = np.argsort(s_src * width + s_dst, kind="stable")
                 carrier.send_segments(TAG_SYNC, SegmentBatch.from_runs(
                     bp_rows[s_pos[order2]],
@@ -572,7 +673,8 @@ class FusedDnePlane:
                                 cand_mi[nshared > 1]).tolist():
                             a, b = int(bounds[mi]), int(bounds[mi + 1])
                             multi = np.flatnonzero(nshared[a:b] > 1)
-                            self._alloc_procs[mi]._resolve_multi_shared(
+                            _resolve_multi_shared(
+                                member, self._loads[mi],
                                 cand_shared[a:b], tgt[a:b], multi)
                         np.add.at(self._loads, (cand_mi, tgt), 1)
                         alloc_f[cand_les] = tgt.astype(alloc_f.dtype)
@@ -593,7 +695,7 @@ class FusedDnePlane:
         # Drest report, one sweep for all machines.  The unique
         # (machine, vertex, partition) keys come out sorted, so after
         # the stable (machine, partition) regroup each segment keeps
-        # its vertices ascending — the reference's np.unique(merged)
+        # its vertices ascending — the reference's sorted(set(merged))
         # walk, sliced per destination partition.
         if len(merged_rows):
             ukeys = np.unique((merged_m * g + merged_rows[:, 0]) * width
@@ -615,8 +717,7 @@ class FusedDnePlane:
 
         # Edge report, one sweep: every machine's parked one-hop events
         # then its two-hop events, stably regrouped by (machine,
-        # partition) — each segment is the reference's _ep_new[p] chunk
-        # concatenation.
+        # partition) — each segment is the reference's _ep_new[p] list.
         parked = self._pending_edges.take(slots)
         if parked:
             oh = SegmentBatch.merge(parked)

@@ -12,6 +12,7 @@ from repro.core.allocation import (
 )
 from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph
+from tests.conftest import send_sweep
 
 
 class _Sink:
@@ -49,15 +50,17 @@ def _single_proc_setup(graph, num_partitions=2, two_hop=True,
     alloc = cluster.add_process(AllocationProcess(
         0, graph, np.arange(graph.num_edges), placement, two_hop=two_hop,
         kernel=kernel))
+    # One process, several partitions: the vectorized kernel sizes its
+    # partition width before the first step.
+    alloc._ensure_partition_capacity(num_partitions - 1)
     sinks = [_Sink(cluster, p) for p in range(num_partitions)]
     return cluster, alloc, sinks
 
 
 def _drive(cluster, alloc, selections):
     """Send selections, run both allocator phases with barriers."""
-    from repro.cluster.runtime import Process
-    driver = cluster.process(("expansion", 0))
-    driver.send(alloc.pid, TAG_SELECT, selections)
+    send_sweep(cluster, alloc.kernel, ("expansion", 0), alloc.pid,
+               TAG_SELECT, selections)
     cluster.barrier()
     alloc.one_hop_and_sync()
     cluster.barrier()
@@ -143,9 +146,9 @@ class TestMultiProcessSync:
         for p in range(2):
             _Sink(cluster, p)
 
-        driver = cluster.process(("expansion", 0))
         for proc in placement.replica_processes(1):
-            driver.send(("alloc", proc), TAG_SELECT, [(1, 0)])
+            send_sweep(cluster, kernel, ("expansion", 0), ("alloc", proc),
+                       TAG_SELECT, [(1, 0)])
         cluster.barrier()
         for a in allocs:
             a.one_hop_and_sync()
@@ -164,6 +167,23 @@ class TestMultiProcessSync:
                     # vertex 2 neighbours an allocated edge -> {0}
                     if gv == 2:
                         assert covered == {0}
+
+    def test_vectorized_width_is_fixed_by_the_first_step(self, path4):
+        """The plane raises rather than grows: a partition id beyond
+        the width, or a resize after the first step, is an error — the
+        reference kernel grows on demand."""
+        cluster, alloc, _ = _single_proc_setup(path4, num_partitions=2)
+        _drive(cluster, alloc, [(1, 0)])
+        with pytest.raises(ValueError, match="before the first step"):
+            alloc._ensure_partition_capacity(5)
+        send_sweep(cluster, "vectorized", ("expansion", 0), alloc.pid,
+                   TAG_SELECT, [(2, 5)])
+        with pytest.raises(ValueError, match="partition capacity"):
+            alloc.one_hop_and_sync()
+        cluster, ref, _ = _single_proc_setup(path4, num_partitions=2,
+                                             kernel="python")
+        ref._ensure_partition_capacity(5)
+        assert len(ref._part_loads) == 6
 
     def test_memory_reported(self, small_rmat, kernel):
         cluster, alloc, _ = _single_proc_setup(small_rmat, kernel=kernel)

@@ -26,7 +26,7 @@ from repro.cluster.backends import (BACKENDS, ProcessesBackend,
                                     ShmArena, ThreadsBackend,
                                     WorkerProgram, WorkerStepError,
                                     create_backend, validate_backend)
-from repro.cluster.runtime import Process, SimulatedCluster
+from repro.cluster.runtime import Process, SegmentBatch, SimulatedCluster
 from repro.core.distributed_ne import DistributedNE
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
@@ -134,18 +134,24 @@ class TestSneBackendEquivalence:
 # Superstep protocol in isolation
 # ----------------------------------------------------------------------
 class _EchoProcess(Process):
-    """Sends one message of every plane/payload shape per step."""
+    """Sends on both planes every step: one eager message, a
+    one-segment sweep to its peer and a three-segment fan-out sweep."""
 
     def step(self, round_no: int):
         role, k = self.pid
         peer = ("echo", (k + 1) % 3)
         self.send(peer, "eager", [(k, round_no)])
-        self.send_batched(peer, "bulk",
-                          np.array([[k, round_no]], dtype=np.int64))
-        self.send_fanout("fan", [(("echo", j), (k, j)) for j in range(3)])
+        # Sweeps are delivered at send time, so a step reads the tag the
+        # previous round wrote, never the one this superstep writes.
+        self.send_segments(f"bulk{round_no % 2}", SegmentBatch(
+            np.array([[k, round_no]], dtype=np.int64), np.array([0, 1]),
+            role, np.array([k]), role, np.array([peer[1]])))
+        self.send_segments("fan", SegmentBatch(
+            np.array([[k, j] for j in range(3)], dtype=np.int64),
+            np.arange(4), role, np.full(3, k), role, np.arange(3)))
         self.set_resident("state", 64 * (round_no + 1))
         self.account_rpc_pair(peer, 8)
-        got = self.receive("bulk")
+        got = self.receive(f"bulk{(round_no + 1) % 2}")
         return len(got)
 
 
@@ -173,9 +179,9 @@ def _drive_echo(backend_name, workers):
 
 class TestOutboxReplay:
     def test_threads_replay_matches_inline(self, workers):
-        """Every outbox entry kind (eager send, batched send, fanout,
-        resident report, RPC pair) replays to the identical cluster
-        state and per-process counters."""
+        """Every outbox entry kind (eager send, segment sweep, resident
+        report, RPC pair) replays to the identical cluster state and
+        per-process counters."""
         base = _drive_echo("simulated", None)
         assert _drive_echo("threads", workers) == base
 

@@ -1,29 +1,30 @@
-"""Barrier-batched message plane: accounting, draining, and the
-central payload-contract pins.
+"""The two send planes: accounting, delivery order, and the central
+payload-contract pins.
 
-The batched plane must be observationally equivalent to per-message
-``send`` everywhere the accounting model looks: identical per-process
-message/byte totals (bulk pricing = sum of per-payload
-``payload_nbytes`` prices), identical mailbox contents, and barrier
-semantics unchanged (``flush`` drains without counting).  These tests
-pin that contract centrally so the PR-2 byte-equality pins cannot rot
-silently under coalescing.
-
-Segment sweeps get the same treatment: a ``SegmentBatch`` delivery must
-equal one ``send_batched`` per segment on every per-process counter and
-on mailbox order, survive outbox replay and destination-mask
-sub-batching unchanged, and stay one mailbox entry per sweep at any |P|.
+Eager ``send`` is the reference plane: one message, priced by
+``payload_nbytes`` at call time, delivered at the next barrier.  A
+``SegmentBatch`` sweep (``send_segments``, the vectorized kernel's
+plane) must be observationally *one eager send per segment* everywhere
+the accounting model looks: identical per-process message/byte totals
+on both sides, identical per-mailbox ``(src, payload)`` order through
+``Process.receive``, exact bytes past 2^53, unchanged under outbox
+replay and destination-mask sub-batching — plus one
+``send_batches`` / ``receive_batches`` tick per segment, and one
+mailbox entry per sweep at any |P|.  These tests pin that contract
+centrally so the byte-equality pins between the reference kernel
+(tuple lists over ``send``) and the vectorized kernel (row arrays in
+sweeps) cannot rot silently.
 """
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.cluster.accounting import payload_nbytes
 from repro.cluster.backends.base import apply_outbox
-from repro.cluster.runtime import (Process, SegmentBatch, SimulatedCluster,
-                                   pair_array)
+from repro.cluster.runtime import Process, SegmentBatch, SimulatedCluster
 
 #: payload shapes spanning the whole contract: ndarray pair batches,
 #: reference tuple lists, id arrays, scalars, and control messages
@@ -53,8 +54,20 @@ def _totals(cluster, pids):
     }
 
 
+def _sweep(rows, src_pids, dst_pids, lengths):
+    """A sweep of ``len(lengths)`` segments over ``rows``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return SegmentBatch(
+        np.asarray(rows, dtype=np.int64), offsets,
+        src_pids[0][0], np.array([slot for _, slot in src_pids]),
+        dst_pids[0][0], np.array([slot for _, slot in dst_pids]))
+
+
 class TestBatchedAccountingEquality:
-    """Central pin: batched == eager accounting for every payload shape."""
+    """Central pin: however a message reaches the accountant — eager,
+    replayed from an outbox, or as a segment of a sweep — it prices the
+    same."""
 
     @pytest.mark.parametrize("src,dst", [
         (("alloc", 0), ("alloc", 1)),       # cross-machine tuples
@@ -63,64 +76,77 @@ class TestBatchedAccountingEquality:
         ("solo", "solo"),                   # self-send
     ])
     def test_totals_match_eager_send(self, src, dst):
+        """Outbox-recorded sends replayed by the parent (what a
+        parallel backend does) == eager sends, for every payload shape:
+        totals, and mailbox contents in order."""
         pids = [src] if src == dst else [src, dst]
         eager, (ep, *_rest) = _cluster(pids)
-        batched, (bp, *_rest) = _cluster(pids)
+        replayed, (rp, *_rest) = _cluster(pids)
+        rp._outbox = []
         for payload in PAYLOADS:
             ep.send(dst, "t", payload)
-            bp.send_batched(dst, "t", payload)
-        batched.barrier()
+            rp.send(dst, "t", payload)
+        outbox, rp._outbox = rp._outbox, None
+        assert len(outbox) == len(PAYLOADS)
+        assert _totals(replayed, pids) != _totals(eager, pids)
+        apply_outbox(replayed, rp.pid, outbox)
+        assert _totals(eager, pids) == _totals(replayed, pids)
+        replayed.barrier()
         eager.barrier()
-        assert _totals(eager, pids) == _totals(batched, pids)
         # Same mailbox contents in the same order.
         edel = eager.process(dst).receive("t")
-        bdel = batched.process(dst).receive("t")
-        assert len(edel) == len(bdel) == len(PAYLOADS)
-        for (es, epay), (bs, bpay) in zip(edel, bdel):
-            assert es == bs
+        rdel = replayed.process(dst).receive("t")
+        assert len(edel) == len(rdel) == len(PAYLOADS)
+        for (es, epay), (rs, rpay) in zip(edel, rdel):
+            assert es == rs
             if isinstance(epay, np.ndarray):
-                assert np.array_equal(epay, bpay)
+                assert np.array_equal(epay, rpay)
             else:
-                assert epay == bpay
+                assert epay == rpay
 
     def test_bulk_price_is_sum_of_payload_nbytes(self):
-        """One pricing pass per (src, dst, tag) buffer must equal the
-        per-payload ``payload_nbytes`` sum — ndarray fast path
-        included."""
-        cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
-        for payload in PAYLOADS:
-            a.send_batched(b.pid, "t", payload)
-        cluster.barrier()
-        expected = sum(payload_nbytes(p) for p in PAYLOADS)
-        assert cluster.stats.stats_for(a.pid).bytes_sent == expected
-        assert cluster.stats.stats_for(b.pid).bytes_received == expected
-        assert cluster.stats.stats_for(a.pid).messages_sent == len(PAYLOADS)
+        """A sweep's one-pass bulk price equals the per-segment
+        ``payload_nbytes`` sum over its cross-machine segments —
+        co-located segments are messages but free on the wire."""
+        cluster, _ = _cluster([("alloc", 0), ("alloc", 1), ("alloc", 2)])
+        rows = np.arange(24, dtype=np.int64).reshape(12, 2)
+        batch = _sweep(rows, [("alloc", 0)] * 3,
+                       [("alloc", 0), ("alloc", 1), ("alloc", 2)],
+                       [5, 3, 4])
+        cluster.deliver_segments("t", batch)
+        payloads = [payload for _, (_, payload) in batch.messages()]
+        expected = sum(payload_nbytes(p) for p in payloads[1:])
+        assert expected == 16 * 7
+        sender = cluster.stats.stats_for(("alloc", 0))
+        assert sender.bytes_sent == expected
+        assert sender.messages_sent == 3
+        assert sender.bytes_received == 0 and sender.messages_received == 1
+        assert cluster.stats.stats_for(("alloc", 1)).bytes_received == 48
+        assert cluster.stats.stats_for(("alloc", 2)).bytes_received == 64
 
     def test_one_bulk_pass_per_communication_edge(self):
-        """The coalescing invariant: k messages on one (src, dst, tag)
-        edge cost one bulk accounting pass, not k."""
+        """The batching counters, asserted directly: one
+        ``send_batches`` / ``receive_batches`` tick per segment — per
+        (src, dst) edge of the sweep — however many rows it carries,
+        and none for eager sends."""
         cluster, (a, b, c) = _cluster([("x", 0), ("x", 1), ("x", 2)])
-        for _ in range(5):
-            a.send_batched(b.pid, "t", 1)
-        a.send_batched(c.pid, "t", 1)
-        a.send_batched(c.pid, "u", 1)
-        cluster.barrier()
-        sa = cluster.stats.stats_for(a.pid)
-        assert sa.messages_sent == 7
-        assert sa.send_batches == 3      # (a,b,t), (a,c,t), (a,c,u)
-        assert cluster.stats.stats_for(b.pid).receive_batches == 1
-        assert cluster.stats.total_send_batches == 3
-
-    def test_unknown_destination_raises_at_first_send(self):
-        cluster, (a,) = _cluster(["only"])
-        with pytest.raises(KeyError):
-            a.send_batched("nope", "t", 1)
+        batch = _sweep(np.arange(9), [a.pid, a.pid, b.pid],
+                       [b.pid, c.pid, c.pid], [5, 1, 3])
+        a.send_segments("t", batch)
+        a.send(c.pid, "u", 1)
+        stats = cluster.stats
+        assert stats.stats_for(a.pid).messages_sent == 3
+        assert stats.stats_for(a.pid).send_batches == 2   # (a,b), (a,c)
+        assert stats.stats_for(b.pid).send_batches == 1   # (b,c)
+        assert stats.stats_for(b.pid).receive_batches == 1
+        assert stats.stats_for(c.pid).receive_batches == 2
+        assert stats.total_send_batches == len(batch) == 3
 
 
 class TestPairArrayContract:
-    """pair_array is the single normalisation point of the payload
-    contract: both wire forms of a k-pair batch normalise to the same
-    (k, 2) int64 array and price to 16k bytes."""
+    """The payload contract on pair batches: the reference's tuple list
+    and the vectorized kernel's ``(k, 2)`` int64 rows are the same
+    values and both price to 16k bytes, on either plane."""
 
     @pytest.mark.parametrize("pairs", [
         [], [(3, 1)], [(0, 0), (5, 2), (5, 2), (7, 1)],
@@ -128,104 +154,127 @@ class TestPairArrayContract:
     def test_forms_normalise_identically_and_price_16k(self, pairs):
         as_list = [tuple(p) for p in pairs]
         as_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        norm_list = pair_array(as_list)
-        norm_array = pair_array(as_array)
-        assert norm_list.shape == norm_array.shape == (len(pairs), 2)
-        assert norm_list.dtype == norm_array.dtype == np.int64
-        assert np.array_equal(norm_list, norm_array)
+        assert np.array_equal(
+            np.asarray(as_list, dtype=np.int64).reshape(-1, 2), as_array)
         assert payload_nbytes(as_list) == payload_nbytes(as_array) \
             == 16 * len(pairs)
+        if pairs:       # a segment is never empty
+            batch = _sweep(as_array, [("alloc", 0)], [("alloc", 1)],
+                           [len(pairs)])
+            assert batch.nbytes.tolist() == [16 * len(pairs)]
 
     def test_ndarray_passthrough_no_copy(self):
-        arr = np.arange(6, dtype=np.int64).reshape(3, 2)
-        assert pair_array(arr) is arr
+        """Rows cross the segment plane uncopied when a sweep is taken
+        whole: the take hands back the delivered batch itself, and
+        ``receive`` hands out views of its row array."""
+        rows = np.arange(12, dtype=np.int64).reshape(6, 2)
+        batch = _sweep(rows, [("alloc", 0), ("alloc", 2)],
+                       [("alloc", 1)] * 2, [4, 2])
+        cluster, _ = _cluster([("alloc", k) for k in range(3)])
+        cluster.deliver_segments("t", batch)
+        mail = cluster.process(("alloc", 1)).receive("t")
+        assert [src for src, _ in mail] == [("alloc", 0), ("alloc", 2)]
+        assert mail[1][1].tolist() == rows[4:].tolist()
+        assert all(np.shares_memory(payload, rows) for _, payload in mail)
+        cluster.deliver_segments("u", batch)
+        assert cluster.take_segments("alloc", "u", [1])[0] is batch
 
     def test_batched_wire_forms_price_identically(self):
-        """End-to-end: the reference's tuple list and the vectorized
-        kernel's ndarray batch drive identical totals through the
-        batched plane."""
+        """End-to-end: the reference's tuple list over eager ``send``
+        and the vectorized kernel's row array in a sweep drive
+        identical totals."""
         pairs = [(9, 0), (4, 2), (11, 1)]
         totals = {}
         for form in ("list", "array"):
             cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
-            payload = (list(pairs) if form == "list"
-                       else np.array(pairs, dtype=np.int64))
-            a.send_batched(b.pid, "t", payload)
+            if form == "list":
+                a.send(b.pid, "t", list(pairs))
+            else:
+                a.send_segments("t", _sweep(pairs, [a.pid], [b.pid], [3]))
             cluster.barrier()
             totals[form] = _totals(cluster, [a.pid, b.pid])
         assert totals["list"] == totals["array"]
+        assert totals["list"][a.pid][:2] == (1, 48)
 
 
 class TestFlushVersusBarrier:
-    def test_flush_drains_batched_without_counting_barrier(self):
+    @staticmethod
+    def _send_on_both_planes():
         cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
         a.send(b.pid, "eager", 1)
-        a.send_batched(b.pid, "bulk", np.arange(4, dtype=np.int64))
+        a.send_segments("bulk", _sweep(np.arange(4), [a.pid], [b.pid], [4]))
+        return cluster, a, b
+
+    def test_flush_drains_batched_without_counting_barrier(self):
+        cluster, a, b = self._send_on_both_planes()
+        assert not cluster.has_mail(b.pid, "eager")   # eager mail in flight
+        assert cluster.has_mail(b.pid, "bulk")        # sweeps land at once
         cluster.flush()
         assert cluster.stats.barriers == 0
-        # Both planes drained and accounted.
+        # Both planes readable and accounted.
         assert b.receive("eager") == [(a.pid, 1)]
         bulk = b.receive("bulk")
         assert len(bulk) == 1 and bulk[0][0] == a.pid
-        assert not cluster._in_flight and not cluster._batched
+        assert not cluster._in_flight and not cluster.segment_mail()
         assert cluster.stats.stats_for(a.pid).messages_sent == 2
         assert cluster.stats.stats_for(a.pid).bytes_sent == 8 + 32
 
     def test_barrier_counts_and_drains_both_planes(self):
-        cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
-        a.send_batched(b.pid, "t", 1)
+        cluster, a, b = self._send_on_both_planes()
         cluster.barrier()
         assert cluster.stats.barriers == 1
-        assert not cluster._batched
-        assert b.receive("t") == [(a.pid, 1)]
-
-    def test_accounting_deferred_until_drain(self):
-        """Batched sends are invisible to the stats until the next
-        barrier/flush prices the buffers."""
-        cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
-        a.send_batched(b.pid, "t", [(1, 2)])
-        stats = cluster.stats.stats_for(a.pid)
-        assert stats.messages_sent == 0 and stats.bytes_sent == 0
-        cluster.flush()
-        assert stats.messages_sent == 1 and stats.bytes_sent == 16
+        assert not cluster._in_flight
+        assert b.receive("eager") == [(a.pid, 1)]
+        assert [src for src, _ in b.receive("bulk")] == [a.pid]
 
     def test_repeated_drains_idempotent(self):
-        cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
-        a.send_batched(b.pid, "t", 1)
+        cluster, a, b = self._send_on_both_planes()
         cluster.flush()
         cluster.flush()
         cluster.barrier()
         s = cluster.stats.stats_for(a.pid)
-        assert s.messages_sent == 1
+        assert s.messages_sent == 2
         assert cluster.stats.barriers == 1
+        assert len(b.receive("eager")) == len(b.receive("bulk")) == 1
+        assert b.receive("eager") == b.receive("bulk") == []
 
 
 class TestDeliveryOrder:
     def test_eager_before_batched_then_buffer_first_send_order(self):
+        """One mailbox fed by both planes reads eager mail first (send
+        order), then the sweeps in delivery order, segments in sweep
+        order inside each."""
         cluster, (a, b, c) = _cluster([("x", 0), ("x", 1), ("x", 2)])
-        b.send_batched(c.pid, "t", "b1")
+        b.send_segments("t", _sweep([10], [b.pid], [c.pid], [1]))
         a.send(c.pid, "t", "a-eager")
-        a.send_batched(c.pid, "t", "a1")
-        b.send_batched(c.pid, "t", "b2")
+        a.send_segments("t", _sweep([20, 21], [a.pid, b.pid],
+                                    [c.pid, c.pid], [1, 1]))
+        b.send(c.pid, "t", "b-eager")
         cluster.barrier()
-        got = c.receive("t")
-        # Eager plane first (send order), then buffers in first-send
-        # order with append order inside each buffer.
-        assert got == [(a.pid, "a-eager"), (b.pid, "b1"), (b.pid, "b2"),
-                       (a.pid, "a1")]
+        got = [(src, payload if isinstance(payload, str)
+                else payload.tolist()) for src, payload in c.receive("t")]
+        assert got == [(a.pid, "a-eager"), (b.pid, "b-eager"),
+                       (b.pid, [10]), (a.pid, [20]), (b.pid, [21])]
 
     def test_single_message_per_destination_order_matches_eager(self):
-        """The DNE pattern — at most one message per (dst, tag) per
-        window — observes exactly the eager plane's delivery order."""
+        """The DNE pattern — at most one message per (src, dst, tag)
+        per window, sources ascending — reads back in the same order
+        from a sweep as from eager sends."""
         pids = [("alloc", k) for k in range(4)]
         orders = {}
-        for plane in ("send", "send_batched"):
+        for plane in ("send", "send_segments"):
             cluster, procs = _cluster(pids)
-            for p in procs[1:]:
-                getattr(p, plane)(procs[0].pid, "t", p.pid)
+            if plane == "send":
+                for p in procs[1:]:
+                    p.send(procs[0].pid, "t", np.array([p.pid[1]]))
+            else:
+                procs[1].send_segments("t", _sweep(
+                    [1, 2, 3], pids[1:], [pids[0]] * 3, [1, 1, 1]))
             cluster.barrier()
-            orders[plane] = procs[0].receive("t")
-        assert orders["send"] == orders["send_batched"]
+            orders[plane] = [(src, payload.tolist())
+                             for src, payload in procs[0].receive("t")]
+        assert orders["send"] == orders["send_segments"]
+        assert [src for src, _ in orders["send"]] == pids[1:]
 
 
 # ----------------------------------------------------------------------
@@ -279,14 +328,18 @@ def _mailboxes(cluster, pids, tag):
 
 
 class TestSegmentBatchDelivery:
-    """A SegmentBatch delivery is observationally one ``send_batched``
-    per segment drained at the barrier."""
+    """A SegmentBatch delivery is observationally one eager ``send``
+    per segment."""
 
     @pytest.mark.parametrize("shape", ["random", "colocated",
                                        "single_destination", "all_to_all"])
     @pytest.mark.parametrize("dst_role,width", [("alloc", 2),
                                                 ("expansion", 1)])
     def test_equals_send_batched_per_segment(self, shape, dst_role, width):
+        """Messages and bytes on both sides, and every mailbox's
+        ``(src, payload)`` order through ``Process.receive``, equal one
+        eager ``send`` per segment; the batch counters — which eager
+        sends never tick — equal the segment counts directly."""
         rng = np.random.default_rng(hash((shape, width)) % 2**32)
         for _ in range(5):
             machines = int(rng.integers(2, 9))
@@ -295,11 +348,19 @@ class TestSegmentBatchDelivery:
             plain, _ = _dne_cluster(machines)
             swept.process(("alloc", 0)).send_segments("t", batch)
             for dst, (src, payload) in batch.messages():
-                plain.process(src).send_batched(dst, "t", payload)
-            assert _counters(swept, pids) != _counters(plain, pids)
+                plain.process(src).send(dst, "t", payload)
+            assert _totals(swept, pids) == _totals(plain, pids)
+            sent = Counter(batch.src_slots.tolist())
+            got = Counter(batch.dst_slots.tolist())
+            for role, slot in pids:
+                stats = swept.stats.stats_for((role, slot))
+                assert stats.send_batches == (
+                    sent[slot] if role == batch.src_role else 0)
+                assert stats.receive_batches == (
+                    got[slot] if role == batch.dst_role else 0)
+            assert swept.stats.total_send_batches == len(batch)
             plain.barrier()
             swept.barrier()
-            assert _counters(swept, pids) == _counters(plain, pids)
             assert all(swept.has_mail(pid, "t") == plain.has_mail(pid, "t")
                        for pid in pids)
             assert _mailboxes(swept, pids, "t") == _mailboxes(plain, pids, "t")

@@ -138,6 +138,16 @@ class TestAblations:
         assert part.iterations <= 3
         assert_valid_partition(part)  # leftovers swept
 
+    def test_max_iterations_below_one_rejected(self, medium_rmat):
+        """0 used to mean "unbounded" and a negative value "one
+        iteration"; both are configuration errors."""
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iterations"):
+                DistributedNE(8, seed=0, max_iterations=bad)
+        one = DistributedNE(8, seed=0, lam=0.01,
+                            max_iterations=1).partition(medium_rmat)
+        assert one.iterations == 1
+
 
 class TestAccountingShape:
     def test_mem_score_scale_invariant(self):

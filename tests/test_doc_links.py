@@ -1,0 +1,63 @@
+"""Unit tests for the docs checker (``benchmarks/check_doc_links.py``).
+
+The code-reference check is what keeps README / ``docs/*.md`` honest
+after a deletion: a backticked path must exist, and a ``::Name`` suffix
+must name a class or function of that file.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+
+from check_doc_links import check, check_code_refs  # noqa: E402
+
+
+def _tree(tmp_path, readme: str, arch: str = "") -> str:
+    (tmp_path / "src" / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "repro" / "core" / "fused.py").write_text(
+        "class Plane:\n    def run(self):\n        pass\n")
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "class TestPlane:\n    def test_run(self):\n        pass\n\n\n"
+        "async def test_async():\n    pass\n")
+    (tmp_path / "README.md").write_text(readme)
+    (tmp_path / "docs" / "ARCH.md").write_text(arch)
+    return str(tmp_path)
+
+
+def test_existing_paths_and_names_resolve(tmp_path):
+    root = _tree(
+        tmp_path,
+        "See `core/fused.py`, `src/repro/core/fused.py`, "
+        "`repro/core/fused.py::Plane` and\n"
+        "`tests/test_x.py::TestPlane::test_run`; [arch](docs/ARCH.md).\n",
+        "`tests/test_x.py::test_async` and bare `fused.py` shorthand.\n")
+    assert check_code_refs(root) == []
+    assert check(root) == []
+
+
+def test_missing_file_and_missing_name_reported(tmp_path):
+    root = _tree(
+        tmp_path,
+        "`core/gone.py` was deleted; `tests/test_x.py::TestGone` too,\n"
+        "and `tests/test_x.py::TestPlane::test_gone`.\n"
+        "```\n`core/in_a_fence.py` is an example, not a reference\n```\n",
+        "`tests/test_y.py::TestPlane`\n")
+    broken = check_code_refs(root)
+    assert len(broken) == 4
+    assert any("core/gone.py" in line and "no such file" in line
+               for line in broken)
+    assert any("no class/def TestGone" in line for line in broken)
+    assert any("no class/def test_gone" in line for line in broken)
+    assert any(line.startswith("docs/ARCH.md") and "tests/test_y.py" in line
+               for line in broken)
+
+
+def test_other_markdown_files_are_not_code_checked(tmp_path):
+    """CHANGES.md / ROADMAP.md narrate history and may name files that
+    no longer exist."""
+    root = _tree(tmp_path, "nothing here\n")
+    (tmp_path / "CHANGES.md").write_text("removed `core/gone.py`\n")
+    assert check_code_refs(root) == []

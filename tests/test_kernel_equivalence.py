@@ -18,9 +18,11 @@ and seeds:
   matrix backend bit-for-bit across |P| ∈ {3, 64, 65, 256}, and a full
   DNE run at |P| > 64 (where the packed backend engages) stays
   bit-identical to the reference kernel;
-* fused cross-partition phase dispatch at |P| = 256 with tiny
-  per-partition batches stays bit-identical to per-process steps
-  (``fused=False``) and to the python reference;
+* the plane (the one vectorized DNE kernel) stays bit-identical to the
+  python reference at |P| ∈ {4, 64, 256} — tiny per-partition batches
+  included — and a vectorized process stepped directly (its own
+  one-machine plane) matches the same process inside a whole-cluster
+  plane;
 * the reference allocation path holds no phantom (empty) replica sets
   — the ``defaultdict`` probe leak stays fixed.
 """
@@ -30,10 +32,13 @@ import pytest
 
 from repro.apps.engine import AppRunStats, DistributedGraphEngine
 from repro.cluster.runtime import Process, SimulatedCluster, _same_machine
-from repro.core.allocation import (TAG_SELECT, AllocationProcess,
+from repro.core import fused as fused_module
+from repro.core.allocation import (TAG_SELECT, TAG_SYNC, AllocationProcess,
                                    DenseMembership, PackedMembership)
 from repro.core.distributed_ne import DistributedNE
-from repro.core.expansion import BoundaryQueue, HeapqBoundaryQueue
+from repro.core.expansion import (BoundaryQueue, DirectSeedSource,
+                                  ExpansionProcess, HeapqBoundaryQueue)
+from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import (Hash1DPlacement, Hash2DPlacement,
                                unpack_bool_matrix)
 from repro.graph.csr import CSRGraph
@@ -41,6 +46,7 @@ from repro.graph.generators import ring_graph, rmat_edges
 from repro.partitioners import PARTITIONER_REGISTRY
 from repro.partitioners.ne import NEPartitioner
 from repro.partitioners.sne import SNEPartitioner
+from tests.conftest import send_sweep
 
 GRAPHS = {
     "rmat": lambda: CSRGraph(rmat_edges(9, 6, seed=42)),
@@ -162,15 +168,7 @@ class TestPackedMembership:
         dense = DenseMembership(nv, partitions)
         packed = PackedMembership(nv, partitions)
         for _ in range(30):
-            op = rng.integers(3)
-            if op == 0:
-                idx = rng.integers(0, nv, rng.integers(1, 8))
-                p = int(rng.integers(partitions))
-                assert np.array_equal(dense.test_col(idx, p),
-                                      packed.test_col(idx, p))
-                dense.set_col(idx, p)
-                packed.set_col(idx, p)
-            elif op == 1:
+            if rng.integers(2):
                 k = int(rng.integers(1, 8))
                 idx = rng.integers(0, nv, k)
                 ps = rng.integers(0, partitions, k)
@@ -216,16 +214,16 @@ class TestPackedMembership:
             alloc = cluster.add_process(AllocationProcess(
                 0, graph, np.arange(graph.num_edges), placement,
                 membership=membership))
-            driver = cluster.add_process(Process(("expansion", 0)))
-            for p in range(1, min(partitions, 4)):
+            alloc._ensure_partition_capacity(min(partitions, 4) - 1)
+            for p in range(min(partitions, 4)):
                 cluster.add_process(Process(("expansion", p)))
             rng = np.random.default_rng(0)
             for _ in range(3):
                 sel = np.column_stack(
                     [rng.integers(0, graph.num_vertices, 12),
-                     rng.integers(0, min(partitions, 4), 12)]
-                ).astype(np.int64)
-                driver.send(alloc.pid, TAG_SELECT, sel)
+                     rng.integers(0, min(partitions, 4), 12)])
+                send_sweep(cluster, "vectorized", ("expansion", 0),
+                           alloc.pid, TAG_SELECT, sel)
                 cluster.barrier()
                 alloc.one_hop_and_sync()
                 cluster.barrier()
@@ -262,33 +260,116 @@ class TestPackedDNEEquivalence:
         assert vec.extra["cluster"] == ref.extra["cluster"]
 
 
+#: every deterministic accounting key of a DNE run's ``extra``
+_ACCOUNTING_KEYS = (
+    "cluster", "ops_one_hop", "ops_two_hop", "mem_score",
+    "steps_executed", "steps_skipped", "model_selection_ops",
+    "model_allocation_ops", "selection_share_model",
+    "random_seed_requests", "remote_seed_requests")
+
+
+def _flat_mail(cluster):
+    """Undrained segment mail as per-tag ``(dst, src, payload)`` lists
+    in delivery order — the form in which one whole-cluster sweep and
+    the per-machine sweeps of directly stepped processes compare."""
+    out: dict = {}
+    for tag, batch in cluster.segment_mail():
+        out.setdefault(tag, []).extend(
+            (dst, src, payload.tolist())
+            for dst, (src, payload) in batch.messages())
+    return out
+
+
 class TestFusedDispatchEquivalence:
-    """Fused phase dispatch == per-process steps at |P| = 256 with
-    tiny batches.
+    """The two DNE tiers: python reference == plane, and the plane over
+    a one-machine subset == the plane over the whole cluster.
 
     A small graph spread over 256 partitions is the worst case for
-    the fused plane's segment bookkeeping: most per-partition batches
-    hold a handful of edges and most mailboxes are empty, so any
-    ordering or accounting slip between the concatenated-segment path
-    and the per-process loop shows up here first."""
+    the plane's segment bookkeeping: most per-partition batches hold a
+    handful of edges and most mailboxes are empty, so any ordering or
+    accounting slip between the concatenated-segment path and the
+    reference's per-process loop shows up here first."""
+
+    @staticmethod
+    def _assert_plane_matches_reference(partitions):
+        graph = CSRGraph(rmat_edges(8, 6, seed=3))
+        vec = DistributedNE(partitions, seed=0).partition(graph)
+        ref = DistributedNE(partitions, seed=0,
+                            kernel="python").partition(graph)
+        assert np.array_equal(vec.assignment, ref.assignment)
+        assert vec.iterations == ref.iterations
+        for key in _ACCOUNTING_KEYS:
+            assert vec.extra[key] == ref.extra[key], key
+        assert vec.replication_factor() == ref.replication_factor()
+        return vec
 
     def test_tiny_batches_at_256_partitions(self):
-        graph = CSRGraph(rmat_edges(8, 6, seed=3))
-        fused = DistributedNE(256, seed=0).partition(graph)
-        plain = DistributedNE(256, seed=0, fused=False).partition(graph)
-        ref = DistributedNE(256, seed=0,
-                            kernel="python").partition(graph)
-        assert fused.extra["membership"] == "packed"
-        assert np.array_equal(fused.assignment, plain.assignment)
-        assert np.array_equal(fused.assignment, ref.assignment)
-        assert fused.iterations == plain.iterations
-        for key in ("cluster", "ops_one_hop", "ops_two_hop",
-                    "mem_score", "steps_executed", "steps_skipped"):
-            assert fused.extra[key] == plain.extra[key], key
-        # The python reference has no fused plane at all; its totals
-        # still pin the fused run's accounting end to end.
-        assert fused.extra["cluster"] == ref.extra["cluster"]
-        assert fused.replication_factor() == plain.replication_factor()
+        vec = self._assert_plane_matches_reference(256)
+        assert vec.extra["membership"] == "packed"
+
+    @pytest.mark.parametrize("partitions", [4, 64])
+    def test_plane_matches_reference(self, partitions):
+        vec = self._assert_plane_matches_reference(partitions)
+        assert vec.extra["membership"] == "dense"
+
+    def test_directly_stepped_process_is_the_plane_over_one_machine(self):
+        """A vectorized process stepped directly runs its own
+        one-machine plane: same state, same counters and the same
+        sweeps, message for message, as inside a whole-cluster plane."""
+        graph = CSRGraph(rmat_edges(9, 6, seed=5))
+        machines = 4
+        placement = Hash2DPlacement(machines, seed=0)
+        homes = placement.place_edges(graph.edges)
+
+        def build():
+            cluster = SimulatedCluster()
+            allocs = [cluster.add_process(AllocationProcess(
+                k, graph, np.flatnonzero(homes == k), placement))
+                for k in range(machines)]
+            source = DirectSeedSource(allocs)
+            exps = [cluster.add_process(ExpansionProcess(
+                k, machines, limit=graph.num_edges,
+                total_edges=graph.num_edges, lam=0.5, seed=0,
+                placement=placement, seed_source=source))
+                for k in range(machines)]
+            return cluster, allocs, exps
+
+        whole, w_allocs, w_exps = build()
+        plane = FusedDnePlane(w_allocs + w_exps, placement)
+        direct, d_allocs, d_exps = build()
+        phases = [("select_and_multicast", w_exps, d_exps),
+                  ("one_hop_and_sync", w_allocs, d_allocs),
+                  ("two_hop_and_report", w_allocs, d_allocs),
+                  ("update_state", w_exps, d_exps)]
+        sweeps = 0
+        for _ in range(6):
+            for method, w_procs, d_procs in phases:
+                plane.run(method, [proc.pid for proc in w_procs])
+                for proc in d_procs:
+                    getattr(proc, method)()
+                mail = _flat_mail(whole)
+                assert mail == _flat_mail(direct), method
+                sweeps += len(mail)
+                whole.barrier()
+                direct.barrier()
+        assert sweeps >= 12          # the comparison saw real traffic
+        assert all(proc._plane is not None for proc in d_allocs + d_exps)
+        for w, d in zip(w_allocs, d_allocs):
+            assert w.unallocated == d.unallocated < len(w.eids)
+            assert np.array_equal(w.alloc, d.alloc)
+            assert np.array_equal(w._part_loads, d._part_loads)
+            assert np.array_equal(w.rest_degree, d.rest_degree)
+            assert w.vertex_parts == d.vertex_parts
+            assert (w.ops_one_hop, w.ops_two_hop) \
+                == (d.ops_one_hop, d.ops_two_hop)
+        for w, d in zip(w_exps, d_exps):
+            assert w.edge_count == d.edge_count
+            assert np.array_equal(w.collected_edge_ids(),
+                                  d.collected_edge_ids())
+            assert w.selection_ops == d.selection_ops
+            assert w.boundary.pop_k_min(10 ** 6) \
+                == d.boundary.pop_k_min(10 ** 6)
+        assert whole.stats.per_process == direct.stats.per_process
 
 
 class TestEngineEquivalence:
@@ -363,17 +444,13 @@ class TestTwoHopLoadsDelta:
     @pytest.mark.parametrize("partitions", [3, 6])
     @pytest.mark.parametrize("seed", [0, 4])
     def test_sync_flood_bit_identical(self, partitions, seed, monkeypatch):
-        from collections import defaultdict
-
-        from repro.core.allocation import TAG_SYNC
-
         contested = []
-        orig = AllocationProcess._resolve_multi_shared
+        orig = fused_module._resolve_multi_shared
         monkeypatch.setattr(
-            AllocationProcess, "_resolve_multi_shared",
-            lambda self, cand_shared, tgt, multi: (
+            fused_module, "_resolve_multi_shared",
+            lambda member, loads, cand_shared, tgt, multi: (
                 contested.append(len(multi)),
-                orig(self, cand_shared, tgt, multi))[1])
+                orig(member, loads, cand_shared, tgt, multi))[1])
 
         graph = CSRGraph(rmat_edges(9, 14, seed=seed))
         results = {}
@@ -383,20 +460,16 @@ class TestTwoHopLoadsDelta:
             alloc = cluster.add_process(AllocationProcess(
                 0, graph, np.arange(graph.num_edges), placement,
                 kernel=kernel))
-            peer = cluster.add_process(Process(("alloc", 1)))
+            alloc._ensure_partition_capacity(partitions - 1)
+            cluster.add_process(Process(("alloc", 1)))
             for p in range(partitions):
                 cluster.add_process(Process(("expansion", p)))
             rng = np.random.default_rng(seed)
             for _ in range(5):
                 vs = rng.integers(0, graph.num_vertices, 250)
                 ps = rng.integers(0, partitions, 250)
-                if kernel == "python":
-                    payload = list(zip(vs.tolist(), ps.tolist()))
-                else:
-                    payload = np.column_stack([vs, ps]).astype(np.int64)
-                peer.send(alloc.pid, TAG_SYNC, payload)
-                alloc._ep_new = defaultdict(list)
-                alloc._bp_new = []
+                send_sweep(cluster, kernel, ("alloc", 1), alloc.pid,
+                           TAG_SYNC, np.column_stack([vs, ps]))
                 cluster.barrier()
                 alloc.two_hop_and_report()
                 cluster.barrier()
@@ -425,14 +498,7 @@ class TestTwoHopLoadsDelta:
         rng = np.random.default_rng(trial)
         width = int(rng.integers(4, 10))
         num_cand = int(rng.integers(6, 60))
-        graph = CSRGraph(np.array([[0, 1], [1, 2]]))
-        cluster = SimulatedCluster()
-        alloc = cluster.add_process(AllocationProcess(
-            0, graph, np.arange(graph.num_edges),
-            Hash2DPlacement(1, seed=0)))
-        alloc._ensure_partition_capacity(width - 1)
         base = rng.integers(0, 12, width).astype(np.int64)
-        alloc._part_loads[:] = base
 
         # Fabricate the candidate walk: singles with random targets,
         # contested rows with 2..4 candidate partitions.  Half the
@@ -479,7 +545,8 @@ class TestTwoHopLoadsDelta:
                 loads[q] += 1
 
         got = tgt.copy()
-        alloc._resolve_multi_shared(cand, got, multi)
+        fused_module._resolve_multi_shared(
+            DenseMembership(0, width), base, cand, got, multi)
         assert np.array_equal(got, expect)
 
 
@@ -518,9 +585,11 @@ class TestReferencePathHygiene:
             alloc = cluster.add_process(AllocationProcess(
                 0, graph, np.arange(graph.num_edges), placement,
                 kernel=kernel))
-            driver = cluster.add_process(Process(("expansion", 0)))
+            alloc._ensure_partition_capacity(1)
+            cluster.add_process(Process(("expansion", 0)))
             cluster.add_process(Process(("expansion", 1)))
-            driver.send(alloc.pid, TAG_SELECT, [(0, 0), (1, 1)])
+            send_sweep(cluster, kernel, ("expansion", 0), alloc.pid,
+                       TAG_SELECT, [(0, 0), (1, 1)])
             cluster.barrier()
             alloc.one_hop_and_sync()
             cluster.barrier()

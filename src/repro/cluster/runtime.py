@@ -86,6 +86,7 @@ import numpy as np
 
 from repro.cluster.accounting import (ClusterStats, payload_nbytes,
                                       record_rpc_pair)
+from repro.graph.csr import sorted_unique
 
 __all__ = ["Process", "SegmentBatch", "SegmentQueue", "SimulatedCluster",
            "restore_attr"]
@@ -240,7 +241,7 @@ class SegmentQueue:
             self.put(batch)
 
     def put(self, batch: SegmentBatch) -> None:
-        slots = np.unique(batch.dst_slots).tolist()
+        slots = sorted_unique(batch.dst_slots).tolist()
         with self._lock:
             self._entries.append((batch, None))
             self._slots.update(slots)

@@ -316,7 +316,6 @@ class AllocationProcess(Process):
         k = len(self.eids)
         self._lsrc = inverse[:k].astype(np.int32)
         self._ldst = inverse[k:].astype(np.int32)
-        self._vindex = {int(v): i for i, v in enumerate(self.local_vertices)}
 
         # Adjacency over local edges: for each local vertex, the list of
         # (local edge idx, other endpoint's local vertex idx), ordered
@@ -343,10 +342,20 @@ class AllocationProcess(Process):
         #: the one-machine plane a directly stepped vectorized process
         #: runs its phases through (see :meth:`_own_plane`)
         self._plane = None
+        #: set (vertex, partition) replica bits on this machine — the
+        #: vectorized kernel counts them where it sets them (the plane
+        #: tests before it sets), so the memory model never re-sums the
+        #: membership matrix; rides the checkpoint payload
+        self._replica_count = 0
+        #: last value reported per resident name (see report_memory)
+        self._reported: dict[str, int] = {}
         if kernel == "python":
             #: reference replica state: local vid -> set of partitions
             self._parts: dict[int, set] | None = defaultdict(set)
             self._member = None
+            #: global vid -> local vid; only the reference steps read it
+            self._vindex = {int(v): i
+                            for i, v in enumerate(self.local_vertices)}
         else:
             self._parts = None
             if membership == "packed" or (
@@ -372,6 +381,15 @@ class AllocationProcess(Process):
             self._ep_new: dict[int, list] = defaultdict(list)
             self._bp_new: list = []
 
+        # The local CSR and the alloc/rest_degree arrays are sized here
+        # and never reallocated: reported once.
+        self.set_resident(
+            "graph_csr",
+            self.eids.nbytes + self._lsrc.nbytes + self._ldst.nbytes
+            + self._adj_ptr.nbytes + self._adj_eid.nbytes
+            + self._adj_other.nbytes + self.local_vertices.nbytes)
+        self.set_resident("alloc_state",
+                          self.alloc.nbytes + self.rest_degree.nbytes)
         self.report_memory()
 
     # ------------------------------------------------------------------
@@ -432,18 +450,19 @@ class AllocationProcess(Process):
         """Number of real (vertex, partition) replica pairs held locally."""
         if self._parts is not None:
             return sum(len(s) for s in self._parts.values())
-        return self._member.entries()
+        return self._replica_count
 
     # ------------------------------------------------------------------
     # Memory model (Figure 9): CSR arrays + allocation state + replica sets.
     # ------------------------------------------------------------------
+    def _report(self, name: str, nbytes: int) -> None:
+        """``set_resident`` only when the value moved: an unchanged
+        report leaves every total and peak where it was."""
+        if self._reported.get(name) != nbytes:
+            self._reported[name] = nbytes
+            self.set_resident(name, nbytes)
+
     def report_memory(self) -> None:
-        csr = (self.eids.nbytes + self._lsrc.nbytes + self._ldst.nbytes
-               + self._adj_ptr.nbytes + self._adj_eid.nbytes
-               + self._adj_other.nbytes + self.local_vertices.nbytes)
-        state = self.alloc.nbytes + self.rest_degree.nbytes
-        self.set_resident("graph_csr", csr)
-        self.set_resident("alloc_state", state)
         # Replica metadata, one layout at a time (never both): up to 64
         # partitions the model is one byte-scale entry per real
         # (vertex, partition) pair (probed-but-absent vertices
@@ -456,11 +475,11 @@ class AllocationProcess(Process):
         width = len(self._part_loads)
         if width > DENSE_MEMBERSHIP_MAX_PARTITIONS:
             words = (width + 63) // 64
-            self.set_resident("replica_sets", 0)
-            self.set_resident("membership_words",
-                              len(self.local_vertices) * words * 8)
+            self._report("replica_sets", 0)
+            self._report("membership_words",
+                         len(self.local_vertices) * words * 8)
         else:
-            self.set_resident("replica_sets", self._replica_entries() * 8)
+            self._report("replica_sets", self._replica_entries() * 8)
 
     # ------------------------------------------------------------------
     # Seed lookup (expansion fallback when the boundary is empty).

@@ -37,7 +37,7 @@ allocation plane:
   :class:`~repro.core.fused.FusedDnePlane` — one batched
   ``replica_membership`` call, the whole multicast one
   :class:`~repro.cluster.runtime.SegmentBatch` on ``send_segments``,
-  the fold a ``np.unique`` + scatter-add over the taken sweeps.  A
+  the fold a ``sorted_unique`` + scatter-add over the taken sweeps.  A
   scheduler runs one plane over all its processes; a process stepped
   directly runs its own one-machine plane (same kernel, built on the
   first such call) and reads segment mail only.
@@ -195,9 +195,11 @@ class BoundaryQueue:
         if not len(fresh):
             return
         vs = vertices[fresh]
-        occ = first_occurrence(vs)
-        if len(occ) != len(vs):          # intra-batch duplicates
-            fresh = fresh[occ]
+        # A strictly ascending batch (what the plane's update kernel
+        # feeds: its keys come out of ``sorted_unique``) holds no
+        # duplicate — one vector compare, no per-queue dedup scratch.
+        if not (vs[1:] > vs[:-1]).all():
+            fresh = fresh[first_occurrence(vs)]
             vs = vertices[fresh]
         ds = drests[fresh]
         self._member[vs] = True

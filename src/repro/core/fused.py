@@ -46,13 +46,29 @@ The mechanisms:
   plane-private fused copies; the per-process originals keep serving
   the memory model.  The partition width is fixed at construction: a
   wider partition id raises instead of growing.
-* **Round-synchronous one-hop.**  The reference walks a machine's
+* **Single-pass one-hop.**  The reference walks a machine's
   (partition, vertex) groups in ascending partition order, each group
-  observing the writes of earlier groups.  The plane runs *rounds*:
-  round j processes the j-th group of every machine in one batch.
-  Machines' states are disjoint, so a round's batched probe of
-  pre-round state is exactly each machine's pre-group probe, and
-  sequential rounds reproduce each machine's group order.
+  observing the writes of earlier groups.  Only two kinds of write are
+  ever observed, and neither needs the groups run one after another:
+  an edge taken by an earlier slot of the walk — one first-occurrence
+  over the free edge ids of all gathered adjacency slots, already in
+  (machine, partition, vertex) key order, names each edge's taker
+  (lowest (p, v) wins; machines are edge-disjoint) — and a membership
+  bit, which a (machine, p) group reads and writes in column p alone,
+  so one probe of pre-phase state is every group's pre-group probe
+  and the new boundary rows are the distinct unknown (vertex, p)
+  targets in event order.  Cost is the slots touched, not the number
+  of groups.
+* **Cost follows the rows touched.**  Dedups go through
+  ``repro.graph.csr``'s ``sorted_unique`` (sort + adjacent diff) and
+  ``first_occurrence`` (a scatter onto plane-owned scratch over the
+  fused edge / vertex id spaces, never snapshotted; a key sort where
+  the key space has no such bound) — never NumPy's ``unique``, which
+  on int64 hashes and then sorts.  Each machine's replica-entry count is kept
+  where bits are set (tested before set, distinct pairs) and rides
+  the process snapshot, so ``report_memory`` never re-sums a
+  membership matrix (``entries()`` stays as the test oracle) and
+  reports only a value that moved.
 * **Deterministic emission and ingest order.**  One stable sort by
   (machine, destination) makes a sweep's segments exactly the
   per-``(src, dst, tag)`` messages the accounting model prices, in the
@@ -77,7 +93,11 @@ breaks CI:
 * plane == python reference on assignments and every accounting total
   at |P| ∈ {4, 64, 256}, and a directly stepped process == the same
   process inside a whole-cluster plane:
-  ``tests/test_kernel_equivalence.py::TestFusedDispatchEquivalence``;
+  ``tests/test_kernel_equivalence.py::TestFusedDispatchEquivalence``
+  (also: incremental replica count == ``entries()`` after every
+  phase, one ``adjacency_slots`` gather per one-hop superstep); no
+  call of NumPy's ``unique`` here or in ``expansion.py``:
+  ``tests/test_source_guards.py``;
 * the superstep *ledger* is backend-invariant: empty-mailbox
   short-circuits are decided by the driver and submitted as counted
   no-ops (``steps_skipped``), never silently elided, so
@@ -103,7 +123,8 @@ from repro.cluster.runtime import SegmentBatch, SegmentQueue
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
                                    TAG_SYNC, AllocationProcess)
 from repro.core.expansion import ExpansionProcess
-from repro.graph.csr import adjacency_slots, first_occurrence
+from repro.graph.csr import (adjacency_slots, first_occurrence,
+                             sorted_unique)
 
 __all__ = ["FusedDnePlane"]
 
@@ -294,6 +315,11 @@ class FusedDnePlane:
             [a._ldst.astype(np.int64) + self._voff[i]
              for i, a in enumerate(allocs)])
         self._eids = np.concatenate([a.eids for a in allocs])
+        #: first-occurrence scratch over fused local edge / vertex ids
+        #: (machine-disjoint, so concurrent chunks never share a slot);
+        #: contents are never read before written — not snapshotted
+        self._edge_scratch = np.empty(self._eoff[-1], dtype=np.int64)
+        self._vertex_scratch = np.empty(self._voff[-1], dtype=np.int64)
 
         # -- fused mutable state, re-pointed as per-machine views ------
         alloc_f = np.concatenate([a.alloc for a in allocs])
@@ -435,9 +461,10 @@ class FusedDnePlane:
             raise ValueError(
                 "fused dispatch cannot grow partition capacity; "
                 "partition id exceeds the deployment width")
-        # Dedup per (machine, partition, vertex); np.unique sorts, which
-        # is each machine's (p, v)-lexicographic reference walk order.
-        keys = np.unique((m_row * width + arr[:, 1]) * g + arr[:, 0])
+        # Dedup per (machine, partition, vertex); the keys come out
+        # sorted, which is each machine's (p, v)-lexicographic
+        # reference walk order.
+        keys = sorted_unique((m_row * width + arr[:, 1]) * g + arr[:, 0])
         mp = keys // g
         mi_r = mp // width
         p_r = mp % width
@@ -451,133 +478,76 @@ class FusedDnePlane:
         if not present.any():
             return out
         lv = pos[present]
-        mi_r, p_r, mp = mi_r[present], p_r[present], mp[present]
+        mi_r, p_r = mi_r[present], p_r[present]
 
-        # Round schedule: rank each (machine, partition) group within
-        # its machine; round j batches every machine's j-th group.
-        grp_change = np.concatenate(([True], mp[1:] != mp[:-1]))
-        grp_id = np.cumsum(grp_change) - 1
-        m_starts = np.flatnonzero(np.concatenate(
-            ([True], mi_r[1:] != mi_r[:-1])))
-        m_lens = np.diff(np.concatenate((m_starts, [len(mp)])))
-        rank = grp_id - np.repeat(grp_id[m_starts], m_lens)
-        order = np.argsort(rank, kind="stable")
-        rank_s = rank[order]
-        r_starts = np.flatnonzero(np.concatenate(
-            ([True], rank_s[1:] != rank_s[:-1])))
-        r_ends = np.concatenate((r_starts[1:], [len(order)]))
-
+        # One pass over every adjacency slot of ``lv`` in walk order.
         alloc_f = self._alloc
         member = self._member
+        slot_idx, counts = adjacency_slots(self._adj_ptr, lv)
         ops_acc = np.zeros(m, dtype=np.int64)
-        ev_mi: list = []     # per allocation event: machine idx
-        ev_p: list = []      # ... partition
-        ev_les: list = []    # ... fused local edge id
-        bp_chunks: list = []     # boundary (u, p) row batches
-        bp_mi: list = []         # machine idx per boundary row
-        sync_src: list = []      # machine idx per sync hit
-        sync_dst: list = []      # destination machine per sync hit
-        sync_pos: list = []      # boundary-row buffer position per hit
-        buf_off = 0
-        for rs, re in zip(r_starts.tolist(), r_ends.tolist()):
-            sel = order[rs:re]
-            lv_r, p_rr, mi_rr = lv[sel], p_r[sel], mi_r[sel]
-            slot_idx, counts = adjacency_slots(self._adj_ptr, lv_r)
-            np.add.at(ops_acc, mi_rr, counts)
-            new_les = ev_t = p_ev = mi_ev = None
-            if len(slot_idx):
-                les = self._adj_eid[slot_idx]
-                free = alloc_f[les] == -1
-                les_f = les[free]
-                if len(les_f):
-                    occ = first_occurrence(les_f)
-                    new_les = les_f[occ]
-                    ev_t = self._adj_other[slot_idx][free][occ]
-                    p_slot = np.repeat(p_rr, counts)[free][occ]
-                    mi_slot = np.repeat(mi_rr, counts)[free][occ]
-                    p_ev, mi_ev = p_slot, mi_slot
-                    alloc_f[new_les] = p_ev
-                    # Probe pre-round membership before any set of this
-                    # round (machines are state-disjoint, so this is
-                    # each machine's pre-group probe).
-                    unknown = ~member.test_pairs(ev_t, p_ev)
-            member.set_pairs(lv_r, p_rr)
-            if new_les is None:
-                continue
-            member.set_pairs(ev_t, p_ev)
-            ev_mi.append(mi_ev)
-            ev_p.append(p_ev)
-            ev_les.append(new_les)
-            cand = ev_t[unknown]
-            if not len(cand):
-                continue
-            tocc = first_occurrence(cand)
-            nt = cand[tocc]
-            nt_p = p_ev[unknown][tocc]
-            nt_mi = mi_ev[unknown][tocc]
-            us = self._lv_global[nt]
-            rows = np.empty((len(us), 2), dtype=np.int64)
-            rows[:, 0] = us
-            rows[:, 1] = nt_p
-            bp_chunks.append(rows)
-            bp_mi.append(nt_mi)
-            # Sync fan-out hits, minus each row's own machine; payload
-            # slices are recovered from the row buffer at phase end.
-            hmask = self._placement.replica_membership(us)
-            hit_v, hit_d = np.nonzero(hmask)
-            keep = hit_d != self._machines[nt_mi[hit_v]]
-            hit_v, hit_d = hit_v[keep], hit_d[keep]
-            if len(hit_v):
-                sync_src.append(nt_mi[hit_v])
-                sync_dst.append(hit_d)
-                sync_pos.append(buf_off + hit_v)
-            buf_off += len(rows)
+        np.add.at(ops_acc, mi_r, counts)
+        les = self._adj_eid[slot_idx]
+        free = np.flatnonzero(alloc_f[les] == -1)
+        # The walk allocates a free edge at its first slot: lowest
+        # (p, v) wins.  Machines are edge-disjoint (fused edge ids).
+        ev = free[first_occurrence(les[free], self._edge_scratch)]
+        new_les = les[ev]
+        ev_t = self._adj_other[slot_idx[ev]]
+        ev_row = np.searchsorted(np.cumsum(counts), ev, side="right")
+        p_ev, mi_ev = p_r[ev_row], mi_r[ev_row]
+        alloc_f[new_les] = p_ev
+        # Membership is probed once, against pre-phase state: a (m, p)
+        # group reads and writes column p only, and inside a group no
+        # probe targets a vertex the group selected earlier (that
+        # vertex's walk already took the shared edge).
+        bits = np.bincount(mi_r[~member.test_pairs(lv, p_r)], minlength=m)
+        cand = np.flatnonzero(~member.test_pairs(ev_t, p_ev))
+        member.set_pairs(lv, p_r)
+        # New boundary rows: distinct (vertex, p) in event order.
+        cand = cand[first_occurrence(ev_t[cand] * width + p_ev[cand])]
+        nt, nt_p, nt_mi = ev_t[cand], p_ev[cand], mi_ev[cand]
+        bits += np.bincount(nt_mi[~member.test_pairs(nt, nt_p)], minlength=m)
+        member.set_pairs(nt, nt_p)
 
-        # Phase-end folds (order-free totals applied once per machine).
-        if ev_les:
-            nl = np.concatenate(ev_les)
-            pv = np.concatenate(ev_p)
-            mv = np.concatenate(ev_mi)
-            total_nv = self._voff[-1]
-            dec = (np.bincount(self._lsrc[nl], minlength=total_nv)
-                   + np.bincount(self._ldst[nl], minlength=total_nv))
-            np.add.at(self._loads, (mv, pv), 1)
-            nalloc = np.bincount(mv, minlength=m)
-            # Park the TAG_EDGES events per machine, event order kept
-            # (rounds ascend = each machine's partition groups
-            # ascending), as (partition, global edge id) rows.
-            ordm = np.argsort(mv, kind="stable")
-            self._park(self._pending_edges,
-                       np.column_stack((pv[ordm], self._eids[nl[ordm]])),
-                       mv[ordm])
-        else:
-            dec = None
-            nalloc = np.zeros(m, dtype=np.int64)
+        # Order-free totals applied once per machine.
+        total_nv = self._voff[-1]
+        dec = (np.bincount(self._lsrc[new_les], minlength=total_nv)
+               + np.bincount(self._ldst[new_les], minlength=total_nv))
+        np.add.at(self._loads, (mi_ev, p_ev), 1)
+        nalloc = np.bincount(mi_ev, minlength=m)
         for mi in mis:
             proc = self._alloc_procs[mi]
             proc.ops_one_hop += int(ops_acc[mi])
-            if dec is not None:
+            proc._replica_count += int(bits[mi])
+            if nalloc[mi]:
                 lo, hi = self._voff[mi], self._voff[mi + 1]
                 proc.rest_degree -= dec[lo:hi].astype(
                     proc.rest_degree.dtype)
                 proc.unallocated -= int(nalloc[mi])
-        if bp_chunks:
-            bp_rows = np.concatenate(bp_chunks)
-            bpm = np.concatenate(bp_mi)
-            ordb = np.argsort(bpm, kind="stable")
-            self._park(self._pending_bp, bp_rows[ordb], bpm[ordb])
-            if sync_src:
-                s_src = np.concatenate(sync_src)
-                s_dst = np.concatenate(sync_dst)
-                s_pos = np.concatenate(sync_pos)
+        if len(new_les):
+            # The TAG_EDGES events, already machine-major in walk order
+            # (partition groups ascending), as (partition, global edge
+            # id) rows.
+            self._park(self._pending_edges,
+                       np.column_stack((p_ev, self._eids[new_les])), mi_ev)
+        if len(nt):
+            us = self._lv_global[nt]
+            bp_rows = np.column_stack((us, nt_p))
+            self._park(self._pending_bp, bp_rows, nt_mi)
+            # Sync fan-out hits, minus each row's own machine.
+            hit_v, hit_d = np.nonzero(self._placement.replica_membership(us))
+            keep = hit_d != self._machines[nt_mi[hit_v]]
+            hit_v, hit_d = hit_v[keep], hit_d[keep]
+            if len(hit_v):
                 # (machine asc, destination asc); hits within a pair
                 # stay in group/row order — each pair's gathered
                 # segment is the reference's sync_out[destination] list.
-                order2 = np.argsort(s_src * width + s_dst, kind="stable")
+                order = np.argsort(nt_mi[hit_v] * width + hit_d,
+                                   kind="stable")
+                hit_v = hit_v[order]
                 carrier.send_segments(TAG_SYNC, SegmentBatch.from_runs(
-                    bp_rows[s_pos[order2]],
-                    "alloc", self._machines[s_src[order2]],
-                    "alloc", s_dst[order2]))
+                    bp_rows[hit_v], "alloc", self._machines[nt_mi[hit_v]],
+                    "alloc", hit_d[order]))
         return out
 
     # ------------------------------------------------------------------
@@ -597,6 +567,7 @@ class FusedDnePlane:
 
         merged_rows = np.empty((0, 2), dtype=np.int64)
         merged_lv = merged_m = np.empty(0, dtype=np.int64)
+        bits = np.zeros(m, dtype=np.int64)   # replica bits set, per machine
         if parts:
             mail = SegmentBatch.merge(parts)
             # Rebuild every mailbox's reference walk order: machine
@@ -631,10 +602,15 @@ class FusedDnePlane:
                 occ = first_occurrence(lv * width + ps)
                 arr, lv, ps, m_row, forced = (arr[occ], lv[occ], ps[occ],
                                               m_row[occ], forced[occ])
-                fresh = forced | ~member.test_pairs(lv, ps)
+                # Distinct pairs, tested before set: ``unset`` is the
+                # replica bits this phase adds (a forced row's bit was
+                # set, and counted, by one-hop).
+                unset = ~member.test_pairs(lv, ps)
+                bits = np.bincount(m_row[unset], minlength=m)
+                member.set_pairs(lv[unset], ps[unset])
+                fresh = forced | unset
                 merged_rows = arr[fresh]
                 merged_lv, merged_m = lv[fresh], m_row[fresh]
-                member.set_pairs(merged_lv, ps[fresh])
 
         # Two-hop allocation over the merged batch (Condition 5).
         cand_mi = np.empty(0, dtype=np.int64)
@@ -642,7 +618,7 @@ class FusedDnePlane:
         two_hop = self._alloc_procs[0].two_hop if m else False
         ops2 = np.zeros(m, dtype=np.int64)
         if two_hop and len(merged_rows):
-            docc = first_occurrence(merged_lv)
+            docc = first_occurrence(merged_lv, self._vertex_scratch)
             lvs_u, m_u = merged_lv[docc], merged_m[docc]
             slot_idx, counts = adjacency_slots(self._adj_ptr, lvs_u)
             np.add.at(ops2, m_u, counts)
@@ -659,7 +635,7 @@ class FusedDnePlane:
                         les_f = les[free][has]
                         shared_f = shared[has]
                         mi_f = np.repeat(m_u, counts)[free][has]
-                        occ3 = first_occurrence(les_f)
+                        occ3 = first_occurrence(les_f, self._edge_scratch)
                         cand_les = les_f[occ3]
                         cand_shared = shared_f[occ3]
                         cand_mi = mi_f[occ3]
@@ -669,7 +645,7 @@ class FusedDnePlane:
                             member.mask_single_partition(cand_shared), -1)
                         bounds = np.searchsorted(
                             cand_mi, np.arange(m + 1, dtype=np.int64))
-                        for mi in np.unique(
+                        for mi in sorted_unique(
                                 cand_mi[nshared > 1]).tolist():
                             a, b = int(bounds[mi]), int(bounds[mi + 1])
                             multi = np.flatnonzero(nshared[a:b] > 1)
@@ -684,7 +660,7 @@ class FusedDnePlane:
                                + np.bincount(self._ldst[cand_les],
                                              minlength=total_nv))
                         nalloc = np.bincount(cand_mi, minlength=m)
-                        for mi in np.unique(cand_mi).tolist():
+                        for mi in np.flatnonzero(nalloc).tolist():
                             proc = self._alloc_procs[mi]
                             lo, hi = self._voff[mi], self._voff[mi + 1]
                             proc.rest_degree -= dec[lo:hi].astype(
@@ -698,8 +674,8 @@ class FusedDnePlane:
         # its vertices ascending — the reference's sorted(set(merged))
         # walk, sliced per destination partition.
         if len(merged_rows):
-            ukeys = np.unique((merged_m * g + merged_rows[:, 0]) * width
-                              + merged_rows[:, 1])
+            ukeys = sorted_unique((merged_m * g + merged_rows[:, 0]) * width
+                                  + merged_rows[:, 1])
             u_mi = ukeys // (g * width)
             u_v = (ukeys // width) % g
             drest = np.concatenate([a.rest_degree for a in procs])[
@@ -736,6 +712,7 @@ class FusedDnePlane:
 
         for mi in mis:
             procs[mi].ops_two_hop += int(ops2[mi])
+            procs[mi]._replica_count += int(bits[mi])
             procs[mi].report_memory()
         return out
 
@@ -754,11 +731,12 @@ class FusedDnePlane:
             # (the reference's sorted-dict iteration).
             report = SegmentBatch.merge(mail)
             g = int(report.rows[:, 0].max()) + 1
-            keys, inverse = np.unique(
-                np.repeat(report.dst_slots, report.lengths) * g
-                + report.rows[:, 0], return_inverse=True)
+            row_keys = (np.repeat(report.dst_slots, report.lengths) * g
+                        + report.rows[:, 0])
+            keys = sorted_unique(row_keys)
             sums = np.zeros(len(keys), dtype=np.int64)
-            np.add.at(sums, inverse, report.rows[:, 1])
+            np.add.at(sums, np.searchsorted(keys, row_keys),
+                      report.rows[:, 1])
             vs = keys % g
             for p, a, b in _runs(keys // g):
                 self._exp["expansion", p].boundary.insert_many(vs[a:b],

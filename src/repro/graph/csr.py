@@ -30,17 +30,68 @@ import numpy as np
 from repro.graph.edgelist import canonical_edges
 
 __all__ = ["CSRGraph", "adjacency_slots", "first_occurrence",
-           "symmetrised_csr"]
+           "sorted_unique", "symmetrised_csr"]
 
 
-def first_occurrence(values: np.ndarray) -> np.ndarray:
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first element of every run of equal values."""
+    starts = np.empty(len(sorted_values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    return starts
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of the 1-D integer array ``keys`` —
+    what ``np.unique(keys)`` returns, as one SIMD sort plus an
+    adjacent-difference mask (``np.unique`` on int64 hashes and then
+    sorts, ~10x slower at the kernels' batch sizes)."""
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+def first_occurrence(values: np.ndarray,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Indices of the first occurrence of each distinct value, in
     ascending position order — exactly the slots a sequential walk over
     ``values`` would act on (later duplicates see the work already
     done).  Shared by the vectorized kernels' order-preserving dedup.
+
+    With ``scratch`` — a caller-owned integer buffer — the values must
+    lie in ``[0, len(scratch))`` and no sort runs: positions are
+    scattered onto ``scratch[values]`` back to front, so the first
+    writer of each value is the one left standing (NumPy assigns a 1-D
+    index array's elements in order; the property tests pin it), and
+    one gather reads the winners back.  Only the slots of this call's
+    values are written and read, so stale contents never matter and
+    the buffer is reused across calls without clearing.
+
+    Without a bound, ``value * n + position`` keys go through one sort
+    and the head of each value run carries its lowest position.
     """
-    _, first = np.unique(values, return_index=True)
-    return np.sort(first)
+    n = len(values)
+    if n < 2:
+        return np.arange(n, dtype=np.int64)
+    pos = np.arange(n, dtype=np.int64)
+    if scratch is not None:
+        if int(values.min()) < 0 or int(values.max()) >= len(scratch):
+            raise ValueError("first_occurrence: value outside the "
+                             f"scratch bound [0, {len(scratch)})")
+        scratch[values[::-1]] = pos[::-1]
+        return np.flatnonzero(scratch[values] == pos)
+    lo = int(values.min())
+    if (int(values.max()) - lo + 1) * n >= 2 ** 63:
+        # value * n would overflow: stable sort of the values instead.
+        order = np.argsort(values, kind="stable")
+        return np.sort(order[_run_starts(values[order])])
+    keys = values.astype(np.int64)
+    keys -= lo
+    keys *= n
+    keys += pos
+    keys.sort()
+    first = keys[_run_starts(keys // n)] % n
+    first.sort()
+    return first
 
 
 def adjacency_slots(indptr: np.ndarray, rows: np.ndarray

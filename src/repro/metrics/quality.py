@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 
 __all__ = [
     "partition_vertex_counts",
@@ -66,7 +66,7 @@ def partition_vertex_counts(graph: CSRGraph, assignment: np.ndarray,
     verts = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     parts = np.concatenate([assignment, assignment])
     keys = verts * num_partitions + parts
-    unique_keys = np.unique(keys)
+    unique_keys = sorted_unique(keys)
     owning = unique_keys % num_partitions
     return np.bincount(owning, minlength=num_partitions).astype(np.int64)
 

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.metrics.quality import (
     partition_edge_counts,
     partition_vertex_counts,
@@ -71,7 +72,7 @@ def partition_report(partition: "EdgePartition") -> PartitionReport:
     if graph.num_edges:
         verts = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
         parts = np.concatenate([assignment, assignment])
-        keys = np.unique(verts * p + parts)
+        keys = sorted_unique(verts * p + parts)
         owners = keys % p
         vertices = keys // p
         # First covering partition of each vertex (keys are sorted, so

@@ -67,6 +67,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.metrics.quality import (
     edge_balance,
     replication_factor,
@@ -163,7 +164,7 @@ def vertex_replica_csr(edges: np.ndarray, assignment: np.ndarray,
         return indptr, np.empty(0, dtype=np.int64)
     verts = np.concatenate([edges[:, 0], edges[:, 1]])
     parts = np.concatenate([assignment, assignment])
-    keys = np.unique(verts.astype(np.int64) * num_partitions + parts)
+    keys = sorted_unique(verts.astype(np.int64) * num_partitions + parts)
     vertices = keys // num_partitions
     np.cumsum(np.bincount(vertices, minlength=num_vertices),
               out=indptr[1:])

@@ -95,7 +95,7 @@ class TestOneHopAllocation:
     def test_vertex_replicas_accumulate_partitions(self, star, kernel):
         cluster, alloc, sinks = _single_proc_setup(star, kernel=kernel)
         _drive(cluster, alloc, [(1, 0), (2, 1)])
-        hub = alloc._vindex[0]
+        hub = int(np.searchsorted(alloc.local_vertices, 0))
         assert alloc.vertex_parts[hub] == {0, 1}
 
 
@@ -161,8 +161,9 @@ class TestMultiProcessSync:
         # hold them must agree that they belong to partition 0.
         for a in allocs:
             for gv in (0, 2):
-                lv = a._vindex.get(gv)
-                if lv is not None and a.rest_degree[lv] >= 0:
+                hit = np.flatnonzero(a.local_vertices == gv)
+                if len(hit) and a.rest_degree[hit[0]] >= 0:
+                    lv = int(hit[0])
                     covered = a.vertex_parts[lv]
                     # vertex 2 neighbours an allocated edge -> {0}
                     if gv == 2:

@@ -1,11 +1,11 @@
-"""Unit tests for repro.graph.csr.CSRGraph."""
+"""Unit tests for repro.graph.csr: CSRGraph and the dedup primitives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, first_occurrence, sorted_unique
 from repro.graph.edgelist import canonical_edges
 
 
@@ -115,3 +115,74 @@ class TestCSRInvariants:
     def test_indptr_monotone(self, small_rmat):
         assert (np.diff(small_rmat.indptr) >= 0).all()
         assert small_rmat.indptr[-1] == 2 * small_rmat.num_edges
+
+
+def _first_occurrence_by_sort(values: np.ndarray) -> np.ndarray:
+    """The definition the primitive replaced: a stable argsort's run
+    heads, back in position order."""
+    _, first = np.unique(values, return_index=True)
+    return np.sort(first)
+
+
+_KEY_LISTS = st.one_of(
+    st.lists(st.integers(0, 7), max_size=200),            # heavy duplicates
+    st.lists(st.integers(0, 499), max_size=200),
+    st.lists(st.just(3), max_size=50))                    # all equal
+
+
+class TestDedupPrimitives:
+    """``sorted_unique`` / ``first_occurrence`` against the sort-based
+    definitions they replaced in the fused plane."""
+
+    @given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_unique_is_np_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        before = keys.copy()
+        out = sorted_unique(keys)
+        assert np.array_equal(out, np.unique(keys))
+        assert out.dtype == keys.dtype
+        assert np.array_equal(keys, before)       # input untouched
+
+    @given(_KEY_LISTS)
+    @settings(max_examples=200, deadline=None)
+    def test_first_occurrence_scratch_and_key_sort(self, values):
+        values = np.array(values, dtype=np.int64)
+        expect = _first_occurrence_by_sort(values)
+        assert np.array_equal(first_occurrence(values), expect)
+        # Stale scratch contents (here: every slot claims position 0)
+        # must not matter, and the buffer is reused across calls.
+        scratch = np.zeros(500, dtype=np.int64)
+        for _ in range(2):
+            got = first_occurrence(values, scratch)
+            assert np.array_equal(got, expect)
+            assert got.dtype == np.int64
+
+    @given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=100))
+    @settings(max_examples=100, deadline=None)
+    def test_key_sort_takes_any_int64(self, values):
+        """No bound, negative values, and spans whose ``value * n``
+        would overflow (the stable-argsort branch)."""
+        values = np.array(values, dtype=np.int64)
+        assert np.array_equal(first_occurrence(values),
+                              _first_occurrence_by_sort(values))
+
+    @pytest.mark.parametrize("values", [[], [5], [4, 4, 4], [9, 0, 9, 0]])
+    def test_small_cases_and_key_at_the_bound(self, values):
+        values = np.array(values, dtype=np.int64)
+        scratch = np.full(10, 7, dtype=np.int64)   # bound - 1 == 9
+        expect = _first_occurrence_by_sort(values)
+        assert np.array_equal(first_occurrence(values, scratch), expect)
+        assert np.array_equal(first_occurrence(values), expect)
+        assert np.array_equal(sorted_unique(values), np.unique(values))
+
+    def test_narrow_dtype_does_not_overflow_the_key_sort(self):
+        values = np.array([2 ** 31 - 1, 5, 2 ** 31 - 1, 5] * 50,
+                          dtype=np.int32)
+        assert first_occurrence(values).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_scratch_rejects_keys_outside_the_bound(self, bad):
+        scratch = np.empty(10, dtype=np.int64)
+        with pytest.raises(ValueError, match="scratch bound"):
+            first_occurrence(np.array([3, bad, 3]), scratch)

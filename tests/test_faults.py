@@ -136,7 +136,10 @@ class TestRecoveryEquivalence:
         the fused plane's one-hop output parked (pending boundary and
         edge batches) and sync sweeps already shipped to it.  The
         respawn restores both from the post-one-hop snapshot and
-        replays two-hop on identical inputs."""
+        replays two-hop on identical inputs.  The replica-entry count
+        one-hop maintained rides that snapshot too: a respawn that
+        lost it would under-report ``replica_sets`` from then on and
+        move ``mem_score`` / ``peak_resident_bytes``."""
         plan = FaultPlan().kill(0, 8)
         res = DistributedNE(64, seed=0, backend="processes",
                             workers=workers, step_timeout=60,

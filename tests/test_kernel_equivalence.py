@@ -280,6 +280,25 @@ def _flat_mail(cluster):
     return out
 
 
+def _mini_dne(graph, placement):
+    """A DNE deployment without its driver: one vectorized allocation
+    and one expansion process per machine of ``placement``, registered
+    with a fresh cluster — ``(cluster, allocs, exps)``."""
+    machines = placement.num_processes
+    homes = placement.place_edges(graph.edges)
+    cluster = SimulatedCluster()
+    allocs = [cluster.add_process(AllocationProcess(
+        k, graph, np.flatnonzero(homes == k), placement))
+        for k in range(machines)]
+    source = DirectSeedSource(allocs)
+    exps = [cluster.add_process(ExpansionProcess(
+        k, machines, limit=graph.num_edges,
+        total_edges=graph.num_edges, lam=0.5, seed=0,
+        placement=placement, seed_source=source))
+        for k in range(machines)]
+    return cluster, allocs, exps
+
+
 class TestFusedDispatchEquivalence:
     """The two DNE tiers: python reference == plane, and the plane over
     a one-machine subset == the plane over the whole cluster.
@@ -317,26 +336,10 @@ class TestFusedDispatchEquivalence:
         one-machine plane: same state, same counters and the same
         sweeps, message for message, as inside a whole-cluster plane."""
         graph = CSRGraph(rmat_edges(9, 6, seed=5))
-        machines = 4
-        placement = Hash2DPlacement(machines, seed=0)
-        homes = placement.place_edges(graph.edges)
-
-        def build():
-            cluster = SimulatedCluster()
-            allocs = [cluster.add_process(AllocationProcess(
-                k, graph, np.flatnonzero(homes == k), placement))
-                for k in range(machines)]
-            source = DirectSeedSource(allocs)
-            exps = [cluster.add_process(ExpansionProcess(
-                k, machines, limit=graph.num_edges,
-                total_edges=graph.num_edges, lam=0.5, seed=0,
-                placement=placement, seed_source=source))
-                for k in range(machines)]
-            return cluster, allocs, exps
-
-        whole, w_allocs, w_exps = build()
+        placement = Hash2DPlacement(4, seed=0)
+        whole, w_allocs, w_exps = _mini_dne(graph, placement)
         plane = FusedDnePlane(w_allocs + w_exps, placement)
-        direct, d_allocs, d_exps = build()
+        direct, d_allocs, d_exps = _mini_dne(graph, placement)
         phases = [("select_and_multicast", w_exps, d_exps),
                   ("one_hop_and_sync", w_allocs, d_allocs),
                   ("two_hop_and_report", w_allocs, d_allocs),
@@ -370,6 +373,75 @@ class TestFusedDispatchEquivalence:
             assert w.boundary.pop_k_min(10 ** 6) \
                 == d.boundary.pop_k_min(10 ** 6)
         assert whole.stats.per_process == direct.stats.per_process
+
+    @pytest.mark.parametrize("machines", [4, 64, 256])
+    def test_replica_count_is_maintained_where_bits_are_set(self, machines):
+        """The memory model's replica-entry count is incremental: after
+        every phase it equals a full recount of the machine's
+        membership matrix (``entries()``, the oracle), under both
+        layouts, and what each machine last reported is the from-
+        scratch value — dense: 8 bytes per entry; packed (|P| = 256):
+        the constant word footprint, entries never reported."""
+        graph = CSRGraph(rmat_edges(9, 6, seed=5))
+        placement = Hash2DPlacement(machines, seed=0)
+        cluster, allocs, exps = _mini_dne(graph, placement)
+        plane = FusedDnePlane(allocs + exps, placement)
+        kind = "packed" if machines > 64 else "dense"
+        assert {a.membership_kind for a in allocs} == {kind}
+        grown = 0
+        for _ in range(5):
+            for method, procs in (("select_and_multicast", exps),
+                                  ("one_hop_and_sync", allocs),
+                                  ("two_hop_and_report", allocs),
+                                  ("update_state", exps)):
+                before = [a._replica_count for a in allocs]
+                plane.run(method, [proc.pid for proc in procs])
+                cluster.barrier()
+                for a, was in zip(allocs, before):
+                    assert a._replica_count == a._member.entries(), method
+                    grown += a._replica_count - was
+                if method != "two_hop_and_report":
+                    continue
+                for a in allocs:
+                    resident = cluster.stats.stats_for(a.pid)._resident
+                    if kind == "dense":
+                        assert resident["replica_sets"] \
+                            == a._member.entries() * 8
+                        assert "membership_words" not in resident
+                    else:
+                        assert resident["replica_sets"] == 0
+                        assert resident["membership_words"] \
+                            == a._member.nbytes()
+        assert grown > 0             # both allocation phases set bits
+
+    @pytest.mark.parametrize("partitions", [16, 64])
+    def test_one_hop_gathers_adjacency_once(self, partitions, monkeypatch):
+        """Structural pin of the single-pass one-hop: however many
+        (machine, partition) groups a superstep walks, it gathers the
+        adjacency slots of its selected vertices in one call — no
+        per-round loop."""
+        calls = []
+        real_slots = fused_module.adjacency_slots
+        real_one_hop = FusedDnePlane._run_one_hop
+
+        def counting_slots(indptr, rows):
+            calls.append(len(rows))
+            return real_slots(indptr, rows)
+
+        def counting_one_hop(plane, pids):
+            start = len(calls)
+            out = real_one_hop(plane, pids)
+            per_step.append(len(calls) - start)
+            return out
+
+        per_step: list = []
+        monkeypatch.setattr(fused_module, "adjacency_slots", counting_slots)
+        monkeypatch.setattr(FusedDnePlane, "_run_one_hop", counting_one_hop)
+        res = DistributedNE(partitions, seed=0).partition(
+            CSRGraph(rmat_edges(8, 6, seed=3)))
+        assert len(per_step) == res.iterations
+        assert set(per_step) == {1}
+        assert max(calls) > 1        # a gather spans many groups
 
 
 class TestEngineEquivalence:

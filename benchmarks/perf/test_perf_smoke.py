@@ -23,6 +23,7 @@ from repro.bench.perf import (
     bench_csr_build,
     bench_dne_end_to_end,
     bench_engine_gathers,
+    bench_graph,
     bench_observability_overhead,
     bench_selection_phase,
     bench_serving_lookup,
@@ -207,13 +208,28 @@ def test_selection_bench_kernels_agree_on_traffic(monkeypatch):
     assert stats["python"] == stats["vectorized"]
 
 
+def test_csr_build_vectorized_at_least_1_2x():
+    """``symmetrised_csr`` (one packed-key sort of the backward half)
+    against the full-2m-argsort reference at the bench's top scale,
+    min of 3: the full bench shows ~2.3x; a build that only ties its
+    reference has not earned its keep, so the floor is above 1."""
+    edges = bench_graph(17).edges
+    assert len(edges) > 100_000
+    py = min(bench_csr_build(edges, "python", rounds=1) for _ in range(3))
+    vec = min(bench_csr_build(edges, "vectorized", rounds=1)
+              for _ in range(3))
+    assert vec > 0
+    assert py >= 1.2 * vec, (
+        f"csr_build speedup regressed: reference {py:.4f}s vs "
+        f"vectorized {vec:.4f}s ({py / vec:.2f}x < 1.2x)")
+
+
 def test_remaining_kernels_run():
     """Every benched kernel pair executes at a tiny scale."""
     graph = CSRGraph(rmat_edges(9, 6, seed=1))
     for kernel in ("python", "vectorized"):
         t_sum, t_min = bench_engine_gathers(graph, 4, kernel, rounds=1)
         assert t_sum >= 0 and t_min >= 0
-        assert bench_csr_build(graph.edges, kernel, rounds=1) >= 0
         assert bench_all_gather_sum(4, kernel, rounds=2) >= 0
 
 

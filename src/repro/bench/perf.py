@@ -60,8 +60,8 @@ speedups it claims and future PRs can track regressions:
   local ids vs the ``np.add.at``/``np.minimum.at`` reference);
 * ``all_gather_sum`` — the simulated cluster's collective accounting
   (bulk updates vs the O(P²) per-message loop);
-* ``csr_build`` — CSR construction (counting-sort bucketing vs the
-  full 2m argsort);
+* ``csr_build`` — CSR construction (one packed-key sort of the
+  backward half + offset scatter vs the full 2m argsort);
 * ``serving_lookup`` — the partition-serving read path
   (:mod:`repro.serving`), benchmarked like production: the dual-kernel
   bulk vertex-lookup over a run store's mmap'd replica CSR
@@ -104,7 +104,6 @@ from repro.core.expansion import DirectSeedSource, ExpansionProcess
 from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph, symmetrised_csr
-from repro.graph.edgelist import canonical_edges
 from repro.graph.generators import rmat_edges
 from repro.partitioners import PARTITIONER_REGISTRY
 from repro.partitioners.ne import NEPartitioner
@@ -530,8 +529,8 @@ def _csr_build_reference(edges: np.ndarray, n: int):
     return indptr, dst.astype(np.int64), eid.astype(np.int64)
 
 def bench_csr_build(edges: np.ndarray, kernel: str, rounds: int = 3) -> float:
-    """Cumulative seconds to symmetrise the CSR adjacency ``rounds`` times."""
-    edges = canonical_edges(edges)
+    """Cumulative seconds to symmetrise the CSR adjacency of the
+    canonical ``edges`` ``rounds`` times."""
     n = int(edges.max()) + 1 if len(edges) else 0
     t = 0.0
     for _ in range(rounds):

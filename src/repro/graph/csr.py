@@ -15,39 +15,26 @@ allocated") can live in one flat array.
 
 Adjacency rows are sorted by neighbour id, which makes ``has_edge`` a
 ``np.searchsorted`` probe and keeps gather kernels cache-friendly.  The
-build exploits the lexicographic order of canonical edges: the forward
-half (``u -> v``, ``u < v``) is already grouped by ``u`` with ``v``
-ascending, so only the backward half needs ordering — a stable integer
-argsort (NumPy's radix counting sort) on the second endpoint — and the
-two halves are scattered straight into their row segments.  No
-comparison sort over the full ``2m`` symmetrised array is performed.
+constructor *verifies* the canonical edge order (:func:`is_canonical`,
+one O(m) pass) and canonicalises only an input that fails, so an edge
+list a generator already sorted is sorted once.  That order gives the
+forward half (``u -> v``, ``u < v``) grouped by ``u`` with ``v``
+ascending; only the backward half needs ordering, by one sort of packed
+``v << bits | edge_id`` keys — a plain int64 sort, which NumPy
+vectorises, where a stable int64 ``argsort`` is a merge sort plus a
+gather.  Both halves scatter to ``position + a per-row offset``; no
+sort over the full ``2m`` symmetrised array is performed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.edgelist import canonical_edges
+from repro.graph.edgelist import (_run_starts, canonical_edges, is_canonical,
+                                  sorted_unique)
 
 __all__ = ["CSRGraph", "adjacency_slots", "first_occurrence",
            "sorted_unique", "symmetrised_csr"]
-
-
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Boolean mask of the first element of every run of equal values."""
-    starts = np.empty(len(sorted_values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
-    return starts
-
-
-def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Ascending distinct values of the 1-D integer array ``keys`` —
-    what ``np.unique(keys)`` returns, as one SIMD sort plus an
-    adjacent-difference mask (``np.unique`` on int64 hashes and then
-    sorts, ~10x slower at the kernels' batch sizes)."""
-    keys = np.sort(keys)
-    return keys[_run_starts(keys)]
 
 
 def first_occurrence(values: np.ndarray,
@@ -120,11 +107,13 @@ def symmetrised_csr(edges: np.ndarray, n: int
     ``edges`` must be canonical (``u < v``, lexicographically sorted).
     Counting-sort bucketing: row x is [neighbours < x] ++
     [neighbours > x], each ascending.  The backward (v->u) half is
-    grouped by v with u ascending via a stable integer argsort (NumPy's
-    radix counting sort); the forward (u->v) half inherits its order
-    from the lexicographically sorted canonical edges, so both halves
-    scatter directly into place.  No comparison sort over the full
-    ``2m`` symmetrised array is performed.
+    grouped by v with u ascending by sorting ``v << bits | edge_id``
+    keys (edge ids ascend with u inside one v); the forward (u->v) half
+    inherits its order from the canonical edges.  In those orders the
+    j-th backward entry lands at j plus the forward entries of all
+    earlier rows, the j-th forward entry at j plus the backward entries
+    of its own and all earlier rows, so both halves scatter directly
+    into place.
     """
     m = len(edges)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -137,13 +126,22 @@ def symmetrised_csr(edges: np.ndarray, n: int
         np.cumsum(cf + cb, out=indptr[1:])
         eid = np.arange(m, dtype=np.int64)
 
-        border = np.argsort(v, kind="stable")
-        vs = v[border]
-        pos_b = indptr[vs] + (np.arange(m) - (np.cumsum(cb) - cb)[vs])
+        bits = (m - 1).bit_length()
+        if int(n).bit_length() + bits > 63:
+            # v << bits would overflow: stable sort of v instead.
+            border = np.argsort(v, kind="stable")
+            vs = v[border]
+        else:
+            keys = v << bits
+            keys |= eid
+            keys.sort()
+            border = keys & ((1 << bits) - 1)
+            vs = keys >> bits
+        pos_b = eid + (np.cumsum(cf) - cf)[vs]
         indices[pos_b] = u[border]
         edge_ids[pos_b] = border
 
-        pos_f = indptr[u] + cb[u] + (np.arange(m) - (np.cumsum(cf) - cf)[u])
+        pos_f = eid + np.cumsum(cb)[u]
         indices[pos_f] = v
         edge_ids[pos_f] = eid
     return indptr, indices, edge_ids
@@ -156,8 +154,12 @@ class CSRGraph:
     ----------
     edges:
         ``(m, 2)`` canonical edge array (see
-        :func:`repro.graph.edgelist.canonical_edges`).  The constructor
-        canonicalises defensively, so any pair list works.
+        :func:`repro.graph.edgelist.canonical_edges`).  Any pair list
+        works — one that fails :func:`~repro.graph.edgelist.is_canonical`
+        is canonicalised into a fresh array — but a canonical array is
+        **adopted, not copied**: the graph keeps a read-only view of the
+        caller's buffer, which the caller must not write to afterwards
+        (the contract :meth:`from_csr_arrays` already has).
     num_vertices:
         Optional vertex-count override.  Must be at least ``max id + 1``;
         ids in ``[0, num_vertices)`` with no incident edge are isolated
@@ -171,14 +173,17 @@ class CSRGraph:
         Parallel to ``indices``; ``edge_ids[k]`` is the canonical edge
         index of the adjacency slot ``k``.
     edges:
-        The canonical ``(m, 2)`` edge array; edge ``i`` is
+        The canonical ``(m, 2)`` edge array, read-only; edge ``i`` is
         ``edges[i] = (u, v)`` with ``u < v``.
     """
 
     __slots__ = ("edges", "indptr", "indices", "edge_ids", "n", "m")
 
     def __init__(self, edges: np.ndarray, num_vertices: int | None = None):
-        edges = canonical_edges(edges)
+        if not is_canonical(edges):
+            edges = canonical_edges(edges)
+        edges = edges.view()
+        edges.flags.writeable = False
         self.edges = edges
         self.m = len(edges)
         inferred = int(edges.max()) + 1 if self.m else 0

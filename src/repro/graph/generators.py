@@ -63,13 +63,14 @@ def rmat_edges(scale: int, edge_factor: int, seed: int = 0,
 
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
-    for bit in range(scale):
-        r = rng.random(m)
+    r = np.empty(m)
+    for _ in range(scale):
+        rng.random(out=r)
         # Quadrant choice: a -> (0,0), b -> (0,1), c -> (1,0), d -> (1,1)
-        src_bit = (r >= a + b).astype(np.int64)
-        dst_bit = ((r >= a) & (r < a + b) | (r >= a + b + c)).astype(np.int64)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        src <<= 1
+        dst <<= 1
+        src |= r >= a + b
+        dst |= (r >= a) & (r < a + b) | (r >= a + b + c)
 
     edges = np.stack([src, dst], axis=1)
     if dedup:

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph, first_occurrence, sorted_unique
+import repro.graph.csr as csr_module
+from repro.graph.csr import (CSRGraph, first_occurrence, sorted_unique,
+                             symmetrised_csr)
 from repro.graph.edgelist import canonical_edges
+from repro.graph.generators import grid_road_network, rmat_edges
+
+
+def _csr_arrays(graph: CSRGraph):
+    return graph.edges, graph.indptr, graph.indices, graph.edge_ids
+
+
+def _assert_same_arrays(got, expect):
+    for a, b in zip(got, expect, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestConstruction:
@@ -34,6 +46,86 @@ class TestConstruction:
         g = CSRGraph(np.array([[2, 0], [0, 2], [1, 1]]))
         assert g.num_edges == 1
         assert g.edge_endpoints(0) == (0, 2)
+
+
+    def test_canonical_input_is_not_canonicalised_again(self, monkeypatch):
+        """Verify, don't redo: a canonical array costs one O(m) check."""
+        edges = rmat_edges(9, 6, seed=4)
+        expect = _csr_arrays(CSRGraph(edges[::-1]))        # the slow path
+
+        def boom(_):
+            raise AssertionError("canonical input was canonicalised again")
+        monkeypatch.setattr(csr_module, "canonical_edges", boom)
+        graph = CSRGraph(edges)
+        _assert_same_arrays(_csr_arrays(graph), expect)
+        assert np.shares_memory(graph.edges, edges)         # adopted
+
+    def test_any_row_order_builds_the_same_graph(self):
+        edges = rmat_edges(9, 6, seed=5)
+        rng = np.random.default_rng(0)
+        messy = np.concatenate([edges, edges[::3, ::-1], edges[:50]])
+        messy = messy[rng.permutation(len(messy))]
+        graph = CSRGraph(messy)
+        _assert_same_arrays(_csr_arrays(graph), _csr_arrays(CSRGraph(edges)))
+        assert not np.shares_memory(graph.edges, messy)
+
+    def test_edges_are_read_only_and_the_callers_array_is_not(self):
+        canonical = np.array([[0, 1], [1, 2]])
+        for given_as in (canonical, canonical[::-1].copy()):
+            graph = CSRGraph(given_as)
+            with pytest.raises(ValueError, match="read-only"):
+                graph.edges[0, 0] = 5
+            assert given_as.flags.writeable
+        canonical[0, 0] = 0                 # still the caller's to write
+
+    def test_negative_ids_still_rejected(self):
+        with pytest.raises(ValueError):
+            CSRGraph(np.array([[-1, 0], [0, 1]]))
+
+
+def _symmetrised_csr_by_argsort(edges: np.ndarray, n: int):
+    """The build ``symmetrised_csr`` replaced: the backward half ordered
+    by a stable argsort of the second endpoint."""
+    m = len(edges)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(2 * m, dtype=np.int64)
+    edge_ids = np.empty(2 * m, dtype=np.int64)
+    if m:
+        u, v = edges[:, 0], edges[:, 1]
+        cf = np.bincount(u, minlength=n)
+        cb = np.bincount(v, minlength=n)
+        np.cumsum(cf + cb, out=indptr[1:])
+        border = np.argsort(v, kind="stable")
+        vs = v[border]
+        pos_b = indptr[vs] + (np.arange(m) - (np.cumsum(cb) - cb)[vs])
+        indices[pos_b] = u[border]
+        edge_ids[pos_b] = border
+        pos_f = indptr[u] + cb[u] + (np.arange(m) - (np.cumsum(cf) - cf)[u])
+        indices[pos_f] = v
+        edge_ids[pos_f] = np.arange(m)
+    return indptr, indices, edge_ids
+
+
+class TestSymmetrisedCsr:
+    @pytest.mark.parametrize("edges", [
+        rmat_edges(11, 8, seed=1),
+        rmat_edges(10, 1, seed=2),                        # id gaps
+        grid_road_network(30, 40, extra_fraction=0.3, seed=3),
+        np.array([[0, i] for i in range(1, 40)]),         # star
+        np.array([[i, 40] for i in range(40)]),           # in-star
+        np.empty((0, 2), dtype=np.int64),
+        np.array([[3, 9]]),
+    ], ids=["rmat", "sparse_rmat", "road", "star", "in_star", "empty",
+            "single"])
+    def test_equals_argsort_definition(self, edges):
+        n = int(edges.max()) + 1 if len(edges) else 0
+        for nv in (n, n + 7):                             # isolated tail
+            _assert_same_arrays(symmetrised_csr(edges, nv),
+                                _symmetrised_csr_by_argsort(edges, nv))
+
+    def test_rows_are_neighbour_sorted(self, small_rmat):
+        for v in range(small_rmat.num_vertices):
+            assert (np.diff(small_rmat.neighbors(v)) > 0).all()
 
 
 class TestAccessors:

@@ -1,5 +1,7 @@
 """Unit tests for repro.graph.generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,20 @@ class TestRMAT:
         a = rmat_edges(8, 4, seed=3)
         b = rmat_edges(8, 4, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scale, edge_factor, seed, a, rows, digest", [
+        (10, 8, 0, 0.57, 6015,
+         "8373f8d9f8618fba8c2a68e583558c186ac9f60483637769d926719346377f6f"),
+        (12, 14, 7, 0.45, 55549,
+         "b09ee3546c1156aac22a3b106c3e366fed2d65c6853bf604b9e194978e41b202"),
+    ])
+    def test_output_is_pinned(self, scale, edge_factor, seed, a, rows,
+                              digest):
+        """Every recorded result hangs off this exact edge stream (one
+        ``rng.random(m)`` draw per bit, then canonicalisation)."""
+        edges = rmat_edges(scale, edge_factor, seed=seed, a=a)
+        assert edges.shape == (rows, 2) and edges.dtype == np.int64
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
     def test_seed_changes_output(self):
         a = rmat_edges(8, 4, seed=3)

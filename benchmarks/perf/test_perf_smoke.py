@@ -27,7 +27,6 @@ from repro.bench.perf import (
     bench_observability_overhead,
     bench_selection_phase,
     bench_serving_lookup,
-    bench_sheep_order,
     bench_streaming_partitioner,
     bench_two_hop_conflict,
 )
@@ -120,9 +119,9 @@ def test_dne_p256_end_to_end_at_least_2x():
 
 def test_dne_backend_threads_floor_or_skip():
     """Parallel-backend wall clock only means something when the host
-    has the cores.  When ``cpu_count < workers`` the bench rows carry
-    ``hardware_limited: true`` and this floor *skips* — visibly, not a
-    silent pass — instead of failing on timings the host cannot hit.
+    has the cores.  When ``cpu_count < workers`` this floor *skips* —
+    visibly, not a silent pass — instead of failing on timings the host
+    cannot hit.
     With the cores present, the threads backend (fused chunks + outbox
     replay) must stay within 1.5x of inline simulated dispatch."""
     workers = 4
@@ -172,20 +171,6 @@ def test_observability_overhead_under_bound():
     assert t_on <= 1.25 * t_off, (
         f"telemetry overhead regressed: untraced {t_off:.3f}s vs "
         f"traced {t_on:.3f}s ({t_on / t_off:.2f}x > 1.25x)")
-
-
-def test_sheep_order_kernels_run_and_agree():
-    """Sheep's batched elimination order: no speed floor (the batched
-    fringe harvest + heap tail is roughly at parity at smoke scale —
-    see BENCH_kernels.json for the per-scale numbers), but both
-    kernels must run and agree."""
-    from repro.partitioners.sheep import (_min_degree_order,
-                                          _min_degree_order_python)
-    graph = CSRGraph(rmat_edges(11, 8, seed=1))
-    assert bench_sheep_order(graph, "python") >= 0
-    assert bench_sheep_order(graph, "vectorized") >= 0
-    assert np.array_equal(_min_degree_order(graph),
-                          _min_degree_order_python(graph))
 
 
 def test_selection_bench_kernels_agree_on_traffic(monkeypatch):

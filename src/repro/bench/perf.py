@@ -34,25 +34,12 @@ speedups it claims and future PRs can track regressions:
   |P| = 8 run as the baseline (``python_seconds``), ``seconds_p<N>``
   per width and ``slowdown_vs_p8`` for the widest.  No smoke floor —
   the row exists so the trajectory file shows the trend;
-* ``dne_backend_threads`` / ``dne_backend_processes`` — execution
-  backends (``repro.cluster.backends``): one full DNE run per backend
-  against the ``simulated`` scheduler baseline at the same scale
-  (``python_seconds`` is the simulated baseline, ``vectorized_seconds``
-  the parallel backend's wall clock; explicit ``simulated_seconds`` /
-  ``backend_seconds`` aliases are included).  Wall-clock here is
-  hardware-honest: with fewer cores than workers the parallel backends
-  cannot beat the inline scheduler, and the row says so;
-* ``hdrf`` / ``fennel`` / ``oblivious`` — the streaming-baseline zoo
-  on the shared chunked-scoring substrate (``core/streaming.py``): a
-  full partition run per kernel at ``streaming_partitions`` machines,
-  plus an ``hdrf_p256`` weak-scaling row at |P| = 256 that exercises
-  the packed-bitset membership end-to-end (the reference's per-edge
-  O(|P|) score loop versus hoisted windows + uint64 words).  The
-  oblivious row documents a trade-off rather than a win — its
-  reference stays faster (and stays that method's default kernel);
-* ``sheep_order`` — Sheep's approximate-minimum-degree elimination
-  order (batched non-adjacent minima pops + heap tail vs the
-  sequential encoded-int heap);
+* ``hdrf`` / ``fennel`` — the dual-kernel streaming baselines on the
+  shared chunked-scoring substrate (``core/streaming.py``): a full
+  partition run per kernel at ``streaming_partitions`` machines, plus
+  an ``hdrf_p256`` weak-scaling row at |P| = 256 that exercises the
+  packed-bitset membership end-to-end (the reference's per-edge
+  O(|P|) score loop versus hoisted windows + uint64 words);
 * ``ne_expand`` — a full sequential-NE partition (the
   ``ExpansionState.expand_vertex`` path shared with SNE);
 * ``gather_sum`` / ``gather_min`` — the GAS engine's gather
@@ -95,7 +82,6 @@ import time
 import numpy as np
 
 from repro.apps.engine import AppRunStats, DistributedGraphEngine
-from repro.cluster.backends import validate_backend
 from repro.cluster.runtime import (Process, SegmentBatch, SimulatedCluster,
                                    _same_machine)
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
@@ -111,7 +97,7 @@ from repro.partitioners.ne import NEPartitioner
 __all__ = ["run_perf", "bench_graph", "bench_allocation_phases",
            "bench_two_hop_conflict", "bench_selection_phase",
            "bench_dne_end_to_end", "bench_streaming_partitioner",
-           "bench_sheep_order", "bench_ne_expand", "bench_engine_gathers",
+           "bench_ne_expand", "bench_engine_gathers",
            "bench_all_gather_sum", "bench_csr_build",
            "bench_serving_lookup", "bench_observability_overhead"]
 
@@ -436,17 +422,6 @@ def bench_streaming_partitioner(name: str, graph: CSRGraph,
     return time.perf_counter() - t0
 
 
-def bench_sheep_order(graph: CSRGraph, kernel: str) -> float:
-    """Seconds for Sheep's elimination-order computation."""
-    from repro.partitioners.sheep import (_min_degree_order,
-                                          _min_degree_order_python)
-    fn = (_min_degree_order if kernel == "vectorized"
-          else _min_degree_order_python)
-    t0 = time.perf_counter()
-    fn(graph)
-    return time.perf_counter() - t0
-
-
 # ----------------------------------------------------------------------
 # Sequential NE expansion
 # ----------------------------------------------------------------------
@@ -679,9 +654,6 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
              selection_partitions: int = 64,
              streaming_partitions: int = 64,
              wide_partitions: int = 256,
-             backends=("threads", "processes"),
-             backend_workers: int = 4,
-             backend_scales=(18,),
              serving_concurrency: int = 8,
              serving_requests: int = 64,
              serving_bulk: int = 64,
@@ -701,14 +673,6 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
     the |P| ≫ 64 weak-scaling rows (``hdrf_p256`` and the end-to-end
     ``dne_p256``) exercising packed-bitset membership (default 256).
 
-    ``backends`` / ``backend_workers`` / ``backend_scales`` drive the
-    execution-backend rows: one full vectorized DNE run per backend at
-    ``partitions`` machines on each ``backend_scales`` graph, against
-    the inline ``simulated`` scheduler as the baseline.  Pass an empty
-    ``backends`` to skip.  The recorded wall clock is whatever the host
-    delivers — on a single-core container the parallel backends lose
-    to the inline scheduler and the rows say so.
-
     The ``serving_lookup`` row (once, at the largest edge scale) times
     the partition-serving read path: the dual-kernel bulk vertex
     lookup, plus ``serving_concurrency`` concurrent HTTP clients ×
@@ -725,12 +689,6 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
     with one row per (kernel, scale) holding both kernels' seconds and
     the speedup ratio.
     """
-    # Fail before the multi-minute kernel sweep, not in the
-    # backend-row loop after it.
-    if backends and backend_workers < 1:
-        raise ValueError("backend_workers must be >= 1")
-    for name in backends:
-        validate_backend(name)
     rows = []
     for edge_scale in edge_scales:
         graph = bench_graph(edge_scale, seed=seed)
@@ -762,11 +720,7 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
             bench_dne_end_to_end(graph, wide_partitions, "python"),
             bench_dne_end_to_end(graph, wide_partitions, "vectorized")))
 
-        # oblivious is included without a smoke floor: its reference
-        # per-edge set probes win at every measured |P| (which is why
-        # its default kernel stays "python") — the row keeps that
-        # trade-off visible rather than hiding it.
-        for name in ("hdrf", "fennel", "oblivious"):
+        for name in ("hdrf", "fennel"):
             rows.append(_row(
                 name, edge_scale, graph,
                 bench_streaming_partitioner(name, graph,
@@ -780,10 +734,6 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
                                         "python"),
             bench_streaming_partitioner("hdrf", graph, wide_partitions,
                                         "vectorized")))
-
-        rows.append(_row("sheep_order", edge_scale, graph,
-                         bench_sheep_order(graph, "python"),
-                         bench_sheep_order(graph, "vectorized")))
 
         rows.append(_row("ne_expand", edge_scale, graph,
                          bench_ne_expand(graph, partitions, "python"),
@@ -816,7 +766,7 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
 
     # Telemetry overhead: traced vs untraced dne_p256 at the same
     # scale (zero-cost-when-off, quantified; "python" is the untraced
-    # baseline here, like the backend rows' "simulated").
+    # baseline here).
     t_off, t_on = bench_observability_overhead(
         serving_graph, wide_partitions, repeats=2)
     row = _row("observability_overhead", serving_scale, serving_graph,
@@ -844,30 +794,6 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
     })
     rows.append(row)
 
-    # Execution-backend rows: full vectorized DNE, simulated scheduler
-    # vs real parallel workers.
-    for edge_scale in (backend_scales if backends else ()):
-        graph = bench_graph(edge_scale, seed=seed)
-        t_sim = bench_dne_end_to_end(graph, partitions, "vectorized")
-        for backend in backends:
-            t_backend = bench_dne_end_to_end(
-                graph, partitions, "vectorized", backend=backend,
-                workers=backend_workers)
-            row = _row(f"dne_backend_{backend}", edge_scale, graph,
-                       t_sim, t_backend)
-            row.update({
-                "baseline": "simulated",
-                "backend": backend,
-                "workers": backend_workers,
-                "simulated_seconds": row["python_seconds"],
-                "backend_seconds": row["vectorized_seconds"],
-                # Fewer cores than workers: wall clock reflects the host,
-                # not the backend — smoke floors skip rather than fail.
-                "hardware_limited": bool(
-                    (os.cpu_count() or 1) < backend_workers),
-            })
-            rows.append(row)
-
     doc = {
         "meta": {
             "generated_by": "repro bench perf",
@@ -878,9 +804,6 @@ def run_perf(edge_scales=(12, 14, 17), partitions: int = 8,
             "selection_partitions": selection_partitions,
             "streaming_partitions": streaming_partitions,
             "wide_partitions": wide_partitions,
-            "backends": list(backends),
-            "backend_workers": backend_workers,
-            "backend_scales": list(backend_scales),
             "serving_concurrency": serving_concurrency,
             "serving_requests": serving_requests,
             "serving_bulk": serving_bulk,

@@ -233,21 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--wide-partitions", type=int, default=256,
                         help="|P| for the packed-membership weak-scaling "
                              "rows (default 256)")
-    p_perf.add_argument("--backend", nargs="*", dest="backends",
-                        choices=("threads", "processes"),
-                        default=["threads", "processes"],
-                        metavar="BACKEND",
-                        help="execution backends to time against the "
-                             "simulated scheduler on a full DNE run "
-                             "(default: threads processes; pass with no "
-                             "values to skip the backend rows)")
-    p_perf.add_argument("--workers", type=int, default=4,
-                        help="worker count for the backend rows "
-                             "(default 4)")
-    p_perf.add_argument("--backend-scales", type=int, nargs="+",
-                        default=[18], metavar="LOG2_EDGES",
-                        help="log2 edge counts for the backend rows "
-                             "(default: 18)")
     p_perf.add_argument("--seed", type=int, default=0)
     p_perf.add_argument("--out", default="BENCH_kernels.json",
                         help="JSON output path ('-' to skip writing)")
@@ -441,9 +426,6 @@ def _cmd_bench(args) -> int:
                    selection_partitions=args.selection_partitions,
                    streaming_partitions=args.streaming_partitions,
                    wide_partitions=args.wide_partitions,
-                   backends=tuple(args.backends),
-                   backend_workers=args.workers,
-                   backend_scales=tuple(args.backend_scales),
                    out=out, seed=args.seed)
     headers = ["kernel", "edge_scale", "edges",
                "python_seconds", "vectorized_seconds", "speedup"]

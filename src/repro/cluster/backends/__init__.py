@@ -15,14 +15,16 @@ from __future__ import annotations
 from repro.cluster.backends.base import (BACKENDS, ExecutionBackend,
                                          SimulatedBackend, StepResult,
                                          WorkerStepError, apply_outbox,
-                                         validate_backend)
+                                         validate_backend,
+                                         validate_execution_args)
 from repro.cluster.backends.faults import FaultPlan
 from repro.cluster.backends.processes import ProcessesBackend, WorkerProgram
 from repro.cluster.backends.shm import ShmArena, graph_from_views, \
     graph_to_arrays
 from repro.cluster.backends.threads import ThreadsBackend
 
-__all__ = ["BACKENDS", "validate_backend", "create_backend",
+__all__ = ["BACKENDS", "validate_backend", "validate_execution_args",
+           "create_backend",
            "ExecutionBackend", "SimulatedBackend", "ThreadsBackend",
            "ProcessesBackend", "WorkerProgram", "FaultPlan", "StepResult",
            "WorkerStepError", "apply_outbox", "ShmArena",

@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from repro.cluster.accounting import record_rpc_pair
 from repro.observability.trace import NULL_TRACER
 
-__all__ = ["BACKENDS", "validate_backend", "StepResult", "WorkerStepError",
+__all__ = ["BACKENDS", "validate_backend", "validate_execution_args",
+           "StepResult", "WorkerStepError",
            "ExecutionBackend", "SimulatedBackend", "apply_outbox"]
 
 #: valid values for every ``backend=`` argument
@@ -67,6 +68,24 @@ def validate_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}")
     return backend
+
+
+def validate_execution_args(backend: str, workers: int | None,
+                            checkpoint_dir: str | None, resume: bool,
+                            step_timeout: float | None, max_retries: int,
+                            fault_plan) -> None:
+    """Raise ``ValueError`` on an execution-argument combination no
+    backend can honour — the checks every partitioner constructor that
+    takes these arguments (Distributed NE, SNE) shares."""
+    validate_backend(backend)
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume requires checkpoint_dir")
+    if backend != "processes" and (step_timeout is not None or max_retries
+                                   or fault_plan is not None):
+        raise ValueError("step_timeout/max_retries/fault_plan require "
+                         "backend='processes'")
 
 
 class WorkerStepError(RuntimeError):

@@ -72,7 +72,17 @@ two layouts behind one interface:
   ``membership_words`` resident entry, identical under both kernels).
 
 Both backends produce bit-identical allocation behaviour (pinned by the
-packed-vs-dense property tests).
+packed-vs-dense property tests), and |P| alone picks between them —
+there is no selector argument, because each layout wins on its own side
+of the switch.  Measured on the gate (``benchmarks/e2e``) with the
+layout as the only changed line, two sets of 6 alternated pairs per
+workload (CHANGES.md, PR 17): packed at |P| ≤ 64 costs ``serve_hdrf``
++26–29 % ``partition_s`` (dense faster 12/12 — the streaming tail
+walkers' scalar ``get_bit`` / ``set_bit`` on ``uint64`` words), is
+between a tie and +15 % on ``road_p64``, 5–7 % faster on ``rmat_p8``
+(inside the gate's bound) and saves 8 % ``peak_rss_mb`` on
+``road_p64``; past 64, packed is what ``rmat_p256`` and the 9.3×
+``hdrf_p256`` microbench row run on and what the Fig-9 model reports.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ TAG_BOUNDARY = "boundary"
 TAG_EDGES = "edges"
 
 #: widest |P| served by the dense boolean backend; beyond it the packed
-#: uint64 backend takes over (``membership="auto"``)
+#: uint64 backend takes over
 DENSE_MEMBERSHIP_MAX_PARTITIONS = 64
 
 _U64_ONE = np.uint64(1)
@@ -291,11 +301,9 @@ class AllocationProcess(Process):
 
     def __init__(self, machine: int, graph: CSRGraph, edge_ids: np.ndarray,
                  placement, two_hop: bool = True,
-                 kernel: str = "vectorized", membership: str = "auto"):
+                 kernel: str = "vectorized"):
         super().__init__(("alloc", machine))
         validate_kernel(kernel)
-        if membership not in ("auto", "dense", "packed"):
-            raise ValueError("membership must be 'auto', 'dense' or 'packed'")
         self.machine = machine
         self.graph = graph
         self.placement = placement
@@ -358,9 +366,7 @@ class AllocationProcess(Process):
                             for i, v in enumerate(self.local_vertices)}
         else:
             self._parts = None
-            if membership == "packed" or (
-                    membership == "auto"
-                    and self.num_partitions > DENSE_MEMBERSHIP_MAX_PARTITIONS):
+            if self.num_partitions > DENSE_MEMBERSHIP_MAX_PARTITIONS:
                 #: vectorized replica state, uint64-packed (|P| ≫ 64)
                 self._member = PackedMembership(nv, self.num_partitions)
             else:

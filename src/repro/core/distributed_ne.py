@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.cluster.backends import (ProcessesBackend, WorkerProgram,
                                     create_backend, graph_to_arrays,
-                                    validate_backend)
+                                    validate_execution_args)
 from repro.cluster.backends.shm import ShmArena, graph_from_views
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.runtime import Process, SimulatedCluster
@@ -314,22 +314,15 @@ class DistributedNE(Partitioner):
         self.collect_history = collect_history
         validate_kernel(kernel)
         self.kernel = kernel
-        validate_backend(backend)
+        validate_execution_args(backend, workers, checkpoint_dir, resume,
+                                step_timeout, max_retries, fault_plan)
         self.backend = backend
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
         self.workers = workers
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if resume and checkpoint_dir is None:
-            raise ValueError("resume requires checkpoint_dir")
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.resume = resume
-        if backend != "processes" and (step_timeout is not None or max_retries
-                                       or fault_plan is not None):
-            raise ValueError("step_timeout/max_retries/fault_plan require "
-                             "backend='processes'")
         self.step_timeout = step_timeout
         self.max_retries = max_retries
         self.fault_plan = fault_plan

@@ -1,8 +1,8 @@
 """Shared streaming-partitioner substrate (the baseline zoo's hot path).
 
 The paper's §7.1 comparisons score every streamed edge of HDRF / FENNEL
-/ Oblivious (and every re-homed vertex group of Hybrid Ginger) against
-all ``|P|`` partitions with state that mutates per item: per-partition
+(and every re-homed vertex group of Hybrid Ginger) against all ``|P|``
+partitions with state that mutates per item: per-partition
 *loads* and per-vertex *replica membership*.  The reference
 implementations walk the stream one item at a time, rebuilding every
 membership-dependent term per edge; this module is the flat-array
@@ -42,9 +42,9 @@ substrate their ``kernel="vectorized"`` twins share.
        changed one of its endpoints' score inputs (membership-bit
        flips and the scorers' extra staleness rules).
 
-    The balance terms of HDRF/FENNEL (and Oblivious's least-loaded
-    rule) make long drift-stable prefixes rare in steady state — each
-    placement can flip the next near-tie — so the bulk slice adapts
+    The balance terms of HDRF/FENNEL make long drift-stable prefixes
+    rare in steady state — each placement can flip the next
+    near-tie — so the bulk slice adapts
     down to a cheap probe when it stops paying and back up when the
     stream enters a replication-dominated stretch.
 
@@ -118,13 +118,16 @@ class StreamingState:
     ``loads`` is the per-partition edge (or item) count as a flat int64
     array — the layout every scorer's balance term reads directly.
     Replica membership rides the allocation plane's backends: a boolean
-    matrix up to |P| = 64, uint64-packed words beyond (8× smaller,
-    ``membership="dense"|"packed"`` forces a backend, same contract as
-    :class:`~repro.core.allocation.AllocationProcess`).
+    matrix up to |P| = 64, uint64-packed words beyond (8× smaller).
+    |P| alone picks the layout, as in
+    :class:`~repro.core.allocation.AllocationProcess`: packed words at
+    |P| ≤ 64 cost the HDRF tail walker's scalar ``get_bit`` /
+    ``set_bit`` +26–29 % ``partition_s`` on the ``serve_hdrf`` gate
+    workload (see *Membership backends* in
+    :mod:`repro.core.allocation`).
     """
 
-    def __init__(self, num_vertices: int, num_partitions: int,
-                 membership: str = "auto"):
+    def __init__(self, num_vertices: int, num_partitions: int):
         # Imported here, not at module scope: the partitioner package
         # pulls this module in while core.allocation's own import chain
         # (hash2d -> partitioners.hashing) is still resolving.
@@ -133,13 +136,9 @@ class StreamingState:
             DenseMembership,
             PackedMembership,
         )
-        if membership not in ("auto", "dense", "packed"):
-            raise ValueError("membership must be 'auto', 'dense' or 'packed'")
         self.num_partitions = num_partitions
         self.loads = np.zeros(num_partitions, dtype=np.int64)
-        if membership == "packed" or (
-                membership == "auto"
-                and num_partitions > DENSE_MEMBERSHIP_MAX_PARTITIONS):
+        if num_partitions > DENSE_MEMBERSHIP_MAX_PARTITIONS:
             self.member = PackedMembership(num_vertices, num_partitions)
         else:
             self.member = DenseMembership(num_vertices, num_partitions)

@@ -6,12 +6,12 @@ The partitioning/engine hot paths each ship a flat-array NumPy kernel
 The flag covers both planes of Distributed NE — the allocation phases
 (``core/allocation.py``) and the selection/expansion plane
 (``core/expansion.py``: boundary queue, multicast fan-out, boundary
-fold) — plus NE/SNE expansion, the GAS engine gathers, the streaming
-baseline zoo on the shared ``core/streaming.py`` substrate (HDRF,
-FENNEL, Oblivious, and Hybrid Ginger's re-homing rounds, pinned by
-``tests/test_streaming_equivalence.py``), and Sheep's batched
-elimination order.  This module is the single home of the valid names
-so constructors all fail fast with the same message.
+fold) — plus NE/SNE expansion, the GAS engine gathers, and the
+streaming baselines on the shared ``core/streaming.py`` substrate
+(HDRF, FENNEL, and Hybrid Ginger's re-homing rounds, pinned by
+``tests/test_streaming_equivalence.py``).  This module is the single
+home of the valid names so constructors all fail fast with the same
+message.
 """
 
 from __future__ import annotations

@@ -153,12 +153,14 @@ class StreamingEdgePartitioner(Partitioner):
 
     HDRF, FENNEL, and Oblivious all walk the canonical edge list once —
     optionally in a seeded shuffled order — scoring each edge against
-    every partition, and all ship two implementations selected by the
-    standard ``kernel=`` flag: ``"vectorized"`` (default; the chunked
-    scoring driver of :mod:`repro.core.streaming`) and ``"python"``
-    (the per-edge reference loop, kept verbatim).  This base owns the
-    flag validation and the stream order so both kernels consume the
-    RNG identically — the order *is* part of the pinned behaviour.
+    every partition.  HDRF and FENNEL ship two implementations selected
+    by the standard ``kernel=`` flag: ``"vectorized"`` (default; the
+    chunked scoring driver of :mod:`repro.core.streaming`) and
+    ``"python"`` (the per-edge reference loop, kept verbatim); this
+    base owns the flag validation and the stream order so both kernels
+    consume the RNG identically — the order *is* part of the pinned
+    behaviour.  Oblivious has one implementation: it overrides
+    :meth:`_partition` and exposes no ``kernel=``.
     """
 
     def __init__(self, num_partitions: int, seed: int = 0,

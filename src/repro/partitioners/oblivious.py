@@ -17,118 +17,20 @@ without synchronising replica tables; as is standard in partitioning
 studies (and optimistic toward the baseline), we simulate the
 single-stream variant.
 
-Kernels: ``"vectorized"`` expresses the rule cascade as masked
-least-loaded selection over membership rows inside the chunked scoring
-driver of :mod:`repro.core.streaming`; ``"python"`` is the per-edge
-loop.  The pair is pinned bit-identical by
-``tests/test_streaming_equivalence.py``, but unlike the scored
-baselines the *reference stays the default here*: Oblivious's per-edge
-work is a couple of small-set probes, which beat the chunked NumPy
-walk at every measured |P| (the ``oblivious`` row in
-``BENCH_kernels.json`` tracks the gap honestly).  The vectorized
-kernel remains available for the substrate's packed-membership path
-and uniform testing.
+One implementation, no ``kernel=`` flag: the per-edge work is a couple
+of small-set probes, too little for a chunked NumPy walk over
+membership rows to amortise (measured 0.35 / 0.43 / 0.57× this loop at
+2^12 / 2^14 / 2^17 edges, |P| = 64).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.streaming import EdgeStreamScorer, StreamingState, \
-    run_chunked_stream
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import EdgePartition, StreamingEdgePartitioner
 
 __all__ = ["ObliviousPartitioner"]
-
-
-class _ObliviousScorer(EdgeStreamScorer):
-    """Rule cascade as one masked least-loaded selection per edge.
-
-    Every rule reduces to "least-loaded partition in a candidate pool,
-    ties to the smaller id" — exactly an argmin over
-    ``load * |P| + id`` keys restricted to the pool mask.
-    """
-
-    _BIG = np.iinfo(np.int64).max
-
-    def __init__(self, state, u, v, remaining):
-        super().__init__(state, u, v)
-        self.remaining = remaining
-
-    def window_static(self, sl):
-        u, v = self.u[sl], self.v[sl]
-        mem_u = self.state.member_rows(u)
-        mem_v = self.state.member_rows(v)
-        inter = mem_u & mem_v
-        has_i = inter.any(axis=1)
-        has_u = mem_u.any(axis=1)
-        has_v = mem_v.any(axis=1)
-        favour_u = self.remaining[u] >= self.remaining[v]
-        pool = np.where(has_i[:, None], inter,
-                        np.where((has_u & has_v)[:, None],
-                                 np.where(favour_u[:, None], mem_u, mem_v),
-                                 mem_u | mem_v))
-        pool[~(has_u | has_v)] = True     # rule 4: every partition
-        return [pool, favour_u]
-
-    def pick(self, aux, rows, loads_mat):
-        p = self.state.num_partitions
-        key = loads_mat * p + np.arange(p, dtype=np.int64)[None, :]
-        return np.where(aux[0][rows], key, self._BIG).argmin(axis=1)
-
-    def _pool_row(self, uk, vk):
-        rows = self.state.member.rows_bool(np.array([uk, vk]))
-        mu, mv = rows[0], rows[1]
-        inter = mu & mv
-        if inter.any():
-            return inter
-        if mu.any() and mv.any():
-            return mu if self.remaining[uk] >= self.remaining[vk] else mv
-        if mu.any():
-            return mu
-        if mv.any():
-            return mv
-        return np.ones(self.state.num_partitions, dtype=bool)
-
-    def tail_walk(self, sl, aux, start, stop):
-        pool, favour = aux
-        us, vs = self.u[sl], self.v[sl]
-        state = self.state
-        member = state.member
-        remaining = self.remaining
-        changed = self._changed
-        p = state.num_partitions
-        loads = state.loads                      # live, walker-committed
-        key = loads * p + np.arange(p, dtype=np.int64)
-        BIG = self._BIG
-        out = np.empty(stop - start, dtype=np.int64)
-        for k in range(start, stop):
-            uk = int(us[k])
-            vk = int(vs[k])
-            # Rule 2's remaining-degree comparison drifts with every
-            # incident placement, so re-derive the pool row whenever a
-            # membership bit flipped *or* the comparison flipped.
-            if (uk in changed or vk in changed
-                    or (remaining[uk] >= remaining[vk]) != favour[k]):
-                pool[k] = self._pool_row(uk, vk)
-            t = int(np.where(pool[k], key, BIG).argmin())
-            out[k - start] = t
-            key[t] += p
-            loads[t] += 1
-            remaining[uk] -= 1
-            remaining[vk] -= 1
-            if not member.get_bit(uk, t):
-                member.set_bit(uk, t)
-                changed.add(uk)
-            if not member.get_bit(vk, t):
-                member.set_bit(vk, t)
-                changed.add(vk)
-        return out
-
-    def apply(self, u, v, targets):
-        self.remaining[u] -= 1
-        self.remaining[v] -= 1
 
 
 class ObliviousPartitioner(StreamingEdgePartitioner):
@@ -136,26 +38,13 @@ class ObliviousPartitioner(StreamingEdgePartitioner):
 
     name = "oblivious"
 
+    # Own signature: the base's ``kernel=`` picks between two
+    # implementations, and there is one here.
     def __init__(self, num_partitions: int, seed: int = 0,
-                 shuffle: bool = True, kernel: str = "python"):
-        # Default is the reference: measured faster than the chunked
-        # walk at every |P| (see module docstring).
-        super().__init__(num_partitions, seed, shuffle=shuffle,
-                         kernel=kernel)
+                 shuffle: bool = True):
+        super().__init__(num_partitions, seed, shuffle=shuffle)
 
-    def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
-        order = self.stream_order(graph.num_edges)
-        state = StreamingState(graph.num_vertices, self.num_partitions)
-        scorer = _ObliviousScorer(state,
-                                  graph.edges[order, 0],
-                                  graph.edges[order, 1],
-                                  graph.degrees().astype(np.int64).copy())
-        assignment = np.empty(graph.num_edges, dtype=np.int64)
-        assignment[order] = run_chunked_stream(scorer)
-        return EdgePartition(graph, self.num_partitions, assignment,
-                             method=self.name)
-
-    def _partition_python(self, graph: CSRGraph) -> EdgePartition:
+    def _partition(self, graph: CSRGraph) -> EdgePartition:
         p = self.num_partitions
         order = self.stream_order(graph.num_edges)
 

@@ -25,29 +25,16 @@ import heapq
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, adjacency_slots
-from repro.kernels import validate_kernel
+from repro.graph.csr import CSRGraph
 from repro.partitioners.base import EdgePartition, Partitioner
 
 __all__ = ["SheepPartitioner"]
 
 
 class SheepPartitioner(Partitioner):
-    """Elimination-tree partitioning with postorder chunking.
-
-    ``kernel="vectorized"`` (default) computes the elimination order
-    with batched pops of non-interacting minima
-    (:func:`_min_degree_order`); ``"python"`` keeps the encoded-int
-    sequential heap (:func:`_min_degree_order_python`).  The two are
-    pinned rank-identical by the vertex-partitioner test suite.
-    """
+    """Elimination-tree partitioning with postorder chunking."""
 
     name = "sheep"
-
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 kernel: str = "vectorized"):
-        super().__init__(num_partitions, seed)
-        self.kernel = validate_kernel(kernel)
 
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         n, p = graph.num_vertices, self.num_partitions
@@ -56,10 +43,7 @@ class SheepPartitioner(Partitioner):
                                  np.empty(0, dtype=np.int64),
                                  method=self.name)
 
-        if self.kernel == "python":
-            rank = _min_degree_order_python(graph)
-        else:
-            rank = _min_degree_order(graph)
+        rank = _min_degree_order(graph)
         order = np.argsort(rank)  # order[i] = vertex with rank i
 
         # Parent = lowest-ranked neighbour with higher rank.  Ranks are
@@ -88,169 +72,33 @@ class SheepPartitioner(Partitioner):
 
 
 def _min_degree_order(graph: CSRGraph) -> np.ndarray:
-    """Approximate minimum-degree elimination ranks, batched.
+    """Approximate minimum-degree elimination ranks (flat-array heap).
 
-    The heap-based walk pops ⟨degree, id⟩ minima one at a time; this
-    version pops whole *batches* per round and stays pop-for-pop
-    identical to it.  Round structure: let ``d0`` be the current
-    minimum alive degree and ``C`` the alive vertices at ``d0`` in id
-    order — the heap would pop ``C`` left to right *unless* a pop's
-    decrements inject a smaller key mid-run.  Exactly two events can do
-    that, and each yields an exact truncation point:
+    Degrees are decremented as neighbours get eliminated, without
+    fill-in edges — the same approximation Sheep's streaming
+    translation makes.
 
-    * an edge inside ``C`` — the earlier endpoint's pop drops the later
-      one below ``d0``, so the batch ends right after the earlier one
-      (truncate at ``min(position) + 1`` per such edge);
-    * an outside neighbour ``w`` with ``degree[w] - d0`` of its
-      ``C``-neighbours inside the batch — its degree reaches ``d0``
-      at its ``(degree[w] - d0)``-th ``C``-neighbour's pop, so the
-      batch ends right after that pop.
-
-    The batch is ``C`` clipped to the smallest truncation point
-    (always >= 1, so every round progresses); batch members are then
-    pairwise non-adjacent, their ranks assign in id order, and every
-    surviving neighbour's degree drops by its batch-neighbour count in
-    one scatter-add.  Candidates live in lazy degree buckets (vertices
-    re-enter a bucket when a decrement lands them on its level;
-    entries are validated on consumption), so a round's cost tracks
-    the vertices it touches, never the whole graph, and the candidate
-    window adapts to the recent batch size (clipping ``C`` is exact —
-    truncation points beyond the window are irrelevant to a batch
-    inside it).  On skewed graphs the low-degree fringe forms huge
-    independent batches; on meshes the truncations shrink batches
-    toward the sequential walk.
+    The elimination is inherently sequential (each pop depends on the
+    decrements of every earlier one), but all per-vertex state lives in
+    flat int64 arrays and the heap holds *encoded* keys
+    ``degree * n + vertex`` — plain machine ints, whose ordering equals
+    the lexicographic ⟨degree, vertex⟩ tuples of the definition (ties
+    to the lowest id) without allocating a tuple per entry.  Neighbour
+    filtering, degree decrements, and key construction per elimination
+    are single vectorized operations; canonical edges are deduplicated,
+    so each surviving neighbour is decremented exactly once per pop.
+    Ranks are pinned against the tuple-heap definition kept in
+    ``tests/test_vertex_partitioners.py``.
     """
     n = graph.num_vertices
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
     indptr, indices = graph.indptr, graph.indices
     degree = graph.degrees().astype(np.int64)
     eliminated = np.zeros(n, dtype=bool)
-    rank = np.empty(n, dtype=np.int64)
-    INF = np.iinfo(np.int64).max
-    pos_of = np.full(n, INF, dtype=np.int64)   # position in C, INF outside
-
-    #: lazy candidate buckets: degree level -> list of vertex-id chunks
-    buckets: dict[int, list] = {}
-    init_order = np.argsort(degree, kind="stable")
-    degs = degree[init_order]
-    level_starts = np.flatnonzero(np.concatenate(([True],
-                                                  degs[1:] != degs[:-1])))
-    level_ends = np.concatenate((level_starts[1:], [n]))
-    for s, e in zip(level_starts.tolist(), level_ends.tolist()):
-        buckets[int(degs[s])] = [init_order[s:e]]
-
-    d0 = 0
-    next_rank = 0
-    cap = 1 << 14
-    rounds = popped_window = 0
-    while next_rank < n:
-        # Lowest level with a live candidate (lazy validation: entries
-        # whose vertex was eliminated or decremented away are dropped).
-        while True:
-            chunks = buckets.get(d0)
-            if not chunks:
-                buckets.pop(d0, None)
-                d0 += 1
-                continue
-            single = len(chunks) == 1
-            arr = chunks[0] if single else np.concatenate(chunks)
-            arr = arr[~eliminated[arr] & (degree[arr] == d0)]
-            if not len(arr):
-                del buckets[d0]
-                d0 += 1
-                continue
-            # Chunks are individually sorted-unique and pairwise
-            # disjoint (a degree only ever decreases, so a vertex
-            # enters each level at most once); a lone chunk survives
-            # filtering still sorted.
-            C_full = arr if single else np.unique(arr)
-            break
-        C = C_full[:cap] if len(C_full) > cap else C_full
-        limit = len(C)
-        if d0 > 0 and len(C) > 1:
-            pos_of[C] = np.arange(len(C))
-            slot_idx, counts = adjacency_slots(indptr, C)
-            nbrs = indices[slot_idx]
-            alive = ~eliminated[nbrs]
-            nbrs = nbrs[alive]
-            rows = np.repeat(np.arange(len(C), dtype=np.int64),
-                             counts)[alive]
-            nbr_pos = pos_of[nbrs]
-            inside = nbr_pos != INF
-            if inside.any():
-                pair_cut = np.minimum(rows[inside], nbr_pos[inside]) + 1
-                limit = min(limit, int(pair_cut.min()))
-            outside = ~inside
-            if outside.any():
-                w_out = nbrs[outside]
-                r_out = rows[outside]
-                # Per outside vertex: position of its (degree - d0)-th
-                # C-neighbour, via one (vertex, position) sort.  A
-                # candidate clipped off the window (degree == d0,
-                # need == 0) drops *below* d0 at its first
-                # batch-neighbour pop, so it counts as need 1.
-                order = np.lexsort((r_out, w_out))
-                w_s, r_s = w_out[order], r_out[order]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], w_s[1:] != w_s[:-1])))
-                lens = np.diff(np.concatenate((starts, [len(w_s)])))
-                need = np.maximum(degree[w_s[starts]] - d0, 1)
-                hit = need <= lens
-                if hit.any():
-                    trig = r_s[starts[hit] + need[hit] - 1] + 1
-                    limit = min(limit, int(trig.min()))
-            pos_of[C] = INF
-        B = C[:max(1, limit)]
-        rank[B] = next_rank + np.arange(len(B))
-        next_rank += len(B)
-        eliminated[B] = True
-        buckets[d0] = [C_full[len(B):]] if len(B) < len(C_full) else []
-        slot_idx, _ = adjacency_slots(indptr, B)
-        nb = indices[slot_idx]
-        nb = nb[~eliminated[nb]]
-        if len(nb):
-            np.subtract.at(degree, nb, 1)
-            # Re-bucket the decremented vertices at their new levels.
-            nbu = np.unique(nb)
-            ndeg = degree[nbu]
-            order_d = np.argsort(ndeg, kind="stable")
-            nds = ndeg[order_d]
-            st = np.flatnonzero(np.concatenate(([True],
-                                                nds[1:] != nds[:-1])))
-            en = np.concatenate((st[1:], [len(nds)]))
-            for s, e in zip(st.tolist(), en.tolist()):
-                lvl = int(nds[s])
-                buckets.setdefault(lvl, []).append(nbu[order_d[s:e]])
-                if lvl < d0:
-                    d0 = lvl
-        cap = max(64, min(1 << 14, 4 * len(B)))
-        # Past the low-degree fringe, truncations shrink batches to a
-        # handful of pops — inherently sequential peeling, where
-        # per-round bookkeeping loses to the plain heap.  Once the
-        # rolling batch size degrades, hand the remainder to the heap
-        # walk (an exact continuation from any consistent state).
-        rounds += 1
-        popped_window += len(B)
-        if rounds == 16:
-            if popped_window < 16 * 32:
-                _heap_finish(graph, degree, eliminated, rank, next_rank)
-                return rank
-            rounds = popped_window = 0
-    return rank
-
-
-def _heap_finish(graph: CSRGraph, degree: np.ndarray,
-                 eliminated: np.ndarray, rank: np.ndarray,
-                 next_rank: int) -> None:
-    """Continue the elimination sequentially from a mid-run state with
-    the encoded-int heap (the ``"python"`` kernel's loop body)."""
-    n = graph.num_vertices
-    indptr, indices = graph.indptr, graph.indices
+    rank = np.zeros(n, dtype=np.int64)
     nn = np.int64(n)
-    alive = np.flatnonzero(~eliminated)
-    heap = (degree[alive] * nn + alive).tolist()
+    heap = (degree * nn + np.arange(n)).tolist()
     heapq.heapify(heap)
+    next_rank = 0
     while heap:
         key = heapq.heappop(heap)
         v = key % n
@@ -268,37 +116,6 @@ def _heap_finish(graph: CSRGraph, degree: np.ndarray,
             degree[live] -= 1
             for k in (degree[live] * nn + live).tolist():
                 heapq.heappush(heap, k)
-
-
-def _min_degree_order_python(graph: CSRGraph) -> np.ndarray:
-    """Approximate minimum-degree elimination ranks (flat-array heap).
-
-    Degrees are decremented as neighbours get eliminated, without
-    fill-in edges — the same approximation Sheep's streaming
-    translation makes.
-
-    The elimination is inherently sequential (each pop depends on the
-    decrements of every earlier one), but all per-vertex state lives in
-    flat int64 arrays and the heap holds *encoded* keys
-    ``degree * n + vertex`` — plain machine ints, whose ordering equals
-    the reference's lexicographic ⟨degree, vertex⟩ tuples (ties to the
-    lowest id) without allocating a tuple per entry.  Neighbour
-    filtering, degree decrements, and key construction per elimination
-    are single vectorized operations; canonical edges are deduplicated,
-    so each surviving neighbour is decremented exactly once per batch,
-    matching the reference's per-slot walk.
-
-    The loop body is :func:`_heap_finish` from a fresh state — the
-    same walk the batched kernel continues with mid-run, so the two
-    kernels share one copy of the pop/requeue semantics.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    degree = graph.degrees().astype(np.int64)
-    eliminated = np.zeros(n, dtype=bool)
-    rank = np.zeros(n, dtype=np.int64)
-    _heap_finish(graph, degree, eliminated, rank, 0)
     return rank
 
 

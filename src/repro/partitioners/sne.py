@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.cluster.backends import create_backend, validate_backend
+from repro.cluster.backends import create_backend, validate_execution_args
 from repro.cluster.checkpoint import CheckpointStore
 from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
@@ -175,24 +175,20 @@ class SNEPartitioner(Partitioner):
                  step_timeout: float | None = None, max_retries: int = 0,
                  fault_plan=None, tracer=None):
         super().__init__(num_partitions, seed)
+        if alpha < 1.0:
+            raise ValueError("imbalance factor alpha must be >= 1.0")
         if buffer_factor <= 0:
             raise ValueError("buffer_factor must be positive")
         self.alpha = alpha
         self.buffer_factor = buffer_factor
         self.shuffle = shuffle
         self.kernel = validate_kernel(kernel)
-        self.backend = validate_backend(backend)
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
+        validate_execution_args(backend, workers, checkpoint_dir, resume,
+                                step_timeout, max_retries, fault_plan)
+        self.backend = backend
         self.workers = workers
-        if resume and checkpoint_dir is None:
-            raise ValueError("resume requires checkpoint_dir")
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        if backend != "processes" and (step_timeout is not None or max_retries
-                                       or fault_plan is not None):
-            raise ValueError("step_timeout/max_retries/fault_plan require "
-                             "backend='processes'")
         self.step_timeout = step_timeout
         self.max_retries = max_retries
         self.fault_plan = fault_plan

@@ -204,17 +204,19 @@ class TestPackedMembership:
             assert packed.nbytes() * 8 <= dense.nbytes() + 64 * nv
 
     def test_allocation_backends_bit_identical(self, partitions):
-        """Same selections through dense-forced and packed-forced
-        allocation processes: identical state and messages."""
+        """Same selections through allocation processes holding the
+        dense and the packed layout (injected before the first step —
+        production picks by |P| alone): identical state and messages."""
         graph = CSRGraph(rmat_edges(8, 6, seed=11))
         results = {}
-        for membership in ("dense", "packed"):
+        for layout in (DenseMembership, PackedMembership):
             cluster = SimulatedCluster()
             placement = Hash2DPlacement(1, seed=0)
             alloc = cluster.add_process(AllocationProcess(
-                0, graph, np.arange(graph.num_edges), placement,
-                membership=membership))
+                0, graph, np.arange(graph.num_edges), placement))
             alloc._ensure_partition_capacity(min(partitions, 4) - 1)
+            alloc._member = layout(len(alloc.local_vertices),
+                                   min(partitions, 4))
             for p in range(min(partitions, 4)):
                 cluster.add_process(Process(("expansion", p)))
             rng = np.random.default_rng(0)
@@ -229,8 +231,8 @@ class TestPackedMembership:
                 cluster.barrier()
                 alloc.two_hop_and_report()
                 cluster.barrier()
-            assert alloc.membership_kind == membership
-            results[membership] = (
+            assert alloc.membership_kind == layout.kind
+            results[layout.kind] = (
                 alloc.alloc.copy(), alloc.rest_degree.copy(),
                 alloc.ops_one_hop, alloc.ops_two_hop,
                 dict(alloc.vertex_parts),

@@ -130,6 +130,22 @@ class TestSNEPartitioner:
         with pytest.raises(ValueError):
             SNEPartitioner(4, buffer_factor=0)
 
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError, match="alpha must be >= 1.0"):
+            SNEPartitioner(4, alpha=0.9)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"backend": "threads", "workers": 0}, "workers must be >= 1"),
+        ({"step_timeout": 1.0}, "require backend='processes'"),
+        ({"backend": "threads", "max_retries": 1},
+         "require backend='processes'"),
+    ])
+    def test_execution_argument_validation(self, kwargs, message):
+        """The checks SNE shares with Distributed NE
+        (``validate_execution_args``), same messages."""
+        with pytest.raises(ValueError, match=message):
+            SNEPartitioner(4, **kwargs)
+
     def test_quality_between_hash_and_ne(self, medium_rmat):
         """Table 4's shape: SNE lands in NE's quality class (within
         ~30% either way — at laptop scale the two can swap by seed) and

@@ -1,4 +1,4 @@
-"""AST guards on the DNE kernel and graph front-end sources.
+"""Guards on the sources and on the committed kernel trajectory.
 
 ``np.unique`` on int64 hashes and then sorts (and ``return_index`` /
 ``return_inverse`` add a stable argsort): inside the per-iteration
@@ -11,14 +11,25 @@ comparison sort that holds the GIL — 0.4 s per 500k rows, and the
 half-second stall every reader of a serving process saw while a job
 thread loaded its graph.  Nothing under ``src/repro/graph/`` may call
 it; ``canonical_edges`` sorts packed keys instead.
+
+Earn-your-keep (ROADMAP north star: "every second implementation must
+earn its keep by measurement or go") is executable too: no vectorized
+arm in the committed ``BENCH_kernels.json`` loses to its python
+reference, and the selector knobs deleted for losing — a user-set
+membership layout, ``kernel=`` on Sheep and Oblivious — stay deleted.
 """
 
 import ast
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).parent.parent / "src" / "repro"
+from repro.partitioners import ObliviousPartitioner, SheepPartitioner
+
+_ROOT = Path(__file__).parent.parent
+_SRC = _ROOT / "src" / "repro"
 _CORE = _SRC / "core"
 
 
@@ -53,3 +64,45 @@ def test_dne_kernels_do_not_call_np_unique(name):
     "path", sorted((_SRC / "graph").glob("*.py")), ids=lambda p: p.name)
 def test_graph_front_end_does_not_call_row_wise_np_unique(path):
     assert _np_unique_calls(path.read_text(), with_axis=True) == []
+
+
+def test_no_committed_vectorized_arm_loses_to_its_reference():
+    """Rows without a ``baseline`` key time a vectorized arm against
+    its ``kernel="python"`` reference; below 1.0x the arm is slower
+    than the code it was written to replace."""
+    rows = json.loads((_ROOT / "BENCH_kernels.json").read_text())["kernels"]
+    losing = [(row["kernel"], row["edge_scale"], row["speedup"])
+              for row in rows
+              if "baseline" not in row and row["speedup"] < 1.0]
+    assert not losing, (
+        f"vectorized arms slower than their reference: {losing} — "
+        "delete the losing arm or make it win; do not add an exemption")
+
+
+def _init_parameters(source: str) -> list[tuple[int, str]]:
+    """``(lineno, name)`` of every parameter of every ``__init__``."""
+    return [(node.lineno, arg.arg)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+            for arg in (node.args.posonlyargs + node.args.args
+                        + node.args.kwonlyargs)]
+
+
+def test_no_constructor_takes_a_membership_selector():
+    """|P| alone picks dense vs packed membership (each wins on its
+    side of 64); tests that need the other layout inject the object."""
+    assert _init_parameters(
+        "class A:\n"
+        "    def __init__(self, n, *, membership='auto'): ...\n"
+    ) == [(2, "self"), (2, "n"), (2, "membership")]
+    taking = [(str(path.relative_to(_SRC)), lineno)
+              for path in sorted(_SRC.rglob("*.py"))
+              for lineno, name in _init_parameters(path.read_text())
+              if name == "membership"]
+    assert taking == []
+
+
+@pytest.mark.parametrize("cls", [SheepPartitioner, ObliviousPartitioner],
+                         ids=lambda c: c.name)
+def test_single_implementation_baselines_take_no_kernel(cls):
+    assert "kernel" not in inspect.signature(cls.__init__).parameters

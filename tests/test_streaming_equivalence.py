@@ -16,6 +16,7 @@ loads-delta reconstruction.
 import numpy as np
 import pytest
 
+from repro.core.allocation import DenseMembership, PackedMembership
 from repro.core.streaming import (
     DEFAULT_CHUNK,
     EdgeStreamScorer,
@@ -27,7 +28,6 @@ from repro.graph.generators import rmat_edges
 from repro.partitioners.fennel import FennelEdgePartitioner
 from repro.partitioners.ginger import HybridGingerPartitioner
 from repro.partitioners.hdrf import HDRFPartitioner
-from repro.partitioners.oblivious import ObliviousPartitioner
 
 PARTITION_COUNTS = (3, 64, 65)
 
@@ -96,18 +96,6 @@ class TestFennel:
         assert vec.extra == ref.extra
 
 
-class TestOblivious:
-    @pytest.mark.parametrize("p", PARTITION_COUNTS)
-    @pytest.mark.parametrize("shuffle", [True, False])
-    def test_pinned(self, stream_graph, p, shuffle):
-        _pin(ObliviousPartitioner, stream_graph, p, seed=1,
-             shuffle=shuffle)
-
-    def test_conflict_flood(self, conflict_graph):
-        for p in PARTITION_COUNTS:
-            _pin(ObliviousPartitioner, conflict_graph, p, seed=0)
-
-
 class TestGinger:
     @pytest.mark.parametrize("p", (3, 8, 64))
     def test_pinned(self, stream_graph, p):
@@ -125,22 +113,21 @@ class TestStreamingState:
     def test_membership_backend_auto_switch(self):
         assert StreamingState(10, 64).member.kind == "dense"
         assert StreamingState(10, 65).member.kind == "packed"
-        assert StreamingState(10, 8, membership="packed").member.kind == "packed"
 
     def test_forced_backends_agree(self, stream_graph):
         """Dense and packed membership must drive identical HDRF runs
         at a width both support."""
 
         class _Forced(HDRFPartitioner):
-            membership = "dense"
+            layout = DenseMembership
 
             def _partition_vectorized(self, graph):
-                from repro.core.streaming import run_chunked_stream
                 from repro.partitioners.hdrf import _HDRFScorer
                 order = self.stream_order(graph.num_edges)
                 state = StreamingState(graph.num_vertices,
-                                       self.num_partitions,
-                                       membership=self.membership)
+                                       self.num_partitions)
+                state.member = self.layout(graph.num_vertices,
+                                           self.num_partitions)
                 scorer = _HDRFScorer(
                     state, graph.edges[order, 0], graph.edges[order, 1],
                     self._initial_degrees(graph), self.lam, self.eps,
@@ -151,13 +138,9 @@ class TestStreamingState:
 
         dense = _Forced(48, seed=0).partition(stream_graph)
         _ForcedPacked = type("_ForcedPacked", (_Forced,),
-                             {"membership": "packed"})
+                             {"layout": PackedMembership})
         packed = _ForcedPacked(48, seed=0).partition(stream_graph)
         assert np.array_equal(dense.assignment, packed.assignment)
-
-    def test_invalid_membership_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingState(4, 4, membership="bogus")
 
 
 class TestDriverInternals:

@@ -121,8 +121,9 @@ class TestSheep:
 
     @staticmethod
     def _min_degree_order_reference(graph):
-        """The pre-vectorization tuple-heap implementation, kept
-        verbatim as the before/after pin for the flat-array version."""
+        """The ⟨degree, vertex⟩ tuple-heap definition of the
+        elimination order, kept verbatim as the pin for the one
+        encoded-int heap ``sheep.py`` ships."""
         import heapq
         n = graph.num_vertices
         degree = graph.degrees().astype(np.int64).copy()
@@ -149,7 +150,7 @@ class TestSheep:
 
     def test_min_degree_order_pins_tuple_heap_reference(
             self, medium_rmat, small_rmat, star, path4):
-        """The encoded-key flat-array heap must reproduce the original
+        """The encoded-key flat-array heap must reproduce the
         ⟨degree, vertex⟩ tuple-heap elimination order exactly."""
         for graph in (medium_rmat, small_rmat, star, path4,
                       CSRGraph(ring_graph(37))):

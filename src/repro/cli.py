@@ -335,7 +335,12 @@ def _cmd_partition(args) -> int:
         from repro.observability import Tracer
         tracer = Tracer()
         kwargs["tracer"] = tracer
-    result = cls(args.partitions, seed=args.seed, **kwargs).partition(graph)
+    try:
+        partitioner = cls(args.partitions, seed=args.seed, **kwargs)
+    except ValueError as exc:  # out-of-range argument value
+        _log.error("%s", exc)
+        return 2
+    result = partitioner.partition(graph)
     print(f"method={result.method} partitions={args.partitions}")
     if args.kernel is not None:
         print(f"  kernel             : {args.kernel}")

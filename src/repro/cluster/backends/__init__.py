@@ -34,9 +34,8 @@ __all__ = ["BACKENDS", "validate_backend", "validate_execution_args",
 DEFAULT_WORKERS = 4
 
 
-def create_backend(backend: str, workers: int | None = None, *,
-                   step_timeout: float | None = None,
-                   max_retries: int | None = None,
+def create_backend(backend: str, workers: int | None = None,
+                   step_timeout: float | None = None, max_retries: int = 0,
                    fault_plan: FaultPlan | None = None) -> ExecutionBackend:
     """Instantiate a backend by name.
 
@@ -48,18 +47,12 @@ def create_backend(backend: str, workers: int | None = None, *,
     for any other backend raises ``ValueError`` rather than silently
     running unsupervised.
     """
-    validate_backend(backend)
+    validate_execution_args(backend, workers, step_timeout, max_retries,
+                            fault_plan)
     if workers is None:
         workers = DEFAULT_WORKERS
-    supervised = (step_timeout is not None or max_retries is not None
-                  or fault_plan is not None)
-    if backend != "processes" and supervised:
-        raise ValueError(
-            "step_timeout/max_retries/fault_plan require backend='processes'")
     if backend == "simulated":
         return SimulatedBackend()
     if backend == "threads":
         return ThreadsBackend(workers)
-    return ProcessesBackend(workers, step_timeout=step_timeout,
-                            max_retries=max_retries or 0,
-                            fault_plan=fault_plan)
+    return ProcessesBackend(workers, step_timeout, max_retries, fault_plan)

@@ -31,32 +31,47 @@ mailbox delivery order are bit-identical across backends (pinned by
 
 Contract summary
 ----------------
-``run_superstep(steps, gather=())`` takes ``steps`` as a list of
-``(pid, method_name, args)`` triples.  ``method_name`` may be ``None``
-for a short-circuited step (the driver proved its mailbox payload is
-empty): the step is not invoked — it costs nothing on any backend —
-but its ``gathered`` attributes are still read, and backends count
-executed vs skipped steps in ``steps_executed`` / ``steps_skipped``.
-Every named method must be a step function: it may read shared *read-only* structures (graph CSR,
-placement), mutate only its own process state, and emit effects only
-through the outbox-capable :class:`~repro.cluster.runtime.Process`
-helpers.  The return maps ``pid -> StepResult(value, seconds,
-gathered)`` where ``gathered`` holds the requested post-step attribute
-values (the per-barrier merge of worker-local counters).  A step that
-raises surfaces as :class:`WorkerStepError` carrying the pid — no
-hang, no silent loss.
+``run_superstep(steps, gather=(), phase=None)`` takes ``steps`` as a
+list of ``(pid, method_name, args)`` triples, each pid at most once.
+``method_name`` may be ``None`` for a short-circuited step (the driver
+proved its mailbox payload is empty): the step is not invoked — it
+costs nothing on any backend — but its ``gathered`` attributes are
+still read, and the template counts executed vs skipped steps in
+``steps_executed`` / ``steps_skipped``.  ``phase=(name, iteration)`` is
+the driver's label for the superstep; it only adds a ``phase:<name>``
+span when tracing.  Every named method must be a step function: it may
+read shared *read-only* structures (graph CSR, placement), mutate only
+its own process state, and emit effects only through the
+outbox-capable :class:`~repro.cluster.runtime.Process` helpers.  The
+return maps ``pid -> StepResult(value, seconds, gathered)`` where
+``gathered`` holds the requested post-step attribute values (the
+per-barrier merge of worker-local counters).  A step that raises
+surfaces as itself on ``simulated`` and as :class:`WorkerStepError`
+carrying the pid on the parallel backends — no hang, no silent loss.
+
+:func:`run_steps` is the single dispatch site behind all three
+backends: it alone picks fused vs per-process dispatch, arms and
+disarms outboxes, times the steps and names the step that raised.  A
+backend only decides *which share* of the step list runs *where* —
+the whole list inline (``simulated``), one contiguous share per pool
+thread (``threads``), one share per worker process (``processes``) —
+and whether the share runs ``armed``: ``armed=True`` records every
+effect in per-step outboxes for the parent to replay in step-list
+order (the parallel backends), ``armed=False`` lets effects hit the
+cluster as they are made (the inline reference).
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from repro.cluster.accounting import record_rpc_pair
 from repro.observability.trace import NULL_TRACER
 
 __all__ = ["BACKENDS", "validate_backend", "validate_execution_args",
-           "StepResult", "WorkerStepError",
+           "StepResult", "WorkerStepError", "run_steps", "merge_shares",
            "ExecutionBackend", "SimulatedBackend", "apply_outbox"]
 
 #: valid values for every ``backend=`` argument
@@ -70,13 +85,16 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def validate_execution_args(backend: str, workers: int | None,
-                            checkpoint_dir: str | None, resume: bool,
-                            step_timeout: float | None, max_retries: int,
-                            fault_plan) -> None:
-    """Raise ``ValueError`` on an execution-argument combination no
-    backend can honour — the checks every partitioner constructor that
-    takes these arguments (Distributed NE, SNE) shares."""
+def validate_execution_args(backend: str, workers: int | None = None,
+                            step_timeout: float | None = None,
+                            max_retries: int = 0, fault_plan=None,
+                            checkpoint_dir: str | None = None,
+                            resume: bool = False) -> None:
+    """Raise ``ValueError`` on execution arguments no backend can
+    honour — the one statement of these rules, shared by every
+    partitioner constructor that takes the arguments (Distributed NE,
+    SNE), :func:`~repro.cluster.backends.create_backend` and the
+    parallel backends' own constructors."""
     validate_backend(backend)
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
@@ -86,6 +104,10 @@ def validate_execution_args(backend: str, workers: int | None,
                                    or fault_plan is not None):
         raise ValueError("step_timeout/max_retries/fault_plan require "
                          "backend='processes'")
+    if step_timeout is not None and step_timeout <= 0:
+        raise ValueError("step_timeout must be positive or None")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
 
 
 class WorkerStepError(RuntimeError):
@@ -137,6 +159,84 @@ def apply_outbox(cluster, src_pid, outbox: list) -> None:
             raise ValueError(f"unknown outbox entry kind {kind!r}")
 
 
+def run_steps(procs, plane, steps, gather, armed):
+    """Run one share of a superstep — the single dispatch site.
+
+    ``procs`` maps pid -> process, ``plane`` is the fused dispatch
+    plane over them (or ``None``), ``steps`` the share's ``(pid,
+    method, args)`` triples.  Returns ``(results, failure)``.
+    ``results`` is four pid-keyed dicts in step order — ``(values,
+    seconds, outboxes, gathered)``: return value and compute seconds
+    of every live step (``method is not None``), the outbox of every
+    live step of an armed share, the ``gather`` attributes of *every*
+    step.  ``failure`` is ``None``, or ``(pid, exception, formatted
+    traceback)`` for the step that raised — nothing after it ran, and
+    ``results`` is ``None``.
+
+    The dispatch rule: when every live step names the same
+    zero-argument method and the plane serves it, one ``plane.run``
+    call replaces the per-process loop (a raise is then reported
+    against the share's first live pid); otherwise each live step is
+    one method call.
+
+    ``armed`` arms every live process's outbox for the duration of the
+    share, so each process's effects land in its own replay slot (a
+    fused emission sweep is one ``segments`` entry in the first live
+    pid's) for the caller to replay via :func:`apply_outbox`; unarmed,
+    effects hit the cluster as they are made and ``outboxes`` is
+    empty.  Outboxes are disarmed on every exit.
+    """
+    pids = [pid for pid, method, _ in steps if method is not None]
+    fused = None
+    if plane is not None and not any(
+            args for _, method, args in steps if method is not None):
+        methods = {method for _, method, _ in steps if method is not None}
+        if len(methods) == 1 and next(iter(methods)) in plane.methods:
+            (fused,) = methods
+    outboxes = {pid: [] for pid in pids} if armed else {}
+    for pid, outbox in outboxes.items():
+        procs[pid]._outbox = outbox
+    values: dict = {}
+    seconds: dict = {}
+    #: the pid a raise is reported against
+    running = pids[0] if pids else None
+    try:
+        if fused is not None:
+            t0 = time.perf_counter()
+            values = plane.run(fused, pids)
+            seconds = dict.fromkeys(pids, time.perf_counter() - t0)
+        else:
+            for running, method, args in steps:
+                if method is not None:
+                    t0 = time.perf_counter()
+                    values[running] = getattr(procs[running], method)(*args)
+                    seconds[running] = time.perf_counter() - t0
+    except Exception as exc:  # noqa: BLE001 - reported with its pid
+        return None, (running, exc, traceback.format_exc())
+    finally:
+        for pid in outboxes:
+            procs[pid]._outbox = None
+    # Plain loops: before CPython 3.12 a comprehension per step costs
+    # a function object per step — more than the rest of the dispatch.
+    gathered: dict = {}
+    for pid, _, _ in steps:
+        proc = procs[pid]
+        got = gathered[pid] = {}
+        for attr in gather:
+            got[attr] = getattr(proc, attr)
+    return (values, seconds, outboxes, gathered), None
+
+
+def merge_shares(shares) -> tuple:
+    """Union of several shares' :func:`run_steps` results (a pid runs
+    in exactly one share, so the dicts are disjoint)."""
+    merged = ({}, {}, {}, {})
+    for share in shares:
+        for into, part in zip(merged, share):
+            into.update(part)
+    return merged
+
+
 class ExecutionBackend:
     """Base class; see the module docstring for the contract."""
 
@@ -160,10 +260,9 @@ class ExecutionBackend:
         the processes backend overrides the whole lifecycle (its
         process objects live in the workers).  ``plane`` is an optional
         fused dispatch plane (e.g.
-        :class:`~repro.core.fused.FusedDnePlane`): when every
-        executable step of a superstep names the same plane-supported
-        method, the backend issues one fused call instead of
-        per-process steps.
+        :class:`~repro.core.fused.FusedDnePlane`) handed to
+        :func:`run_steps`, which issues one fused call instead of
+        per-process steps whenever its dispatch rule allows.
         """
         self.cluster = cluster
         self._procs = {proc.pid: proc for proc in processes}
@@ -175,70 +274,68 @@ class ExecutionBackend:
         """Release workers/pools/shared segments.  Idempotent."""
 
     # -- superstep execution -------------------------------------------
-    def run_superstep(self, steps, gather=()) -> dict:
-        """Template method: execute the superstep, optionally traced.
+    def run_superstep(self, steps, gather=(), phase=None) -> dict:
+        """Template method: count, execute, optionally trace.
 
-        Concrete backends implement :meth:`_execute_superstep`; this
-        wrapper emits exactly one span per superstep when a live
-        tracer is installed.  Step semantics, dispatch, and accounting
-        are untouched either way — the tracer only *observes* the
-        ``StepResult`` map (per-step compute seconds ride back from
-        the workers alongside the outbox replies), so span structure
-        is identical across backends and results are identical with
-        tracing on or off (pinned by ``tests/test_observability.py``).
+        Concrete backends implement :meth:`_execute_superstep`.  The
+        ledger counts executed vs short-circuited (``method is None``)
+        steps; skip decisions are made by the driver *before* dispatch
+        (from the parent cluster's delivered mailboxes), so the counts
+        are identical across backends — pinned by
+        ``tests/test_backends.py``.
+
+        With a live tracer this emits exactly one ``superstep:<method>``
+        span per call and, when the driver passes ``phase=(name,
+        iteration)``, the ``phase:<name>`` span right after it from the
+        same executed/skipped counts.  Step semantics, dispatch, and
+        accounting are untouched either way — the tracer only
+        *observes* the ``StepResult`` map (per-step compute seconds
+        ride back from the workers alongside the outbox replies), so
+        span structure is identical across backends and results are
+        identical with tracing on or off (pinned by
+        ``tests/test_observability.py``).
         """
+        executed = sum(1 for _, method, _ in steps if method is not None)
+        skipped = len(steps) - executed
+        self.steps_executed += executed
+        self.steps_skipped += skipped
         tracer = self.tracer
         if not tracer.enabled:
             return self._execute_superstep(steps, gather)
+        t_phase = time.perf_counter()
         methods = {method for _, method, _ in steps if method is not None}
         name = next(iter(methods)) if len(methods) == 1 else \
             ("idle" if not methods else "mixed")
-        executed = sum(1 for _, method, _ in steps if method is not None)
         t0 = time.perf_counter()
         out = self._execute_superstep(steps, gather)
         seconds = time.perf_counter() - t0
         tracer.span(
             f"superstep:{name}", cat="superstep", seconds=seconds,
             args={"method": name, "steps": len(steps),
-                  "executed": executed,
-                  "skipped": len(steps) - executed,
+                  "executed": executed, "skipped": skipped,
                   "busy_seconds": round(
                       sum(r.seconds for r in out.values()), 9)})
+        if phase is not None:
+            tracer.span(f"phase:{phase[0]}", cat="phase",
+                        seconds=time.perf_counter() - t_phase,
+                        args={"phase": phase[0], "iteration": phase[1],
+                              "executed": executed, "skipped": skipped})
         return out
 
     def _execute_superstep(self, steps, gather=()) -> dict:
         raise NotImplementedError
 
-    def _count_steps(self, steps) -> None:
-        """Track executed vs short-circuited (``method is None``) steps.
-
-        Skip decisions are made by the driver *before* dispatch (from
-        the parent cluster's delivered mailboxes), so the counts are
-        identical across backends — pinned by ``tests/test_backends.py``.
-        """
-        executed = sum(1 for _, method, _ in steps if method is not None)
-        self.steps_executed += executed
-        self.steps_skipped += len(steps) - executed
-
-    def _fusable_method(self, steps):
-        """The single plane method this superstep fuses to, or ``None``.
-
-        Fusion requires a plane, at least one executable step, every
-        executable step naming the same plane-supported zero-argument
-        method.
-        """
-        plane = self._plane
-        if plane is None:
-            return None
-        methods = {method for _, method, _ in steps if method is not None}
-        if len(methods) != 1:
-            return None
-        method = next(iter(methods))
-        if method not in plane.methods:
-            return None
-        if any(args for _, method, args in steps if method is not None):
-            return None
-        return method
+    def _finish(self, steps, values, seconds, outboxes, gathered) -> dict:
+        """Replay the recorded outboxes in step-list order — the exact
+        call sequence the simulated scheduler makes inline — and build
+        the ``pid -> StepResult`` map from :func:`run_steps` results."""
+        if outboxes:
+            for pid, _, _ in steps:
+                if pid in outboxes:
+                    apply_outbox(self.cluster, pid, outboxes[pid])
+        return {pid: StepResult(values.get(pid), seconds.get(pid, 0.0),
+                                gathered[pid])
+                for pid, _, _ in steps}
 
     # -- out-of-phase access -------------------------------------------
     def gather(self, pids, attrs) -> dict:
@@ -279,51 +376,21 @@ class ExecutionBackend:
 class SimulatedBackend(ExecutionBackend):
     """The reference scheduler: sequential, immediate-effect steps.
 
-    Unchanged semantics from the pre-backend driver loops — steps run
-    inline in list order with ``Process._outbox`` left unarmed, so
-    every send/report hits the cluster at call time.  This is the
-    backend every parallel one is pinned against.
+    Unchanged semantics from the pre-backend driver loops — the whole
+    step list is one unarmed :func:`run_steps` share, run inline in
+    list order, so every send/report hits the cluster at call time
+    (under fused dispatch each emission sweep is priced and delivered
+    as the plane hands it over, its segments in the order sequential
+    per-process steps would have created their buffers in) and a step
+    exception propagates as itself.  This is the backend every
+    parallel one is pinned against.
     """
 
     name = "simulated"
 
     def _execute_superstep(self, steps, gather=()) -> dict:
-        self._count_steps(steps)
-        fused = self._fusable_method(steps)
-        if fused is not None:
-            return self._run_fused(fused, steps, gather)
-        out = {}
-        for pid, method, args in steps:
-            proc = self._procs[pid]
-            if method is None:
-                out[pid] = StepResult(
-                    None, 0.0, {a: getattr(proc, a) for a in gather})
-                continue
-            t0 = time.perf_counter()
-            value = getattr(proc, method)(*args)
-            seconds = time.perf_counter() - t0
-            out[pid] = StepResult(value, seconds,
-                                  {a: getattr(proc, a) for a in gather})
-        return out
-
-    def _run_fused(self, method, steps, gather) -> dict:
-        """One plane call for the whole superstep, effects inline.
-
-        Outboxes stay unarmed, so each emission sweep is priced and
-        delivered as the plane hands it over, its segments in the order
-        (machines ascending, destinations ascending) sequential
-        per-process steps would have created their buffers in.
-        """
-        run_pids = [pid for pid, m, _ in steps if m is not None]
-        t0 = time.perf_counter()
-        values = self._plane.run(method, run_pids)
-        seconds = time.perf_counter() - t0
-        out = {}
-        for pid, m, _ in steps:
-            proc = self._procs[pid]
-            gathered = {a: getattr(proc, a) for a in gather}
-            if m is None:
-                out[pid] = StepResult(None, 0.0, gathered)
-            else:
-                out[pid] = StepResult(values.get(pid), seconds, gathered)
-        return out
+        results, failure = run_steps(self._procs, self._plane, steps, gather,
+                                     armed=False)
+        if failure is not None:
+            raise failure[1]
+        return self._finish(steps, *results)

@@ -20,8 +20,9 @@ superstep the parent
 1. routes each step to the worker owning its pid and ships, to every
    worker, the mail delivered (since the last superstep) for the pids
    it owns;
-2. workers run their steps with outboxes armed, against a local
-   mailbox-only cluster;
+2. each worker runs its steps as one armed
+   :func:`~repro.cluster.backends.base.run_steps` share, against a
+   local mailbox-only cluster;
 3. the parent merges the returned outboxes in global step-list order
    via :func:`~repro.cluster.backends.base.apply_outbox`, so pricing,
    totals, and delivery order are bit-identical to the simulated
@@ -73,8 +74,9 @@ import traceback
 
 import numpy as np
 
-from repro.cluster.backends.base import (ExecutionBackend, StepResult,
-                                         WorkerStepError, apply_outbox)
+from repro.cluster.backends.base import (ExecutionBackend, WorkerStepError,
+                                         merge_shares, run_steps,
+                                         validate_execution_args)
 from repro.cluster.backends.shm import ShmArena, graph_from_views, \
     graph_to_arrays
 from repro.cluster.runtime import SimulatedCluster
@@ -119,88 +121,11 @@ class WorkerProgram:
         Called once after :meth:`build`.  Return ``None`` (the
         default) for per-process dispatch; return an object with
         ``methods`` / ``run(method, pids)`` (e.g.
-        :class:`~repro.core.fused.FusedDnePlane`) to let the worker
-        fuse a superstep whose steps all name a supported method.
+        :class:`~repro.core.fused.FusedDnePlane`) to let
+        :func:`~repro.cluster.backends.base.run_steps` fuse the
+        worker's share whenever its dispatch rule allows.
         """
         return None
-
-
-def _fused_items_method(plane, items):
-    """The single plane method one worker's items fuse to, or ``None``.
-
-    Mirrors ``ExecutionBackend._fusable_method`` for the worker-side
-    item tuples ``(idx, pid, method, args)``.
-    """
-    if plane is None:
-        return None
-    methods = {m for _, _, m, _ in items if m is not None}
-    if len(methods) != 1:
-        return None
-    method = next(iter(methods))
-    if method not in plane.methods:
-        return None
-    if any(args for _, _, m, args in items if m is not None):
-        return None
-    return method
-
-
-def _run_items(procs, plane, items, gather):
-    """Run one worker's superstep share; returns ``(results, failure)``.
-
-    Short-circuited items (``method is None``) cost nothing but still
-    gather.  When every live item names the same plane-supported
-    method, one fused plane call replaces the per-item loop, with
-    every live pid's outbox armed so each process's effects land in
-    its own replay slot (an emission sweep of the whole call is one
-    entry in its first live pid's).
-    """
-    fused = _fused_items_method(plane, items)
-    if fused is not None:
-        run_pids = [pid for _, pid, m, _ in items if m is not None]
-        outboxes: dict = {}
-        for pid in run_pids:
-            outbox: list = []
-            procs[pid]._outbox = outbox
-            outboxes[pid] = outbox
-        t0 = time.perf_counter()
-        try:
-            values = plane.run(fused, run_pids)
-        except Exception:  # noqa: BLE001 - shipped to parent
-            return [], (run_pids[0], traceback.format_exc())
-        finally:
-            for pid in run_pids:
-                procs[pid]._outbox = None
-        seconds = time.perf_counter() - t0
-        results = []
-        for idx, pid, method, args in items:
-            proc = procs[pid]
-            gathered = {a: getattr(proc, a) for a in gather}
-            if method is None:
-                results.append((idx, pid, None, 0.0, [], gathered))
-            else:
-                results.append((idx, pid, values.get(pid), seconds,
-                                outboxes[pid], gathered))
-        return results, None
-    results = []
-    for idx, pid, method, args in items:
-        proc = procs[pid]
-        if method is None:
-            results.append((idx, pid, None, 0.0, [],
-                            {a: getattr(proc, a) for a in gather}))
-            continue
-        outbox: list = []
-        proc._outbox = outbox
-        t0 = time.perf_counter()
-        try:
-            value = getattr(proc, method)(*args)
-        except Exception:  # noqa: BLE001 - shipped to parent
-            return results, (pid, traceback.format_exc())
-        finally:
-            proc._outbox = None
-        seconds = time.perf_counter() - t0
-        gathered = {a: getattr(proc, a) for a in gather}
-        results.append((idx, pid, value, seconds, outbox, gathered))
-    return results, None
 
 
 def _snapshot_worker(procs, wcluster, plane):
@@ -241,7 +166,7 @@ def _file_mail(cluster, mail) -> None:
         cluster.put_segments(tag, batch)
 
 
-def _inject_fault(fault, items, owned_pids, conn):
+def _inject_fault(fault, steps, owned_pids, conn):
     """Act on an injected fault directive; ``True`` = skip this step.
 
     ``kill`` dies without a reply (the parent sees a dead pipe, same
@@ -257,7 +182,7 @@ def _inject_fault(fault, items, owned_pids, conn):
         time.sleep(arg)
         return False
     if kind == "raise":
-        pid = items[0][1] if items else owned_pids[0]
+        pid = steps[0][0] if steps else owned_pids[0]
         conn.send(("step_error", pid, f"injected fault: {arg}"))
         return True
     raise ValueError(f"unknown fault kind {kind!r}")  # pragma: no cover
@@ -290,14 +215,15 @@ def _worker_main(conn, program: WorkerProgram, owned_pids,
             msg = conn.recv()
             kind = msg[0]
             if kind == "step":
-                _, items, inbox, gather, fault, snap = msg
+                _, steps, inbox, gather, fault, snap = msg
                 if fault is not None and _inject_fault(
-                        fault, items, owned_pids, conn):
+                        fault, steps, owned_pids, conn):
                     continue
                 _file_mail(wcluster, inbox)
-                results, failure = _run_items(procs, plane, items, gather)
+                results, failure = run_steps(procs, plane, steps, gather,
+                                             armed=True)
                 if failure is not None:
-                    conn.send(("step_error", failure[0], failure[1]))
+                    conn.send(("step_error", failure[0], failure[2]))
                 else:
                     conn.send(("step_ok", results,
                                _snapshot_worker(procs, wcluster, plane)
@@ -374,12 +300,8 @@ class ProcessesBackend(ExecutionBackend):
 
     def __init__(self, workers: int = 4, step_timeout: float | None = None,
                  max_retries: int = 0, fault_plan=None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if step_timeout is not None and step_timeout <= 0:
-            raise ValueError("step_timeout must be positive or None")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        validate_execution_args(self.name, workers, step_timeout, max_retries,
+                                fault_plan)
         self.workers = workers
         self.step_timeout = step_timeout
         self.max_retries = max_retries
@@ -533,13 +455,12 @@ class ProcessesBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _execute_superstep(self, steps, gather=()) -> dict:
         assert self._started, "backend not started"
-        self._count_steps(steps)
         self._superstep += 1
         supervise = self.max_retries > 0
         nworkers = len(self._conns)
         per_worker = [[] for _ in range(nworkers)]
-        for idx, (pid, method, args) in enumerate(steps):
-            per_worker[self._worker_of[pid]].append((idx, pid, method, args))
+        for step in steps:
+            per_worker[self._worker_of[step[0]]].append(step)
         # Ship every owned pid's freshly-delivered mail along with the
         # step list (exactly the payload buffers the last barrier
         # priced).  The parent *retains* each worker's inbox until the
@@ -614,19 +535,11 @@ class ProcessesBackend(ExecutionBackend):
                 for inbox in inboxes:
                     _file_mail(self.cluster, inbox)
                 raise error
-        results = []
         for w, reply in replies.items():
-            results.extend(reply[1])
             if supervise and reply[2] is not None:
                 self._snapshots[w] = reply[2]
-        # Merge outboxes in global step-list order: the exact call
-        # sequence the simulated scheduler would have made.
-        results.sort(key=lambda item: item[0])
-        out = {}
-        for _, pid, value, seconds, outbox, gathered in results:
-            apply_outbox(self.cluster, pid, outbox)
-            out[pid] = StepResult(value, seconds, gathered)
-        return out
+        return self._finish(
+            steps, *merge_shares(reply[1] for reply in replies.values()))
 
     # ------------------------------------------------------------------
     def _exchange(self, w: int, msg):

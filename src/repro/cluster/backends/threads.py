@@ -1,19 +1,26 @@
 """Thread-pool execution backend.
 
-Runs every step of a superstep concurrently on a
-``ThreadPoolExecutor``.  The partitioning step functions spend their
-time in batched NumPy kernels (gathers, bincounts, membership algebra)
-that release the GIL, so the per-partition supersteps genuinely
-overlap on multi-core hosts while all state stays in-process — no
-serialization, no copies.
+Cuts each superstep's step list into ``min(workers, len(steps))``
+contiguous shares and runs one share per thread of a
+``ThreadPoolExecutor`` — each through
+:func:`~repro.cluster.backends.base.run_steps`, so a homogeneous
+256-machine phase costs ``workers`` fused plane calls instead of 256
+dispatches.  The partitioning step functions spend their time in
+batched NumPy kernels (gathers, bincounts, membership algebra) that
+release the GIL, so the shares genuinely overlap on multi-core hosts
+while all state stays in-process — no serialization, no copies.
+Machines are state-disjoint in the fused plane (per-machine
+row/segment views of the fused arrays; shares take disjoint destination
+subsets of the delivered sweeps, and ``SimulatedCluster.take_segments``
+is thread-safe), so concurrent shares never touch the same elements.
 
 Determinism and accounting safety come from the outbox protocol of
-:mod:`repro.cluster.backends.base`: each step runs with its process's
-outbox armed, touching only its own state plus shared *read-only*
-structures, and the parent thread replays the recorded
-sends/reports/RPCs in step-list order after the pool drains.  The
-replayed call sequence is identical to the simulated scheduler's, so
-totals and delivery order are bit-identical (pinned by
+:mod:`repro.cluster.backends.base`: every share runs armed, touching
+only its own processes' state plus shared *read-only* structures, and
+the parent thread replays the recorded sends/reports/RPCs in step-list
+order after the pool drains.  The replayed call sequence is identical
+to the simulated scheduler's, so totals and delivery order are
+bit-identical whatever the share boundaries (pinned by
 ``tests/test_backends.py``).
 
 A step that raises surfaces as
@@ -28,11 +35,11 @@ driver-level checkpoint/resume path instead.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster.backends.base import (ExecutionBackend, StepResult,
-                                         WorkerStepError, apply_outbox)
+from repro.cluster.backends.base import (ExecutionBackend, WorkerStepError,
+                                         merge_shares, run_steps,
+                                         validate_execution_args)
 
 __all__ = ["ThreadsBackend"]
 
@@ -43,8 +50,7 @@ class ThreadsBackend(ExecutionBackend):
     name = "threads"
 
     def __init__(self, workers: int = 4):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        validate_execution_args(self.name, workers)
         self.workers = workers
         self._pool: ThreadPoolExecutor | None = None
 
@@ -60,123 +66,24 @@ class ThreadsBackend(ExecutionBackend):
             self._pool = None
 
     # ------------------------------------------------------------------
-    def _run_one(self, pid, method: str, args, gather):
-        proc = self._procs[pid]
-        outbox: list = []
-        proc._outbox = outbox
-        t0 = time.perf_counter()
-        try:
-            value = getattr(proc, method)(*args)
-        finally:
-            proc._outbox = None
-        seconds = time.perf_counter() - t0
-        return value, seconds, outbox, {a: getattr(proc, a) for a in gather}
-
     def _execute_superstep(self, steps, gather=()) -> dict:
         assert self._pool is not None, "backend not attached"
-        self._count_steps(steps)
-        fused = self._fusable_method(steps)
-        if fused is not None:
-            return self._run_fused(fused, steps, gather)
-        live = [(pid, method, args) for pid, method, args in steps
-                if method is not None]
-        futures = [self._pool.submit(self._run_one, pid, method, args, gather)
-                   for pid, method, args in live]
+        nshares = min(self.workers, len(steps)) or 1
+        bounds = [len(steps) * i // nshares for i in range(nshares + 1)]
+        futures = [self._pool.submit(run_steps, self._procs, self._plane,
+                                     steps[bounds[i]:bounds[i + 1]], gather,
+                                     armed=True)
+                   for i in range(nshares)]
         # Await everything before touching the cluster: replay must see
         # the complete superstep, and an error must not leave stragglers
         # racing the parent.
-        outcomes = []
-        for (pid, _, _), fut in zip(live, futures):
-            try:
-                outcomes.append((pid, fut.result(), None))
-            except Exception as exc:  # noqa: BLE001 - repackaged with pid
-                outcomes.append((pid, None, exc))
-        for pid, _, exc in outcomes:
-            if exc is not None:
+        outcomes = [future.result() for future in futures]
+        for _, failure in outcomes:
+            if failure is not None:
+                pid, exc, _ = failure
                 raise WorkerStepError(pid, repr(exc)) from exc
-        out = {}
-        for pid, (value, seconds, outbox, gathered), _ in outcomes:
-            apply_outbox(self.cluster, pid, outbox)
-            out[pid] = StepResult(value, seconds, gathered)
-        for pid, method, _ in steps:
-            if method is None:
-                proc = self._procs[pid]
-                out[pid] = StepResult(
-                    None, 0.0, {a: getattr(proc, a) for a in gather})
-        return out
-
-    # ------------------------------------------------------------------
-    def _fused_chunk(self, method: str, chunk):
-        """Run one contiguous pid chunk of a fused superstep.
-
-        Arms every chunk member's outbox for the duration of the plane
-        call: per-process effects (resident reports, RPC accounting)
-        land in that process's own outbox, and each emission sweep of
-        the chunk is one ``segments`` entry in the outbox of the
-        chunk's first machine — so replay order is governed purely by
-        step-list order, as for per-process steps.  Chunks take
-        disjoint destination subsets of the delivered sweeps
-        (``SimulatedCluster.take_segments`` is thread-safe).
-        """
-        procs = [self._procs[pid] for pid in chunk]
-        outboxes = {}
-        for proc in procs:
-            outbox: list = []
-            proc._outbox = outbox
-            outboxes[proc.pid] = outbox
-        t0 = time.perf_counter()
-        try:
-            values = self._plane.run(method, chunk)
-        finally:
-            for proc in procs:
-                proc._outbox = None
-        seconds = time.perf_counter() - t0
-        return values, seconds, outboxes
-
-    def _run_fused(self, method, steps, gather) -> dict:
-        """Fused superstep split into per-thread contiguous pid chunks.
-
-        Machines are state-disjoint in the fused plane (per-machine
-        row/segment views of the fused arrays), so concurrent chunk
-        calls never touch the same elements; each chunk is one plane
-        call, so a 256-machine phase costs ``workers`` dispatches
-        instead of 256.
-        """
-        run_pids = [pid for pid, m, _ in steps if m is not None]
-        nchunks = min(self.workers, len(run_pids))
-        bounds = [len(run_pids) * i // nchunks for i in range(nchunks + 1)]
-        chunks = [run_pids[bounds[i]:bounds[i + 1]] for i in range(nchunks)]
-        futures = [self._pool.submit(self._fused_chunk, method, chunk)
-                   for chunk in chunks]
-        outcomes = []
-        for chunk, fut in zip(chunks, futures):
-            try:
-                outcomes.append((chunk, fut.result(), None))
-            except Exception as exc:  # noqa: BLE001 - repackaged with pid
-                outcomes.append((chunk, None, exc))
-        for chunk, _, exc in outcomes:
-            if exc is not None:
-                raise WorkerStepError(chunk[0], repr(exc)) from exc
-        values: dict = {}
-        seconds_of: dict = {}
-        outbox_of: dict = {}
-        for chunk, (vals, seconds, outboxes), _ in outcomes:
-            values.update(vals)
-            outbox_of.update(outboxes)
-            for pid in chunk:
-                seconds_of[pid] = seconds
-        out = {}
-        for pid, m, _ in steps:
-            proc = self._procs[pid]
-            if m is not None:
-                apply_outbox(self.cluster, pid, outbox_of[pid])
-            gathered = {a: getattr(proc, a) for a in gather}
-            if m is None:
-                out[pid] = StepResult(None, 0.0, gathered)
-            else:
-                out[pid] = StepResult(values.get(pid), seconds_of[pid],
-                                      gathered)
-        return out
+        return self._finish(
+            steps, *merge_shares(results for results, _ in outcomes))
 
     # ------------------------------------------------------------------
     def run_graph_task(self, fn, graph, *args):

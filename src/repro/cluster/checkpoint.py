@@ -9,10 +9,16 @@ accounting totals, the backend's superstep ledger, and the driver's
 own loop variables, plus a ``meta`` dict the resuming run validates
 against its own configuration (graph shape, seed, kernel, |P|).
 
-Writes are atomic (temp file + ``os.replace``) so a run killed
+File layout: the pickle bytes followed by their 32-byte SHA-256 digest,
+in the one file (no sidecar).  Writes are atomic and durable (temp file,
+``flush`` + ``fsync``, then ``os.replace``) so a run killed
 mid-checkpoint leaves the previous snapshot intact, and the store
 prunes to the ``keep`` most recent snapshots so an N-thousand-barrier
-run does not fill the disk.
+run does not fill the disk.  :meth:`CheckpointStore.load` verifies the
+trailer *before* unpickling — a truncated file, a flipped byte or a
+file without a trailer is :class:`CheckpointCorrupt` — and
+:meth:`CheckpointStore.load_latest` falls back newest → oldest over the
+retained snapshots, which is what ``keep=2`` is for.
 
 Invariants pinned by ``tests/test_faults.py`` (CI ``chaos`` job) —
 hold them when extending this module:
@@ -21,13 +27,19 @@ hold them when extending this module:
   and resumed matches the uninterrupted run bit-for-bit: assignments,
   message/byte/barrier/memory totals, and the superstep ledger.  Any
   driver state that influences the loop MUST join the snapshot
-  payload, or resume silently diverges;
+  payload, or resume silently diverges (the DNE driver keeps its loop
+  variables in one dataclass that *is* the payload's ``loop`` entry);
 * **backend neutrality** — a snapshot written under one backend
   resumes under any other (the payload is per-process state + totals,
   never backend handles);
 * **atomicity** — a crash mid-write never corrupts the newest
   readable snapshot (``tests/test_faults.py`` kills writers
   mid-checkpoint);
+* **verified or refused** — a snapshot that fails verification is
+  never unpickled: resume continues from the newest one that
+  verifies, bit-identically to the uninterrupted run, and when
+  snapshots exist but none verifies it raises
+  :class:`CheckpointCorrupt` — never a silent fresh start;
 * **loud mismatch** — resuming against a different graph, seed,
   kernel, or |P| raises :class:`CheckpointMismatch` naming both
   sides, never a quiet wrong answer.
@@ -41,6 +53,8 @@ Snapshots are pickles: load them only from directories you wrote.
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import os
 import pickle
 import re
@@ -48,9 +62,22 @@ import time
 
 from repro.observability.metrics import get_registry
 
-__all__ = ["CheckpointStore", "CheckpointMismatch"]
+__all__ = ["CheckpointStore", "CheckpointMismatch", "CheckpointCorrupt"]
+
+_log = logging.getLogger("repro.cluster.checkpoint")
 
 _FILE_RE = re.compile(r"^ckpt-(\d{8})\.pkl$")
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+class CheckpointCorrupt(RuntimeError):
+    """Snapshot files failed SHA-256 verification (torn write, bit rot,
+    or not written by this store); ``paths`` names every one."""
+
+    def __init__(self, paths: list):
+        super().__init__("checkpoint failed SHA-256 verification: "
+                         + ", ".join(paths))
+        self.paths = paths
 
 
 class CheckpointMismatch(RuntimeError):
@@ -71,7 +98,7 @@ class CheckpointMismatch(RuntimeError):
 
 
 class CheckpointStore:
-    """Directory of atomic, pruned, step-numbered snapshot pickles."""
+    """Directory of atomic, verified, pruned, step-numbered snapshots."""
 
     def __init__(self, root: str, keep: int = 2):
         if keep < 1:
@@ -99,8 +126,12 @@ class CheckpointStore:
         t0 = time.perf_counter()
         path = self._path(step)
         tmp = path + ".tmp"
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(data)
+            fh.write(hashlib.sha256(data).digest())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
         for old in self.steps()[:-self.keep]:
             try:
@@ -114,9 +145,16 @@ class CheckpointStore:
         return path
 
     def load(self, step: int) -> dict:
+        """The verified snapshot for ``step``; :class:`CheckpointCorrupt`
+        when its SHA-256 trailer does not match its pickle bytes."""
         t0 = time.perf_counter()
-        with open(self._path(step), "rb") as fh:
-            payload = pickle.load(fh)
+        path = self._path(step)
+        with open(path, "rb") as fh:
+            blob = memoryview(fh.read())  # sliced without copying
+        data, digest = blob[:-_DIGEST_BYTES], blob[-_DIGEST_BYTES:]
+        if hashlib.sha256(data).digest() != bytes(digest):
+            raise CheckpointCorrupt([path])
+        payload = pickle.loads(data)
         registry = get_registry()
         registry.counter_inc("repro_checkpoint_restores_total")
         registry.observe("repro_checkpoint_restore_seconds",
@@ -124,11 +162,20 @@ class CheckpointStore:
         return payload
 
     def load_latest(self) -> dict | None:
-        """The most recent snapshot, or ``None`` when the store is empty."""
-        steps = self.steps()
-        if not steps:
-            return None
-        return self.load(steps[-1])
+        """The newest snapshot that verifies; ``None`` only when the
+        store is empty.  Corrupt snapshots are skipped with a warning;
+        when none verifies, :class:`CheckpointCorrupt` names them all."""
+        rejected = []
+        for step in reversed(self.steps()):
+            try:
+                return self.load(step)
+            except CheckpointCorrupt as exc:
+                rejected += exc.paths
+                _log.warning("skipping corrupt checkpoint %s", exc.paths[0])
+                get_registry().counter_inc("repro_checkpoint_corrupt_total")
+        if rejected:
+            raise CheckpointCorrupt(rejected)
+        return None
 
     # ------------------------------------------------------------------
     @staticmethod

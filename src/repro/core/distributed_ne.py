@@ -56,6 +56,7 @@ the kernel is vectorized.  There is no third arm.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,6 +116,7 @@ class SharedSeedSource:
                                       self._rest[proc_id])
 
 
+@dataclass
 class DneWorkerProgram(WorkerProgram):
     """Builds one worker's share of the DNE cluster from shared memory.
 
@@ -126,18 +128,29 @@ class DneWorkerProgram(WorkerProgram):
     :class:`SharedSeedSource` into its expanders.
     """
 
-    def __init__(self, num_partitions: int, placement, two_hop: bool,
-                 kernel: str, lam: float, seed: int, seed_strategy: str,
-                 limit: int, total_edges: int):
-        self.num_partitions = num_partitions
-        self.placement = placement
-        self.two_hop = two_hop
-        self.kernel = kernel
-        self.lam = lam
-        self.seed = seed
-        self.seed_strategy = seed_strategy
-        self.limit = limit
-        self.total_edges = total_edges
+    num_partitions: int
+    placement: object
+    two_hop: bool
+    kernel: str
+    lam: float
+    seed: int
+    seed_strategy: str
+    limit: int
+    total_edges: int
+
+    def process(self, pid, graph, eids_by_home, eids_ptr):
+        """Construct the allocation or expansion process ``pid`` — the
+        one place their argument lists are written, for the worker
+        ensembles and the in-process one alike."""
+        role, k = pid
+        if role == "alloc":
+            return AllocationProcess(
+                k, graph, eids_by_home[eids_ptr[k]:eids_ptr[k + 1]],
+                self.placement, two_hop=self.two_hop, kernel=self.kernel)
+        return ExpansionProcess(
+            k, self.num_partitions, self.limit, self.total_edges, self.lam,
+            self.seed, self.placement, seed_strategy=self.seed_strategy,
+            kernel=self.kernel)
 
     def build(self, owned_pids, views: dict) -> dict:
         garena = views["graph"]
@@ -145,34 +158,50 @@ class DneWorkerProgram(WorkerProgram):
         graph = graph_from_views(garena)
         eids_by_home = garena.array("eids_by_home")
         eids_ptr = garena.array("eids_ptr")
-        p = self.num_partitions
         seed_source = SharedSeedSource(
-            [sarena.array(f"lv{k}") for k in range(p)],
-            [sarena.array(f"rd{k}") for k in range(p)])
-        procs = {}
-        for pid in owned_pids:
-            role, k = pid
+            [sarena.array(f"lv{k}") for k in range(self.num_partitions)],
+            [sarena.array(f"rd{k}") for k in range(self.num_partitions)])
+        procs = {pid: self.process(pid, graph, eids_by_home, eids_ptr)
+                 for pid in owned_pids}
+        for (role, k), proc in procs.items():
             if role == "alloc":
-                alloc = AllocationProcess(
-                    k, graph, eids_by_home[eids_ptr[k]:eids_ptr[k + 1]],
-                    self.placement,
-                    two_hop=self.two_hop, kernel=self.kernel)
                 shared_rd = sarena.array(f"rd{k}")
-                shared_rd[:] = alloc.rest_degree
-                alloc.rest_degree = shared_rd
-                procs[pid] = alloc
+                shared_rd[:] = proc.rest_degree
+                proc.rest_degree = shared_rd
             else:
-                procs[pid] = ExpansionProcess(
-                    k, p, self.limit, self.total_edges, self.lam,
-                    self.seed, self.placement,
-                    seed_strategy=self.seed_strategy, kernel=self.kernel,
-                    seed_source=seed_source)
+                proc.seed_source = seed_source
         return procs
 
     def build_plane(self, procs: dict):
         if self.kernel != "vectorized":
             return None
         return FusedDnePlane(list(procs.values()), self.placement)
+
+
+@dataclass
+class _LoopState:
+    """The driver's loop variables — and, saved whole, the checkpoint's
+    ``loop`` entry: a field added here joins the snapshot by
+    construction (the resume bit-identity rule of
+    :mod:`repro.cluster.checkpoint`)."""
+
+    prev_sel_ops: dict
+    prev_alloc_ops: dict
+    #: expanders whose selection step would be ``return 0``
+    finished_prev: dict
+    iterations: int = 0
+    allocation_seconds: float = 0.0
+    # Simulated *parallel* phase times: per iteration, the slowest
+    # process defines the phase cost (the cluster's wall clock).
+    parallel_selection: float = 0.0
+    parallel_allocation: float = 0.0
+    # Modeled phase costs (deterministic, kernel-independent): per
+    # iteration the slowest process's op count defines the phase —
+    # selection ops are multicast ⟨vertex, replica⟩ pairs, allocation
+    # ops are adjacency slots touched (the Theorem 3 units).
+    model_selection: int = 0
+    model_allocation: int = 0
+    history: list = field(default_factory=list)
 
 
 class DistributedNE(Partitioner):
@@ -314,8 +343,8 @@ class DistributedNE(Partitioner):
         self.collect_history = collect_history
         validate_kernel(kernel)
         self.kernel = kernel
-        validate_execution_args(backend, workers, checkpoint_dir, resume,
-                                step_timeout, max_retries, fault_plan)
+        validate_execution_args(backend, workers, step_timeout, max_retries,
+                                fault_plan, checkpoint_dir, resume)
         self.backend = backend
         self.workers = workers
         if checkpoint_every < 1:
@@ -368,11 +397,9 @@ class DistributedNE(Partitioner):
         store = (CheckpointStore(self.checkpoint_dir)
                  if self.checkpoint_dir is not None else None)
         resume_snapshot = store.load_latest() if self.resume else None
-        backend = create_backend(
-            self.backend, self.workers,
-            step_timeout=self.step_timeout,
-            max_retries=self.max_retries or None,
-            fault_plan=self.fault_plan)
+        backend = create_backend(self.backend, self.workers,
+                                 self.step_timeout, self.max_retries,
+                                 self.fault_plan)
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
         backend.tracer = tracer
         if tracer.enabled:
@@ -381,69 +408,25 @@ class DistributedNE(Partitioner):
             tracer.metadata("backend", {"name": self.backend})
         t_run = time.perf_counter()
 
-        def traced_superstep(phase, steps, gather=()):
-            """One driver phase: the superstep plus a phase span.
-
-            Tracing never changes what is submitted — the phase span
-            is derived from the same step list the backend receives,
-            so executed/skipped counts reconcile with the ledger.
-            """
-            if not tracer.enabled:
-                return backend.run_superstep(steps, gather)
-            tp = time.perf_counter()
-            out = backend.run_superstep(steps, gather)
-            executed = sum(1 for _, m, _ in steps if m is not None)
-            tracer.span(f"phase:{phase}", cat="phase",
-                        seconds=time.perf_counter() - tp,
-                        args={"phase": phase, "iteration": iterations,
-                              "executed": executed,
-                              "skipped": len(steps) - executed})
-            return out
-
         try:
+            program = DneWorkerProgram(
+                p, placement, self.two_hop, self.kernel, self.lam,
+                self.seed, self.seed_strategy, limit, graph.num_edges)
             if isinstance(backend, ProcessesBackend):
-                self._start_processes(backend, cluster, graph, placement,
-                                      eids_by_home, eids_ptr, limit)
+                self._start_processes(backend, cluster, graph, program,
+                                      eids_by_home, eids_ptr)
             else:
-                allocators = []
-                for k in range(p):
-                    eids = eids_by_home[eids_ptr[k]:eids_ptr[k + 1]]
-                    allocators.append(cluster.add_process(
-                        AllocationProcess(k, graph, eids, placement,
-                                          two_hop=self.two_hop,
-                                          kernel=self.kernel)))
-                expanders = [
-                    cluster.add_process(ExpansionProcess(
-                        k, p, limit, graph.num_edges, self.lam, self.seed,
-                        placement, seed_strategy=self.seed_strategy,
-                        kernel=self.kernel))
-                    for k in range(p)
-                ]
-                seed_source = DirectSeedSource(allocators)
-                for expander in expanders:
-                    expander.seed_source = seed_source
-                plane = (FusedDnePlane(allocators + expanders, placement)
-                         if self.kernel == "vectorized" else None)
-                backend.attach(cluster, allocators + expanders, plane=plane)
+                procs = {pid: cluster.add_process(program.process(
+                             pid, graph, eids_by_home, eids_ptr))
+                         for pid in alloc_pids + exp_pids}
+                seed_source = DirectSeedSource(
+                    [procs[pid] for pid in alloc_pids])
+                for pid in exp_pids:
+                    procs[pid].seed_source = seed_source
+                backend.attach(cluster, procs.values(),
+                               plane=program.build_plane(procs))
             load_seconds = time.perf_counter() - t0
 
-            iterations = 0
-            allocation_seconds = 0.0
-            history: list[dict] = []
-            # Simulated *parallel* phase times: per iteration, the
-            # slowest process defines the phase cost (the cluster's
-            # wall clock).
-            parallel_selection = 0.0
-            parallel_allocation = 0.0
-            # Modeled phase costs (deterministic, kernel-independent):
-            # per iteration the slowest process's op count defines the
-            # phase — selection ops are multicast ⟨vertex, replica⟩
-            # pairs, allocation ops are adjacency slots touched (the
-            # Theorem 3 units).
-            model_selection = 0
-            model_allocation = 0
-            prev_sel_ops = dict.fromkeys(exp_pids, 0)
-            prev_alloc_ops = dict.fromkeys(alloc_pids, 0)
             # Empty-mailbox short-circuit: a step whose entire input —
             # the mail delivered at the last barrier — is absent is
             # submitted with ``method=None`` (gather-only) on every
@@ -452,7 +435,9 @@ class DistributedNE(Partitioner):
             # parent mailboxes is exactly "this step has work"; skipped
             # steps emit nothing and report nothing, keeping totals
             # identical.
-            finished_prev = dict.fromkeys(exp_pids, False)
+            loop = _LoopState(prev_sel_ops=dict.fromkeys(exp_pids, 0),
+                              prev_alloc_ops=dict.fromkeys(alloc_pids, 0),
+                              finished_prev=dict.fromkeys(exp_pids, False))
             if resume_snapshot is not None:
                 CheckpointStore.check_meta(resume_snapshot, meta)
                 # Pour the saved per-process state back through the
@@ -467,92 +452,84 @@ class DistributedNE(Partitioner):
                 cluster.stats = resume_snapshot["stats"]
                 backend.steps_executed, backend.steps_skipped = \
                     resume_snapshot["ledger"]
-                loop = resume_snapshot["loop"]
-                iterations = resume_snapshot["iteration"]
-                prev_sel_ops = loop["prev_sel_ops"]
-                prev_alloc_ops = loop["prev_alloc_ops"]
-                finished_prev = loop["finished_prev"]
-                allocation_seconds = loop["allocation_seconds"]
-                parallel_selection = loop["parallel_selection"]
-                parallel_allocation = loop["parallel_allocation"]
-                model_selection = loop["model_selection"]
-                model_allocation = loop["model_allocation"]
-                history = list(loop["history"])
+                loop = _LoopState(**resume_snapshot["loop"])
             while True:
-                iterations += 1
+                loop.iterations += 1
                 # Step 1: selection + multicast (a finished process's
                 # step is `return 0`; skip it).
-                sel = traced_superstep(
-                    "selection",
-                    [(pid, None if finished_prev[pid]
+                sel = backend.run_superstep(
+                    [(pid, None if loop.finished_prev[pid]
                       else "select_and_multicast", ())
                      for pid in exp_pids],
-                    gather=("selection_ops",))
+                    gather=("selection_ops",),
+                    phase=("selection", loop.iterations))
                 sent = sum(r.value or 0 for r in sel.values())
-                parallel_selection += max(r.seconds for r in sel.values())
+                loop.parallel_selection += max(r.seconds for r in sel.values())
                 sel_ops = {pid: sel[pid].gathered["selection_ops"]
                            for pid in exp_pids}
-                model_selection += max(sel_ops[pid] - prev_sel_ops[pid]
-                                       for pid in exp_pids)
-                prev_sel_ops = sel_ops
+                loop.model_selection += max(
+                    sel_ops[pid] - loop.prev_sel_ops[pid]
+                    for pid in exp_pids)
+                loop.prev_sel_ops = sel_ops
                 cluster.barrier()  # Step 2
 
                 ta = time.perf_counter()
                 one_ran = {pid: cluster.has_mail(pid, TAG_SELECT)
                            for pid in alloc_pids}
-                one = traced_superstep(  # Step 3
-                    "one_hop",
+                one = backend.run_superstep(  # Step 3
                     [(pid, "one_hop_and_sync" if one_ran[pid] else None, ())
-                     for pid in alloc_pids])
+                     for pid in alloc_pids],
+                    phase=("one_hop", loop.iterations))
                 slowest = max(r.seconds for r in one.values())
                 cluster.barrier()
                 # Two-hop must run whenever one-hop did (it flushes the
                 # one-hop outboxes and reports memory) or sync mail
                 # arrived; with neither it would only re-report
                 # unchanged residents.
-                two = traced_superstep(  # Step 4
-                    "two_hop",
+                two = backend.run_superstep(  # Step 4
                     [(pid, "two_hop_and_report"
                       if one_ran[pid] or cluster.has_mail(pid, TAG_SYNC)
                       else None, ())
                      for pid in alloc_pids],
-                    gather=("ops_one_hop", "ops_two_hop"))
+                    gather=("ops_one_hop", "ops_two_hop"),
+                    phase=("two_hop", loop.iterations))
                 slowest = max(slowest,
                               max(r.seconds for r in two.values()))
-                parallel_allocation += slowest
+                loop.parallel_allocation += slowest
                 alloc_ops = {
                     pid: (two[pid].gathered["ops_one_hop"]
                           + two[pid].gathered["ops_two_hop"])
                     for pid in alloc_pids}
-                model_allocation += max(alloc_ops[pid] - prev_alloc_ops[pid]
-                                        for pid in alloc_pids)
-                prev_alloc_ops = alloc_ops
-                allocation_seconds += time.perf_counter() - ta
+                loop.model_allocation += max(
+                    alloc_ops[pid] - loop.prev_alloc_ops[pid]
+                    for pid in alloc_pids)
+                loop.prev_alloc_ops = alloc_ops
+                loop.allocation_seconds += time.perf_counter() - ta
                 cluster.barrier()          # Step 5
 
-                upd = traced_superstep(
-                    "update_state",
+                upd = backend.run_superstep(
                     [(pid, "update_state"
                       if cluster.has_mail(pid, TAG_BOUNDARY)
                       or cluster.has_mail(pid, TAG_EDGES) else None, ())
                      for pid in exp_pids],
-                    gather=("edge_count",))
+                    gather=("edge_count",),
+                    phase=("update_state", loop.iterations))
                 global_allocated = int(cluster.all_gather_sum(
                     {pid: upd[pid].gathered["edge_count"]
                      for pid in exp_pids}))
                 term_gather = (("finished", "boundary_size")
                                if self.collect_history else ("finished",))
-                term = traced_superstep(
-                    "check_termination",
+                term = backend.run_superstep(
                     [(pid, "check_termination", (global_allocated,))
                      for pid in exp_pids],
-                    gather=term_gather)
-                finished_prev = {pid: term[pid].gathered["finished"]
-                                 for pid in exp_pids}
+                    gather=term_gather,
+                    phase=("check_termination", loop.iterations))
+                loop.finished_prev = {pid: term[pid].gathered["finished"]
+                                      for pid in exp_pids}
 
                 if self.collect_history:
-                    history.append({
-                        "iteration": iterations,
+                    loop.history.append({
+                        "iteration": loop.iterations,
                         "allocated_edges": global_allocated,
                         "vertices_selected": sent,
                         "boundary_total": sum(
@@ -569,32 +546,21 @@ class DistributedNE(Partitioner):
                                      for pid in exp_pids):
                     break  # capped tail: leftovers handled by the sweep
                 hit_valve = (self.max_iterations is not None
-                             and iterations >= self.max_iterations)
+                             and loop.iterations >= self.max_iterations)
                 if store is not None and (
                         hit_valve
-                        or iterations % self.checkpoint_every == 0):
+                        or loop.iterations % self.checkpoint_every == 0):
                     # Iteration boundary: mailboxes empty, fused-plane
                     # transients drained — the whole run is exactly the
-                    # per-process state plus these loop variables.
-                    store.save(iterations, {
+                    # per-process state plus the loop variables.
+                    store.save(loop.iterations, {
                         "meta": meta,
-                        "iteration": iterations,
                         "procs": backend.call_all(alloc_pids + exp_pids,
                                                   "checkpoint_state"),
                         "stats": cluster.stats,
                         "ledger": (backend.steps_executed,
                                    backend.steps_skipped),
-                        "loop": {
-                            "prev_sel_ops": prev_sel_ops,
-                            "prev_alloc_ops": prev_alloc_ops,
-                            "finished_prev": finished_prev,
-                            "allocation_seconds": allocation_seconds,
-                            "parallel_selection": parallel_selection,
-                            "parallel_allocation": parallel_allocation,
-                            "model_selection": model_selection,
-                            "model_allocation": model_allocation,
-                            "history": history,
-                        },
+                        "loop": vars(loop),
                     })
                 if hit_valve:
                     break
@@ -608,8 +574,6 @@ class DistributedNE(Partitioner):
             alloc_stats = backend.gather(
                 alloc_pids, ("ops_one_hop", "ops_two_hop",
                              "membership_kind"))
-            steps_executed = backend.steps_executed
-            steps_skipped = backend.steps_skipped
         finally:
             backend.close()
             cluster.close()
@@ -618,9 +582,9 @@ class DistributedNE(Partitioner):
             tracer.span("run:distributed_ne", cat="run",
                         seconds=time.perf_counter() - t_run,
                         args={"method": self.name, "kernel": self.kernel,
-                              "partitions": p, "iterations": iterations,
-                              "executed": steps_executed,
-                              "skipped": steps_skipped})
+                              "partitions": p, "iterations": loop.iterations,
+                              "executed": backend.steps_executed,
+                              "skipped": backend.steps_skipped})
         registry = get_registry()
         if registry.enabled:
             cluster.stats.record_metrics(registry)
@@ -635,26 +599,24 @@ class DistributedNE(Partitioner):
             "two_hop": self.two_hop,
             "placement": self.placement_kind,
             "load_seconds": load_seconds,
-            "allocation_seconds": allocation_seconds,
+            "allocation_seconds": loop.allocation_seconds,
             "selection_seconds": sum(
                 exp_stats[pid]["selection_seconds"] for pid in exp_pids),
             # Share of the simulated parallel wall clock spent in the
             # vertex-selection phase (the quantity §7.4 reports growing
             # from <1% at 4 machines to 30.3% at 256): per iteration the
             # slowest process defines each phase's cost.
-            "parallel_selection_seconds": parallel_selection,
-            "parallel_allocation_seconds": parallel_allocation,
-            "selection_share": (
-                parallel_selection / (parallel_selection + parallel_allocation)
-                if parallel_selection + parallel_allocation > 0 else 0.0),
+            "parallel_selection_seconds": loop.parallel_selection,
+            "parallel_allocation_seconds": loop.parallel_allocation,
+            "selection_share": _share(loop.parallel_selection,
+                                      loop.parallel_allocation),
             # Deterministic cost-model share (per-iteration maxima of
             # multicast pairs vs adjacency slots): the noise-free form
             # of the §7.4 trend, identical under both kernels.
-            "model_selection_ops": model_selection,
-            "model_allocation_ops": model_allocation,
-            "selection_share_model": (
-                model_selection / (model_selection + model_allocation)
-                if model_selection + model_allocation > 0 else 0.0),
+            "model_selection_ops": loop.model_selection,
+            "model_allocation_ops": loop.model_allocation,
+            "selection_share_model": _share(loop.model_selection,
+                                            loop.model_allocation),
             "random_seed_requests": sum(
                 exp_stats[pid]["random_seed_requests"] for pid in exp_pids),
             "remote_seed_requests": sum(
@@ -667,22 +629,22 @@ class DistributedNE(Partitioner):
                                for pid in alloc_pids),
             # Superstep dispatch bookkeeping: driver-side skip decisions
             # are backend-independent, so these match across backends.
-            "steps_executed": steps_executed,
-            "steps_skipped": steps_skipped,
+            "steps_executed": backend.steps_executed,
+            "steps_skipped": backend.steps_skipped,
             "cluster": stats,
             "mem_score": (cluster.stats.mem_score(graph.num_edges)
                           if graph.num_edges else float("nan")),
         }
         if self.collect_history:
-            extra["history"] = history
+            extra["history"] = loop.history
         return EdgePartition(graph, p, assignment, method=self.name,
-                             iterations=iterations, extra=extra)
+                             iterations=loop.iterations, extra=extra)
 
     # ------------------------------------------------------------------
     def _start_processes(self, backend: ProcessesBackend,
                          cluster: SimulatedCluster, graph: CSRGraph,
-                         placement, eids_by_home: np.ndarray,
-                         eids_ptr: np.ndarray, limit: int) -> None:
+                         program: DneWorkerProgram, eids_by_home: np.ndarray,
+                         eids_ptr: np.ndarray) -> None:
         """Wire the shared-memory worker ensemble.
 
         The parent maps two arenas: the read-only graph (CSR arrays +
@@ -717,16 +679,11 @@ class DistributedNE(Partitioner):
             # Same registration order as the in-process path:
             # allocators, then expanders.
             pid_to_worker = {}
-            for k in range(p):
-                cluster.add_process(Process(("alloc", k)))
-                pid_to_worker[("alloc", k)] = k % backend.workers
-            for k in range(p):
-                cluster.add_process(Process(("expansion", k)))
-                pid_to_worker[("expansion", k)] = k % backend.workers
+            for role in ("alloc", "expansion"):
+                for k in range(p):
+                    cluster.add_process(Process((role, k)))
+                    pid_to_worker[(role, k)] = k % backend.workers
 
-            program = DneWorkerProgram(
-                p, placement, self.two_hop, self.kernel, self.lam,
-                self.seed, self.seed_strategy, limit, graph.num_edges)
             backend.start(cluster, program, pid_to_worker, arenas)
         except BaseException:
             for arena in arenas.values():
@@ -752,6 +709,11 @@ class DistributedNE(Partitioner):
                                 minlength=self.num_partitions)
             assignment[left] = _water_fill_targets(loads, len(left))
         return assignment
+
+
+def _share(part: float, rest: float) -> float:
+    """``part``'s share of ``part + rest`` (0 when both are 0)."""
+    return part / (part + rest) if part + rest > 0 else 0.0
 
 
 def _water_fill_targets(loads: np.ndarray, count: int) -> np.ndarray:

@@ -183,8 +183,8 @@ class SNEPartitioner(Partitioner):
         self.buffer_factor = buffer_factor
         self.shuffle = shuffle
         self.kernel = validate_kernel(kernel)
-        validate_execution_args(backend, workers, checkpoint_dir, resume,
-                                step_timeout, max_retries, fault_plan)
+        validate_execution_args(backend, workers, step_timeout, max_retries,
+                                fault_plan, checkpoint_dir, resume)
         self.backend = backend
         self.workers = workers
         self.checkpoint_dir = checkpoint_dir
@@ -200,19 +200,14 @@ class SNEPartitioner(Partitioner):
                 self.buffer_factor, self.shuffle, self.kernel,
                 self.checkpoint_dir, self.resume)
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        if self.backend == "simulated":
-            assignment, extra = _run_sne_stream(graph, *args)
-        else:
-            backend = create_backend(
-                self.backend, self.workers,
-                step_timeout=self.step_timeout,
-                max_retries=self.max_retries or None,
-                fault_plan=self.fault_plan)
-            try:
-                assignment, extra = backend.run_graph_task(
-                    _run_sne_stream, graph, *args)
-            finally:
-                backend.close()
+        backend = create_backend(self.backend, self.workers,
+                                 self.step_timeout, self.max_retries,
+                                 self.fault_plan)
+        try:
+            assignment, extra = backend.run_graph_task(
+                _run_sne_stream, graph, *args)
+        finally:
+            backend.close()
         if tracer.enabled:
             # One span for the whole stream (it is a single sequential
             # graph task on every backend, so the structure is

@@ -8,9 +8,11 @@ accounting totals — for DNE and SNE, under both kernels, at |P| well
 below and at the dense-membership width.  Wall clock is the only thing
 a backend may change.
 
-Also covered: the outbox replay protocol in isolation (threads ==
-inline for every payload shape), the shared-memory arena round trip,
-and crash propagation — a step that raises on a parallel backend must
+Also covered: the one dispatch function behind all three backends
+(``run_steps``: fused vs per-process, arming, failure naming) as a
+table, the outbox replay protocol in isolation (threads == inline for
+every payload shape and every share boundary), the shared-memory arena
+round trip, and crash propagation — a step that raises on a parallel backend must
 surface as :class:`WorkerStepError` naming the partition, promptly,
 with no hang and no orphaned workers.
 
@@ -23,9 +25,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.backends import (BACKENDS, ProcessesBackend,
-                                    ShmArena, ThreadsBackend,
-                                    WorkerProgram, WorkerStepError,
-                                    create_backend, validate_backend)
+                                    ShmArena, SimulatedBackend,
+                                    ThreadsBackend, WorkerProgram,
+                                    WorkerStepError, create_backend,
+                                    validate_backend)
+from repro.cluster.backends.base import run_steps
 from repro.cluster.runtime import Process, SegmentBatch, SimulatedCluster
 from repro.core.distributed_ne import DistributedNE
 from repro.graph.csr import CSRGraph
@@ -131,6 +135,123 @@ class TestSneBackendEquivalence:
 
 
 # ----------------------------------------------------------------------
+# run_steps: the single dispatch site
+# ----------------------------------------------------------------------
+class _StepProcess(Process):
+    """Every step reports one resident: an outbox entry when armed."""
+
+    calls = 0
+
+    def _step(self, name):
+        self.calls += 1
+        self.set_resident(name, self.calls)
+        return (name, self.pid)
+
+    def tick(self):
+        return self._step("tick")
+
+    def tock(self):
+        return self._step("tock")
+
+    def add(self, n):
+        self._step("add")
+        return ("add", n + 1)
+
+    def boom(self):
+        if self.pid == ("s", 2):
+            raise RuntimeError("boom in ('s', 2)")
+        return self._step("boom")
+
+
+class _StubPlane:
+    """Serves ``tick`` / ``add`` / ``boom`` by calling the processes."""
+
+    methods = frozenset({"tick", "add", "boom"})
+
+    def __init__(self, procs):
+        self.procs = procs
+        self.calls = []
+
+    def run(self, method, pids):
+        self.calls.append((method, list(pids)))
+        return {pid: getattr(self.procs[pid], method)() for pid in pids}
+
+
+_S = [("s", k) for k in range(4)]
+
+#: name -> (steps, method the rule fuses to given a plane, or None)
+_RUN_STEPS_TABLE = {
+    "homogeneous zero-arg": (
+        [(_S[0], "tick", ()), (_S[1], None, ()), (_S[2], "tick", ()),
+         (_S[3], "tick", ())], "tick"),
+    "two method names": (
+        [(_S[0], "tick", ()), (_S[1], "tock", ()), (_S[2], None, ())], None),
+    "plane does not serve it": (
+        [(_S[0], "tock", ()), (_S[1], "tock", ())], None),
+    "a step with args": (
+        [(_S[0], "add", (1,)), (_S[1], "add", (2,))], None),
+    "all skipped": ([(pid, None, ()) for pid in _S], None),
+    "empty list": ([], None),
+}
+
+
+class TestRunSteps:
+    def _procs(self):
+        return {pid: _StepProcess(pid) for pid in _S}
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("with_plane", [False, True])
+    @pytest.mark.parametrize("case", sorted(_RUN_STEPS_TABLE))
+    def test_dispatch_table(self, case, with_plane, armed):
+        steps, fuses_to = _RUN_STEPS_TABLE[case]
+        procs = self._procs()
+        plane = _StubPlane(procs) if with_plane else None
+        results, failure = run_steps(procs, plane, steps, ("calls",), armed)
+        assert failure is None
+        values, seconds, outboxes, gathered = results
+        live = [pid for pid, method, _ in steps if method is not None]
+        # Fused exactly when the rule says: one plane call over the
+        # live pids, or none at all.
+        if with_plane:
+            assert plane.calls == ([(fuses_to, live)] if fuses_to else [])
+        # Every step gathers, in step order; only live steps ran, and
+        # only the live steps of an armed share carry an outbox.
+        assert list(gathered) == [pid for pid, _, _ in steps]
+        assert list(values) == list(seconds) == live
+        assert list(outboxes) == (live if armed else [])
+        for pid, method, args in steps:
+            if method is None:
+                assert gathered[pid] == {"calls": 0}
+                continue
+            assert values[pid] == ((method, args[0] + 1) if args
+                                   else (method, pid))
+            assert seconds[pid] >= 0.0
+            assert gathered[pid] == {"calls": 1}
+            if armed:
+                assert outboxes[pid] == [("resident", method, 1)]
+        assert all(proc._outbox is None for proc in procs.values())
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("with_plane", [False, True])
+    def test_failure_names_pid_and_disarms(self, with_plane, armed):
+        """Per-process dispatch names the step that raised; a fused
+        share names its first live pid.  Either way nothing after the
+        raise ran and every outbox is disarmed again."""
+        steps = [(_S[0], None, ()), (_S[1], "boom", ()), (_S[2], "boom", ()),
+                 (_S[3], "boom", ())]
+        procs = self._procs()
+        plane = _StubPlane(procs) if with_plane else None
+        results, failure = run_steps(procs, plane, steps, (), armed)
+        assert results is None
+        pid, exc, formatted = failure
+        assert pid == (_S[1] if with_plane else _S[2])
+        assert isinstance(exc, RuntimeError)
+        assert "boom in ('s', 2)" in formatted
+        assert procs[_S[1]].calls == 1 and procs[_S[3]].calls == 0
+        assert all(proc._outbox is None for proc in procs.values())
+
+
+# ----------------------------------------------------------------------
 # Superstep protocol in isolation
 # ----------------------------------------------------------------------
 class _EchoProcess(Process):
@@ -185,6 +306,27 @@ class TestOutboxReplay:
         base = _drive_echo("simulated", None)
         assert _drive_echo("threads", workers) == base
 
+    @pytest.mark.parametrize("share_workers", [1, 3, 9])
+    def test_share_boundaries_do_not_change_replay(self, share_workers):
+        """One share, one step per share, more workers than steps:
+        values, summary and per-process counters equal the inline run."""
+        assert _drive_echo("threads", share_workers) == \
+            _drive_echo("simulated", None)
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "python"])
+    def test_dne_share_boundaries(self, graph, kernel):
+        """|P| = 5 over 1 / 3 / 9 threads: uneven shares, shares made
+        only of skipped steps, fused and per-process dispatch inside a
+        share — all equal to the simulated run."""
+        base = _run_dne(graph, 5, kernel, "simulated", None)
+        for share_workers in (1, 3, 9):
+            res = _run_dne(graph, 5, kernel, "threads", share_workers)
+            assert np.array_equal(res.assignment, base.assignment)
+            assert res.iterations == base.iterations
+            for key in _PINNED_EXTRA:
+                assert res.extra[key] == base.extra[key], (share_workers,
+                                                           key)
+
 
 # ----------------------------------------------------------------------
 # Crash propagation
@@ -204,6 +346,17 @@ class _BoomProgram(WorkerProgram):
 class TestCrashPropagation:
     def _pids(self):
         return [("boom", k) for k in range(3)]
+
+    def test_simulated_raises_the_original_exception(self):
+        cluster = SimulatedCluster()
+        procs = [cluster.add_process(_BoomProcess(pid))
+                 for pid in self._pids()]
+        backend = SimulatedBackend()
+        backend.attach(cluster, procs)
+        with pytest.raises(RuntimeError,
+                           match="injected failure in partition 1"):
+            backend.run_superstep(
+                [(pid, "step", ()) for pid in self._pids()])
 
     def test_threads_surfaces_pid(self, workers):
         cluster = SimulatedCluster()
@@ -289,3 +442,14 @@ class TestValidation:
             DistributedNE(4, backend="threads", workers=0)
         with pytest.raises(ValueError, match="workers"):
             SNEPartitioner(4, backend="processes", workers=-1)
+
+    @pytest.mark.parametrize("cls", [DistributedNE, SNEPartitioner])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"step_timeout": -1.0}, "step_timeout must be positive or None"),
+        ({"step_timeout": 0}, "step_timeout must be positive or None"),
+        ({"max_retries": -2}, "max_retries must be >= 0"),
+    ])
+    def test_supervision_ranges_validated_at_construction(self, cls, kwargs,
+                                                          message):
+        with pytest.raises(ValueError, match=message):
+            cls(4, backend="processes", **kwargs)

@@ -53,6 +53,18 @@ class TestCommands:
         assert code == 0
         assert "method=dbh" in capsys.readouterr().out
 
+    def test_out_of_range_execution_argument_exits_2(self, tmp_path, caplog):
+        """A value the partitioner constructor rejects is a usage error
+        (message, exit 2), not a traceback."""
+        path = tmp_path / "edges.tsv"
+        save_edges_tsv(path, rmat_edges(8, 4, seed=0))
+        with caplog.at_level("ERROR", logger="repro.cli"):
+            code = main(["partition", "--edges", str(path),
+                         "--method", "distributed_ne", "-p", "4",
+                         "--backend", "processes", "--step-timeout", "-1"])
+        assert code == 2
+        assert "step_timeout must be positive or None" in caplog.text
+
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
         out = capsys.readouterr().out

@@ -8,7 +8,9 @@ fault-free run; and a checkpointed run killed mid-flight and resumed
 must be bit-identical to the uninterrupted one.  Both are pinned here
 for DNE and SNE.
 
-Also covered: the documented terminal-failure state (retained inboxes
+Also covered: corrupt-snapshot detection and fallback (a truncated or
+byte-flipped newest snapshot resumes from the retained older one, all
+corrupt fails loudly), the documented terminal-failure state (retained inboxes
 pushed back into the parent's delivered map, accounting untouched),
 the ``step_timeout`` hung-worker contract, leak-free ``/dev/shm``
 teardown on every failure path, and the :class:`FaultPlan` /
@@ -21,6 +23,7 @@ chaos job runs 4).
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 import numpy as np
@@ -29,11 +32,14 @@ import pytest
 from repro.cluster.backends import (FaultPlan, ProcessesBackend,
                                     WorkerProgram, WorkerStepError,
                                     create_backend)
-from repro.cluster.checkpoint import CheckpointMismatch, CheckpointStore
+from repro.cluster.checkpoint import (CheckpointCorrupt, CheckpointMismatch,
+                                      CheckpointStore)
 from repro.cluster.runtime import Process, SimulatedCluster
 from repro.core.distributed_ne import DistributedNE
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
+from repro.observability import (MetricsRegistry, disable_metrics,
+                                 enable_metrics)
 from repro.partitioners.sne import SNEPartitioner
 
 #: extra keys that must survive recovery bit-for-bit (mirrors the
@@ -81,6 +87,29 @@ def _shm_segments() -> set:
 
 
 _HAS_DEV_SHM = os.path.isdir("/dev/shm")
+
+
+def _truncate(path: str) -> None:
+    """A torn write: the file stops halfway."""
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+
+
+def _flip_byte(path: str) -> None:
+    """Bit rot: one byte at 3/4 of the file inverted, length unchanged."""
+    with open(path, "r+b") as fh:
+        fh.seek(os.path.getsize(path) * 3 // 4)
+        byte = fh.read(1)
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _snapshot_paths(ckpt: str) -> list:
+    """Snapshot files oldest -> newest; nothing else may sit beside them."""
+    names = sorted(os.listdir(ckpt))
+    assert all(name.startswith("ckpt-") and name.endswith(".pkl")
+               for name in names), names
+    return [os.path.join(ckpt, name) for name in names]
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +275,49 @@ class TestCheckpointResume:
         res = DistributedNE(4, seed=0, checkpoint_dir=str(tmp_path / "empty"),
                             resume=True).partition(graph)
         _assert_identical(res, base4)
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_byte])
+    def test_corrupt_newest_falls_back_to_older(self, graph, tmp_path,
+                                                base4, damage, caplog):
+        """A torn or bit-rotted newest snapshot is detected before it
+        is unpickled, skipped with one warning, and the retained older
+        snapshot serves the resume — bit-identically."""
+        ckpt = str(tmp_path / "ckpt")
+        DistributedNE(4, seed=0, max_iterations=6,
+                      checkpoint_dir=ckpt).partition(graph)
+        older, newest = _snapshot_paths(ckpt)
+        damage(newest)
+        with caplog.at_level("WARNING", logger="repro.cluster.checkpoint"):
+            res = DistributedNE(4, seed=0, checkpoint_dir=ckpt,
+                                resume=True).partition(graph)
+        _assert_identical(res, base4)
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"skipping corrupt checkpoint {newest}"]
+
+    def test_every_snapshot_corrupt_fails_loudly(self, graph, tmp_path):
+        """Snapshots exist but none verifies: never a silent fresh
+        start — the error names every rejected file."""
+        ckpt = str(tmp_path / "ckpt")
+        DistributedNE(4, seed=0, max_iterations=6,
+                      checkpoint_dir=ckpt).partition(graph)
+        paths = _snapshot_paths(ckpt)
+        _truncate(paths[0])
+        _flip_byte(paths[1])
+        with pytest.raises(CheckpointCorrupt) as excinfo:
+            DistributedNE(4, seed=0, checkpoint_dir=ckpt,
+                          resume=True).partition(graph)
+        assert sorted(excinfo.value.paths) == paths
+        assert all(path in str(excinfo.value) for path in paths)
+
+    def test_sne_corrupt_newest_falls_back_to_older(self, graph, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        base = SNEPartitioner(6, seed=3).partition(graph)
+        SNEPartitioner(6, seed=3, checkpoint_dir=ckpt).partition(graph)
+        _truncate(_snapshot_paths(ckpt)[-1])
+        res = SNEPartitioner(6, seed=3, checkpoint_dir=ckpt,
+                             resume=True).partition(graph)
+        assert np.array_equal(res.assignment, base.assignment)
+        assert res.extra["state_bytes"] == base.extra["state_bytes"]
 
     def test_sne_resume_bit_identical(self, graph, tmp_path):
         """SNE snapshots at partition boundaries; resuming replays the
@@ -483,6 +555,32 @@ class TestCheckpointStore:
         # No stray temp files from the atomic write.
         assert all(not name.endswith(".tmp")
                    for name in os.listdir(str(tmp_path)))
+
+    def test_keep_one_corrupt_has_no_fallback(self, tmp_path):
+        store = CheckpointStore(str(tmp_path), keep=1)
+        store.save(1, {"step": 1})
+        path = store.save(2, {"step": 2})
+        assert store.steps() == [2]
+        _flip_byte(path)
+        with pytest.raises(CheckpointCorrupt) as excinfo:
+            store.load_latest()
+        assert excinfo.value.paths == [path]
+        with pytest.raises(CheckpointCorrupt):
+            store.load(2)
+
+    def test_file_without_trailer_is_corrupt(self, tmp_path):
+        """A bare pickle (the pre-trailer layout) is refused, and the
+        rejection is counted."""
+        store = CheckpointStore(str(tmp_path))
+        store.save(1, {"step": 1})
+        with open(store._path(2), "wb") as fh:
+            pickle.dump({"step": 2}, fh)
+        registry = enable_metrics(MetricsRegistry())
+        try:
+            assert store.load_latest() == {"step": 1}
+        finally:
+            disable_metrics()
+        assert registry.counter_total("repro_checkpoint_corrupt_total") == 1
 
     def test_empty_store(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -328,6 +328,50 @@ class TestTraceStructure:
                   if e.get("cat") == "phase"]
         assert len(phases) == 5 * res.iterations
 
+    def test_dne_span_vocabulary_is_pinned(self, graph):
+        """Version-to-version pin (the tests above compare backends
+        with each other, never with a fixed expectation, while
+        ``benchmarks/e2e/spans.py`` reads ``phase:*`` by name): the
+        literal (name, category, arg keys) set of one fixed-seed run,
+        and each iteration's superstep -> phase alternation."""
+        tracer = Tracer()
+        res = DistributedNE(4, seed=0, tracer=tracer).partition(graph)
+        spans = [e for e in tracer.to_chrome()["traceEvents"]
+                 if e["ph"] == "X"]
+        phase_keys = ("executed", "iteration", "phase", "skipped")
+        superstep_keys = ("busy_seconds", "executed", "method", "skipped",
+                          "steps")
+        assert {(e["name"], e["cat"], tuple(sorted(e["args"])))
+                for e in spans} == {
+            ("phase:selection", "phase", phase_keys),
+            ("phase:one_hop", "phase", phase_keys),
+            ("phase:two_hop", "phase", phase_keys),
+            ("phase:update_state", "phase", phase_keys),
+            ("phase:check_termination", "phase", phase_keys),
+            ("superstep:select_and_multicast", "superstep", superstep_keys),
+            ("superstep:one_hop_and_sync", "superstep", superstep_keys),
+            ("superstep:two_hop_and_report", "superstep", superstep_keys),
+            ("superstep:update_state", "superstep", superstep_keys),
+            ("superstep:check_termination", "superstep", superstep_keys),
+            ("superstep:idle", "superstep", superstep_keys),
+            ("run:distributed_ne", "run",
+             ("executed", "iterations", "kernel", "method", "partitions",
+              "skipped")),
+        }
+        assert spans[-1]["cat"] == "run"
+        cats = [e["cat"] for e in spans[:-1]]
+        assert cats == ["superstep", "phase"] * (5 * res.iterations)
+        phases = spans[1:-1:2]
+        assert [e["args"]["phase"] for e in phases[:5]] == [
+            "selection", "one_hop", "two_hop", "update_state",
+            "check_termination"]
+        assert [e["args"]["iteration"] for e in phases] == [
+            i for i in range(1, res.iterations + 1) for _ in range(5)]
+        # One count, two spans.
+        for step, phase in zip(spans[0:-1:2], phases):
+            assert (phase["args"]["executed"], phase["args"]["skipped"]) == \
+                (step["args"]["executed"], step["args"]["skipped"])
+
     def test_cluster_metrics_recorded_once(self, graph):
         """End-of-run feeding: cluster totals land in the registry
         exactly once and match the run's own accounting summary."""

@@ -17,6 +17,11 @@ earn its keep by measurement or go") is executable too: no vectorized
 arm in the committed ``BENCH_kernels.json`` loses to its python
 reference, and the selector knobs deleted for losing — a user-set
 membership layout, ``kernel=`` on Sheep and Oblivious — stay deleted.
+
+One dispatch rule (PR 18): under ``src/repro/cluster/backends/`` only
+``run_steps`` calls the fused plane and only ``run_steps`` arms or
+disarms an outbox, so the fused-vs-per-process rule cannot be written
+a second time beside it.
 """
 
 import ast
@@ -106,3 +111,57 @@ def test_no_constructor_takes_a_membership_selector():
                          ids=lambda c: c.name)
 def test_single_implementation_baselines_take_no_kernel(cls):
     assert "kernel" not in inspect.signature(cls.__init__).parameters
+
+
+def _functions_where(source: str, matches) -> list[str]:
+    """Names of the functions holding a node ``matches`` accepts (a
+    nested function's nodes count for its enclosing functions too)."""
+    return [func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(matches(node) for node in ast.walk(func))]
+
+
+def _is_plane_run_call(node) -> bool:
+    """``plane.run(...)`` / ``self._plane.run(...)`` and the like."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run"):
+        return False
+    owner = node.func.value
+    name = owner.id if isinstance(owner, ast.Name) else \
+        owner.attr if isinstance(owner, ast.Attribute) else None
+    return name in ("plane", "_plane")
+
+
+def _is_outbox_assignment(node) -> bool:
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) \
+        else []
+    return any(isinstance(t, ast.Attribute) and t.attr == "_outbox"
+               for target in targets for t in ast.walk(target))
+
+
+def test_dispatch_guards_see_both_shapes():
+    source = ("def a(self):\n"
+              "    self._plane.run('m', [])\n"
+              "    proc._outbox = None\n"
+              "def b(plane, p):\n"
+              "    def inner():\n"
+              "        x = p._outbox = []\n"
+              "    return plane.run\n"
+              "def c(pool):\n"
+              "    pool.run()\n")
+    assert _functions_where(source, _is_plane_run_call) == ["a"]
+    assert _functions_where(source, _is_outbox_assignment) == [
+        "a", "b", "inner"]
+
+
+@pytest.mark.parametrize("matches", [_is_plane_run_call,
+                                     _is_outbox_assignment],
+                         ids=["plane.run call", "_outbox assignment"])
+def test_dispatch_lives_in_run_steps_only(matches):
+    found = [(path.name, name)
+             for path in sorted((_SRC / "cluster" / "backends").glob("*.py"))
+             for name in _functions_where(path.read_text(), matches)]
+    assert found == [("base.py", "run_steps")], (
+        f"{found}: dispatch lives in `run_steps`; extend it, do not add "
+        "a second copy")

@@ -15,8 +15,8 @@ speedups it claims and future PRs can track regressions:
   selection plane (§7.4's scale-out bottleneck): boundary-queue pops +
   replica multicast, and the received-boundary fold, timed over a full
   cluster of expansion processes at ``selection_partitions`` machines
-  (array-backed queue + batched membership + ndarray payloads vs the
-  heapq/tuple-list reference).  All five ``dne_*`` component rows time
+  (one segmented boundary store + enumerated multicast + ndarray
+  payloads vs the heapq/tuple-list reference).  All five ``dne_*`` component rows time
   the code production runs execute: the vectorized arm is fed
   ``send_segments`` sweeps and steps through
   :class:`~repro.core.fused.FusedDnePlane`;
@@ -257,14 +257,10 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
 # ----------------------------------------------------------------------
 class _SeedlessAlloc(Process):
     """Allocation stand-in for the selection bench: receives multicasts
-    and always reports no seed vertex (keeps the timed loop on the
-    boundary path, never the seed-scan fallback)."""
+    and is never live for the seed source's liveness query (keeps the
+    timed loop on the boundary path, never the seed-scan fallback)."""
 
-    def random_unallocated_vertex(self, rng) -> None:
-        return None
-
-    def min_degree_unallocated_vertex(self) -> None:
-        return None
+    unallocated = 0
 
 
 def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,

@@ -250,6 +250,10 @@ class SegmentQueue:
         """True when a segment addressed to ``slot`` is waiting."""
         return slot in self._slots
 
+    def slots(self) -> set:
+        """Every destination slot with a segment waiting."""
+        return set(self._slots)
+
     @staticmethod
     def _materialise(entries: list) -> list:
         return [batch if remaining is None else batch.select(remaining)
@@ -312,6 +316,8 @@ class Process:
         self.pid = pid
         self.cluster: SimulatedCluster | None = None
         self._pending_resident: dict = {}
+        #: last value reported per resident name (see :meth:`_report`)
+        self._reported: dict[str, int] = {}
         #: when a parallel execution backend runs this process's step,
         #: it points this at a per-step list and every outbound effect
         #: (sends, resident reports, RPC accounting) is recorded there
@@ -398,6 +404,13 @@ class Process:
             self._pending_resident[name] = int(nbytes)
         else:
             self.cluster.stats.stats_for(self.pid).set_resident(name, nbytes)
+
+    def _report(self, name: str, nbytes: int) -> None:
+        """``set_resident`` only when the value moved (an unchanged report
+        moves no total and no peak; the last values ride the snapshot)."""
+        if self._reported.get(name) != nbytes:
+            self._reported[name] = nbytes
+            self.set_resident(name, nbytes)
 
     def account_rpc_pair(self, other_pid, nbytes: int) -> None:
         """Account a synchronous request/response exchange with another
@@ -546,6 +559,16 @@ class SimulatedCluster:
         queue = self._segment_mail.get((pid[0], tag))
         return queue is not None and queue.has(pid[1])
 
+    def mail_slots(self, role: str, tag: str) -> set:
+        """The slots ``s`` for which ``has_mail((role, s), tag)`` is
+        true — one query per tag, not one probe per process."""
+        queue = self._segment_mail.get((role, tag))
+        slots = queue.slots() if queue is not None else set()
+        slots.update(pid[1] for pid, t in self._delivered
+                     if t == tag and isinstance(pid, tuple)
+                     and len(pid) == 2 and pid[0] == role)
+        return slots
+
     # -- segment sweeps --------------------------------------------------
     def deliver_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Price and deliver one emission sweep.
@@ -660,7 +683,7 @@ class SimulatedCluster:
         co-located processes (pids of the form ``(role, k)`` sharing
         ``k``) are free on the wire.
         """
-        pids = sorted(values, key=repr)
+        pids = list(values)
         n = len(pids)
         if n > 1:
             # Same-machine partner counts per pid: 2-tuples group by

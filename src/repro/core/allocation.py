@@ -355,8 +355,6 @@ class AllocationProcess(Process):
         #: tests before it sets), so the memory model never re-sums the
         #: membership matrix; rides the checkpoint payload
         self._replica_count = 0
-        #: last value reported per resident name (see report_memory)
-        self._reported: dict[str, int] = {}
         if kernel == "python":
             #: reference replica state: local vid -> set of partitions
             self._parts: dict[int, set] | None = defaultdict(set)
@@ -461,13 +459,6 @@ class AllocationProcess(Process):
     # ------------------------------------------------------------------
     # Memory model (Figure 9): CSR arrays + allocation state + replica sets.
     # ------------------------------------------------------------------
-    def _report(self, name: str, nbytes: int) -> None:
-        """``set_resident`` only when the value moved: an unchanged
-        report leaves every total and peak where it was."""
-        if self._reported.get(name) != nbytes:
-            self._reported[name] = nbytes
-            self.set_resident(name, nbytes)
-
     def report_memory(self) -> None:
         # Replica metadata, one layout at a time (never both): up to 64
         # partitions the model is one byte-scale entry per real
@@ -492,14 +483,10 @@ class AllocationProcess(Process):
     # ------------------------------------------------------------------
     def random_unallocated_vertex(self, rng: np.random.Generator) -> int | None:
         """A vertex with non-allocated local edges, or None."""
-        if self.unallocated == 0:
-            return None  # cheap early-out; the scan would find nothing
         return seed_vertex_random(self.local_vertices, self.rest_degree, rng)
 
     def min_degree_unallocated_vertex(self) -> int | None:
         """Lowest-remaining-degree seed (the seeding ablation)."""
-        if self.unallocated == 0:
-            return None
         return seed_vertex_min_degree(self.local_vertices, self.rest_degree)
 
     # ------------------------------------------------------------------

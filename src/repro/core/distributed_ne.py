@@ -73,7 +73,7 @@ from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
 from repro.core.expansion import DirectSeedSource, ExpansionProcess
 from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import Hash1DPlacement, Hash2DPlacement
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.kernels import validate_kernel
 from repro.observability.metrics import get_registry
 from repro.observability.trace import NULL_TRACER
@@ -94,9 +94,9 @@ class SharedSeedSource:
     :func:`~repro.core.allocation.seed_vertex_random` /
     :func:`~repro.core.allocation.seed_vertex_min_degree` helpers as
     ``AllocationProcess`` itself (same candidate set, same single RNG
-    draw; the allocator's ``unallocated == 0`` early-out is equivalent
-    to an empty candidate set), so selections are bit-identical to the
-    in-process backends by construction.
+    draw), and ``live`` answers with the same set as the in-process
+    source (a remaining degree is positive iff an edge is left), so
+    selections are bit-identical to the in-process backends.
 
     Safe by phase disjointness: remaining degrees are written only by
     the owning worker during allocation supersteps, and seed scans run
@@ -106,6 +106,10 @@ class SharedSeedSource:
     def __init__(self, local_vertices: list, rest_degrees: list):
         self._lv = local_vertices
         self._rest = rest_degrees
+
+    def live(self) -> np.ndarray:
+        """Per allocator: any vertex with a non-allocated edge left?"""
+        return np.array([(rest > 0).any() for rest in self._rest], bool)
 
     def random_vertex(self, proc_id: int, rng) -> int | None:
         return seed_vertex_random(self._lv[proc_id], self._rest[proc_id],
@@ -244,7 +248,7 @@ class DistributedNE(Partitioner):
         kernel call over all the scheduler's processes (machine id as
         a data axis) instead of ``|P|`` small ones — batched one/two-hop
         allocation (loads-delta batching for the two-hop tie-break),
-        the array-backed boundary queue, batched multicast fan-out —
+        one segmented boundary store, enumerated multicast fan-out —
         and every emission sweep is one ``SegmentBatch`` from kernel to
         mailbox to the next phase's input, which is what breaks the
         |P| ≫ 64 dispatch-overhead crossover.  ``"python"`` runs the
@@ -431,10 +435,10 @@ class DistributedNE(Partitioner):
             # the mail delivered at the last barrier — is absent is
             # submitted with ``method=None`` (gather-only) on every
             # backend.  The reference step would be a no-op: send sites
-            # never emit empty payloads, so `cluster.has_mail` on the
-            # parent mailboxes is exactly "this step has work"; skipped
-            # steps emit nothing and report nothing, keeping totals
-            # identical.
+            # never emit empty payloads, so `cluster.mail_slots` on the
+            # parent mailboxes — one query per tag — is exactly "these
+            # steps have work"; skipped steps emit nothing and report
+            # nothing, keeping totals identical.
             loop = _LoopState(prev_sel_ops=dict.fromkeys(exp_pids, 0),
                               prev_alloc_ops=dict.fromkeys(alloc_pids, 0),
                               finished_prev=dict.fromkeys(exp_pids, False))
@@ -474,8 +478,8 @@ class DistributedNE(Partitioner):
                 cluster.barrier()  # Step 2
 
                 ta = time.perf_counter()
-                one_ran = {pid: cluster.has_mail(pid, TAG_SELECT)
-                           for pid in alloc_pids}
+                selected = cluster.mail_slots("alloc", TAG_SELECT)
+                one_ran = {pid: pid[1] in selected for pid in alloc_pids}
                 one = backend.run_superstep(  # Step 3
                     [(pid, "one_hop_and_sync" if one_ran[pid] else None, ())
                      for pid in alloc_pids],
@@ -486,10 +490,10 @@ class DistributedNE(Partitioner):
                 # one-hop outboxes and reports memory) or sync mail
                 # arrived; with neither it would only re-report
                 # unchanged residents.
+                synced = cluster.mail_slots("alloc", TAG_SYNC)
                 two = backend.run_superstep(  # Step 4
                     [(pid, "two_hop_and_report"
-                      if one_ran[pid] or cluster.has_mail(pid, TAG_SYNC)
-                      else None, ())
+                      if one_ran[pid] or pid[1] in synced else None, ())
                      for pid in alloc_pids],
                     gather=("ops_one_hop", "ops_two_hop"),
                     phase=("two_hop", loop.iterations))
@@ -507,10 +511,10 @@ class DistributedNE(Partitioner):
                 loop.allocation_seconds += time.perf_counter() - ta
                 cluster.barrier()          # Step 5
 
+                folded = (cluster.mail_slots("expansion", TAG_BOUNDARY)
+                          | cluster.mail_slots("expansion", TAG_EDGES))
                 upd = backend.run_superstep(
-                    [(pid, "update_state"
-                      if cluster.has_mail(pid, TAG_BOUNDARY)
-                      or cluster.has_mail(pid, TAG_EDGES) else None, ())
+                    [(pid, "update_state" if pid[1] in folded else None, ())
                      for pid in exp_pids],
                     gather=("edge_count",),
                     phase=("update_state", loop.iterations))
@@ -668,8 +672,7 @@ class DistributedNE(Partitioner):
             state_arrays: dict = {}
             for k in range(p):
                 eids = eids_by_home[eids_ptr[k]:eids_ptr[k + 1]]
-                lv = (np.unique(graph.edges[eids]) if len(eids)
-                      else np.empty(0, dtype=np.int64))
+                lv = sorted_unique(graph.edges[eids].ravel())
                 state_arrays[f"lv{k}"] = lv
                 # Filled by the owning worker at build time (before the
                 # first superstep runs).

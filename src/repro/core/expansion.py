@@ -28,19 +28,21 @@ wall clock at 4 machines to 30.3% at 256 — at scale-out the selection
 plane is the bottleneck, so it ships in the same two kernels as the
 allocation plane:
 
-* ``kernel="vectorized"`` (default) — the boundary is a flat-array
-  priority structure (:class:`BoundaryQueue`: parallel ``drest`` /
-  ``vertex`` int64 arrays plus a boolean membership mask, batched
-  ``insert_many`` and ``pop_k_min``); selection + multicast and the
+* ``kernel="vectorized"`` (default) — the boundary is a segment of a
+  :class:`BoundaryStore` behind the queue interface of
+  :class:`BoundarySegment`: a process owns a one-segment store from
+  construction, and a :class:`~repro.core.fused.FusedDnePlane` adopts
+  its expanders' segments into one.  Selection + multicast and the
   boundary/edge fold are the ``select_and_multicast`` /
-  ``update_state`` kernels of
-  :class:`~repro.core.fused.FusedDnePlane` — one batched
-  ``replica_membership`` call, the whole multicast one
+  ``update_state`` kernels of the plane — one ``pop`` for every live
+  expander, one seed-liveness query, one enumerated replica fan-out
+  (``replica_hits``), the whole multicast one
   :class:`~repro.cluster.runtime.SegmentBatch` on ``send_segments``,
-  the fold a ``sorted_unique`` + scatter-add over the taken sweeps.  A
-  scheduler runs one plane over all its processes; a process stepped
-  directly runs its own one-machine plane (same kernel, built on the
-  first such call) and reads segment mail only.
+  the fold a ``sorted_unique`` + scatter-add over the taken sweeps
+  into one ``insert``.  A scheduler runs one plane over all its
+  processes; a process stepped directly runs its own one-machine plane
+  (same kernel, built on the first such call) and reads segment mail
+  only.
 * ``kernel="python"`` — the per-pair reference, implemented here: a
   heapq/set boundary (:class:`HeapqBoundaryQueue`), a per-vertex
   ``replica_processes`` fan-out into tuple lists sent eagerly one
@@ -57,7 +59,9 @@ boundary/memory accounting — pinned by
 
 from __future__ import annotations
 
+import copy
 import heapq
+import threading
 import time
 from collections import defaultdict
 
@@ -68,8 +72,8 @@ from repro.core.allocation import TAG_BOUNDARY, TAG_EDGES, TAG_SELECT
 from repro.graph.csr import first_occurrence
 from repro.kernels import validate_kernel
 
-__all__ = ["ExpansionProcess", "BoundaryQueue", "HeapqBoundaryQueue",
-           "DirectSeedSource"]
+__all__ = ["ExpansionProcess", "BoundaryStore", "BoundarySegment",
+           "HeapqBoundaryQueue", "DirectSeedSource"]
 
 
 class DirectSeedSource:
@@ -81,7 +85,7 @@ class DirectSeedSource:
     ``simulated`` and ``threads`` backends — it simply forwards to the
     allocator objects, reproducing the pre-backend direct calls.  The
     ``processes`` backend substitutes a shared-memory implementation
-    with the same two-method interface (remaining-degree arrays mapped
+    with the same three-method interface (remaining-degree arrays mapped
     read-only into every worker), so the scan never crosses workers.
 
     Query-only by contract: seed lookups run during the selection
@@ -91,6 +95,10 @@ class DirectSeedSource:
 
     def __init__(self, allocators):
         self._allocators = allocators
+
+    def live(self) -> np.ndarray:
+        """Per allocator: would a lookup against it return a vertex?"""
+        return np.array([a.unallocated > 0 for a in self._allocators], bool)
 
     def random_vertex(self, proc_id: int, rng) -> int | None:
         return self._allocators[proc_id].random_unallocated_vertex(rng)
@@ -106,7 +114,7 @@ class HeapqBoundaryQueue:
     Algorithm 4.  A vertex is never queued twice (re-insertions of an
     already-boundary vertex are dropped, set semantics per the paper's
     ``B_p``).  This is the per-pair Python implementation the
-    flat-array :class:`BoundaryQueue` is pinned against.
+    segmented :class:`BoundaryStore` is pinned against.
     """
 
     def __init__(self):
@@ -131,116 +139,138 @@ class HeapqBoundaryQueue:
         return out
 
 
-class BoundaryQueue:
-    """Flat-array priority queue of ⟨Drest, vertex⟩ with membership mask.
+class BoundaryStore:
+    """The boundaries of many expansion processes as one segmented
+    array: ``popK-MinDrestVertices`` and the boundary fold cost a
+    constant number of NumPy calls however many segments take part.
 
-    The storage is two parallel int64 arrays (``drest`` and ``vertex``
-    entries, grown geometrically) plus a boolean membership mask indexed
-    by vertex id.  Because a vertex is a member at most once, every
-    stored entry is live — there are no stale heap entries to skip — so
-    ``pop_k_min`` can *select* the k smallest ⟨drest, vertex⟩ keys in
-    one vectorized partition-select (``np.partition`` on drest, then a
-    lexsort over the boundary candidates) instead of popping one node at
-    a time.  The observable pop order is exactly the heapq reference's:
-    ascending ⟨drest, vertex⟩, ties broken by vertex id, entry-time
-    scores kept (pinned by the kernel equivalence tests).
+    One int64 key per entry, packed ⟨segment, Drest, vertex⟩ and kept
+    sorted: entry-time scores never change, so a segment's ``k`` minimum
+    entries are the first ``k`` keys of its slice, in the heapq
+    reference's order (ascending ⟨Drest, vertex⟩, ties to the lower
+    vertex id).  Set semantics — a vertex is in a segment at most once —
+    come from a second sorted key array, ⟨segment, vertex⟩: O(entries)
+    like the first, no per-segment vertex table.  The Drest and vertex
+    fields widen on demand and raise rather than wrap past 63 bits.
 
-    ``insert_many`` batch-inserts with set semantics: vertices already
-    in the queue — or appearing earlier in the same batch — are dropped.
+    Shares of one superstep pop and insert concurrently over disjoint
+    segment sets, so every mutation runs under one lock and touches
+    only the caller's segments; ``sizes`` is only ever written in
+    place, so a caller may read its own segments' sizes unlocked.
     """
 
-    def __init__(self, num_vertices: int | None = None):
-        cap = 16
-        self._drest = np.empty(cap, dtype=np.int64)
-        self._vertex = np.empty(cap, dtype=np.int64)
-        self._size = 0
-        self._member = np.zeros(int(num_vertices or 0), dtype=bool)
+    def __init__(self, num_segments: int = 1):
+        self._keys = self._members = np.empty(0, dtype=np.int64)
+        self.sizes = np.zeros(num_segments, dtype=np.int64)  # per segment
+        self._vbits = self._dbits = 0       # vertex / Drest field widths
+        self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return self._size
+    def _pack(self, segments, drests, vertices) -> np.ndarray:
+        return ((segments << self._dbits | drests) << self._vbits) | vertices
 
-    # -- capacity ------------------------------------------------------
-    def _grow_member(self, max_vertex: int) -> None:
-        if max_vertex >= len(self._member):
-            grown = np.zeros(max(2 * len(self._member), max_vertex + 1),
-                             dtype=bool)
-            grown[:len(self._member)] = self._member
-            self._member = grown
+    def _unpack(self, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        scores = keys >> self._vbits
+        return (scores >> self._dbits, scores & ((1 << self._dbits) - 1),
+                keys & ((1 << self._vbits) - 1))
 
-    def _grow_heap(self, need: int) -> None:
-        if need > len(self._drest):
-            cap = max(2 * len(self._drest), need)
-            self._drest = np.concatenate(
-                [self._drest[:self._size],
-                 np.empty(cap - self._size, dtype=np.int64)])
-            self._vertex = np.concatenate(
-                [self._vertex[:self._size],
-                 np.empty(cap - self._size, dtype=np.int64)])
+    def _widen(self, max_vertex: int, max_drest: int) -> None:
+        """Re-pack, order kept, once an id or a score outgrows its field."""
+        vbits = max(self._vbits, max_vertex.bit_length())
+        dbits = max(self._dbits, max_drest.bit_length())
+        if (vbits, dbits) == (self._vbits, self._dbits):
+            return
+        if (len(self.sizes) - 1).bit_length() + dbits + vbits > 63:
+            raise ValueError(f"boundary key overflow: {len(self.sizes)} "
+                             f"segments, Drest {max_drest}, id {max_vertex}")
+        segments, drests, vertices = self._unpack(self._keys)
+        self._vbits, self._dbits = vbits, dbits
+        self._keys = self._pack(segments, drests, vertices)
+        self._members = np.sort(segments << vbits | vertices)
 
-    # -- insertion -----------------------------------------------------
-    def insert(self, vertex: int, drest: int) -> None:
-        self.insert_many(np.array([vertex], dtype=np.int64),
-                         np.array([drest], dtype=np.int64))
+    def entries(self, segment: int) -> tuple[np.ndarray, np.ndarray]:
+        """One segment as plain ``(vertices, drests)``, in pop order."""
+        with self._lock:
+            start = int(self.sizes[:segment].sum())
+            _, drests, vertices = self._unpack(
+                self._keys[start:start + int(self.sizes[segment])])
+        return vertices, drests
 
-    def insert_many(self, vertices: np.ndarray, drests: np.ndarray) -> None:
-        """Batch insert; non-fresh vertices (already members, or second
-        occurrences within the batch) are dropped, keeping the first
-        score — exactly a loop of reference ``insert`` calls."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        drests = np.asarray(drests, dtype=np.int64)
+    def pop(self, segments: np.ndarray,
+            ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Remove the ``ks[i]`` minimum entries of each (distinct)
+        ``segments[i]``: ``(vertices, counts)`` — the popped vertices,
+        segment after segment, each in pop order, and how many each gave."""
+        with self._lock:
+            counts = np.clip(ks, 0, self.sizes[segments])
+            starts = (np.cumsum(self.sizes) - self.sizes)[segments]
+            taken = (np.repeat(starts - np.cumsum(counts) + counts, counts)
+                     + np.arange(int(counts.sum()), dtype=np.int64))
+            vertices = self._keys[taken] & ((1 << self._vbits) - 1)
+            self._keys = np.delete(self._keys, taken)
+            members = np.repeat(segments, counts) << self._vbits | vertices
+            self._members = np.delete(
+                self._members, np.searchsorted(self._members, members))
+            self.sizes[segments] -= counts
+        return vertices, counts
+
+    def insert(self, segments: np.ndarray, vertices: np.ndarray,
+               drests: np.ndarray) -> None:
+        """Insert the rows ⟨``vertices[i]``, ``drests[i]``⟩ into
+        ``segments[i]`` (aligned non-negative int64 arrays).  A row
+        whose vertex is already in its segment — or came earlier in the
+        batch — is dropped and the first score kept, exactly a loop of
+        reference ``insert`` calls."""
         if not len(vertices):
             return
-        self._grow_member(int(vertices.max()))
-        fresh = np.flatnonzero(~self._member[vertices])
-        if not len(fresh):
-            return
-        vs = vertices[fresh]
-        # A strictly ascending batch (what the plane's update kernel
-        # feeds: its keys come out of ``sorted_unique``) holds no
-        # duplicate — one vector compare, no per-queue dedup scratch.
-        if not (vs[1:] > vs[:-1]).all():
-            fresh = fresh[first_occurrence(vs)]
-            vs = vertices[fresh]
-        ds = drests[fresh]
-        self._member[vs] = True
-        need = self._size + len(vs)
-        self._grow_heap(need)
-        self._drest[self._size:need] = ds
-        self._vertex[self._size:need] = vs
-        self._size = need
+        with self._lock:
+            self._widen(int(vertices.max()), int(drests.max()))
+            members = segments << self._vbits | vertices
+            fresh = np.flatnonzero(np.append(self._members, -1)[
+                np.searchsorted(self._members, members)] != members)
+            members = members[fresh]
+            # The plane's fold arrives strictly ascending (its keys come
+            # out of ``sorted_unique``) and so holds no duplicate.
+            if not (members[1:] > members[:-1]).all():
+                first = first_occurrence(members)
+                fresh, members = fresh[first], members[first]
+            self._members = np.sort(np.concatenate(
+                (self._members, members)), kind="stable")
+            self._keys = np.sort(np.concatenate(
+                (self._keys, self._pack(segments[fresh], drests[fresh],
+                                        vertices[fresh]))), kind="stable")
+            self.sizes += np.bincount(segments[fresh],
+                                      minlength=len(self.sizes))
 
-    # -- selection -----------------------------------------------------
+
+class BoundarySegment:
+    """One segment of a :class:`BoundaryStore` behind the interface of
+    :class:`HeapqBoundaryQueue`, plus array forms: a vectorized process's
+    ``boundary``, its own one-segment store until a plane adopts it."""
+
+    def __init__(self, store: BoundaryStore | None = None, index: int = 0):
+        self.store = BoundaryStore() if store is None else store
+        self.index = index
+
+    def __len__(self) -> int:
+        return int(self.store.sizes[self.index])
+
+    def insert_many(self, vertices, drests) -> None:
+        vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
+        self.store.insert(
+            np.full(len(vertices), self.index, dtype=np.int64), vertices,
+            np.atleast_1d(np.asarray(drests, dtype=np.int64)))
+
+    insert = insert_many        # one ⟨vertex, drest⟩ row: a batch of one
+
     def pop_k_min_array(self, k: int) -> np.ndarray:
         """Pop the ``k`` minimum-⟨drest, vertex⟩ members as an ndarray."""
-        size = self._size
-        if size == 0 or k <= 0:
-            return np.empty(0, dtype=np.int64)
-        d = self._drest[:size]
-        v = self._vertex[:size]
-        if k >= size:
-            out = v[np.lexsort((v, d))].copy()
-            self._member[v] = False
-            self._size = 0
-            return out
-        # Candidates: every entry with drest <= the k-th smallest drest
-        # (a superset covering boundary ties), then an exact lexsort
-        # over just the candidates.
-        kth = np.partition(d, k - 1)[k - 1]
-        cand = np.flatnonzero(d <= kth)
-        take = cand[np.lexsort((v[cand], d[cand]))[:k]]
-        out = v[take].copy()
-        self._member[out] = False
-        keep = np.ones(size, dtype=bool)
-        keep[take] = False
-        nk = size - k
-        self._drest[:nk] = d[keep]
-        self._vertex[:nk] = v[keep]
-        self._size = nk
-        return out
+        return self.store.pop(np.array([self.index]), np.array([k]))[0]
 
     def pop_k_min(self, k: int) -> list[int]:
-        """List form of :meth:`pop_k_min_array` (reference-compatible)."""
         return self.pop_k_min_array(k).tolist()
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.store.entries(self.index)
 
 
 class ExpansionProcess(Process):
@@ -248,10 +278,10 @@ class ExpansionProcess(Process):
 
     #: checkpoint/restore excludes: the shared placement, the injected
     #: seed source and the own one-machine plane (wiring, not state) —
-    #: boundary queue, RNG, collected edges and counters all ride the
-    #: snapshot.
+    #: RNG, collected edges and counters ride the generic snapshot, the
+    #: boundary joins it in :meth:`checkpoint_state`.
     _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({
-        "placement", "seed_source", "_plane"})
+        "placement", "seed_source", "_plane", "boundary"})
 
     def __init__(self, partition: int, num_partitions: int,
                  limit: int, total_edges: int, lam: float,
@@ -276,7 +306,7 @@ class ExpansionProcess(Process):
         #: the one-machine plane a directly stepped vectorized process
         #: runs its phases through (see :meth:`_own_plane`)
         self._plane = None
-        self.boundary = (BoundaryQueue() if kernel == "vectorized"
+        self.boundary = (BoundarySegment() if kernel == "vectorized"
                          else HeapqBoundaryQueue())
         self.edge_count = 0                     # |E_p|
         self.edge_ids: list[np.ndarray] = []    # received edge batches
@@ -289,6 +319,25 @@ class ExpansionProcess(Process):
         #: O(sqrt |P|) fan-out growth drives §7.4's share trend.
         #: Kernel-independent (both kernels hit identical replica sets).
         self.selection_ops = 0
+
+    def checkpoint_state(self) -> dict:
+        """A vectorized boundary is a view into a store shared between
+        expanders: its content rides the snapshot, as plain arrays."""
+        state = super().checkpoint_state()
+        state["boundary"] = (self.boundary.entries()
+                             if self.kernel == "vectorized"
+                             else copy.deepcopy(self.boundary))
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        held = state["boundary"]
+        super().restore_state({key: value for key, value in state.items()
+                               if key != "boundary"})
+        if self.kernel != "vectorized":
+            self.boundary = copy.deepcopy(held)
+        else:   # into the live store: rebinding would detach the plane's
+            self.boundary.pop_k_min_array(len(self.boundary))
+            self.boundary.insert_many(*held)
 
     # ------------------------------------------------------------------
     # Iteration phase A: select vertices and multicast to allocators.
@@ -342,15 +391,22 @@ class ExpansionProcess(Process):
             self.send(("alloc", proc), TAG_SELECT, payload)
         return len(selected)
 
-    def _random_seed(self) -> int | None:
-        """Seed lookup: co-located allocator first, then remote scan.
+    def _random_seed(self, live: np.ndarray | None = None) -> int | None:
+        """Seed lookup: co-located allocator first, then remote scan
+        in ascending machine order.
 
         Remote lookups are accounted as one request/response message
         pair per scanned process (the paper takes the vertex "from the
         other machines only if necessary") through
-        :meth:`~repro.cluster.runtime.Process.account_rpc_pair`, which
+        :meth:`~repro.cluster.runtime.Process.account_rpc_pairs`, which
         parallel backends capture in the outbox instead of letting this
         step touch another process's counters mid-superstep.
+
+        ``live`` is the seed source's ``live()`` answer (the plane asks
+        once per superstep; no allocation runs during selection).  A
+        lookup against an allocator that is not live returns nothing
+        and draws nothing, so the scan is: count the remotes up to the
+        first live allocator, probe that one alone.
         """
         seed_source = self.seed_source
         if seed_source is None:
@@ -359,30 +415,27 @@ class ExpansionProcess(Process):
                 "seed fallback but no seed source is available — inject "
                 "seed_source (DirectSeedSource / the backend's shared-"
                 "memory source) at or after construction")
+        if live is None:
+            live = seed_source.live()
         self.random_seed_requests += 1
-        order = [self.partition] + [
-            p for p in range(self.num_partitions) if p != self.partition]
-        # Probe first, account after: the RPC pricing never touches the
-        # RNG or the probes, so deferring the per-remote accounting of
-        # the scanned prefix to one bulk call leaves the counters (and
-        # the outbox entry sequence) identical while the O(|P|) scan
-        # loop stays free of per-probe accounting dispatch.
-        probed: list = []
+        own = self.partition
+        first = int(live.argmax())      # lowest live id (0 when none is)
+        if live[own]:
+            target, scanned = own, 0
+        elif live[first]:
+            target, scanned = first, first + (first < own)
+        else:
+            target, scanned = None, self.num_partitions - 1
         found = None
-        min_degree = self.seed_strategy == "min_degree"
-        for proc_id in order:
-            if proc_id != self.partition:
-                probed.append(("alloc", proc_id))
-            if min_degree:
-                v = seed_source.min_degree_vertex(proc_id)
-            else:
-                v = seed_source.random_vertex(proc_id, self.rng)
-            if v is not None:
-                found = v
-                break
-        self.remote_seed_requests += len(probed)
+        if target is not None:
+            found = (seed_source.min_degree_vertex(target)
+                     if self.seed_strategy == "min_degree"
+                     else seed_source.random_vertex(target, self.rng))
+        self.remote_seed_requests += scanned
         # request + response, 8 bytes each way, per scanned remote
-        self.account_rpc_pairs(probed, 8)
+        self.account_rpc_pairs(
+            [("alloc", q) for q in range(scanned + (own <= scanned))
+             if q != own], 8)
         return found
 
     @property
@@ -411,8 +464,8 @@ class ExpansionProcess(Process):
 
         # Memory model: boundary entries + received partition edges
         # (one 64-bit edge id per collected edge).
-        self.set_resident("boundary", len(self.boundary) * 16)
-        self.set_resident("partition_edges", self.edge_count * 8)
+        self._report("boundary", len(self.boundary) * 16)
+        self._report("partition_edges", self.edge_count * 8)
 
     def check_termination(self, global_allocated: int) -> None:
         """Algorithm 1 line 15."""

@@ -27,8 +27,9 @@ entry, one outbox entry under a parallel backend), and that the next
 phase's kernel takes back whole with
 ``SimulatedCluster.take_segments``: ``np.repeat(dst_slots, lengths)``
 is the per-row machine index, no per-``(src, dst, tag)`` object is
-ever created.  Per-superstep Python work is O(|P|) (the per-process
-state objects), not O(|P|²) messages, on all three backends.
+ever created.  Every phase issues a constant number of NumPy calls per
+superstep on all three backends; what is left per process is attribute
+bookkeeping (counters, residents that moved, collected edge batches).
 
 Equivalence contract (the hard constraint, pinned by
 ``tests/test_kernel_equivalence.py`` and ``tests/test_backends.py``):
@@ -46,6 +47,13 @@ The mechanisms:
   plane-private fused copies; the per-process originals keep serving
   the memory model.  The partition width is fixed at construction: a
   wider partition id raises instead of growing.
+* **One boundary store.**  The expanders' one-segment stores are
+  adopted into one :class:`~repro.core.expansion.BoundaryStore`
+  (``boundary`` re-pointed at a segment, as ``alloc`` is at a slice):
+  selection is one ``pop``, the fold one ``insert`` — under the
+  store's lock, since shares of a superstep call ``run`` concurrently
+  over disjoint pid sets.  Contents ride the *process* snapshots as
+  plain arrays, not the plane's.
 * **Single-pass one-hop.**  The reference walks a machine's
   (partition, vertex) groups in ascending partition order, each group
   observing the writes of earlier groups.  Only two kinds of write are
@@ -95,9 +103,11 @@ breaks CI:
   process inside a whole-cluster plane:
   ``tests/test_kernel_equivalence.py::TestFusedDispatchEquivalence``
   (also: incremental replica count == ``entries()`` after every
-  phase, one ``adjacency_slots`` gather per one-hop superstep); no
-  call of NumPy's ``unique`` here or in ``expansion.py``:
-  ``tests/test_source_guards.py``;
+  phase; per superstep one ``adjacency_slots`` gather, one store
+  ``pop``, at most one ``insert`` and one ``_resolve_multi_shared``);
+  store == one heapq reference per segment:
+  ``tests/test_expansion_process.py``; no NumPy ``unique`` here or in
+  ``expansion.py``: ``tests/test_source_guards.py``;
 * the superstep *ledger* is backend-invariant: empty-mailbox
   short-circuits are decided by the driver and submitted as counted
   no-ops (``steps_skipped``), never silently elided, so
@@ -120,9 +130,11 @@ import time
 import numpy as np
 
 from repro.cluster.runtime import SegmentBatch, SegmentQueue
-from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
+from repro.core.allocation import (DENSE_MEMBERSHIP_MAX_PARTITIONS,
+                                   TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
                                    TAG_SYNC, AllocationProcess)
-from repro.core.expansion import ExpansionProcess
+from repro.core.expansion import (BoundarySegment, BoundaryStore,
+                                  ExpansionProcess)
 from repro.graph.csr import (adjacency_slots, first_occurrence,
                              sorted_unique)
 
@@ -140,13 +152,14 @@ def _runs(keys: np.ndarray):
 
 def _resolve_multi_shared(member, loads: np.ndarray,
                           cand_shared: np.ndarray, tgt: np.ndarray,
-                          multi: np.ndarray) -> None:
-    """Loads-delta batching for the multi-shared tie-break.
+                          multi: np.ndarray, cand_mi: np.ndarray) -> None:
+    """Loads-delta batching for the multi-shared tie-break, every
+    machine's contested edges in one call.
 
-    The reference walks the candidate edges in order, allocating
-    each contested edge to the least-loaded shared partition under
-    the *running* loads.  The running load of partition q at walk
-    position i decomposes as::
+    The reference walks a machine's candidate edges in order,
+    allocating each contested edge to the least-loaded shared
+    partition under the *running* loads.  The running load of
+    partition q at walk position i decomposes as::
 
         base[q] + #{single-shared edges before i targeting q}
                 + #{contested edges before i that chose q}
@@ -170,38 +183,39 @@ def _resolve_multi_shared(member, loads: np.ndarray,
     and from a replay that touches only contested edges, not from
     the isolated fast path.
 
-    ``member`` is the membership layout ``cand_shared`` is in and
-    ``loads`` one machine's per-partition load row.  Fills
-    ``tgt[multi]`` in place; the caller applies the load increments
-    for the whole candidate batch in one scatter-add.
+    ``member`` is the membership layout ``cand_shared`` is in,
+    ``loads`` the ``(machines, width)`` load rows and ``cand_mi`` each
+    candidate's machine row (the walk is machine-major); loads, prefix
+    counts and collisions are per machine, so ``q`` below is the slot
+    ``machine * width + partition``.  Fills ``tgt[multi]`` in place; the
+    caller applies the whole batch's load increments in one scatter-add.
     """
     rows, cols = member.mask_nonzero(cand_shared[multi])
     row_starts = np.searchsorted(rows, np.arange(len(multi) + 1))
-    width = len(loads)
-    cols64 = cols.astype(np.int64)
+    width = loads.shape[1]
+    abs_pos = multi[rows]
+    slots = cand_mi[abs_pos] * width + cols
 
     # Single-shared prefix counts per (contested edge, candidate):
-    # sort the single-shared events by (partition, walk position),
-    # then each pair's count is one segment searchsorted.
+    # sort the single-shared events by (machine, partition, walk
+    # position), then each pair's count is one segment searchsorted.
     num_cand = len(tgt)
     single_pos = np.flatnonzero(tgt >= 0)
-    single_keys = (tgt[single_pos].astype(np.int64) * (num_cand + 1)
-                   + single_pos)
+    single_keys = ((cand_mi[single_pos] * width + tgt[single_pos])
+                   * (num_cand + 1) + single_pos)
     single_keys.sort()
-    seg_lo = cols64 * (num_cand + 1)
-    abs_pos = multi[rows]
+    seg_lo = slots * (num_cand + 1)
     prefix = (np.searchsorted(single_keys, seg_lo + abs_pos)
               - np.searchsorted(single_keys, seg_lo))
-    run_loads = loads[cols] + prefix
+    run_loads = loads.ravel()[slots] + prefix
 
     # Collision detection: candidates appearing in >1 contested edge.
-    col_multiplicity = np.bincount(cols, minlength=width)
-    pair_shared = (col_multiplicity[cols] > 1).astype(np.int8)
+    pair_shared = (np.bincount(slots)[slots] > 1).astype(np.int8)
     row_shared = np.maximum.reduceat(pair_shared, row_starts[:-1])
 
     # Isolated contested edges: vectorized min over (load, id) keys
     # per row segment.
-    min_key = np.minimum.reduceat(run_loads * width + cols64,
+    min_key = np.minimum.reduceat(run_loads * width + cols,
                                   row_starts[:-1])
     iso = np.flatnonzero(row_shared == 0)
     tgt[multi[iso]] = min_key[iso] % width
@@ -211,21 +225,23 @@ def _resolve_multi_shared(member, loads: np.ndarray,
         # Sequential replay of the genuinely order-dependent tail:
         # running deltas restricted to the colliding edges' own
         # candidates (isolated decisions never touch them).
-        cols_l = cols.tolist()
+        slots_l = slots.tolist()
         base_l = run_loads.tolist()
         starts_l = row_starts.tolist()
-        delta = [0] * width
+        delta: dict = {}
+        chosen = []
         for j in colliding.tolist():
             lo, hi = starts_l[j], starts_l[j + 1]
-            best_q = cols_l[lo]
-            best_v = base_l[lo] + delta[best_q]
+            best_q = slots_l[lo]
+            best_v = base_l[lo] + delta.get(best_q, 0)
             for k in range(lo + 1, hi):
-                q = cols_l[k]
-                v = base_l[k] + delta[q]
+                q = slots_l[k]
+                v = base_l[k] + delta.get(q, 0)
                 if v < best_v:
                     best_v, best_q = v, q
-            tgt[multi[j]] = best_q
-            delta[best_q] += 1
+            chosen.append(best_q)
+            delta[best_q] = delta.get(best_q, 0) + 1
+        tgt[multi[colliding]] = np.array(chosen) % width
 
 
 class FusedDnePlane:
@@ -250,11 +266,21 @@ class FusedDnePlane:
         self._exp = {p.pid: p for p in processes
                      if isinstance(p, ExpansionProcess)}
         self._placement = placement
+        owned = [*allocs, *self._exp.values()]
+        if any(proc.kernel != "vectorized" for proc in owned):
+            raise ValueError("FusedDnePlane requires the vectorized kernel")
         for a in allocs:
-            if a.kernel != "vectorized":
-                raise ValueError(
-                    "FusedDnePlane requires the vectorized kernel")
+            a.report_memory()   # the fixed width's residents, on the books
         self._alloc_procs = allocs
+        # One boundary store: the expanders' one-segment stores, adopted.
+        self._store = BoundaryStore(len(self._exp))
+        #: partition -> segment of the store, -1 elsewhere
+        self._seg_of = np.full(placement.num_processes, -1, dtype=np.int64)
+        for seg, proc in enumerate(self._exp.values()):
+            held = proc.boundary.entries()
+            proc.boundary = BoundarySegment(self._store, seg)
+            proc.boundary.insert_many(*held)
+            self._seg_of[proc.partition] = seg
         m = len(allocs)
         self._m = m
         self._machines = np.array([a.machine for a in allocs],
@@ -388,54 +414,68 @@ class FusedDnePlane:
         raise ValueError(f"unsupported fused method {method!r}")
 
     # ------------------------------------------------------------------
-    # Selection: per-process pops (boundary state is per-process), one
-    # batched replica_membership over every selected vertex, the whole
-    # multicast emitted as one (source, destination)-segmented sweep.
+    # Selection: one pop over every live expander's segment, one seed
+    # scan, one enumerated replica fan-out, the whole multicast emitted
+    # as one (source, destination)-segmented sweep.
     # ------------------------------------------------------------------
     def _run_select(self, pids) -> dict:
-        values: dict = {}
-        sel_chunks: list = []
-        srcs: list = []
-        for pid in pids:
-            proc = self._exp[pid]
-            if proc.finished:
-                values[pid] = 0
-                continue
-            start = time.perf_counter()
-            if len(proc.boundary):
-                k = max(1, int(np.ceil(proc.lam * len(proc.boundary))))
-                sel = proc.boundary.pop_k_min_array(k)
-            else:
-                v = proc._random_seed()
-                sel = (np.empty(0, dtype=np.int64) if v is None
-                       else np.array([v], dtype=np.int64))
-            proc.selection_seconds += time.perf_counter() - start
-            values[pid] = len(sel)
-            if len(sel):
-                sel_chunks.append(sel)
-                srcs.append(proc)
-        if not sel_chunks:
+        values = dict.fromkeys(pids, 0)
+        live = [proc for proc in map(self._exp.__getitem__, pids)
+                if not proc.finished]
+        if not live:
             return values
-        counts = np.array([len(c) for c in sel_chunks], dtype=np.int64)
-        selected = np.concatenate(sel_chunks)
-        src_idx = np.repeat(np.arange(len(srcs), dtype=np.int64), counts)
-        src_parts = np.array([p.partition for p in srcs], dtype=np.int64)
-        rows = np.empty((len(selected), 2), dtype=np.int64)
-        rows[:, 0] = selected
-        rows[:, 1] = np.repeat(src_parts, counts)
-
-        masks = self._placement.replica_membership(selected)
-        vidx, dsts = np.nonzero(masks)
+        start = time.perf_counter()
+        parts = np.array([proc.partition for proc in live], dtype=np.int64)
+        segs = self._seg_of[parts]
+        sizes = self._store.sizes[segs]
+        ks = np.ceil(np.array([proc.lam for proc in live]) * sizes)
+        selected, counts = self._store.pop(
+            segs, np.maximum(ks, 1).astype(np.int64))
+        src_idx = np.repeat(np.arange(len(live), dtype=np.int64), counts)
+        # A wall-clock field: the one pop's time, split evenly over the
+        # expanders that popped, plus each seed requester's own scan.
+        pop_share = ((time.perf_counter() - start)
+                     / max(int(np.count_nonzero(counts)), 1))
+        empty = np.flatnonzero(sizes == 0)
+        if len(empty):
+            # Empty-boundary fallback: one liveness query serves every
+            # requester (a missing source fails in ``_random_seed``).
+            start = time.perf_counter()
+            source = live[empty[0]].seed_source
+            alive = source.live() if source is not None else None
+            seeds, seeders = [], []
+            for i in empty.tolist():
+                v = live[i]._random_seed(alive)
+                now = time.perf_counter()
+                live[i].selection_seconds += now - start
+                start = now
+                if v is not None:
+                    seeds.append(v)
+                    seeders.append(i)
+            counts[seeders] = 1
+            selected = np.concatenate(
+                (selected, np.array(seeds, dtype=np.int64)))
+            src_idx = np.concatenate(
+                (src_idx, np.array(seeders, dtype=np.int64)))
+        if not len(selected):
+            return values
+        rows = np.column_stack((selected, parts[src_idx]))
+        vidx, dsts = self._placement.replica_hits(selected)
         hit_src = src_idx[vidx]
-        ops = np.bincount(hit_src, minlength=len(srcs))
-        for i, proc in enumerate(srcs):
-            proc.selection_ops += int(ops[i])
+        ops = np.bincount(hit_src, minlength=len(live)).tolist()
+        for proc, size, count, op in zip(live, sizes.tolist(),
+                                         counts.tolist(), ops):
+            values[proc.pid] = count
+            proc.selection_ops += op
+            if size:
+                proc.selection_seconds += pop_share
         # Stable sort by (source, destination): within a pair, hits stay
         # in selection order — each source's per-destination segment is
         # exactly the payload the reference's per-vertex fan-out builds.
-        order = np.argsort(hit_src * masks.shape[1] + dsts, kind="stable")
-        srcs[0].send_segments(TAG_SELECT, SegmentBatch.from_runs(
-            rows[vidx[order]], "expansion", src_parts[hit_src[order]],
+        order = np.argsort(hit_src * self._placement.num_processes + dsts,
+                           kind="stable")
+        live[0].send_segments(TAG_SELECT, SegmentBatch.from_runs(
+            rows[vidx[order]], "expansion", parts[hit_src[order]],
             "alloc", dsts[order]))
         return values
 
@@ -535,7 +575,7 @@ class FusedDnePlane:
             bp_rows = np.column_stack((us, nt_p))
             self._park(self._pending_bp, bp_rows, nt_mi)
             # Sync fan-out hits, minus each row's own machine.
-            hit_v, hit_d = np.nonzero(self._placement.replica_membership(us))
+            hit_v, hit_d = self._placement.replica_hits(us)
             keep = hit_d != self._machines[nt_mi[hit_v]]
             hit_v, hit_d = hit_v[keep], hit_d[keep]
             if len(hit_v):
@@ -643,15 +683,11 @@ class FusedDnePlane:
                         tgt = np.where(
                             nshared == 1,
                             member.mask_single_partition(cand_shared), -1)
-                        bounds = np.searchsorted(
-                            cand_mi, np.arange(m + 1, dtype=np.int64))
-                        for mi in sorted_unique(
-                                cand_mi[nshared > 1]).tolist():
-                            a, b = int(bounds[mi]), int(bounds[mi + 1])
-                            multi = np.flatnonzero(nshared[a:b] > 1)
+                        multi = np.flatnonzero(nshared > 1)
+                        if len(multi):
                             _resolve_multi_shared(
-                                member, self._loads[mi],
-                                cand_shared[a:b], tgt[a:b], multi)
+                                member, self._loads, cand_shared, tgt,
+                                multi, cand_mi)
                         np.add.at(self._loads, (cand_mi, tgt), 1)
                         alloc_f[cand_les] = tgt.astype(alloc_f.dtype)
                         total_nv = self._voff[-1]
@@ -713,7 +749,9 @@ class FusedDnePlane:
         for mi in mis:
             procs[mi].ops_two_hop += int(ops2[mi])
             procs[mi]._replica_count += int(bits[mi])
-            procs[mi].report_memory()
+            # (past this width: two constant residents, on the books)
+            if width <= DENSE_MEMBERSHIP_MAX_PARTITIONS:
+                procs[mi].report_memory()
         return out
 
     # ------------------------------------------------------------------
@@ -737,10 +775,7 @@ class FusedDnePlane:
             sums = np.zeros(len(keys), dtype=np.int64)
             np.add.at(sums, np.searchsorted(keys, row_keys),
                       report.rows[:, 1])
-            vs = keys % g
-            for p, a, b in _runs(keys // g):
-                self._exp["expansion", p].boundary.insert_many(vs[a:b],
-                                                               sums[a:b])
+            self._store.insert(self._seg_of[keys // g], keys % g, sums)
         mail = cluster.take_segments("expansion", TAG_EDGES, slots)
         if mail:
             # Mailbox order (destination, then ascending source) makes
@@ -754,9 +789,10 @@ class FusedDnePlane:
                 proc = self._exp["expansion", p]
                 proc.edge_ids.append(report.rows[bounds[a]:bounds[b]])
                 proc.edge_count += bounds[b] - bounds[a]
-        for proc in exps:
-            # Memory model: boundary entries + received partition edges
-            # (one 64-bit edge id per collected edge).
-            proc.set_resident("boundary", len(proc.boundary) * 16)
-            proc.set_resident("partition_edges", proc.edge_count * 8)
+        # Memory model: boundary entries + received partition edges
+        # (one 64-bit edge id per collected edge).
+        sizes = self._store.sizes[self._seg_of[slots]].tolist()
+        for proc, size in zip(exps, sizes):
+            proc._report("boundary", size * 16)
+            proc._report("partition_edges", proc.edge_count * 8)
         return dict.fromkeys(pids)

@@ -101,24 +101,45 @@ class Hash2DPlacement:
         """Size of the replica candidate set (``rows + cols - 1``)."""
         return self.rows + self.cols - 1
 
+    def _grid_cells(self, vs) -> tuple[np.ndarray, np.ndarray]:
+        """Batched ``(vertex_row, vertex_col)``."""
+        vs = np.asarray(vs, dtype=np.int64)
+        return ((splitmix64(vs, seed=self.seed)
+                 % np.uint64(self.rows)).astype(np.int64),
+                (splitmix64(vs, seed=self.seed + 1)
+                 % np.uint64(self.cols)).astype(np.int64))
+
     def replica_membership(self, vs: np.ndarray) -> np.ndarray:
         """Batched replica sets: ``(len(vs), num_processes)`` boolean.
 
         ``out[i, q]`` is True iff process ``q`` is a replica candidate
         of ``vs[i]`` — the vectorised form of
-        :meth:`replica_processes`, used by the allocation kernels to
-        fan out sync messages without per-vertex set construction.
+        :meth:`replica_processes`, and the definition
+        :meth:`replica_hits` (what the kernels call) is pinned against.
         """
-        vs = np.asarray(vs, dtype=np.int64)
-        r = (splitmix64(vs, seed=self.seed)
-             % np.uint64(self.rows)).astype(np.int64)
-        c = (splitmix64(vs, seed=self.seed + 1)
-             % np.uint64(self.cols)).astype(np.int64)
+        r, c = self._grid_cells(vs)
         procs = np.arange(self.num_processes, dtype=np.int64)
         proc_row = procs // self.cols
         proc_col = procs % self.cols
         return (r[:, None] == proc_row[None, :]) | \
                (c[:, None] == proc_col[None, :])
+
+    def replica_hits(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Enumerated replica sets, what the fan-out kernels consume:
+        ``np.nonzero(replica_membership(vs))`` — vertex-major, processes
+        ascending — without the ``k × |P|`` matrix.  A vertex's ``rows +
+        cols - 1`` candidates depend only on its grid cell: one gather
+        from a per-cell table."""
+        table = getattr(self, "_hit_table", None)
+        if table is None:
+            cell = np.arange(self.num_processes, dtype=np.int64)
+            row, col = cell // self.cols, cell % self.cols
+            table = self._hit_table = np.nonzero(
+                (row[:, None] == row) | (col[:, None] == col))[1].reshape(
+                    self.num_processes, self.rows + self.cols - 1)
+        r, c = self._grid_cells(vs)
+        return (np.repeat(np.arange(len(vs)), table.shape[1]),
+                table[r * self.cols + c].ravel())
 
     def replica_membership_words(self, vs: np.ndarray) -> np.ndarray:
         """Packed-bitset form of :meth:`replica_membership`.
@@ -134,16 +155,11 @@ class Hash2DPlacement:
         layout (1 bit per process instead of the boolean form's byte),
         pinned bit-for-bit against :meth:`replica_membership` by the
         packed-membership property tests.  The simulator's fan-out
-        loops still consume the boolean form — they must enumerate the
-        per-process hits anyway and their masks are transient
-        ``k × |P|`` batches — so this query is the deployment-facing
+        kernels enumerate the per-process hits directly
+        (:meth:`replica_hits`), so this query is the deployment-facing
         API, not a hot path of the simulated kernels.
         """
-        vs = np.asarray(vs, dtype=np.int64)
-        r = (splitmix64(vs, seed=self.seed)
-             % np.uint64(self.rows)).astype(np.int64)
-        c = (splitmix64(vs, seed=self.seed + 1)
-             % np.uint64(self.cols)).astype(np.int64)
+        r, c = self._grid_cells(vs)
         row_pat, col_pat = self._packed_patterns()
         return row_pat[r] | col_pat[c]
 
@@ -187,6 +203,11 @@ class Hash1DPlacement:
     def replica_membership(self, vs: np.ndarray) -> np.ndarray:
         """Every process is a candidate for every vertex (1D scatter)."""
         return np.ones((len(vs), self.num_processes), dtype=bool)
+
+    def replica_hits(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (vertex, process) pair — the 2D placement's contract."""
+        vidx, procs = np.indices((len(vs), self.num_processes))
+        return vidx.ravel(), procs.ravel()
 
     def replica_membership_words(self, vs: np.ndarray) -> np.ndarray:
         """Packed form: every bit ``< num_processes`` set per row."""

@@ -317,7 +317,8 @@ class TestOutboxReplay:
     def test_dne_share_boundaries(self, graph, kernel):
         """|P| = 5 over 1 / 3 / 9 threads: uneven shares, shares made
         only of skipped steps, fused and per-process dispatch inside a
-        share — all equal to the simulated run."""
+        share, shares popping and inserting disjoint segments of the
+        one shared boundary store — all equal to the simulated run."""
         base = _run_dne(graph, 5, kernel, "simulated", None)
         for share_workers in (1, 3, 9):
             res = _run_dne(graph, 5, kernel, "threads", share_workers)

@@ -209,7 +209,10 @@ class TestFlushVersusBarrier:
         cluster, a, b = self._send_on_both_planes()
         assert not cluster.has_mail(b.pid, "eager")   # eager mail in flight
         assert cluster.has_mail(b.pid, "bulk")        # sweeps land at once
+        assert cluster.mail_slots("alloc", "eager") == set()
+        assert cluster.mail_slots("alloc", "bulk") == {1}
         cluster.flush()
+        assert cluster.mail_slots("alloc", "eager") == {1}
         assert cluster.stats.barriers == 0
         # Both planes readable and accounted.
         assert b.receive("eager") == [(a.pid, 1)]
@@ -363,8 +366,17 @@ class TestSegmentBatchDelivery:
             swept.barrier()
             assert all(swept.has_mail(pid, "t") == plain.has_mail(pid, "t")
                        for pid in pids)
+            # the per-tag query is the per-process probe, on both layouts
+            for role in ("alloc", "expansion"):
+                waiting = {pid[1] for pid in pids
+                           if pid[0] == role and swept.has_mail(pid, "t")}
+                assert swept.mail_slots(role, "t") == waiting \
+                    == plain.mail_slots(role, "t")
+            assert swept.mail_slots(batch.dst_role, "t")
             assert _mailboxes(swept, pids, "t") == _mailboxes(plain, pids, "t")
             assert not any(swept.has_mail(pid, "t") for pid in pids)
+            assert swept.mail_slots(batch.dst_role, "t") == set() \
+                == plain.mail_slots(batch.dst_role, "t")
 
     def test_one_mailbox_entry_per_sweep(self):
         cluster, _ = _dne_cluster(6)
@@ -459,6 +471,9 @@ class TestSegmentBatchDelivery:
         assert set(first.dst_slots.tolist()) == {0, 4}
         assert not cluster.has_mail(("alloc", 0), "t")
         assert cluster.has_mail(("alloc", 1), "t")
+        assert cluster.mail_slots("alloc", "t") == {1, 2, 3, 5}
+        assert cluster.mail_slots("expansion", "t") == set() \
+            == cluster.mail_slots("alloc", "other")
         assert cluster.take_segments("alloc", "t", [0, 4]) == []
         rest = SegmentBatch.merge(
             cluster.take_segments("alloc", "t", [1, 2, 3, 5]))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import time
 
 import numpy as np
@@ -176,6 +177,22 @@ class TestRecoveryEquivalence:
         _assert_identical(res, base64)
         assert not plan.pending()
 
+    def test_kill_between_selection_and_one_hop(self, graph, workers,
+                                                base64):
+        """Superstep 7 is iteration 2's one-hop: the worker dies right
+        after a selection superstep popped its expanders' segments of
+        the worker's boundary store.  The respawned worker's plane
+        builds a fresh store; the post-selection snapshot carries each
+        segment's content as plain arrays and ``restore_state`` writes
+        them into that store — a respawn that lost or rebound them
+        would select different vertices from iteration 3 on."""
+        plan = FaultPlan().kill(0, 7)
+        res = DistributedNE(64, seed=0, backend="processes",
+                            workers=workers, step_timeout=60,
+                            max_retries=1, fault_plan=plan).partition(graph)
+        _assert_identical(res, base64)
+        assert not plan.pending()
+
     def test_seeded_delays_are_result_neutral(self, graph, workers, base4):
         """Seeded scheduling jitter (delays on every worker/superstep
         pair) must not change any pinned total."""
@@ -252,6 +269,33 @@ class TestCheckpointResume:
         res = DistributedNE(64, seed=0, checkpoint_dir=ckpt,
                             resume=True).partition(graph)
         _assert_identical(res, base64)
+
+    @pytest.mark.parametrize("writer", ["simulated", "threads", "processes"])
+    def test_resume_with_live_boundaries_on_every_backend(
+            self, graph, workers, tmp_path, base64, writer):
+        """|P| = 64, snapshot cut at iteration 3 with boundaries
+        non-empty: each segment of the writer's boundary store rides
+        the snapshot as plain ``(vertices, drests)`` arrays — no store,
+        no segment index — so every backend resumes it bit-identically,
+        whichever backend wrote it (one store per run, or one per
+        worker)."""
+        def backend_args(name):
+            return {} if name == "simulated" else {"backend": name,
+                                                   "workers": workers}
+        ckpt = str(tmp_path / "ckpt")
+        DistributedNE(64, seed=0, max_iterations=3, checkpoint_dir=ckpt,
+                      **backend_args(writer)).partition(graph)
+        held = [state["boundary"]
+                for pid, state in CheckpointStore(ckpt).load_latest()[
+                    "procs"].items() if pid[0] == "expansion"]
+        assert all(isinstance(part, np.ndarray) for b in held for part in b)
+        assert sum(len(vertices) for vertices, _ in held) > 64
+        for reader in ("simulated", "threads", "processes"):
+            copy = str(tmp_path / reader)
+            shutil.copytree(ckpt, copy)
+            res = DistributedNE(64, seed=0, checkpoint_dir=copy, resume=True,
+                                **backend_args(reader)).partition(graph)
+            _assert_identical(res, base64)
 
     def test_resume_with_history(self, graph, tmp_path):
         """The per-iteration trace survives a checkpoint boundary."""

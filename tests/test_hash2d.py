@@ -1,6 +1,7 @@
 """Unit tests for the 2D-hash initial placement."""
 
 import numpy as np
+import pytest
 
 from repro.core.hash2d import Hash1DPlacement, Hash2DPlacement
 from repro.graph.generators import rmat_edges
@@ -74,3 +75,23 @@ class TestHash1DPlacement:
         p1 = Hash1DPlacement(16, seed=0)
         p2 = Hash2DPlacement(16, seed=0)
         assert p1.replica_count(0) > p2.replica_count(0)
+
+
+@pytest.mark.parametrize("placement_cls", [Hash2DPlacement, Hash1DPlacement])
+@pytest.mark.parametrize("procs", [1, 2, 3, 6, 7, 8, 12, 16, 64, 100, 256])
+def test_replica_hits_enumerate_the_membership_matrix(placement_cls, procs):
+    """``replica_hits`` is ``np.nonzero(replica_membership)`` — vertex-
+    major, processes ascending — on square, non-square (2x3, 3x4,
+    10x10) and degenerate 1xP (prime |P|) grids, repeats and an empty
+    batch included, and agrees with the per-vertex ``replica_processes``."""
+    placement = placement_cls(procs, seed=5)
+    rng = np.random.default_rng(procs)
+    for vs in (rng.integers(0, 10 ** 6, 300), np.array([7, 7, 0]),
+               np.empty(0, dtype=np.int64)):
+        vidx, dsts = placement.replica_hits(vs)
+        expect = np.nonzero(placement.replica_membership(vs))
+        assert vidx.dtype == dsts.dtype == np.int64
+        assert np.array_equal(vidx, expect[0])
+        assert np.array_equal(dsts, expect[1])
+    vidx, dsts = placement.replica_hits(np.array([11, 12]))
+    assert dsts[vidx == 1].tolist() == placement.replica_processes(12)

@@ -12,8 +12,10 @@ and seeds:
 * the GAS engine's ``gather_sum`` / ``gather_min`` return bit-identical
   vectors and identical communication accounting;
 * the bulk all-gather accounting matches the per-message loop exactly;
-* the flat-array ``BoundaryQueue`` reproduces the heapq reference's
-  exact pop order, membership semantics, and re-insert drops;
+* the one-segment boundary store (``BoundarySegment``) reproduces the
+  heapq reference's exact pop order, membership semantics, and
+  re-insert drops (the many-segment property test lives in
+  ``tests/test_expansion_process.py``);
 * the packed uint64-bitset replica membership matches the boolean
   matrix backend bit-for-bit across |P| ∈ {3, 64, 65, 256}, and a full
   DNE run at |P| > 64 (where the packed backend engages) stays
@@ -36,8 +38,9 @@ from repro.core import fused as fused_module
 from repro.core.allocation import (TAG_SELECT, TAG_SYNC, AllocationProcess,
                                    DenseMembership, PackedMembership)
 from repro.core.distributed_ne import DistributedNE
-from repro.core.expansion import (BoundaryQueue, DirectSeedSource,
-                                  ExpansionProcess, HeapqBoundaryQueue)
+from repro.core.expansion import (BoundarySegment, BoundaryStore,
+                                  DirectSeedSource, ExpansionProcess,
+                                  HeapqBoundaryQueue)
 from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import (Hash1DPlacement, Hash2DPlacement,
                                unpack_bool_matrix)
@@ -103,12 +106,12 @@ class TestPartitionerEquivalence:
 
 
 class TestBoundaryQueueEquivalence:
-    """Array-heap BoundaryQueue == heapq reference, op for op."""
+    """One-segment boundary store == heapq reference, op for op."""
 
     def test_random_op_sequences_match(self):
         for trial in range(25):
             rng = np.random.default_rng(trial)
-            arr, ref = BoundaryQueue(), HeapqBoundaryQueue()
+            arr, ref = BoundarySegment(), HeapqBoundaryQueue()
             for _ in range(80):
                 if rng.random() < 0.6:
                     n = int(rng.integers(1, 9))
@@ -125,7 +128,7 @@ class TestBoundaryQueueEquivalence:
             assert arr.pop_k_min(10 ** 6) == ref.pop_k_min(10 ** 6)
 
     def test_reinsert_after_pop_takes_new_score(self):
-        q = BoundaryQueue()
+        q = BoundarySegment()
         q.insert(7, 9)
         assert q.pop_k_min(1) == [7]
         q.insert(7, 1)          # membership cleared by the pop
@@ -133,13 +136,13 @@ class TestBoundaryQueueEquivalence:
         assert q.pop_k_min(2) == [7, 3]
 
     def test_insert_many_keeps_first_score_within_batch(self):
-        q = BoundaryQueue()
+        q = BoundarySegment()
         q.insert_many(np.array([4, 4, 9]), np.array([8, 1, 5]))
         assert len(q) == 2
         assert q.pop_k_min(2) == [9, 4]  # 4 kept Drest 8, not 1
 
     def test_entry_time_scores_kept(self):
-        for cls in (BoundaryQueue, HeapqBoundaryQueue):
+        for cls in (BoundarySegment, HeapqBoundaryQueue):
             q = cls()
             q.insert(5, 10)
             q.insert(5, 0)       # dropped: already a member
@@ -445,6 +448,52 @@ class TestFusedDispatchEquivalence:
         assert set(per_step) == {1}
         assert max(calls) > 1        # a gather spans many groups
 
+    @pytest.mark.parametrize("partitions", [16, 64])
+    def test_selection_and_update_are_segment_kernels(self, partitions,
+                                                      monkeypatch):
+        """Structural pin of the plane-owned boundary store: however
+        many expanders take part, a selection superstep pops the store
+        exactly once, an update superstep inserts at most once, and a
+        two-hop superstep resolves every machine's contested edges in
+        at most one call — no per-process, per-machine loop."""
+        calls = {"pop": 0, "insert": 0, "resolve": 0}
+        per_step = {"pop": [], "insert": [], "resolve": []}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def stepping(name, real):
+            def wrapper(plane, pids):
+                before = calls[name]
+                out = real(plane, pids)
+                per_step[name].append(calls[name] - before)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(BoundaryStore, "pop",
+                            counting("pop", BoundaryStore.pop))
+        monkeypatch.setattr(BoundaryStore, "insert",
+                            counting("insert", BoundaryStore.insert))
+        monkeypatch.setattr(
+            fused_module, "_resolve_multi_shared",
+            counting("resolve", fused_module._resolve_multi_shared))
+        for name, method in (("pop", "_run_select"),
+                             ("insert", "_run_update"),
+                             ("resolve", "_run_two_hop")):
+            monkeypatch.setattr(FusedDnePlane, method,
+                                stepping(name, getattr(FusedDnePlane,
+                                                       method)))
+        res = DistributedNE(partitions, seed=0).partition(
+            CSRGraph(rmat_edges(8, 6, seed=3)))
+        assert len(per_step["pop"]) == res.iterations
+        assert set(per_step["pop"]) == {1}
+        for name in ("insert", "resolve"):
+            assert set(per_step[name]) <= {0, 1}, name
+            assert sum(per_step[name]) > 0, name    # the pin saw real work
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("partitions", [1, 4, 9])
@@ -522,9 +571,9 @@ class TestTwoHopLoadsDelta:
         orig = fused_module._resolve_multi_shared
         monkeypatch.setattr(
             fused_module, "_resolve_multi_shared",
-            lambda member, loads, cand_shared, tgt, multi: (
+            lambda member, loads, cand_shared, tgt, multi, cand_mi: (
                 contested.append(len(multi)),
-                orig(member, loads, cand_shared, tgt, multi))[1])
+                orig(member, loads, cand_shared, tgt, multi, cand_mi))[1])
 
         graph = CSRGraph(rmat_edges(9, 14, seed=seed))
         results = {}
@@ -568,11 +617,15 @@ class TestTwoHopLoadsDelta:
         a brute-force replay of the reference's running least-loaded
         walk — fabricated candidate batches covering both overlapping
         (colliding) and disjoint (isolated, vectorized segment-min)
-        contested edges."""
+        contested edges, over one to three machines in one call
+        (machine-major walk; loads, prefix counts and collisions are
+        per machine)."""
         rng = np.random.default_rng(trial)
         width = int(rng.integers(4, 10))
         num_cand = int(rng.integers(6, 60))
-        base = rng.integers(0, 12, width).astype(np.int64)
+        machines = 1 + trial % 3
+        base = rng.integers(0, 12, (machines, width)).astype(np.int64)
+        cand_mi = np.sort(rng.integers(0, machines, num_cand))
 
         # Fabricate the candidate walk: singles with random targets,
         # contested rows with 2..4 candidate partitions.  Half the
@@ -607,9 +660,10 @@ class TestTwoHopLoadsDelta:
 
         # Brute-force reference: the sequential walk over every
         # candidate edge with running loads.
-        loads = base.copy()
+        running = base.copy()
         expect = tgt.copy()
         for i in range(num_cand):
+            loads = running[cand_mi[i]]
             if expect[i] >= 0:
                 loads[expect[i]] += 1
             else:
@@ -620,7 +674,7 @@ class TestTwoHopLoadsDelta:
 
         got = tgt.copy()
         fused_module._resolve_multi_shared(
-            DenseMembership(0, width), base, cand, got, multi)
+            DenseMembership(0, width), base, cand, got, multi, cand_mi)
         assert np.array_equal(got, expect)
 
 

@@ -22,11 +22,17 @@ One dispatch rule (PR 18): under ``src/repro/cluster/backends/`` only
 ``run_steps`` calls the fused plane and only ``run_steps`` arms or
 disarms an outbox, so the fused-vs-per-process rule cannot be written
 a second time beside it.
+
+Selection and update are segment kernels (PR 19): the per-process
+array queue is gone — its name appears nowhere under ``src/``, the
+heapq reference aside — and the DNE driver asks the cluster which
+slots have mail once per tag (``mail_slots``), never once per process.
 """
 
 import ast
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -60,7 +66,8 @@ def test_guard_sees_a_call_and_ignores_prose():
     assert _np_unique_calls(source, with_axis=True) == [4]
 
 
-@pytest.mark.parametrize("name", ["fused.py", "expansion.py"])
+@pytest.mark.parametrize("name", ["fused.py", "expansion.py",
+                                  "distributed_ne.py"])
 def test_dne_kernels_do_not_call_np_unique(name):
     assert _np_unique_calls((_CORE / name).read_text()) == []
 
@@ -165,3 +172,34 @@ def test_dispatch_lives_in_run_steps_only(matches):
     assert found == [("base.py", "run_steps")], (
         f"{found}: dispatch lives in `run_steps`; extend it, do not add "
         "a second copy")
+
+
+def test_per_process_array_queue_stays_deleted():
+    """One vectorized boundary: the segmented store.  A second array
+    queue beside it would be a second implementation to keep in
+    lockstep; the reference is ``HeapqBoundaryQueue``."""
+    pattern = re.compile(r"(?<!Heapq)BoundaryQueue")
+    assert pattern.findall("a BoundaryQueue, not HeapqBoundaryQueue") \
+        == ["BoundaryQueue"]
+    found = [(str(path.relative_to(_SRC)), lineno)
+             for path in sorted(_SRC.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
+
+
+def _method_calls(source: str, name: str) -> list[int]:
+    """Line numbers of ``<anything>.name(...)`` calls."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name]
+
+
+def test_dne_driver_asks_for_mail_once_per_tag():
+    assert _method_calls('"""has_mail(p, t) in prose"""\n'
+                         "x = cluster.has_mail(pid, tag)\n",
+                         "has_mail") == [2]
+    driver = (_CORE / "distributed_ne.py").read_text()
+    assert _method_calls(driver, "has_mail") == []
+    assert len(_method_calls(driver, "mail_slots")) == 4

@@ -220,19 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--scales", type=int, nargs="+", default=[12, 14, 17],
                         metavar="LOG2_EDGES",
                         help="log2 target edge counts (default: 12 14 17)")
-    p_perf.add_argument("--partitions", "-p", type=int, default=8)
-    p_perf.add_argument("--engine-partitions", type=int, default=256,
-                        help="cluster size for the GAS gather benches "
-                             "(default 256, the paper's §7.4 maximum)")
-    p_perf.add_argument("--selection-partitions", type=int, default=64,
-                        help="cluster size for the DNE selection-phase "
-                             "benches (default 64 machines)")
-    p_perf.add_argument("--streaming-partitions", type=int, default=64,
-                        help="|P| for the streaming-baseline rows "
-                             "(default 64)")
-    p_perf.add_argument("--wide-partitions", type=int, default=256,
-                        help="|P| for the packed-membership weak-scaling "
-                             "rows (default 256)")
     p_perf.add_argument("--seed", type=int, default=0)
     p_perf.add_argument("--out", default="BENCH_kernels.json",
                         help="JSON output path ('-' to skip writing)")
@@ -425,19 +412,15 @@ def _cmd_experiment(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.bench.perf import run_perf
     out = None if args.out == "-" else args.out
-    doc = run_perf(edge_scales=tuple(args.scales),
-                   partitions=args.partitions,
-                   engine_partitions=args.engine_partitions,
-                   selection_partitions=args.selection_partitions,
-                   streaming_partitions=args.streaming_partitions,
-                   wide_partitions=args.wide_partitions,
-                   out=out, seed=args.seed)
-    headers = ["kernel", "edge_scale", "edges",
-               "python_seconds", "vectorized_seconds", "speedup"]
+    doc = run_perf(edge_scales=tuple(args.scales), out=out, seed=args.seed)
+    headers = ["kernel", "edge_scale", "edges", "python_seconds",
+               "vectorized_seconds", "speedup", "vectorized_spread",
+               "rate", "rate_unit"]
     print(format_table(
         headers,
         [[row.get(h, "") for h in headers] for row in doc["kernels"]],
-        title="kernel microbenchmarks (vectorized vs python reference)"))
+        title="kernel microbenchmarks (vectorized vs python reference, "
+              "min of repeats)"))
     if out:
         print(f"written to {out}")
     return 0

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -104,3 +106,26 @@ class TestCommands:
         assert main(["app", "pagerank", str(saved_partition),
                      "--iterations", "3"]) == 0
         assert "top vertex" in capsys.readouterr().out
+
+    def test_bench_perf_writes_every_kept_row_measured(self, tmp_path, capsys):
+        """``bench perf`` writes one measured row per kept kernel; the
+        widths are constants, so a width flag is a usage error."""
+        out_path = tmp_path / "kernels.json"
+        assert main(["bench", "perf", "--scales", "9",
+                     "--out", str(out_path)]) == 0
+        rows = json.loads(out_path.read_text())["kernels"]
+        assert sorted(row["kernel"] for row in rows) == sorted([
+            "dne_one_hop", "dne_two_hop", "dne_two_hop_conflict",
+            "dne_selection", "dne_boundary_fold", "hdrf", "fennel",
+            "hdrf_p256", "ne_expand", "gather_sum", "gather_min",
+            "csr_build", "serving_lookup", "all_gather_sum"])
+        for row in rows:
+            assert row["repeats"] >= 3 and row["rate"] > 0, row
+            assert row["python_seconds"] <= row["python_median_seconds"]
+            assert row["vectorized_seconds"] <= \
+                row["vectorized_median_seconds"]
+            assert min(row["python_spread"], row["vectorized_spread"]) >= 0
+        assert "written to" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "perf", "--wide-partitions", "8"])
+        assert exc.value.code == 2

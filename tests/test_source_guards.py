@@ -18,6 +18,11 @@ arm in the committed ``BENCH_kernels.json`` loses to its python
 reference, and the selector knobs deleted for losing — a user-set
 membership layout, ``kernel=`` on Sheep and Oblivious — stay deleted.
 
+One microbench method: ``bench/perf.py`` reads the clock only inside
+``measure`` / ``_timed``, and every committed row carries the repeats,
+medians, spreads and rate that method records — the speedup it is
+judged on is a ratio of minimums, not one un-warmed pair.
+
 One dispatch rule (PR 18): under ``src/repro/cluster/backends/`` only
 ``run_steps`` calls the fused plane and only ``run_steps`` arms or
 disarms an outbox, so the fused-vs-per-process rule cannot be written
@@ -78,17 +83,57 @@ def test_graph_front_end_does_not_call_row_wise_np_unique(path):
     assert _np_unique_calls(path.read_text(), with_axis=True) == []
 
 
+_MEASURED_FIELDS = ("python_median_seconds", "vectorized_median_seconds",
+                    "python_spread", "vectorized_spread", "rate")
+
+
 def test_no_committed_vectorized_arm_loses_to_its_reference():
     """Rows without a ``baseline`` key time a vectorized arm against
-    its ``kernel="python"`` reference; below 1.0x the arm is slower
+    its ``kernel="python"`` reference; below 1.0x (on minimums over at
+    least three repeats, median and spread recorded) the arm is slower
     than the code it was written to replace."""
     rows = json.loads((_ROOT / "BENCH_kernels.json").read_text())["kernels"]
+    judged = [row for row in rows if "baseline" not in row]
+    unmeasured = [(row["kernel"], row["edge_scale"]) for row in judged
+                  if row.get("repeats", 0) < 3
+                  or any(field not in row for field in _MEASURED_FIELDS)]
+    assert not unmeasured, (
+        f"rows not timed by `measure` (>= 3 repeats, medians, spreads, "
+        f"rate): {unmeasured} — regenerate with `repro bench perf`")
     losing = [(row["kernel"], row["edge_scale"], row["speedup"])
-              for row in rows
-              if "baseline" not in row and row["speedup"] < 1.0]
+              for row in judged if row["speedup"] < 1.0]
     assert not losing, (
         f"vectorized arms slower than their reference: {losing} — "
         "delete the losing arm or make it win; do not add an exemption")
+
+
+def _clock_reads(tree: ast.AST, skip=()) -> list[int]:
+    """Line numbers naming ``perf_counter`` (call, attribute or import),
+    skipping the bodies of the functions named in ``skip``."""
+    if isinstance(tree, ast.FunctionDef) and tree.name in skip:
+        return []
+    here = (isinstance(tree, ast.Attribute) and tree.attr == "perf_counter") \
+        or (isinstance(tree, ast.Name) and tree.id == "perf_counter") \
+        or (isinstance(tree, ast.ImportFrom)
+            and any(a.name == "perf_counter" for a in tree.names))
+    return ([tree.lineno] if here else []) + [
+        line for child in ast.iter_child_nodes(tree)
+        for line in _clock_reads(child, skip)]
+
+
+def test_microbench_reads_the_clock_only_in_measure():
+    """One timing method: every ``bench_*`` in ``bench/perf.py`` times
+    through ``_timed`` and every row through ``measure``, so a bare
+    ``perf_counter`` pair cannot come back beside them."""
+    allowed = ("measure", "_timed")
+    probe = ast.parse("from time import perf_counter\n"
+                      "def _timed(call):\n"
+                      "    return time.perf_counter()\n")
+    assert (_clock_reads(probe), _clock_reads(probe, allowed)) == ([1, 3], [1])
+    tree = ast.parse((_SRC / "bench" / "perf.py").read_text())
+    assert _clock_reads(tree), "the microbench no longer reads a clock"
+    assert _clock_reads(tree, allowed) == [], (
+        "perf_counter outside `measure` / `_timed`: time through them")
 
 
 def _init_parameters(source: str) -> list[tuple[int, str]]:

@@ -61,9 +61,10 @@ Membership backends
 The vectorized replica state is ``(num_local_vertices, |P|)`` bits with
 two layouts behind one interface:
 
-* :class:`DenseMembership` — a boolean matrix, one byte per bit; the
-  default for |P| ≤ 64 where the footprint is small and direct boolean
-  indexing is fastest.
+* :class:`DenseMembership` — one byte per bit, rows padded to whole
+  ``uint64`` words; the default for |P| ≤ 64, where the footprint is
+  small, pair and scalar ops index bytes directly and row algebra
+  reads the same bytes as words.
 * :class:`PackedMembership` — uint64 words, 64 partitions per word
   (``ceil(|P|/64)`` words per vertex), selected automatically for
   |P| > 64.  Row combination becomes word-wise ``&``/``|``, cardinality
@@ -144,16 +145,27 @@ def seed_vertex_min_degree(local_vertices: np.ndarray,
 
 
 class DenseMembership:
-    """Boolean ``(num_vertices, width)`` replica-membership matrix."""
+    """Replica membership stored as bytes, combined as words.
+
+    One C-contiguous boolean ``(num_vertices, 8 * ceil(width / 8))``
+    array, one byte per (vertex, partition) bit; the padding columns
+    past ``width`` are never set.  Pair and scalar ops address bytes
+    (``_mat`` stays a plain attribute, so the streaming tail walkers'
+    ``get_bit`` / ``set_bit`` pay nothing).  Row algebra reads each row
+    as ``ceil(width / 8)`` little-endian ``uint64`` words: at |P| = 8 a
+    row is one machine word, so intersection is one ``&``, "any" one
+    compare and cardinality one popcount (byte ``0x01`` per set bit)
+    instead of an 8-wide boolean reduction."""
 
     kind = "dense"
 
     def __init__(self, num_vertices: int, width: int):
-        self._mat = np.zeros((num_vertices, width), dtype=bool)
+        self._width = width
+        self._mat = np.zeros((num_vertices, -(-width // 8) * 8), dtype=bool)
 
     @property
     def width(self) -> int:
-        return self._mat.shape[1]
+        return self._width
 
     def entries(self) -> int:
         """Number of set (vertex, partition) bits."""
@@ -165,7 +177,7 @@ class DenseMembership:
 
     def rows_bool(self, idx: np.ndarray) -> np.ndarray:
         """Boolean ``(len(idx), width)`` membership rows (always a copy)."""
-        return self._mat[idx]
+        return self._mat[idx, :self._width]
 
     # -- scalar bit ops (streaming tail walkers) -----------------------
     def get_bit(self, v: int, p: int) -> bool:
@@ -183,25 +195,27 @@ class DenseMembership:
 
     # -- row-mask algebra (two-hop shared-partition tests) -------------
     def rows_and(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-row partition-set intersection masks (backend layout)."""
-        return self._mat[a] & self._mat[b]
+        """Per-row partition-set intersection masks: ``'<u8'`` words,
+        byte ``p`` of a row's memory = partition ``p``."""
+        words = self._mat.view("<u8")
+        return words[a] & words[b]
 
     @staticmethod
     def mask_any(masks: np.ndarray) -> np.ndarray:
-        return masks.any(axis=1)
+        return np.bitwise_or.reduce(masks, axis=1) != 0
 
     @staticmethod
     def mask_count(masks: np.ndarray) -> np.ndarray:
-        return masks.sum(axis=1)
+        return np.bitwise_count(masks).sum(axis=1)
 
     @staticmethod
     def mask_single_partition(masks: np.ndarray) -> np.ndarray:
         """Partition id per row, valid only for single-bit rows."""
-        return masks.argmax(axis=1)
+        return masks.view(bool).argmax(axis=1)
 
     @staticmethod
     def mask_nonzero(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(masks)
+        return np.nonzero(masks.view(bool))
 
     def nbytes(self) -> int:
         return self._mat.nbytes
@@ -368,7 +382,7 @@ class AllocationProcess(Process):
                 #: vectorized replica state, uint64-packed (|P| ≫ 64)
                 self._member = PackedMembership(nv, self.num_partitions)
             else:
-                #: vectorized replica state, boolean matrix
+                #: vectorized replica state, word-padded byte store
                 self._member = DenseMembership(nv, self.num_partitions)
 
         # Operation counters for the Theorem 3 cost model: adjacency

@@ -39,9 +39,13 @@ payloads, payload order, and memory reports — over any machine subset.
 The mechanisms:
 
 * **Shared mutable state, fused layout.**  Each allocator's ``alloc``
-  array, ``_part_loads`` vector and membership matrix are re-pointed at
+  array, ``_part_loads`` vector and membership array are re-pointed at
   row/segment *views* of one fused array (same dtype and per-machine
-  shape, so ``report_memory`` totals are unchanged).  ``rest_degree``
+  shape, so ``report_memory`` totals are unchanged).  The dense
+  membership array is a byte store padded to whole ``uint64`` words
+  per row: pair probes and sets index its bytes, the two-hop row
+  algebra reads the same rows as words (one word per row up to
+  |P| = 8), and its masks come back as words.  ``rest_degree``
   stays per-process — the processes backend maps it into shared
   memory per machine.  Read-only structures (adjacency, CSR maps) are
   plane-private fused copies; the per-process originals keep serving
@@ -224,24 +228,25 @@ def _resolve_multi_shared(member, loads: np.ndarray,
     if len(colliding):
         # Sequential replay of the genuinely order-dependent tail:
         # running deltas restricted to the colliding edges' own
-        # candidates (isolated decisions never touch them).
-        slots_l = slots.tolist()
+        # candidates (isolated decisions never touch them), one list
+        # cell per distinct slot, addressed by its compact id.
+        distinct = sorted_unique(slots)
+        ids_l = np.searchsorted(distinct, slots).tolist()
         base_l = run_loads.tolist()
         starts_l = row_starts.tolist()
-        delta: dict = {}
+        delta = [0] * len(distinct)
         chosen = []
         for j in colliding.tolist():
             lo, hi = starts_l[j], starts_l[j + 1]
-            best_q = slots_l[lo]
-            best_v = base_l[lo] + delta.get(best_q, 0)
+            best_k = lo
+            best_v = base_l[lo] + delta[ids_l[lo]]
             for k in range(lo + 1, hi):
-                q = slots_l[k]
-                v = base_l[k] + delta.get(q, 0)
+                v = base_l[k] + delta[ids_l[k]]
                 if v < best_v:
-                    best_v, best_q = v, q
-            chosen.append(best_q)
-            delta[best_q] = delta.get(best_q, 0) + 1
-        tgt[multi[colliding]] = np.array(chosen) % width
+                    best_v, best_k = v, k
+            chosen.append(best_k)
+            delta[ids_l[best_k]] += 1
+        tgt[multi[colliding]] = cols[chosen]
 
 
 class FusedDnePlane:
@@ -665,20 +670,23 @@ class FusedDnePlane:
             if len(slot_idx):
                 alloc_f = self._alloc
                 les = self._adj_eid[slot_idx]
-                free = alloc_f[les] == -1
-                if free.any():
-                    lws = self._adj_other[slot_idx]
-                    lv_rep = np.repeat(lvs_u, counts)
-                    shared = member.rows_and(lv_rep[free], lws[free])
-                    has = member.mask_any(shared)
-                    if has.any():
-                        les_f = les[free][has]
-                        shared_f = shared[has]
-                        mi_f = np.repeat(m_u, counts)[free][has]
+                # Only free slots are read past this point: their
+                # neighbour, row and machine are gathered once, by
+                # position (the row via the slot-count prefix sums).
+                free = np.flatnonzero(alloc_f[les] == -1)
+                if len(free):
+                    row = np.searchsorted(np.cumsum(counts), free,
+                                          side="right")
+                    shared = member.rows_and(
+                        lvs_u[row], self._adj_other[slot_idx[free]])
+                    has = np.flatnonzero(member.mask_any(shared))
+                    if len(has):
+                        les_f = les[free[has]]
                         occ3 = first_occurrence(les_f, self._edge_scratch)
                         cand_les = les_f[occ3]
-                        cand_shared = shared_f[occ3]
-                        cand_mi = mi_f[occ3]
+                        keep = has[occ3]
+                        cand_shared = shared[keep]
+                        cand_mi = m_u[row[keep]]
                         nshared = member.mask_count(cand_shared)
                         tgt = np.where(
                             nshared == 1,

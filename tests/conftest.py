@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.runtime import SegmentBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -86,6 +87,16 @@ def send_sweep(cluster, kernel: str, src, dst, tag: str, rows) -> None:
     sender.send_segments(tag, SegmentBatch(
         rows, np.array([0, len(rows)]), src[0], np.array([src[1]]),
         dst[0], np.array([dst[1]])))
+
+
+def dense_membership_shapes(checkpoint_dir: str) -> set:
+    """``(columns, width)`` of every allocator's dense membership array
+    in the newest DNE snapshot under ``checkpoint_dir`` — how a test
+    shows that a run's state really went through the padded byte
+    store (|P| = 4 is 8 columns: one ``uint64`` word per row)."""
+    procs = CheckpointStore(checkpoint_dir).load_latest()["procs"]
+    return {(state["_member"]._mat.shape[1], state["_member"].width)
+            for pid, state in procs.items() if pid[0] == "alloc"}
 
 
 def assert_valid_partition(result) -> None:

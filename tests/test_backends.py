@@ -35,6 +35,7 @@ from repro.core.distributed_ne import DistributedNE
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
 from repro.partitioners.sne import SNEPartitioner
+from tests.conftest import dense_membership_shapes
 
 PARALLEL = ("threads", "processes")
 
@@ -49,9 +50,11 @@ def workers(request) -> int:
     return request.config.getoption("--workers")
 
 
-def _run_dne(graph, partitions, kernel, backend, workers):
+def _run_dne(graph, partitions, kernel, backend, workers,
+             checkpoint_dir=None):
     return DistributedNE(partitions, seed=0, kernel=kernel,
-                         backend=backend, workers=workers).partition(graph)
+                         backend=backend, workers=workers,
+                         checkpoint_dir=checkpoint_dir).partition(graph)
 
 
 #: extra keys that must be identical across backends (everything
@@ -70,16 +73,24 @@ class TestDneBackendEquivalence:
     @pytest.mark.parametrize("kernel", ["vectorized", "python"])
     @pytest.mark.parametrize("partitions", [4, 64])
     def test_backends_bit_identical(self, graph, kernel, partitions,
-                                    workers):
+                                    workers, tmp_path):
         """simulated == threads == processes: assignments and every
-        deterministic accounting total, both kernels, |P| ∈ {4, 64}."""
+        deterministic accounting total, both kernels, |P| ∈ {4, 64}.
+        The parallel runs checkpoint, so their snapshots show the
+        vectorized state each backend ran on: at |P| = 4 the padded
+        dense byte store (8 columns, one word per row)."""
         base = _run_dne(graph, partitions, kernel, "simulated", None)
         for backend in PARALLEL:
-            res = _run_dne(graph, partitions, kernel, backend, workers)
+            ckpt = str(tmp_path / backend)
+            res = _run_dne(graph, partitions, kernel, backend, workers,
+                           checkpoint_dir=ckpt)
             assert np.array_equal(res.assignment, base.assignment), backend
             assert res.iterations == base.iterations, backend
             for key in _PINNED_EXTRA:
                 assert res.extra[key] == base.extra[key], (backend, key)
+            if kernel == "vectorized":
+                assert dense_membership_shapes(ckpt) == {
+                    (-(-partitions // 8) * 8, partitions)}, backend
 
     def test_step_ledger_records_skips(self, graph):
         """Empty-mailbox short-circuits actually fire: a real run both

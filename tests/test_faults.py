@@ -42,6 +42,7 @@ from repro.graph.generators import rmat_edges
 from repro.observability import (MetricsRegistry, disable_metrics,
                                  enable_metrics)
 from repro.partitioners.sne import SNEPartitioner
+from tests.conftest import dense_membership_shapes
 
 #: extra keys that must survive recovery bit-for-bit (mirrors the
 #: backend-equivalence pins: everything deterministic)
@@ -117,16 +118,22 @@ def _snapshot_paths(ckpt: str) -> list:
 # Recovery equivalence: injected faults + respawn-and-retry
 # ----------------------------------------------------------------------
 class TestRecoveryEquivalence:
-    def test_kill_recovers_bit_identical(self, graph, workers, base4):
+    def test_kill_recovers_bit_identical(self, graph, workers, tmp_path,
+                                         base4):
         """A worker hard-killed mid-run (os._exit, no cleanup) is
         respawned from its snapshot and the superstep re-run — final
-        result indistinguishable from the fault-free run."""
+        result indistinguishable from the fault-free run.  The state it
+        respawns is the padded dense byte store (|P| = 4 in 8 columns),
+        as the run's own checkpoint shows."""
+        ckpt = str(tmp_path / "ckpt")
         plan = FaultPlan().kill(0, 2).kill(min(1, workers - 1), 7)
         res = DistributedNE(4, seed=0, backend="processes",
                             workers=workers, step_timeout=60,
-                            max_retries=2, fault_plan=plan).partition(graph)
+                            max_retries=2, fault_plan=plan,
+                            checkpoint_dir=ckpt).partition(graph)
         _assert_identical(res, base4)
         assert not plan.pending()
+        assert dense_membership_shapes(ckpt) == {(8, 4)}
 
     def test_hang_recovers_bit_identical(self, graph, workers, base4):
         """A hung worker trips step_timeout, is killed and respawned;
@@ -228,6 +235,7 @@ class TestCheckpointResume:
         trunc = DistributedNE(4, seed=0, max_iterations=3,
                               checkpoint_dir=ckpt).partition(graph)
         assert trunc.iterations == 3
+        assert dense_membership_shapes(ckpt) == {(8, 4)}   # padded
         res = DistributedNE(4, seed=0, checkpoint_dir=ckpt,
                             resume=True).partition(graph)
         _assert_identical(res, base4)
@@ -237,13 +245,16 @@ class TestCheckpointResume:
                                                          base4):
         """The full story: a checkpointing processes-backend run is
         killed mid-flight by an unrecovered fault (max_retries=0), then
-        resumed from disk — result identical to never having crashed."""
+        resumed from disk — result identical to never having crashed,
+        its padded dense arrays (|P| = 4 in 8 columns) restored through
+        the snapshot."""
         ckpt = str(tmp_path / "ckpt")
         plan = FaultPlan().kill(0, 12)
         with pytest.raises(WorkerStepError):
             DistributedNE(4, seed=0, backend="processes", workers=workers,
                           step_timeout=60, fault_plan=plan,
                           checkpoint_dir=ckpt).partition(graph)
+        assert dense_membership_shapes(ckpt) == {(8, 4)}
         res = DistributedNE(4, seed=0, backend="processes", workers=workers,
                             checkpoint_dir=ckpt, resume=True).partition(graph)
         _assert_identical(res, base4)

@@ -16,10 +16,12 @@ and seeds:
   heapq reference's exact pop order, membership semantics, and
   re-insert drops (the many-segment property test lives in
   ``tests/test_expansion_process.py``);
-* the packed uint64-bitset replica membership matches the boolean
-  matrix backend bit-for-bit across |P| ∈ {3, 64, 65, 256}, and a full
-  DNE run at |P| > 64 (where the packed backend engages) stays
-  bit-identical to the reference kernel;
+* the packed uint64-bitset replica membership, the dense byte store's
+  word masks and a plain boolean-matrix definition agree bit-for-bit
+  across |P| ∈ {3, 8, 13, 64, 65, 256} (8: one exact word per dense
+  row; 13: a padded two-word row), and a full DNE run at |P| > 64
+  (where the packed backend engages) stays bit-identical to the
+  reference kernel;
 * the plane (the one vectorized DNE kernel) stays bit-identical to the
   python reference at |P| ∈ {4, 64, 256} — tiny per-partition batches
   included — and a vectorized process stepped directly (its own
@@ -150,9 +152,10 @@ class TestBoundaryQueueEquivalence:
             assert q.pop_k_min(2) == [6, 5]
 
 
-@pytest.mark.parametrize("partitions", [3, 64, 65, 256])
+@pytest.mark.parametrize("partitions", [3, 8, 13, 64, 65, 256])
 class TestPackedMembership:
-    """uint64-bitset membership == boolean matrix, property-tested."""
+    """uint64-bitset membership == dense byte store == boolean matrix,
+    property-tested."""
 
     def test_placement_packed_matches_bool(self, partitions):
         rng = np.random.default_rng(partitions)
@@ -170,37 +173,43 @@ class TestPackedMembership:
         nv = 40
         dense = DenseMembership(nv, partitions)
         packed = PackedMembership(nv, partitions)
+        oracle = np.zeros((nv, partitions), dtype=bool)
         for _ in range(30):
             if rng.integers(2):
                 k = int(rng.integers(1, 8))
                 idx = rng.integers(0, nv, k)
                 ps = rng.integers(0, partitions, k)
-                assert np.array_equal(dense.test_pairs(idx, ps),
-                                      packed.test_pairs(idx, ps))
-                dense.set_pairs(idx, ps)
-                packed.set_pairs(idx, ps)
+                for layout in (dense, packed):
+                    assert np.array_equal(layout.test_pairs(idx, ps),
+                                          oracle[idx, ps])
+                    layout.set_pairs(idx, ps)
+                oracle[idx, ps] = True
             else:
                 k = int(rng.integers(1, 8))
                 a = rng.integers(0, nv, k)
                 b = rng.integers(0, nv, k)
-                md = dense.rows_and(a, b)
-                mp = packed.rows_and(a, b)
-                assert np.array_equal(dense.mask_any(md),
-                                      packed.mask_any(mp))
-                assert np.array_equal(dense.mask_count(md),
-                                      packed.mask_count(mp))
-                single = dense.mask_count(md) == 1
-                if single.any():
+                want = oracle[a] & oracle[b]
+                count = want.sum(axis=1)
+                single = count == 1
+                for layout in (dense, packed):
+                    masks = layout.rows_and(a, b)
+                    assert np.array_equal(layout.mask_any(masks),
+                                          want.any(axis=1))
+                    assert np.array_equal(layout.mask_count(masks), count)
                     assert np.array_equal(
-                        dense.mask_single_partition(md)[single],
-                        packed.mask_single_partition(mp)[single])
-                dr, dc = dense.mask_nonzero(md)
-                pr, pc = packed.mask_nonzero(mp)
-                assert np.array_equal(dr, pr) and np.array_equal(dc, pc)
-            assert dense.entries() == packed.entries()
+                        layout.mask_single_partition(masks)[single],
+                        want.argmax(axis=1)[single])
+                    got, ref = layout.mask_nonzero(masks), np.nonzero(want)
+                    assert np.array_equal(got[0], ref[0])
+                    assert np.array_equal(got[1], ref[1])
+                    assert np.array_equal(layout.rows_bool(a), oracle[a])
+            assert dense.entries() == packed.entries() == oracle.sum()
         dnz, pnz = dense.nonzero(), packed.nonzero()
         assert np.array_equal(dnz[0], pnz[0])
         assert np.array_equal(dnz[1], pnz[1])
+        # Dense rows are whole words; the padding bytes are never set.
+        assert dense._mat.shape == (nv, -(-partitions // 8) * 8)
+        assert not dense._mat[:, partitions:].any()
         if partitions > 64:
             # The point of the packed layout: 8 partitions per byte
             # instead of 1 (worthwhile only beyond the auto threshold).
@@ -379,7 +388,7 @@ class TestFusedDispatchEquivalence:
                 == d.boundary.pop_k_min(10 ** 6)
         assert whole.stats.per_process == direct.stats.per_process
 
-    @pytest.mark.parametrize("machines", [4, 64, 256])
+    @pytest.mark.parametrize("machines", [4, 8, 13, 64, 256])
     def test_replica_count_is_maintained_where_bits_are_set(self, machines):
         """The memory model's replica-entry count is incremental: after
         every phase it equals a full recount of the machine's
@@ -619,7 +628,7 @@ class TestTwoHopLoadsDelta:
         (colliding) and disjoint (isolated, vectorized segment-min)
         contested edges, over one to three machines in one call
         (machine-major walk; loads, prefix counts and collisions are
-        per machine)."""
+        per machine), in both membership layouts' mask forms."""
         rng = np.random.default_rng(trial)
         width = int(rng.integers(4, 10))
         num_cand = int(rng.integers(6, 60))
@@ -672,10 +681,18 @@ class TestTwoHopLoadsDelta:
                 expect[i] = q
                 loads[q] += 1
 
-        got = tgt.copy()
-        fused_module._resolve_multi_shared(
-            DenseMembership(0, width), base, cand, got, multi, cand_mi)
-        assert np.array_equal(got, expect)
+        # Each layout resolves its own masks: the candidate rows held
+        # as membership rows, intersected with themselves.
+        rows, ps = np.nonzero(cand)
+        every = np.arange(num_cand)
+        for layout in (DenseMembership, PackedMembership):
+            member = layout(num_cand, width)
+            member.set_pairs(rows, ps)
+            got = tgt.copy()
+            fused_module._resolve_multi_shared(
+                member, base, member.rows_and(every, every), got, multi,
+                cand_mi)
+            assert np.array_equal(got, expect), layout.kind
 
 
 class TestReferencePathHygiene:

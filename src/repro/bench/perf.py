@@ -57,7 +57,7 @@ from repro.cluster.runtime import (Process, SegmentBatch, SimulatedCluster,
                                    _same_machine)
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
                                    TAG_SYNC, AllocationProcess)
-from repro.core.expansion import DirectSeedSource, ExpansionProcess
+from repro.core.expansion import ExpansionProcess, SharedSeedSource
 from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph, symmetrised_csr
@@ -282,14 +282,6 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
 # ----------------------------------------------------------------------
 # DNE selection plane (boundary queue + multicast + boundary fold)
 # ----------------------------------------------------------------------
-class _SeedlessAlloc(Process):
-    """Allocation stand-in for the selection bench: receives multicasts
-    and is never live for the seed source's liveness query (keeps the
-    timed loop on the boundary path, never the seed-scan fallback)."""
-
-    unallocated = 0
-
-
 def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
                           lam: float = 0.1,
                           rounds: int = 6) -> tuple[float, float]:
@@ -313,9 +305,14 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
     stream = min(n, max(192, n // 24))
     cluster = SimulatedCluster()
     placement = Hash2DPlacement(partitions, seed=0)
-    allocators = [cluster.add_process(_SeedlessAlloc(("alloc", k)))
-                  for k in range(partitions)]
-    seed_source = DirectSeedSource(allocators)
+    # Allocation stand-ins receive the multicasts; the seed source holds
+    # no vertex, so the timed loop stays on the boundary path, never
+    # the seed-scan fallback.
+    for k in range(partitions):
+        cluster.add_process(Process(("alloc", k)))
+    nothing = np.empty(0, dtype=np.int64)
+    seed_source = SharedSeedSource([nothing] * partitions,
+                                   [nothing] * partitions)
     expanders = [cluster.add_process(ExpansionProcess(
         k, partitions, limit=graph.num_edges + 1,
         total_edges=graph.num_edges, lam=lam, seed=0,

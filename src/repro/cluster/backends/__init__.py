@@ -4,7 +4,9 @@
 the per-partition steps between barriers — the deterministic inline
 reference scheduler, a thread pool over the GIL-releasing NumPy
 kernels, or worker processes with the big arrays mapped through
-``multiprocessing.shared_memory``.  All three produce bit-identical
+``multiprocessing.shared_memory``.  Every backend is entered the same
+way — ``start(cluster, program, pids, graph, arrays)`` with a
+:class:`WorkerProgram` — and all three produce bit-identical
 assignments and accounting totals (see
 :mod:`repro.cluster.backends.base` for the contract and
 ``tests/test_backends.py`` for the pins).
@@ -14,21 +16,19 @@ from __future__ import annotations
 
 from repro.cluster.backends.base import (BACKENDS, ExecutionBackend,
                                          SimulatedBackend, StepResult,
-                                         WorkerStepError, apply_outbox,
-                                         validate_backend,
+                                         WorkerProgram, WorkerStepError,
+                                         apply_outbox, validate_backend,
                                          validate_execution_args)
 from repro.cluster.backends.faults import FaultPlan
-from repro.cluster.backends.processes import ProcessesBackend, WorkerProgram
-from repro.cluster.backends.shm import ShmArena, graph_from_views, \
-    graph_to_arrays
+from repro.cluster.backends.processes import ProcessesBackend
+from repro.cluster.backends.shm import ShmArena
 from repro.cluster.backends.threads import ThreadsBackend
 
 __all__ = ["BACKENDS", "validate_backend", "validate_execution_args",
            "create_backend",
            "ExecutionBackend", "SimulatedBackend", "ThreadsBackend",
            "ProcessesBackend", "WorkerProgram", "FaultPlan", "StepResult",
-           "WorkerStepError", "apply_outbox", "ShmArena",
-           "graph_to_arrays", "graph_from_views"]
+           "WorkerStepError", "apply_outbox", "ShmArena"]
 
 #: default worker count for the parallel backends when none is given
 DEFAULT_WORKERS = 4

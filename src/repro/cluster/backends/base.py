@@ -31,6 +31,12 @@ mailbox delivery order are bit-identical across backends (pinned by
 
 Contract summary
 ----------------
+``start(cluster, program, pids, graph, arrays)`` is the one way onto a
+backend: it builds the processes ``pids`` from a :class:`WorkerProgram`
+wherever they are to run — in-process on the caller's own ``graph``
+and ``arrays`` (``simulated``, ``threads``), or inside each worker
+over shared-memory copies of them (``processes``).
+
 ``run_superstep(steps, gather=(), phase=None)`` takes ``steps`` as a
 list of ``(pid, method_name, args)`` triples, each pid at most once.
 ``method_name`` may be ``None`` for a short-circuited step (the driver
@@ -72,7 +78,8 @@ from repro.observability.trace import NULL_TRACER
 
 __all__ = ["BACKENDS", "validate_backend", "validate_execution_args",
            "StepResult", "WorkerStepError", "run_steps", "merge_shares",
-           "ExecutionBackend", "SimulatedBackend", "apply_outbox"]
+           "WorkerProgram", "ExecutionBackend", "SimulatedBackend",
+           "apply_outbox"]
 
 #: valid values for every ``backend=`` argument
 BACKENDS = ("simulated", "threads", "processes")
@@ -237,6 +244,42 @@ def merge_shares(shares) -> tuple:
     return merged
 
 
+class WorkerProgram:
+    """Picklable recipe for building a share of the cluster's processes.
+
+    Subclasses implement :meth:`build`, constructing the process
+    objects for the pids one scheduler owns — all of them in-process,
+    one worker's share on the processes backend, where it runs once
+    per worker at startup and again whenever the supervisor respawns a
+    crashed worker (the rebuild is followed by an in-place state
+    restore, so ``build`` must be safe to re-run against live shared
+    arrays).  Everything it needs must be picklable constructor state
+    or arrive through ``graph`` / ``arrays``.
+    """
+
+    def build(self, owned_pids, graph, arrays: dict) -> dict:
+        """Return ``{pid: Process}`` for ``owned_pids``, in that order.
+
+        ``graph`` and ``arrays`` are what the caller handed
+        :meth:`ExecutionBackend.start` — the caller's own objects
+        in-process, zero-copy shared-memory views in a worker, so a
+        write to an array is seen by every process on every backend.
+        """
+        raise NotImplementedError
+
+    def build_plane(self, procs: dict):
+        """Optional fused dispatch plane over the built processes.
+
+        Called once after :meth:`build`.  Return ``None`` (the
+        default) for per-process dispatch; return an object with
+        ``methods`` / ``run(method, pids)`` (e.g.
+        :class:`~repro.core.fused.FusedDnePlane`) to let
+        :func:`run_steps` fuse a share whenever its dispatch rule
+        allows.
+        """
+        return None
+
+
 class ExecutionBackend:
     """Base class; see the module docstring for the contract."""
 
@@ -253,22 +296,22 @@ class ExecutionBackend:
     tracer = NULL_TRACER
 
     # -- lifecycle -----------------------------------------------------
-    def attach(self, cluster, processes, plane=None) -> None:
-        """Bind the backend to a cluster and its (local) processes.
+    def start(self, cluster, program: WorkerProgram, pids, graph=None,
+              arrays=None) -> None:
+        """Build the processes ``pids`` from ``program`` and register
+        them with ``cluster``, in ``pids`` order.
 
-        Parallel in-process backends index ``processes`` by pid;
-        the processes backend overrides the whole lifecycle (its
-        process objects live in the workers).  ``plane`` is an optional
-        fused dispatch plane (e.g.
-        :class:`~repro.core.fused.FusedDnePlane`) handed to
-        :func:`run_steps`, which issues one fused call instead of
-        per-process steps whenever its dispatch rule allows.
+        The in-process backends build on the caller's own ``graph``
+        and ``arrays`` (name -> ndarray) and run through the fused
+        plane ``program.build_plane`` returns, if any; the processes
+        backend overrides this to build inside its workers.
         """
         self.cluster = cluster
-        self._procs = {proc.pid: proc for proc in processes}
-        self._plane = plane
-        self.steps_executed = 0
-        self.steps_skipped = 0
+        self.steps_executed = self.steps_skipped = 0
+        self._procs = program.build(list(pids), graph, dict(arrays or {}))
+        for pid in pids:
+            cluster.add_process(self._procs[pid])
+        self._plane = program.build_plane(self._procs)
 
     def close(self) -> None:
         """Release workers/pools/shared segments.  Idempotent."""
@@ -358,19 +401,6 @@ class ExecutionBackend:
         """
         return {pid: getattr(self._procs[pid], method)(*args)
                 for pid, args in pid_args.items()}
-
-    # -- whole-graph offload -------------------------------------------
-    def run_graph_task(self, fn, graph, *args):
-        """Run ``fn(graph, *args)`` on this backend's compute resource.
-
-        The escape hatch for partitioners that are one sequential
-        program rather than a Process/barrier ensemble (SNE's bounded
-        stream): ``simulated`` runs inline, ``threads`` on a worker
-        thread, ``processes`` in a worker process with the graph mapped
-        through shared memory.  ``fn`` must be a module-level function
-        of picklable arguments returning picklable results.
-        """
-        return fn(graph, *args)
 
 
 class SimulatedBackend(ExecutionBackend):

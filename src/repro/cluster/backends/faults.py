@@ -13,10 +13,8 @@ re-trigger it — which is what makes chaos scenarios deterministic
 enough to pin bit-identical recovery in tests and CI.
 
 Superstep ordinals are 1-based counts of ``run_superstep`` calls on
-the backend (the DNE driver issues five per iteration).  Whole-graph
-offload tasks (:meth:`ExecutionBackend.run_graph_task`, the SNE path)
-are a separate axis: task events are keyed by retry attempt instead of
-superstep, via :meth:`FaultPlan.task_kill` and friends.
+the backend (the DNE driver issues five per iteration; SNE's whole
+stream is superstep 1 of its one worker).
 
 Seeded delays (:meth:`FaultPlan.seeded_delays`) draw per-(worker,
 superstep) sleeps from a seeded RNG — reproducible scheduling noise
@@ -76,8 +74,6 @@ class FaultPlan:
     def __init__(self):
         #: (worker, superstep) -> (kind, arg); consumed by take()
         self._events: dict = {}
-        #: attempt -> (kind, arg) for whole-graph offload tasks
-        self._task_events: dict = {}
         #: events already dispatched, in dispatch order
         self.fired: list = []
 
@@ -128,28 +124,6 @@ class FaultPlan:
                     self._add(w, step, "delay", seconds)
         return self
 
-    # -- graph-task axis ----------------------------------------------
-    def _add_task(self, attempt: int, kind: str, arg) -> "FaultPlan":
-        attempt = int(attempt)
-        if attempt in self._task_events:
-            raise ValueError(f"duplicate task fault for attempt {attempt}")
-        self._task_events[attempt] = (kind, arg)
-        return self
-
-    def task_kill(self, attempt: int = 0) -> "FaultPlan":
-        """Kill the whole-graph offload worker on retry ``attempt``."""
-        return self._add_task(attempt, "kill", None)
-
-    def task_raise(self, attempt: int = 0,
-                   message: str = "injected fault") -> "FaultPlan":
-        """Fail the offload task with an injected exception."""
-        return self._add_task(attempt, "raise", str(message))
-
-    def task_hang(self, attempt: int = 0,
-                  seconds: float = DEFAULT_HANG_SECONDS) -> "FaultPlan":
-        """Make the offload worker unresponsive on retry ``attempt``."""
-        return self._add_task(attempt, "hang", float(seconds))
-
     # -- consumption (backend side) ------------------------------------
     def take(self, worker: int, superstep: int):
         """Pop and return the directive for ``(worker, superstep)``.
@@ -164,25 +138,12 @@ class FaultPlan:
                                        kind=event[0])
         return event
 
-    def take_task(self, attempt: int):
-        """Pop and return the directive for offload-task ``attempt``."""
-        event = self._task_events.pop(int(attempt), None)
-        if event is not None:
-            self.fired.append(("task", int(attempt)) + event)
-            get_registry().counter_inc("repro_faults_injected_total",
-                                       kind=event[0])
-        return event
-
     # -- inspection ----------------------------------------------------
     def pending(self) -> list:
-        """Unfired events as ``(worker, superstep, kind, arg)`` tuples
-        (task events use the worker slot ``"task"`` and the attempt as
-        the step), sorted — for test assertions that every armed fault
-        actually fired."""
-        events = [key + val for key, val in self._events.items()]
-        events += [("task", att) + val
-                   for att, val in self._task_events.items()]
-        return sorted(events, key=repr)
+        """Unfired events as sorted ``(worker, superstep, kind, arg)``
+        tuples — for test assertions that every armed fault actually
+        fired."""
+        return sorted(key + val for key, val in self._events.items())
 
     def __len__(self) -> int:
-        return len(self._events) + len(self._task_events)
+        return len(self._events)

@@ -12,10 +12,13 @@ layout it was delivered in: per-``(dst, tag)`` lists for the eager
 sub-batch per worker, selected by destination mask — never one object
 per ``(src, dst)`` pair.
 
-Topology: each worker owns a fixed subset of the cluster's process
-ids for the whole run — process objects are *built inside* the worker
-(from a picklable :class:`WorkerProgram`) and never travel.  Per
-superstep the parent
+Topology: process ``(role, slot)`` belongs to worker ``slot % workers``
+for the whole run, and only workers that own a process are spawned.
+:meth:`ProcessesBackend.start` copies the caller's graph and arrays
+into two arenas once; process objects are then *built inside* the
+workers (from a picklable
+:class:`~repro.cluster.backends.base.WorkerProgram`) and never travel.
+Per superstep the parent
 
 1. routes each step to the worker owning its pid and ships, to every
    worker, the mail delivered (since the last superstep) for the pids
@@ -74,15 +77,15 @@ import traceback
 
 import numpy as np
 
-from repro.cluster.backends.base import (ExecutionBackend, WorkerStepError,
-                                         merge_shares, run_steps,
-                                         validate_execution_args)
+from repro.cluster.backends.base import (ExecutionBackend, WorkerProgram,
+                                         WorkerStepError, merge_shares,
+                                         run_steps, validate_execution_args)
 from repro.cluster.backends.shm import ShmArena, graph_from_views, \
     graph_to_arrays
-from repro.cluster.runtime import SimulatedCluster
+from repro.cluster.runtime import Process, SimulatedCluster
 from repro.observability.metrics import get_registry
 
-__all__ = ["ProcessesBackend", "WorkerProgram"]
+__all__ = ["ProcessesBackend"]
 
 #: how long close() waits for the goodbye handshake before escalating
 _CLOSE_TIMEOUT = 10.0
@@ -94,38 +97,6 @@ def _mp_context():
     """Prefer fork (fast, inherits the parent image); fall back to spawn."""
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
-class WorkerProgram:
-    """Picklable recipe for building one worker's share of the cluster.
-
-    Subclasses implement :meth:`build`, constructing the process
-    objects for the pids this worker owns from the attached
-    shared-memory views.  Runs once per worker at startup (and again
-    whenever the supervisor respawns a crashed worker — the rebuild is
-    followed by an in-place state restore, so ``build`` must be safe
-    to re-run against live arenas); everything it needs must either be
-    picklable constructor state or live in an arena.
-    """
-
-    def build(self, owned_pids, views: dict) -> dict:
-        """Return ``{pid: Process}`` for ``owned_pids``.
-
-        ``views`` maps arena name -> attached :class:`ShmArena`.
-        """
-        raise NotImplementedError
-
-    def build_plane(self, procs: dict):
-        """Optional fused dispatch plane over this worker's processes.
-
-        Called once after :meth:`build`.  Return ``None`` (the
-        default) for per-process dispatch; return an object with
-        ``methods`` / ``run(method, pids)`` (e.g.
-        :class:`~repro.core.fused.FusedDnePlane`) to let
-        :func:`~repro.cluster.backends.base.run_steps` fuse the
-        worker's share whenever its dispatch rule allows.
-        """
-        return None
 
 
 def _snapshot_worker(procs, wcluster, plane):
@@ -190,10 +161,14 @@ def _inject_fault(fault, steps, owned_pids, conn):
 
 def _worker_main(conn, program: WorkerProgram, owned_pids,
                  arena_specs: dict, supervise: bool) -> None:
-    views = {name: ShmArena.attach(spec)
+    views = {name: ShmArena.open(spec)
              for name, spec in arena_specs.items()}
     try:
-        procs = program.build(owned_pids, views)
+        graph = graph_from_views(views["graph"]) if "graph" in views \
+            else None
+        arrays = {name: views["arrays"].array(name)
+                  for name in views["arrays"].keys()}
+        procs = program.build(owned_pids, graph, arrays)
         plane = program.build_plane(procs)
         # Initial resident reports (made in constructors, before any
         # cluster attach) travel to the parent accountant with the
@@ -262,28 +237,6 @@ def _worker_main(conn, program: WorkerProgram, owned_pids,
         conn.close()
 
 
-def _graph_task_worker(conn, fn, arena_spec, args, fault) -> None:
-    arena = ShmArena.attach(arena_spec)
-    try:
-        if fault is not None:
-            kind, arg = fault
-            if kind == "kill":
-                os._exit(23)
-            elif kind in ("hang", "delay"):
-                time.sleep(arg)
-            elif kind == "raise":
-                conn.send(("error", f"injected fault: {arg}"))
-                return
-        graph = graph_from_views(arena)
-        try:
-            conn.send(("ok", fn(graph, *args)))
-        except Exception:  # noqa: BLE001 - shipped to parent
-            conn.send(("error", traceback.format_exc()))
-    finally:
-        arena.close()
-        conn.close()
-
-
 class ProcessesBackend(ExecutionBackend):
     """Superstep scheduler over persistent, supervised worker processes.
 
@@ -318,60 +271,67 @@ class ProcessesBackend(ExecutionBackend):
         self.respawns = 0
 
     # ------------------------------------------------------------------
-    def start(self, cluster, program: WorkerProgram, pid_to_worker: dict,
-              arenas: dict) -> None:
-        """Spawn workers and build their process shares.
+    def start(self, cluster, program: WorkerProgram, pids, graph=None,
+              arrays=None) -> None:
+        """Map ``graph`` and ``arrays`` into shared memory, spawn the
+        workers that own a pid and build their process shares.
 
-        ``pid_to_worker`` maps every cluster pid to a worker index in
-        ``[0, workers)``; ``arenas`` maps name -> parent-created
-        :class:`ShmArena` (ownership passes to the backend: closed and
-        unlinked at :meth:`close`).
+        Every pid is a ``(role, slot)`` pair owned by worker
+        ``slot % workers``.  The arenas belong to the backend from the
+        moment they exist: :meth:`close` unlinks them, and so does a
+        failed start.  The parent cluster registers a plain
+        :class:`~repro.cluster.runtime.Process` stub per pid, in
+        ``pids`` order, so replay can resolve destinations and account
+        per process.
         """
         self.cluster = cluster
-        self.steps_executed = 0
-        self.steps_skipped = 0
+        self.steps_executed = self.steps_skipped = 0
         self._superstep = 0
         self.respawns = 0
-        self._arenas = dict(arenas)
         self._program = program
-        nworkers = self.workers
-        self._worker_of = {pid: w % nworkers
-                           for pid, w in pid_to_worker.items()}
-        owned = [[] for _ in range(nworkers)]
-        for pid, w in self._worker_of.items():
-            owned[w].append(pid)
-        self._owned = owned
+        self._worker_of = {pid: pid[1] % self.workers for pid in pids}
+        nworkers = max(self._worker_of.values(), default=-1) + 1
+        self._owned = [[] for _ in range(nworkers)]
         #: role -> worker index per machine slot (-1 = unowned), for
         #: routing segment sweeps, which address ``(role, slot)``
         by_role: dict = {}
-        for pid, w in self._worker_of.items():
-            if (isinstance(pid, tuple) and len(pid) == 2
-                    and isinstance(pid[1], int) and pid[1] >= 0):
-                by_role.setdefault(pid[0], {})[pid[1]] = w
+        for (role, slot), w in self._worker_of.items():
+            self._owned[w].append((role, slot))
+            by_role.setdefault(role, {})[slot] = w
         self._slot_worker = {}
         for role, by_slot in by_role.items():
             table = np.full(max(by_slot) + 1, -1, dtype=np.int64)
             table[list(by_slot)] = list(by_slot.values())
             self._slot_worker[role] = table
-        self._specs = {name: arena.spec()
-                       for name, arena in self._arenas.items()}
-        self._snapshots = [None] * nworkers
-        supervise = self.max_retries > 0
-        for w in range(nworkers):
-            proc, conn = self._spawn_worker(w, supervise)
-            self._procs_mp.append(proc)
-            self._conns.append(conn)
-        self._started = True
-        # Ready handshake: forward constructor-time resident reports to
-        # the parent accountant (per-pid, so application order across
-        # pids cannot change any per-process peak).
-        for w in range(nworkers):
-            reply = self._recv(w)
-            for pid, resident in reply[1].items():
-                stats = cluster.stats.stats_for(pid)
-                for name, nbytes in resident.items():
-                    stats.set_resident(name, nbytes)
-            self._snapshots[w] = reply[2]
+        try:
+            self._arenas["arrays"] = ShmArena.create(dict(arrays or {}))
+            if graph is not None:
+                self._arenas["graph"] = ShmArena.create(
+                    graph_to_arrays(graph))
+            self._specs = {name: arena.spec()
+                           for name, arena in self._arenas.items()}
+            for pid in pids:
+                cluster.add_process(Process(pid))
+            self._snapshots = [None] * nworkers
+            supervise = self.max_retries > 0
+            for w in range(nworkers):
+                proc, conn = self._spawn_worker(w, supervise)
+                self._procs_mp.append(proc)
+                self._conns.append(conn)
+            self._started = True
+            # Ready handshake: forward constructor-time resident reports
+            # to the parent accountant (per-pid, so application order
+            # across pids cannot change any per-process peak).
+            for w in range(nworkers):
+                reply = self._recv(w)
+                for pid, resident in reply[1].items():
+                    stats = cluster.stats.stats_for(pid)
+                    for name, nbytes in resident.items():
+                        stats.set_resident(name, nbytes)
+                self._snapshots[w] = reply[2]
+        except BaseException:
+            self.close()
+            raise
 
     def _spawn_worker(self, w: int, supervise: bool):
         parent_conn, child_conn = self._ctx.Pipe()
@@ -645,63 +605,3 @@ class ProcessesBackend(ExecutionBackend):
         self._arenas = {}
         self._snapshots = []
         self._started = False
-
-    # ------------------------------------------------------------------
-    def run_graph_task(self, fn, graph, *args):
-        """One-shot offload: graph via shared memory, result via pipe.
-
-        The task is a pure module-level function of picklable
-        arguments, so under supervision a crashed/hung/raising task
-        worker is simply re-run (up to ``max_retries`` extra attempts)
-        — the retry is bit-identical by construction.  This is the
-        recovery path SNE exercises (its bounded stream runs as one
-        graph task rather than a Process/barrier ensemble).
-        """
-        arena = ShmArena.create(graph_to_arrays(graph))
-        try:
-            plan = self.fault_plan
-            error = None
-            for attempt in range(self.max_retries + 1):
-                fault = (plan.take_task(attempt)
-                         if plan is not None else None)
-                try:
-                    return self._run_graph_task_once(fn, arena, args, fault)
-                except WorkerStepError as exc:
-                    error = exc
-            raise error
-        finally:
-            arena.close()
-            arena.unlink()
-
-    def _run_graph_task_once(self, fn, arena, args, fault):
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_graph_task_worker,
-            args=(child_conn, fn, arena.spec(), args, fault),
-            daemon=True, name="repro-graph-task")
-        proc.start()
-        child_conn.close()
-        try:
-            timeout = self.step_timeout
-            if timeout is not None and not parent_conn.poll(timeout):
-                raise WorkerStepError(
-                    "graph-task", f"step timed out after {timeout:g}s")
-            try:
-                reply = parent_conn.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerStepError(
-                    "graph-task", f"worker process died: {exc!r}") from exc
-            if reply[0] == "error":
-                raise WorkerStepError("graph-task", reply[1])
-            return reply[1]
-        finally:
-            parent_conn.close()
-            # Short grace for a clean exit, then escalate: a hung task
-            # worker must not stall the parent for the close timeout.
-            proc.join(timeout=1)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-                proc.join(timeout=5)

@@ -2,15 +2,15 @@
 
 One :class:`ShmArena` packs a set of named NumPy arrays into a single
 ``multiprocessing.shared_memory`` segment with an 8-byte-aligned
-offset table.  The parent creates the arena (copying the arrays in
-once); workers attach by spec and get zero-copy views — the mechanism
-that maps the CSR graph arrays (indptr / neighbours / edge ids /
-canonical edges) and the flat per-partition state (remaining-degree
-and local-vertex arrays) into every worker without per-worker copies
-or pickling.
+offset table.  The processes backend creates the arenas (copying the
+arrays in once); workers open them by spec and get zero-copy views —
+the mechanism that maps the CSR graph arrays (indptr / neighbours /
+edge ids / canonical edges) and a program's named arrays (for DNE the
+per-partition remaining-degree and local-vertex arrays) into every
+worker without per-worker copies or pickling.
 
 Ownership rules: the parent calls :meth:`ShmArena.unlink` exactly once
-after the run (destroying the segment); every attachment — parent and
+after the run (destroying the segment); every mapping — parent and
 workers — calls :meth:`ShmArena.close` when done with its views.
 Views keep the mapping alive via a reference to the segment, so arrays
 handed out by :meth:`array` are safe for the arena's lifetime.
@@ -60,12 +60,13 @@ class ShmArena:
         return arena
 
     def spec(self) -> dict:
-        """Picklable attachment recipe for workers."""
+        """Picklable recipe workers :meth:`open` the arena from."""
         return {"shm_name": self._shm.name, "entries": self._entries}
 
     # -- worker side ---------------------------------------------------
     @classmethod
-    def attach(cls, spec: dict) -> "ShmArena":
+    def open(cls, spec: dict) -> "ShmArena":
+        """Map an existing arena from its :meth:`spec`."""
         shm = shared_memory.SharedMemory(name=spec["shm_name"])
         return cls(shm, spec["entries"], owner=False)
 

@@ -54,8 +54,9 @@ class ThreadsBackend(ExecutionBackend):
         self.workers = workers
         self._pool: ThreadPoolExecutor | None = None
 
-    def attach(self, cluster, processes, plane=None) -> None:
-        super().attach(cluster, processes, plane)
+    def start(self, cluster, program, pids, graph=None,
+              arrays=None) -> None:
+        super().start(cluster, program, pids, graph, arrays)
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers,
             thread_name_prefix="repro-backend")
@@ -67,7 +68,7 @@ class ThreadsBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def _execute_superstep(self, steps, gather=()) -> dict:
-        assert self._pool is not None, "backend not attached"
+        assert self._pool is not None, "backend not started"
         nshares = min(self.workers, len(steps)) or 1
         bounds = [len(steps) * i // nshares for i in range(nshares + 1)]
         futures = [self._pool.submit(run_steps, self._procs, self._plane,
@@ -84,12 +85,3 @@ class ThreadsBackend(ExecutionBackend):
                 raise WorkerStepError(pid, repr(exc)) from exc
         return self._finish(
             steps, *merge_shares(results for results, _ in outcomes))
-
-    # ------------------------------------------------------------------
-    def run_graph_task(self, fn, graph, *args):
-        """Run the task on one pool thread (pool is created on demand
-        so offload works without a cluster attach)."""
-        if self._pool is None:
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                return pool.submit(fn, graph, *args).result()
-        return self._pool.submit(fn, graph, *args).result()

@@ -23,34 +23,40 @@ counts; it costs three global barriers).  Defaults follow §7.1:
 ``alpha = 1.1``, ``lam = 0.1``.
 
 The run never leaves edges behind: the loop exits only when every edge
-is allocated (partitions at their size cap keep receiving two-hop
-edges, and as proved in §3 at least one partition stays below cap until
-the graph drains; a final safety sweep covers the pathological case of
-a partition-capped tail, assigning leftovers to the least-loaded
-partitions).
+is allocated (as proved in §3 at least one partition stays below cap
+until the graph drains; a final safety sweep covers the pathological
+case of a partition-capped tail, assigning leftovers to the
+least-loaded partitions).  A partition over its size cap stops
+expanding, and no edge reaches it afterwards — measured on RMAT scale
+13 at |P| = 64 and 256, 0 edges: all of a partition's overshoot lands
+in the iteration that crosses the cap.
 
 Execution backends
 ------------------
 The phase loop is expressed as *supersteps* against an execution
-backend (:mod:`repro.cluster.backends`): per phase, the driver submits
-one step per process and the backend decides who runs them —
-``backend="simulated"`` (default) executes inline in deterministic
-order, ``"threads"`` on a thread pool over the GIL-releasing NumPy
-kernels, ``"processes"`` on worker processes with the CSR graph and
-the flat per-partition state mapped in via shared memory (only message
-payloads — one ``SegmentBatch`` per emission sweep under the
-vectorized kernel — cross the parent boundary).  All three
-produce bit-identical assignments and accounting totals — the backend
-only changes *where* the arithmetic happens, pinned by
-``tests/test_backends.py``.
+backend (:mod:`repro.cluster.backends`), entered one way:
+``backend.start`` takes a :class:`DneWorkerProgram`, the pids
+(allocators, then expanders), the graph and the per-partition arrays
+(home-grouped edge ids, each allocator's local-vertex ids and
+remaining degrees), and builds the processes where they run —
+in-process for ``backend="simulated"`` (default; inline, in
+deterministic order) and ``"threads"`` (a thread pool over the
+GIL-releasing NumPy kernels), inside worker processes over
+shared-memory copies for ``"processes"`` (only message payloads — one
+``SegmentBatch`` per emission sweep under the vectorized kernel —
+cross the parent boundary).  Per phase, the driver submits one step
+per process.  All three produce bit-identical assignments and
+accounting totals — the backend only changes *where* the arithmetic
+happens, pinned by ``tests/test_backends.py``.
 
 Two kernels, one dispatch rule
 ------------------------------
 ``kernel="python"`` runs the reference step methods one process at a
 time; ``kernel="vectorized"`` runs every mail-carrying phase through a
-:class:`~repro.core.fused.FusedDnePlane` — the driver (and each worker
-of the processes backend) builds one over the processes it owns iff
-the kernel is vectorized.  There is no third arm.
+:class:`~repro.core.fused.FusedDnePlane` — every scheduler (the
+in-process backends, each worker of the processes backend) builds one
+over the processes it owns iff the kernel is vectorized.  There is no
+third arm.
 """
 
 from __future__ import annotations
@@ -60,76 +66,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.backends import (ProcessesBackend, WorkerProgram,
-                                    create_backend, graph_to_arrays,
+from repro.cluster.backends import (WorkerProgram, create_backend,
                                     validate_execution_args)
-from repro.cluster.backends.shm import ShmArena, graph_from_views
 from repro.cluster.checkpoint import CheckpointStore
-from repro.cluster.runtime import Process, SimulatedCluster
+from repro.cluster.runtime import SimulatedCluster
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
-                                   TAG_SYNC, AllocationProcess,
-                                   seed_vertex_min_degree,
-                                   seed_vertex_random)
-from repro.core.expansion import DirectSeedSource, ExpansionProcess
+                                   TAG_SYNC, AllocationProcess)
+from repro.core.expansion import ExpansionProcess, SharedSeedSource
 from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import Hash1DPlacement, Hash2DPlacement
-from repro.graph.csr import CSRGraph, sorted_unique
+from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 from repro.observability.metrics import get_registry
 from repro.observability.trace import NULL_TRACER
 from repro.partitioners.base import EdgePartition, Partitioner
 
-__all__ = ["DistributedNE", "DneWorkerProgram", "SharedSeedSource"]
-
-
-class SharedSeedSource:
-    """Seed lookups over shared-memory per-partition state.
-
-    The processes backend's counterpart of
-    :class:`~repro.core.expansion.DirectSeedSource`: every worker holds
-    read-only views of *all* allocation processes' remaining-degree and
-    local-vertex arrays, so the empty-boundary seed scan — including
-    its remote legs — is a local array probe instead of a cross-worker
-    round trip.  The lookups go through the same
-    :func:`~repro.core.allocation.seed_vertex_random` /
-    :func:`~repro.core.allocation.seed_vertex_min_degree` helpers as
-    ``AllocationProcess`` itself (same candidate set, same single RNG
-    draw), and ``live`` answers with the same set as the in-process
-    source (a remaining degree is positive iff an edge is left), so
-    selections are bit-identical to the in-process backends.
-
-    Safe by phase disjointness: remaining degrees are written only by
-    the owning worker during allocation supersteps, and seed scans run
-    only during selection supersteps.
-    """
-
-    def __init__(self, local_vertices: list, rest_degrees: list):
-        self._lv = local_vertices
-        self._rest = rest_degrees
-
-    def live(self) -> np.ndarray:
-        """Per allocator: any vertex with a non-allocated edge left?"""
-        return np.array([(rest > 0).any() for rest in self._rest], bool)
-
-    def random_vertex(self, proc_id: int, rng) -> int | None:
-        return seed_vertex_random(self._lv[proc_id], self._rest[proc_id],
-                                  rng)
-
-    def min_degree_vertex(self, proc_id: int) -> int | None:
-        return seed_vertex_min_degree(self._lv[proc_id],
-                                      self._rest[proc_id])
+__all__ = ["DistributedNE", "DneWorkerProgram"]
 
 
 @dataclass
 class DneWorkerProgram(WorkerProgram):
-    """Builds one worker's share of the DNE cluster from shared memory.
+    """Builds a share of the DNE cluster.
 
-    Each worker reconstructs the graph as zero-copy CSR views,
-    constructs its owned allocation/expansion processes (recomputing
-    the local adjacency in parallel across workers), re-points every
-    allocator's remaining-degree array at the shared flat-state arena
-    so sibling workers' seed scans can read it, and injects a
-    :class:`SharedSeedSource` into its expanders.
+    :meth:`arrays` is everything :meth:`build` reads besides the graph:
+    the edge ids grouped by home allocator (the initial distribution),
+    and per allocator its local-vertex ids ``lv<k>`` and remaining
+    degrees ``rd<k>``.  ``build`` constructs
+    the owned allocation/expansion processes (each worker of the
+    processes backend recomputes its local adjacency in parallel),
+    points every allocator's local-vertex and remaining-degree arrays
+    at the shared ones — one copy, written by its owner, read by every
+    expander's seed scans — and gives its expanders a
+    :class:`~repro.core.expansion.SharedSeedSource` over all of them.
     """
 
     num_partitions: int
@@ -142,38 +110,54 @@ class DneWorkerProgram(WorkerProgram):
     limit: int
     total_edges: int
 
-    def process(self, pid, graph, eids_by_home, eids_ptr):
-        """Construct the allocation or expansion process ``pid`` — the
-        one place their argument lists are written, for the worker
-        ensembles and the in-process one alike."""
-        role, k = pid
-        if role == "alloc":
-            return AllocationProcess(
-                k, graph, eids_by_home[eids_ptr[k]:eids_ptr[k + 1]],
-                self.placement, two_hop=self.two_hop, kernel=self.kernel)
-        return ExpansionProcess(
-            k, self.num_partitions, self.limit, self.total_edges, self.lam,
-            self.seed, self.placement, seed_strategy=self.seed_strategy,
-            kernel=self.kernel)
+    def arrays(self, graph: CSRGraph) -> dict:
+        """The named arrays :meth:`build` reads; the ``rd<k>`` are
+        filled by the allocator that owns them, at build time."""
+        p = self.num_partitions
+        homes = self.placement.place_edges(graph.edges) \
+            if graph.num_edges else np.empty(0, dtype=np.int64)
+        # One stable grouping pass instead of |P| O(E) flatnonzero
+        # scans: slice k of eids_by_home is exactly
+        # np.flatnonzero(homes == k) (stable sort keeps edge ids
+        # ascending within a home).
+        eids_by_home = np.argsort(homes, kind="stable").astype(np.int64)
+        eids_ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(np.bincount(homes, minlength=p), out=eids_ptr[1:])
+        arrays = {"eids_by_home": eids_by_home, "eids_ptr": eids_ptr}
+        # A home's sorted distinct endpoints, by marking them on one
+        # reused per-vertex mask: half the time of a sort per home at
+        # |P| = 8, where the homes are largest.
+        seen = np.zeros(graph.num_vertices, dtype=bool)
+        for k in range(p):
+            seen[graph.edges[eids_by_home[eids_ptr[k]:eids_ptr[k + 1]]]] = True
+            lv = arrays[f"lv{k}"] = np.flatnonzero(seen)
+            seen[lv] = False
+            arrays[f"rd{k}"] = np.zeros(len(lv), dtype=np.int32)
+        return arrays
 
-    def build(self, owned_pids, views: dict) -> dict:
-        garena = views["graph"]
-        sarena = views["state"]
-        graph = graph_from_views(garena)
-        eids_by_home = garena.array("eids_by_home")
-        eids_ptr = garena.array("eids_ptr")
-        seed_source = SharedSeedSource(
-            [sarena.array(f"lv{k}") for k in range(self.num_partitions)],
-            [sarena.array(f"rd{k}") for k in range(self.num_partitions)])
-        procs = {pid: self.process(pid, graph, eids_by_home, eids_ptr)
-                 for pid in owned_pids}
-        for (role, k), proc in procs.items():
+    def build(self, owned_pids, graph, arrays: dict) -> dict:
+        eids_by_home, eids_ptr = arrays["eids_by_home"], arrays["eids_ptr"]
+        parts = range(self.num_partitions)
+        seed_source = SharedSeedSource([arrays[f"lv{k}"] for k in parts],
+                                       [arrays[f"rd{k}"] for k in parts])
+        procs = {}
+        for role, k in owned_pids:
             if role == "alloc":
-                shared_rd = sarena.array(f"rd{k}")
+                proc = AllocationProcess(
+                    k, graph, eids_by_home[eids_ptr[k]:eids_ptr[k + 1]],
+                    self.placement, two_hop=self.two_hop, kernel=self.kernel)
+                # Same contents (the home's sorted endpoint ids), one copy.
+                proc.local_vertices = arrays[f"lv{k}"]
+                shared_rd = arrays[f"rd{k}"]
                 shared_rd[:] = proc.rest_degree
                 proc.rest_degree = shared_rd
             else:
-                proc.seed_source = seed_source
+                proc = ExpansionProcess(
+                    k, self.num_partitions, self.limit, self.total_edges,
+                    self.lam, self.seed, self.placement,
+                    seed_strategy=self.seed_strategy, kernel=self.kernel,
+                    seed_source=seed_source)
+            procs[role, k] = proc
         return procs
 
     def build_plane(self, procs: dict):
@@ -378,15 +362,10 @@ class DistributedNE(Partitioner):
         # Initial distribution + process construction (excluded from
         # the paper's elapsed time; we time it separately).
         t0 = time.perf_counter()
-        homes = placement.place_edges(graph.edges) if graph.num_edges else \
-            np.empty(0, dtype=np.int64)
-        # One stable grouping pass instead of |P| O(E) flatnonzero
-        # scans: slice k of eids_by_home is exactly
-        # np.flatnonzero(homes == k) (stable sort keeps edge ids
-        # ascending within a home).  Shared by every backend path.
-        eids_by_home = np.argsort(homes, kind="stable").astype(np.int64)
-        eids_ptr = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(np.bincount(homes, minlength=p), out=eids_ptr[1:])
+        program = DneWorkerProgram(
+            p, placement, self.two_hop, self.kernel, self.lam,
+            self.seed, self.seed_strategy, limit, graph.num_edges)
+        arrays = program.arrays(graph)
         # Checkpoint identity: everything that must agree before a
         # snapshot's state blobs can be poured back into this run.
         # The backend is deliberately absent — blobs are backend-
@@ -413,22 +392,8 @@ class DistributedNE(Partitioner):
         t_run = time.perf_counter()
 
         try:
-            program = DneWorkerProgram(
-                p, placement, self.two_hop, self.kernel, self.lam,
-                self.seed, self.seed_strategy, limit, graph.num_edges)
-            if isinstance(backend, ProcessesBackend):
-                self._start_processes(backend, cluster, graph, program,
-                                      eids_by_home, eids_ptr)
-            else:
-                procs = {pid: cluster.add_process(program.process(
-                             pid, graph, eids_by_home, eids_ptr))
-                         for pid in alloc_pids + exp_pids}
-                seed_source = DirectSeedSource(
-                    [procs[pid] for pid in alloc_pids])
-                for pid in exp_pids:
-                    procs[pid].seed_source = seed_source
-                backend.attach(cluster, procs.values(),
-                               plane=program.build_plane(procs))
+            backend.start(cluster, program, alloc_pids + exp_pids, graph,
+                          arrays)
             load_seconds = time.perf_counter() - t0
 
             # Empty-mailbox short-circuit: a step whose entire input —
@@ -643,56 +608,6 @@ class DistributedNE(Partitioner):
             extra["history"] = loop.history
         return EdgePartition(graph, p, assignment, method=self.name,
                              iterations=loop.iterations, extra=extra)
-
-    # ------------------------------------------------------------------
-    def _start_processes(self, backend: ProcessesBackend,
-                         cluster: SimulatedCluster, graph: CSRGraph,
-                         program: DneWorkerProgram, eids_by_home: np.ndarray,
-                         eids_ptr: np.ndarray) -> None:
-        """Wire the shared-memory worker ensemble.
-
-        The parent maps two arenas: the read-only graph (CSR arrays +
-        the home-grouped edge ids) and the flat per-partition state
-        (each allocator's local-vertex ids and remaining degrees —
-        written by the owning worker, read by every worker's seed
-        scans).  The parent-side cluster keeps lightweight stubs so
-        message replay can resolve destinations and per-process
-        accounting.
-        """
-        p = self.num_partitions
-        arenas: dict = {}
-        # Ownership of the arenas passes to the backend only once
-        # start() returns; until then a failure (e.g. /dev/shm
-        # exhaustion midway) must not leak the created segments.
-        try:
-            arrays = graph_to_arrays(graph)
-            arrays["eids_by_home"] = eids_by_home
-            arrays["eids_ptr"] = eids_ptr
-            arenas["graph"] = ShmArena.create(arrays)
-            state_arrays: dict = {}
-            for k in range(p):
-                eids = eids_by_home[eids_ptr[k]:eids_ptr[k + 1]]
-                lv = sorted_unique(graph.edges[eids].ravel())
-                state_arrays[f"lv{k}"] = lv
-                # Filled by the owning worker at build time (before the
-                # first superstep runs).
-                state_arrays[f"rd{k}"] = np.zeros(len(lv), dtype=np.int32)
-            arenas["state"] = ShmArena.create(state_arrays)
-
-            # Same registration order as the in-process path:
-            # allocators, then expanders.
-            pid_to_worker = {}
-            for role in ("alloc", "expansion"):
-                for k in range(p):
-                    cluster.add_process(Process((role, k)))
-                    pid_to_worker[(role, k)] = k % backend.workers
-
-            backend.start(cluster, program, pid_to_worker, arenas)
-        except BaseException:
-            for arena in arenas.values():
-                arena.close()
-                arena.unlink()
-            raise
 
     # ------------------------------------------------------------------
     def _collect_assignment(self, graph, collected: dict) -> np.ndarray:

@@ -68,43 +68,52 @@ from collections import defaultdict
 import numpy as np
 
 from repro.cluster.runtime import Process
-from repro.core.allocation import TAG_BOUNDARY, TAG_EDGES, TAG_SELECT
+from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
+                                   seed_vertex_min_degree,
+                                   seed_vertex_random)
 from repro.graph.csr import first_occurrence
 from repro.kernels import validate_kernel
 
 __all__ = ["ExpansionProcess", "BoundaryStore", "BoundarySegment",
-           "HeapqBoundaryQueue", "DirectSeedSource"]
+           "HeapqBoundaryQueue", "SharedSeedSource"]
 
 
-class DirectSeedSource:
-    """Seed lookups against in-process allocation objects.
+class SharedSeedSource:
+    """Seed lookups over every allocator's per-partition arrays.
 
     The expansion fallback path ("take a seed vertex from the
-    co-located machine, then scan the others") needs to *query*
-    allocation state; this wrapper is the in-process form used by the
-    ``simulated`` and ``threads`` backends — it simply forwards to the
-    allocator objects, reproducing the pre-backend direct calls.  The
-    ``processes`` backend substitutes a shared-memory implementation
-    with the same three-method interface (remaining-degree arrays mapped
-    read-only into every worker), so the scan never crosses workers.
+    co-located machine, then scan the others") *queries* allocation
+    state: each allocator's local-vertex ids and remaining degrees,
+    which the allocators themselves use — plain arrays in-process,
+    shared-memory views in a worker of the processes backend, so a
+    scan, remote legs included, is a local array probe on every
+    backend.  The lookups go through the same
+    :func:`~repro.core.allocation.seed_vertex_random` /
+    :func:`~repro.core.allocation.seed_vertex_min_degree` helpers as
+    ``AllocationProcess`` itself (same candidate set, same single RNG
+    draw), and ``live`` answers whether any edge is left (a remaining
+    degree is positive iff one is).
 
-    Query-only by contract: seed lookups run during the selection
-    superstep, when no allocation step is executing, so reads of
-    allocator state race nothing.
+    Query-only and safe by phase disjointness: remaining degrees are
+    written only during allocation supersteps, by their owner, and
+    seed scans run only during selection supersteps.
     """
 
-    def __init__(self, allocators):
-        self._allocators = allocators
+    def __init__(self, local_vertices: list, rest_degrees: list):
+        self._lv = local_vertices
+        self._rest = rest_degrees
 
     def live(self) -> np.ndarray:
-        """Per allocator: would a lookup against it return a vertex?"""
-        return np.array([a.unallocated > 0 for a in self._allocators], bool)
+        """Per allocator: any vertex with a non-allocated edge left?"""
+        return np.array([(rest > 0).any() for rest in self._rest], bool)
 
     def random_vertex(self, proc_id: int, rng) -> int | None:
-        return self._allocators[proc_id].random_unallocated_vertex(rng)
+        return seed_vertex_random(self._lv[proc_id], self._rest[proc_id],
+                                  rng)
 
     def min_degree_vertex(self, proc_id: int) -> int | None:
-        return self._allocators[proc_id].min_degree_unallocated_vertex()
+        return seed_vertex_min_degree(self._lv[proc_id],
+                                      self._rest[proc_id])
 
 
 class HeapqBoundaryQueue:
@@ -299,9 +308,9 @@ class ExpansionProcess(Process):
         self.kernel = kernel
         self.rng = np.random.default_rng((seed, partition))
 
-        #: where the empty-boundary fallback takes seed vertices from;
-        #: injected by the driver (or worker program) after construction
-        #: when not given here.  See :class:`DirectSeedSource`.
+        #: where the empty-boundary fallback takes seed vertices from
+        #: (a :class:`SharedSeedSource`, or any object with its three
+        #: methods); may be injected after construction.
         self.seed_source = seed_source
         #: the one-machine plane a directly stepped vectorized process
         #: runs its phases through (see :meth:`_own_plane`)
@@ -413,8 +422,8 @@ class ExpansionProcess(Process):
             raise RuntimeError(
                 f"expansion process {self.pid!r} hit the empty-boundary "
                 "seed fallback but no seed source is available — inject "
-                "seed_source (DirectSeedSource / the backend's shared-"
-                "memory source) at or after construction")
+                "seed_source (a SharedSeedSource) at or after "
+                "construction")
         if live is None:
             live = seed_source.live()
         self.random_seed_requests += 1

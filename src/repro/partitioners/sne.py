@@ -18,24 +18,29 @@ Implementation notes: the buffer is a boolean visibility mask over
 canonical edge ids (``ExpansionState.allowed``); refilling flips more
 ids visible in stream order and updates the visible remaining degrees.
 
-The whole stream run is one sequential program, so the execution
-backends (:mod:`repro.cluster.backends`) host it through the
-whole-graph offload path rather than per-partition supersteps:
-``backend="simulated"`` runs inline, ``"threads"`` on a worker thread,
-``"processes"`` in a worker process with the CSR arrays mapped through
-shared memory (only the assignment and the scalar stats travel back).
-All backends are bit-identical on the assignment and on the reported
-``state_bytes`` footprint (pinned by ``tests/test_backends.py``).
+The whole stream run is one sequential program, so on the execution
+backends (:mod:`repro.cluster.backends`) it is a one-process cluster
+whose one superstep runs the stream: ``backend="simulated"`` runs it
+inline, ``"threads"`` on a pool thread, ``"processes"`` in a worker
+process with the CSR arrays mapped through shared memory (only the
+assignment and the scalar stats travel back) — supervised like any
+superstep, so ``step_timeout`` / ``max_retries`` / ``fault_plan``
+(superstep 1 of worker 0) apply as they do to DNE.  All backends are
+bit-identical on the assignment and on the reported ``state_bytes``
+footprint (pinned by ``tests/test_backends.py``).
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.backends import create_backend, validate_execution_args
+from repro.cluster.backends import (WorkerProgram, create_backend,
+                                    validate_execution_args)
 from repro.cluster.checkpoint import CheckpointStore
+from repro.cluster.runtime import Process, SimulatedCluster
 from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 from repro.observability.trace import NULL_TRACER
@@ -51,9 +56,10 @@ def _run_sne_stream(graph: CSRGraph, p: int, seed: int, alpha: float,
                     ) -> tuple[np.ndarray, dict]:
     """One full SNE stream run; pure function of (graph, parameters).
 
-    Module-level and fully deterministic so every execution backend —
-    inline, worker thread, or shared-memory worker process — computes
-    the identical ``(assignment, extra)``.  With ``checkpoint_dir``
+    Fully deterministic, so every execution backend — inline, pool
+    thread, or shared-memory worker process, first try or supervised
+    retry — computes the identical ``(assignment, extra)``.  With
+    ``checkpoint_dir``
     the run snapshots its whole streaming state at every partition
     boundary; ``resume`` restarts from the newest snapshot and is
     bit-identical to the uninterrupted run.
@@ -162,6 +168,31 @@ def _run_sne_stream(graph: CSRGraph, p: int, seed: int, alpha: float,
     return state.assignment, extra
 
 
+class _SneStream(Process):
+    """SNE's one process: its one step is the whole stream."""
+
+    _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({"graph"})
+
+    def __init__(self, pid, graph: CSRGraph, params: tuple):
+        super().__init__(pid)
+        self.graph = graph
+        self.params = params
+
+    def stream(self) -> tuple[np.ndarray, dict]:
+        return _run_sne_stream(self.graph, *self.params)
+
+
+@dataclass
+class _SneProgram(WorkerProgram):
+    """Builds the one-process SNE cluster from the stream parameters."""
+
+    params: tuple
+
+    def build(self, owned_pids, graph, arrays: dict) -> dict:
+        return {pid: _SneStream(pid, graph, self.params)
+                for pid in owned_pids}
+
+
 class SNEPartitioner(Partitioner):
     """Streaming NE with a bounded in-memory edge buffer."""
 
@@ -196,25 +227,27 @@ class SNEPartitioner(Partitioner):
 
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
-        args = (self.num_partitions, self.seed, self.alpha,
-                self.buffer_factor, self.shuffle, self.kernel,
-                self.checkpoint_dir, self.resume)
+        program = _SneProgram((self.num_partitions, self.seed, self.alpha,
+                               self.buffer_factor, self.shuffle, self.kernel,
+                               self.checkpoint_dir, self.resume))
+        pid = ("sne", 0)
         t0 = time.perf_counter() if tracer.enabled else 0.0
         backend = create_backend(self.backend, self.workers,
                                  self.step_timeout, self.max_retries,
                                  self.fault_plan)
         try:
-            assignment, extra = backend.run_graph_task(
-                _run_sne_stream, graph, *args)
+            backend.start(SimulatedCluster(), program, [pid], graph)
+            assignment, extra = backend.run_superstep(
+                [(pid, "stream", ())])[pid].value
         finally:
             backend.close()
         if tracer.enabled:
-            # One span for the whole stream (it is a single sequential
-            # graph task on every backend, so the structure is
-            # backend-independent by construction); backend identity
-            # rides in a metadata event, like the DNE driver's.
+            # One span for the whole run (one superstep of one process
+            # on every backend, so the structure is backend-independent
+            # by construction); backend identity rides in a metadata
+            # event, like the DNE driver's.
             tracer.metadata("backend", {"name": self.backend})
-            tracer.span("graph_task:sne_stream", cat="graph_task",
+            tracer.span("run:sne", cat="run",
                         seconds=time.perf_counter() - t0,
                         args={"method": self.name, "kernel": self.kernel,
                               "partitions": self.num_partitions})

@@ -8,13 +8,16 @@ accounting totals — for DNE and SNE, under both kernels, at |P| well
 below and at the dense-membership width.  Wall clock is the only thing
 a backend may change.
 
-Also covered: the one dispatch function behind all three backends
-(``run_steps``: fused vs per-process, arming, failure naming) as a
-table, the outbox replay protocol in isolation (threads == inline for
-every payload shape and every share boundary), the shared-memory arena
-round trip, and crash propagation — a step that raises on a parallel backend must
-surface as :class:`WorkerStepError` naming the partition, promptly,
-with no hang and no orphaned workers.
+Every harness here enters a backend the one way there is,
+``start(cluster, program, pids, graph, arrays)``.  Also covered: the
+one dispatch function behind all three backends (``run_steps``: fused
+vs per-process, arming, failure naming) as a table, the outbox replay
+protocol in isolation (each parallel backend == inline for every
+payload shape; threads for every share boundary), the shared-memory
+arena round trip, the processes backend spawning only workers that own
+a pid, and crash propagation over all three backends — a step that
+raises on a parallel backend must surface as :class:`WorkerStepError`
+naming the partition, promptly, with no hang and no orphaned workers.
 
 Run with ``--workers N`` (root conftest option; default 2, CI runs 4).
 """
@@ -24,17 +27,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.backends import (BACKENDS, ProcessesBackend,
-                                    ShmArena, SimulatedBackend,
+from repro.cluster.backends import (BACKENDS, ProcessesBackend, ShmArena,
                                     ThreadsBackend, WorkerProgram,
                                     WorkerStepError, create_backend,
                                     validate_backend)
 from repro.cluster.backends.base import run_steps
 from repro.cluster.runtime import Process, SegmentBatch, SimulatedCluster
-from repro.core.distributed_ne import DistributedNE
+from repro.core.distributed_ne import DistributedNE, DneWorkerProgram
+from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
-from repro.partitioners.sne import SNEPartitioner
+from repro.partitioners.sne import SNEPartitioner, _run_sne_stream, \
+    _SneProgram
 from tests.conftest import dense_membership_shapes
 
 PARALLEL = ("threads", "processes")
@@ -117,6 +121,32 @@ class TestDneBackendEquivalence:
             assert np.array_equal(res.assignment, base.assignment), backend
             assert res.extra["cluster"] == base.extra["cluster"], backend
 
+    @pytest.mark.parametrize("kernel", ["vectorized", "python"])
+    def test_allocators_own_the_seed_arrays(self, graph, kernel):
+        """In-process, each allocator's local-vertex ids and remaining
+        degrees *are* the program's ``lv<k>`` / ``rd<k>`` arrays the
+        seed source reads: one copy — the home's sorted endpoint ids —
+        and degrees filled in by the allocator at build time."""
+        parts = 4
+        placement = Hash2DPlacement(parts, seed=0)
+        homes = placement.place_edges(graph.edges)
+        program = DneWorkerProgram(parts, placement, True, kernel, 0.1, 0,
+                                   "random", graph.num_edges,
+                                   graph.num_edges)
+        arrays = program.arrays(graph)
+        pids = [("alloc", k) for k in range(parts)] + [("expansion", 0)]
+        procs = program.build(pids, graph, arrays)
+        assert list(procs) == pids
+        for k in range(parts):
+            alloc = procs["alloc", k]
+            home = graph.edges[homes == k]
+            assert np.array_equal(alloc.eids, np.flatnonzero(homes == k))
+            assert alloc.local_vertices is arrays[f"lv{k}"]
+            assert alloc.rest_degree is arrays[f"rd{k}"]
+            assert np.array_equal(alloc.local_vertices, np.unique(home))
+            assert alloc.rest_degree.sum() == home.size
+        assert procs["expansion", 0].seed_source.live().all()
+
     def test_history_identical(self, graph, workers):
         """The per-iteration trace (Figure 6 series) survives gathering
         through worker boundaries."""
@@ -143,6 +173,27 @@ class TestSneBackendEquivalence:
             assert res.extra["state_bytes"] == base.extra["state_bytes"]
             assert res.extra["buffer_capacity"] == \
                 base.extra["buffer_capacity"]
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_program_path_equals_the_stream(self, graph, name, workers):
+        """SNE's one-process program, started on each backend and run
+        as one superstep, returns exactly the stream called directly —
+        on one worker whatever ``workers`` is."""
+        params = (8, 1, 1.1, 16.0, True, "vectorized", None, False)
+        want, want_extra = _run_sne_stream(graph, *params)
+        pid = ("sne", 0)
+        backend = create_backend(name, workers)
+        try:
+            backend.start(SimulatedCluster(), _SneProgram(params), [pid],
+                          graph)
+            if name == "processes":
+                assert len(backend._procs_mp) == 1
+            got, extra = backend.run_superstep(
+                [(pid, "stream", ())])[pid].value
+        finally:
+            backend.close()
+        assert np.array_equal(got, want)
+        assert extra["state_bytes"] == want_extra["state_bytes"]
 
 
 # ----------------------------------------------------------------------
@@ -287,19 +338,28 @@ class _EchoProcess(Process):
         return len(got)
 
 
+class _Program(WorkerProgram):
+    """Builds one ``process_cls`` per owned pid."""
+
+    def __init__(self, process_cls):
+        self.process_cls = process_cls
+
+    def build(self, owned_pids, graph, arrays):
+        return {pid: self.process_cls(pid) for pid in owned_pids}
+
+
 def _drive_echo(backend_name, workers):
     cluster = SimulatedCluster()
-    procs = [cluster.add_process(_EchoProcess(("echo", k)))
-             for k in range(3)]
+    pids = [("echo", k) for k in range(3)]
     backend = create_backend(backend_name, workers)
-    backend.attach(cluster, procs)
+    backend.start(cluster, _Program(_EchoProcess), pids)
     try:
         values = []
         for round_no in range(3):
             res = backend.run_superstep(
-                [(p.pid, "step", (round_no,)) for p in procs])
+                [(pid, "step", (round_no,)) for pid in pids])
             cluster.barrier()
-            values.append([res[p.pid].value for p in procs])
+            values.append([res[pid].value for pid in pids])
     finally:
         backend.close()
     return values, cluster.stats.summary(), \
@@ -310,12 +370,12 @@ def _drive_echo(backend_name, workers):
 
 
 class TestOutboxReplay:
-    def test_threads_replay_matches_inline(self, workers):
+    @pytest.mark.parametrize("name", PARALLEL)
+    def test_parallel_replay_matches_inline(self, name, workers):
         """Every outbox entry kind (eager send, segment sweep, resident
         report, RPC pair) replays to the identical cluster state and
         per-process counters."""
-        base = _drive_echo("simulated", None)
-        assert _drive_echo("threads", workers) == base
+        assert _drive_echo(name, workers) == _drive_echo("simulated", None)
 
     @pytest.mark.parametrize("share_workers", [1, 3, 9])
     def test_share_boundaries_do_not_change_replay(self, share_workers):
@@ -350,58 +410,44 @@ class _BoomProcess(Process):
         return "ok"
 
 
-class _BoomProgram(WorkerProgram):
-    def build(self, owned_pids, views):
-        return {pid: _BoomProcess(pid) for pid in owned_pids}
-
-
 class TestCrashPropagation:
-    def _pids(self):
-        return [("boom", k) for k in range(3)]
-
-    def test_simulated_raises_the_original_exception(self):
-        cluster = SimulatedCluster()
-        procs = [cluster.add_process(_BoomProcess(pid))
-                 for pid in self._pids()]
-        backend = SimulatedBackend()
-        backend.attach(cluster, procs)
-        with pytest.raises(RuntimeError,
-                           match="injected failure in partition 1"):
-            backend.run_superstep(
-                [(pid, "step", ()) for pid in self._pids()])
-
-    def test_threads_surfaces_pid(self, workers):
-        cluster = SimulatedCluster()
-        procs = [cluster.add_process(_BoomProcess(pid))
-                 for pid in self._pids()]
-        backend = ThreadsBackend(workers)
-        backend.attach(cluster, procs)
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_step_error_names_the_partition(self, name, workers):
+        """A step that raises surfaces promptly, never as a hang: as
+        itself inline, as a WorkerStepError naming the partition on the
+        parallel backends — and close() still tears the workers down."""
+        pids = [("boom", k) for k in range(3)]
+        backend = create_backend(name, workers)
+        backend.start(SimulatedCluster(), _Program(_BoomProcess), pids)
         try:
-            with pytest.raises(WorkerStepError, match=r"\('boom', 1\)"):
-                backend.run_superstep(
-                    [(pid, "step", ()) for pid in self._pids()])
+            with pytest.raises(Exception) as excinfo:
+                backend.run_superstep([(pid, "step", ()) for pid in pids])
         finally:
             backend.close()
+        assert "injected failure in partition 1" in str(excinfo.value)
+        if name == "simulated":
+            assert type(excinfo.value) is RuntimeError
+        else:
+            assert isinstance(excinfo.value, WorkerStepError)
+            assert excinfo.value.pid == ("boom", 1)
+        assert not getattr(backend, "_procs_mp", None)  # workers joined
 
-    def test_processes_surfaces_pid_no_hang(self, workers):
-        """A worker exception must come back as WorkerStepError naming
-        the partition — and close() must still tear the workers down."""
-        cluster = SimulatedCluster()
-        for pid in self._pids():
-            cluster.add_process(Process(pid))
-        backend = ProcessesBackend(workers)
-        backend.start(cluster, _BoomProgram(),
-                      {pid: i % workers
-                       for i, pid in enumerate(self._pids())}, {})
+
+class TestWorkerTopology:
+    def test_spawns_only_workers_that_own_a_pid(self):
+        """|P| = 2 on four workers: slots 0 and 1 own every pid, so two
+        workers are spawned — none idles through the supersteps."""
+        pids = [(role, k) for role in ("alloc", "expansion")
+                for k in range(2)]
+        backend = ProcessesBackend(4)
+        backend.start(SimulatedCluster(), _Program(_BoomProcess), pids)
         try:
-            with pytest.raises(WorkerStepError) as excinfo:
-                backend.run_superstep(
-                    [(pid, "step", ()) for pid in self._pids()])
-            assert "('boom', 1)" in str(excinfo.value)
-            assert "injected failure in partition 1" in excinfo.value.detail
+            assert len(backend._procs_mp) == 2
+            assert backend._owned == [[pids[0], pids[2]], [pids[1], pids[3]]]
+            out = backend.run_superstep([(pids[0], "step", ())])
+            assert out[pids[0]].value == "ok"
         finally:
             backend.close()
-        assert not backend._procs_mp  # workers joined and cleared
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +462,7 @@ class TestShmArena:
         }
         arena = ShmArena.create(arrays)
         try:
-            attached = ShmArena.attach(arena.spec())
+            attached = ShmArena.open(arena.spec())
             try:
                 for name, arr in arrays.items():
                     view = attached.array(name)

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.runtime import Process, SimulatedCluster
-from repro.core.distributed_ne import SharedSeedSource
+from repro.cluster.runtime import SimulatedCluster
 from repro.core.expansion import (BoundarySegment, BoundaryStore,
-                                  DirectSeedSource, ExpansionProcess,
-                                  HeapqBoundaryQueue)
+                                  ExpansionProcess, HeapqBoundaryQueue,
+                                  SharedSeedSource)
 from repro.core.hash2d import Hash2DPlacement
 
 
@@ -292,43 +291,22 @@ def _seed_arrays(live, rng):
     return lvs, rests
 
 
-class _ArrayAlloc(Process):
-    """Allocator stand-in answering the three seed-source queries."""
-
-    def __init__(self, k, lv, rest):
-        super().__init__(("alloc", k))
-        self.unallocated = int(rest.sum())
-        self._source = SharedSeedSource([lv], [rest])
-
-    def random_unallocated_vertex(self, rng):
-        return self._source.random_vertex(0, rng)
-
-    def min_degree_unallocated_vertex(self):
-        return self._source.min_degree_vertex(0)
-
-
 class TestSeedScan:
     @pytest.mark.parametrize("strategy", ["random", "min_degree"])
-    @pytest.mark.parametrize("source_kind", ["direct", "shared"])
     @pytest.mark.parametrize("pattern", [
         "own", "none", "before", "after", "random", "random", "random"])
-    def test_one_probe_scan_equals_the_probe_loop(self, pattern, source_kind,
-                                                  strategy):
+    def test_one_probe_scan_equals_the_probe_loop(self, pattern, strategy):
         """Own allocator live, none live, first live one before / after
         the requester, random patterns: same vertex, same RNG state
         afterwards, same counters, same ``rpc`` outbox entries."""
         parts, own = 7, 3
-        rng = np.random.default_rng(sum(map(ord, pattern + source_kind)))
+        rng = np.random.default_rng(sum(map(ord, pattern)))
         live = {"own": [0, 1, 0, 1, 0, 0, 1], "none": [0] * parts,
                 "before": [0, 1, 0, 0, 0, 1, 0],
                 "after": [0, 0, 0, 0, 0, 1, 1]}.get(
                     pattern, (rng.random(parts) < 0.4).astype(int).tolist())
         lvs, rests = _seed_arrays(live, rng)
-        if source_kind == "shared":
-            source = SharedSeedSource(lvs, rests)
-        else:
-            source = DirectSeedSource([_ArrayAlloc(k, lvs[k], rests[k])
-                                       for k in range(parts)])
+        source = SharedSeedSource(lvs, rests)
         assert source.live().tolist() == [bool(x) for x in live]
         outcomes = []
         for scan in (_probe_loop_seed, ExpansionProcess._random_seed):

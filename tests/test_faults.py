@@ -211,12 +211,25 @@ class TestRecoveryEquivalence:
         _assert_identical(res, base4)
 
     def test_sne_task_kill_retries_bit_identical(self, graph, workers):
-        """SNE's whole-graph offload worker killed on attempt 0 is
-        retried; the pure re-run matches the simulated result."""
+        """SNE's stream is superstep 1 of its one worker: killed there,
+        the worker is respawned and the superstep re-run; the pure
+        re-run matches the simulated result."""
         base = SNEPartitioner(4, seed=3).partition(graph)
-        plan = FaultPlan().task_kill(0)
+        plan = FaultPlan().kill(0, 1)
         res = SNEPartitioner(4, seed=3, backend="processes",
                              workers=workers, step_timeout=60,
+                             max_retries=1, fault_plan=plan).partition(graph)
+        assert np.array_equal(res.assignment, base.assignment)
+        assert res.extra["state_bytes"] == base.extra["state_bytes"]
+        assert not plan.pending()
+
+    def test_sne_hang_recovers_bit_identical(self, graph, workers):
+        """A hung SNE worker trips step_timeout like a DNE one: killed,
+        respawned, the stream re-run bit-identically."""
+        base = SNEPartitioner(4, seed=3).partition(graph)
+        plan = FaultPlan().hang(0, 1)
+        res = SNEPartitioner(4, seed=3, backend="processes",
+                             workers=workers, step_timeout=2,
                              max_retries=1, fault_plan=plan).partition(graph)
         assert np.array_equal(res.assignment, base.assignment)
         assert res.extra["state_bytes"] == base.extra["state_bytes"]
@@ -417,22 +430,19 @@ class _SleepProcess(Process):
 
 
 class _PingProgram(WorkerProgram):
-    def build(self, owned_pids, views):
+    def build(self, owned_pids, graph, arrays):
         return {pid: _PingProcess(pid) for pid in owned_pids}
 
 
 class _SleepProgram(WorkerProgram):
-    def build(self, owned_pids, views):
+    def build(self, owned_pids, graph, arrays):
         return {pid: _SleepProcess(pid) for pid in owned_pids}
 
 
 def _start_pair(backend):
     cluster = SimulatedCluster()
     pids = [("ping", 0), ("ping", 1)]
-    for pid in pids:
-        cluster.add_process(Process(pid))
-    backend.start(cluster, _PingProgram(), {pid: k for k, pid in
-                                            enumerate(pids)}, {})
+    backend.start(cluster, _PingProgram(), pids)
     return cluster, pids
 
 
@@ -440,11 +450,9 @@ class TestSupervisionProtocol:
     def test_step_timeout_surfaces_as_worker_step_error(self):
         """Satellite: a hung worker must not hang the parent — the
         reply wait is bounded and the failure names the worker."""
-        cluster = SimulatedCluster()
         pid = ("ping", 0)
-        cluster.add_process(Process(pid))
         backend = ProcessesBackend(1, step_timeout=0.5)
-        backend.start(cluster, _SleepProgram(), {pid: 0}, {})
+        backend.start(SimulatedCluster(), _SleepProgram(), [pid])
         try:
             with pytest.raises(WorkerStepError,
                                match=r"timed out after 0\.5s"):
@@ -547,7 +555,7 @@ class TestShmLeaks:
 
     def test_no_leak_after_sne_task_kill(self, graph, workers):
         before = _shm_segments()
-        plan = FaultPlan().task_kill(0)
+        plan = FaultPlan().kill(0, 1)
         with pytest.raises(WorkerStepError):
             SNEPartitioner(4, seed=3, backend="processes", workers=workers,
                            step_timeout=60,
@@ -570,24 +578,12 @@ class TestFaultPlan:
         plan = FaultPlan().kill(1, 4)
         with pytest.raises(ValueError, match="duplicate"):
             plan.hang(1, 4)
-        plan.task_kill(0)
-        with pytest.raises(ValueError, match="duplicate"):
-            plan.task_raise(0)
 
     def test_pending_lists_unfired(self):
-        plan = FaultPlan().kill(0, 1).delay(1, 2, 0.5).task_kill(3)
-        assert len(plan) == 3
+        plan = FaultPlan().kill(0, 1).delay(1, 2, 0.5)
+        assert len(plan) == 2
         plan.take(0, 1)
-        pending = plan.pending()
-        assert (1, 2, "delay", 0.5) in pending
-        assert ("task", 3, "kill", None) in pending
-        assert len(pending) == 2
-
-    def test_task_axis_independent(self):
-        plan = FaultPlan().task_raise(1, "later")
-        assert plan.take_task(0) is None
-        assert plan.take_task(1) == ("raise", "later")
-        assert plan.fired == [("task", 1, "raise", "later")]
+        assert plan.pending() == [(1, 2, "delay", 0.5)]
 
     def test_seeded_delays_deterministic(self):
         a = FaultPlan().seeded_delays(2, 3, 0.5, seed=9)

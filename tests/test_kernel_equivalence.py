@@ -41,8 +41,8 @@ from repro.core.allocation import (TAG_SELECT, TAG_SYNC, AllocationProcess,
                                    DenseMembership, PackedMembership)
 from repro.core.distributed_ne import DistributedNE
 from repro.core.expansion import (BoundarySegment, BoundaryStore,
-                                  DirectSeedSource, ExpansionProcess,
-                                  HeapqBoundaryQueue)
+                                  ExpansionProcess, HeapqBoundaryQueue,
+                                  SharedSeedSource)
 from repro.core.fused import FusedDnePlane
 from repro.core.hash2d import (Hash1DPlacement, Hash2DPlacement,
                                unpack_bool_matrix)
@@ -304,7 +304,8 @@ def _mini_dne(graph, placement):
     allocs = [cluster.add_process(AllocationProcess(
         k, graph, np.flatnonzero(homes == k), placement))
         for k in range(machines)]
-    source = DirectSeedSource(allocs)
+    source = SharedSeedSource([a.local_vertices for a in allocs],
+                              [a.rest_degree for a in allocs])
     exps = [cluster.add_process(ExpansionProcess(
         k, machines, limit=graph.num_edges,
         total_edges=graph.num_edges, lam=0.5, seed=0,

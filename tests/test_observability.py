@@ -299,7 +299,7 @@ class TestTraceStructure:
                            tracer=tracer).partition(graph)
             structures[backend] = tracer.structure()
         assert structures["simulated"] == [
-            ("graph_task:sne_stream", "graph_task", 0,
+            ("run:sne", "run", 0,
              (("kernel", "vectorized"), ("method", "sne"),
               ("partitions", 4)))]
         for backend in PARALLEL:

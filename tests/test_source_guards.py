@@ -32,6 +32,12 @@ Selection and update are segment kernels (PR 19): the per-process
 array queue is gone — its name appears nowhere under ``src/``, the
 heapq reference aside — and the DNE driver asks the cluster which
 slots have mail once per tag (``mail_slots``), never once per process.
+
+One way onto a backend: ``ExecutionBackend.start`` with a
+``WorkerProgram`` is the only lifecycle entry — no ``attach`` beside
+it, no whole-graph ``run_graph_task`` offload and no fault-plan axis
+for one — and shared memory is the processes backend's business alone:
+no partitioner builds an arena or asks which backend it runs on.
 """
 
 import ast
@@ -248,3 +254,69 @@ def test_dne_driver_asks_for_mail_once_per_tag():
     driver = (_CORE / "distributed_ne.py").read_text()
     assert _method_calls(driver, "has_mail") == []
     assert len(_method_calls(driver, "mail_slots")) == 4
+
+
+def _names(source: str) -> list[tuple[int, str]]:
+    """``(lineno, name)`` of every function defined and every name,
+    attribute or import used — code, never prose."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, alias.name.rsplit(".", 1)[-1])
+                      for alias in node.names]
+    return found
+
+
+def _defined(source: str) -> set:
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_name_guards_see_code_not_prose():
+    source = ('"""ShmArena.attach in prose"""\n'
+              "from x import ShmArena\n"
+              "def attach(self):\n"
+              "    return mod.graph_to_arrays(ProcessesBackend)\n")
+    assert sorted(_names(source)) == [
+        (2, "ShmArena"), (3, "attach"), (4, "ProcessesBackend"),
+        (4, "graph_to_arrays"), (4, "mod")]
+    assert _defined(source) == {"attach"}
+
+
+@pytest.mark.parametrize("name", ["attach", "run_graph_task", "take_task"])
+def test_one_lifecycle_entry(name):
+    """``start`` is the only way onto a backend; the second and third
+    paths (caller-built processes, whole-graph offload and its fault
+    axis) stay deleted."""
+    found = [str(path.relative_to(_SRC)) for path in sorted(_SRC.rglob("*.py"))
+             if name in _defined(path.read_text())]
+    assert found == []
+
+
+def _uses(paths, name) -> list[tuple[str, int]]:
+    return [(str(path.relative_to(_SRC)), lineno) for path in paths
+            for lineno, used in _names(path.read_text()) if used == name]
+
+
+@pytest.mark.parametrize("name", ["ShmArena", "graph_to_arrays"])
+def test_shared_memory_stays_inside_the_backends(name):
+    """The processes backend packs the graph and a program's arrays
+    into shared memory itself; nothing else builds an arena."""
+    backends = _SRC / "cluster" / "backends"
+    outside = [path for path in sorted(_SRC.rglob("*.py"))
+               if backends not in path.parents]
+    assert _uses(outside, name) == []
+
+
+def test_partitioners_do_not_name_the_processes_backend():
+    """A partitioner hands every backend the same program; none
+    branches on which one it got."""
+    paths = [path for package in ("core", "partitioners")
+             for path in sorted((_SRC / package).rglob("*.py"))]
+    assert _uses(paths, "ProcessesBackend") == []

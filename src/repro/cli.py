@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("path")
 
     p_serve = sub.add_parser(
-        "serve", help="serve a run store over async HTTP (docs/API.md)")
+        "serve", help="serve a run store over HTTP (docs/API.md)")
     p_serve.add_argument("--store", required=True, metavar="DB",
                          help="SQLite run store written by `repro "
                               "partition --store` or `repro store "

@@ -1,4 +1,4 @@
-"""Partition-serving plane: run store + async HTTP query layer.
+"""Partition-serving plane: run store + HTTP query layer.
 
 The partitioners compute assignments; this package makes them
 consumable at scale (ROADMAP item 1, the "millions of users" story):
@@ -10,7 +10,7 @@ consumable at scale (ROADMAP item 1, the "millions of users" story):
 * :mod:`repro.serving.lookup` — :class:`LookupService`: mmap'd run
   arrays, a hot-vertex LRU, and the dual-kernel
   (``vectorized``/``python``, pinned bit-identical) bulk lookups;
-* :mod:`repro.serving.api` — the asyncio HTTP layer
+* :mod:`repro.serving.api` — the HTTP layer on stdlib ``http.server``
   (:class:`ServingAPI`), ``repro serve`` on the CLI, reference in
   ``docs/API.md``.
 """

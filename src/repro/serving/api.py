@@ -1,11 +1,12 @@
-"""Async HTTP query layer over the run store.
+"""HTTP query layer over the run store.
 
-A small, dependency-free HTTP/1.1 server on stdlib ``asyncio`` (no
-``http.server``): the event loop owns the sockets and request framing,
-every request body is dispatched to a thread pool (SQLite reads and
-mmap gathers release the GIL or finish in microseconds), and responses
-are JSON.  Keep-alive is supported, so a load generator can hammer one
-connection with thousands of lookups.
+A dependency-free HTTP/1.1 server on stdlib ``ThreadingHTTPServer``:
+a thread per connection frames requests with the stdlib's bounded
+parser, bodies are capped at :data:`MAX_BODY_BYTES`, a connection idle
+or stalled for :data:`IDLE_TIMEOUT_S` is closed, and responses are
+JSON.  Keep-alive is supported, so a load generator can hammer one
+connection with thousands of lookups.  Handlers run one at a time
+(:class:`_Server` says why).
 
 The routing core is :meth:`ServingAPI.handle` — a pure
 ``(method, path, query, body) -> (status, payload)`` function with no
@@ -33,13 +34,16 @@ record a Chrome trace, retrievable from ``GET /api/runs/{id}/trace``.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
 import logging
+import socket
+import socketserver
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -524,123 +528,108 @@ def _json_body(body: bytes | None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# asyncio socket layer
+# socket layer: stdlib http.server
 # ----------------------------------------------------------------------
-class _HttpServer:
-    """Minimal HTTP/1.1 framing over ``asyncio.start_server``."""
+#: seconds a connection may idle between requests, or stall inside one,
+#: before it is closed (without a 408: the stdlib handler just drops it)
+IDLE_TIMEOUT_S = 60
 
-    def __init__(self, api: ServingAPI, *, pool_workers: int = 8):
-        self.api = api
-        self.pool = ThreadPoolExecutor(max_workers=pool_workers,
-                                       thread_name_prefix="serving")
 
-    async def client(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        self.api.registry.counter_inc("repro_http_connections_total")
-        try:
-            while True:
-                keep_alive = await self._one_request(reader, writer)
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                asyncio.LimitOverrunError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown: drop the connection without letting the
-            # cancellation escape (asyncio logs escaped client errors).
-            writer.close()
-            return
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                pass
+class _Handler(BaseHTTPRequestHandler):
+    """One connection's framing; every routed method is :meth:`_dispatch`."""
 
-    async def _one_request(self, reader, writer) -> bool:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return False
-        try:
-            method, target, version = (
-                request_line.decode("latin-1").split())
-        except ValueError:
-            await self._respond(writer, 400,
-                                {"error": "malformed request line"},
-                                close=True)
-            return False
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            await self._respond(
-                writer, 413,
-                {"error": f"body larger than {MAX_BODY_BYTES} bytes"},
-                close=True)
-            return False
-        if length:
-            body = await reader.readexactly(length)
+    protocol_version = "HTTP/1.1"
+    # a response goes out at once, never held back for the last ACK
+    disable_nagle_algorithm = True
 
-        parts = urlsplit(target)
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S  # read per connection, not at import
+        super().setup()
+        self.server.api.registry.counter_inc("repro_http_connections_total")
+
+    def _dispatch(self) -> None:
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():
+            return self.send_error(400, "invalid Content-Length")
+        if int(length) > MAX_BODY_BYTES:
+            return self.send_error(
+                413, f"body larger than {MAX_BODY_BYTES} bytes")
+        body = self.rfile.read(int(length))
+        parts = urlsplit(self.path)
         query = parse_qs(parts.query)
-        loop = asyncio.get_running_loop()
         try:
-            status, payload = await loop.run_in_executor(
-                self.pool, self.api.handle, method, parts.path, query,
-                body)
+            with self.server.handle_lock:
+                status, payload = self.server.api.handle(
+                    self.command, parts.path, query, body)
         except Exception as exc:  # a bug, not a client error
-            status, payload = 500, {"error":
-                                    f"{type(exc).__name__}: {exc}"}
-        keep_alive = (version != "HTTP/1.0"
-                      and headers.get("connection", "").lower() != "close"
-                      and status < 500)
-        await self._respond(writer, status, payload,
-                            close=not keep_alive)
-        return keep_alive
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._reply(status, payload)
 
-    @staticmethod
-    async def _respond(writer, status: int, payload,
-                       close: bool) -> None:
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _dispatch
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # the stdlib parser's framing errors, in the API's JSON shape
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses[code][0]})
+
+    def _reply(self, status: int, payload) -> None:
         if isinstance(payload, str):  # /metrics Prometheus exposition
             body = payload.encode("utf-8")
             ctype = "text/plain; version=0.0.4; charset=utf-8"
         else:
             body = json.dumps(payload).encode("utf-8")
             ctype = "application/json"
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 405: "Method Not Allowed",
-                  413: "Payload Too Large",
-                  500: "Internal Server Error"}.get(status, "Status")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: {'close' if close else 'keep-alive'}\r\n"
-                "\r\n").encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
+        self.close_connection |= status >= 500
+        connection = "close" if self.close_connection else "keep-alive"
+        head = (f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+                f"Content-Type: {ctype}\r\nContent-Length: {len(body)}\r\n"
+                f"Connection: {connection}\r\n\r\n")
+        self.log_request(status, len(body))
+        self.wfile.write(head.encode("latin-1") + body)
+
+    def log_message(self, format, *args) -> None:
+        # the stdlib default prints every request to stderr
+        _log.debug("%s " + format, self.address_string(), *args)
 
 
-async def _serve_async(api: ServingAPI, host: str, port: int,
-                       ready: "threading.Event | None" = None,
-                       bound: list | None = None) -> None:
-    http = _HttpServer(api)
-    server = await asyncio.start_server(http.client, host, port)
-    if bound is not None:
-        bound.append(server.sockets[0].getsockname()[1])
-    if ready is not None:
-        ready.set()
-    try:
-        async with server:
-            await server.serve_forever()
-    finally:
-        http.pool.shutdown(wait=False)
+class _Server(ThreadingHTTPServer):
+    """A thread per connection, and one :meth:`ServingAPI.handle` at a time.
+
+    Parsing and socket I/O stay per connection.  Unlocked, connection
+    threads convoy on the GIL with a job thread and readers stall ≈ 5x
+    longer behind it (the gate's ``serve_hdrf`` on 2 vCPUs: 98 vs 17 ms
+    ``mixed_read_stall_ms``).
+    """
+
+    def __init__(self, api: ServingAPI, host: str, port: int):
+        self.api = api
+        self.handle_lock = threading.Lock()
+        self._live = weakref.WeakSet()  # accepted sockets
+        super().__init__((host, port), _Handler)
+
+    def server_bind(self) -> None:
+        # skip HTTPServer's reverse-DNS lookup of the host name
+        socketserver.TCPServer.server_bind(self)
+
+    def process_request(self, request, client_address) -> None:
+        self._live.add(request)
+        super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address) -> None:
+        # a client resetting mid-request is routine; anything else a bug
+        _log.log(logging.DEBUG if isinstance(sys.exc_info()[1], OSError)
+                 else logging.ERROR, "connection from %s failed",
+                 client_address, exc_info=True)
+
+    def close(self) -> None:
+        """After ``serve_forever``: drop live sockets, close, join, log."""
+        for sock in list(self._live):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its own thread
+                pass
+        self.server_close()
+        _log_shutdown(self.api)
 
 
 def _log_shutdown(api: ServingAPI) -> None:
@@ -659,12 +648,13 @@ def _log_shutdown(api: ServingAPI) -> None:
 def serve(api: ServingAPI, host: str = "127.0.0.1",
           port: int = 8080) -> None:
     """Run the server in the calling thread until interrupted."""
+    server = _Server(api, host, port)
     try:
-        asyncio.run(_serve_async(api, host, port))
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     finally:
-        _log_shutdown(api)
+        server.close()
 
 
 class BackgroundServer:
@@ -679,50 +669,20 @@ class BackgroundServer:
     def __init__(self, api: ServingAPI, host: str = "127.0.0.1",
                  port: int = 0):
         self.host = host
-        self._api = api
-        self._ready = threading.Event()
-        self._bound: list = []
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._server = _Server(api, host, port)
+        self.port = self._server.server_address[1]
         self._thread = threading.Thread(
-            target=self._run, args=(api, host, port),
-            name="serving-http", daemon=True)
+            target=self._server.serve_forever, name="serving-http",
+            daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("serving HTTP thread failed to start")
-        self.port = self._bound[0]
-
-    def _run(self, api, host, port):
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(
-                _serve_async(api, host, port, ready=self._ready,
-                             bound=self._bound))
-        except asyncio.CancelledError:  # stop() cancels serve_forever
-            pass
-        finally:
-            # Let in-flight client tasks observe their cancellation so
-            # the loop closes without "task was destroyed" warnings.
-            pending = asyncio.all_tasks(self._loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
-            self._loop.close()
 
     def stop(self) -> None:
-        loop = self._loop
-        if loop is None or not self._thread.is_alive():
+        """Stop accepting and drop every live connection; idempotent."""
+        if not self._thread.is_alive():
             return
-
-        def _cancel_all():
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-
-        loop.call_soon_threadsafe(_cancel_all)
-        self._thread.join(timeout=10)
-        _log_shutdown(self._api)
+        self._server.shutdown()
+        self._server.close()
+        self._thread.join()
 
     def __enter__(self) -> "BackgroundServer":
         return self

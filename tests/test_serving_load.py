@@ -1,8 +1,10 @@
-"""Socket-layer tests: the asyncio server under real concurrent load.
+"""Socket-layer tests: the stdlib ``ThreadingHTTPServer`` under load.
 
 ``test_serving_api.py`` proves the dispatcher; this file proves the
-framing around it — keep-alive connection reuse, 4xx for malformed
-requests instead of dropped sockets, and the hard gate the CI serving
+framing around it — keep-alive connection reuse, a JSON 4xx for every
+malformed request instead of a dropped socket, idle and stalled
+connections closed after ``IDLE_TIMEOUT_S``, ``stop()`` dropping live
+keep-alive sockets, no stderr chatter, and the hard gate the CI serving
 job also enforces: a concurrent bulk-lookup hammer must come back with
 *zero* 5xx responses and every payload identical to the dispatcher's
 answer.  The p99 floor lives in the perf smoke (this file only asserts
@@ -11,7 +13,9 @@ correctness, so it stays green on arbitrarily slow boxes).
 
 import http.client
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
 from repro.partitioners.hashing import DBHPartitioner as DBH
 from repro.serving import BackgroundServer, RunStore, ServingAPI
+from repro.serving import api as api_module
 
 
 @pytest.fixture
@@ -77,26 +82,87 @@ def test_http_matches_dispatcher(server):
         conn.close()
 
 
-def test_malformed_requests_get_4xx_not_hangs(server):
-    import socket as socketlib
-    # oversized declared body → 413, connection closed, not buffered
-    conn = http.client.HTTPConnection("127.0.0.1", server.port)
+def _raw_exchange(port: int, wire: bytes, timeout: float = 10):
+    """Send ``wire`` on a fresh socket, read until the server closes."""
+    raw = socket.create_connection(("127.0.0.1", port), timeout=timeout)
     try:
-        conn.putrequest("POST", f"/api/runs/{server.run_id}/lookup")
-        conn.putheader("Content-Length", str(64 * 1024 * 1024))
-        conn.endheaders()
-        resp = conn.getresponse()
-        assert resp.status == 413
-    finally:
-        conn.close()
-    # garbage request line → 400 (not a silent drop)
-    raw = socketlib.create_connection(("127.0.0.1", server.port),
-                                      timeout=10)
-    try:
-        raw.sendall(b"COMPLETE GARBAGE\r\n\r\n")
-        assert b" 400 " in raw.recv(4096)
+        raw.sendall(wire)
+        reply = b""
+        while chunk := raw.recv(65536):
+            reply += chunk
+        return reply
     finally:
         raw.close()
+
+
+_HEALTH = b"GET /api/health HTTP/1.1\r\nHost: t\r\n"
+
+#: framing errors: (request bytes, expected status); each reply is JSON
+#: with an ``error`` key and the server closes the connection after it
+MALFORMED = {
+    "content-length abc": (
+        b"POST /api/health HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    "content-length -1": (
+        b"POST /api/health HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    "101 headers": (_HEALTH + b"".join(
+        b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n", 431),
+    "header line over 64 KiB": (
+        _HEALTH + b"X-Big: " + b"a" * (64 * 1024 + 1) + b"\r\n\r\n", 431),
+    "request line over 64 KiB": (
+        b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.1\r\n\r\n", 414),
+    "garbage request line": (b"COMPLETE GARBAGE\r\n\r\n", 400),
+    "64 MiB body": (b"POST /api/runs/1/lookup HTTP/1.1\r\n"
+                    b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024),
+                    413),
+}
+
+
+@pytest.mark.parametrize("wire,status", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_requests_get_4xx_not_hangs(server, wire, status):
+    reply = _raw_exchange(server.port, wire)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].split()[1] == str(status), lines[0]
+    headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    assert int(headers["content-length"]) == len(body)
+    assert "error" in json.loads(body)
+
+
+def test_idle_and_stalled_connections_close(server, monkeypatch):
+    """A connection idle between requests, or stalled inside one, is
+    closed after ``IDLE_TIMEOUT_S`` — without a reply."""
+    monkeypatch.setattr(api_module, "IDLE_TIMEOUT_S", 0.5,
+                        raising=False)
+    idle = http.client.HTTPConnection("127.0.0.1", server.port)
+    assert _get(idle, "/api/health")[0] == 200
+    stalled = {
+        "half a request line": b"GET /api/hea",
+        "body shorter than its Content-Length": (
+            b"POST /api/runs/1/lookup HTTP/1.1\r\n"
+            b"Content-Length: 100\r\n\r\n{\"vertices\""),
+    }
+    socks = {name: socket.create_connection(("127.0.0.1", server.port))
+             for name in stalled}
+    socks["idle keep-alive"] = idle.sock
+    start = time.monotonic()
+    for name, wire in stalled.items():
+        socks[name].sendall(wire)
+    still_open = []
+    try:
+        for name, sock in socks.items():
+            sock.settimeout(max(0.01, start + 2 - time.monotonic()))
+            try:
+                if sock.recv(4096) != b"":
+                    still_open.append(name)
+            except TimeoutError:
+                still_open.append(name)
+    finally:
+        for sock in socks.values():
+            sock.close()
+    assert still_open == []
 
 
 def test_concurrent_bulk_hammer_zero_5xx(server):
@@ -156,3 +222,30 @@ def test_server_stops_cleanly(tmp_path):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
         conn.request("GET", "/api/health")
         conn.getresponse()
+
+
+def test_stop_drops_keep_alive_sockets_and_is_idempotent(tmp_path):
+    store = RunStore(str(tmp_path / "runs.db"))
+    srv = BackgroundServer(ServingAPI(store))
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=10)
+    try:
+        assert _get(conn, "/api/health")[0] == 200
+        start = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - start < 5  # not the idle timeout
+        assert conn.sock.recv(4096) == b""
+        srv.stop()
+    finally:
+        conn.close()
+        store.close()
+
+
+def test_served_requests_write_nothing_to_stderr(server, capsys):
+    conn = http.client.HTTPConnection("127.0.0.1", server.port)
+    try:
+        assert _get(conn, "/api/health")[0] == 200
+        assert _get(conn, "/api/nope")[0] == 404
+    finally:
+        conn.close()
+    assert b" 400 " in _raw_exchange(server.port, b"GARBAGE\r\n\r\n")
+    assert capsys.readouterr().err == ""

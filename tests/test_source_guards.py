@@ -38,6 +38,10 @@ One way onto a backend: ``ExecutionBackend.start`` with a
 it, no whole-graph ``run_graph_task`` offload and no fault-plan axis
 for one — and shared memory is the processes backend's business alone:
 no partitioner builds an arena or asks which backend it runs on.
+
+One HTTP server: ``src/repro/serving/`` imports no ``asyncio`` and no
+``ThreadPoolExecutor`` — the stdlib ``ThreadingHTTPServer`` bounds
+every framing input, and a second socket layer beside it would not.
 """
 
 import ast
@@ -320,3 +324,8 @@ def test_partitioners_do_not_name_the_processes_backend():
     paths = [path for package in ("core", "partitioners")
              for path in sorted((_SRC / package).rglob("*.py"))]
     assert _uses(paths, "ProcessesBackend") == []
+
+
+@pytest.mark.parametrize("name", ["asyncio", "ThreadPoolExecutor"])
+def test_serving_has_one_http_server(name):
+    assert _uses(sorted((_SRC / "serving").glob("*.py")), name) == []

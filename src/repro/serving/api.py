@@ -42,7 +42,6 @@ import socketserver
 import sys
 import threading
 import time
-import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -442,6 +441,8 @@ class ServingAPI:
             with job.lock:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.state = "failed"
+        finally:
+            self.store.release_thread()
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +534,8 @@ def _json_body(body: bytes | None) -> dict:
 #: seconds a connection may idle between requests, or stall inside one,
 #: before it is closed (without a 408: the stdlib handler just drops it)
 IDLE_TIMEOUT_S = 60
+#: seconds ``stop()`` waits for connection threads still inside a handler
+STOP_JOIN_S = 10
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -604,7 +607,7 @@ class _Server(ThreadingHTTPServer):
     def __init__(self, api: ServingAPI, host: str, port: int):
         self.api = api
         self.handle_lock = threading.Lock()
-        self._live = weakref.WeakSet()  # accepted sockets
+        self._live: dict[threading.Thread, socket.socket] = {}
         super().__init__((host, port), _Handler)
 
     def server_bind(self) -> None:
@@ -612,8 +615,15 @@ class _Server(ThreadingHTTPServer):
         socketserver.TCPServer.server_bind(self)
 
     def process_request(self, request, client_address) -> None:
-        self._live.add(request)
-        super().process_request(request, client_address)
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        self._live[thread] = request
+        thread.start()
+
+    def process_request_thread(self, request, client_address) -> None:
+        super().process_request_thread(request, client_address)  # no raise
+        self.api.store.release_thread()  # else one SQLite handle per client
+        del self._live[threading.current_thread()]
 
     def handle_error(self, request, client_address) -> None:
         # a client resetting mid-request is routine; anything else a bug
@@ -623,12 +633,19 @@ class _Server(ThreadingHTTPServer):
 
     def close(self) -> None:
         """After ``serve_forever``: drop live sockets, close, join, log."""
-        for sock in list(self._live):
+        live = dict(self._live)
+        for sock in live.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:  # already closed by its own thread
                 pass
         self.server_close()
+        deadline = time.monotonic() + STOP_JOIN_S
+        for thread in live:  # bounded: a handler may sit in SQLite's wait
+            thread.join(max(0.0, deadline - time.monotonic()))
+        if any(thread.is_alive() for thread in live):
+            _log.warning("connection threads still in a handler after "
+                         "%s s; not waiting for them", STOP_JOIN_S)
         _log_shutdown(self.api)
 
 
@@ -672,8 +689,8 @@ class BackgroundServer:
         self._server = _Server(api, host, port)
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="serving-http",
-            daemon=True)
+            target=self._server.serve_forever, args=(0.05,),  # stop() lag
+            name="serving-http", daemon=True)
         self._thread.start()
 
     def stop(self) -> None:

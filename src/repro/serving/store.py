@@ -175,9 +175,10 @@ class RunStore:
     """Durable store of partitioner runs (see the module docstring).
 
     Thread-safe: each thread gets its own SQLite connection (WAL mode
-    makes concurrent readers + one writer safe), so the async API's
-    executor threads and a background partitioning job can share one
-    instance.
+    makes concurrent readers + one writer safe), so the HTTP server's
+    connection threads and a background partitioning job can share one
+    instance.  A short-lived thread hands its connection back with
+    :meth:`release_thread` before it ends.
     """
 
     def __init__(self, path: str):
@@ -206,6 +207,17 @@ class RunStore:
             with self._conn_lock:
                 self._all_conns.append(conn)
         return conn
+
+    def release_thread(self) -> None:
+        """Close the calling thread's connection, if it opened one."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        self._local.conn = None
+        with self._conn_lock:
+            if conn in self._all_conns:  # else close() already took it
+                self._all_conns.remove(conn)
+        conn.close()
 
     def close(self) -> None:
         """Close every thread's connection opened so far."""

@@ -235,6 +235,11 @@ def test_job_submit_poll_and_query(api):
     assert status == 200 and doc["replicas"] >= 1
     status, doc = api.handle("GET", "/api/jobs")
     assert status == 200 and len(doc["items"]) == 1
+    # the finished job thread closed its store connection
+    deadline = time.monotonic() + 5
+    while len(api.store._all_conns) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(api.store._all_conns) == 1
 
 
 def test_job_validation_errors(api):

@@ -240,6 +240,60 @@ def test_stop_drops_keep_alive_sockets_and_is_idempotent(tmp_path):
         store.close()
 
 
+@pytest.mark.parametrize("handler_s,join_s,finished", [
+    (1.0, 10, True),    # stop() waits for a handler in flight ...
+    (30, 0.5, False),   # ... but at most STOP_JOIN_S
+], ids=["waits", "bounded"])
+def test_stop_joins_in_flight_handlers_with_a_bound(
+        tmp_path, monkeypatch, caplog, handler_s, join_s, finished):
+    monkeypatch.setattr(api_module, "STOP_JOIN_S", join_s)
+    store = RunStore(str(tmp_path / "runs.db"))
+    api = ServingAPI(store)
+    entered, release, done = (threading.Event() for _ in range(3))
+
+    def slow(*args, **kwargs):
+        entered.set()
+        release.wait(handler_s)
+        done.set()
+        return 200, {}
+
+    monkeypatch.setattr(api, "handle", slow)
+    srv = BackgroundServer(api)
+    raw = socket.create_connection(("127.0.0.1", srv.port), timeout=10)
+    try:
+        raw.sendall(_HEALTH + b"\r\n")
+        assert entered.wait(10)
+        start = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - start < join_s + 2
+        assert done.is_set() is finished
+        assert ("still in a handler" in caplog.text) is not finished
+    finally:
+        release.set()
+        raw.close()
+        store.close()
+
+
+def test_short_lived_connections_release_their_store_handles(server):
+    """Each connection thread opens its own SQLite connection on its
+    first store read; it must close it as it ends, not keep it until
+    the store closes."""
+    store = server.api.store
+    for _ in range(50):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            conn.request("GET", "/metrics", headers={"Connection": "close"})
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+        finally:
+            conn.close()
+    deadline = time.monotonic() + 5
+    while len(store._all_conns) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(store._all_conns) == 1  # the fixture's own thread
+
+
 def test_served_requests_write_nothing_to_stderr(server, capsys):
     conn = http.client.HTTPConnection("127.0.0.1", server.port)
     try:

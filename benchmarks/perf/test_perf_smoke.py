@@ -102,8 +102,9 @@ def test_selection_vectorized_at_least_2x():
 
 
 def test_streaming_rows_vectorized_at_least_2x():
-    """The streaming-baseline zoo on the shared chunked-scoring
-    substrate at the Table-4/5 sweep width (|P| = 64)."""
+    """HDRF and FENNEL's load-level walk (``walk_edge_stream``) at the
+    Table-4/5 sweep width (|P| = 64), against the per-edge references'
+    |P|-wide score vectors."""
     graph = _smoke_graph()
     for name in ("hdrf", "fennel"):
         _assert_speedup(name, measure(kernel_arms(
@@ -111,8 +112,8 @@ def test_streaming_rows_vectorized_at_least_2x():
 
 
 def test_streaming_wide_partitions_vectorized_at_least_2x():
-    """|P| = 256: packed-bitset membership end-to-end against the
-    reference's per-edge O(|P|) set probes."""
+    """|P| = 256: the walk's 256-bit replica and level masks against
+    the reference's per-edge O(|P|) set probes."""
     graph = CSRGraph(rmat_edges(11, 8, seed=0))
     _assert_speedup("hdrf |P|=256", measure(kernel_arms(
         bench_streaming_partitioner, "hdrf", graph, 256), **_FLOOR), 2.0)

@@ -14,7 +14,8 @@ scales, one JSON row per (kernel, scale):
   ``dne_*`` vectorized arm is fed ``send_segments`` sweeps and steps
   through :class:`~repro.core.fused.FusedDnePlane`, as production does;
 * ``hdrf`` / ``fennel`` / ``hdrf_p256`` — full streaming-baseline runs
-  on ``core/streaming.py``, the last at |P| = 256 (packed membership);
+  through ``core/streaming.py``'s load-level walk, the last at
+  |P| = 256;
 * ``ne_expand`` — a full sequential-NE run (``ExpansionState``);
 * ``gather_sum`` / ``gather_min`` — the GAS engine's gathers;
 * ``all_gather_sum`` — the cluster's collective accounting;
@@ -78,7 +79,7 @@ _EDGE_FACTOR = 8
 #: Cluster widths (|P|): DNE components, NE, serving and all-gather at
 #: 8; GAS gathers at §7.4's 256 machines, where the reference's O(n · P)
 #: temporaries dominate; selection at 64, where §7.4 sees it eat the
-#: wall clock; streaming at the Table-4/5 width and at 256 (packed).
+#: wall clock; streaming at the Table-4/5 width and at 256.
 _PARTITIONS = 8
 _ENGINE_PARTITIONS = 256
 _SELECTION_PARTITIONS = 64

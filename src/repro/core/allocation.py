@@ -63,8 +63,8 @@ two layouts behind one interface:
 
 * :class:`DenseMembership` — one byte per bit, rows padded to whole
   ``uint64`` words; the default for |P| ≤ 64, where the footprint is
-  small, pair and scalar ops index bytes directly and row algebra
-  reads the same bytes as words.
+  small, pair ops index bytes directly and row algebra reads the same
+  bytes as words.
 * :class:`PackedMembership` — uint64 words, 64 partitions per word
   (``ceil(|P|/64)`` words per vertex), selected automatically for
   |P| > 64.  Row combination becomes word-wise ``&``/``|``, cardinality
@@ -77,13 +77,14 @@ packed-vs-dense property tests), and |P| alone picks between them —
 there is no selector argument, because each layout wins on its own side
 of the switch.  Measured on the gate (``benchmarks/e2e``) with the
 layout as the only changed line, two sets of 6 alternated pairs per
-workload (CHANGES.md, PR 17): packed at |P| ≤ 64 costs ``serve_hdrf``
-+26–29 % ``partition_s`` (dense faster 12/12 — the streaming tail
-walkers' scalar ``get_bit`` / ``set_bit`` on ``uint64`` words), is
-between a tie and +15 % on ``road_p64``, 5–7 % faster on ``rmat_p8``
+workload (CHANGES.md, PR 17): packed at |P| ≤ 64 is between a tie and
++15 % ``partition_s`` on ``road_p64``, 5–7 % faster on ``rmat_p8``
 (inside the gate's bound) and saves 8 % ``peak_rss_mb`` on
-``road_p64``; past 64, packed is what ``rmat_p256`` and the 9.3×
-``hdrf_p256`` microbench row run on and what the Fig-9 model reports.
+``road_p64``; past 64, packed is what ``rmat_p256`` runs on and what
+the Fig-9 model reports.  (That measurement also had packed costing
+``serve_hdrf`` +26–29 %, through the HDRF walker's scalar bit ops;
+HDRF and FENNEL no longer read these backends, so that evidence no
+longer applies and the |P| ≤ 64 case for dense rests on ``road_p64``.)
 """
 
 from __future__ import annotations
@@ -149,9 +150,8 @@ class DenseMembership:
 
     One C-contiguous boolean ``(num_vertices, 8 * ceil(width / 8))``
     array, one byte per (vertex, partition) bit; the padding columns
-    past ``width`` are never set.  Pair and scalar ops address bytes
-    (``_mat`` stays a plain attribute, so the streaming tail walkers'
-    ``get_bit`` / ``set_bit`` pay nothing).  Row algebra reads each row
+    past ``width`` are never set.  Pair ops (the one-hop probes and
+    the sync merge) address bytes directly.  Row algebra reads each row
     as ``ceil(width / 8)`` little-endian ``uint64`` words: at |P| = 8 a
     row is one machine word, so intersection is one ``&``, "any" one
     compare and cardinality one popcount (byte ``0x01`` per set bit)
@@ -174,17 +174,6 @@ class DenseMembership:
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """(vertex idx, partition) coordinates of every set bit."""
         return np.nonzero(self._mat)
-
-    def rows_bool(self, idx: np.ndarray) -> np.ndarray:
-        """Boolean ``(len(idx), width)`` membership rows (always a copy)."""
-        return self._mat[idx, :self._width]
-
-    # -- scalar bit ops (streaming tail walkers) -----------------------
-    def get_bit(self, v: int, p: int) -> bool:
-        return bool(self._mat[v, p])
-
-    def set_bit(self, v: int, p: int) -> None:
-        self._mat[v, p] = True
 
     # -- (vertex, partition) pair ops (one-hop, sync merge) ------------
     def test_pairs(self, idx: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -245,16 +234,6 @@ class PackedMembership:
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         return self.mask_nonzero(self._words)
-
-    def rows_bool(self, idx: np.ndarray) -> np.ndarray:
-        """Boolean ``(len(idx), width)`` membership rows (unpacked copy)."""
-        return unpack_bool_matrix(self._words[idx], self._width)
-
-    def get_bit(self, v: int, p: int) -> bool:
-        return bool((self._words[v, p >> 6] >> np.uint64(p & 63)) & _U64_ONE)
-
-    def set_bit(self, v: int, p: int) -> None:
-        self._words[v, p >> 6] |= _U64_ONE << np.uint64(p & 63)
 
     def test_pairs(self, idx: np.ndarray, ps: np.ndarray) -> np.ndarray:
         bits = (ps & 63).astype(np.uint64)

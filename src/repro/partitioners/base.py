@@ -155,7 +155,7 @@ class StreamingEdgePartitioner(Partitioner):
     optionally in a seeded shuffled order — scoring each edge against
     every partition.  HDRF and FENNEL ship two implementations selected
     by the standard ``kernel=`` flag: ``"vectorized"`` (default; the
-    chunked scoring driver of :mod:`repro.core.streaming`) and
+    load-level walk :func:`repro.core.streaming.walk_edge_stream`) and
     ``"python"`` (the per-edge reference loop, kept verbatim); this
     base owns the flag validation and the stream order so both kernels
     consume the RNG identically — the order *is* part of the pinned

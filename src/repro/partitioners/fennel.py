@@ -18,9 +18,11 @@ Quality lands in the greedy-streaming class (comparable to Oblivious,
 behind NE-family methods) — included as the related-work baseline and
 as another point in the streaming design space.
 
-Kernels: ``"vectorized"`` (default) rides the chunked scoring driver of
-:mod:`repro.core.streaming`; ``"python"`` is the per-edge reference
-loop, kept verbatim and pinned bit-identical by
+Kernels: ``"vectorized"`` (default) runs
+:func:`repro.core.streaming.walk_edge_stream`, the per-edge argmax over
+replica classes x load levels with balance ``-penalty(load)`` (``c -
+pen`` and ``c + (-pen)`` are the same float); ``"python"`` is the
+per-edge reference loop, kept verbatim and pinned bit-identical by
 ``tests/test_streaming_equivalence.py``.
 """
 
@@ -28,102 +30,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.streaming import (TAIL_BLOCK, EdgeStreamScorer,
-                                  StreamingState, block_tail_hints,
-                                  run_chunked_stream)
+from repro.core.streaming import walk_edge_stream
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import EdgePartition, StreamingEdgePartitioner
 
 __all__ = ["FennelEdgePartitioner"]
 
 
-class _FennelScorer(EdgeStreamScorer):
-    """Rowwise form of the reference's per-edge FENNEL score.
-
-    The locality term is hoisted per collision-free window; the convex
-    load penalty tracks the running loads.  The tail stepper recomputes
-    the penalty vector with the reference's exact expression each step
-    (caching per-entry powers would re-evaluate ``**`` along a
-    different NumPy code path, and the equivalence pin is bit-exact).
-    """
-
-    def __init__(self, state, u, v, gamma, load_exponent):
-        super().__init__(state, u, v)
-        self.gamma = gamma
-        self.load_exponent = load_exponent
-        self._pen_table = self._penalty_table()
-
-    def window_static(self, sl):
-        u, v = self.u[sl], self.v[sl]
-        in_u = self.state.member_rows(u)
-        in_v = self.state.member_rows(v)
-        return in_u.astype(np.float64) + in_v.astype(np.float64)
-
-    def pick(self, aux, rows, loads_mat):
-        loads = loads_mat.astype(np.float64)
-        a = self.load_exponent
-        penalty = self.gamma * ((loads + 1.0) ** a - loads ** a)
-        return (aux[rows] - penalty).argmax(axis=1)
-
-    def _penalty_table(self) -> np.ndarray:
-        """Marginal penalty per integer load value, for every load the
-        stream can reach.  Built through the same whole-array ufunc
-        loop as the reference's per-edge vector (NumPy's SIMD pow is
-        not bit-identical to the float64 scalar operator, and is
-        verified value-deterministic across array shapes by the
-        equivalence pins), so table lookups reproduce the reference's
-        floats exactly."""
-        vals = np.arange(len(self.u) + 2, dtype=np.float64)
-        a = self.load_exponent
-        return self.gamma * ((vals + 1.0) ** a - vals ** a)
-
-    def tail_walk(self, sl, aux, start, stop):
-        us, vs = self.u[sl], self.v[sl]
-        state = self.state
-        member = state.member
-        changed = self._changed
-        pen_table = self._pen_table
-        loads = state.loads.tolist()             # walker-local int loads
-        penalty = pen_table[state.loads]
-        buf = np.empty_like(penalty)
-        out = np.empty(stop - start, dtype=np.int64)
-        # Batched tie-break: a placement only raises the placed entry's
-        # marginal penalty (gamma >= 0, convex table), so a block-start
-        # hint stays exact for fresh rows whose hinted partition was
-        # not placed into since the snapshot (see block_tail_hints).
-        hints_ok = self.gamma >= 0
-        k = start
-        while k < stop:
-            end = min(stop, k + TAIL_BLOCK)
-            if hints_ok:
-                barg = block_tail_hints(aux[k:end], penalty, subtract=True)
-            touched: set = set()
-            for k2 in range(k, end):
-                uk = int(us[k2])
-                vk = int(vs[k2])
-                fresh = uk not in changed and vk not in changed
-                if not fresh:
-                    rows = member.rows_bool(np.array([uk, vk]))
-                    aux[k2] = (rows[0].astype(np.float64)
-                               + rows[1].astype(np.float64))
-                if hints_ok and fresh and int(barg[k2 - k]) not in touched:
-                    t = int(barg[k2 - k])
-                else:
-                    np.subtract(aux[k2], penalty, out=buf)
-                    t = int(np.argmax(buf))
-                out[k2 - start] = t
-                loads[t] += 1
-                penalty[t] = pen_table[loads[t]]
-                touched.add(t)
-                if not member.get_bit(uk, t):
-                    member.set_bit(uk, t)
-                    changed.add(uk)
-                if not member.get_bit(vk, t):
-                    member.set_bit(vk, t)
-                    changed.add(vk)
-            k = end
-        state.loads += np.bincount(out, minlength=state.num_partitions)
-        return out
+def _penalty_table(num_edges: int, gamma: float,
+                   load_exponent: float) -> np.ndarray:
+    """Marginal penalty per integer load value, for every load the
+    stream can reach.  Built through the same whole-array ufunc loop
+    as the reference's per-edge vector (NumPy's SIMD pow is not
+    bit-identical to the float64 scalar operator, and is verified
+    value-deterministic across array shapes by the equivalence pins),
+    so table lookups reproduce the reference's floats exactly."""
+    vals = np.arange(num_edges + 2, dtype=np.float64)
+    a = load_exponent
+    return gamma * ((vals + 1.0) ** a - vals ** a)
 
 
 class FennelEdgePartitioner(StreamingEdgePartitioner):
@@ -161,12 +85,16 @@ class FennelEdgePartitioner(StreamingEdgePartitioner):
     def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
         gamma = self._resolve_gamma(graph)
         order = self.stream_order(graph.num_edges)
-        state = StreamingState(graph.num_vertices, self.num_partitions)
-        scorer = _FennelScorer(state,
-                               graph.edges[order, 0], graph.edges[order, 1],
-                               gamma, self.load_exponent)
+        pen = _penalty_table(graph.num_edges, gamma, self.load_exponent)
+
+        def balance(levels):
+            return (-pen[levels]).tolist()
+
+        ones = np.broadcast_to(1.0, graph.num_edges)
         assignment = np.empty(graph.num_edges, dtype=np.int64)
-        assignment[order] = run_chunked_stream(scorer)
+        assignment[order] = walk_edge_stream(
+            graph.edges[order, 0], graph.edges[order, 1],
+            self.num_partitions, ones, ones, balance)
         return self._result(graph, assignment, gamma)
 
     def _partition_python(self, graph: CSRGraph) -> EdgePartition:

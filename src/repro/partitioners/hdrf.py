@@ -20,11 +20,11 @@ Degrees are the true final degrees (the "offline degree" variant);
 HDRF's original also supports incremental degree estimates, selectable
 with ``use_partial_degrees=True``.
 
-Kernels: ``"vectorized"`` (default) runs the chunked scoring driver of
-:mod:`repro.core.streaming` — whole windows of edges scored against all
-|P| partitions in one pass, replica membership in the shared
-dense/packed-bitset backends; ``"python"`` is the per-edge reference
-loop below, kept verbatim.  ``tests/test_streaming_equivalence.py``
+Kernels: ``"vectorized"`` (default) runs
+:func:`repro.core.streaming.walk_edge_stream` — the same per-edge
+argmax taken over replica classes x load levels on bitmasks instead of
+over all |P| partitions; ``"python"`` is the per-edge reference loop
+below, kept verbatim.  ``tests/test_streaming_equivalence.py``
 pins the pair bit-identical.
 """
 
@@ -32,158 +32,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.streaming import (TAIL_BLOCK, EdgeStreamScorer,
-                                  StreamingState, block_tail_hints,
-                                  run_chunked_stream)
+from repro.core.streaming import walk_edge_stream
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import EdgePartition, StreamingEdgePartitioner
 
 __all__ = ["HDRFPartitioner"]
 
 
-class _HDRFScorer(EdgeStreamScorer):
-    """Rowwise form of the reference's per-edge HDRF score.
+def _occurrence_counts(u: np.ndarray, v: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Partial degrees as the reference sees them: per position, how
+    often each endpoint occurs in the stream up to and including that
+    edge (the reference bumps both endpoints before scoring; canonical
+    edge lists are loop-free, so ``u != v``)."""
+    ends = np.empty(2 * len(u), dtype=np.int64)
+    ends[0::2] = u
+    ends[1::2] = v
+    order = np.argsort(ends, kind="stable")
+    sorted_ends = ends[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ends[1:] != sorted_ends[:-1]])
+    group = np.repeat(starts, np.diff(np.r_[starts, len(ends)]))
+    seen = np.empty(len(ends), dtype=np.int64)
+    seen[order] = np.arange(len(ends)) - group + 1
+    return seen[0::2], seen[1::2]
 
-    The replication term ``g_u + g_v`` depends only on membership rows
-    and degrees — stable across a collision-free window — and is hoisted
-    into the window aux; only the balance term tracks the running loads.
-    """
 
-    def __init__(self, state, u, v, degrees, lam, eps, partial):
-        super().__init__(state, u, v)
-        self.degrees = degrees
-        self.lam = lam
-        self.eps = eps
-        self.partial = partial
-
-    def window_static(self, sl):
-        u, v = self.u[sl], self.v[sl]
-        du = self.degrees[u]
-        dv = self.degrees[v]
-        if self.partial:
-            # The reference bumps both endpoint degrees *before*
-            # scoring; a row whose endpoints were not touched earlier
-            # in the window sees exactly "+1 over the pre-window
-            # count" (touched rows re-derive in the tail walker).
-            du = du + 1
-            dv = dv + 1
-        total = du + dv
-        safe = np.where(total > 0, total, 1)
-        theta_u = np.where(total > 0, du / safe, 0.5)
-        theta_v = np.where(total > 0, dv / safe, 0.5)
-        fu = 1.0 + (1.0 - theta_u)
-        fv = 1.0 + (1.0 - theta_v)
-        in_u = self.state.member_rows(u)
-        in_v = self.state.member_rows(v)
-        return [in_u * fu[:, None] + in_v * fv[:, None], fu, fv]
-
-    def pick(self, aux, rows, loads_mat):
-        maxload = loads_mat.max(axis=1, keepdims=True)
-        minload = loads_mat.min(axis=1, keepdims=True)
-        c_bal = (maxload - loads_mat) / (self.eps + maxload - minload)
-        return (aux[0][rows] + self.lam * c_bal).argmax(axis=1)
-
-    def tail_walk(self, sl, aux, start, stop):
-        G, fu, fv = aux
-        us, vs = self.u[sl], self.v[sl]
-        state = self.state
-        member = state.member
-        loads = state.loads                      # live, walker-committed
-        degrees = self.degrees
-        lam, eps, partial = self.lam, self.eps, self.partial
-        changed = self._changed
-        maxload = int(loads.max())
-        minload = int(loads.min())
-        at_min = int((loads == minload).sum())
-        # Maintained lam * C_bal vector: between max/min shifts only the
-        # placed entry changes, and scalar `-`/`/`/`*` on float64 are
-        # correctly rounded (unlike ``**``), so entry updates are
-        # bit-identical to the reference's whole-vector expression
-        # ``lam * (max - loads) / (eps + max - min)``.
-        denom = eps + maxload - minload
-        lam_cbal = lam * ((maxload - loads) / denom)
-        buf = np.empty(len(loads), dtype=np.float64)
-        out = np.empty(stop - start, dtype=np.int64)
-        # Batched tie-break: between max/min shifts a placement only
-        # lowers the placed entry's lam_cbal (lam >= 0), so a
-        # block-start hint stays exact for fresh rows whose hinted
-        # partition was not placed into since the snapshot; a shift
-        # rebuilds the whole vector and invalidates the block's
-        # remaining hints (see block_tail_hints).
-        hints_ok = lam >= 0
-        k = start
-        while k < stop:
-            end = min(stop, k + TAIL_BLOCK)
-            if hints_ok:
-                barg = block_tail_hints(G[k:end], lam_cbal)
-            touched: set = set()
-            invalid = False
-            for k2 in range(k, end):
-                uk = int(us[k2])
-                vk = int(vs[k2])
-                if partial:
-                    degrees[uk] += 1
-                    degrees[vk] += 1
-                fresh = uk not in changed and vk not in changed
-                if not fresh:
-                    if partial:
-                        du, dv = degrees[uk], degrees[vk]
-                        total = du + dv
-                        theta_u = du / total if total else 0.5
-                        theta_v = dv / total if total else 0.5
-                        fu_k = 1.0 + (1.0 - theta_u)
-                        fv_k = 1.0 + (1.0 - theta_v)
-                    else:
-                        fu_k, fv_k = fu[k2], fv[k2]
-                    rows = member.rows_bool(np.array([uk, vk]))
-                    G[k2] = rows[0] * fu_k + rows[1] * fv_k
-                if (hints_ok and fresh and not invalid
-                        and int(barg[k2 - k]) not in touched):
-                    t = int(barg[k2 - k])
-                else:
-                    np.add(G[k2], lam_cbal, out=buf)
-                    t = int(np.argmax(buf))
-                out[k2 - start] = t
-                loads[t] += 1
-                lt = int(loads[t])
-                shifted = False
-                if lt > maxload:
-                    maxload = lt
-                    shifted = True
-                if lt - 1 == minload:
-                    at_min -= 1
-                    if at_min == 0:
-                        minload += 1
-                        at_min = int((loads == minload).sum())
-                        shifted = True
-                if shifted:
-                    denom = eps + maxload - minload
-                    np.subtract(maxload, loads, out=buf, casting="unsafe")
-                    buf /= denom
-                    np.multiply(buf, lam, out=lam_cbal)
-                    invalid = True
-                else:
-                    lam_cbal[t] = lam * ((maxload - lt) / denom)
-                    touched.add(t)
-                if not member.get_bit(uk, t):
-                    member.set_bit(uk, t)
-                    changed.add(uk)
-                if not member.get_bit(vk, t):
-                    member.set_bit(vk, t)
-                    changed.add(vk)
-                if partial:
-                    changed.add(uk)
-                    changed.add(vk)
-            k = end
-        return out
-
-    def apply(self, u, v, targets):
-        if self.partial:
-            self.degrees[u] += 1
-            self.degrees[v] += 1
-            # Partial-degree rows also go stale on plain re-occurrence.
-            self._changed.update(u.tolist())
-            self._changed.update(v.tolist())
+def _replication_weights(du: np.ndarray, dv: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge, the reference's ``1 + (1 - theta)`` for each endpoint."""
+    total = du + dv
+    safe = np.where(total > 0, total, 1)
+    return (1.0 + (1.0 - np.where(total > 0, du / safe, 0.5)),
+            1.0 + (1.0 - np.where(total > 0, dv / safe, 0.5)))
 
 
 class HDRFPartitioner(StreamingEdgePartitioner):
@@ -197,6 +77,8 @@ class HDRFPartitioner(StreamingEdgePartitioner):
                  kernel: str = "vectorized"):
         super().__init__(num_partitions, seed, shuffle=shuffle,
                          kernel=kernel)
+        if eps <= 0:
+            raise ValueError("eps must be > 0 (balance denominator)")
         self.lam = lam
         self.eps = eps
         self.use_partial_degrees = use_partial_degrees
@@ -214,13 +96,22 @@ class HDRFPartitioner(StreamingEdgePartitioner):
 
     def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
         order = self.stream_order(graph.num_edges)
-        state = StreamingState(graph.num_vertices, self.num_partitions)
-        scorer = _HDRFScorer(state,
-                             graph.edges[order, 0], graph.edges[order, 1],
-                             self._initial_degrees(graph),
-                             self.lam, self.eps, self.use_partial_degrees)
+        u, v = graph.edges[order, 0], graph.edges[order, 1]
+        if self.use_partial_degrees:
+            fu, fv = _replication_weights(*_occurrence_counts(u, v))
+        else:
+            degrees = self._initial_degrees(graph)
+            fu, fv = _replication_weights(degrees[u], degrees[v])
+        lam, eps = self.lam, self.eps
+
+        def balance(levels):
+            maxload, minload = levels[-1], levels[0]
+            denom = eps + maxload - minload
+            return [lam * ((maxload - lv) / denom) for lv in levels]
+
         assignment = np.empty(graph.num_edges, dtype=np.int64)
-        assignment[order] = run_chunked_stream(scorer)
+        assignment[order] = walk_edge_stream(
+            u, v, self.num_partitions, fu, fv, balance)
         return self._result(graph, assignment)
 
     def _partition_python(self, graph: CSRGraph) -> EdgePartition:

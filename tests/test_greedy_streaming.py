@@ -1,6 +1,7 @@
 """Unit tests for Oblivious, HDRF, and Hybrid Ginger."""
 
 import numpy as np
+import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.partitioners.ginger import HybridGingerPartitioner
@@ -93,6 +94,15 @@ class TestHDRF:
         """> 64 partitions exercises the set-based replica path."""
         part = HDRFPartitioner(96, seed=0).partition(small_rmat)
         assert_valid_partition(part)
+
+    @pytest.mark.parametrize("kernel", ["vectorized", "python"])
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_eps_validation(self, kernel, eps):
+        """``eps <= 0`` zeroes (or flips) the balance denominator once
+        the loads are equal: the score turns NaN and ``argmax`` would
+        pick by NaN position, so both kernels refuse it up front."""
+        with pytest.raises(ValueError, match="eps"):
+            HDRFPartitioner(4, eps=eps, kernel=kernel)
 
 
 class TestHybridGinger:

@@ -202,7 +202,10 @@ class TestPackedMembership:
                     got, ref = layout.mask_nonzero(masks), np.nonzero(want)
                     assert np.array_equal(got[0], ref[0])
                     assert np.array_equal(got[1], ref[1])
-                    assert np.array_equal(layout.rows_bool(a), oracle[a])
+                    rows = layout.mask_nonzero(layout.rows_and(a, a))
+                    want_rows = np.nonzero(oracle[a])
+                    assert np.array_equal(rows[0], want_rows[0])
+                    assert np.array_equal(rows[1], want_rows[1])
             assert dense.entries() == packed.entries() == oracle.sum()
         dnz, pnz = dense.nonzero(), packed.nonzero()
         assert np.array_equal(dnz[0], pnz[0])

@@ -33,6 +33,12 @@ array queue is gone — its name appears nowhere under ``src/``, the
 heapq reference aside — and the DNE driver asks the cluster which
 slots have mail once per tag (``mail_slots``), never once per process.
 
+One edge-stream walker: HDRF and FENNEL's vectorized kernel is
+``walk_edge_stream``; the chunked window driver it replaced
+(``EdgeStreamScorer``, ``run_chunked_stream``, ``block_tail_hints``)
+and the membership ``get_bit`` / ``set_bit`` its tail walkers used
+are named nowhere under ``src/``.
+
 One way onto a backend: ``ExecutionBackend.start`` with a
 ``WorkerProgram`` is the only lifecycle entry — no ``attach`` beside
 it, no whole-graph ``run_graph_task`` offload and no fault-plan axis
@@ -236,6 +242,23 @@ def test_per_process_array_queue_stays_deleted():
     pattern = re.compile(r"(?<!Heapq)BoundaryQueue")
     assert pattern.findall("a BoundaryQueue, not HeapqBoundaryQueue") \
         == ["BoundaryQueue"]
+    found = [(str(path.relative_to(_SRC)), lineno)
+             for path in sorted(_SRC.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
+
+
+def test_one_edge_stream_walker():
+    """HDRF and FENNEL share one vectorized kernel, the load-level walk
+    (``walk_edge_stream``).  The chunked window driver, its scorer base
+    and tail hints, and the scalar membership bit ops only its tail
+    walkers called stay deleted."""
+    pattern = re.compile(r"\b(EdgeStreamScorer|run_chunked_stream"
+                         r"|block_tail_hints)\b|\b(get_bit|set_bit)\(")
+    assert [m.group(0) for m in pattern.finditer(
+        "run_chunked_stream(s); m.set_bit(v, p); run_chunked_fixpoint; "
+        "offset_bit(x)")] == ["run_chunked_stream", "set_bit("]
     found = [(str(path.relative_to(_SRC)), lineno)
              for path in sorted(_SRC.rglob("*.py"))
              for lineno, line in enumerate(path.read_text().splitlines(), 1)

@@ -1,35 +1,31 @@
 """Golden equivalence pins for the streaming-partitioner substrate.
 
-Every baseline refactored onto :mod:`repro.core.streaming` ships two
-kernels — the chunked/vectorized driver and the per-edge (or
-per-group) reference loop kept verbatim — and this suite pins each
-pair bit-identical: same ``assignment`` array (hence same replication
-factor), same final per-partition loads, across |P| ∈ {3, 64, 65}
-(dense membership, the dense/packed boundary, and auto-packed
-bitsets), shuffle on/off, and HDRF's partial-degree mode.  A
-conflict-flood case (many edges sharing endpoints inside one scoring
-window) stresses the collision clipping and the tail walker's
-staleness tracking, and a drift-prone near-tie case stresses the
-loads-delta reconstruction.
+Every baseline built on :mod:`repro.core.streaming` ships two kernels —
+the vectorized one (HDRF / FENNEL's load-level walk, Ginger's chunked
+fixpoint rounds) and the per-edge (or per-group) reference loop kept
+verbatim — and this suite pins each pair bit-identical: same
+``assignment`` array (hence same replication factor), same final
+per-partition loads, across |P| ∈ {1, 3, 64, 65, 256} (one partition,
+the references' bitmask / set-fallback boundary and a wide run),
+shuffle on/off and HDRF's partial-degree mode.  The walk's tie and
+level-order rules get their own cases: HDRF with ``lam`` zero,
+negative, large and below half an ulp (scores that round equal across
+load levels) and a small ``eps``; FENNEL likewise with ``gamma`` and a
+steep exponent (a balance table that is flat, inverted or rounded
+away).  A conflict flood (a few hubs cover most edges) and a road
+grid (low degree, many equal scores) round out the stream shapes.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.allocation import DenseMembership, PackedMembership
-from repro.core.streaming import (
-    DEFAULT_CHUNK,
-    EdgeStreamScorer,
-    StreamingState,
-    run_chunked_stream,
-)
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat_edges
+from repro.graph.generators import grid_road_network, rmat_edges
 from repro.partitioners.fennel import FennelEdgePartitioner
 from repro.partitioners.ginger import HybridGingerPartitioner
 from repro.partitioners.hdrf import HDRFPartitioner
 
-PARTITION_COUNTS = (3, 64, 65)
+PARTITION_COUNTS = (1, 3, 64, 65, 256)
 
 
 def _pin(cls, graph, p, **kwargs):
@@ -58,6 +54,13 @@ def conflict_graph() -> CSRGraph:
     return CSRGraph(np.concatenate([hubs, 8 + others], axis=1))
 
 
+@pytest.fixture(scope="module")
+def road_graph() -> CSRGraph:
+    """~2k-edge road grid: degree ~3, so HDRF's replication weights and
+    FENNEL's locality tie across many partitions."""
+    return CSRGraph(grid_road_network(24, 24, seed=5))
+
+
 class TestHDRF:
     @pytest.mark.parametrize("p", PARTITION_COUNTS)
     @pytest.mark.parametrize("shuffle", [True, False])
@@ -74,6 +77,22 @@ class TestHDRF:
         for p in PARTITION_COUNTS:
             _pin(HDRFPartitioner, conflict_graph, p, seed=0)
 
+    @pytest.mark.parametrize("p", (1, 8, 256))
+    @pytest.mark.parametrize("lam,eps", [(0.0, 1.0), (-0.5, 1.0),
+                                         (3.0, 1.0), (1.0, 0.25),
+                                         (3.0, 0.25), (1e-17, 1.0)])
+    def test_pinned_scoring_knobs(self, stream_graph, p, lam, eps):
+        """``lam < 0`` inverts the level order; ``lam = 1e-17`` is under
+        half an ulp of the replication weights, so ``c + balance``
+        rounds equal across levels and ties go to the lowest id."""
+        _pin(HDRFPartitioner, stream_graph, p, seed=4, lam=lam, eps=eps)
+
+    @pytest.mark.parametrize("p", (8, 64, 256))
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_road_graph(self, road_graph, p, partial):
+        _pin(HDRFPartitioner, road_graph, p, seed=0,
+             use_partial_degrees=partial)
+
     def test_extra_metadata_matches(self, stream_graph):
         vec, ref = _pin(HDRFPartitioner, stream_graph, 8, seed=2, lam=0.7)
         assert vec.extra == ref.extra
@@ -89,6 +108,18 @@ class TestFennel:
     def test_conflict_flood(self, conflict_graph):
         for p in PARTITION_COUNTS:
             _pin(FennelEdgePartitioner, conflict_graph, p, seed=0)
+
+    @pytest.mark.parametrize("p", (1, 8, 256))
+    @pytest.mark.parametrize("gamma,exponent", [(0.0, 1.5), (-0.3, 1.5),
+                                                (0.25, 3.0), (None, 3.0),
+                                                (1e-17, 1.5)])
+    def test_pinned_scoring_knobs(self, stream_graph, p, gamma, exponent):
+        _pin(FennelEdgePartitioner, stream_graph, p, seed=4, gamma=gamma,
+             load_exponent=exponent)
+
+    @pytest.mark.parametrize("p", (8, 64, 256))
+    def test_road_graph(self, road_graph, p):
+        _pin(FennelEdgePartitioner, road_graph, p, seed=0)
 
     def test_custom_gamma_pinned(self, stream_graph):
         vec, ref = _pin(FennelEdgePartitioner, stream_graph, 8, seed=1,
@@ -107,82 +138,3 @@ class TestGinger:
 
     def test_many_rounds_pinned(self, stream_graph):
         _pin(HybridGingerPartitioner, stream_graph, 8, seed=1, rounds=6)
-
-
-class TestStreamingState:
-    def test_membership_backend_auto_switch(self):
-        assert StreamingState(10, 64).member.kind == "dense"
-        assert StreamingState(10, 65).member.kind == "packed"
-
-    def test_forced_backends_agree(self, stream_graph):
-        """Dense and packed membership must drive identical HDRF runs
-        at a width both support."""
-
-        class _Forced(HDRFPartitioner):
-            layout = DenseMembership
-
-            def _partition_vectorized(self, graph):
-                from repro.partitioners.hdrf import _HDRFScorer
-                order = self.stream_order(graph.num_edges)
-                state = StreamingState(graph.num_vertices,
-                                       self.num_partitions)
-                state.member = self.layout(graph.num_vertices,
-                                           self.num_partitions)
-                scorer = _HDRFScorer(
-                    state, graph.edges[order, 0], graph.edges[order, 1],
-                    self._initial_degrees(graph), self.lam, self.eps,
-                    self.use_partial_degrees)
-                assignment = np.empty(graph.num_edges, dtype=np.int64)
-                assignment[order] = run_chunked_stream(scorer)
-                return self._result(graph, assignment)
-
-        dense = _Forced(48, seed=0).partition(stream_graph)
-        _ForcedPacked = type("_ForcedPacked", (_Forced,),
-                             {"layout": PackedMembership})
-        packed = _ForcedPacked(48, seed=0).partition(stream_graph)
-        assert np.array_equal(dense.assignment, packed.assignment)
-
-
-class TestDriverInternals:
-    def test_previous_occurrence_oracle(self):
-        state = StreamingState(10, 2)
-        u = np.array([0, 2, 0, 4, 2])
-        v = np.array([1, 3, 5, 5, 3])
-
-        class _S(EdgeStreamScorer):
-            pass
-
-        s = _S(state, u, v)
-        # edge 2 shares 0 with edge 0; edge 3 shares 5 with edge 2;
-        # edge 4 repeats edge 1's endpoints.
-        assert s.prev_occ.tolist() == [-1, -1, 0, 2, 1]
-
-    def test_reconstruct_is_exclusive_prefix(self):
-        state = StreamingState(4, 3)
-        state.loads[:] = (5, 0, 0)
-
-        class _S(EdgeStreamScorer):
-            pass
-
-        s = _S(state, np.array([0, 1, 2]), np.array([1, 2, 3]))
-        mat = s.reconstruct(np.array([1, 1, 2]))
-        assert mat.tolist() == [[5, 0, 0], [5, 1, 0], [5, 2, 0]]
-
-    def test_chunk_boundaries_do_not_change_results(self, stream_graph):
-        """The window width is a performance knob, never a semantic
-        one: tiny chunks must reproduce the default bit-for-bit."""
-        from repro.partitioners.hdrf import _HDRFScorer
-
-        outs = []
-        for chunk in (7, 64, DEFAULT_CHUNK):
-            part = HDRFPartitioner(16, seed=3)
-            order = part.stream_order(stream_graph.num_edges)
-            state = StreamingState(stream_graph.num_vertices, 16)
-            scorer = _HDRFScorer(state,
-                                 stream_graph.edges[order, 0],
-                                 stream_graph.edges[order, 1],
-                                 part._initial_degrees(stream_graph),
-                                 part.lam, part.eps, False)
-            outs.append(run_chunked_stream(scorer, chunk=chunk))
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[1], outs[2])

@@ -72,10 +72,17 @@ def partition_vertex_counts(graph: CSRGraph, assignment: np.ndarray,
 
 
 def replication_factor(graph: CSRGraph, assignment: np.ndarray,
-                       num_partitions: int) -> float:
+                       num_partitions: int, *,
+                       vertex_counts: np.ndarray | None = None) -> float:
     """Equation 1: mean number of partitions each (non-isolated) vertex
-    appears in."""
-    counts = partition_vertex_counts(graph, assignment, num_partitions)
+    appears in.
+
+    ``vertex_counts`` — :func:`partition_vertex_counts` of the same
+    partition, when the caller already holds it (e.g. a ``bincount`` of
+    a replica CSR) — skips recomputing it; the result is the same float.
+    """
+    counts = _vertex_counts(graph, assignment, num_partitions,
+                            vertex_counts)
     covered = _num_covered_vertices(graph)
     if covered == 0:
         return 0.0
@@ -83,9 +90,14 @@ def replication_factor(graph: CSRGraph, assignment: np.ndarray,
 
 
 def vertex_cut_count(graph: CSRGraph, assignment: np.ndarray,
-                     num_partitions: int) -> int:
-    """Total number of vertex cuts: ``Σ_v (replicas(v) - 1)``."""
-    counts = partition_vertex_counts(graph, assignment, num_partitions)
+                     num_partitions: int, *,
+                     vertex_counts: np.ndarray | None = None) -> int:
+    """Total number of vertex cuts: ``Σ_v (replicas(v) - 1)``.
+
+    ``vertex_counts`` as in :func:`replication_factor`.
+    """
+    counts = _vertex_counts(graph, assignment, num_partitions,
+                            vertex_counts)
     return int(counts.sum()) - _num_covered_vertices(graph)
 
 
@@ -114,9 +126,20 @@ def edge_balance(assignment: np.ndarray, num_partitions: int) -> float:
 
 
 def vertex_balance(graph: CSRGraph, assignment: np.ndarray,
-                   num_partitions: int) -> float:
-    """VB: balance of per-partition covered-vertex counts."""
-    return balance(partition_vertex_counts(graph, assignment, num_partitions))
+                   num_partitions: int, *,
+                   vertex_counts: np.ndarray | None = None) -> float:
+    """VB: balance of per-partition covered-vertex counts.
+
+    ``vertex_counts`` as in :func:`replication_factor`.
+    """
+    return balance(_vertex_counts(graph, assignment, num_partitions,
+                                  vertex_counts))
+
+
+def _vertex_counts(graph, assignment, num_partitions, vertex_counts):
+    if vertex_counts is not None:
+        return vertex_counts
+    return partition_vertex_counts(graph, assignment, num_partitions)
 
 
 def _num_covered_vertices(graph: CSRGraph) -> int:

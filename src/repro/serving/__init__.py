@@ -4,12 +4,13 @@ The partitioners compute assignments; this package makes them
 consumable at scale (ROADMAP item 1, the "millions of users" story):
 
 * :mod:`repro.serving.store` — WAL-mode SQLite :class:`RunStore` of
-  partitioner runs (metadata, metrics, checksummed flat-array blobs,
-  the paginable replica relation) plus the ``benchmarks/results``
-  importer;
+  partitioner runs (metadata, metrics, checksummed flat-array blobs:
+  the edge assignment and the vertex→replica CSR) plus the
+  ``benchmarks/results`` importer;
 * :mod:`repro.serving.lookup` — :class:`LookupService`: mmap'd run
-  arrays, a hot-vertex LRU, and the dual-kernel
-  (``vectorized``/``python``, pinned bit-identical) bulk lookups;
+  arrays, a hot-vertex LRU, the dual-kernel
+  (``vectorized``/``python``, pinned bit-identical) bulk lookups, and
+  the keyset boundary/replica listings over the same CSR;
 * :mod:`repro.serving.api` — the HTTP layer on stdlib ``http.server``
   (:class:`ServingAPI`), ``repro serve`` on the CLI, reference in
   ``docs/API.md``.

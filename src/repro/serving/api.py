@@ -19,7 +19,7 @@ reports the snapshot ledger while the run is in flight.
 
 Endpoint reference: ``docs/API.md`` (kept in lockstep with this
 module; the docs CI job link-checks it).  Pagination follows the
-keyset-cursor contract of :meth:`RunStore.boundary_page`: pass the
+keyset-cursor contract of :meth:`LookupService.boundary_page`: pass the
 ``next_cursor`` from one page as ``cursor`` of the next; cursors are
 stable under concurrent run inserts because the key is the immutable
 vertex id of one frozen run.
@@ -325,7 +325,7 @@ class ServingAPI:
     def _boundary(self, run_id, query):
         limit = _page_limit(query)
         cursor = _query_cursor(query)
-        items, next_cursor = self.store.boundary_page(
+        items, next_cursor = self.lookup.boundary_page(
             run_id, cursor=cursor, limit=limit)
         return 200, {"items": items,
                      "page": _cursor_page(limit, next_cursor)}
@@ -336,14 +336,8 @@ class ServingAPI:
         partition = _query_int(query, "partition", None)
         limit = _page_limit(query)
         cursor = _query_cursor(query)
-        try:
-            vertices, next_cursor = self.store.replica_page(
-                run_id, partition, cursor=cursor, limit=limit)
-        except StoreError as exc:
-            # unknown run -> 404, out-of-range partition -> 400
-            if "has no partition" in str(exc):
-                raise ApiError(400, str(exc))
-            raise
+        vertices, next_cursor = self.lookup.replica_page(
+            run_id, partition, cursor=cursor, limit=limit)
         return 200, {"run_id": run_id, "partition": partition,
                      "items": vertices,
                      "page": _cursor_page(limit, next_cursor)}

@@ -22,6 +22,12 @@ and bulk lookups vectorized:
   ``kernel="python"`` per-item reference loop, pinned bit-identical by
   ``tests/test_run_store.py`` — same counts, same flat partition
   stream, for every vertex batch.
+* **keyset listings from the same CSR** — :meth:`LookupService.boundary_page`
+  (vertices with ≥ 2 replicas) and :meth:`LookupService.replica_page`
+  (the vertices one partition holds) scan the mmap'd ``indptr`` /
+  ``parts`` forward from the cursor, in chunks that double until the
+  page plus one probe item is found, so a page costs about its own
+  length, not |V|; there is no second, row-wise copy of the relation.
 
 Out-of-range ids raise :class:`LookupRangeError` (the API maps it to
 HTTP 400) *before* any partial work, so both kernels fail identically.
@@ -39,6 +45,9 @@ from repro.kernels import validate_kernel
 from repro.serving.store import RunStore
 
 __all__ = ["LookupService", "LookupRangeError"]
+
+#: first chunk a listing scans past its cursor (doubled per chunk)
+SCAN_CHUNK = 4096
 
 
 class LookupRangeError(ValueError):
@@ -77,11 +86,12 @@ class _LRU:
 
 
 class _RunArrays:
-    """The mmap'd flat arrays of one run."""
+    """The mmap'd flat arrays of one run, and its |P|."""
 
-    __slots__ = ("assignment", "indptr", "parts")
+    __slots__ = ("num_partitions", "assignment", "indptr", "parts")
 
     def __init__(self, store: RunStore, run_id: int):
+        self.num_partitions = store.get_run(run_id)["num_partitions"]
         self.assignment = store.mmap_array(run_id, "edge_assignment")
         self.indptr = store.mmap_array(run_id, "replica_indptr")
         self.parts = store.mmap_array(run_id, "replica_parts")
@@ -197,3 +207,79 @@ class LookupService:
             return np.asarray([int(arrays.assignment[e])
                                for e in es.tolist()], dtype=np.int64)
         return np.asarray(arrays.assignment)[es].astype(np.int64)
+
+    # -- keyset listings -----------------------------------------------
+    def boundary_page(self, run_id: int, *, cursor: int | None = None,
+                      limit: int = 50) -> tuple[list[dict], int | None]:
+        """One page of boundary vertices (replica degree ≥ 2).
+
+        Keyset pagination on vertex id: vertices ``> cursor``,
+        ascending, ``limit`` per page.  Returns ``(items,
+        next_cursor)`` where ``next_cursor`` is the last vertex id (or
+        None on the final page).  The key is the immutable vertex id of
+        one frozen run, so pages are stable no matter what other runs
+        are inserted concurrently.
+        """
+        arrays = self.run_arrays(run_id)
+        indptr = arrays.indptr
+        vertices = _keyset_scan(
+            lambda lo, hi: np.diff(indptr[lo:hi + 1]) >= 2,
+            _after(cursor), arrays.num_vertices, limit + 1)
+        items = []
+        for v in vertices[:limit].tolist():
+            row = arrays.parts[indptr[v]:indptr[v + 1]].tolist()
+            items.append({"vertex": v, "replicas": len(row),
+                          "partitions": row})
+        return items, _next_cursor(vertices, limit)
+
+    def replica_page(self, run_id: int, partition: int, *,
+                     cursor: int | None = None, limit: int = 50
+                     ) -> tuple[list[int], int | None]:
+        """One page of the vertices replicated in ``partition``.
+
+        Same keyset semantics as :meth:`boundary_page`.  The scan runs
+        over the replica slots (``parts == partition``) from the
+        cursor's row on; each hit maps back to its vertex through
+        ``indptr``.
+        """
+        arrays = self.run_arrays(run_id)
+        if not 0 <= partition < max(arrays.num_partitions, 1):
+            raise LookupRangeError(
+                f"run {run_id} has no partition {partition} "
+                f"(|P| = {arrays.num_partitions})")
+        indptr, parts = arrays.indptr, arrays.parts
+        start = int(indptr[min(_after(cursor), arrays.num_vertices)])
+        slots = _keyset_scan(lambda lo, hi: parts[lo:hi] == partition,
+                             start, len(parts), limit + 1)
+        vertices = np.searchsorted(indptr, slots, side="right") - 1
+        return vertices[:limit].tolist(), _next_cursor(vertices, limit)
+
+
+def _after(cursor: int | None) -> int:
+    """First vertex id past ``cursor`` (clamped at 0)."""
+    return 0 if cursor is None else max(int(cursor) + 1, 0)
+
+
+def _next_cursor(keys: np.ndarray, limit: int) -> int | None:
+    """The page's last key if the ``limit + 1`` probe found more."""
+    return int(keys[limit - 1]) if len(keys) > limit else None
+
+
+def _keyset_scan(test, start: int, stop: int, want: int) -> np.ndarray:
+    """First ``want`` indices ``i`` in ``[start, stop)`` where ``test``
+    holds, ascending.
+
+    ``test(lo, hi)`` returns the boolean mask of ``[lo, hi)``; the scan
+    asks for chunks of :data:`SCAN_CHUNK`, doubling, and stops as soon
+    as ``want`` hits are in hand.
+    """
+    hits, found, chunk = [], 0, SCAN_CHUNK
+    while start < stop and found < want:
+        hi = min(stop, start + chunk)
+        hit = np.flatnonzero(test(start, hi)) + start
+        hits.append(hit)
+        found += len(hit)
+        start, chunk = hi, chunk * 2
+    if not hits:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(hits)[:want]

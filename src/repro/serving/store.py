@@ -2,19 +2,18 @@
 
 A :class:`RunStore` is a WAL-mode SQLite database holding every
 partitioner run worth serving: the run metadata, its quality metrics,
-the flat per-edge assignment array (as a checksummed blob plus an
-mmap-able sidecar), and the row-wise vertex→partition replica relation
-the HTTP layer paginates over.  ``repro partition --store`` writes into
-it, :func:`import_results` backfills it from the committed
-``benchmarks/results/*.json`` experiment rows, and
-:class:`~repro.serving.api.ServingAPI` reads from it.
+and the flat per-edge assignment array plus the vertex→replica-set CSR
+(as checksummed blobs, each with an mmap-able sidecar).
+``repro partition --store`` writes into it, :func:`import_results`
+backfills it from the committed ``benchmarks/results/*.json`` experiment
+rows, and :class:`~repro.serving.api.ServingAPI` reads from it.
 
 Schema discipline
 -----------------
 The schema is created exclusively through the explicit, versioned
 migration list ``MIGRATIONS`` — every connection applies any pending
-migrations inside one transaction and records them in
-``schema_migrations``, so a store written by an older build upgrades in
+migrations, each in one transaction with the ``schema_migrations`` row
+that records it, so a store written by an older build upgrades in
 place and a store written by a *newer* build fails loudly instead of
 misbehaving.  Pragmas on every connection: ``journal_mode=WAL``
 (concurrent readers while a writer appends — the serving workload),
@@ -32,17 +31,23 @@ Tables
     Checksummed array blobs, keyed ``(run_id, kind)``.  Kinds:
     ``edge_assignment`` (the flat int64 per-edge partition array),
     ``replica_indptr`` / ``replica_parts`` (the vertex→replica-set CSR
-    the bulk vertex-lookup kernels gather from).  Each blob records its
+    every vertex lookup and listing reads).  Each blob records its
     dtype, element count, and SHA-256; reads verify the checksum before
     trusting the bytes.
-``replicas``
-    The same replica relation row-wise — ``(run_id, vertex,
-    partition)`` — indexed for the two keyset-paginated listings:
-    boundary vertices (replica degree ≥ 2) by vertex id, and members of
-    one partition by vertex id.
 ``metrics``
     ``(run_id, name, value)`` quality numbers (replication factor,
-    balances, vertex cuts, plus whatever an importer finds).
+    balances, vertex cuts, plus whatever an importer finds).  A
+    non-finite value (the balance of a partition with no edges) gets no
+    row.
+
+Migration 1 also created a row-wise ``replicas (run_id, vertex,
+partition)`` table; migration 2 drops it.  The replica relation has one
+representation, the CSR blobs: :meth:`RunStore.add_run` derives the
+replication factor, vertex balance and vertex cuts from one
+``bincount`` of it, and the boundary and per-partition listings are
+keyset scans over its mmap'd arrays
+(:meth:`~repro.serving.lookup.LookupService.boundary_page`,
+:meth:`~repro.serving.lookup.LookupService.replica_page`).
 
 The mmap read path
 ------------------
@@ -60,6 +65,7 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -135,6 +141,10 @@ CREATE TABLE metrics (
     value     REAL NOT NULL,
     PRIMARY KEY (run_id, name)
 ) WITHOUT ROWID;
+"""),
+    (2, """
+DROP INDEX replicas_by_partition;
+DROP TABLE replicas;
 """),
 )
 
@@ -251,14 +261,20 @@ class RunStore:
                 f"store {self.path!r} has schema version {current}, "
                 f"newer than this build's {SCHEMA_VERSION} — refusing "
                 "to touch it")
-        with conn:  # one transaction over all pending migrations
-            for version, sql in MIGRATIONS:
-                if version <= current:
-                    continue
-                conn.executescript(sql)
-                conn.execute(
+        for version, sql in MIGRATIONS:
+            if version <= current:
+                continue
+            # executescript commits whatever is open before it runs, so
+            # the transaction is spelled out in the script itself
+            try:
+                conn.executescript(
+                    f"BEGIN;\n{sql}\n"
                     "INSERT INTO schema_migrations (version, applied_utc) "
-                    "VALUES (?, ?)", (version, _utc_now()))
+                    f"VALUES ({version}, '{_utc_now()}');\nCOMMIT;")
+            except sqlite3.Error:
+                if conn.in_transaction:
+                    conn.rollback()
+                raise
 
     def schema_version(self) -> int:
         row = self._conn.execute(
@@ -271,25 +287,27 @@ class RunStore:
                 source: str = "partition") -> int:
         """Persist an :class:`~repro.partitioners.base.EdgePartition`.
 
-        Writes the run row, its quality metrics, the checksummed array
-        blobs (edge assignment + vertex-replica CSR), and the row-wise
-        replica relation, in one transaction.  Returns the new run id.
+        Writes the run row, the checksummed array blobs (edge
+        assignment + vertex-replica CSR) and its quality metrics, in one
+        transaction.  Returns the new run id.  The metrics that count
+        replicas read one ``bincount`` of the CSR instead of
+        deduplicating the edge endpoints again.
         """
         graph = partition.graph
+        num_partitions = partition.num_partitions
         assignment = np.ascontiguousarray(partition.assignment,
                                           dtype=np.int64)
         indptr, parts = vertex_replica_csr(
-            graph.edges, assignment, graph.num_vertices,
-            partition.num_partitions)
+            graph.edges, assignment, graph.num_vertices, num_partitions)
+        counts = np.bincount(parts, minlength=num_partitions)
         metrics = {
             "replication_factor": replication_factor(
-                graph, assignment, partition.num_partitions),
-            "edge_balance": edge_balance(assignment,
-                                         partition.num_partitions),
-            "vertex_balance": vertex_balance(graph, assignment,
-                                             partition.num_partitions),
+                graph, assignment, num_partitions, vertex_counts=counts),
+            "edge_balance": edge_balance(assignment, num_partitions),
+            "vertex_balance": vertex_balance(
+                graph, assignment, num_partitions, vertex_counts=counts),
             "vertex_cuts": float(vertex_cut_count(
-                graph, assignment, partition.num_partitions)),
+                graph, assignment, num_partitions, vertex_counts=counts)),
         }
         conn = self._conn
         with conn:
@@ -298,7 +316,7 @@ class RunStore:
                 "num_vertices, num_edges, seed, elapsed_seconds, "
                 "iterations, status, source, created_utc, extra) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, 'complete', ?, ?, ?)",
-                (label, partition.method, partition.num_partitions,
+                (label, partition.method, num_partitions,
                  graph.num_vertices, graph.num_edges, seed,
                  partition.elapsed_seconds, partition.iterations,
                  source, _utc_now(), json.dumps(_jsonable_extra(
@@ -308,18 +326,7 @@ class RunStore:
                               ("replica_indptr", indptr),
                               ("replica_parts", parts)):
                 self._insert_blob(conn, run_id, kind, arr)
-            vertex_ids = np.repeat(np.arange(graph.num_vertices,
-                                             dtype=np.int64),
-                                   np.diff(indptr))
-            conn.executemany(
-                "INSERT INTO replicas (run_id, vertex, partition) "
-                "VALUES (?, ?, ?)",
-                zip((run_id,) * len(parts), vertex_ids.tolist(),
-                    parts.tolist()))
-            conn.executemany(
-                "INSERT INTO metrics (run_id, name, value) "
-                "VALUES (?, ?, ?)",
-                [(run_id, k, float(v)) for k, v in metrics.items()])
+            _insert_metrics(conn, run_id, metrics)
         return run_id
 
     def add_imported_run(self, *, method: str, metrics: dict,
@@ -340,10 +347,7 @@ class RunStore:
                  elapsed_seconds, source, _utc_now(),
                  json.dumps(extra or {})))
             run_id = int(cur.lastrowid)
-            conn.executemany(
-                "INSERT INTO metrics (run_id, name, value) "
-                "VALUES (?, ?, ?)",
-                [(run_id, k, float(v)) for k, v in metrics.items()])
+            _insert_metrics(conn, run_id, metrics)
         return run_id
 
     def _insert_blob(self, conn, run_id: int, kind: str,
@@ -429,64 +433,18 @@ class RunStore:
                     os.unlink(tmp)
         return np.load(path, mmap_mode="r")
 
-    # -- keyset pagination --------------------------------------------
-    def boundary_page(self, run_id: int, *, cursor: int | None = None,
-                      limit: int = 50) -> tuple[list[dict], int | None]:
-        """One page of boundary vertices (replica degree ≥ 2).
 
-        Keyset pagination on vertex id: rows with ``vertex > cursor``,
-        ascending, ``limit`` per page.  Returns ``(items,
-        next_cursor)`` where ``next_cursor`` is the last vertex id (or
-        None on the final page).  The key is the immutable vertex id of
-        one frozen run, so pages are stable no matter what other runs
-        are inserted concurrently.
-        """
-        self.get_run(run_id)
-        after = -1 if cursor is None else int(cursor)
-        rows = self._conn.execute(
-            "SELECT vertex, COUNT(*) AS replicas FROM replicas "
-            "WHERE run_id = ? AND vertex > ? "
-            "GROUP BY vertex HAVING COUNT(*) >= 2 "
-            "ORDER BY vertex LIMIT ?", (run_id, after, limit + 1)
-        ).fetchall()
-        has_more = len(rows) > limit
-        rows = rows[:limit]
-        items = [{"vertex": r["vertex"], "replicas": r["replicas"],
-                  "partitions": self._partitions_of(run_id, r["vertex"])}
-                 for r in rows]
-        next_cursor = items[-1]["vertex"] if has_more and items else None
-        return items, next_cursor
+def _insert_metrics(conn, run_id: int, metrics: dict) -> None:
+    """One ``metrics`` row per finite value.
 
-    def replica_page(self, run_id: int, partition: int, *,
-                     cursor: int | None = None, limit: int = 50
-                     ) -> tuple[list[int], int | None]:
-        """One page of the vertices replicated in ``partition``.
-
-        Same keyset semantics as :meth:`boundary_page`; served by the
-        ``(run_id, partition, vertex)`` index.
-        """
-        run = self.get_run(run_id)
-        if not 0 <= partition < max(run["num_partitions"], 1):
-            raise StoreError(
-                f"run {run_id} has no partition {partition} "
-                f"(|P| = {run['num_partitions']})")
-        after = -1 if cursor is None else int(cursor)
-        rows = self._conn.execute(
-            "SELECT vertex FROM replicas "
-            "WHERE run_id = ? AND partition = ? AND vertex > ? "
-            "ORDER BY vertex LIMIT ?",
-            (run_id, partition, after, limit + 1)).fetchall()
-        has_more = len(rows) > limit
-        vertices = [r["vertex"] for r in rows[:limit]]
-        next_cursor = vertices[-1] if has_more and vertices else None
-        return vertices, next_cursor
-
-    def _partitions_of(self, run_id: int, vertex: int) -> list[int]:
-        rows = self._conn.execute(
-            "SELECT partition FROM replicas "
-            "WHERE run_id = ? AND vertex = ? ORDER BY partition",
-            (run_id, vertex)).fetchall()
-        return [r["partition"] for r in rows]
+    SQLite stores NaN as NULL, which the ``NOT NULL`` column refuses;
+    an undefined number (the balance of a partition with no edges) is
+    left out instead, so it reads back as absent.
+    """
+    conn.executemany(
+        "INSERT INTO metrics (run_id, name, value) VALUES (?, ?, ?)",
+        [(run_id, k, float(v)) for k, v in metrics.items()
+         if math.isfinite(float(v))])
 
 
 def _jsonable_extra(extra: dict) -> dict:

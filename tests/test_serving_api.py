@@ -91,11 +91,35 @@ def test_error_codes(api):
         (400, "GET", f"/api/runs/{rid}/replicas", None),
         (400, "GET", f"/api/runs/{rid}/replicas",
          None),
+        (404, "GET", "/api/runs/999/boundary", None),
     ]
     for expected, method, path, body in cases:
         status, doc = api.handle(method, path, body=body)
         assert status == expected, (method, path, doc)
         assert "error" in doc
+    # unknown run -> 404, partition outside [0, |P|) -> 400
+    for expected, run, partition in ((404, 999, 0), (400, rid, 6),
+                                     (400, rid, -1)):
+        status, doc = api.handle("GET", f"/api/runs/{run}/replicas",
+                                 query={"partition": partition})
+        assert status == expected and "error" in doc, (run, partition)
+
+
+def test_metrics_only_run_has_no_arrays_to_list(api):
+    """An imported run holds no replica CSR: its listings answer the
+    same 404 as its lookups."""
+    rid = api.store.add_imported_run(method="hdrf", metrics={"rf": 2.0})
+    for method, path, query, body in [
+            ("POST", "lookup", None, _body({"vertices": [0]})),
+            ("GET", "vertex/0", None, None),
+            ("GET", "boundary", None, None),
+            ("GET", "replicas", {"partition": "0"}, None)]:
+        status, doc = api.handle(method, f"/api/runs/{rid}/{path}",
+                                 query=query, body=body)
+        assert status == 404, (path, doc)
+        assert "metrics-only" in doc["error"]
+    status, doc = api.handle("GET", f"/api/runs/{rid}/metrics")
+    assert status == 200 and doc["metrics"] == {"rf": 2.0}
 
 
 def test_bulk_lookup_kernels_agree_over_http_shape(api):

@@ -48,6 +48,12 @@ no partitioner builds an arena or asks which backend it runs on.
 One HTTP server: ``src/repro/serving/`` imports no ``asyncio`` and no
 ``ThreadPoolExecutor`` — the stdlib ``ThreadingHTTPServer`` bounds
 every framing input, and a second socket layer beside it would not.
+
+One replica representation: the vertex→partition relation is stored
+once, as the checksummed replica CSR blobs.  The row-wise ``replicas``
+table (≈ 70k ``executemany`` rows per run, two thirds of ``add_run``)
+was dropped by migration 2; no SQL string under ``src/repro/serving/``
+outside the shipped ``MIGRATIONS`` entries reads or writes it.
 """
 
 import ast
@@ -352,3 +358,38 @@ def test_partitioners_do_not_name_the_processes_backend():
 @pytest.mark.parametrize("name", ["asyncio", "ThreadPoolExecutor"])
 def test_serving_has_one_http_server(name):
     assert _uses(sorted((_SRC / "serving").glob("*.py")), name) == []
+
+
+_REPLICAS_SQL = re.compile(r"\b(?:INTO|FROM|UPDATE|JOIN)\s+replicas\b")
+
+
+def _replicas_sql(source: str) -> list[int]:
+    """Line numbers of string literals naming the ``replicas`` table in
+    SQL, outside the ``MIGRATIONS`` history."""
+    tree = ast.parse(source)
+    history = {id(node) for top in tree.body
+               if isinstance(top, ast.Assign) and "MIGRATIONS" in [
+                   getattr(t, "id", None) for t in top.targets]
+               or isinstance(top, ast.AnnAssign)
+               and getattr(top.target, "id", None) == "MIGRATIONS"
+               for node in ast.walk(top)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in history and _REPLICAS_SQL.search(node.value)]
+
+
+def test_replicas_guard_sees_sql_not_history():
+    source = ('MIGRATIONS: tuple = ((1, "CREATE TABLE replicas (v);"),\n'
+              '              (2, "INSERT INTO replicas SELECT 1"))\n'
+              'conn.execute("SELECT vertex FROM "\n'
+              '             "replicas WHERE run_id = ?")\n'
+              'conn.executemany("INSERT INTO replicas VALUES (?)", rows)\n'
+              '"""the replicas listing reads from the replica CSR"""\n')
+    assert _replicas_sql(source) == [3, 5]
+
+
+def test_one_replica_representation():
+    found = [(str(path.relative_to(_SRC)), lineno)
+             for path in sorted((_SRC / "serving").glob("*.py"))
+             for lineno in _replicas_sql(path.read_text())]
+    assert found == []

@@ -16,6 +16,9 @@ scales, one JSON row per (kernel, scale):
 * ``hdrf`` / ``fennel`` / ``hdrf_p256`` — full streaming-baseline runs
   through ``core/streaming.py``'s load-level walk, the last at
   |P| = 256;
+* ``hybrid_ginger`` / ``hybrid_ginger_p256`` — full Hybrid Ginger runs
+  (hybrid hash + re-homing rounds, the group walk against the |P|-wide
+  reference loop) at |P| = 64 and 256;
 * ``ne_expand`` — a full sequential-NE run (``ExpansionState``);
 * ``gather_sum`` / ``gather_min`` — the GAS engine's gathers;
 * ``all_gather_sum`` — the cluster's collective accounting;
@@ -79,7 +82,8 @@ _EDGE_FACTOR = 8
 #: Cluster widths (|P|): DNE components, NE, serving and all-gather at
 #: 8; GAS gathers at §7.4's 256 machines, where the reference's O(n · P)
 #: temporaries dominate; selection at 64, where §7.4 sees it eat the
-#: wall clock; streaming at the Table-4/5 width and at 256.
+#: wall clock; streaming (HDRF, FENNEL, Hybrid Ginger) at the Table-4/5
+#: width and at 256.
 _PARTITIONS = 8
 _ENGINE_PARTITIONS = 256
 _SELECTION_PARTITIONS = 64
@@ -571,7 +575,10 @@ def run_perf(edge_scales=(12, 14, 17), out: str | None = "BENCH_kernels.json",
         for row, name, width in (
                 ("hdrf", "hdrf", _STREAMING_PARTITIONS),
                 ("fennel", "fennel", _STREAMING_PARTITIONS),
-                (f"hdrf_p{_WIDE_PARTITIONS}", "hdrf", _WIDE_PARTITIONS)):
+                (f"hdrf_p{_WIDE_PARTITIONS}", "hdrf", _WIDE_PARTITIONS),
+                ("hybrid_ginger", "hybrid_ginger", _STREAMING_PARTITIONS),
+                (f"hybrid_ginger_p{_WIDE_PARTITIONS}", "hybrid_ginger",
+                 _WIDE_PARTITIONS)):
             add((row,), scale, graph, measure(
                 kernel_arms(bench_streaming_partitioner, name, graph, width),
                 repeats=_RUN_REPEATS))

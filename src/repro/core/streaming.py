@@ -1,12 +1,11 @@
 """Shared streaming-partitioner substrate (the baseline zoo's hot path).
 
-The paper's §7.1 comparisons score every streamed edge of HDRF / FENNEL
-(and every re-homed vertex group of Hybrid Ginger) against all ``|P|``
+The paper's §7.1 comparisons score every streamed edge of HDRF / FENNEL,
+and every vertex a label-propagation rival revisits, against all ``|P|``
 partitions with state that mutates per item: per-partition *loads* and
-per-vertex *replica membership*.  The reference implementations walk
-the stream one item at a time and rebuild a ``|P|``-wide score vector
-per item; this module holds what their ``kernel="vectorized"`` twins
-run instead.
+per-vertex *replicas* or *labels*.  The references rebuild a ``|P|``-wide
+score vector per item; the walks here score only the candidates that
+can win, and stay exact.
 
 :func:`walk_edge_stream` (HDRF, FENNEL)
     An exact per-edge walk whose argmax runs over *classes x load
@@ -21,33 +20,32 @@ run instead.
     (which is also when HDRF's max/min load moves); a placement that
     keeps the level set just moves one bit between two masks.
 
-:func:`run_chunked_fixpoint` (weighted group streams)
-    The prefix-commit loop for scorers whose staleness rule needs
-    the tentative targets themselves (Ginger's re-homing rounds: a
-    histogram goes stale only when an earlier in-window *mover* is a
-    neighbour).  Windows here commit wholesale once a round's movers
-    thin out, so no sequential tail is needed.
+:func:`walk_labels` (Spinner, XtraPuLP, ``metis_like``'s FM refinement)
+    An exact sequential label walk scoring only a vertex's neighbour
+    labels, its own label and the best label of the *rest*: a label no
+    neighbour holds scores by its load term alone, so the best of the
+    rest heads one ``(-balance, label)``-sorted list, kept by
+    ``bisect``.  Ginger's re-homing walk (``partitioners/ginger.py``)
+    uses the same candidate set over edge labels and vertex groups.
 
-Both kernels of every partitioner built on this substrate are pinned
-bit-identical — assignments, replication factors, and final loads — by
-``tests/test_streaming_equivalence.py``.
+``walk_edge_stream`` and Ginger's walk are pinned bit-identical to
+their partitioners' ``kernel="python"`` references, and
+:func:`walk_labels` to a ``|P|``-wide NumPy oracle of the loop it
+replaced, by ``tests/test_streaming_equivalence.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterator
 from itertools import chain
 
 import numpy as np
 
-__all__ = ["walk_edge_stream", "run_chunked_fixpoint", "DEFAULT_CHUNK"]
+__all__ = ["walk_edge_stream", "walk_labels", "DEFAULT_CHUNK"]
 
-#: window width: the fixpoint driver's scoring window and the edge
-#: walk's scalar-conversion window
+#: scalar-conversion window of the edge walk
 DEFAULT_CHUNK = 1024
-
-#: smallest fixpoint window
-_MIN_WINDOW = 16
 
 
 def _scalars(a: np.ndarray) -> Iterator:
@@ -147,29 +145,94 @@ def walk_edge_stream(u: np.ndarray, v: np.ndarray, num_partitions: int,
     return np.array(out, dtype=np.int64)
 
 
-def run_chunked_fixpoint(scorer, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-    """Prefix-commit loop for weighted/group stream scorers.
+def walk_labels(indptr: np.ndarray, indices: np.ndarray, labels: np.ndarray,
+                weights: np.ndarray, num_labels: int, capacity: float,
+                rng: np.random.Generator, passes: int, *,
+                settle: float = 0, edge_weights: np.ndarray | None = None,
+                balance: Callable[[float], float] | None = None) -> int:
+    """Capacity-constrained label propagation over a CSR adjacency.
 
-    Protocol: ``len(scorer)``, ``select(sl, loads_view_or_None)``,
-    ``reconstruct(sl, t0)`` (returns the opaque loads view ``select``
-    consumes), ``run_length(sl, t0, t1)`` (longest proven prefix, >= 1)
-    and ``commit(sl, targets)``.  Each window scores tentatively, then
-    against the reconstructed running loads, and commits the proven
-    prefix; the window width adapts to the recent run length.
+    Rewrites ``labels`` in place; returns the number of passes run.
+    Each pass visits the vertices with neighbours in an ``rng``-shuffled
+    order.  Vertex ``v`` scores label ``l`` as ``h(l) / d +
+    balance(load(l))``: ``h(l)`` counts ``v``'s neighbours labelled
+    ``l`` (sums their ``edge_weights`` if given), ``d`` is ``v``'s
+    neighbour count, ``load(l)`` sums ``weights`` over label ``l``, and
+    the load term is 0 without ``balance`` (dividing by ``d`` then keeps
+    every order and tie of the raw counts, for sums below 2**52).  A
+    label other than ``v``'s own is rejected when ``load(l) +
+    weights[v] > capacity``.  ``v`` moves to the best accepted label,
+    lowest on a tie, if it beats its own label's score strictly.  The
+    walk stops after ``passes`` passes, or a pass with at most
+    ``settle`` moves.
+
+    Exact for finite scores against the ``|P|``-wide loop it replaced
+    (rejected labels at ``-inf``, ``np.argmax``, a strict gain test):
+    a label outside the histogram scores ``0 / d + balance``, so the
+    first accepted one in ``(-balance, label)`` order is the best of
+    them.
     """
-    n = len(scorer)
-    targets = np.empty(n, dtype=np.int64)
-    i0 = 0
-    cap = chunk
-    while i0 < n:
-        w = min(cap, n - i0)
-        sl = slice(i0, i0 + w)
-        t0 = scorer.select(sl, None)
-        t1 = scorer.select(sl, scorer.reconstruct(sl, t0))
-        r = scorer.run_length(sl, t0, t1)
-        run = slice(i0, i0 + r)
-        scorer.commit(run, t1[:r])
-        targets[run] = t1[:r]
-        i0 += r
-        cap = min(chunk, max(_MIN_WINDOW, 4 * r))
-    return targets
+    ptr = indptr.tolist()
+    nbr = indices.tolist()
+    ew = None if edge_weights is None else edge_weights.tolist()
+    lab = labels.tolist()
+    vw = weights.tolist()
+    loads = np.bincount(labels, weights=weights,
+                        minlength=num_labels).tolist()
+    bal = [0] * num_labels
+    ranked = []                          # (-balance, label), ascending
+    if balance is not None:
+        bal = [balance(x) for x in loads]
+        ranked = sorted((-b, lv) for lv, b in enumerate(bal))
+    order = np.arange(len(lab))
+    iterations = 0
+    for iterations in range(1, passes + 1):
+        rng.shuffle(order)
+        moves = 0
+        for v in order.tolist():
+            lo, hi = ptr[v], ptr[v + 1]
+            if lo == hi:
+                continue
+            hist = {}
+            if ew is None:
+                for u in nbr[lo:hi]:
+                    lu = lab[u]
+                    if lu in hist:
+                        hist[lu] += 1
+                    else:
+                        hist[lu] = 1
+            else:
+                for u, x in zip(nbr[lo:hi], ew[lo:hi]):
+                    lu = lab[u]
+                    hist[lu] = hist.get(lu, 0) + x
+            d = hi - lo
+            cur = lab[v]
+            w = vw[v]
+            top = hist.get(cur, 0) / d + bal[cur]
+            t = -1                       # -1: nothing beats staying
+            for lv, c in hist.items():
+                if lv != cur and loads[lv] + w <= capacity:
+                    s = c / d + bal[lv]
+                    if s > top or (s == top and 0 <= lv < t):
+                        top, t = s, lv
+            for nb, lv in ranked:        # best of the rest
+                if -nb < top or (-nb == top and (t < 0 or lv > t)):
+                    break
+                if lv not in hist and loads[lv] + w <= capacity:
+                    top, t = -nb, lv
+                    break
+            if t < 0:
+                continue
+            lab[v] = t
+            moves += 1
+            loads[cur] -= w
+            loads[t] += w
+            if ranked:
+                for lv in (cur, t):
+                    del ranked[bisect_left(ranked, (-bal[lv], lv))]
+                    bal[lv] = balance(loads[lv])
+                    insort(ranked, (-bal[lv], lv))
+        if moves <= settle:
+            break
+    labels[:] = lab
+    return iterations

@@ -17,168 +17,30 @@ Chen et al. (EuroSys'15).  The method:
 Per the paper, a few refinement rounds suffice; quality lands between
 plain hashing and the greedy/streaming family.
 
-Kernels: the refinement rounds are a *stream of vertex groups*, so the
-``"vectorized"`` kernel (default) drives them through the streaming
-core's prefix-commit loop
-(:func:`repro.core.streaming.run_chunked_fixpoint`) with a weighted
-group scorer: window histograms are one bincount over the gathered
-incident-edge assignments, loads reconstruct through signed
-group-sized deltas, and a window position replays sequentially only
-when a *moved* in-window neighbour staled its locality histogram.
-``"python"`` is the per-group reference loop, kept verbatim and pinned
-bit-identical by ``tests/test_streaming_equivalence.py``.
+Kernels: the ``"vectorized"`` kernel (default) walks the groups as
+the reference does but, like :func:`repro.core.streaming.walk_labels`,
+scores only ``v``'s incident-edge labels and the least-penalised label
+of the rest (a label no incident edge holds scores by its penalty
+alone), kept in one ``(penalty, label)``-sorted list by ``bisect``.  It
+is not ``walk_labels`` itself: it histograms *edge* labels, moves whole
+groups and tracks two loads.  ``"python"`` is the per-group reference
+loop, pinned bit-identical by ``tests/test_streaming_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
+
 import numpy as np
 
-from repro.core.streaming import run_chunked_fixpoint
-from repro.graph.csr import CSRGraph, adjacency_slots
+from repro.graph.csr import CSRGraph
+from repro.kernels import validate_kernel
+from repro.metrics.quality import partition_vertex_counts
 from repro.partitioners.base import EdgePartition, Partitioner
 from repro.partitioners.hashing import HybridHashPartitioner
-from repro.kernels import validate_kernel
 
 __all__ = ["HybridGingerPartitioner"]
-
-
-class _GingerRoundScorer:
-    """Chunked-driver scorer for one refinement round's group stream.
-
-    Implements the :func:`~repro.core.streaming.run_chunked_fixpoint`
-    protocol for a *weighted* item stream: each item is a low-degree
-    grouping vertex, a "placement" moves ``len(group)`` edges and one
-    covered vertex, and the opaque loads view threaded between
-    :meth:`reconstruct` and :meth:`select` is the
-    ``(edge_loads, vertex_loads)`` matrix pair.
-    """
-
-    def __init__(self, graph: CSRGraph, assignment: np.ndarray,
-                 edge_loads: np.ndarray, vertex_loads: np.ndarray,
-                 group_indptr: np.ndarray, group_eids: np.ndarray,
-                 group_vertices: np.ndarray, gamma: float, nu: float):
-        self.graph = graph
-        self.assignment = assignment
-        self.edge_loads = edge_loads
-        self.vertex_loads = vertex_loads
-        self.group_indptr = group_indptr
-        self.group_eids = group_eids
-        self.group_vertices = group_vertices    # sorted grouping vertices
-        self.gamma = gamma
-        self.nu = nu
-        self.num_partitions = len(edge_loads)
-        self.items = np.empty(0, dtype=np.int64)    # set per round
-        self.gis = np.empty(0, dtype=np.int64)
-        self.moved = 0
-        #: vertex -> window position stamp (reset after every window)
-        self._pos_of = np.full(graph.num_vertices, -1, dtype=np.int64)
-        self._window_key = None
-
-    def start_round(self, items: np.ndarray) -> None:
-        self.items = items
-        self.gis = np.searchsorted(self.group_vertices, items)
-        self.moved = 0
-        self._window_key = None
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def _window(self, sl: slice):
-        """Memoised incident-edge gather + locality histogram for the
-        current window (the histogram is loads-independent, so both of
-        the fixpoint driver's select passes share one build; commit
-        invalidates the memo)."""
-        key = (sl.start, sl.stop)
-        if self._window_key != key:
-            vs = self.items[sl]
-            slot_idx, counts = adjacency_slots(self.graph.indptr, vs)
-            gi = self.gis[sl]
-            firsts = self.group_eids[self.group_indptr[gi]]
-            w, p = len(vs), self.num_partitions
-            parts = self.assignment[self.graph.edge_ids[slot_idx]]
-            rows = np.repeat(np.arange(w, dtype=np.int64), counts)
-            hist = np.bincount(rows * p + parts,
-                               minlength=w * p).reshape(w, p)
-            self._window_key = key
-            self._window_data = (vs, slot_idx, counts,
-                                 self.assignment[firsts],
-                                 hist.astype(np.float64))
-        return self._window_data
-
-    def group_sizes(self, gi: np.ndarray) -> np.ndarray:
-        return self.group_indptr[gi + 1] - self.group_indptr[gi]
-
-    def select(self, sl, loads_mats):
-        hist = self._window(sl)[4]
-        if loads_mats is None:
-            el, vl = self.edge_loads[None, :], self.vertex_loads[None, :]
-        else:
-            el, vl = loads_mats
-        penalty = (self.gamma / 2.0) * (vl + self.nu * el)
-        return (hist - penalty).argmax(axis=1)
-
-    def reconstruct(self, sl, t0):
-        cur = self._window(sl)[3]
-        w, p = len(t0), self.num_partitions
-        sizes = self.group_sizes(self.gis[sl]).astype(np.float64)
-        el_hot = np.zeros((w, p))
-        vl_hot = np.zeros((w, p))
-        moved = np.flatnonzero(t0 != cur)
-        shift = moved + 1                      # exclusive prefix
-        shift = shift[shift < w]
-        moved = moved[moved + 1 < w]
-        el_hot[shift, cur[moved]] -= sizes[moved]
-        el_hot[shift, t0[moved]] += sizes[moved]
-        vl_hot[shift, cur[moved]] -= 1.0
-        vl_hot[shift, t0[moved]] += 1.0
-        np.cumsum(el_hot, axis=0, out=el_hot)
-        np.cumsum(vl_hot, axis=0, out=vl_hot)
-        return (self.edge_loads[None, :] + el_hot,
-                self.vertex_loads[None, :] + vl_hot)
-
-    def run_length(self, sl, t0, t1):
-        vs, slot_idx, counts, cur, _ = self._window(sl)
-        w = len(vs)
-        moved0 = t0 != cur
-        bad = t1 != t0
-        # Locality staleness: a moved earlier-in-window neighbour
-        # rewrote some incident edge's assignment under this vertex.
-        pos_of = self._pos_of
-        pos_of[vs] = np.arange(w)
-        nbr_pos = pos_of[self.graph.indices[slot_idx]]
-        pos_of[vs] = -1
-        rows = np.repeat(np.arange(w, dtype=np.int64), counts)
-        # -1 stamps wrap to the last window slot, but the >= 0 term
-        # vetoes those lanes, so the gather below is safe.
-        hit = (nbr_pos >= 0) & (nbr_pos < rows) & moved0[nbr_pos]
-        if hit.any():
-            bad[rows[hit].min()] = True
-        first = np.flatnonzero(bad)
-        return max(1, int(first[0])) if len(first) else w
-
-    def commit(self, sl, targets):
-        # The committed run is a prefix of the memoised window: reuse
-        # its cur column instead of re-gathering the adjacency.
-        key = self._window_key
-        if key and key[0] == sl.start and sl.stop <= key[1]:
-            cur = self._window_data[3][:sl.stop - sl.start]
-        else:
-            cur = self._window(sl)[3]
-        moved = np.flatnonzero(targets != cur)
-        self._window_key = None
-        if not len(moved):
-            return
-        gi = self.gis[sl][moved]
-        tg = targets[moved]
-        cm = cur[moved]
-        sizes = self.group_sizes(gi).astype(np.float64)
-        slot, counts = adjacency_slots(self.group_indptr, gi)
-        self.assignment[self.group_eids[slot]] = np.repeat(tg, counts)
-        np.subtract.at(self.edge_loads, cm, sizes)
-        np.add.at(self.edge_loads, tg, sizes)
-        np.subtract.at(self.vertex_loads, cm, 1.0)
-        np.add.at(self.vertex_loads, tg, 1.0)
-        self.moved += len(moved)
 
 
 class HybridGingerPartitioner(Partitioner):
@@ -190,14 +52,16 @@ class HybridGingerPartitioner(Partitioner):
                  threshold: int = 100, rounds: int = 3,
                  gamma: float = 1.5, kernel: str = "vectorized"):
         super().__init__(num_partitions, seed)
+        if not math.isfinite(gamma):
+            raise ValueError("gamma must be finite")
         self.threshold = threshold
         self.rounds = rounds
         self.gamma = gamma
         self.kernel = validate_kernel(kernel)
 
     def _setup(self, graph: CSRGraph):
-        """Base Hybrid-hash run + the low-degree grouping (shared by
-        both kernels; group enumeration order is eid-ascending)."""
+        """Base Hybrid-hash run + the low-degree groups, shared by both
+        kernels: grouping vertex -> its edge ids, ascending."""
         p = self.num_partitions
         base = HybridHashPartitioner(
             p, seed=self.seed, threshold=self.threshold).partition(graph)
@@ -207,8 +71,15 @@ class HybridGingerPartitioner(Partitioner):
         u_col, v_col = graph.edges[:, 0], graph.edges[:, 1]
         group_by_u = deg[u_col] <= deg[v_col]
         group_vertex = np.where(group_by_u, u_col, v_col)
-        low = deg[group_vertex] < self.threshold
-        return assignment, group_vertex, low
+        low_eids = np.flatnonzero(deg[group_vertex] < self.threshold)
+        order = np.argsort(group_vertex[low_eids], kind="stable")
+        vertices, starts = np.unique(group_vertex[low_eids][order],
+                                     return_index=True)
+        eids = low_eids[order].tolist()
+        bounds = starts.tolist() + [len(eids)]
+        groups = {v: eids[lo:hi] for v, lo, hi
+                  in zip(vertices.tolist(), bounds, bounds[1:])}
+        return assignment, groups
 
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         if self.kernel == "python":
@@ -217,34 +88,64 @@ class HybridGingerPartitioner(Partitioner):
 
     def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
         p = self.num_partitions
-        assignment, group_vertex, low = self._setup(graph)
+        assignment, groups = self._setup(graph)
 
-        low_eids = np.flatnonzero(low)
-        gv = group_vertex[low_eids]
-        order = np.argsort(gv, kind="stable")    # (vertex, eid) ascending
-        group_eids = low_eids[order]
-        vertices, counts = np.unique(gv, return_counts=True)
-        group_indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
-        np.cumsum(counts, out=group_indptr[1:])
-
-        edge_loads = np.bincount(assignment, minlength=p).astype(np.float64)
-        vertex_loads = _covered_vertex_counts(graph, assignment, p).astype(np.float64)
+        asg = assignment.tolist()
+        ptr = graph.indptr.tolist()
+        incident = graph.edge_ids.tolist()
+        edge_loads = np.bincount(assignment, minlength=p).astype(
+            np.float64).tolist()
         nu = graph.num_vertices / max(graph.num_edges, 1)
+        half = self.gamma / 2.0
         rng = np.random.default_rng(self.seed)
 
-        scorer = _GingerRoundScorer(graph, assignment, edge_loads,
-                                    vertex_loads, group_indptr, group_eids,
-                                    vertices, self.gamma, nu)
         moved_total = 0
-        stream = vertices.astype(np.int64).copy()
+        vertices = np.array(sorted(groups), dtype=np.int64)
         for _ in range(self.rounds):
-            rng.shuffle(stream)
-            scorer.start_round(stream)
-            run_chunked_fixpoint(scorer)
-            scorer.vertex_loads[:] = _covered_vertex_counts(
-                graph, assignment, p).astype(np.float64)
-            moved_total += scorer.moved
-            if not scorer.moved:
+            rng.shuffle(vertices)
+            vertex_loads = partition_vertex_counts(
+                graph, assignment, p).astype(np.float64).tolist()
+            penalty = [half * (vl + nu * el)
+                       for vl, el in zip(vertex_loads, edge_loads)]
+            ranked = sorted(zip(penalty, range(p)))
+            moved = 0
+            for v in vertices.tolist():
+                hist = {}
+                for eid in incident[ptr[v]:ptr[v + 1]]:
+                    lv = asg[eid]
+                    if lv in hist:
+                        hist[lv] += 1
+                    else:
+                        hist[lv] = 1
+                top, t = -math.inf, p
+                for lv, c in hist.items():
+                    s = c - penalty[lv]
+                    if s > top or (s == top and lv < t):
+                        top, t = s, lv
+                for pen, lv in ranked:           # best of the rest
+                    if lv not in hist:
+                        s = 0.0 - pen
+                        if s > top or (s == top and lv < t):
+                            t = lv
+                        break
+                eids = groups[v]
+                current = asg[eids[0]]
+                if t == current:
+                    continue
+                for eid in eids:
+                    asg[eid] = t
+                edge_loads[current] -= len(eids)
+                edge_loads[t] += len(eids)
+                vertex_loads[current] -= 1
+                vertex_loads[t] += 1
+                for lv in (current, t):
+                    del ranked[bisect_left(ranked, (penalty[lv], lv))]
+                    penalty[lv] = half * (vertex_loads[lv] + nu * edge_loads[lv])
+                    insort(ranked, (penalty[lv], lv))
+                moved += 1
+            assignment[:] = asg
+            moved_total += moved
+            if not moved:
                 break
 
         return EdgePartition(graph, p, assignment, method=self.name,
@@ -253,15 +154,11 @@ class HybridGingerPartitioner(Partitioner):
 
     def _partition_python(self, graph: CSRGraph) -> EdgePartition:
         p = self.num_partitions
-        assignment, group_vertex, low = self._setup(graph)
-
-        # Edge ids grouped by their low-degree grouping vertex.
-        groups: dict[int, list[int]] = {}
-        for eid in np.flatnonzero(low):
-            groups.setdefault(int(group_vertex[eid]), []).append(int(eid))
+        assignment, groups = self._setup(graph)
 
         edge_loads = np.bincount(assignment, minlength=p).astype(np.float64)
-        vertex_loads = _covered_vertex_counts(graph, assignment, p).astype(np.float64)
+        vertex_loads = partition_vertex_counts(
+            graph, assignment, p).astype(np.float64)
         nu = graph.num_vertices / max(graph.num_edges, 1)
         rng = np.random.default_rng(self.seed)
 
@@ -290,7 +187,7 @@ class HybridGingerPartitioner(Partitioner):
                     vertex_loads[current] -= 1
                     vertex_loads[target] += 1
                     moved += 1
-            vertex_loads = _covered_vertex_counts(
+            vertex_loads = partition_vertex_counts(
                 graph, assignment, p).astype(np.float64)
             moved_total += moved
             if not moved:
@@ -300,12 +197,3 @@ class HybridGingerPartitioner(Partitioner):
                              iterations=self.rounds,
                              extra={"moved_groups": moved_total})
 
-
-def _covered_vertex_counts(graph: CSRGraph, assignment: np.ndarray,
-                           p: int) -> np.ndarray:
-    """|V(E_p)| per partition (same computation as metrics.quality)."""
-    verts = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    parts = np.concatenate([assignment, assignment])
-    keys = verts * p + parts
-    owning = np.unique(keys) % p
-    return np.bincount(owning, minlength=p)

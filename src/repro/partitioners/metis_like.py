@@ -30,8 +30,11 @@ CSR-row-order note.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.core.streaming import walk_labels
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import Partitioner, VertexPartition
 from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
@@ -81,6 +84,8 @@ class MetisLikePartitioner(Partitioner):
                  coarsen_to: int | None = None, balance: float = 1.05,
                  refine_passes: int = 4):
         super().__init__(num_partitions, seed)
+        if not (math.isfinite(balance) and balance > 0):
+            raise ValueError("balance must be finite and > 0")
         self.coarsen_to = coarsen_to
         self.balance = balance
         self.refine_passes = refine_passes
@@ -224,36 +229,14 @@ def _region_grow(level: _Level, k: int, balance: float,
 
 def _fm_refine(level: _Level, labels: np.ndarray, k: int, balance: float,
                passes: int, rng: np.random.Generator) -> np.ndarray:
-    """Boundary FM: move vertices with positive cut gain, keep balance."""
+    """Boundary FM: move vertices with positive cut gain, keep balance.
+
+    The gain of moving ``v`` to ``l`` is its edge weight into ``l``
+    minus its weight into its own label, so the best positive gain is
+    the exact label walk's strict argmax over the weighted neighbour
+    histogram, with no load term."""
     labels = labels.copy()
-    total = int(level.vertex_weights.sum())
-    capacity = balance * total / k
-    loads = np.bincount(labels, weights=level.vertex_weights,
-                        minlength=k).astype(np.float64)
-    n = level.n
-    order = np.arange(n)
-    for _ in range(passes):
-        rng.shuffle(order)
-        moved = 0
-        for v in order:
-            nbrs, wgts = level.row(v)
-            if not len(nbrs):
-                continue
-            current = labels[v]
-            # Weighted neighbour-label histogram; the gain of staying
-            # (the internal weight) is subtracted from every move.
-            gains = np.bincount(labels[nbrs], weights=wgts,
-                                minlength=k)
-            gains -= gains[current]
-            w_v = level.vertex_weights[v]
-            gains[loads + w_v > capacity] = -np.inf
-            gains[current] = 0.0
-            target = int(np.argmax(gains))
-            if gains[target] > 0 and target != current:
-                labels[v] = target
-                loads[current] -= w_v
-                loads[target] += w_v
-                moved += 1
-        if moved == 0:
-            break
+    capacity = balance * int(level.vertex_weights.sum()) / k
+    walk_labels(level.indptr, level.nbr, labels, level.vertex_weights, k,
+                capacity, rng, passes, edge_weights=level.wgt)
     return labels

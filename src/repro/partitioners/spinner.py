@@ -14,13 +14,17 @@ Implementation follows the paper's scoring::
 where ``w(v, l)`` counts v's neighbours with label ``l``, ``capacity``
 is the balanced per-label degree budget ``c_f * total_degree / k``, and
 moves into labels that are over capacity are rejected.  Iteration stops
-at convergence (few moves) or ``max_iterations``.
+at convergence (few moves) or ``max_iterations``.  The passes are
+the exact label walk :func:`repro.core.streaming.walk_labels`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.core.streaming import walk_labels
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import Partitioner, VertexPartition
 from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
@@ -38,6 +42,10 @@ class SpinnerPartitioner(Partitioner):
                  balance_weight: float = 0.5,
                  convergence_fraction: float = 0.001):
         super().__init__(num_partitions, seed)
+        if not math.isfinite(balance_weight):
+            raise ValueError("balance_weight must be finite")
+        if not (math.isfinite(capacity_factor) and capacity_factor > 0):
+            raise ValueError("capacity_factor must be finite and > 0")
         self.max_iterations = max_iterations
         self.capacity_factor = capacity_factor
         self.balance_weight = balance_weight
@@ -57,34 +65,11 @@ class SpinnerPartitioner(Partitioner):
         total_degree = int(degrees.sum())
         capacity = max(1.0, self.capacity_factor * total_degree / k)
 
-        loads = np.bincount(labels, weights=degrees, minlength=k)
-        order = np.arange(graph.num_vertices)
-        iterations = 0
-
-        for iterations in range(1, self.max_iterations + 1):
-            rng.shuffle(order)
-            moves = 0
-            for v in order:
-                deg = degrees[v]
-                if deg == 0:
-                    continue
-                counts = np.zeros(k, dtype=np.float64)
-                for u in graph.neighbors(v):
-                    counts[labels[u]] += 1.0
-                score = (counts / deg
-                         + self.balance_weight * (1.0 - loads / capacity))
-                # Reject moves into over-capacity labels.
-                current = labels[v]
-                score[(loads + deg > capacity)
-                      & (np.arange(k) != current)] = -np.inf
-                target = int(np.argmax(score))
-                if target != current and score[target] > score[current]:
-                    loads[current] -= deg
-                    loads[target] += deg
-                    labels[v] = target
-                    moves += 1
-            if moves <= self.convergence_fraction * graph.num_vertices:
-                break
-
+        bw = self.balance_weight
+        iterations = walk_labels(
+            graph.indptr, graph.indices, labels, degrees, k, capacity, rng,
+            self.max_iterations,
+            settle=self.convergence_fraction * graph.num_vertices,
+            balance=lambda load: bw * (1.0 - load / capacity))
         return VertexPartition(graph, k, labels, method=self.name,
                                iterations=iterations)

@@ -9,16 +9,19 @@ with the "indirect but sometimes high-quality" methods (excellent on
 graphs with good locality like WebUK, poor on some socials).
 
 Implementation: multi-source BFS seeding, then the same
-capacity-constrained LP loop as Spinner, run twice with the load
-measured first in vertices and then in degrees.
+capacity-constrained label walk as Spinner
+(:func:`repro.core.streaming.walk_labels`, no load term), run twice
+with the load measured first in vertices and then in degrees.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
+from repro.core.streaming import walk_labels
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import Partitioner, VertexPartition
 from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
@@ -34,6 +37,8 @@ class XtraPuLPPartitioner(Partitioner):
     def __init__(self, num_partitions: int, seed: int = 0,
                  lp_iterations: int = 12, capacity_factor: float = 1.10):
         super().__init__(num_partitions, seed)
+        if not (math.isfinite(capacity_factor) and capacity_factor > 0):
+            raise ValueError("capacity_factor must be finite and > 0")
         self.lp_iterations = lp_iterations
         self.capacity_factor = capacity_factor
 
@@ -100,30 +105,6 @@ class XtraPuLPPartitioner(Partitioner):
     def _lp_phase(self, graph: CSRGraph, labels: np.ndarray,
                   weights: np.ndarray, rng: np.random.Generator) -> int:
         k = self.num_partitions
-        loads = np.bincount(labels, weights=weights, minlength=k)
         capacity = max(1.0, self.capacity_factor * weights.sum() / k)
-        order = np.arange(graph.num_vertices)
-        iterations = 0
-        for iterations in range(1, self.lp_iterations + 1):
-            rng.shuffle(order)
-            moves = 0
-            for v in order:
-                nbrs = graph.neighbors(v)
-                if len(nbrs) == 0:
-                    continue
-                counts = np.zeros(k, dtype=np.float64)
-                for u in nbrs:
-                    counts[labels[u]] += 1.0
-                current = labels[v]
-                w = weights[v]
-                counts[(loads + w > capacity)
-                       & (np.arange(k) != current)] = -np.inf
-                target = int(np.argmax(counts))
-                if target != current and counts[target] > counts[current]:
-                    loads[current] -= w
-                    loads[target] += w
-                    labels[v] = target
-                    moves += 1
-            if moves == 0:
-                break
-        return iterations
+        return walk_labels(graph.indptr, graph.indices, labels, weights, k,
+                           capacity, rng, self.lp_iterations)

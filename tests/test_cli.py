@@ -117,7 +117,8 @@ class TestCommands:
         assert sorted(row["kernel"] for row in rows) == sorted([
             "dne_one_hop", "dne_two_hop", "dne_two_hop_conflict",
             "dne_selection", "dne_boundary_fold", "hdrf", "fennel",
-            "hdrf_p256", "ne_expand", "gather_sum", "gather_min",
+            "hdrf_p256", "hybrid_ginger", "hybrid_ginger_p256",
+            "ne_expand", "gather_sum", "gather_min",
             "csr_build", "serving_lookup", "all_gather_sum"])
         for row in rows:
             assert row["repeats"] >= 3 and row["rate"] > 0, row

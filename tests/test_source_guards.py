@@ -37,7 +37,9 @@ One edge-stream walker: HDRF and FENNEL's vectorized kernel is
 ``walk_edge_stream``; the chunked window driver it replaced
 (``EdgeStreamScorer``, ``run_chunked_stream``, ``block_tail_hints``)
 and the membership ``get_bit`` / ``set_bit`` its tail walkers used
-are named nowhere under ``src/``.
+are named nowhere under ``src/``.  Nor is the prefix-commit driver
+the exact label walks replaced (``run_chunked_fixpoint``, its
+``_MIN_WINDOW`` and Ginger's ``_GingerRoundScorer``).
 
 One way onto a backend: ``ExecutionBackend.start`` with a
 ``WorkerProgram`` is the only lifecycle entry — no ``attach`` beside
@@ -257,14 +259,22 @@ def test_per_process_array_queue_stays_deleted():
 
 def test_one_edge_stream_walker():
     """HDRF and FENNEL share one vectorized kernel, the load-level walk
-    (``walk_edge_stream``).  The chunked window driver, its scorer base
-    and tail hints, and the scalar membership bit ops only its tail
-    walkers called stay deleted."""
+    (``walk_edge_stream``); Spinner, XtraPuLP and ``metis_like`` share
+    the exact label walk (``walk_labels``) and Ginger walks its groups
+    the same way.  The chunked window drivers (edge stream and
+    fixpoint), their scorers, window constant and tail hints, and the
+    scalar membership bit ops only the tail walkers called stay
+    deleted."""
     pattern = re.compile(r"\b(EdgeStreamScorer|run_chunked_stream"
-                         r"|block_tail_hints)\b|\b(get_bit|set_bit)\(")
+                         r"|block_tail_hints|run_chunked_fixpoint"
+                         r"|_GingerRoundScorer|_MIN_WINDOW)\b"
+                         r"|\b(get_bit|set_bit)\(")
     assert [m.group(0) for m in pattern.finditer(
         "run_chunked_stream(s); m.set_bit(v, p); run_chunked_fixpoint; "
-        "offset_bit(x)")] == ["run_chunked_stream", "set_bit("]
+        "_GingerRoundScorer(g); x._MIN_WINDOW; walk_labels(a); "
+        "run_chunked_fixpoints; MIN_WINDOW; offset_bit(x)")] == [
+        "run_chunked_stream", "set_bit(", "run_chunked_fixpoint",
+        "_GingerRoundScorer", "_MIN_WINDOW"]
     found = [(str(path.relative_to(_SRC)), lineno)
              for path in sorted(_SRC.rglob("*.py"))
              for lineno, line in enumerate(path.read_text().splitlines(), 1)

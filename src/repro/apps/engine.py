@@ -111,38 +111,31 @@ class DistributedGraphEngine:
             self.local_src.append(edges[:, 0].copy())
             self.local_dst.append(edges[:, 1].copy())
 
-        # Replica sets: partitions covering each vertex.
-        self.replica_count = np.zeros(n, dtype=np.int64)
-        covered = [np.unique(np.concatenate([s, d]))
-                   if len(s) else np.empty(0, dtype=np.int64)
-                   for s, d in zip(self.local_src, self.local_dst)]
-        self.covered = covered
-        for pid in range(self.p):
-            self.replica_count[covered[pid]] += 1
+        # Replica sets: the partition's vertex→replica CSR.  Its rows
+        # are pid-ascending, so ``parts`` holds every vertex's replica
+        # list in turn; one stable argsort regroups the slots by
+        # partition, vertices ascending inside each group.
+        indptr, parts = partition.replicas
+        self.replica_count = np.diff(indptr)
+        slot_vertex = np.repeat(np.arange(n, dtype=np.int64),
+                                self.replica_count)
+        order = np.argsort(parts, kind="stable")
+        #: global vertex id of each flat replica slot, grouped by pid
+        self._flat_cov = slot_vertex[order]
+        slot_pid = parts[order]
+        sizes = np.bincount(parts, minlength=self.p)
+        self.covered = covered = np.split(self._flat_cov,
+                                          np.cumsum(sizes)[:-1])
 
-        # Master election: hash picks one replica per vertex.  The
-        # per-vertex replica lists are the groups of the concatenated
-        # covered lists sorted by vertex; concatenating in pid order
-        # and sorting stably keeps each group's pids ascending, so the
-        # hash-indexed pick is identical to the old list-of-lists walk.
+        # Master election: hash picks one replica per vertex, an index
+        # into its pid-ascending replica list.
         self.master = np.full(n, -1, dtype=np.int64)
         pick = splitmix64(np.arange(n), seed=seed)
-        sizes = np.array([len(c) for c in covered], dtype=np.int64)
-        #: global vertex id of each flat replica slot, grouped by pid
-        self._flat_cov = (np.concatenate(covered) if self.p
-                          else np.empty(0, dtype=np.int64))
-        slot_pid = np.repeat(np.arange(self.p, dtype=np.int64), sizes)
-        if n and self.p:
-            order = np.argsort(self._flat_cov, kind="stable")
-            self._replica_pids = slot_pid[order]   # grouped by vertex
-            grp_start = np.cumsum(self.replica_count) - self.replica_count
-            have = self.replica_count > 0
-            idx = grp_start[have] + (
-                pick[have] % self.replica_count[have].astype(np.uint64)
-            ).astype(np.int64)
-            self.master[have] = self._replica_pids[idx]
-        else:
-            self._replica_pids = np.empty(0, dtype=np.int64)
+        have = self.replica_count > 0
+        idx = indptr[:-1][have] + (
+            pick[have] % self.replica_count[have].astype(np.uint64)
+        ).astype(np.int64)
+        self.master[have] = parts[idx]
 
         #: mirrors per vertex = replicas - 1 (clipped at 0 for isolated)
         self.mirror_count = np.maximum(self.replica_count - 1, 0)
@@ -193,9 +186,8 @@ class DistributedGraphEngine:
         """Per-vertex replica partition lists (ascending pid order)."""
         lists = getattr(self, "_replica_lists", None)
         if lists is None:
-            bounds = np.cumsum(self.replica_count)[:-1]
-            lists = [arr.tolist()
-                     for arr in np.split(self._replica_pids, bounds)]
+            indptr, parts = self.partition.replicas
+            lists = [arr.tolist() for arr in np.split(parts, indptr[1:-1])]
             self._replica_lists = lists
         return lists
 

@@ -84,7 +84,11 @@ workload (CHANGES.md, PR 17): packed at |P| ≤ 64 is between a tie and
 the Fig-9 model reports.  (That measurement also had packed costing
 ``serve_hdrf`` +26–29 %, through the HDRF walker's scalar bit ops;
 HDRF and FENNEL no longer read these backends, so that evidence no
-longer applies and the |P| ≤ 64 case for dense rests on ``road_p64``.)
+longer applies and the |P| ≤ 64 case for dense rests on time.)
+Re-measured the same way, 6 pairs per workload on 2 vCPUs: packed
+costs ``partition_s`` +11 % on both ``rmat_p8`` and ``road_p64`` and
+saves 12 % ``peak_rss_mb`` on ``road_p64`` (numbers in
+``docs/ARCHITECTURE.md``), so dense keeps |P| ≤ 64.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ from collections import defaultdict
 import numpy as np
 
 from repro.cluster.runtime import Process
-from repro.core.hash2d import unpack_bool_matrix
 from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 
@@ -210,6 +213,18 @@ class DenseMembership:
         return self._mat.nbytes
 
 
+def unpack_bool_matrix(words: np.ndarray, width: int) -> np.ndarray:
+    """``(k, words)`` uint64 rows, bit ``p % 64`` of word ``p // 64``
+    holding column ``p``, back to a ``(k, width)`` boolean matrix.  The
+    byte round-trip goes through explicit little-endian words, so the
+    bit positions agree with the shift/OR arithmetic of
+    :class:`PackedMembership` on any host byte order."""
+    le = np.ascontiguousarray(words).astype("<u8", copy=False)
+    bits = np.unpackbits(le.view(np.uint8).reshape(len(words), -1),
+                         axis=1, bitorder="little")
+    return bits[:, :width].astype(bool)
+
+
 class PackedMembership:
     """Packed replica membership: ``ceil(width/64)`` uint64 words per
     vertex, bit ``p % 64`` of word ``p // 64`` = partition ``p``.
@@ -271,8 +286,6 @@ class PackedMembership:
         return word * 64 + pos
 
     def mask_nonzero(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One home for the word->bool layout (endian-safe): hash2d's
-        # unpacker, the exact inverse of pack_bool_matrix.
         return np.nonzero(unpack_bool_matrix(masks, self._width))
 
     def nbytes(self) -> int:

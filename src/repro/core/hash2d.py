@@ -24,35 +24,7 @@ import numpy as np
 
 from repro.partitioners.hashing import grid_shape, splitmix64
 
-__all__ = ["Hash2DPlacement", "Hash1DPlacement", "pack_bool_matrix",
-           "unpack_bool_matrix"]
-
-
-def pack_bool_matrix(mat: np.ndarray) -> np.ndarray:
-    """Pack a ``(k, P)`` boolean matrix into ``(k, ceil(P/64))`` uint64
-    words, bit ``p`` of word ``p // 64`` holding column ``p``.
-
-    The byte round-trip goes through explicit little-endian words, so
-    the bit positions agree with shift/OR arithmetic
-    (``word >> (p & 63)``) on any host byte order.  This is the single
-    home of the word<->bool layout; :func:`unpack_bool_matrix` and the
-    packed membership backend must stay its exact inverse.
-    """
-    k, width = mat.shape
-    words = (width + 63) // 64
-    bits = np.packbits(mat, axis=1, bitorder="little")
-    padded = np.zeros((k, words * 8), dtype=np.uint8)
-    padded[:, :bits.shape[1]] = bits
-    return padded.view("<u8").astype(np.uint64, copy=False).reshape(k, words)
-
-
-def unpack_bool_matrix(words: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool_matrix`: ``(k, words)`` uint64 back
-    to a ``(k, width)`` boolean matrix."""
-    le = np.ascontiguousarray(words).astype("<u8", copy=False)
-    bits = np.unpackbits(le.view(np.uint8).reshape(len(words), -1),
-                         axis=1, bitorder="little")
-    return bits[:, :width].astype(bool)
+__all__ = ["Hash2DPlacement", "Hash1DPlacement"]
 
 
 class Hash2DPlacement:
@@ -141,40 +113,6 @@ class Hash2DPlacement:
         return (np.repeat(np.arange(len(vs)), table.shape[1]),
                 table[r * self.cols + c].ravel())
 
-    def replica_membership_words(self, vs: np.ndarray) -> np.ndarray:
-        """Packed-bitset form of :meth:`replica_membership`.
-
-        Returns ``(len(vs), ceil(num_processes / 64))`` uint64 words:
-        bit ``q % 64`` of word ``q // 64`` of row ``i`` is set iff
-        process ``q`` is a replica candidate of ``vs[i]``.  Because a
-        vertex's candidate set is ``row(v) ∪ column(v)``, each row is
-        just ``row_pattern[row(v)] | col_pattern[col(v)]`` over two
-        precomputed pattern tables — no boolean matrix is materialised.
-
-        This is the placement-side query of the |P| ≫ 64 packed
-        layout (1 bit per process instead of the boolean form's byte),
-        pinned bit-for-bit against :meth:`replica_membership` by the
-        packed-membership property tests.  The simulator's fan-out
-        kernels enumerate the per-process hits directly
-        (:meth:`replica_hits`), so this query is the deployment-facing
-        API, not a hot path of the simulated kernels.
-        """
-        r, c = self._grid_cells(vs)
-        row_pat, col_pat = self._packed_patterns()
-        return row_pat[r] | col_pat[c]
-
-    def _packed_patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily built per-grid-row / per-grid-column packed masks."""
-        pats = getattr(self, "_pattern_cache", None)
-        if pats is None:
-            procs = np.arange(self.num_processes, dtype=np.int64)
-            row_pat = pack_bool_matrix(
-                np.arange(self.rows)[:, None] == (procs // self.cols)[None, :])
-            col_pat = pack_bool_matrix(
-                np.arange(self.cols)[:, None] == (procs % self.cols)[None, :])
-            pats = self._pattern_cache = (row_pat, col_pat)
-        return pats
-
 
 class Hash1DPlacement:
     """Uniform 1D scatter — the ablation alternative to the grid.
@@ -208,10 +146,3 @@ class Hash1DPlacement:
         """Every (vertex, process) pair — the 2D placement's contract."""
         vidx, procs = np.indices((len(vs), self.num_processes))
         return vidx.ravel(), procs.ravel()
-
-    def replica_membership_words(self, vs: np.ndarray) -> np.ndarray:
-        """Packed form: every bit ``< num_processes`` set per row."""
-        words = (self.num_processes + 63) // 64
-        pattern = pack_bool_matrix(
-            np.ones((1, self.num_processes), dtype=bool))[0]
-        return np.broadcast_to(pattern, (len(vs), words)).copy()

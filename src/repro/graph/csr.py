@@ -159,7 +159,8 @@ class CSRGraph:
         is canonicalised into a fresh array — but a canonical array is
         **adopted, not copied**: the graph keeps a read-only view of the
         caller's buffer, which the caller must not write to afterwards
-        (the contract :meth:`from_csr_arrays` already has).
+        (the contract :meth:`from_csr_arrays` already has).  A
+        negative vertex id raises ``ValueError`` naming it.
     num_vertices:
         Optional vertex-count override.  Must be at least ``max id + 1``;
         ids in ``[0, num_vertices)`` with no incident edge are isolated
@@ -182,6 +183,9 @@ class CSRGraph:
     def __init__(self, edges: np.ndarray, num_vertices: int | None = None):
         if not is_canonical(edges):
             edges = canonical_edges(edges)
+            # rows are sorted with u < v: the first u is the least id
+            if len(edges) and edges[0, 0] < 0:
+                raise ValueError(f"negative vertex id {edges[0, 0]}")
         edges = edges.view()
         edges.flags.writeable = False
         self.edges = edges

@@ -175,12 +175,15 @@ def load_edges_tsv(path) -> np.ndarray:
 
     Blank lines and lines starting with ``#`` are skipped and columns
     past the second ignored, so SNAP-format files load directly.  A
-    line with fewer than two tokens, or a token that is not an integer,
-    raises ``ValueError`` naming ``path:lineno`` and the line.
+    line with fewer than two tokens, a token that is not an integer, or
+    a negative vertex id raises ``ValueError`` naming ``path:lineno``
+    and the line.
     """
     try:
-        return np.loadtxt(path, dtype=np.int64, comments="#",
-                          usecols=(0, 1), ndmin=2, encoding="utf-8")
+        edges = np.loadtxt(path, dtype=np.int64, comments="#",
+                           usecols=(0, 1), ndmin=2, encoding="utf-8")
+        if edges.size == 0 or edges.min() >= 0:
+            return edges
     except ValueError:
         pass
     # The bulk parser reports data rows, not file lines: find the line.
@@ -191,9 +194,14 @@ def load_edges_tsv(path) -> np.ndarray:
             if not parts or parts[0].startswith("#"):
                 continue
             try:
-                rows.append((int(parts[0]), int(parts[1])))
+                row = (int(parts[0]), int(parts[1]))
             except (IndexError, ValueError):
                 raise ValueError(
                     f"{path}:{lineno}: expected two integer vertex ids, "
                     f"got {line.strip()!r}") from None
+            if min(row) < 0:
+                raise ValueError(
+                    f"{path}:{lineno}: negative vertex id in "
+                    f"{line.strip()!r}")
+            rows.append(row)
     return edges_from_pairs(rows)

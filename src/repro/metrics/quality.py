@@ -12,6 +12,12 @@ Definitions follow the paper:
   vertices are never replicated and the paper's datasets have none.
 * balance (§7.6): ``B({x_p}) = max x_p / mean x_p`` for edge counts
   (EB), covered-vertex counts (VB), and per-partition runtimes (WB).
+
+Every vertex-side number reads one relation, the vertex→replica CSR of
+:func:`vertex_replica_csr`: ``|V(E_p)|`` is a ``bincount`` of its
+partition ids.  The free functions here build it per call;
+:class:`~repro.partitioners.base.EdgePartition` builds it once and its
+metric methods read the ``*_of_counts`` forms.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ import numpy as np
 from repro.graph.csr import CSRGraph, sorted_unique
 
 __all__ = [
+    "vertex_replica_csr",
     "partition_vertex_counts",
     "replication_factor",
     "vertex_cut_count",
+    "replication_factor_of_counts",
+    "vertex_cuts_of_counts",
     "balance",
     "edge_balance",
     "vertex_balance",
@@ -52,53 +61,68 @@ def validate_assignment(graph: CSRGraph, assignment: np.ndarray,
         raise ValueError("assignment contains out-of-range partition ids")
 
 
+def vertex_replica_csr(edges: np.ndarray, assignment: np.ndarray,
+                       num_vertices: int, num_partitions: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex→replica-set CSR ``(indptr, parts)`` of an edge partition.
+
+    ``parts[indptr[v]:indptr[v+1]]`` is the ascending list of
+    partitions holding a replica of vertex ``v`` (empty for isolated
+    vertices): the covered sets ``V(E_p)`` of Equation 1, read per
+    vertex.  This is the one place the (vertex, partition) incidences
+    of both endpoints of every edge are deduplicated;
+    :class:`~repro.partitioners.base.EdgePartition` builds it once
+    (``replicas``) and the metrics, the report, the run store and the
+    GAS engine all read that copy.
+    """
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    if len(assignment) == 0:
+        return indptr, np.empty(0, dtype=np.int64)
+    verts = np.concatenate([edges[:, 0], edges[:, 1]])
+    parts = np.concatenate([assignment, assignment])
+    keys = sorted_unique(verts.astype(np.int64) * num_partitions + parts)
+    vertices, parts = np.divmod(keys, num_partitions)
+    np.cumsum(np.bincount(vertices, minlength=num_vertices),
+              out=indptr[1:])
+    return indptr, parts
+
+
 def partition_vertex_counts(graph: CSRGraph, assignment: np.ndarray,
                             num_partitions: int) -> np.ndarray:
-    """``|V(E_p)|`` for each partition p.
-
-    Computed by deduplicating (vertex, partition) incidences over both
-    endpoints of every edge.
-    """
-    if graph.num_edges == 0:
-        return np.zeros(num_partitions, dtype=np.int64)
-    assignment = np.asarray(assignment, dtype=np.int64)
-    # Pair each endpoint with its edge's partition, dedupe pairs.
-    verts = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    parts = np.concatenate([assignment, assignment])
-    keys = verts * num_partitions + parts
-    unique_keys = sorted_unique(keys)
-    owning = unique_keys % num_partitions
-    return np.bincount(owning, minlength=num_partitions).astype(np.int64)
+    """``|V(E_p)|`` for each partition p: a ``bincount`` of the replica
+    CSR's partition ids."""
+    _, parts = vertex_replica_csr(graph.edges, assignment,
+                                  graph.num_vertices, num_partitions)
+    return np.bincount(parts, minlength=num_partitions)
 
 
 def replication_factor(graph: CSRGraph, assignment: np.ndarray,
-                       num_partitions: int, *,
-                       vertex_counts: np.ndarray | None = None) -> float:
+                       num_partitions: int) -> float:
     """Equation 1: mean number of partitions each (non-isolated) vertex
-    appears in.
-
-    ``vertex_counts`` — :func:`partition_vertex_counts` of the same
-    partition, when the caller already holds it (e.g. a ``bincount`` of
-    a replica CSR) — skips recomputing it; the result is the same float.
-    """
-    counts = _vertex_counts(graph, assignment, num_partitions,
-                            vertex_counts)
-    covered = _num_covered_vertices(graph)
-    if covered == 0:
-        return 0.0
-    return float(counts.sum()) / covered
+    appears in."""
+    return replication_factor_of_counts(
+        graph, partition_vertex_counts(graph, assignment, num_partitions))
 
 
 def vertex_cut_count(graph: CSRGraph, assignment: np.ndarray,
-                     num_partitions: int, *,
-                     vertex_counts: np.ndarray | None = None) -> int:
-    """Total number of vertex cuts: ``Σ_v (replicas(v) - 1)``.
+                     num_partitions: int) -> int:
+    """Total number of vertex cuts: ``Σ_v (replicas(v) - 1)``."""
+    return vertex_cuts_of_counts(
+        graph, partition_vertex_counts(graph, assignment, num_partitions))
 
-    ``vertex_counts`` as in :func:`replication_factor`.
-    """
-    counts = _vertex_counts(graph, assignment, num_partitions,
-                            vertex_counts)
-    return int(counts.sum()) - _num_covered_vertices(graph)
+
+def replication_factor_of_counts(graph: CSRGraph,
+                                 vertex_counts: np.ndarray) -> float:
+    """:func:`replication_factor` from the partition's ``|V(E_p)|``."""
+    covered = _num_covered_vertices(graph)
+    if covered == 0:
+        return 0.0
+    return float(vertex_counts.sum()) / covered
+
+
+def vertex_cuts_of_counts(graph: CSRGraph, vertex_counts: np.ndarray) -> int:
+    """:func:`vertex_cut_count` from the partition's ``|V(E_p)|``."""
+    return int(vertex_counts.sum()) - _num_covered_vertices(graph)
 
 
 def partition_edge_counts(assignment: np.ndarray,
@@ -126,20 +150,10 @@ def edge_balance(assignment: np.ndarray, num_partitions: int) -> float:
 
 
 def vertex_balance(graph: CSRGraph, assignment: np.ndarray,
-                   num_partitions: int, *,
-                   vertex_counts: np.ndarray | None = None) -> float:
-    """VB: balance of per-partition covered-vertex counts.
-
-    ``vertex_counts`` as in :func:`replication_factor`.
-    """
-    return balance(_vertex_counts(graph, assignment, num_partitions,
-                                  vertex_counts))
-
-
-def _vertex_counts(graph, assignment, num_partitions, vertex_counts):
-    if vertex_counts is not None:
-        return vertex_counts
-    return partition_vertex_counts(graph, assignment, num_partitions)
+                   num_partitions: int) -> float:
+    """VB: balance of per-partition covered-vertex counts."""
+    return balance(partition_vertex_counts(graph, assignment,
+                                           num_partitions))
 
 
 def _num_covered_vertices(graph: CSRGraph) -> int:

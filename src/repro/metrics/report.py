@@ -16,13 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.csr import sorted_unique
-from repro.metrics.quality import (
-    partition_edge_counts,
-    partition_vertex_counts,
-    replication_factor,
-    vertex_cut_count,
-)
+from repro.metrics.quality import balance, partition_edge_counts
 
 if TYPE_CHECKING:  # avoid a metrics <-> partitioners import cycle
     from repro.partitioners.base import EdgePartition
@@ -59,47 +53,34 @@ def partition_report(partition: "EdgePartition") -> PartitionReport:
     """Compute a :class:`PartitionReport` for ``partition``."""
     graph = partition.graph
     p = partition.num_partitions
-    assignment = partition.assignment
-
-    edge_counts = partition_edge_counts(assignment, p)
-    vertex_counts = partition_vertex_counts(graph, assignment, p)
+    edge_counts = partition_edge_counts(partition.assignment, p)
+    vertex_counts = partition.vertex_counts()
 
     # Mirror counts: vertex v covers partitions S(v); its "master" is
     # min(S(v)) (the PowerGraph convention is hash-based, any fixed
     # choice gives the same count), every other covering partition
-    # holds a mirror.
-    mirror_counts = np.zeros(p, dtype=np.int64)
-    if graph.num_edges:
-        verts = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-        parts = np.concatenate([assignment, assignment])
-        keys = sorted_unique(verts * p + parts)
-        owners = keys % p
-        vertices = keys // p
-        # First covering partition of each vertex (keys are sorted, so
-        # the first occurrence per vertex is its minimum partition).
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = vertices[1:] != vertices[:-1]
-        mirror_counts = np.bincount(owners[~first], minlength=p)
+    # holds a mirror.  Replica rows are pid-ascending, so every slot
+    # but the first of a row is a mirror.
+    indptr, parts = partition.replicas
+    mirror = np.ones(len(parts), dtype=bool)
+    mirror[indptr[:-1][np.diff(indptr) > 0]] = False
+    mirror_counts = np.bincount(parts[mirror], minlength=p)
 
     _log.debug("report for %s: P=%d, |V|=%d, |E|=%d",
                partition.method or "<unnamed>", p, graph.num_vertices,
                graph.num_edges)
-    mean_edges = edge_counts.mean() if p else 0.0
-    mean_vertices = vertex_counts.mean() if p else 0.0
     return PartitionReport(
         method=partition.method,
         num_partitions=p,
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
-        replication_factor=replication_factor(graph, assignment, p),
-        vertex_cuts=vertex_cut_count(graph, assignment, p),
-        edge_balance=(float(edge_counts.max() / mean_edges)
-                      if mean_edges else float("nan")),
-        vertex_balance=(float(vertex_counts.max() / mean_vertices)
-                        if mean_vertices else float("nan")),
+        replication_factor=partition.replication_factor(),
+        vertex_cuts=partition.vertex_cut_count(),
+        edge_balance=balance(edge_counts),
+        vertex_balance=balance(vertex_counts),
         edge_counts=edge_counts,
         vertex_counts=vertex_counts,
-        mirror_counts=mirror_counts.astype(np.int64),
+        mirror_counts=mirror_counts,
     )
 
 

@@ -24,10 +24,12 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 from repro.metrics.quality import (
+    balance,
     edge_balance,
-    replication_factor,
+    replication_factor_of_counts,
     validate_assignment,
-    vertex_balance,
+    vertex_cuts_of_counts,
+    vertex_replica_csr,
 )
 from repro.observability.metrics import get_registry
 
@@ -46,7 +48,10 @@ class EdgePartition:
     num_partitions:
         ``|P|``.
     assignment:
-        int64 array, one partition id per canonical edge.
+        int64 array, one partition id per canonical edge; a read-only
+        view, so the replica CSR built from it cannot go stale (the
+        caller hands the buffer over and must not write to it
+        afterwards, as with :class:`~repro.graph.csr.CSRGraph` edges).
     method:
         Human-readable partitioner name.
     elapsed_seconds:
@@ -66,23 +71,50 @@ class EdgePartition:
     elapsed_seconds: float = 0.0
     iterations: int = 0
     extra: dict = field(default_factory=dict)
+    _replicas: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
+        assignment = np.asarray(self.assignment, dtype=np.int64).view()
+        assignment.flags.writeable = False
+        object.__setattr__(self, "assignment", assignment)
         validate_assignment(self.graph, self.assignment, self.num_partitions)
 
+    def __setattr__(self, name, value):
+        if name == "assignment" and "assignment" in self.__dict__:
+            raise AttributeError("EdgePartition.assignment is read-only")
+        super().__setattr__(name, value)
+
+    @property
+    def replicas(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex→replica CSR ``(indptr, parts)``
+        (:func:`~repro.metrics.quality.vertex_replica_csr`), built on
+        first use and kept."""
+        if self._replicas is None:
+            self._replicas = vertex_replica_csr(
+                self.graph.edges, self.assignment, self.graph.num_vertices,
+                self.num_partitions)
+            for arr in self._replicas:  # shared by every reader
+                arr.flags.writeable = False
+        return self._replicas
+
     # -- convenience metrics -------------------------------------------
+    def vertex_counts(self) -> np.ndarray:
+        """``|V(E_p)|`` per partition, read off :attr:`replicas`."""
+        return np.bincount(self.replicas[1], minlength=self.num_partitions)
+
     def replication_factor(self) -> float:
         """Equation 1's RF for this partition."""
-        return replication_factor(self.graph, self.assignment,
-                                  self.num_partitions)
+        return replication_factor_of_counts(self.graph, self.vertex_counts())
+
+    def vertex_cut_count(self) -> int:
+        return vertex_cuts_of_counts(self.graph, self.vertex_counts())
 
     def edge_balance(self) -> float:
         return edge_balance(self.assignment, self.num_partitions)
 
     def vertex_balance(self) -> float:
-        return vertex_balance(self.graph, self.assignment,
-                              self.num_partitions)
+        return balance(self.vertex_counts())
 
     def edges_of(self, p: int) -> np.ndarray:
         """Canonical ``(k, 2)`` edge array of partition ``p``."""

@@ -42,10 +42,12 @@ Tables
 
 Migration 1 also created a row-wise ``replicas (run_id, vertex,
 partition)`` table; migration 2 drops it.  The replica relation has one
-representation, the CSR blobs: :meth:`RunStore.add_run` derives the
-replication factor, vertex balance and vertex cuts from one
-``bincount`` of it, and the boundary and per-partition listings are
-keyset scans over its mmap'd arrays
+representation, the CSR blobs: :meth:`RunStore.add_run` stores the
+partition's own CSR (``EdgePartition.replicas``, built once by
+:func:`repro.metrics.quality.vertex_replica_csr`, the one home of the
+vertex→partition dedup) and the metrics read off it,
+and the boundary and per-partition listings are keyset scans over its
+mmap'd arrays
 (:meth:`~repro.serving.lookup.LookupService.boundary_page`,
 :meth:`~repro.serving.lookup.LookupService.replica_page`).
 
@@ -73,16 +75,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from repro.graph.csr import sorted_unique
-from repro.metrics.quality import (
-    edge_balance,
-    replication_factor,
-    vertex_balance,
-    vertex_cut_count,
-)
-
-__all__ = ["RunStore", "vertex_replica_csr", "import_results",
-           "StoreError", "ChecksumError"]
+__all__ = ["RunStore", "import_results", "StoreError", "ChecksumError"]
 
 
 class StoreError(RuntimeError):
@@ -157,28 +150,6 @@ def _utc_now() -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def vertex_replica_csr(edges: np.ndarray, assignment: np.ndarray,
-                       num_vertices: int, num_partitions: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex→replica-set CSR ``(indptr, parts)`` of an edge partition.
-
-    ``parts[indptr[v]:indptr[v+1]]`` is the ascending list of
-    partitions holding a replica of vertex ``v`` (empty for isolated
-    vertices).  This is the flat-array form of Equation 1's covered
-    sets — the structure the bulk vertex-lookup kernels gather from.
-    """
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    if len(assignment) == 0:
-        return indptr, np.empty(0, dtype=np.int64)
-    verts = np.concatenate([edges[:, 0], edges[:, 1]])
-    parts = np.concatenate([assignment, assignment])
-    keys = sorted_unique(verts.astype(np.int64) * num_partitions + parts)
-    vertices = keys // num_partitions
-    np.cumsum(np.bincount(vertices, minlength=num_vertices),
-              out=indptr[1:])
-    return indptr, (keys % num_partitions).astype(np.int64)
 
 
 class RunStore:
@@ -288,26 +259,20 @@ class RunStore:
         """Persist an :class:`~repro.partitioners.base.EdgePartition`.
 
         Writes the run row, the checksummed array blobs (edge
-        assignment + vertex-replica CSR) and its quality metrics, in one
-        transaction.  Returns the new run id.  The metrics that count
-        replicas read one ``bincount`` of the CSR instead of
-        deduplicating the edge endpoints again.
+        assignment + the partition's vertex-replica CSR) and its quality
+        metrics, in one transaction.  Returns the new run id.  The CSR
+        and the metrics that count replicas come from
+        ``partition.replicas``, built at most once per partition.
         """
         graph = partition.graph
         num_partitions = partition.num_partitions
-        assignment = np.ascontiguousarray(partition.assignment,
-                                          dtype=np.int64)
-        indptr, parts = vertex_replica_csr(
-            graph.edges, assignment, graph.num_vertices, num_partitions)
-        counts = np.bincount(parts, minlength=num_partitions)
+        assignment = partition.assignment
+        indptr, parts = partition.replicas
         metrics = {
-            "replication_factor": replication_factor(
-                graph, assignment, num_partitions, vertex_counts=counts),
-            "edge_balance": edge_balance(assignment, num_partitions),
-            "vertex_balance": vertex_balance(
-                graph, assignment, num_partitions, vertex_counts=counts),
-            "vertex_cuts": float(vertex_cut_count(
-                graph, assignment, num_partitions, vertex_counts=counts)),
+            "replication_factor": partition.replication_factor(),
+            "edge_balance": partition.edge_balance(),
+            "vertex_balance": partition.vertex_balance(),
+            "vertex_cuts": float(partition.vertex_cut_count()),
         }
         conn = self._conn
         with conn:

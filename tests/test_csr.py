@@ -82,6 +82,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph(np.array([[-1, 0], [0, 1]]))
 
+    def test_negative_id_is_named(self):
+        with pytest.raises(ValueError, match="negative vertex id -3"):
+            CSRGraph(np.array([[0, 1], [2, -3], [-1, 4]]))
+
 
 def _symmetrised_csr_by_argsort(edges: np.ndarray, n: int):
     """The build ``symmetrised_csr`` replaced: the backward half ordered

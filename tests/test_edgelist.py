@@ -222,10 +222,23 @@ class TestPermuteAndIO:
 
     def test_tsv_ignores_extra_columns_and_mixed_whitespace(self, tmp_path):
         path = tmp_path / "edges.tsv"
-        path.write_text("0 1 0.5 x\n  # indented comment\n2\t3\textra\n-4  +1")
+        path.write_text("0 1 0.5 x\n  # indented comment\n2\t3\textra\n4  +1")
         loaded = load_edges_tsv(path)
         assert loaded.dtype == np.int64
-        assert loaded.tolist() == [[0, 1], [2, 3], [-4, 1]]
+        assert loaded.tolist() == [[0, 1], [2, 3], [4, 1]]
+
+    @pytest.mark.parametrize("text, lineno, offending", [
+        ("0\t1\n-3\t2\n", 2, "-3\t2"),
+        ("# c\n0 1\n4  -7 x\n", 3, "4  -7 x"),
+    ])
+    def test_tsv_negative_id_names_path_and_line(self, tmp_path, text,
+                                                 lineno, offending):
+        path = tmp_path / "neg.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="negative vertex id") as err:
+            load_edges_tsv(path)
+        assert f"{path}:{lineno}:" in str(err.value)
+        assert repr(offending) in str(err.value)
 
     def test_tsv_bytes_are_one_tab_separated_line_per_edge(self, tmp_path):
         path = tmp_path / "edges.tsv"

@@ -44,8 +44,7 @@ from repro.core.expansion import (BoundarySegment, BoundaryStore,
                                   ExpansionProcess, HeapqBoundaryQueue,
                                   SharedSeedSource)
 from repro.core.fused import FusedDnePlane
-from repro.core.hash2d import (Hash1DPlacement, Hash2DPlacement,
-                               unpack_bool_matrix)
+from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring_graph, rmat_edges
 from repro.partitioners import PARTITIONER_REGISTRY
@@ -156,17 +155,6 @@ class TestBoundaryQueueEquivalence:
 class TestPackedMembership:
     """uint64-bitset membership == dense byte store == boolean matrix,
     property-tested."""
-
-    def test_placement_packed_matches_bool(self, partitions):
-        rng = np.random.default_rng(partitions)
-        vs = rng.integers(0, 10_000, 200)
-        for placement in (Hash2DPlacement(partitions, seed=3),
-                          Hash1DPlacement(partitions, seed=3)):
-            dense = placement.replica_membership(vs)
-            words = placement.replica_membership_words(vs)
-            assert words.shape == (len(vs), (partitions + 63) // 64)
-            assert np.array_equal(
-                unpack_bool_matrix(words, partitions), dense)
 
     def test_backends_agree_on_random_updates(self, partitions):
         rng = np.random.default_rng(partitions + 1)

@@ -56,6 +56,11 @@ once, as the checksummed replica CSR blobs.  The row-wise ``replicas``
 table (≈ 70k ``executemany`` rows per run, two thirds of ``add_run``)
 was dropped by migration 2; no SQL string under ``src/repro/serving/``
 outside the shipped ``MIGRATIONS`` entries reads or writes it.
+
+One replica relation: ``metrics/quality.py::vertex_replica_csr`` is the
+only definition of the (vertex, partition) dedup, ``EdgePartition``
+builds it once, and the report, the run store and the GAS engine read
+that copy — none of them calls ``sorted_unique`` or ``np.unique``.
 """
 
 import ast
@@ -403,3 +408,41 @@ def test_one_replica_representation():
              for path in sorted((_SRC / "serving").glob("*.py"))
              for lineno in _replicas_sql(path.read_text())]
     assert found == []
+
+
+def _dedup_calls(source: str) -> list[int]:
+    """Line numbers of ``np.unique(...)`` and ``sorted_unique(...)``
+    calls (bare or through a module attribute)."""
+    return sorted(_np_unique_calls(source) + [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "sorted_unique"
+             or getattr(node.func, "attr", None) == "sorted_unique")])
+
+
+def test_replica_guards_see_code_and_ignore_prose():
+    source = ('"""sorted_unique(keys) and np.unique(x) in prose"""\n'
+              "from repro.graph.csr import sorted_unique\n"
+              "keys = sorted_unique(v * p + parts)  # sorted_unique(\n"
+              "ids = csr.sorted_unique(v)\n"
+              "u = np.unique(v)\n"
+              "def vertex_replica_csr(edges): ...\n")
+    assert _dedup_calls(source) == [3, 4, 5]
+    assert _defined(source) == {"vertex_replica_csr"}
+
+
+def test_vertex_replica_csr_is_defined_once():
+    """One home for the (vertex, partition) dedup behind Equation 1,
+    the vertex balance, the report's mirrors, the store's lookup CSR and
+    the GAS engine's masters: ``metrics/quality.py``."""
+    found = [str(path.relative_to(_SRC)) for path in sorted(_SRC.rglob("*.py"))
+             if "vertex_replica_csr" in _defined(path.read_text())]
+    assert found == ["metrics/quality.py"]
+
+
+@pytest.mark.parametrize("name", ["metrics/report.py", "serving/store.py",
+                                  "apps/engine.py"])
+def test_replica_readers_do_not_deduplicate(name):
+    """The report, the run store and the GAS engine read
+    ``EdgePartition.replicas``; none rebuilds the relation."""
+    assert _dedup_calls((_SRC / name).read_text()) == []

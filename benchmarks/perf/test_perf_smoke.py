@@ -13,12 +13,15 @@ at |P| = 256 and the serving bulk lookup (the full bench shows 2.5–100×; 2× 
 robust to noisy CI boxes); Hybrid Ginger at |P| = 256 must clear 1.5×
 (~2.5× measured), ``csr_build`` 1.2×, tracing cost
 at most 1.25× untraced, and every kernel pair must agree on its outputs.
+One ceiling counts bytes, not seconds: the ``tracemalloc`` peak of one
+DNE partition, per edge.
 
 The full trajectory lives in ``BENCH_kernels.json`` (regenerate with
 ``python -m repro bench perf``).
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from repro.bench.perf import (
     kernel_arms,
     measure,
 )
+from repro.core.distributed_ne import DistributedNE
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
 
@@ -138,6 +142,33 @@ def test_dne_p256_end_to_end_at_least_2x():
     graph = CSRGraph(rmat_edges(11, 8, seed=0))
     _assert_speedup("dne_p256", measure(
         kernel_arms(bench_dne_end_to_end, graph, 256), **_FLOOR), 2.0)
+
+
+@pytest.mark.parametrize("scale, partitions, ceiling", [
+    pytest.param(13, 8, 150, id="rmat13_p8"),
+    pytest.param(11, 256, 2700, id="rmat11_p256")])
+def test_dne_traced_peak_bytes_per_edge_under_ceiling(scale, partitions,
+                                                      ceiling):
+    """Memory ceiling of one vectorized ``DistributedNE.partition``:
+    the ``tracemalloc`` peak, the graph excluded (built before tracing
+    starts), per edge.  It counts allocations, not time, so one call
+    decides it.  With the plane keeping int64 copies of the allocators'
+    local CSR and two-hop merging every sync row before asking whether
+    the destination holds the vertex, it was 191 / 3140 B/edge; with
+    one adopted int32 copy and a presence-first ingest, 117 / 2294."""
+    warm = CSRGraph(rmat_edges(6, 4, seed=0))   # imports, lazy caches
+    DistributedNE(partitions, seed=0).partition(warm)
+    graph = CSRGraph(rmat_edges(scale, 8, seed=0))
+    tracemalloc.start()
+    try:
+        DistributedNE(partitions, seed=0).partition(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_edge = peak / graph.num_edges
+    assert per_edge <= ceiling, (
+        f"DNE memory regressed: traced peak {per_edge:.0f} B/edge > "
+        f"{ceiling} at RMAT {scale}, |P| = {partitions}")
 
 
 def test_dne_backend_threads_floor_or_skip():
@@ -248,7 +279,6 @@ def test_remaining_kernels_run():
 
 def test_allocation_outputs_agree_on_smoke_graph():
     """The timed kernels must also agree — speed without drift."""
-    from repro.core.distributed_ne import DistributedNE
     graph = CSRGraph(rmat_edges(9, 6, seed=3))
     a = DistributedNE(4, seed=0).partition(graph)
     b = DistributedNE(4, seed=0, kernel="python").partition(graph)

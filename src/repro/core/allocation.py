@@ -321,7 +321,9 @@ class AllocationProcess(Process):
         # index -> global canonical edge id.  Local arrays use 32-bit
         # ids, mirroring the paper's space-conscious layout (local edge
         # and vertex counts fit comfortably in 32 bits at any per-
-        # machine scale the paper runs).
+        # machine scale the paper runs).  Under the vectorized kernel
+        # a plane adopts ``_adj_ptr`` / ``_adj_eid`` / ``_adj_other`` /
+        # ``_lsrc`` / ``_ldst`` and sets them to None here: one copy.
         self.eids = np.asarray(edge_ids, dtype=np.int64)
         src = graph.edges[self.eids, 0]
         dst = graph.edges[self.eids, 1]
@@ -506,7 +508,8 @@ class AllocationProcess(Process):
         through here; a harness that calls the step methods itself gets
         the same kernel over this machine alone.  The plane re-points
         ``alloc`` / ``_part_loads`` / the membership matrix at its own
-        arrays, so a process is stepped either directly or through a
+        arrays and adopts the local CSR (this process keeps no copy),
+        so a process is stepped either directly or through a
         scheduler's plane, never both.
         """
         if self._plane is None:

@@ -120,7 +120,8 @@ class DneWorkerProgram(WorkerProgram):
         # scans: slice k of eids_by_home is exactly
         # np.flatnonzero(homes == k) (stable sort keeps edge ids
         # ascending within a home).
-        eids_by_home = np.argsort(homes, kind="stable").astype(np.int64)
+        eids_by_home = np.argsort(homes, kind="stable").astype(
+            np.int64, copy=False)
         eids_ptr = np.zeros(p + 1, dtype=np.int64)
         np.cumsum(np.bincount(homes, minlength=p), out=eids_ptr[1:])
         arrays = {"eids_by_home": eids_by_home, "eids_ptr": eids_ptr}

@@ -47,10 +47,18 @@ The mechanisms:
   algebra reads the same rows as words (one word per row up to
   |P| = 8), and its masks come back as words.  ``rest_degree``
   stays per-process — the processes backend maps it into shared
-  memory per machine.  Read-only structures (adjacency, CSR maps) are
-  plane-private fused copies; the per-process originals keep serving
-  the memory model.  The partition width is fixed at construction: a
+  memory per machine.  The partition width is fixed at construction: a
   wider partition id raises instead of growing.
+* **One 32-bit copy of the local CSR.**  The plane *adopts* every
+  allocator's int32 local CSR (adjacency edge ids and neighbours, edge
+  endpoints) into fused int32 arrays with machine offsets added, and
+  the allocator drops its own — a process is stepped directly or
+  through a plane, never both, and the memory model was reported at
+  construction.  Fused edge, vertex and global edge ids must be below
+  2³¹: adoption past that raises ``ValueError`` (there is no int64
+  path), and every ``(id, partition)`` key is widened to int64 before
+  it is multiplied (:func:`_pair_keys`).  The first-occurrence
+  scratch buffers are int32 too.
 * **One boundary store.**  The expanders' one-segment stores are
   adopted into one :class:`~repro.core.expansion.BoundaryStore`
   (``boundary`` re-pointed at a segment, as ``alloc`` is at a slice):
@@ -81,6 +89,10 @@ The mechanisms:
   the process snapshot, so ``report_memory`` never re-sums a
   membership matrix (``entries()`` stays as the test oracle) and
   reports only a value that moved.
+* **Presence first on ingest.**  Two-hop's sync rows stay where they
+  arrived: a walk-ordered row index resolves which destinations hold
+  the vertex, only those rows are gathered, and only pairs whose bit
+  is not yet set are deduplicated (:meth:`FusedDnePlane._ingest`).
 * **Deterministic emission and ingest order.**  One stable sort by
   (machine, destination) makes a sweep's segments exactly the
   per-``(src, dst, tag)`` messages the accounting model prices, in the
@@ -122,6 +134,13 @@ breaks CI:
   every counter and on mailbox order, and the number of mailbox
   entries per superstep does not depend on |P|:
   ``tests/test_cluster_batched.py``;
+* one 32-bit copy — fused arrays int32, no allocator copy, the 2³¹
+  bound, widened keys:
+  ``TestFusedDispatchEquivalence::test_scheduler_plane_adopts_the_local_csr_as_int32``
+  and the two tests after it, an AST guard against ``astype(np.int64)``
+  in the constructor (``tests/test_source_guards.py``), and a
+  ``tracemalloc`` ceiling per edge:
+  ``benchmarks/perf/test_perf_smoke.py::test_dne_traced_peak_bytes_per_edge_under_ceiling``;
 * the ``dne_p256`` end-to-end speedup floor:
   ``benchmarks/perf/test_perf_smoke.py::test_dne_p256_end_to_end_at_least_2x``
   (CI perf-smoke matrix, its own entry).
@@ -143,6 +162,50 @@ from repro.graph.csr import (adjacency_slots, first_occurrence,
                              sorted_unique)
 
 __all__ = ["FusedDnePlane"]
+
+
+#: the plane holds fused ids as int32: an id space past this raises
+_FUSED_ID_BOUND = 2 ** 31
+
+
+def _check_fused_bound(size: int, what: str) -> None:
+    """Raise unless ids in ``[0, size)`` fit the plane's int32 — no
+    int64 fallback, as :class:`~repro.core.expansion.BoundaryStore`
+    raises rather than wraps."""
+    if size > _FUSED_ID_BOUND:
+        raise ValueError(
+            f"fused {what} ids run to {size - 1}, past the plane's int32 "
+            f"bound 2**31 - 1")
+
+
+def _fuse_int32(parts, offsets: np.ndarray, what: str) -> np.ndarray:
+    """``parts[i] + offsets[i]`` concatenated into one int32 array,
+    where part ``i``'s ids lie in ``[offsets[i], offsets[i + 1])`` once
+    offset (``offsets[-1]`` is the fused id-space size, checked first)."""
+    _check_fused_bound(int(offsets[-1]), what)
+    out = np.empty(sum(len(part) for part in parts), dtype=np.int32)
+    lo = 0
+    for part, offset in zip(parts, offsets):
+        hi = lo + len(part)
+        np.add(part, offset, out=out[lo:hi], casting="unsafe")
+        lo = hi
+    return out
+
+
+def _adopt_int32(allocs, name: str, offsets: np.ndarray,
+                 what: str) -> np.ndarray:
+    """Fuse every allocator's local ``name`` array (:func:`_fuse_int32`)
+    and drop the allocator's own copy: one copy, the plane's."""
+    fused = _fuse_int32([getattr(a, name) for a in allocs], offsets, what)
+    for a in allocs:
+        setattr(a, name, None)
+    return fused
+
+
+def _pair_keys(ids: np.ndarray, ps: np.ndarray, width: int) -> np.ndarray:
+    """``id * width + partition`` keys, the id widened to int64 first:
+    a fused id is int32, and its product with the width would wrap."""
+    return ids.astype(np.int64) * width + ps
 
 
 def _runs(keys: np.ndarray):
@@ -274,6 +337,9 @@ class FusedDnePlane:
         owned = [*allocs, *self._exp.values()]
         if any(proc.kernel != "vectorized" for proc in owned):
             raise ValueError("FusedDnePlane requires the vectorized kernel")
+        if any(a._adj_eid is None for a in allocs):
+            raise ValueError("an allocator's local CSR is already adopted "
+                             "by another plane")
         for a in allocs:
             a.report_memory()   # the fixed width's residents, on the books
         self._alloc_procs = allocs
@@ -311,8 +377,9 @@ class FusedDnePlane:
             raise ValueError("allocators disagree on partition width")
         self._width = width
 
-        # -- fused read-only layout (plane-private copies; the
-        # per-process originals keep backing report_memory) ------------
+        # -- fused read-only layout: the allocators' local CSR, adopted
+        # (int32 ids, machine offsets added; each allocator drops its
+        # own copy, so there is one) ------------------------------------
         nv = np.array([len(a.local_vertices) for a in allocs],
                       dtype=np.int64)
         ne = np.array([len(a.eids) for a in allocs], dtype=np.int64)
@@ -328,29 +395,27 @@ class FusedDnePlane:
         #: machine-major presence keys: mi * G + vertex, sorted unique
         self._vkeys = np.concatenate(
             [i * g + a.local_vertices for i, a in enumerate(allocs)])
-        self._lv_global = np.concatenate(
-            [a.local_vertices for a in allocs])
         self._adj_ptr = np.concatenate(
             [a._adj_ptr[:-1] + soff[i] for i, a in enumerate(allocs)]
             + [soff[-1:]])
-        self._adj_eid = np.concatenate(
-            [a._adj_eid.astype(np.int64) + self._eoff[i]
-             for i, a in enumerate(allocs)])
-        self._adj_other = np.concatenate(
-            [a._adj_other.astype(np.int64) + self._voff[i]
-             for i, a in enumerate(allocs)])
-        self._lsrc = np.concatenate(
-            [a._lsrc.astype(np.int64) + self._voff[i]
-             for i, a in enumerate(allocs)])
-        self._ldst = np.concatenate(
-            [a._ldst.astype(np.int64) + self._voff[i]
-             for i, a in enumerate(allocs)])
-        self._eids = np.concatenate([a.eids for a in allocs])
+        self._adj_eid = _adopt_int32(allocs, "_adj_eid", self._eoff, "edge")
+        self._adj_other = _adopt_int32(allocs, "_adj_other", self._voff,
+                                       "vertex")
+        self._lsrc = _adopt_int32(allocs, "_lsrc", self._voff, "vertex")
+        self._ldst = _adopt_int32(allocs, "_ldst", self._voff, "vertex")
+        for a in allocs:
+            a._adj_ptr = None
+        _check_fused_bound(allocs[0].graph.num_edges, "global edge")
+        #: fused local edge id -> global edge id (the allocators keep
+        #: theirs: views of the home-grouped id array of
+        #: ``DneWorkerProgram.arrays``)
+        self._eids = np.concatenate([a.eids for a in allocs],
+                                    dtype=np.int32)
         #: first-occurrence scratch over fused local edge / vertex ids
         #: (machine-disjoint, so concurrent chunks never share a slot);
         #: contents are never read before written — not snapshotted
-        self._edge_scratch = np.empty(self._eoff[-1], dtype=np.int64)
-        self._vertex_scratch = np.empty(self._voff[-1], dtype=np.int64)
+        self._edge_scratch = np.empty(self._eoff[-1], dtype=np.int32)
+        self._vertex_scratch = np.empty(self._voff[-1], dtype=np.int32)
 
         # -- fused mutable state, re-pointed as per-machine views ------
         alloc_f = np.concatenate([a.alloc for a in allocs])
@@ -513,13 +578,7 @@ class FusedDnePlane:
         mp = keys // g
         mi_r = mp // width
         p_r = mp % width
-        # Presence: machine-major searchsorted over the fused vertex keys.
-        vk = mi_r * g + keys % g
-        nvk = len(self._vkeys)
-        pos = np.searchsorted(self._vkeys, vk)
-        pos_c = np.minimum(pos, max(nvk - 1, 0))
-        present = ((pos < nvk) & (self._vkeys[pos_c] == vk)) if nvk else \
-            np.zeros(len(vk), dtype=bool)
+        pos, present = self._locate(mi_r * g + keys % g)
         if not present.any():
             return out
         lv = pos[present]
@@ -549,7 +608,8 @@ class FusedDnePlane:
         cand = np.flatnonzero(~member.test_pairs(ev_t, p_ev))
         member.set_pairs(lv, p_r)
         # New boundary rows: distinct (vertex, p) in event order.
-        cand = cand[first_occurrence(ev_t[cand] * width + p_ev[cand])]
+        cand = cand[first_occurrence(_pair_keys(ev_t[cand], p_ev[cand],
+                                                width))]
         nt, nt_p, nt_mi = ev_t[cand], p_ev[cand], mi_ev[cand]
         bits += np.bincount(nt_mi[~member.test_pairs(nt, nt_p)], minlength=m)
         member.set_pairs(nt, nt_p)
@@ -576,7 +636,7 @@ class FusedDnePlane:
             self._park(self._pending_edges,
                        np.column_stack((p_ev, self._eids[new_les])), mi_ev)
         if len(nt):
-            us = self._lv_global[nt]
+            us = self._vkeys[nt] % g
             bp_rows = np.column_stack((us, nt_p))
             self._park(self._pending_bp, bp_rows, nt_mi)
             # Sync fan-out hits, minus each row's own machine.
@@ -606,56 +666,10 @@ class FusedDnePlane:
         procs = self._alloc_procs
         carrier = procs[mis[0]]       # this call's cluster + outbox
         slots = self._machines[mis].tolist()
-        parts = self._pending_bp.take(slots)
-        nforced = sum(len(b) for b in parts)
-        parts += carrier.cluster.take_segments("alloc", TAG_SYNC, slots)
-
-        merged_rows = np.empty((0, 2), dtype=np.int64)
-        merged_lv = merged_m = np.empty(0, dtype=np.int64)
-        bits = np.zeros(m, dtype=np.int64)   # replica bits set, per machine
-        if parts:
-            mail = SegmentBatch.merge(parts)
-            # Rebuild every mailbox's reference walk order: machine
-            # ascending; per machine its own one-hop rows first
-            # (merged unconditionally), then sync mail by ascending
-            # source — independent of the order sweeps were replayed in.
-            seg_mi = self._mi_of_slot[mail.dst_slots]
-            rank = np.where(np.arange(len(mail)) < nforced, 0,
-                            mail.src_slots + 1)
-            order = np.argsort(seg_mi * (width + 1) + rank, kind="stable")
-            mail = mail.select(order)
-            arr = mail.rows
-            m_row = np.repeat(seg_mi[order], mail.lengths)
-            forced = np.repeat(order < nforced, mail.lengths)
-            vk = m_row * g + arr[:, 0]
-            nvk = len(self._vkeys)
-            pos = np.searchsorted(self._vkeys, vk)
-            pos_c = np.minimum(pos, max(nvk - 1, 0))
-            present = ((pos < nvk) & (self._vkeys[pos_c] == vk)) if nvk \
-                else np.zeros(len(vk), dtype=bool)
-            if present.any():
-                arr, m_row, forced = (arr[present], m_row[present],
-                                      forced[present])
-                lv = pos[present]
-                ps = arr[:, 1]
-                if int(ps.max()) >= width:
-                    raise ValueError(
-                        "fused dispatch cannot grow partition capacity; "
-                        "partition id exceeds the deployment width")
-                # First-occurrence dedup per fused (vertex, partition)
-                # (fused vertex ids are machine-disjoint).
-                occ = first_occurrence(lv * width + ps)
-                arr, lv, ps, m_row, forced = (arr[occ], lv[occ], ps[occ],
-                                              m_row[occ], forced[occ])
-                # Distinct pairs, tested before set: ``unset`` is the
-                # replica bits this phase adds (a forced row's bit was
-                # set, and counted, by one-hop).
-                unset = ~member.test_pairs(lv, ps)
-                bits = np.bincount(m_row[unset], minlength=m)
-                member.set_pairs(lv[unset], ps[unset])
-                fresh = forced | unset
-                merged_rows = arr[fresh]
-                merged_lv, merged_m = lv[fresh], m_row[fresh]
+        own = self._pending_bp.take(slots)
+        merged_rows, merged_lv, merged_m, bits = self._ingest(
+            own + carrier.cluster.take_segments("alloc", TAG_SYNC, slots),
+            sum(len(b) for b in own))
 
         # Two-hop allocation over the merged batch (Condition 5).
         cand_mi = np.empty(0, dtype=np.int64)
@@ -711,7 +725,7 @@ class FusedDnePlane:
                                 proc.rest_degree.dtype)
                             proc.unallocated -= int(nalloc[mi])
                         cand_tgt = tgt
-                        cand_geids = self._eids[cand_les]
+                        cand_geids = self._eids[cand_les].astype(np.int64)
         # Drest report, one sweep for all machines.  The unique
         # (machine, vertex, partition) keys come out sorted, so after
         # the stable (machine, partition) regroup each segment keeps
@@ -761,6 +775,72 @@ class FusedDnePlane:
             if width <= DENSE_MEMBERSHIP_MAX_PARTITIONS:
                 procs[mi].report_memory()
         return out
+
+    def _locate(self, vk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per ``mi * G + vertex`` key: its fused local vertex index
+        (valid where present) and whether machine ``mi`` holds the
+        vertex — one machine-major ``searchsorted``."""
+        if not len(self._vkeys):
+            return (np.zeros(len(vk), dtype=np.int64),
+                    np.zeros(len(vk), dtype=bool))
+        pos = np.searchsorted(self._vkeys, vk)
+        return pos, self._vkeys[np.minimum(pos, len(self._vkeys) - 1)] == vk
+
+    def _ingest(self, parts: list, nforced: int):
+        """Merge one two-hop call's boundary rows into replica state.
+
+        ``parts`` are the parked one-hop batches (``nforced`` segments:
+        each machine's own new boundary pairs) then the sync mail.
+        Returns the merged ``(vertex, partition)`` rows in every
+        mailbox's reference walk order, their fused local vertex ids and
+        machine idx, and the replica bits set per machine.
+
+        Presence comes first: rows stay where they arrived, a
+        walk-ordered row index resolves which destinations hold the
+        vertex, and only those rows are gathered.  Forced rows are
+        distinct and their bits were set (and counted) by one-hop; a
+        sync row repeating a known pair merges nothing — so only pairs
+        whose bit is not yet set are deduplicated (first occurrence in
+        walk order) and set.  A method of its own, so its per-row
+        temporaries are freed before the allocation pass.
+        """
+        m, width = self._m, self._width
+        empty = np.empty(0, dtype=np.int64)
+        if not parts:
+            return np.empty((0, 2), dtype=np.int64), empty, empty, \
+                np.zeros(m, dtype=np.int64)
+        mail = SegmentBatch.merge(parts)
+        # Every mailbox's reference walk order: machine ascending; per
+        # machine its own one-hop rows first (merged unconditionally),
+        # then sync mail by ascending source — independent of the order
+        # sweeps were replayed in.
+        seg_mi = self._mi_of_slot[mail.dst_slots]
+        rank = np.where(np.arange(len(mail)) < nforced, 0,
+                        mail.src_slots + 1)
+        order = np.argsort(seg_mi * (width + 1) + rank, kind="stable")
+        # The segments' row ranges in that order: an index, not a copy.
+        idx, lengths = adjacency_slots(mail.offsets, order)
+        m_row = np.repeat(seg_mi[order], lengths)
+        vk = m_row * self._g
+        vk += mail.rows[idx, 0]
+        lv, present = self._locate(vk)
+        del vk
+        keep = np.flatnonzero(present)
+        merged = np.repeat(order < nforced, lengths)[keep]
+        idx, lv, m_row = idx[keep], lv[keep], m_row[keep]
+        rows = mail.rows[idx]
+        ps = rows[:, 1]
+        if len(ps) and int(ps.max()) >= width:
+            raise ValueError(
+                "fused dispatch cannot grow partition capacity; "
+                "partition id exceeds the deployment width")
+        new = np.flatnonzero(~self._member.test_pairs(lv, ps))
+        new = new[first_occurrence(_pair_keys(lv[new], ps[new], width))]
+        self._member.set_pairs(lv[new], ps[new])
+        merged[new] = True
+        fresh = np.flatnonzero(merged)
+        return (rows[fresh], lv[fresh], m_row[fresh],
+                np.bincount(m_row[new], minlength=m))
 
     # ------------------------------------------------------------------
     # Expansion-side fold of the boundary and edge reports.

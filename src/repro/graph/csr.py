@@ -44,8 +44,9 @@ def first_occurrence(values: np.ndarray,
     ``values`` would act on (later duplicates see the work already
     done).  Shared by the vectorized kernels' order-preserving dedup.
 
-    With ``scratch`` — a caller-owned integer buffer — the values must
-    lie in ``[0, len(scratch))`` and no sort runs: positions are
+    With ``scratch`` — a caller-owned integer buffer wide enough to hold
+    a position below ``len(values)`` — the values must lie in
+    ``[0, len(scratch))`` and no sort runs: positions are
     scattered onto ``scratch[values]`` back to front, so the first
     writer of each value is the one left standing (NumPy assigns a 1-D
     index array's elements in order; the property tests pin it), and
@@ -64,6 +65,9 @@ def first_occurrence(values: np.ndarray,
         if int(values.min()) < 0 or int(values.max()) >= len(scratch):
             raise ValueError("first_occurrence: value outside the "
                              f"scratch bound [0, {len(scratch)})")
+        if n - 1 > np.iinfo(scratch.dtype).max:
+            raise ValueError("first_occurrence: positions overflow the "
+                             f"{scratch.dtype} scratch")
         scratch[values[::-1]] = pos[::-1]
         return np.flatnonzero(scratch[values] == pos)
     lo = int(values.min())
@@ -147,6 +151,12 @@ def symmetrised_csr(edges: np.ndarray, n: int
     return indptr, indices, edge_ids
 
 
+#: without a ``num_vertices`` override, ids must lie below
+#: ``max(_ID_SPACE_FLOOR, _IDS_PER_EDGE * |E|)`` (see :class:`CSRGraph`)
+_ID_SPACE_FLOOR = 2 ** 20
+_IDS_PER_EDGE = 16
+
+
 class CSRGraph:
     """Undirected graph in CSR form.
 
@@ -161,10 +171,20 @@ class CSRGraph:
         caller's buffer, which the caller must not write to afterwards
         (the contract :meth:`from_csr_arrays` already has).  A
         negative vertex id raises ``ValueError`` naming it.
+
+        The id space is bounded against |E|: without a
+        ``num_vertices`` override the largest id must be below
+        ``max(2**20, 16 * |E|)``, so ``indptr`` (8 bytes per id) costs
+        at most 128 bytes per edge or 8 MiB.  A sparser id space raises
+        ``ValueError`` naming the id before anything is allocated;
+        :func:`~repro.graph.edgelist.relabel_compact` maps it onto
+        ``0..n-1``.
     num_vertices:
         Optional vertex-count override.  Must be at least ``max id + 1``;
         ids in ``[0, num_vertices)`` with no incident edge are isolated
-        vertices (degree 0).
+        vertices (degree 0).  It states the id space explicitly, so the
+        bound above does not apply (a sampled subgraph keeps its
+        parent's id space).
 
     Attributes
     ----------
@@ -192,6 +212,12 @@ class CSRGraph:
         self.m = len(edges)
         inferred = int(edges.max()) + 1 if self.m else 0
         if num_vertices is None:
+            bound = max(_ID_SPACE_FLOOR, _IDS_PER_EDGE * self.m)
+            if inferred > bound:
+                raise ValueError(
+                    f"vertex id {inferred - 1} is past the id-space bound "
+                    f"of {bound} ids for {self.m} edges; relabel the ids "
+                    "to 0..n-1 first (repro.graph.edgelist.relabel_compact)")
             num_vertices = inferred
         elif num_vertices < inferred:
             raise ValueError(

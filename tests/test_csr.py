@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import repro.graph.csr as csr_module
 from repro.graph.csr import (CSRGraph, first_occurrence, sorted_unique,
                              symmetrised_csr)
-from repro.graph.edgelist import canonical_edges
+from repro.graph.edgelist import canonical_edges, relabel_compact
 from repro.graph.generators import grid_road_network, rmat_edges
 
 
@@ -41,6 +41,23 @@ class TestConstruction:
     def test_num_vertices_override_too_small(self):
         with pytest.raises(ValueError):
             CSRGraph(np.array([[0, 9]]), num_vertices=3)
+
+    def test_id_space_is_bounded_against_edge_count(self):
+        """One edge naming vertex 10**14 used to size ``indptr`` for
+        10**14 ids (728 TiB, ``MemoryError``); past max(2**20, 16 per
+        edge) it raises first, naming the id and the way out."""
+        for far in (10 ** 14, 2 ** 20):
+            edges = np.array([[3, far]])
+            with pytest.raises(ValueError, match=f"vertex id {far}.*"
+                               "relabel_compact"):
+                CSRGraph(edges)
+            compact, old_ids = relabel_compact(edges)
+            assert CSRGraph(compact).num_vertices == 2
+            assert old_ids.tolist() == [3, far]
+        assert CSRGraph(np.array([[3, 2 ** 20 - 1]])).num_vertices == 2 ** 20
+        # an explicit num_vertices states the id space itself
+        assert CSRGraph(np.array([[0, 1]]), num_vertices=2 ** 20 + 1) \
+            .num_vertices == 2 ** 20 + 1
 
     def test_defensive_canonicalisation(self):
         g = CSRGraph(np.array([[2, 0], [0, 2], [1, 1]]))

@@ -39,7 +39,7 @@ from repro.cluster.runtime import Process, SimulatedCluster, _same_machine
 from repro.core import fused as fused_module
 from repro.core.allocation import (TAG_SELECT, TAG_SYNC, AllocationProcess,
                                    DenseMembership, PackedMembership)
-from repro.core.distributed_ne import DistributedNE
+from repro.core.distributed_ne import DistributedNE, DneWorkerProgram
 from repro.core.expansion import (BoundarySegment, BoundaryStore,
                                   ExpansionProcess, HeapqBoundaryQueue,
                                   SharedSeedSource)
@@ -379,6 +379,67 @@ class TestFusedDispatchEquivalence:
             assert w.boundary.pop_k_min(10 ** 6) \
                 == d.boundary.pop_k_min(10 ** 6)
         assert whole.stats.per_process == direct.stats.per_process
+
+    def test_scheduler_plane_adopts_the_local_csr_as_int32(self):
+        """One 32-bit copy: once a scheduler's plane exists its fused
+        adjacency arrays and scratch are int32, hold each allocator's
+        local CSR plus its machine offset, and no allocator keeps a copy
+        — so a second plane (or a direct step) over them raises."""
+        graph = CSRGraph(rmat_edges(9, 6, seed=5))
+        placement = Hash2DPlacement(4, seed=0)
+        program = DneWorkerProgram(4, placement, True, "vectorized", 0.5,
+                                   0, "random", graph.num_edges,
+                                   graph.num_edges)
+        pids = [(role, k) for role in ("alloc", "expansion")
+                for k in range(4)]
+        procs = program.build(pids, graph, program.arrays(graph))
+        allocs = [procs["alloc", k] for k in range(4)]
+        local = [{name: getattr(a, name).copy()
+                  for name in ("_adj_eid", "_adj_other", "_lsrc", "_ldst")}
+                 for a in allocs]
+        plane = program.build_plane(procs)
+        for name in ("_adj_eid", "_adj_other", "_lsrc", "_ldst", "_eids",
+                     "_edge_scratch", "_vertex_scratch"):
+            assert getattr(plane, name).dtype == np.int32, name
+        for name, offsets in (("_adj_eid", plane._eoff),
+                              ("_adj_other", plane._voff),
+                              ("_lsrc", plane._voff), ("_ldst", plane._voff)):
+            assert np.array_equal(getattr(plane, name), np.concatenate(
+                [arrs[name] + off for arrs, off in zip(local, offsets)]))
+        assert np.array_equal(plane._eids,
+                              np.concatenate([a.eids for a in allocs]))
+        for a in allocs:
+            assert all(getattr(a, name) is None for name in (
+                "_adj_ptr", "_adj_eid", "_adj_other", "_lsrc", "_ldst"))
+        with pytest.raises(ValueError, match="already adopted"):
+            FusedDnePlane(allocs, placement)
+        with pytest.raises(ValueError, match="already adopted"):
+            allocs[0].one_hop_and_sync()
+
+    def test_fused_id_bound_raises_past_2_31(self):
+        """Fused ids are int32 with no int64 fallback: an id space past
+        2³¹ (a fabricated machine offset here) raises instead of
+        wrapping, and one that ends exactly at 2³¹ is exact."""
+        part = np.arange(2, dtype=np.int32)
+        fused = fused_module._fuse_int32(
+            [part], np.array([2 ** 31 - 2, 2 ** 31]), "edge")
+        assert fused.dtype == np.int32
+        assert fused.tolist() == [2 ** 31 - 2, 2 ** 31 - 1]
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            fused_module._fuse_int32(
+                [part], np.array([2 ** 31 - 1, 2 ** 31 + 1]), "edge")
+
+    @pytest.mark.parametrize("width", [8, 64, 256])
+    def test_pair_keys_do_not_wrap_near_the_int32_bound(self, width):
+        """``(id, partition)`` keys from int32 fused ids are widened
+        before the multiply, so ids at and past 2³¹ / width stay exact."""
+        ids = np.array([2 ** 31 // width - 1, 2 ** 31 // width,
+                        2 ** 31 - 1], dtype=np.int32)
+        ps = np.array([width - 1, 0, width - 1], dtype=np.int64)
+        keys = fused_module._pair_keys(ids, ps, width)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [int(i) * width + int(p)
+                                 for i, p in zip(ids, ps)]
 
     @pytest.mark.parametrize("machines", [4, 8, 13, 64, 256])
     def test_replica_count_is_maintained_where_bits_are_set(self, machines):

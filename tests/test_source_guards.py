@@ -61,6 +61,11 @@ One replica relation: ``metrics/quality.py::vertex_replica_csr`` is the
 only definition of the (vertex, partition) dedup, ``EdgePartition``
 builds it once, and the report, the run store and the GAS engine read
 that copy — none of them calls ``sorted_unique`` or ``np.unique``.
+
+One 32-bit copy of DNE's working set: the fused plane adopts the
+allocators' int32 local CSR instead of keeping int64 copies beside it
+(≈ 70 bytes per edge at |P| = 8), so its constructor and the adoption
+helpers it calls make no ``astype(np.int64)`` copy.
 """
 
 import ast
@@ -446,3 +451,54 @@ def test_replica_readers_do_not_deduplicate(name):
     """The report, the run store and the GAS engine read
     ``EdgePartition.replicas``; none rebuilds the relation."""
     assert _dedup_calls((_SRC / name).read_text()) == []
+
+
+def _int64_casts(source: str, names: set) -> list[tuple[str, int]]:
+    """``(function, line)`` of every ``.astype(np.int64)`` /
+    ``.astype("int64")`` call inside the functions ``names`` (a method
+    as ``Class.method``)."""
+    def is_int64(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "int64")
+                or (isinstance(node, ast.Constant)
+                    and node.value in ("int64", "i8", "<i8")))
+
+    found = []
+    tree = ast.parse(source)
+    scopes = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, ast.FunctionDef)]
+    scopes += [(fn.name, fn) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef)]
+    for name, fn in scopes:
+        if name in names:
+            found += [(name, node.lineno) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "astype"
+                      and node.args and is_int64(node.args[0])]
+    return found
+
+
+_ADOPTION = {"FusedDnePlane.__init__", "_fuse_int32", "_adopt_int32"}
+
+
+def test_int64_cast_guard_sees_casts_in_scope_only():
+    source = ('def _fuse_int32(parts):\n'
+              '    """parts[i].astype(np.int64) in prose"""\n'
+              '    return [p.astype(np.int64) for p in parts]\n'
+              'class FusedDnePlane:\n'
+              '    def __init__(self, allocs):\n'
+              '        self._adj_eid = allocs[0]._adj_eid.astype("int64")\n'
+              '        self._ok = allocs[0]._adj_eid.astype(np.int32)\n'
+              '    def _run_two_hop(self, pids):\n'
+              '        return self._eids.astype(np.int64)\n')
+    assert sorted(_int64_casts(source, _ADOPTION)) == [
+        ("FusedDnePlane.__init__", 6), ("_fuse_int32", 3)]
+
+
+def test_plane_constructor_adopts_without_int64_copies():
+    """The plane's fused adjacency is the allocators' int32 local CSR,
+    adopted; widening it to int64 in the constructor would bring the
+    second copy back."""
+    source = (_CORE / "fused.py").read_text()
+    assert _defined(source) >= {"_fuse_int32", "_adopt_int32"}
+    assert _int64_casts(source, _ADOPTION) == []

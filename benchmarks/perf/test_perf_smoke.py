@@ -146,7 +146,8 @@ def test_dne_p256_end_to_end_at_least_2x():
 
 @pytest.mark.parametrize("scale, partitions, ceiling", [
     pytest.param(13, 8, 150, id="rmat13_p8"),
-    pytest.param(11, 256, 2700, id="rmat11_p256")])
+    pytest.param(11, 256, 1600, id="rmat11_p256"),
+    pytest.param(13, 256, 700, id="rmat13_p256")])
 def test_dne_traced_peak_bytes_per_edge_under_ceiling(scale, partitions,
                                                       ceiling):
     """Memory ceiling of one vectorized ``DistributedNE.partition``:
@@ -154,8 +155,12 @@ def test_dne_traced_peak_bytes_per_edge_under_ceiling(scale, partitions,
     starts), per edge.  It counts allocations, not time, so one call
     decides it.  With the plane keeping int64 copies of the allocators'
     local CSR and two-hop merging every sync row before asking whether
-    the destination holds the vertex, it was 191 / 3140 B/edge; with
-    one adopted int32 copy and a presence-first ingest, 117 / 2294."""
+    the destination holds the vertex, it was 191 / 3140 B/edge at RMAT
+    13 / |P| = 8 and RMAT 11 / |P| = 256; with one adopted int32 copy
+    and a presence-first ingest, 117 / 2294.  At |P| = 256 one sweep
+    held every machine's sync mail at once (2294, and 994 at RMAT 13);
+    with sweeps cut into machine groups under the plane's row budget,
+    1273 / 468."""
     warm = CSRGraph(rmat_edges(6, 4, seed=0))   # imports, lazy caches
     DistributedNE(partitions, seed=0).partition(warm)
     graph = CSRGraph(rmat_edges(scale, 8, seed=0))

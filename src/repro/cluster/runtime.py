@@ -254,6 +254,26 @@ class SegmentQueue:
         """Every destination slot with a segment waiting."""
         return set(self._slots)
 
+    def rows(self, slots) -> list:
+        """Rows waiting for each of ``slots`` — what a :meth:`take` of
+        that slot would return — counted from the waiting segments'
+        lengths, no row touched."""
+        with self._lock:
+            entries = list(self._entries)
+        slots = np.asarray(slots, dtype=np.int64)
+        if not len(slots):
+            return []
+        counts = np.zeros(len(slots), dtype=np.int64)
+        bound = int(slots.max()) + 1
+        for batch, remaining in entries:
+            dst, lengths = batch.dst_slots, batch.lengths
+            if remaining is not None:
+                dst, lengths = dst[remaining], lengths[remaining]
+            # float64 weights: exact for any row count below 2**53
+            counts += np.bincount(dst, weights=lengths, minlength=bound)[
+                slots].astype(np.int64)
+        return counts.tolist()
+
     @staticmethod
     def _materialise(entries: list) -> list:
         return [batch if remaining is None else batch.select(remaining)
@@ -631,6 +651,12 @@ class SimulatedCluster:
         named, destination-masked sub-batches otherwise)."""
         queue = self._segment_mail.get((dst_role, tag))
         return queue.take(slots) if queue is not None else []
+
+    def queued_rows(self, dst_role: str, tag: str, slots) -> list:
+        """Rows delivered and not yet taken for ``(dst_role, s)``, per
+        ``s`` in ``slots`` (:meth:`SegmentQueue.rows`)."""
+        queue = self._segment_mail.get((dst_role, tag))
+        return queue.rows(slots) if queue is not None else [0] * len(slots)
 
     def segment_mail(self) -> list:
         """Every undrained sweep as ``(tag, batch)`` pairs, per-mailbox

@@ -431,11 +431,6 @@ class AllocationProcess(Process):
             out[lv].add(p)
         return out
 
-    @property
-    def edges_per_partition(self) -> dict:
-        """Local per-partition edge counts (dict view of the flat array)."""
-        return {p: int(c) for p, c in enumerate(self._part_loads.tolist()) if c}
-
     def _ensure_partition_capacity(self, p: int) -> None:
         """Grow the flat per-partition state to cover partition id ``p``.
 
@@ -492,10 +487,6 @@ class AllocationProcess(Process):
     def random_unallocated_vertex(self, rng: np.random.Generator) -> int | None:
         """A vertex with non-allocated local edges, or None."""
         return seed_vertex_random(self.local_vertices, self.rest_degree, rng)
-
-    def min_degree_unallocated_vertex(self) -> int | None:
-        """Lowest-remaining-degree seed (the seeding ablation)."""
-        return seed_vertex_min_degree(self.local_vertices, self.rest_degree)
 
     # ------------------------------------------------------------------
     # Vectorized kernel: the phases live in the plane.

@@ -28,7 +28,8 @@ phase's kernel takes back whole with
 ``SimulatedCluster.take_segments``: ``np.repeat(dst_slots, lengths)``
 is the per-row machine index, no per-``(src, dst, tag)`` object is
 ever created.  Every phase issues a constant number of NumPy calls per
-superstep on all three backends; what is left per process is attribute
+superstep — per machine group, where a sweep outgrows the row budget
+(below) — on all three backends; what is left per process is attribute
 bookkeeping (counters, residents that moved, collected edge batches).
 
 Equivalence contract (the hard constraint, pinned by
@@ -93,6 +94,19 @@ The mechanisms:
   arrived: a walk-ordered row index resolves which destinations hold
   the vertex, only those rows are gathered, and only pairs whose bit
   is not yet set are deduplicated (:meth:`FusedDnePlane._ingest`).
+* **Bounded sweeps.**  What one call holds at once is capped by the
+  module constant ``_SWEEP_ROWS`` (not a knob), so the transient stops
+  growing with |P|.  Two-hop cuts the call's machines, ascending, into
+  contiguous groups whose queued ingest rows (parked one-hop rows plus
+  delivered sync rows, read off the queues before anything is taken)
+  fit the budget, and runs once per group; one-hop allocates in one
+  pass and fans its new boundary rows out in machine-contiguous ranges
+  whose rows × placement fan-out fit it, one sweep per range.  A
+  machine is never split (one over budget is a group of its own), so
+  every (source, destination) message is unchanged; the groups are
+  exact because loads are per (machine, partition), each edge has one
+  home machine, the walk is machine-major and ingest re-sorts its mail.
+  A call under the budget is one group: the single-sweep code, as is.
 * **Deterministic emission and ingest order.**  One stable sort by
   (machine, destination) makes a sweep's segments exactly the
   per-``(src, dst, tag)`` messages the accounting model prices, in the
@@ -120,7 +134,8 @@ breaks CI:
   ``tests/test_kernel_equivalence.py::TestFusedDispatchEquivalence``
   (also: incremental replica count == ``entries()`` after every
   phase; per superstep one ``adjacency_slots`` gather, one store
-  ``pop``, at most one ``insert`` and one ``_resolve_multi_shared``);
+  ``pop``, at most one ``insert``, and at most one
+  ``_resolve_multi_shared`` per two-hop machine group);
   store == one heapq reference per segment:
   ``tests/test_expansion_process.py``; no NumPy ``unique`` here or in
   ``expansion.py``: ``tests/test_source_guards.py``;
@@ -132,8 +147,14 @@ breaks CI:
   ``tests/test_faults.py``);
 * a ``SegmentBatch`` delivery equals one eager ``send`` per segment on
   every counter and on mailbox order, and the number of mailbox
-  entries per superstep does not depend on |P|:
+  entries per superstep and machine group does not depend on |P|:
   ``tests/test_cluster_batched.py``;
+* bounded sweeps — a run cut into many machine groups by a small
+  budget == the one-group run == the python reference on every
+  backend, the grouping rule, a crash-then-resume in groups:
+  ``tests/test_kernel_equivalence.py::TestBoundedSweeps``, the
+  ``..._in_machine_groups`` resume case in ``tests/test_faults.py``,
+  and the ``rmat13_p256`` / ``rmat11_p256`` ``tracemalloc`` ceilings;
 * one 32-bit copy — fused arrays int32, no allocator copy, the 2³¹
   bound, widened keys:
   ``TestFusedDispatchEquivalence::test_scheduler_plane_adopts_the_local_csr_as_int32``
@@ -166,6 +187,28 @@ __all__ = ["FusedDnePlane"]
 
 #: the plane holds fused ids as int32: an id space past this raises
 _FUSED_ID_BOUND = 2 ** 31
+
+#: rows one sweep may hold at once: two-hop ingests, and one-hop fans
+#: out, machine group by machine group under this budget (a machine
+#: over it is a group of its own); a call under it is one group
+_SWEEP_ROWS = 1 << 16
+
+
+def _budget_groups(sizes, budget: int) -> list:
+    """Cut items of ``sizes`` (in order) into contiguous ``(lo, hi)``
+    ranges, covering them all, whose sizes sum to at most ``budget`` —
+    greedily, so an item over budget is a range of its own and items
+    that fit together form one range."""
+    if sum(sizes) <= budget:
+        return [(0, len(sizes))] if len(sizes) else []
+    groups, lo, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > budget:
+            groups.append((lo, i))
+            lo, total = i, 0
+        total += size
+    groups.append((lo, len(sizes)))
+    return groups
 
 
 def _check_fused_bound(size: int, what: str) -> None:
@@ -478,7 +521,10 @@ class FusedDnePlane:
         if method == "one_hop_and_sync":
             return self._run_one_hop(pids)
         if method == "two_hop_and_report":
-            return self._run_two_hop(pids)
+            out = {}
+            for mis in self._two_hop_groups(pids):
+                out.update(self._run_two_hop(mis))
+            return out
         if method == "update_state":
             return self._run_update(pids)
         raise ValueError(f"unsupported fused method {method!r}")
@@ -615,20 +661,12 @@ class FusedDnePlane:
         member.set_pairs(nt, nt_p)
 
         # Order-free totals applied once per machine.
-        total_nv = self._voff[-1]
-        dec = (np.bincount(self._lsrc[new_les], minlength=total_nv)
-               + np.bincount(self._ldst[new_les], minlength=total_nv))
         np.add.at(self._loads, (mi_ev, p_ev), 1)
-        nalloc = np.bincount(mi_ev, minlength=m)
+        self._book_allocated(new_les, mi_ev, mis)
         for mi in mis:
             proc = self._alloc_procs[mi]
             proc.ops_one_hop += int(ops_acc[mi])
             proc._replica_count += int(bits[mi])
-            if nalloc[mi]:
-                lo, hi = self._voff[mi], self._voff[mi + 1]
-                proc.rest_degree -= dec[lo:hi].astype(
-                    proc.rest_degree.dtype)
-                proc.unallocated -= int(nalloc[mi])
         if len(new_les):
             # The TAG_EDGES events, already machine-major in walk order
             # (partition groups ascending), as (partition, global edge
@@ -636,35 +674,81 @@ class FusedDnePlane:
             self._park(self._pending_edges,
                        np.column_stack((p_ev, self._eids[new_les])), mi_ev)
         if len(nt):
-            us = self._vkeys[nt] % g
-            bp_rows = np.column_stack((us, nt_p))
+            bp_rows = np.column_stack((self._vkeys[nt] % g, nt_p))
             self._park(self._pending_bp, bp_rows, nt_mi)
-            # Sync fan-out hits, minus each row's own machine.
-            hit_v, hit_d = self._placement.replica_hits(us)
-            keep = hit_d != self._machines[nt_mi[hit_v]]
-            hit_v, hit_d = hit_v[keep], hit_d[keep]
-            if len(hit_v):
-                # (machine asc, destination asc); hits within a pair
-                # stay in group/row order — each pair's gathered
-                # segment is the reference's sync_out[destination] list.
-                order = np.argsort(nt_mi[hit_v] * width + hit_d,
-                                   kind="stable")
-                hit_v = hit_v[order]
-                carrier.send_segments(TAG_SYNC, SegmentBatch.from_runs(
-                    bp_rows[hit_v], "alloc", self._machines[nt_mi[hit_v]],
-                    "alloc", hit_d[order]))
+            # The rows are machine-major: fan out machine-contiguous
+            # ranges of them whose rows × fan-out fit the sweep budget.
+            starts = np.searchsorted(nt_mi, np.arange(m + 1)).tolist()
+            fanout = self._placement.replica_count(0)
+            for lo, hi in _budget_groups(
+                    [(b - a) * fanout for a, b in zip(starts, starts[1:])],
+                    _SWEEP_ROWS):
+                a, b = starts[lo], starts[hi]
+                if b > a:
+                    self._send_sync(carrier, bp_rows[a:b], nt_mi[a:b])
         return out
+
+    def _send_sync(self, carrier, bp_rows: np.ndarray,
+                   mi_rows: np.ndarray) -> None:
+        """Fan new boundary rows (grouped by machine idx ``mi_rows``)
+        out to every other replica machine of their vertex, as one
+        sweep."""
+        # Sync fan-out hits, minus each row's own machine.
+        hit_v, hit_d = self._placement.replica_hits(bp_rows[:, 0])
+        keep = hit_d != self._machines[mi_rows[hit_v]]
+        hit_v, hit_d = hit_v[keep], hit_d[keep]
+        if len(hit_v):
+            # (machine asc, destination asc); hits within a pair stay in
+            # group/row order — each pair's gathered segment is the
+            # reference's sync_out[destination] list.
+            order = np.argsort(mi_rows[hit_v] * self._width + hit_d,
+                               kind="stable")
+            hit_v = hit_v[order]
+            carrier.send_segments(TAG_SYNC, SegmentBatch.from_runs(
+                bp_rows[hit_v], "alloc", self._machines[mi_rows[hit_v]],
+                "alloc", hit_d[order]))
+
+    def _book_allocated(self, les: np.ndarray, mi_les: np.ndarray,
+                        mis: list) -> None:
+        """Book newly allocated fused local edges ``les`` (machine idx
+        ``mi_les``, within the sorted ``mis``): each endpoint's rest
+        degree and each machine's unallocated count drop — counted over
+        the vertex range of ``mis``'s machine span, not the plane's."""
+        lo, hi = mis[0], mis[-1] + 1
+        voff = (self._voff[lo:hi + 1] - self._voff[lo]).tolist()
+        vlo = self._voff[lo]
+        dec = (np.bincount(self._lsrc[les] - vlo, minlength=voff[-1])
+               + np.bincount(self._ldst[les] - vlo, minlength=voff[-1]))
+        nalloc = np.bincount(mi_les - lo, minlength=hi - lo).tolist()
+        for k, count in enumerate(nalloc):
+            if count:
+                proc = self._alloc_procs[lo + k]
+                proc.rest_degree -= dec[voff[k]:voff[k + 1]].astype(
+                    proc.rest_degree.dtype)
+                proc.unallocated -= count
 
     # ------------------------------------------------------------------
     # Sync merge + two-hop allocation + Drest/edge reports.
     # ------------------------------------------------------------------
-    def _run_two_hop(self, pids) -> dict:
+    def _two_hop_groups(self, pids) -> list:
+        """The call's machine idx, ascending, cut into contiguous groups
+        whose queued ingest rows — parked one-hop rows plus delivered
+        sync rows — fit the sweep budget (a machine is never split)."""
         mis = sorted(self._mindex[pid[1]] for pid in pids)
+        slots = self._machines[mis].tolist()
+        cluster = self._alloc_procs[mis[0]].cluster
+        queued = [own + sync for own, sync in zip(
+            self._pending_bp.rows(slots),
+            cluster.queued_rows("alloc", TAG_SYNC, slots))]
+        return [mis[lo:hi] for lo, hi in _budget_groups(queued, _SWEEP_ROWS)]
+
+    def _run_two_hop(self, mis: list) -> dict:
+        """Two-hop over one machine group (sorted machine idx ``mis``)."""
         out = {("alloc", int(self._machines[mi])): None for mi in mis}
         g, width, m = self._g, self._width, self._m
         member = self._member
         procs = self._alloc_procs
-        carrier = procs[mis[0]]       # this call's cluster + outbox
+        carrier = procs[mis[0]]       # this group's cluster + outbox
         slots = self._machines[mis].tolist()
         own = self._pending_bp.take(slots)
         merged_rows, merged_lv, merged_m, bits = self._ingest(
@@ -712,18 +796,7 @@ class FusedDnePlane:
                                 multi, cand_mi)
                         np.add.at(self._loads, (cand_mi, tgt), 1)
                         alloc_f[cand_les] = tgt.astype(alloc_f.dtype)
-                        total_nv = self._voff[-1]
-                        dec = (np.bincount(self._lsrc[cand_les],
-                                           minlength=total_nv)
-                               + np.bincount(self._ldst[cand_les],
-                                             minlength=total_nv))
-                        nalloc = np.bincount(cand_mi, minlength=m)
-                        for mi in np.flatnonzero(nalloc).tolist():
-                            proc = self._alloc_procs[mi]
-                            lo, hi = self._voff[mi], self._voff[mi + 1]
-                            proc.rest_degree -= dec[lo:hi].astype(
-                                proc.rest_degree.dtype)
-                            proc.unallocated -= int(nalloc[mi])
+                        self._book_allocated(cand_les, cand_mi, mis)
                         cand_tgt = tgt
                         cand_geids = self._eids[cand_les].astype(np.int64)
         # Drest report, one sweep for all machines.  The unique
@@ -736,8 +809,11 @@ class FusedDnePlane:
                                   + merged_rows[:, 1])
             u_mi = ukeys // (g * width)
             u_v = (ukeys // width) % g
-            drest = np.concatenate([a.rest_degree for a in procs])[
-                np.searchsorted(self._vkeys, u_mi * g + u_v)]
+            # Read over the group's machine span only.
+            lo, hi = mis[0], mis[-1] + 1
+            drest = np.concatenate([a.rest_degree for a in procs[lo:hi]])[
+                np.searchsorted(self._vkeys[self._voff[lo]:self._voff[hi]],
+                                u_mi * g + u_v)]
             keep = np.flatnonzero(drest > 0)
             if len(keep):
                 keep = keep[np.argsort(
@@ -787,7 +863,8 @@ class FusedDnePlane:
         return pos, self._vkeys[np.minimum(pos, len(self._vkeys) - 1)] == vk
 
     def _ingest(self, parts: list, nforced: int):
-        """Merge one two-hop call's boundary rows into replica state.
+        """Merge one two-hop machine group's boundary rows into replica
+        state.
 
         ``parts`` are the parked one-hop batches (``nforced`` segments:
         each machine's own new boundary pairs) then the sync mail.

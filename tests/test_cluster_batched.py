@@ -24,7 +24,8 @@ import pytest
 
 from repro.cluster.accounting import payload_nbytes
 from repro.cluster.backends.base import apply_outbox
-from repro.cluster.runtime import Process, SegmentBatch, SimulatedCluster
+from repro.cluster.runtime import (Process, SegmentBatch, SegmentQueue,
+                                  SimulatedCluster)
 
 #: payload shapes spanning the whole contract: ndarray pair batches,
 #: reference tuple lists, id arrays, scalars, and control messages
@@ -481,46 +482,98 @@ class TestSegmentBatchDelivery:
         assert len(first.rows) + len(rest.rows) == len(batch.rows)
         assert not cluster.segment_mail()
 
+    def test_queued_rows_equal_what_a_take_returns(self):
+        """The per-slot row count (what the plane sizes its two-hop
+        machine groups by) is the row count a ``take`` of that slot
+        returns: over several sweeps, after a partial take, after a
+        queue rebuilt from its batches, and zero once taken."""
+        rng = np.random.default_rng(5)
+        cluster, _ = _dne_cluster(6)
+        for kind in ("all_to_all", "random"):
+            cluster.deliver_segments("t", _random_sweep(rng, 6, kind))
+        slots = list(range(6))
+
+        def taken(cluster, slot):
+            return sum(len(b.rows)
+                       for b in cluster.take_segments("alloc", "t", [slot]))
+
+        before = cluster.queued_rows("alloc", "t", slots)
+        assert sum(before) > 0
+        first = cluster.take_segments("alloc", "t", [1, 4])
+        assert sum(len(b.rows) for b in first) == before[1] + before[4]
+        after = cluster.queued_rows("alloc", "t", slots)
+        assert after == [0 if s in (1, 4) else before[s] for s in slots]
+        rebuilt = SegmentQueue(
+            [b for tag, b in cluster.segment_mail() if tag == "t"])
+        assert rebuilt.rows(slots) == after
+        assert [taken(cluster, s) for s in slots] == after
+        assert cluster.queued_rows("alloc", "t", slots) == [0] * 6
+        assert cluster.queued_rows("alloc", "absent", [0, 9]) == [0, 0]
+
 
 class TestMailboxEntriesIndependentOfP:
-    def test_same_entries_per_superstep_at_16_and_64(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [None, 256])
+    def test_same_entries_per_superstep_at_16_and_64(self, budget,
+                                                     monkeypatch):
         """Structural pin of the segment plane: the number of
         Python-level mailbox entries a DNE superstep creates does not
-        depend on |P| — one per emission sweep, never one per
-        (src, dst) buffer."""
+        depend on |P| — one per emission sweep *per machine group*,
+        never one per (src, dst) buffer.  Under the plane's default
+        sweep budget every superstep at this shape is one group and
+        reads ``{select: 1, one_hop: 1, two_hop: 2}``; under a small
+        budget (more groups) no superstep exceeds that per group."""
         from repro.cluster.backends.base import SimulatedBackend
+        from repro.core import fused as fused_module
         from repro.core.distributed_ne import DistributedNE
         from repro.graph.csr import CSRGraph
         from repro.graph.generators import rmat_edges
 
+        per_sweep = {"select_and_multicast": 1, "one_hop_and_sync": 1,
+                     "two_hop_and_report": 2, "update_state": 0,
+                     "check_termination": 0}
         created = []
+        groups = []
         put = SimulatedCluster.put_segments
         execute = SimulatedBackend._execute_superstep
+        real_groups = fused_module._budget_groups
 
         def counting_put(self, tag, batch):
             created.append(tag)
             put(self, tag, batch)
 
+        def counting_groups(sizes, limit):
+            out = real_groups(sizes, limit)
+            groups.append(len(out))
+            return out
+
         def counting_execute(self, steps, gather=()):
             methods = {m for _, m, _ in steps if m is not None}
-            before = len(created)
+            before, cut = len(created), len(groups)
             out = execute(self, steps, gather)
             listed = sum(len(v) for v in self.cluster._delivered.values())
             if methods:
-                per_step.setdefault(methods.pop(), set()).add(
-                    len(created) - before + listed)
+                per_step.setdefault(methods.pop(), []).append(
+                    (len(created) - before + listed,
+                     max(sum(groups[cut:]), 1)))
             return out
 
         monkeypatch.setattr(SimulatedCluster, "put_segments", counting_put)
         monkeypatch.setattr(SimulatedBackend, "_execute_superstep",
                             counting_execute)
+        monkeypatch.setattr(fused_module, "_budget_groups", counting_groups)
+        if budget is not None:
+            monkeypatch.setattr(fused_module, "_SWEEP_ROWS", budget)
         graph = CSRGraph(rmat_edges(10, 8, seed=0))
         entries = {}
         for p in (16, 64):
             per_step: dict = {}
             DistributedNE(p, seed=0).partition(graph)
-            entries[p] = {m: max(v) for m, v in per_step.items()}
-        assert entries[16] == entries[64] == {
-            "select_and_multicast": 1, "one_hop_and_sync": 1,
-            "two_hop_and_report": 2, "update_state": 0,
-            "check_termination": 0}
+            for method, seen in per_step.items():
+                assert all(n <= per_sweep[method] * k for n, k in seen), \
+                    (p, method)
+            entries[p] = {m: max(n for n, _ in v)
+                          for m, v in per_step.items()}
+            split = max(k for v in per_step.values() for _, k in v)
+            assert (split == 1) == (budget is None), p
+        if budget is None:
+            assert entries[16] == entries[64] == per_sweep

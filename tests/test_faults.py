@@ -36,6 +36,7 @@ from repro.cluster.backends import (FaultPlan, ProcessesBackend,
 from repro.cluster.checkpoint import (CheckpointCorrupt, CheckpointMismatch,
                                       CheckpointStore)
 from repro.cluster.runtime import Process, SimulatedCluster
+from repro.core import fused as fused_module
 from repro.core.distributed_ne import DistributedNE
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
@@ -271,6 +272,23 @@ class TestCheckpointResume:
         res = DistributedNE(4, seed=0, backend="processes", workers=workers,
                             checkpoint_dir=ckpt, resume=True).partition(graph)
         _assert_identical(res, base4)
+
+    def test_crashed_run_resumes_bit_identical_in_machine_groups(
+            self, graph, workers, tmp_path, base64, monkeypatch):
+        """The crash-then-resume story with sweeps cut into many machine
+        groups (a 16-row budget; forked workers inherit it): killed at
+        iteration 2's two-hop with no retry, resumed from disk, equal to
+        the fault-free one-group run."""
+        monkeypatch.setattr(fused_module, "_SWEEP_ROWS", 16)
+        ckpt = str(tmp_path / "ckpt")
+        plan = FaultPlan().kill(0, 8)
+        with pytest.raises(WorkerStepError):
+            DistributedNE(64, seed=0, backend="processes", workers=workers,
+                          step_timeout=60, fault_plan=plan,
+                          checkpoint_dir=ckpt).partition(graph)
+        res = DistributedNE(64, seed=0, backend="processes", workers=workers,
+                            checkpoint_dir=ckpt, resume=True).partition(graph)
+        _assert_identical(res, base64)
 
     def test_resume_across_backends(self, graph, workers, tmp_path, base4):
         """State blobs are backend-neutral: checkpoint under the

@@ -26,10 +26,13 @@ and seeds:
   python reference at |P| ∈ {4, 64, 256} — tiny per-partition batches
   included — and a vectorized process stepped directly (its own
   one-machine plane) matches the same process inside a whole-cluster
-  plane;
+  plane, and a run whose sweeps a small row budget cuts into many
+  machine groups matches the one-group run on every backend;
 * the reference allocation path holds no phantom (empty) replica sets
   — the ``defaultdict`` probe leak stays fixed.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -516,8 +519,9 @@ class TestFusedDispatchEquivalence:
         """Structural pin of the plane-owned boundary store: however
         many expanders take part, a selection superstep pops the store
         exactly once, an update superstep inserts at most once, and a
-        two-hop superstep resolves every machine's contested edges in
-        at most one call — no per-process, per-machine loop."""
+        two-hop machine group (``_run_two_hop``; the whole superstep at
+        this shape) resolves every machine's contested edges in at most
+        one call — no per-process, per-machine loop."""
         calls = {"pop": 0, "insert": 0, "resolve": 0}
         per_step = {"pop": [], "insert": [], "resolve": []}
 
@@ -555,6 +559,83 @@ class TestFusedDispatchEquivalence:
         for name in ("insert", "resolve"):
             assert set(per_step[name]) <= {0, 1}, name
             assert sum(per_step[name]) > 0, name    # the pin saw real work
+
+
+class TestBoundedSweeps:
+    """Bounded sweeps: two-hop runs machine group by machine group and
+    one-hop fans its sync rows out in machine ranges, each within the
+    plane's ``_SWEEP_ROWS`` budget.  A run cut into many groups must be
+    bit-identical to the one-group run and to the python reference."""
+
+    def test_budget_groups_examples(self):
+        groups = fused_module._budget_groups
+        assert groups([], 5) == []
+        assert groups([3, 1, 1], 5) == [(0, 3)]          # under: one group
+        assert groups([3, 9, 2, 2, 0, 4], 4) \
+            == [(0, 1), (1, 2), (2, 5), (5, 6)]           # 9: alone
+        assert groups([7], 4) == [(0, 1)]
+
+    @pytest.mark.parametrize("trial", range(16))
+    def test_budget_groups_contiguous_covering_and_bounded(self, trial):
+        rng = np.random.default_rng(trial)
+        sizes = rng.integers(0, 40, int(rng.integers(0, 30))).tolist()
+        budget = int(rng.integers(1, 60))
+        groups = fused_module._budget_groups(sizes, budget)
+        # Contiguous, covering, order kept, none empty.
+        assert [i for lo, hi in groups for i in range(lo, hi)] \
+            == list(range(len(sizes)))
+        assert all(hi > lo for lo, hi in groups)
+        # Within the budget unless a single item; greedy, so the next
+        # group's first item did not fit.
+        for lo, hi in groups:
+            assert sum(sizes[lo:hi]) <= budget or hi - lo == 1
+        for (lo, hi), (nxt, _) in zip(groups, groups[1:]):
+            assert sum(sizes[lo:hi]) + sizes[nxt] > budget
+        if sizes and sum(sizes) <= budget:
+            assert groups == [(0, len(sizes))]
+
+    @pytest.mark.parametrize("partitions", [16, 64, 256])
+    def test_many_groups_match_one_group_and_reference(self, partitions,
+                                                       monkeypatch):
+        """A 16-row budget cuts most sweeps into many groups: the
+        simulated, threads (3) and processes (2; forked workers inherit
+        the budget) runs all equal the one-group run and the python
+        reference — assignments, every accounting total, the step
+        ledger and the per-iteration history."""
+        graph = CSRGraph(rmat_edges(8, 6, seed=3))
+
+        def run(kernel="vectorized", backend="simulated", workers=None):
+            return DistributedNE(partitions, seed=0, kernel=kernel,
+                                 backend=backend, workers=workers,
+                                 collect_history=True).partition(graph)
+
+        runs = {"python": run("python")}
+        base = runs["one group"] = run()
+        seen = []
+        real_groups = fused_module._budget_groups
+
+        def counting_groups(sizes, budget):
+            out = real_groups(sizes, budget)
+            seen.append(len(out))
+            return out
+
+        monkeypatch.setattr(fused_module, "_budget_groups", counting_groups)
+        monkeypatch.setattr(fused_module, "_SWEEP_ROWS", 16)
+        runs["simulated"] = run()
+        assert max(seen) > 1
+        seen.clear()
+        runs["threads"] = run(backend="threads", workers=3)
+        assert max(seen) > 1
+        runs["processes"] = run(backend="processes", workers=2)
+        history = hashlib.sha256(
+            repr(base.extra["history"]).encode()).hexdigest()
+        for name, res in runs.items():
+            assert np.array_equal(res.assignment, base.assignment), name
+            assert res.iterations == base.iterations, name
+            for key in _ACCOUNTING_KEYS:
+                assert res.extra[key] == base.extra[key], (name, key)
+            assert hashlib.sha256(repr(res.extra["history"]).encode()) \
+                .hexdigest() == history, name
 
 
 class TestEngineEquivalence:

@@ -181,16 +181,6 @@ class DistributedGraphEngine:
         self._work_share = (work / total_work if total_work > 0
                             else np.zeros(self.p))
 
-    @property
-    def replica_lists(self) -> list:
-        """Per-vertex replica partition lists (ascending pid order)."""
-        lists = getattr(self, "_replica_lists", None)
-        if lists is None:
-            indptr, parts = self.partition.replicas
-            lists = [arr.tolist() for arr in np.split(parts, indptr[1:-1])]
-            self._replica_lists = lists
-        return lists
-
     # ------------------------------------------------------------------
     # Gather primitives
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ paper.
 
 from __future__ import annotations
 
-
 from repro.graph.csr import CSRGraph
 from repro.partitioners import PARTITIONER_REGISTRY
 from repro.partitioners.base import EdgePartition
@@ -45,13 +44,14 @@ TABLE6_METHODS = ("random", "grid", "oblivious", "hybrid_ginger",
 
 
 def run_method(name: str, graph: CSRGraph, num_partitions: int,
-               seed: int = 0, **kwargs) -> EdgePartition:
-    """Instantiate registry method ``name`` and partition ``graph``."""
+               seed: int = 0) -> EdgePartition:
+    """Partition ``graph`` with registry method ``name`` at its
+    defaults (the paper's fixed per-method settings)."""
     if name not in PARTITIONER_REGISTRY:
         raise KeyError(f"unknown partitioner {name!r}; "
                        f"available: {sorted(PARTITIONER_REGISTRY)}")
     cls = PARTITIONER_REGISTRY[name]
-    return cls(num_partitions, seed=seed, **kwargs).partition(graph)
+    return cls(num_partitions, seed=seed).partition(graph)
 
 
 def method_memory_bytes(result: EdgePartition) -> int:

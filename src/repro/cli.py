@@ -270,61 +270,37 @@ def _cmd_partition(args) -> int:
 
     cls = PARTITIONER_REGISTRY[args.method]
     params = inspect.signature(cls.__init__).parameters
-    kwargs = {}
-    if args.kernel is not None:
-        if "kernel" not in params:
-            _log.error("method %r has no kernel= flag", args.method)
-            return 2
-        kwargs["kernel"] = args.kernel
     if args.workers is not None and args.backend not in ("threads",
                                                          "processes"):
         _log.error("--workers requires --backend threads|processes")
         return 2
-    if args.backend is not None:
-        if "backend" not in params:
-            _log.error("method %r has no backend= flag", args.method)
-            return 2
-        kwargs["backend"] = args.backend
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-    if args.resume and args.checkpoint_dir is None:
-        _log.error("--resume requires --checkpoint-dir")
-        return 2
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
         _log.error("--checkpoint-every requires --checkpoint-dir")
         return 2
-    if args.checkpoint_dir is not None:
-        if "checkpoint_dir" not in params:
-            _log.error("method %r has no checkpoint_dir= flag", args.method)
+    # ``validate_execution_args`` states the remaining rules (``--resume``
+    # needs a checkpoint directory, supervision the processes backend);
+    # the constructor raises them and the ``except`` below exits 2.
+    flags = {"kernel": args.kernel, "backend": args.backend,
+             "workers": args.workers, "checkpoint_dir": args.checkpoint_dir,
+             "resume": args.resume or None,
+             "checkpoint_every": args.checkpoint_every,
+             "step_timeout": args.step_timeout,
+             "max_retries": args.max_retries, "tracer": args.trace_out}
+    kwargs = {}
+    for name, value in flags.items():
+        if value is None:
+            continue
+        if name not in params:
+            _log.error("method %r has no %s= flag", args.method, name)
             return 2
-        kwargs["checkpoint_dir"] = args.checkpoint_dir
-        kwargs["resume"] = args.resume
-        if args.checkpoint_every is not None:
-            if "checkpoint_every" not in params:
-                _log.error("method %r has no checkpoint_every= flag",
-                           args.method)
-                return 2
-            kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.step_timeout is not None or args.max_retries is not None:
-        if args.backend != "processes":
-            _log.error("--step-timeout/--max-retries require "
-                       "--backend processes")
-            return 2
-        if args.step_timeout is not None:
-            kwargs["step_timeout"] = args.step_timeout
-        if args.max_retries is not None:
-            kwargs["max_retries"] = args.max_retries
+        kwargs[name] = value
     tracer = None
     if args.trace_out is not None:
-        if "tracer" not in params:
-            _log.error("method %r has no tracer= flag", args.method)
-            return 2
         from repro.observability import Tracer
-        tracer = Tracer()
-        kwargs["tracer"] = tracer
+        tracer = kwargs["tracer"] = Tracer()
     try:
         partitioner = cls(args.partitions, seed=args.seed, **kwargs)
-    except ValueError as exc:  # out-of-range argument value
+    except ValueError as exc:  # a value or combination it refuses
         _log.error("%s", exc)
         return 2
     result = partitioner.partition(graph)

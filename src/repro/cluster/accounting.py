@@ -61,7 +61,7 @@ def record_rpc_pair(stats: "ClusterStats", requester, responder,
 
     ``nbytes`` each way: a send+receive pair on both sides, no mailbox
     message.  The single home of this pricing rule — used at call time
-    by ``Process.account_rpc_pair`` (simulated scheduler) and at replay
+    by ``Process.account_rpc_pairs`` (simulated scheduler) and at replay
     time by the execution backends' outbox replay; the two must never
     diverge.
     """
@@ -126,10 +126,6 @@ class ProcessStats:
         if total > self.peak_resident_bytes:
             self.peak_resident_bytes = total
 
-    def resident_bytes(self) -> int:
-        """Current total of registered structures."""
-        return sum(self._resident.values())
-
 
 @dataclass
 class ClusterStats:
@@ -151,12 +147,6 @@ class ClusterStats:
     @property
     def total_messages_sent(self) -> int:
         return sum(s.messages_sent for s in self.per_process.values())
-
-    @property
-    def total_send_batches(self) -> int:
-        """Bulk accounting passes across processes — for segment sweeps
-        the number of (src, dst) segments priced."""
-        return sum(s.send_batches for s in self.per_process.values())
 
     @property
     def peak_total_resident_bytes(self) -> int:

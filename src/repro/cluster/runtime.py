@@ -84,8 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.accounting import (ClusterStats, payload_nbytes,
-                                      record_rpc_pair)
+from repro.cluster.accounting import ClusterStats, payload_nbytes
 from repro.graph.csr import sorted_unique
 
 __all__ = ["Process", "SegmentBatch", "SegmentQueue", "SimulatedCluster",
@@ -432,30 +431,20 @@ class Process:
             self._reported[name] = nbytes
             self.set_resident(name, nbytes)
 
-    def account_rpc_pair(self, other_pid, nbytes: int) -> None:
-        """Account a synchronous request/response exchange with another
-        process (``nbytes`` each way) without sending a mailbox message.
+    def account_rpc_pairs(self, other_pids, nbytes: int) -> None:
+        """Account one synchronous request/response exchange with each
+        of ``other_pids`` (``nbytes`` each way) without sending a
+        mailbox message.
 
         Used by the expansion seed scan, whose remote lookups the paper
-        models as one request + one response per scanned machine.  This
-        is the single home of that accounting so parallel backends can
-        capture it in the outbox instead of racing the shared counters
+        models as one request + one response per scanned machine, and
+        whose probe loop may touch O(|P|) remote processes.  Totals are
+        exactly :func:`~repro.cluster.accounting.record_rpc_pair` per
+        pid (integer adds commute).  Parallel backends capture the
+        exchanges in the outbox instead of racing the shared counters
         (the stats objects of *other* processes are not safe to touch
-        from inside a concurrently-executing step).
-        """
-        if self._outbox is not None:
-            self._outbox.append(("rpc", other_pid, int(nbytes)))
-            return
-        assert self.cluster is not None, "process not registered with a cluster"
-        record_rpc_pair(self.cluster.stats, self.pid, other_pid, nbytes)
-
-    def account_rpc_pairs(self, other_pids, nbytes: int) -> None:
-        """Bulk form of :meth:`account_rpc_pair`: one exchange per pid.
-
-        Totals are exactly a loop of per-pair calls (integer adds
-        commute); the outbox path records per-pair entries so replay is
-        byte-for-byte the sequential call sequence.  Used by the seed
-        scan, whose probe loop may touch O(|P|) remote processes.
+        from inside a concurrently-executing step), one entry per pair,
+        so replay is byte-for-byte the sequential call sequence.
         """
         nbytes = int(nbytes)
         if self._outbox is not None:

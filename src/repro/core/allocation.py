@@ -122,11 +122,10 @@ def seed_vertex_random(local_vertices: np.ndarray,
                        rng: np.random.Generator) -> int | None:
     """A vertex with non-allocated local edges, or None.
 
-    The single home of the random seed-lookup rule — one uniform draw
-    over the candidate set, no draw when it is empty — shared by
-    :meth:`AllocationProcess.random_unallocated_vertex` and the
-    processes backend's shared-memory seed source, so the two can
-    never diverge on the RNG sequence.
+    The random seed-lookup rule — one uniform draw over the candidate
+    set, no draw when it is empty — that
+    :class:`~repro.core.expansion.SharedSeedSource` applies to one
+    allocator's arrays, plain or shared-memory views alike.
     """
     candidates = np.flatnonzero(rest_degree > 0)
     if not len(candidates):
@@ -138,8 +137,7 @@ def seed_vertex_min_degree(local_vertices: np.ndarray,
                            rest_degree: np.ndarray) -> int | None:
     """Lowest-remaining-degree seed (the seeding ablation), or None.
 
-    Ties break to the lowest local index (``np.argmin``); shared for
-    the same never-diverge reason as :func:`seed_vertex_random`.
+    Ties break to the lowest local index (``np.argmin``).
     """
     candidates = np.flatnonzero(rest_degree > 0)
     if not len(candidates):
@@ -165,10 +163,6 @@ class DenseMembership:
     def __init__(self, num_vertices: int, width: int):
         self._width = width
         self._mat = np.zeros((num_vertices, -(-width // 8) * 8), dtype=bool)
-
-    @property
-    def width(self) -> int:
-        return self._width
 
     def entries(self) -> int:
         """Number of set (vertex, partition) bits."""
@@ -239,10 +233,6 @@ class PackedMembership:
         self._width = width
         self._words = np.zeros((num_vertices, (width + 63) // 64),
                                dtype=np.uint64)
-
-    @property
-    def width(self) -> int:
-        return self._width
 
     def entries(self) -> int:
         return int(np.bitwise_count(self._words).sum())
@@ -480,13 +470,6 @@ class AllocationProcess(Process):
                          len(self.local_vertices) * words * 8)
         else:
             self._report("replica_sets", self._replica_entries() * 8)
-
-    # ------------------------------------------------------------------
-    # Seed lookup (expansion fallback when the boundary is empty).
-    # ------------------------------------------------------------------
-    def random_unallocated_vertex(self, rng: np.random.Generator) -> int | None:
-        """A vertex with non-allocated local edges, or None."""
-        return seed_vertex_random(self.local_vertices, self.rest_degree, rng)
 
     # ------------------------------------------------------------------
     # Vectorized kernel: the phases live in the plane.

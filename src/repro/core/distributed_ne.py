@@ -179,7 +179,6 @@ class _LoopState:
     #: expanders whose selection step would be ``return 0``
     finished_prev: dict
     iterations: int = 0
-    allocation_seconds: float = 0.0
     # Simulated *parallel* phase times: per iteration, the slowest
     # process defines the phase cost (the cluster's wall clock).
     parallel_selection: float = 0.0
@@ -443,7 +442,6 @@ class DistributedNE(Partitioner):
                 loop.prev_sel_ops = sel_ops
                 cluster.barrier()  # Step 2
 
-                ta = time.perf_counter()
                 selected = cluster.mail_slots("alloc", TAG_SELECT)
                 one_ran = {pid: pid[1] in selected for pid in alloc_pids}
                 one = backend.run_superstep(  # Step 3
@@ -474,7 +472,6 @@ class DistributedNE(Partitioner):
                     alloc_ops[pid] - loop.prev_alloc_ops[pid]
                     for pid in alloc_pids)
                 loop.prev_alloc_ops = alloc_ops
-                loop.allocation_seconds += time.perf_counter() - ta
                 cluster.barrier()          # Step 5
 
                 folded = (cluster.mail_slots("expansion", TAG_BOUNDARY)
@@ -515,6 +512,18 @@ class DistributedNE(Partitioner):
                 if sent == 0 and all(term[pid].gathered["finished"]
                                      for pid in exp_pids):
                     break  # capped tail: leftovers handled by the sweep
+                if sent == 0 and not folded:
+                    # Edges left, a partition live, yet nothing selected
+                    # and nothing allocated: no state moved, so every
+                    # later iteration would repeat this one.  A correct
+                    # run cannot get here (a live expander always finds
+                    # a seed while an edge is left); lost mail can.
+                    raise RuntimeError(
+                        f"distributed_ne stalled in iteration "
+                        f"{loop.iterations}: no vertex selected and no "
+                        f"edge allocated, with "
+                        f"{graph.num_edges - global_allocated} of "
+                        f"{graph.num_edges} edges unallocated")
                 hit_valve = (self.max_iterations is not None
                              and loop.iterations >= self.max_iterations)
                 if store is not None and (
@@ -539,8 +548,7 @@ class DistributedNE(Partitioner):
             assignment = self._collect_assignment(graph, collected)
 
             exp_stats = backend.gather(
-                exp_pids, ("selection_seconds", "random_seed_requests",
-                           "remote_seed_requests"))
+                exp_pids, ("random_seed_requests", "remote_seed_requests"))
             alloc_stats = backend.gather(
                 alloc_pids, ("ops_one_hop", "ops_two_hop",
                              "membership_kind"))
@@ -569,9 +577,6 @@ class DistributedNE(Partitioner):
             "two_hop": self.two_hop,
             "placement": self.placement_kind,
             "load_seconds": load_seconds,
-            "allocation_seconds": loop.allocation_seconds,
-            "selection_seconds": sum(
-                exp_stats[pid]["selection_seconds"] for pid in exp_pids),
             # Share of the simulated parallel wall clock spent in the
             # vertex-selection phase (the quantity §7.4 reports growing
             # from <1% at 4 machines to 30.3% at 256): per iteration the

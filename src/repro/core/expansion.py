@@ -62,7 +62,6 @@ from __future__ import annotations
 import copy
 import heapq
 import threading
-import time
 from collections import defaultdict
 
 import numpy as np
@@ -87,12 +86,12 @@ class SharedSeedSource:
     which the allocators themselves use — plain arrays in-process,
     shared-memory views in a worker of the processes backend, so a
     scan, remote legs included, is a local array probe on every
-    backend.  The lookups go through the same
+    backend.  The lookups are
     :func:`~repro.core.allocation.seed_vertex_random` /
-    :func:`~repro.core.allocation.seed_vertex_min_degree` helpers as
-    ``AllocationProcess`` itself (same candidate set, same single RNG
-    draw), and ``live`` answers whether any edge is left (a remaining
-    degree is positive iff one is).
+    :func:`~repro.core.allocation.seed_vertex_min_degree` (candidate
+    set: positive remaining degree; at most one RNG draw), and ``live``
+    answers whether any edge is left (a remaining degree is positive
+    iff one is).
 
     Query-only and safe by phase disjointness: remaining degrees are
     written only during allocation supersteps, by their owner, and
@@ -322,7 +321,6 @@ class ExpansionProcess(Process):
         self.finished = False
         self.random_seed_requests = 0
         self.remote_seed_requests = 0
-        self.selection_seconds = 0.0            # Fig 10(j) phase share
         #: modeled selection work: one op per ⟨selected vertex, replica
         #: process⟩ multicast pair — the per-machine quantity whose
         #: O(sqrt |P|) fan-out growth drives §7.4's share trend.
@@ -377,7 +375,6 @@ class ExpansionProcess(Process):
     def _select_and_multicast_python(self) -> int:
         """Reference selection: heapq pops, per-vertex replica fan-out
         into per-process tuple lists."""
-        start = time.perf_counter()
         selected: list[int] = []
         if len(self.boundary):
             k = max(1, int(np.ceil(self.lam * len(self.boundary))))
@@ -386,7 +383,6 @@ class ExpansionProcess(Process):
             v = self._random_seed()
             if v is not None:
                 selected = [v]
-        self.selection_seconds += time.perf_counter() - start
         if not selected:
             return 0
 

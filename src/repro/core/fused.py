@@ -169,8 +169,6 @@ breaks CI:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.cluster.runtime import SegmentBatch, SegmentQueue
@@ -540,7 +538,6 @@ class FusedDnePlane:
                 if not proc.finished]
         if not live:
             return values
-        start = time.perf_counter()
         parts = np.array([proc.partition for proc in live], dtype=np.int64)
         segs = self._seg_of[parts]
         sizes = self._store.sizes[segs]
@@ -548,23 +545,15 @@ class FusedDnePlane:
         selected, counts = self._store.pop(
             segs, np.maximum(ks, 1).astype(np.int64))
         src_idx = np.repeat(np.arange(len(live), dtype=np.int64), counts)
-        # A wall-clock field: the one pop's time, split evenly over the
-        # expanders that popped, plus each seed requester's own scan.
-        pop_share = ((time.perf_counter() - start)
-                     / max(int(np.count_nonzero(counts)), 1))
         empty = np.flatnonzero(sizes == 0)
         if len(empty):
             # Empty-boundary fallback: one liveness query serves every
             # requester (a missing source fails in ``_random_seed``).
-            start = time.perf_counter()
             source = live[empty[0]].seed_source
             alive = source.live() if source is not None else None
             seeds, seeders = [], []
             for i in empty.tolist():
                 v = live[i]._random_seed(alive)
-                now = time.perf_counter()
-                live[i].selection_seconds += now - start
-                start = now
                 if v is not None:
                     seeds.append(v)
                     seeders.append(i)
@@ -579,12 +568,9 @@ class FusedDnePlane:
         vidx, dsts = self._placement.replica_hits(selected)
         hit_src = src_idx[vidx]
         ops = np.bincount(hit_src, minlength=len(live)).tolist()
-        for proc, size, count, op in zip(live, sizes.tolist(),
-                                         counts.tolist(), ops):
+        for proc, count, op in zip(live, counts.tolist(), ops):
             values[proc.pid] = count
             proc.selection_ops += op
-            if size:
-                proc.selection_seconds += pop_share
         # Stable sort by (source, destination): within a pair, hits stay
         # in selection order — each source's per-destination segment is
         # exactly the payload the reference's per-vertex fan-out builds.

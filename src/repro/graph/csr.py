@@ -13,16 +13,15 @@ adjacency (once per endpoint); ``edge_ids`` maps each adjacency slot
 back to the canonical edge index so per-edge state (e.g. "already
 allocated") can live in one flat array.
 
-Adjacency rows are sorted by neighbour id, which makes ``has_edge`` a
-``np.searchsorted`` probe and keeps gather kernels cache-friendly.  The
-constructor *verifies* the canonical edge order (:func:`is_canonical`,
-one O(m) pass) and canonicalises only an input that fails, so an edge
-list a generator already sorted is sorted once.  That order gives the
-forward half (``u -> v``, ``u < v``) grouped by ``u`` with ``v``
-ascending; only the backward half needs ordering, by one sort of packed
-``v << bits | edge_id`` keys — a plain int64 sort, which NumPy
-vectorises, where a stable int64 ``argsort`` is a merge sort plus a
-gather.  Both halves scatter to ``position + a per-row offset``; no
+Adjacency rows are sorted by neighbour id, which keeps gather kernels
+cache-friendly.  The constructor *verifies* the canonical edge order
+(:func:`is_canonical`, one O(m) pass) and canonicalises only an input
+that fails, so an edge list a generator already sorted is sorted once.
+That order gives the forward half (``u -> v``, ``u < v``) grouped by
+``u`` with ``v`` ascending; only the backward half needs ordering, by
+one sort of packed ``v << bits | edge_id`` keys — a plain int64 sort,
+which NumPy vectorises, where a stable int64 ``argsort`` is a merge
+sort plus a gather.  Both halves scatter to ``position + a per-row offset``; no
 sort over the full ``2m`` symmetrised array is performed.
 """
 
@@ -262,10 +261,6 @@ class CSRGraph:
         """Number of canonical undirected edges."""
         return self.m
 
-    def degree(self, v: int) -> int:
-        """Degree of vertex ``v`` (each undirected edge counts once)."""
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         """Vector of all vertex degrees."""
         return np.diff(self.indptr)
@@ -284,34 +279,9 @@ class CSRGraph:
         """Canonical edge ids incident to ``v`` (view into ``edge_ids``)."""
         return self.edge_ids[self.indptr[v]:self.indptr[v + 1]]
 
-    def edge_endpoints(self, edge_id: int) -> tuple[int, int]:
-        """Endpoints ``(u, v)`` with ``u < v`` of a canonical edge id."""
-        u, v = self.edges[edge_id]
-        return int(u), int(v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True if the undirected edge ``{u, v}`` exists.
-
-        Binary search over the smaller (neighbour-sorted) adjacency row.
-        """
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        # Probe the smaller adjacency list.
-        if self.degree(u) > self.degree(v):
-            u, v = v, u
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < len(row) and int(row[i]) == v
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def average_degree(self) -> float:
-        """Mean degree ``2m / n`` (0 for the empty graph)."""
-        if self.n == 0:
-            return 0.0
-        return 2.0 * self.m / self.n
-
     def memory_bytes(self) -> int:
         """Bytes held by the CSR arrays.
 
@@ -320,10 +290,6 @@ class CSRGraph:
         """
         return (self.edges.nbytes + self.indptr.nbytes
                 + self.indices.nbytes + self.edge_ids.nbytes)
-
-    def subgraph_edges(self, edge_mask: np.ndarray) -> np.ndarray:
-        """Canonical edges selected by a boolean mask over edge ids."""
-        return self.edges[edge_mask]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.m})"

@@ -35,10 +35,8 @@ __all__ = [
     "is_canonical",
     "relabel_compact",
     "num_vertices",
-    "vertex_ids",
     "save_edges_tsv",
     "load_edges_tsv",
-    "random_permute_edges",
 ]
 
 
@@ -132,13 +130,6 @@ def num_vertices(edges: np.ndarray) -> int:
     return int(edges.max()) + 1
 
 
-def vertex_ids(edges: np.ndarray) -> np.ndarray:
-    """Sorted array of distinct vertex ids that appear in ``edges``."""
-    if len(edges) == 0:
-        return np.empty(0, dtype=np.int64)
-    return sorted_unique(np.asarray(edges).ravel())
-
-
 def relabel_compact(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relabel vertex ids to a dense ``0..n-1`` range.
 
@@ -149,17 +140,6 @@ def relabel_compact(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edges = edges_from_pairs(edges)
     old_ids = sorted_unique(edges.ravel())
     return np.searchsorted(old_ids, edges), old_ids
-
-
-def random_permute_edges(edges: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Return ``edges`` with rows in a random order.
-
-    Streaming partitioners (HDRF, SNE) are order-sensitive; benchmarks
-    shuffle the stream with a fixed seed so runs are reproducible.
-    """
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(edges))
-    return edges[order]
 
 
 def save_edges_tsv(path, edges: np.ndarray) -> None:

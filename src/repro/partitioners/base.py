@@ -34,7 +34,7 @@ from repro.metrics.quality import (
 from repro.observability.metrics import get_registry
 
 __all__ = ["EdgePartition", "VertexPartition", "Partitioner",
-           "StreamingEdgePartitioner", "timed_partition"]
+           "StreamingEdgePartitioner"]
 
 
 @dataclass
@@ -183,8 +183,8 @@ class Partitioner:
 class StreamingEdgePartitioner(Partitioner):
     """Shared plumbing for the one-pass streaming baselines.
 
-    HDRF, FENNEL, and Oblivious all walk the canonical edge list once —
-    optionally in a seeded shuffled order — scoring each edge against
+    HDRF, FENNEL, and Oblivious all walk the canonical edge list once,
+    in a seeded shuffled order, scoring each edge against
     every partition.  HDRF and FENNEL ship two implementations selected
     by the standard ``kernel=`` flag: ``"vectorized"`` (default; the
     load-level walk :func:`repro.core.streaming.walk_edge_stream`) and
@@ -196,17 +196,13 @@ class StreamingEdgePartitioner(Partitioner):
     """
 
     def __init__(self, num_partitions: int, seed: int = 0,
-                 shuffle: bool = True, kernel: str = "vectorized"):
+                 kernel: str = "vectorized"):
         super().__init__(num_partitions, seed)
-        self.shuffle = shuffle
         self.kernel = validate_kernel(kernel)
 
     def stream_order(self, num_edges: int) -> np.ndarray:
-        """Edge-id visit order: identity, or a seeded permutation."""
-        order = np.arange(num_edges)
-        if self.shuffle:
-            order = np.random.default_rng(self.seed).permutation(order)
-        return order
+        """Edge-id visit order: a seeded permutation."""
+        return np.random.default_rng(self.seed).permutation(num_edges)
 
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         if self.kernel == "python":
@@ -219,9 +215,3 @@ class StreamingEdgePartitioner(Partitioner):
     def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
         raise NotImplementedError
 
-
-def timed_partition(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, elapsed_seconds)``."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

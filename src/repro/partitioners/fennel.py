@@ -10,7 +10,8 @@ penalty.  For the *edge* partitioning variant, each streamed edge
 
 i.e. the replication saved by reusing existing vertex copies minus the
 marginal increase of the convex load penalty ``gamma * load^a`` (the
-classic FENNEL exponent ``a = 1.5``).  With ``gamma`` scaled as
+classic FENNEL exponent ``a = 1.5``, the module constant
+``_LOAD_EXPONENT``).  With ``gamma`` scaled as
 ``sqrt(|P|) / |E|^(a-1)`` the penalty balances partitions without a
 hard cap.
 
@@ -36,9 +37,11 @@ from repro.partitioners.base import EdgePartition, StreamingEdgePartitioner
 
 __all__ = ["FennelEdgePartitioner"]
 
+#: the convex load penalty's exponent ``a``
+_LOAD_EXPONENT = 1.5
 
-def _penalty_table(num_edges: int, gamma: float,
-                   load_exponent: float) -> np.ndarray:
+
+def _penalty_table(num_edges: int, gamma: float) -> np.ndarray:
     """Marginal penalty per integer load value, for every load the
     stream can reach.  Built through the same whole-array ufunc loop
     as the reference's per-edge vector (NumPy's SIMD pow is not
@@ -46,7 +49,7 @@ def _penalty_table(num_edges: int, gamma: float,
     value-deterministic across array shapes by the equivalence pins),
     so table lookups reproduce the reference's floats exactly."""
     vals = np.arange(num_edges + 2, dtype=np.float64)
-    a = load_exponent
+    a = _LOAD_EXPONENT
     return gamma * ((vals + 1.0) ** a - vals ** a)
 
 
@@ -55,22 +58,10 @@ class FennelEdgePartitioner(StreamingEdgePartitioner):
 
     name = "fennel"
 
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 load_exponent: float = 1.5, gamma: float | None = None,
-                 shuffle: bool = True, kernel: str = "vectorized"):
-        super().__init__(num_partitions, seed, shuffle=shuffle,
-                         kernel=kernel)
-        if load_exponent <= 1.0:
-            raise ValueError("load_exponent must be > 1 (convex penalty)")
-        self.load_exponent = load_exponent
-        self.gamma = gamma
-
-    def _resolve_gamma(self, graph: CSRGraph) -> float:
-        if self.gamma is not None:
-            return self.gamma
+    def _gamma(self, graph: CSRGraph) -> float:
         p = self.num_partitions
         m = max(graph.num_edges, 1)
-        a = self.load_exponent
+        a = _LOAD_EXPONENT
         # Classic FENNEL scaling adapted to edge loads.
         gamma = np.sqrt(p) * m / (m / p) ** a if p > 1 else 0.0
         return gamma / m  # normalise so penalties are O(1) per edge
@@ -80,12 +71,12 @@ class FennelEdgePartitioner(StreamingEdgePartitioner):
         return EdgePartition(graph, self.num_partitions, assignment,
                              method=self.name,
                              extra={"gamma": float(gamma),
-                                    "load_exponent": self.load_exponent})
+                                    "load_exponent": _LOAD_EXPONENT})
 
     def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
-        gamma = self._resolve_gamma(graph)
+        gamma = self._gamma(graph)
         order = self.stream_order(graph.num_edges)
-        pen = _penalty_table(graph.num_edges, gamma, self.load_exponent)
+        pen = _penalty_table(graph.num_edges, gamma)
 
         def balance(levels):
             return (-pen[levels]).tolist()
@@ -99,8 +90,8 @@ class FennelEdgePartitioner(StreamingEdgePartitioner):
 
     def _partition_python(self, graph: CSRGraph) -> EdgePartition:
         p = self.num_partitions
-        a = self.load_exponent
-        gamma = self._resolve_gamma(graph)
+        a = _LOAD_EXPONENT
+        gamma = self._gamma(graph)
         order = self.stream_order(graph.num_edges)
 
         use_bitmask = p <= 64

@@ -38,9 +38,13 @@ from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 from repro.metrics.quality import partition_vertex_counts
 from repro.partitioners.base import EdgePartition, Partitioner
-from repro.partitioners.hashing import HybridHashPartitioner
+from repro.partitioners.hashing import HYBRID_THRESHOLD, HybridHashPartitioner
 
 __all__ = ["HybridGingerPartitioner"]
+
+#: the Fennel load weight ``gamma`` and the refinement rounds
+_GAMMA = 1.5
+_ROUNDS = 3
 
 
 class HybridGingerPartitioner(Partitioner):
@@ -49,29 +53,22 @@ class HybridGingerPartitioner(Partitioner):
     name = "hybrid_ginger"
 
     def __init__(self, num_partitions: int, seed: int = 0,
-                 threshold: int = 100, rounds: int = 3,
-                 gamma: float = 1.5, kernel: str = "vectorized"):
+                 kernel: str = "vectorized"):
         super().__init__(num_partitions, seed)
-        if not math.isfinite(gamma):
-            raise ValueError("gamma must be finite")
-        self.threshold = threshold
-        self.rounds = rounds
-        self.gamma = gamma
         self.kernel = validate_kernel(kernel)
 
     def _setup(self, graph: CSRGraph):
         """Base Hybrid-hash run + the low-degree groups, shared by both
         kernels: grouping vertex -> its edge ids, ascending."""
         p = self.num_partitions
-        base = HybridHashPartitioner(
-            p, seed=self.seed, threshold=self.threshold).partition(graph)
+        base = HybridHashPartitioner(p, seed=self.seed).partition(graph)
         assignment = base.assignment.copy()
 
         deg = graph.degrees()
         u_col, v_col = graph.edges[:, 0], graph.edges[:, 1]
         group_by_u = deg[u_col] <= deg[v_col]
         group_vertex = np.where(group_by_u, u_col, v_col)
-        low_eids = np.flatnonzero(deg[group_vertex] < self.threshold)
+        low_eids = np.flatnonzero(deg[group_vertex] < HYBRID_THRESHOLD)
         order = np.argsort(group_vertex[low_eids], kind="stable")
         vertices, starts = np.unique(group_vertex[low_eids][order],
                                      return_index=True)
@@ -96,12 +93,12 @@ class HybridGingerPartitioner(Partitioner):
         edge_loads = np.bincount(assignment, minlength=p).astype(
             np.float64).tolist()
         nu = graph.num_vertices / max(graph.num_edges, 1)
-        half = self.gamma / 2.0
+        half = _GAMMA / 2.0
         rng = np.random.default_rng(self.seed)
 
         moved_total = 0
         vertices = np.array(sorted(groups), dtype=np.int64)
-        for _ in range(self.rounds):
+        for _ in range(_ROUNDS):
             rng.shuffle(vertices)
             vertex_loads = partition_vertex_counts(
                 graph, assignment, p).astype(np.float64).tolist()
@@ -149,7 +146,7 @@ class HybridGingerPartitioner(Partitioner):
                 break
 
         return EdgePartition(graph, p, assignment, method=self.name,
-                             iterations=self.rounds,
+                             iterations=_ROUNDS,
                              extra={"moved_groups": moved_total})
 
     def _partition_python(self, graph: CSRGraph) -> EdgePartition:
@@ -164,7 +161,7 @@ class HybridGingerPartitioner(Partitioner):
 
         moved_total = 0
         vertices = np.array(sorted(groups), dtype=np.int64)
-        for _ in range(self.rounds):
+        for _ in range(_ROUNDS):
             rng.shuffle(vertices)
             moved = 0
             for v in vertices:
@@ -174,7 +171,7 @@ class HybridGingerPartitioner(Partitioner):
                 nbr_parts = np.zeros(p, dtype=np.float64)
                 for eid in graph.incident_edge_ids(v):
                     nbr_parts[assignment[eid]] += 1.0
-                penalty = (self.gamma / 2.0) * (vertex_loads + nu * edge_loads)
+                penalty = (_GAMMA / 2.0) * (vertex_loads + nu * edge_loads)
                 score = nbr_parts - penalty
                 target = int(np.argmax(score))
                 if target != current:
@@ -194,6 +191,6 @@ class HybridGingerPartitioner(Partitioner):
                 break
 
         return EdgePartition(graph, p, assignment, method=self.name,
-                             iterations=self.rounds,
+                             iterations=_ROUNDS,
                              extra={"moved_groups": moved_total})
 

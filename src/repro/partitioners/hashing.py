@@ -34,6 +34,9 @@ __all__ = [
     "HybridHashPartitioner",
 ]
 
+#: PowerLyra's low/high-degree cut, shared with Hybrid Ginger
+HYBRID_THRESHOLD = 100
+
 
 def splitmix64(x: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorised splitmix64 finaliser — a high-quality integer mix.
@@ -119,21 +122,14 @@ class HybridHashPartitioner(Partitioner):
     """PowerLyra's Hybrid hash [13].
 
     Edges are grouped by their (canonical) grouping endpoint.  If the
-    grouping endpoint's degree is below ``threshold`` the whole group
-    follows that vertex's hash (low-degree vertices are never cut);
-    otherwise each edge is scattered by the *other* endpoint's hash
-    (high-degree vertices absorb the replication, like DBH but with a
-    hard threshold — PowerLyra's default is 100).
+    grouping endpoint's degree is below :data:`HYBRID_THRESHOLD` the
+    whole group follows that vertex's hash (low-degree vertices are
+    never cut); otherwise each edge is scattered by the *other*
+    endpoint's hash (high-degree vertices absorb the replication, like
+    DBH but with a hard threshold — PowerLyra's default, 100).
     """
 
     name = "hybrid"
-
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 threshold: int = 100):
-        super().__init__(num_partitions, seed)
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
 
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         deg = graph.degrees()
@@ -142,10 +138,10 @@ class HybridHashPartitioner(Partitioner):
         group_by_u = deg[u] <= deg[v]
         group = np.where(group_by_u, u, v)
         other = np.where(group_by_u, v, u)
-        low_degree = deg[group] < self.threshold
+        low_degree = deg[group] < HYBRID_THRESHOLD
         key = np.where(low_degree, group, other)
         h = splitmix64(key, seed=self.seed)
         assignment = (h % np.uint64(self.num_partitions)).astype(np.int64)
         return EdgePartition(graph, self.num_partitions, assignment,
                              method=self.name,
-                             extra={"threshold": self.threshold})
+                             extra={"threshold": HYBRID_THRESHOLD})

@@ -13,12 +13,11 @@ against every partition::
 
 so placing the edge with an already-replicated *low*-degree endpoint
 scores higher than with a high-degree one — high-degree vertices get
-replicated first, which suits power-law graphs.  ``lam`` (paper default
-1.0) weights balance against replication.
+replicated first, which suits power-law graphs.  ``lam`` weights
+balance against replication; it and ``eps`` are the module constants
+``_LAM`` / ``_EPS`` at the paper's 1.0.
 
-Degrees are the true final degrees (the "offline degree" variant);
-HDRF's original also supports incremental degree estimates, selectable
-with ``use_partial_degrees=True``.
+Degrees are the true final degrees (HDRF's "offline degree" variant).
 
 Kernels: ``"vectorized"`` (default) runs
 :func:`repro.core.streaming.walk_edge_stream` — the same per-edge
@@ -38,23 +37,9 @@ from repro.partitioners.base import EdgePartition, StreamingEdgePartitioner
 
 __all__ = ["HDRFPartitioner"]
 
-
-def _occurrence_counts(u: np.ndarray, v: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Partial degrees as the reference sees them: per position, how
-    often each endpoint occurs in the stream up to and including that
-    edge (the reference bumps both endpoints before scoring; canonical
-    edge lists are loop-free, so ``u != v``)."""
-    ends = np.empty(2 * len(u), dtype=np.int64)
-    ends[0::2] = u
-    ends[1::2] = v
-    order = np.argsort(ends, kind="stable")
-    sorted_ends = ends[order]
-    starts = np.flatnonzero(np.r_[True, sorted_ends[1:] != sorted_ends[:-1]])
-    group = np.repeat(starts, np.diff(np.r_[starts, len(ends)]))
-    seen = np.empty(len(ends), dtype=np.int64)
-    seen[order] = np.arange(len(ends)) - group + 1
-    return seen[0::2], seen[1::2]
+#: balance weight λ and balance denominator ε (Petroni et al.'s 1.0)
+_LAM = 1.0
+_EPS = 1.0
 
 
 def _replication_weights(du: np.ndarray, dv: np.ndarray
@@ -71,43 +56,22 @@ class HDRFPartitioner(StreamingEdgePartitioner):
 
     name = "hdrf"
 
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 lam: float = 1.0, eps: float = 1.0,
-                 shuffle: bool = True, use_partial_degrees: bool = False,
-                 kernel: str = "vectorized"):
-        super().__init__(num_partitions, seed, shuffle=shuffle,
-                         kernel=kernel)
-        if eps <= 0:
-            raise ValueError("eps must be > 0 (balance denominator)")
-        self.lam = lam
-        self.eps = eps
-        self.use_partial_degrees = use_partial_degrees
-
-    def _initial_degrees(self, graph: CSRGraph) -> np.ndarray:
-        if self.use_partial_degrees:
-            return np.zeros(graph.num_vertices, dtype=np.int64)
-        return graph.degrees().astype(np.int64)
-
     def _result(self, graph: CSRGraph, assignment: np.ndarray
                 ) -> EdgePartition:
         return EdgePartition(graph, self.num_partitions, assignment,
                              method=self.name,
-                             extra={"lambda": self.lam})
+                             extra={"lambda": _LAM})
 
     def _partition_vectorized(self, graph: CSRGraph) -> EdgePartition:
         order = self.stream_order(graph.num_edges)
         u, v = graph.edges[order, 0], graph.edges[order, 1]
-        if self.use_partial_degrees:
-            fu, fv = _replication_weights(*_occurrence_counts(u, v))
-        else:
-            degrees = self._initial_degrees(graph)
-            fu, fv = _replication_weights(degrees[u], degrees[v])
-        lam, eps = self.lam, self.eps
+        degrees = graph.degrees().astype(np.int64)
+        fu, fv = _replication_weights(degrees[u], degrees[v])
 
         def balance(levels):
             maxload, minload = levels[-1], levels[0]
-            denom = eps + maxload - minload
-            return [lam * ((maxload - lv) / denom) for lv in levels]
+            denom = _EPS + maxload - minload
+            return [_LAM * ((maxload - lv) / denom) for lv in levels]
 
         assignment = np.empty(graph.num_edges, dtype=np.int64)
         assignment[order] = walk_edge_stream(
@@ -117,7 +81,7 @@ class HDRFPartitioner(StreamingEdgePartitioner):
     def _partition_python(self, graph: CSRGraph) -> EdgePartition:
         p = self.num_partitions
         order = self.stream_order(graph.num_edges)
-        degrees = self._initial_degrees(graph)
+        degrees = graph.degrees().astype(np.int64)
 
         # replicas[v] is a bitmask over partitions (p <= 64 in all paper
         # experiments; fall back to python sets above that).
@@ -132,9 +96,6 @@ class HDRFPartitioner(StreamingEdgePartitioner):
 
         for eid in order:
             u, v = graph.edges[eid]
-            if self.use_partial_degrees:
-                degrees[u] += 1
-                degrees[v] += 1
             du, dv = degrees[u], degrees[v]
             total = du + dv
             theta_u = du / total if total else 0.5
@@ -150,8 +111,8 @@ class HDRFPartitioner(StreamingEdgePartitioner):
             g_u = in_u * (1.0 + (1.0 - theta_u))
             g_v = in_v * (1.0 + (1.0 - theta_v))
             maxload, minload = loads.max(), loads.min()
-            c_bal = (maxload - loads) / (self.eps + maxload - minload)
-            score = g_u + g_v + self.lam * c_bal
+            c_bal = (maxload - loads) / (_EPS + maxload - minload)
+            score = g_u + g_v + _LAM * c_bal
             target = int(np.argmax(score))
 
             assignment[eid] = target

@@ -30,8 +30,6 @@ CSR-row-order note.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.streaming import walk_labels
@@ -40,6 +38,10 @@ from repro.partitioners.base import Partitioner, VertexPartition
 from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
 
 __all__ = ["MetisLikePartitioner"]
+
+#: part weight cap over the balanced share, and FM passes per level
+_BALANCE = 1.05
+_REFINE_PASSES = 4
 
 
 class _Level:
@@ -80,23 +82,13 @@ class MetisLikePartitioner(Partitioner):
 
     name = "metis_like"
 
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 coarsen_to: int | None = None, balance: float = 1.05,
-                 refine_passes: int = 4):
-        super().__init__(num_partitions, seed)
-        if not (math.isfinite(balance) and balance > 0):
-            raise ValueError("balance must be finite and > 0")
-        self.coarsen_to = coarsen_to
-        self.balance = balance
-        self.refine_passes = refine_passes
-
     def _partition(self, graph: CSRGraph):
         vp = self.partition_vertices(graph)
         return vertex_to_edge_partition(vp, seed=self.seed)
 
     def partition_vertices(self, graph: CSRGraph) -> VertexPartition:
         rng = np.random.default_rng(self.seed)
-        target = self.coarsen_to or max(8 * self.num_partitions, 64)
+        target = max(8 * self.num_partitions, 64)
 
         levels = [_base_level(graph)]
         while levels[-1].n > target:
@@ -105,17 +97,14 @@ class MetisLikePartitioner(Partitioner):
                 break
             levels.append(nxt)
 
-        labels = _region_grow(levels[-1], self.num_partitions,
-                              self.balance, rng)
+        labels = _region_grow(levels[-1], self.num_partitions, rng)
         for level_idx in range(len(levels) - 1, 0, -1):
             fine = levels[level_idx - 1]
             coarse_of = levels[level_idx].coarse_of
             labels = labels[coarse_of]
-            labels = _fm_refine(fine, labels, self.num_partitions,
-                                self.balance, self.refine_passes, rng)
+            labels = _fm_refine(fine, labels, self.num_partitions, rng)
         if len(levels) == 1:
-            labels = _fm_refine(levels[0], labels, self.num_partitions,
-                                self.balance, self.refine_passes, rng)
+            labels = _fm_refine(levels[0], labels, self.num_partitions, rng)
 
         total_bytes = sum(level.nbytes() for level in levels)
         return VertexPartition(
@@ -188,13 +177,13 @@ def _coarsen(level: _Level, rng: np.random.Generator) -> _Level:
     return _Level(indptr, uniq % next_id, merged, weights, coarse_of)
 
 
-def _region_grow(level: _Level, k: int, balance: float,
+def _region_grow(level: _Level, k: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Greedy balanced region growing for the initial partition."""
     n = level.n
     labels = np.full(n, -1, dtype=np.int64)
     total = int(level.vertex_weights.sum())
-    capacity = balance * total / k
+    capacity = _BALANCE * total / k
     loads = np.zeros(k, dtype=np.float64)
 
     seeds = rng.permutation(n)[:k]
@@ -227,8 +216,8 @@ def _region_grow(level: _Level, k: int, balance: float,
     return labels
 
 
-def _fm_refine(level: _Level, labels: np.ndarray, k: int, balance: float,
-               passes: int, rng: np.random.Generator) -> np.ndarray:
+def _fm_refine(level: _Level, labels: np.ndarray, k: int,
+               rng: np.random.Generator) -> np.ndarray:
     """Boundary FM: move vertices with positive cut gain, keep balance.
 
     The gain of moving ``v`` to ``l`` is its edge weight into ``l``
@@ -236,7 +225,7 @@ def _fm_refine(level: _Level, labels: np.ndarray, k: int, balance: float,
     the exact label walk's strict argmax over the weighted neighbour
     histogram, with no load term."""
     labels = labels.copy()
-    capacity = balance * int(level.vertex_weights.sum()) / k
+    capacity = _BALANCE * int(level.vertex_weights.sum()) / k
     walk_labels(level.indptr, level.nbr, labels, level.vertex_weights, k,
-                capacity, rng, passes, edge_weights=level.wgt)
+                capacity, rng, _REFINE_PASSES, edge_weights=level.wgt)
     return labels

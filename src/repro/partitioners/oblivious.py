@@ -40,9 +40,8 @@ class ObliviousPartitioner(StreamingEdgePartitioner):
 
     # Own signature: the base's ``kernel=`` picks between two
     # implementations, and there is one here.
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 shuffle: bool = True):
-        super().__init__(num_partitions, seed, shuffle=shuffle)
+    def __init__(self, num_partitions: int, seed: int = 0):
+        super().__init__(num_partitions, seed)
 
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         p = self.num_partitions

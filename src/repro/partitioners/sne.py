@@ -1,18 +1,16 @@
 """SNE — Streaming Neighbor Expansion (Zhang et al., KDD'17 [54]).
 
-The bounded-memory variant of NE: the edge stream is consumed into a
-buffer of at most ``buffer_factor * |E| / |P|`` edges; neighbour
-expansion runs *within the buffer* only.  When the current partition
-fills (or the buffer runs dry of expandable edges), the buffer is
-topped back up from the stream.  Quality sits between HDRF and offline
-NE (Table 4), because expansion decisions see only the buffered
-fragment of the graph.
+The bounded-memory variant of NE: the (seeded, shuffled) edge stream
+is consumed into a buffer of at most ``_BUFFER_FACTOR * |E| / |P|``
+edges; neighbour expansion runs *within the buffer* only.  When the
+current partition fills (or the buffer runs dry of expandable edges),
+the buffer is topped back up from the stream.  Quality sits between
+HDRF and offline NE (Table 4), because expansion decisions see only
+the buffered fragment of the graph.
 
-The default ``buffer_factor = 16`` holds several partitions' worth of
-edges, matching the regime Zhang et al. evaluate (their buffer is a
-memory budget independent of |P|); shrinking it toward 1 degrades
-quality smoothly toward hash-like levels, which is itself a useful
-ablation of how much graph context the expansion heuristic needs.
+``_BUFFER_FACTOR = 16`` holds several partitions' worth of edges,
+matching the regime Zhang et al. evaluate (their buffer is a memory
+budget independent of |P|).
 
 Implementation notes: the buffer is a boolean visibility mask over
 canonical edge ids (``ExpansionState.allowed``); refilling flips more
@@ -49,11 +47,13 @@ from repro.partitioners.ne import ExpansionState, _sweep_leftovers
 
 __all__ = ["SNEPartitioner"]
 
+#: buffer capacity in partitions' worth of edges, ``|E| / |P|``
+_BUFFER_FACTOR = 16.0
+
 
 def _run_sne_stream(graph: CSRGraph, p: int, seed: int, alpha: float,
-                    buffer_factor: float, shuffle: bool, kernel: str,
-                    checkpoint_dir: str | None = None, resume: bool = False
-                    ) -> tuple[np.ndarray, dict]:
+                    kernel: str, checkpoint_dir: str | None = None,
+                    resume: bool = False) -> tuple[np.ndarray, dict]:
     """One full SNE stream run; pure function of (graph, parameters).
 
     Fully deterministic, so every execution backend — inline, pool
@@ -65,15 +65,12 @@ def _run_sne_stream(graph: CSRGraph, p: int, seed: int, alpha: float,
     bit-identical to the uninterrupted run.
     """
     rng = np.random.default_rng(seed)
-
-    stream = np.arange(graph.num_edges)
-    if shuffle:
-        stream = rng.permutation(stream)
+    stream = rng.permutation(graph.num_edges)
 
     allowed = np.zeros(graph.num_edges, dtype=bool)
     state = ExpansionState(graph, rng, allowed=allowed, kernel=kernel)
     limit = max(1, int(np.ceil(alpha * graph.num_edges / p)))
-    capacity = max(limit, int(buffer_factor * graph.num_edges / p))
+    capacity = max(limit, int(_BUFFER_FACTOR * graph.num_edges / p))
 
     stream_pos = 0
     buffered = 0  # visible & unallocated edges
@@ -99,7 +96,6 @@ def _run_sne_stream(graph: CSRGraph, p: int, seed: int, alpha: float,
     buffered = refill(0)
 
     meta = {"partitioner": "sne", "p": p, "seed": seed, "alpha": alpha,
-            "buffer_factor": buffer_factor, "shuffle": shuffle,
             "kernel": kernel, "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges}
     store = (CheckpointStore(checkpoint_dir)
@@ -199,8 +195,7 @@ class SNEPartitioner(Partitioner):
     name = "sne"
 
     def __init__(self, num_partitions: int, seed: int = 0,
-                 alpha: float = 1.1, buffer_factor: float = 16.0,
-                 shuffle: bool = True, kernel: str = "vectorized",
+                 alpha: float = 1.1, kernel: str = "vectorized",
                  backend: str = "simulated", workers: int | None = None,
                  checkpoint_dir: str | None = None, resume: bool = False,
                  step_timeout: float | None = None, max_retries: int = 0,
@@ -208,11 +203,7 @@ class SNEPartitioner(Partitioner):
         super().__init__(num_partitions, seed)
         if alpha < 1.0:
             raise ValueError("imbalance factor alpha must be >= 1.0")
-        if buffer_factor <= 0:
-            raise ValueError("buffer_factor must be positive")
         self.alpha = alpha
-        self.buffer_factor = buffer_factor
-        self.shuffle = shuffle
         self.kernel = validate_kernel(kernel)
         validate_execution_args(backend, workers, step_timeout, max_retries,
                                 fault_plan, checkpoint_dir, resume)
@@ -228,8 +219,8 @@ class SNEPartitioner(Partitioner):
     def _partition(self, graph: CSRGraph) -> EdgePartition:
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
         program = _SneProgram((self.num_partitions, self.seed, self.alpha,
-                               self.buffer_factor, self.shuffle, self.kernel,
-                               self.checkpoint_dir, self.resume))
+                               self.kernel, self.checkpoint_dir,
+                               self.resume))
         pid = ("sne", 0)
         t0 = time.perf_counter() if tracer.enabled else 0.0
         backend = create_backend(self.backend, self.workers,

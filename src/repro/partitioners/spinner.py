@@ -14,13 +14,11 @@ Implementation follows the paper's scoring::
 where ``w(v, l)`` counts v's neighbours with label ``l``, ``capacity``
 is the balanced per-label degree budget ``c_f * total_degree / k``, and
 moves into labels that are over capacity are rejected.  Iteration stops
-at convergence (few moves) or ``max_iterations``.  The passes are
-the exact label walk :func:`repro.core.streaming.walk_labels`.
+at convergence (few moves) or after ``_MAX_ITERATIONS`` passes.  The
+passes are the exact label walk :func:`repro.core.streaming.walk_labels`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,25 +29,18 @@ from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
 
 __all__ = ["SpinnerPartitioner"]
 
+#: the scoring's ``c_f`` and ``c``, the pass cap, and the settled share
+#: of vertices (moves per pass) that ends the walk early
+_CAPACITY_FACTOR = 1.05
+_BALANCE_WEIGHT = 0.5
+_MAX_ITERATIONS = 30
+_CONVERGENCE_FRACTION = 0.001
+
 
 class SpinnerPartitioner(Partitioner):
     """Label-propagation vertex partitioning with random initialisation."""
 
     name = "spinner"
-
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 max_iterations: int = 30, capacity_factor: float = 1.05,
-                 balance_weight: float = 0.5,
-                 convergence_fraction: float = 0.001):
-        super().__init__(num_partitions, seed)
-        if not math.isfinite(balance_weight):
-            raise ValueError("balance_weight must be finite")
-        if not (math.isfinite(capacity_factor) and capacity_factor > 0):
-            raise ValueError("capacity_factor must be finite and > 0")
-        self.max_iterations = max_iterations
-        self.capacity_factor = capacity_factor
-        self.balance_weight = balance_weight
-        self.convergence_fraction = convergence_fraction
 
     # The public ``partition`` returns the §7.1-converted edge partition;
     # ``partition_vertices`` exposes the raw vertex labels.
@@ -63,13 +54,12 @@ class SpinnerPartitioner(Partitioner):
         labels = rng.integers(0, k, size=graph.num_vertices).astype(np.int64)
         degrees = graph.degrees().astype(np.int64)
         total_degree = int(degrees.sum())
-        capacity = max(1.0, self.capacity_factor * total_degree / k)
+        capacity = max(1.0, _CAPACITY_FACTOR * total_degree / k)
 
-        bw = self.balance_weight
         iterations = walk_labels(
             graph.indptr, graph.indices, labels, degrees, k, capacity, rng,
-            self.max_iterations,
-            settle=self.convergence_fraction * graph.num_vertices,
-            balance=lambda load: bw * (1.0 - load / capacity))
+            _MAX_ITERATIONS,
+            settle=_CONVERGENCE_FRACTION * graph.num_vertices,
+            balance=lambda load: _BALANCE_WEIGHT * (1.0 - load / capacity))
         return VertexPartition(graph, k, labels, method=self.name,
                                iterations=iterations)

@@ -16,7 +16,6 @@ with the load measured first in vertices and then in degrees.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
@@ -28,19 +27,16 @@ from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
 
 __all__ = ["XtraPuLPPartitioner"]
 
+#: region / label capacity over the balanced share, and the pass cap
+#: of each label-propagation phase
+_CAPACITY_FACTOR = 1.10
+_LP_ITERATIONS = 12
+
 
 class XtraPuLPPartitioner(Partitioner):
     """BFS-seeded, doubly-constrained label propagation."""
 
     name = "xtrapulp"
-
-    def __init__(self, num_partitions: int, seed: int = 0,
-                 lp_iterations: int = 12, capacity_factor: float = 1.10):
-        super().__init__(num_partitions, seed)
-        if not (math.isfinite(capacity_factor) and capacity_factor > 0):
-            raise ValueError("capacity_factor must be finite and > 0")
-        self.lp_iterations = lp_iterations
-        self.capacity_factor = capacity_factor
 
     def _partition(self, graph: CSRGraph):
         vp = self.partition_vertices(graph)
@@ -71,7 +67,7 @@ class XtraPuLPPartitioner(Partitioner):
         seeds = rng.choice(n, size=min(k, n), replace=False)
         queues = [deque([int(s)]) for s in seeds]
         sizes = np.zeros(k, dtype=np.int64)
-        capacity = int(np.ceil(self.capacity_factor * n / k))
+        capacity = int(np.ceil(_CAPACITY_FACTOR * n / k))
         for i, s in enumerate(seeds):
             labels[s] = i
             sizes[i] += 1
@@ -105,6 +101,6 @@ class XtraPuLPPartitioner(Partitioner):
     def _lp_phase(self, graph: CSRGraph, labels: np.ndarray,
                   weights: np.ndarray, rng: np.random.Generator) -> int:
         k = self.num_partitions
-        capacity = max(1.0, self.capacity_factor * weights.sum() / k)
+        capacity = max(1.0, _CAPACITY_FACTOR * weights.sum() / k)
         return walk_labels(graph.indptr, graph.indices, labels, weights, k,
-                           capacity, rng, self.lp_iterations)
+                           capacity, rng, _LP_ITERATIONS)

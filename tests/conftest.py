@@ -95,7 +95,7 @@ def dense_membership_shapes(checkpoint_dir: str) -> set:
     shows that a run's state really went through the padded byte
     store (|P| = 4 is 8 columns: one ``uint64`` word per row)."""
     procs = CheckpointStore(checkpoint_dir).load_latest()["procs"]
-    return {(state["_member"]._mat.shape[1], state["_member"].width)
+    return {(state["_member"]._mat.shape[1], state["_member"]._width)
             for pid, state in procs.items() if pid[0] == "alloc"}
 
 

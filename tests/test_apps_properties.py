@@ -120,6 +120,5 @@ class TestCommunicationMonotonicity:
         # placements (each replica sends/receives at most one value).
         placements = sum(len(np.unique(part.assignment[
             part.graph.incident_edge_ids(v)]))
-            for v in range(part.graph.num_vertices)
-            if part.graph.degree(v))
+            for v in np.flatnonzero(part.graph.degrees()))
         assert 0 <= stats.comm_bytes <= stats.supersteps * placements * 16

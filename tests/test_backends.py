@@ -179,7 +179,7 @@ class TestSneBackendEquivalence:
         """SNE's one-process program, started on each backend and run
         as one superstep, returns exactly the stream called directly —
         on one worker whatever ``workers`` is."""
-        params = (8, 1, 1.1, 16.0, True, "vectorized", None, False)
+        params = (8, 1, 1.1, "vectorized", None, False)
         want, want_extra = _run_sne_stream(graph, *params)
         pid = ("sne", 0)
         backend = create_backend(name, workers)
@@ -333,7 +333,7 @@ class _EchoProcess(Process):
             np.array([[k, j] for j in range(3)], dtype=np.int64),
             np.arange(4), role, np.full(3, k), role, np.arange(3)))
         self.set_resident("state", 64 * (round_no + 1))
-        self.account_rpc_pair(peer, 8)
+        self.account_rpc_pairs([peer], 8)
         got = self.receive(f"bulk{(round_no + 1) % 2}")
         return len(got)
 

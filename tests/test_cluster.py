@@ -54,7 +54,8 @@ class TestProcessStats:
         assert s.peak_resident_bytes == 300
         s.set_resident("a", 10)  # shrink: peak stays
         assert s.peak_resident_bytes == 300
-        assert s.resident_bytes() == 210
+        s.set_resident("b", 300)  # the running total is 10 + 300
+        assert s.peak_resident_bytes == 310
 
 
 class TestClusterStats:

@@ -25,7 +25,7 @@ class TestConstruction:
     def test_triangle_basics(self, triangle):
         assert triangle.num_vertices == 3
         assert triangle.num_edges == 3
-        assert triangle.degree(0) == 2
+        assert triangle.degrees()[0] == 2
 
     def test_empty_graph(self):
         g = CSRGraph(np.empty((0, 2), dtype=np.int64))
@@ -36,7 +36,7 @@ class TestConstruction:
     def test_isolated_vertices_via_override(self):
         g = CSRGraph(np.array([[0, 1]]), num_vertices=5)
         assert g.num_vertices == 5
-        assert g.degree(4) == 0
+        assert g.degrees()[4] == 0
 
     def test_num_vertices_override_too_small(self):
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestConstruction:
     def test_defensive_canonicalisation(self):
         g = CSRGraph(np.array([[2, 0], [0, 2], [1, 1]]))
         assert g.num_edges == 1
-        assert g.edge_endpoints(0) == (0, 2)
+        assert g.edges[0].tolist() == [0, 2]
 
 
     def test_canonical_input_is_not_canonicalised_again(self, monkeypatch):
@@ -168,27 +168,8 @@ class TestAccessors:
             seen.update(triangle.incident_edge_ids(v).tolist())
         assert seen == {0, 1, 2}
 
-    def test_edge_endpoints_ordered(self, two_triangles):
-        for eid in range(two_triangles.num_edges):
-            u, v = two_triangles.edge_endpoints(eid)
-            assert u < v
-
-    def test_has_edge(self, path4):
-        assert path4.has_edge(0, 1)
-        assert path4.has_edge(1, 0)
-        assert not path4.has_edge(0, 3)
-        assert not path4.has_edge(0, 99)
-
-    def test_average_degree(self, triangle):
-        assert triangle.average_degree() == pytest.approx(2.0)
-
     def test_memory_bytes_positive(self, small_rmat):
         assert small_rmat.memory_bytes() > 0
-
-    def test_subgraph_edges(self, triangle):
-        mask = np.array([True, False, True])
-        sub = triangle.subgraph_edges(mask)
-        assert len(sub) == 2
 
 
 class TestCSRInvariants:

@@ -11,10 +11,8 @@ from repro.graph.edgelist import (
     is_canonical,
     load_edges_tsv,
     num_vertices,
-    random_permute_edges,
     relabel_compact,
     save_edges_tsv,
-    vertex_ids,
 )
 
 
@@ -178,16 +176,11 @@ class TestRelabelAndIds:
         assert num_vertices(np.array([[0, 5]])) == 6
         assert num_vertices(np.empty((0, 2), dtype=np.int64)) == 0
 
-    def test_vertex_ids(self):
-        ids = vertex_ids(np.array([[3, 1], [1, 7]]))
-        assert ids.tolist() == [1, 3, 7]
-
     @given(_pairs(st.integers(-50, 50)))
     @settings(max_examples=60, deadline=None)
     def test_ids_and_relabel_equal_np_unique(self, pairs):
         edges = edges_from_pairs(pairs)
         old_ids, inverse = np.unique(edges, return_inverse=True)
-        assert np.array_equal(vertex_ids(edges), old_ids)
         new, old = relabel_compact(edges)
         assert new.dtype == np.int64 and new.shape == edges.shape
         assert np.array_equal(new, inverse.reshape(edges.shape))
@@ -195,18 +188,6 @@ class TestRelabelAndIds:
 
 
 class TestPermuteAndIO:
-    def test_permutation_is_deterministic_per_seed(self):
-        edges = canonical_edges(np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
-        a = random_permute_edges(edges, seed=5)
-        b = random_permute_edges(edges, seed=5)
-        assert np.array_equal(a, b)
-
-    def test_permutation_preserves_rows(self):
-        edges = canonical_edges(np.array([[0, 1], [1, 2], [2, 3]]))
-        out = random_permute_edges(edges, seed=1)
-        assert sorted(map(tuple, out.tolist())) == sorted(
-            map(tuple, edges.tolist()))
-
     def test_tsv_roundtrip(self, tmp_path):
         edges = canonical_edges(np.array([[0, 1], [2, 5], [1, 4]]))
         path = tmp_path / "edges.tsv"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.partitioners import hashing
 from repro.partitioners.hashing import (
     DBHPartitioner,
     GridPartitioner,
@@ -119,20 +120,19 @@ class TestDBHProperties:
 
 
 class TestHybridProperties:
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            HybridHashPartitioner(4, threshold=0)
-
-    def test_low_threshold_equals_scatter_everything(self, small_rmat):
+    def test_low_threshold_equals_scatter_everything(self, small_rmat,
+                                                      monkeypatch):
         """threshold=1 means every group endpoint is 'high degree'."""
-        part = HybridHashPartitioner(8, seed=0, threshold=1).partition(small_rmat)
+        monkeypatch.setattr(hashing, "HYBRID_THRESHOLD", 1)
+        part = HybridHashPartitioner(8, seed=0).partition(small_rmat)
         assert_valid_partition(part)
 
-    def test_huge_threshold_groups_by_low_endpoint(self, small_rmat):
+    def test_huge_threshold_groups_by_low_endpoint(self, small_rmat,
+                                                   monkeypatch):
         """With threshold > max degree, Hybrid == group-by-low-degree-
         endpoint hashing (every edge follows its grouping vertex)."""
-        part = HybridHashPartitioner(
-            8, seed=0, threshold=10 ** 9).partition(small_rmat)
+        monkeypatch.setattr(hashing, "HYBRID_THRESHOLD", 10 ** 9)
+        part = HybridHashPartitioner(8, seed=0).partition(small_rmat)
         g = small_rmat
         deg = g.degrees()
         u, v = g.edges[:, 0], g.edges[:, 1]

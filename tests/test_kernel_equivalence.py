@@ -51,6 +51,7 @@ from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring_graph, rmat_edges
 from repro.partitioners import PARTITIONER_REGISTRY
+from repro.partitioners import sne as sne_module
 from repro.partitioners.ne import NEPartitioner
 from repro.partitioners.sne import SNEPartitioner
 from tests.conftest import send_sweep
@@ -99,11 +100,11 @@ class TestPartitionerEquivalence:
         assert vec.replication_factor() == ref.replication_factor()
 
     @pytest.mark.parametrize("buffer_factor", [2.0, 16.0])
-    def test_sne(self, graph, partitions, seed, buffer_factor):
-        vec = SNEPartitioner(partitions, seed=seed,
-                             buffer_factor=buffer_factor).partition(graph)
+    def test_sne(self, graph, partitions, seed, buffer_factor, monkeypatch):
+        """At the default buffer and at a tight one (more refills)."""
+        monkeypatch.setattr(sne_module, "_BUFFER_FACTOR", buffer_factor)
+        vec = SNEPartitioner(partitions, seed=seed).partition(graph)
         ref = SNEPartitioner(partitions, seed=seed,
-                             buffer_factor=buffer_factor,
                              kernel="python").partition(graph)
         assert np.array_equal(vec.assignment, ref.assignment)
         assert vec.replication_factor() == ref.replication_factor()
@@ -637,6 +638,34 @@ class TestBoundedSweeps:
             assert hashlib.sha256(repr(res.extra["history"]).encode()) \
                 .hexdigest() == history, name
 
+
+    def test_untaken_group_mail_raises_instead_of_spinning(self,
+                                                           monkeypatch):
+        """A two-hop that skips one machine group in every ``processes``
+        worker leaves that group's sync mail queued in the worker: the
+        run loses those edges' reports, every live expander ends with
+        an empty boundary and no seed, and without the driver's stall
+        check the loop repeats one no-op iteration for ever.  It must
+        raise, naming the iteration."""
+        real_run = fused_module.FusedDnePlane.run
+
+        def skip_second_group(plane, method, pids):
+            if method != "two_hop_and_report":
+                return real_run(plane, method, pids)
+            out = dict.fromkeys(pids)
+            for i, mis in enumerate(plane._two_hop_groups(pids)):
+                if i != 1:
+                    out.update(plane._run_two_hop(mis))
+            return out
+
+        monkeypatch.setattr(fused_module.FusedDnePlane, "run",
+                            skip_second_group)
+        monkeypatch.setattr(fused_module, "_SWEEP_ROWS", 64)
+        graph = CSRGraph(rmat_edges(10, 8, seed=0))
+        with pytest.raises(RuntimeError,
+                           match=r"stalled in iteration \d+: no vertex"):
+            DistributedNE(64, seed=0, backend="processes", workers=2,
+                          max_iterations=500).partition(graph)
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("partitions", [1, 4, 9])

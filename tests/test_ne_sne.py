@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring_graph
+from repro.partitioners import sne as sne_module
 from repro.partitioners.hashing import RandomPartitioner
 from repro.partitioners.hdrf import HDRFPartitioner
 from repro.partitioners.ne import ExpansionState, NEPartitioner
@@ -126,10 +127,6 @@ class TestSNEPartitioner:
         b = SNEPartitioner(8, seed=1).partition(small_rmat)
         assert np.array_equal(a.assignment, b.assignment)
 
-    def test_buffer_factor_validation(self):
-        with pytest.raises(ValueError):
-            SNEPartitioner(4, buffer_factor=0)
-
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha must be >= 1.0"):
             SNEPartitioner(4, alpha=0.9)
@@ -157,13 +154,15 @@ class TestSNEPartitioner:
         assert 0.7 < ratio < 1.3
         assert sne.replication_factor() < 0.6 * rand.replication_factor()
 
-    def test_huge_buffer_approaches_ne_quality(self, medium_rmat):
+    def test_huge_buffer_approaches_ne_quality(self, medium_rmat,
+                                               monkeypatch):
         """With the whole graph buffered, SNE sees what NE sees."""
-        sne = SNEPartitioner(8, seed=0, buffer_factor=100.0,
-                             shuffle=False).partition(medium_rmat)
+        monkeypatch.setattr(sne_module, "_BUFFER_FACTOR", 100.0)
+        sne = SNEPartitioner(8, seed=0).partition(medium_rmat)
         ne = NEPartitioner(8, seed=0).partition(medium_rmat)
         assert sne.replication_factor() < ne.replication_factor() * 1.5
 
-    def test_tiny_buffer_still_covers(self, small_rmat):
-        part = SNEPartitioner(8, seed=0, buffer_factor=0.1).partition(small_rmat)
+    def test_tiny_buffer_still_covers(self, small_rmat, monkeypatch):
+        monkeypatch.setattr(sne_module, "_BUFFER_FACTOR", 0.1)
+        part = SNEPartitioner(8, seed=0).partition(small_rmat)
         assert_valid_partition(part)

@@ -66,6 +66,14 @@ One 32-bit copy of DNE's working set: the fused plane adopts the
 allocators' int32 local CSR instead of keeping int64 copies beside it
 (≈ 70 bytes per edge at |P| = 8), so its constructor and the adoption
 helpers it calls make no ``astype(np.int64)`` copy.
+
+Nothing only tests reach: every public ``def`` or ``class`` under
+``src/repro`` is named somewhere outside ``tests/`` (code or an exact
+string constant, so a step dispatched by name counts; ``__all__`` and
+prose do not), but for a short allowlist of stdlib hooks and test
+oracles.  And the baselines run at the paper's fixed settings: the
+registry's constructor options are a pinned table, so a knob only a
+test sets cannot come back unnoticed.
 """
 
 import ast
@@ -76,7 +84,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.partitioners import ObliviousPartitioner, SheepPartitioner
+import repro.core  # noqa: F401  (registers distributed_ne)
+from repro.partitioners import (PARTITIONER_REGISTRY, ObliviousPartitioner,
+                                SheepPartitioner)
 
 _ROOT = Path(__file__).parent.parent
 _SRC = _ROOT / "src" / "repro"
@@ -502,3 +512,131 @@ def test_plane_constructor_adopts_without_int64_copies():
     source = (_CORE / "fused.py").read_text()
     assert _defined(source) >= {"_fuse_int32", "_adopt_int32"}
     assert _int64_casts(source, _ADOPTION) == []
+
+
+def _public_defs(source: str) -> list[tuple[str, int]]:
+    """``(qualified name, lineno)`` of every public function, method
+    and class — its own name free of a leading underscore."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.append((prefix + node.name, node.lineno))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def _references(source: str) -> set:
+    """Every name a module uses: names, attributes, imports, and string
+    constants that are exactly a name — never ``__all__``, never a
+    definition's own name, never prose inside a longer string."""
+    tree = ast.parse(source)
+    exported = {id(node) for stmt in ast.walk(tree)
+                if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in stmt.targets)
+                for node in ast.walk(stmt.value)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            found.add(node.value)
+    return found
+
+
+def test_reference_scan_sees_code_not_exports_or_prose():
+    source = ('"""helper is named in prose"""\n'
+              '__all__ = ["exported"]\n'
+              'class Box:\n'
+              '    def _private(self): ...\n'
+              '    def stepped(self): ...\n'
+              'def exported(): ...\n'
+              'run("stepped", "a longer string naming exported")\n'
+              'obj.attr\n'
+              'from pkg.mod import thing\n')
+    assert _public_defs(source) == [("Box", 3), ("Box.stepped", 5),
+                                    ("exported", 6)]
+    assert _references(source) == {"__all__", "run", "stepped", "obj",
+                                   "attr", "thing"}
+
+
+#: Public names only tests reach, kept on purpose.  Stdlib hooks the
+#: HTTP server classes override (``http.server`` / ``socketserver``
+#: call them); oracles a test compares the program against; and the
+#: fault harness's vocabulary for tests.
+_TEST_ONLY_ALLOWED = {
+    "serving/api.py::_Handler.log_message",        # stdlib override
+    "serving/api.py::_Server.process_request",     # stdlib override
+    "serving/api.py::_Server.handle_error",        # stdlib override
+    "core/hash2d.py::Hash2DPlacement.replica_membership",
+    "core/hash2d.py::Hash1DPlacement.replica_membership",
+    "observability/trace.py::Tracer.structure",
+    "observability/trace.py::NullTracer.structure",
+    "cluster/backends/faults.py::FaultPlan.raise_error",
+    "cluster/backends/faults.py::FaultPlan.seeded_delays",
+    "core/allocation.py::AllocationProcess.vertex_parts",
+    "cluster/runtime.py::SimulatedCluster.has_mail",
+    "serving/store.py::RunStore.schema_version",
+}
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """A public function, method or class that only tests call is
+    deleted with its tests, not kept for them."""
+    outside = sorted(_ROOT.glob("*.py")) + [
+        path for top in ("src", "benchmarks", "examples")
+        for path in sorted((_ROOT / top).rglob("*.py"))]
+    used = set().union(*(_references(path.read_text())
+                         for path in outside))
+    unreached = sorted(
+        f"{path.relative_to(_SRC).as_posix()}::{qualname}"
+        for path in sorted(_SRC.rglob("*.py"))
+        for qualname, _ in _public_defs(path.read_text())
+        if qualname.rsplit(".", 1)[-1] not in used)
+    assert [name for name in unreached
+            if name not in _TEST_ONLY_ALLOWED] == []
+    assert sorted(_TEST_ONLY_ALLOWED - set(unreached)) == [], \
+        "allowlisted names now reached outside tests: drop them"
+
+
+#: Every registry class's constructor options after ``num_partitions``
+#: and ``seed``.  The baselines run at one fixed setting each (§7.1);
+#: DNE keeps Eq. 2's ``alpha``, Fig. 6's ``lam``, its ablations and the
+#: execution / checkpoint options the CLI, serving jobs and the gate set.
+_EXECUTION = ("backend", "workers", "checkpoint_dir")
+_SUPERVISION = ("step_timeout", "max_retries", "fault_plan", "tracer")
+_REGISTRY_OPTIONS = {
+    "random": (), "grid": (), "dbh": (), "hybrid": (), "oblivious": (),
+    "sheep": (), "spinner": (), "metis_like": (), "xtrapulp": (),
+    "fennel": ("kernel",), "hdrf": ("kernel",),
+    "hybrid_ginger": ("kernel",),
+    "ne": ("alpha", "kernel"),
+    "sne": ("alpha", "kernel", *_EXECUTION, "resume", *_SUPERVISION),
+    "distributed_ne": ("alpha", "lam", "two_hop", "placement",
+                       "seed_strategy", "max_iterations", "collect_history",
+                       "kernel", *_EXECUTION, "checkpoint_every", "resume",
+                       *_SUPERVISION),
+}
+
+
+def test_registry_constructor_options_are_pinned():
+    options = {name: tuple(inspect.signature(cls.__init__).parameters)[3:]
+               for name, cls in PARTITIONER_REGISTRY.items()}
+    assert all(tuple(inspect.signature(cls.__init__).parameters)[:3]
+               == ("self", "num_partitions", "seed")
+               for cls in PARTITIONER_REGISTRY.values())
+    assert options == _REGISTRY_OPTIONS
+    assert sum(map(len, options.values())) == 32
+

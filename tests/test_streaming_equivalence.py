@@ -6,15 +6,21 @@ each beside the per-edge (or per-group) reference loop kept verbatim —
 is pinned bit-identical here: same ``assignment`` array (hence same
 replication factor), same final per-partition loads, across |P| ∈
 {1, 3, 64, 65, 256} (one partition, the references' bitmask /
-set-fallback boundary and a wide run), shuffle on/off and HDRF's
-partial-degree mode.  The walks' tie and order rules get their own
-cases: HDRF with ``lam`` zero, negative, large and below half an ulp
-(scores that round equal across load levels) and a small ``eps``;
-FENNEL likewise with ``gamma`` and a steep exponent (a balance table
-that is flat, inverted or rounded away); Ginger with ``gamma`` zero
-(every penalty ties) and negative (the sorted penalty list inverted).
-A conflict flood (a few hubs cover most edges) and a road grid (low
-degree, many equal scores) round out the stream shapes.
+set-fallback boundary and a wide run), with the stream shuffled and
+in canonical order.  A conflict flood (a few hubs cover most edges)
+and a road grid (low degree, many equal scores) round out the stream
+shapes.
+
+The walks' tie and order rules get their own cases beyond the
+partitioners' fixed constants, set through the module constants
+(monkeypatched): HDRF's ``lam`` zero, negative, large and below half an
+ulp (scores that round equal across load levels) and a small ``eps``;
+FENNEL's ``gamma`` and a steep exponent (a balance table that is flat,
+inverted or rounded away); Ginger's ``gamma`` zero (every penalty
+ties) and negative (the sorted penalty list inverted) and its round
+count.  :class:`TestEdgeStreamWalk` also calls ``walk_edge_stream``
+directly against a test-side |P|-wide oracle over the same scoring
+tables, per-edge weights and HDRF's partial-degree weighting.
 
 ``walk_labels`` (Spinner, XtraPuLP, ``metis_like``'s FM) has one
 implementation, so :class:`TestLabelWalk` pins it against a test-side
@@ -26,12 +32,14 @@ neighbours, isolated vertices and |P| ∈ {1, 3, 64, 256}.
 import numpy as np
 import pytest
 
-from repro.core.streaming import walk_labels
+from repro.core.streaming import walk_edge_stream, walk_labels
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_road_network, rmat_edges
+from repro.partitioners import fennel, ginger, hdrf
+from repro.partitioners.base import StreamingEdgePartitioner
 from repro.partitioners.fennel import FennelEdgePartitioner
 from repro.partitioners.ginger import HybridGingerPartitioner
-from repro.partitioners.hdrf import HDRFPartitioner
+from repro.partitioners.hdrf import HDRFPartitioner, _replication_weights
 
 PARTITION_COUNTS = (1, 3, 64, 65, 256)
 
@@ -44,6 +52,13 @@ def _pin(cls, graph, p, **kwargs):
     assert np.array_equal(np.bincount(vec.assignment, minlength=p),
                           np.bincount(ref.assignment, minlength=p))
     return vec, ref
+
+
+def _stream(monkeypatch, shuffle):
+    """Unshuffled, the partitioners stream edges in canonical id order."""
+    if not shuffle:
+        monkeypatch.setattr(StreamingEdgePartitioner, "stream_order",
+                            lambda self, m: np.arange(m))
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +87,9 @@ def road_graph() -> CSRGraph:
 class TestHDRF:
     @pytest.mark.parametrize("p", PARTITION_COUNTS)
     @pytest.mark.parametrize("shuffle", [True, False])
-    def test_pinned(self, stream_graph, p, shuffle):
-        _pin(HDRFPartitioner, stream_graph, p, seed=1, shuffle=shuffle)
-
-    @pytest.mark.parametrize("p", PARTITION_COUNTS)
-    @pytest.mark.parametrize("shuffle", [True, False])
-    def test_pinned_partial_degrees(self, stream_graph, p, shuffle):
-        _pin(HDRFPartitioner, stream_graph, p, seed=1, shuffle=shuffle,
-             use_partial_degrees=True)
+    def test_pinned(self, stream_graph, p, shuffle, monkeypatch):
+        _stream(monkeypatch, shuffle)
+        _pin(HDRFPartitioner, stream_graph, p, seed=1)
 
     def test_conflict_flood(self, conflict_graph):
         for p in PARTITION_COUNTS:
@@ -89,29 +99,33 @@ class TestHDRF:
     @pytest.mark.parametrize("lam,eps", [(0.0, 1.0), (-0.5, 1.0),
                                          (3.0, 1.0), (1.0, 0.25),
                                          (3.0, 0.25), (1e-17, 1.0)])
-    def test_pinned_scoring_knobs(self, stream_graph, p, lam, eps):
-        """``lam < 0`` inverts the level order; ``lam = 1e-17`` is under
-        half an ulp of the replication weights, so ``c + balance``
-        rounds equal across levels and ties go to the lowest id."""
-        _pin(HDRFPartitioner, stream_graph, p, seed=4, lam=lam, eps=eps)
+    def test_pinned_scoring_knobs(self, stream_graph, p, lam, eps,
+                                  monkeypatch):
+        """Both kernels away from the module constants: ``lam < 0``
+        inverts the level order; ``lam = 1e-17`` is under half an ulp
+        of the replication weights, so ``c + balance`` rounds equal
+        across levels and ties go to the lowest id."""
+        monkeypatch.setattr(hdrf, "_LAM", lam)
+        monkeypatch.setattr(hdrf, "_EPS", eps)
+        _pin(HDRFPartitioner, stream_graph, p, seed=4)
 
     @pytest.mark.parametrize("p", (8, 64, 256))
-    @pytest.mark.parametrize("partial", [False, True])
-    def test_road_graph(self, road_graph, p, partial):
-        _pin(HDRFPartitioner, road_graph, p, seed=0,
-             use_partial_degrees=partial)
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_road_graph(self, road_graph, p, shuffle, monkeypatch):
+        _stream(monkeypatch, shuffle)
+        _pin(HDRFPartitioner, road_graph, p, seed=0)
 
     def test_extra_metadata_matches(self, stream_graph):
-        vec, ref = _pin(HDRFPartitioner, stream_graph, 8, seed=2, lam=0.7)
+        vec, ref = _pin(HDRFPartitioner, stream_graph, 8, seed=2)
         assert vec.extra == ref.extra
 
 
 class TestFennel:
     @pytest.mark.parametrize("p", PARTITION_COUNTS)
     @pytest.mark.parametrize("shuffle", [True, False])
-    def test_pinned(self, stream_graph, p, shuffle):
-        _pin(FennelEdgePartitioner, stream_graph, p, seed=1,
-             shuffle=shuffle)
+    def test_pinned(self, stream_graph, p, shuffle, monkeypatch):
+        _stream(monkeypatch, shuffle)
+        _pin(FennelEdgePartitioner, stream_graph, p, seed=1)
 
     def test_conflict_flood(self, conflict_graph):
         for p in PARTITION_COUNTS:
@@ -121,18 +135,143 @@ class TestFennel:
     @pytest.mark.parametrize("gamma,exponent", [(0.0, 1.5), (-0.3, 1.5),
                                                 (0.25, 3.0), (None, 3.0),
                                                 (1e-17, 1.5)])
-    def test_pinned_scoring_knobs(self, stream_graph, p, gamma, exponent):
-        _pin(FennelEdgePartitioner, stream_graph, p, seed=4, gamma=gamma,
-             load_exponent=exponent)
+    def test_pinned_scoring_knobs(self, stream_graph, p, gamma, exponent,
+                                  monkeypatch):
+        """Both kernels away from the module constant and the scaled
+        ``gamma`` (``None`` keeps FENNEL's own scaling)."""
+        monkeypatch.setattr(fennel, "_LOAD_EXPONENT", exponent)
+        if gamma is not None:
+            monkeypatch.setattr(FennelEdgePartitioner, "_gamma",
+                                lambda self, graph: gamma)
+        _pin(FennelEdgePartitioner, stream_graph, p, seed=4)
 
     @pytest.mark.parametrize("p", (8, 64, 256))
     def test_road_graph(self, road_graph, p):
         _pin(FennelEdgePartitioner, road_graph, p, seed=0)
 
-    def test_custom_gamma_pinned(self, stream_graph):
-        vec, ref = _pin(FennelEdgePartitioner, stream_graph, 8, seed=1,
-                        gamma=0.25, load_exponent=1.25)
+    @pytest.mark.parametrize("p", (8, 64, 256))
+    def test_road_graph_in_order(self, road_graph, p, monkeypatch):
+        """The grid's canonical edge order: long runs of edges that
+        share an endpoint with the one just placed."""
+        _stream(monkeypatch, False)
+        _pin(FennelEdgePartitioner, road_graph, p, seed=0)
+
+    def test_extra_metadata_matches(self, stream_graph):
+        vec, ref = _pin(FennelEdgePartitioner, stream_graph, 8, seed=1)
         assert vec.extra == ref.extra
+
+    def test_custom_gamma_pinned(self, stream_graph, monkeypatch):
+        monkeypatch.setattr(fennel, "_LOAD_EXPONENT", 1.25)
+        monkeypatch.setattr(FennelEdgePartitioner, "_gamma",
+                            lambda self, graph: 0.25)
+        vec, ref = _pin(FennelEdgePartitioner, stream_graph, 8, seed=1)
+        assert vec.extra == ref.extra
+        assert vec.extra == {"gamma": 0.25, "load_exponent": 1.25}
+
+
+def _edge_stream_oracle(u, v, p, fu, fv, balance):
+    """The |P|-wide per-edge loop :func:`walk_edge_stream` replaced: a
+    full score vector per edge — replica weights plus
+    ``balance(loads)`` — and ``np.argmax``, as HDRF's and FENNEL's
+    ``kernel="python"`` references build it."""
+    member = np.zeros((int(max(u.max(), v.max())) + 1, p), dtype=bool)
+    loads = np.zeros(p, dtype=np.int64)
+    out = np.empty(len(u), dtype=np.int64)
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        t = int(np.argmax(member[a] * fu[i] + member[b] * fv[i]
+                          + balance(loads)))
+        out[i] = t
+        loads[t] += 1
+        member[a, t] = member[b, t] = True
+    return out
+
+
+class TestEdgeStreamWalk:
+    """:func:`walk_edge_stream` against the |P|-wide oracle over the
+    scoring constants HDRF and FENNEL fix (``lam`` / ``eps``, ``gamma``
+    / the load exponent), so the walk's tie and order rules are pinned
+    beyond the partitioners' defaults."""
+
+    @staticmethod
+    def _run(graph, p, fu, fv, balance_levels, balance_loads, order=None):
+        if order is None:
+            order = np.random.default_rng(4).permutation(graph.num_edges)
+        u, v = graph.edges[order, 0], graph.edges[order, 1]
+        fu, fv = fu[order], fv[order]
+        got = walk_edge_stream(u, v, p, fu, fv, balance_levels)
+        want = _edge_stream_oracle(u, v, p, fu, fv, balance_loads)
+        assert np.array_equal(got, want), f"|P|={p}"
+
+    @staticmethod
+    def _hdrf(graph, p, lam, eps, fu=None, fv=None, order=None):
+        if fu is None:
+            degrees = graph.degrees().astype(np.int64)
+            fu, fv = _replication_weights(degrees[graph.edges[:, 0]],
+                                          degrees[graph.edges[:, 1]])
+
+        def levels(lvs):
+            denom = eps + lvs[-1] - lvs[0]
+            return [lam * ((lvs[-1] - lv) / denom) for lv in lvs]
+
+        def loads(ld):
+            return lam * ((ld.max() - ld) / (eps + ld.max() - ld.min()))
+
+        TestEdgeStreamWalk._run(graph, p, fu, fv, levels, loads, order)
+
+    @pytest.mark.parametrize("p", (1, 8, 256))
+    @pytest.mark.parametrize("lam,eps", [(1.0, 1.0), (0.0, 1.0),
+                                         (-0.5, 1.0), (3.0, 1.0),
+                                         (1.0, 0.25), (3.0, 0.25),
+                                         (1e-17, 1.0)])
+    def test_hdrf_balance(self, stream_graph, road_graph, p, lam, eps):
+        """``lam < 0`` inverts the level order; ``lam = 1e-17`` is under
+        half an ulp of the replication weights, so ``c + balance``
+        rounds equal across levels and ties go to the lowest id."""
+        for graph in (stream_graph, road_graph):
+            self._hdrf(graph, p, lam, eps)
+
+    @pytest.mark.parametrize("p", (3, 64, 256))
+    def test_per_edge_weights(self, stream_graph, p):
+        """Weights that vary per stream position, not per vertex."""
+        rng = np.random.default_rng(9)
+        fu, fv = (rng.integers(4, 9, stream_graph.num_edges) / 4.0
+                  for _ in range(2))
+        self._hdrf(stream_graph, p, 1.0, 1.0, fu, fv)
+
+    @pytest.mark.parametrize("p", PARTITION_COUNTS)
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_partial_degree_weights(self, stream_graph, p, shuffle):
+        """HDRF's partial-degree weighting (Petroni et al.): each
+        endpoint's degree as far as the stream has shown it, counting
+        the edge being placed, so weights shift with stream position."""
+        m = stream_graph.num_edges
+        order = (np.random.default_rng(1).permutation(m) if shuffle
+                 else np.arange(m))
+        seen = np.zeros(stream_graph.num_vertices, dtype=np.int64)
+        du, dv = np.empty(m, np.int64), np.empty(m, np.int64)
+        for eid in order.tolist():
+            a, b = stream_graph.edges[eid].tolist()
+            seen[a] += 1
+            seen[b] += 1
+            du[eid], dv[eid] = seen[a], seen[b]
+        fu, fv = _replication_weights(du, dv)
+        self._hdrf(stream_graph, p, 1.0, 1.0, fu, fv, order)
+
+    @pytest.mark.parametrize("p", (1, 8, 256))
+    @pytest.mark.parametrize("gamma,exponent", [(0.0, 1.5), (-0.3, 1.5),
+                                                (0.25, 3.0), (None, 3.0),
+                                                (1e-17, 1.5)])
+    def test_fennel_penalty(self, stream_graph, p, gamma, exponent):
+        """A penalty table that is flat, inverted, steep, FENNEL's own
+        scaling at another exponent, or rounded away."""
+        m = stream_graph.num_edges
+        if gamma is None:
+            gamma = np.sqrt(p) * m / (m / p) ** exponent / m if p > 1 else 0.0
+        vals = np.arange(m + 2, dtype=np.float64)
+        pen = gamma * ((vals + 1.0) ** exponent - vals ** exponent)
+        ones = np.ones(m)
+        self._run(stream_graph, p, ones, ones,
+                  lambda lvs: (-pen[lvs]).tolist(), lambda ld: -pen[ld])
 
 
 class TestGinger:
@@ -150,27 +289,22 @@ class TestGinger:
 
     @pytest.mark.parametrize("p", (3, 64, 256))
     @pytest.mark.parametrize("gamma", [0.0, -1.5])
-    def test_pinned_gamma(self, stream_graph, road_graph, p, gamma):
+    def test_pinned_gamma(self, stream_graph, road_graph, p, gamma,
+                          monkeypatch):
         """``gamma = 0`` ties every penalty (lowest label wins);
         ``gamma < 0`` rewards load, inverting the penalty order."""
+        monkeypatch.setattr(ginger, "_GAMMA", gamma)
         for graph in (stream_graph, road_graph):
-            vec, ref = _pin(HybridGingerPartitioner, graph, p, seed=2,
-                            gamma=gamma)
+            vec, ref = _pin(HybridGingerPartitioner, graph, p, seed=2)
             assert vec.extra["moved_groups"] == ref.extra["moved_groups"]
 
-    def test_zero_rounds_pinned(self, stream_graph):
-        _pin(HybridGingerPartitioner, stream_graph, 8, seed=1, rounds=0)
+    def test_zero_rounds_pinned(self, stream_graph, monkeypatch):
+        monkeypatch.setattr(ginger, "_ROUNDS", 0)
+        _pin(HybridGingerPartitioner, stream_graph, 8, seed=1)
 
-    def test_many_rounds_pinned(self, stream_graph):
-        _pin(HybridGingerPartitioner, stream_graph, 8, seed=1, rounds=6)
-
-    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"),
-                                       -float("inf")])
-    def test_non_finite_gamma_rejected(self, gamma):
-        """A non-finite ``gamma`` makes every score NaN or infinite, so
-        neither kernel's argmax means anything: refused up front."""
-        with pytest.raises(ValueError, match="gamma"):
-            HybridGingerPartitioner(8, gamma=gamma)
+    def test_many_rounds_pinned(self, stream_graph, monkeypatch):
+        monkeypatch.setattr(ginger, "_ROUNDS", 6)
+        _pin(HybridGingerPartitioner, stream_graph, 8, seed=1)
 
 
 def _label_walk_oracle(indptr, indices, labels, weights, k, capacity, rng,

@@ -11,6 +11,7 @@ from repro.graph.generators import grid_road_network, ring_graph, rmat_edges
 from repro.partitioners.base import VertexPartition
 from repro.partitioners.hashing import RandomPartitioner
 from repro.partitioners.metis_like import MetisLikePartitioner
+from repro.partitioners import spinner
 from repro.partitioners.sheep import SheepPartitioner, _min_degree_order
 from repro.partitioners.spinner import SpinnerPartitioner
 from repro.partitioners.vertex_to_edge import vertex_to_edge_partition
@@ -68,8 +69,9 @@ class TestSpinner:
         part = SpinnerPartitioner(4, seed=0).partition(g)
         assert part.replication_factor() < 2.0
 
-    def test_iteration_cap(self, small_rmat):
-        part = SpinnerPartitioner(4, seed=0, max_iterations=2).partition_vertices(small_rmat)
+    def test_iteration_cap(self, small_rmat, monkeypatch):
+        monkeypatch.setattr(spinner, "_MAX_ITERATIONS", 2)
+        part = SpinnerPartitioner(4, seed=0).partition_vertices(small_rmat)
         assert part.iterations <= 2
 
 
@@ -150,24 +152,6 @@ class TestLabelWalkPins:
         digest = hashlib.sha256(
             vp.assignment.astype(np.int64).tobytes()).hexdigest()
         assert (vp.iterations, digest) == _LABEL_PINS[key]
-
-    @pytest.mark.parametrize("cls,kwargs", [
-        (SpinnerPartitioner, {"balance_weight": float("nan")}),
-        (SpinnerPartitioner, {"balance_weight": float("inf")}),
-        (SpinnerPartitioner, {"capacity_factor": float("nan")}),
-        (SpinnerPartitioner, {"capacity_factor": 0.0}),
-        (XtraPuLPPartitioner, {"capacity_factor": -1.0}),
-        (XtraPuLPPartitioner, {"capacity_factor": float("inf")}),
-        (MetisLikePartitioner, {"balance": 0.0}),
-        (MetisLikePartitioner, {"balance": float("nan")}),
-        (MetisLikePartitioner, {"balance": float("inf")}),
-    ])
-    def test_non_finite_or_non_positive_knobs_rejected(self, cls, kwargs):
-        """The walk is exact only for finite scores: a NaN or infinite
-        load weight, and a capacity that is not a positive finite
-        number, are refused at construction."""
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            cls(8, **kwargs)
 
 
 class TestSheep:

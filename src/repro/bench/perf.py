@@ -215,8 +215,8 @@ def _bench_allocator(graph: CSRGraph, partitions: int, kernel: str):
     stand-in expansion processes to address."""
     cluster = SimulatedCluster()
     alloc = cluster.add_process(AllocationProcess(
-        0, graph, np.arange(graph.num_edges), Hash2DPlacement(1, seed=0),
-        kernel=kernel))
+        0, graph.edges, graph.num_vertices, np.arange(graph.num_edges),
+        Hash2DPlacement(1, seed=0), kernel=kernel))
     # One machine, `partitions` partitions: the vectorized kernel sizes
     # its partition width before the first step.
     alloc._ensure_partition_capacity(partitions - 1)

@@ -20,12 +20,13 @@ The CLI is a thin shell over the library; everything it does is also
 available programmatically (see README quickstart).
 
 Flag scoping: options that only apply to some methods live in their
-own argument groups under ``partition`` (execution backend for
-``distributed_ne``/``sne``; checkpoint/fault-tolerance flags likewise,
-with ``--step-timeout``/``--max-retries`` further requiring
-``--backend processes``) and appear under no other subcommand.  The
-CLI validates the combination before running and exits 2 with a
-specific message on a mismatch.
+own argument groups under ``partition`` — the execution backend and
+worker supervision for ``distributed_ne`` (``--step-timeout`` /
+``--max-retries`` further requiring ``--backend processes``), on-disk
+checkpoint/resume for ``distributed_ne`` and ``sne`` — and appear
+under no other subcommand.  A flag the method has no option for, or a
+combination its constructor refuses, exits 2 with a specific message
+before anything runs.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser(
         "partition", help="partition a graph",
-        epilog="The execution-backend and fault-tolerance groups only "
+        epilog="The execution-backend and checkpoint groups only "
                "apply to the methods named in their titles; other "
                "methods reject those flags with exit code 2.")
     source = p_part.add_mutually_exclusive_group(required=True)
@@ -132,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "dataset or edges path)")
 
     g_backend = p_part.add_argument_group(
-        "execution backend (distributed_ne, sne only)",
-        "Who runs the per-partition supersteps.  Other methods have "
-        "no backend= flag and reject these.")
+        "execution backend and supervision (distributed_ne)",
+        "Who runs the per-partition supersteps; worker supervision "
+        "(--step-timeout/--max-retries) additionally requires --backend "
+        "processes.  Other methods have no backend= flag and reject "
+        "these.")
     g_backend.add_argument("--backend", choices=BACKENDS, default=None,
                            help="simulated scheduler (default), thread "
                                 "pool, or shared-memory worker "
@@ -142,29 +145,28 @@ def build_parser() -> argparse.ArgumentParser:
     g_backend.add_argument("--workers", type=int, default=None,
                            help="worker count for the threads/processes "
                                 "backends (default 4)")
+    g_backend.add_argument("--step-timeout", type=float, default=None,
+                           help="seconds before a worker reply counts as "
+                                "hung (requires --backend processes)")
+    g_backend.add_argument("--max-retries", type=int, default=None,
+                           help="respawn-and-retry budget for failed/"
+                                "hung workers (requires --backend "
+                                "processes)")
 
-    g_fault = p_part.add_argument_group(
-        "checkpointing and fault tolerance (distributed_ne, sne only)",
-        "Superstep-granular checkpoint/resume on any backend; worker "
-        "supervision (--step-timeout/--max-retries) additionally "
-        "requires --backend processes.")
-    g_fault.add_argument("--checkpoint-dir", default=None,
-                         help="directory for superstep-granular "
-                              "checkpoints")
-    g_fault.add_argument("--checkpoint-every", type=int, default=None,
-                         help="checkpoint cadence in iterations "
-                              "(distributed_ne; default 1)")
-    g_fault.add_argument("--resume", action="store_true",
-                         help="resume from the newest checkpoint in "
-                              "--checkpoint-dir (bit-identical to the "
-                              "uninterrupted run)")
-    g_fault.add_argument("--step-timeout", type=float, default=None,
-                         help="seconds before a worker reply counts as "
-                              "hung (requires --backend processes)")
-    g_fault.add_argument("--max-retries", type=int, default=None,
-                         help="respawn-and-retry budget for failed/"
-                              "hung workers (requires --backend "
-                              "processes)")
+    g_ckpt = p_part.add_argument_group(
+        "checkpoint/resume (distributed_ne, sne)",
+        "On-disk snapshots a killed run resumes from: Distributed NE "
+        "at iteration boundaries on any backend, SNE at partition "
+        "boundaries.")
+    g_ckpt.add_argument("--checkpoint-dir", default=None,
+                        help="directory for the checkpoints")
+    g_ckpt.add_argument("--checkpoint-every", type=int, default=None,
+                        help="checkpoint cadence in iterations "
+                             "(distributed_ne; default 1)")
+    g_ckpt.add_argument("--resume", action="store_true",
+                        help="resume from the newest checkpoint in "
+                             "--checkpoint-dir (bit-identical to the "
+                             "uninterrupted run)")
 
     g_obs = p_part.add_argument_group(
         "observability (methods with a tracer= flag)",

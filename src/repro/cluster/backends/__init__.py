@@ -5,7 +5,7 @@ the per-partition steps between barriers — the deterministic inline
 reference scheduler, a thread pool over the GIL-releasing NumPy
 kernels, or worker processes with the big arrays mapped through
 ``multiprocessing.shared_memory``.  Every backend is entered the same
-way — ``start(cluster, program, pids, graph, arrays)`` with a
+way — ``start(cluster, program, pids, arrays)`` with a
 :class:`WorkerProgram` — and all three produce bit-identical
 assignments and accounting totals (see
 :mod:`repro.cluster.backends.base` for the contract and

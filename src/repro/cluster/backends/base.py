@@ -31,11 +31,13 @@ mailbox delivery order are bit-identical across backends (pinned by
 
 Contract summary
 ----------------
-``start(cluster, program, pids, graph, arrays)`` is the one way onto a
+``start(cluster, program, pids, arrays)`` is the one way onto a
 backend: it builds the processes ``pids`` from a :class:`WorkerProgram`
-wherever they are to run — in-process on the caller's own ``graph``
-and ``arrays`` (``simulated``, ``threads``), or inside each worker
-over shared-memory copies of them (``processes``).
+wherever they are to run — in-process on the caller's own ``arrays``
+(``simulated``, ``threads``), or inside each worker over shared-memory
+copies of them (``processes``).  Distributed NE is the one program;
+its ``arrays`` carry the canonical edge array and nothing else of the
+graph.
 
 ``run_superstep(steps, gather=(), phase=None)`` takes ``steps`` as a
 list of ``(pid, method_name, args)`` triples, each pid at most once.
@@ -46,7 +48,7 @@ still read, and the template counts executed vs skipped steps in
 ``steps_executed`` / ``steps_skipped``.  ``phase=(name, iteration)`` is
 the driver's label for the superstep; it only adds a ``phase:<name>``
 span when tracing.  Every named method must be a step function: it may
-read shared *read-only* structures (graph CSR, placement), mutate only
+read shared *read-only* structures (edge array, placement), mutate only
 its own process state, and emit effects only through the
 outbox-capable :class:`~repro.cluster.runtime.Process` helpers.  The
 return maps ``pid -> StepResult(value, seconds, gathered)`` where
@@ -98,10 +100,9 @@ def validate_execution_args(backend: str, workers: int | None = None,
                             checkpoint_dir: str | None = None,
                             resume: bool = False) -> None:
     """Raise ``ValueError`` on execution arguments no backend can
-    honour — the one statement of these rules, shared by every
-    partitioner constructor that takes the arguments (Distributed NE,
-    SNE), :func:`~repro.cluster.backends.create_backend` and the
-    parallel backends' own constructors."""
+    honour — the one statement of these rules, shared by Distributed
+    NE's constructor, :func:`~repro.cluster.backends.create_backend`
+    and the parallel backends' own constructors."""
     validate_backend(backend)
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
@@ -254,14 +255,14 @@ class WorkerProgram:
     crashed worker (the rebuild is followed by an in-place state
     restore, so ``build`` must be safe to re-run against live shared
     arrays).  Everything it needs must be picklable constructor state
-    or arrive through ``graph`` / ``arrays``.
+    or arrive through ``arrays``.
     """
 
-    def build(self, owned_pids, graph, arrays: dict) -> dict:
+    def build(self, owned_pids, arrays: dict) -> dict:
         """Return ``{pid: Process}`` for ``owned_pids``, in that order.
 
-        ``graph`` and ``arrays`` are what the caller handed
-        :meth:`ExecutionBackend.start` — the caller's own objects
+        ``arrays`` is what the caller handed
+        :meth:`ExecutionBackend.start` — the caller's own arrays
         in-process, zero-copy shared-memory views in a worker, so a
         write to an array is seen by every process on every backend.
         """
@@ -296,19 +297,19 @@ class ExecutionBackend:
     tracer = NULL_TRACER
 
     # -- lifecycle -----------------------------------------------------
-    def start(self, cluster, program: WorkerProgram, pids, graph=None,
-              arrays=None) -> None:
+    def start(self, cluster, program: WorkerProgram, pids,
+              arrays: dict) -> None:
         """Build the processes ``pids`` from ``program`` and register
         them with ``cluster``, in ``pids`` order.
 
-        The in-process backends build on the caller's own ``graph``
-        and ``arrays`` (name -> ndarray) and run through the fused
-        plane ``program.build_plane`` returns, if any; the processes
-        backend overrides this to build inside its workers.
+        The in-process backends build on the caller's own ``arrays``
+        (name -> ndarray) and run through the fused plane
+        ``program.build_plane`` returns, if any; the processes backend
+        overrides this to build inside its workers.
         """
         self.cluster = cluster
         self.steps_executed = self.steps_skipped = 0
-        self._procs = program.build(list(pids), graph, dict(arrays or {}))
+        self._procs = program.build(list(pids), arrays)
         for pid in pids:
             cluster.add_process(self._procs[pid])
         self._plane = program.build_plane(self._procs)

@@ -13,8 +13,7 @@ re-trigger it — which is what makes chaos scenarios deterministic
 enough to pin bit-identical recovery in tests and CI.
 
 Superstep ordinals are 1-based counts of ``run_superstep`` calls on
-the backend (the DNE driver issues five per iteration; SNE's whole
-stream is superstep 1 of its one worker).
+the backend (the DNE driver issues five per iteration).
 
 Seeded delays (:meth:`FaultPlan.seeded_delays`) draw per-(worker,
 superstep) sleeps from a seeded RNG — reproducible scheduling noise

@@ -1,9 +1,9 @@
 """Multiprocessing execution backend with worker supervision.
 
-Real OS processes run the supersteps.  The big read-only structures —
-the CSR graph arrays and the flat per-partition state — are mapped
-into every worker as zero-copy ``multiprocessing.shared_memory`` views
-(:mod:`repro.cluster.backends.shm`); the only data crossing the parent
+Real OS processes run the supersteps.  The program's arrays — for
+DNE the canonical edge array and the flat per-partition state — are
+mapped into every worker as zero-copy ``multiprocessing.shared_memory``
+views (:mod:`repro.cluster.backends.shm`); the only data crossing the parent
 boundary per superstep is message payloads (worker outboxes in,
 delivered mail out) plus small counter gathers.  Mail travels in the
 layout it was delivered in: per-``(dst, tag)`` lists for the eager
@@ -14,8 +14,8 @@ per ``(src, dst)`` pair.
 
 Topology: process ``(role, slot)`` belongs to worker ``slot % workers``
 for the whole run, and only workers that own a process are spawned.
-:meth:`ProcessesBackend.start` copies the caller's graph and arrays
-into two arenas once; process objects are then *built inside* the
+:meth:`ProcessesBackend.start` copies the caller's arrays into one
+arena once; process objects are then *built inside* the
 workers (from a picklable
 :class:`~repro.cluster.backends.base.WorkerProgram`) and never travel.
 Per superstep the parent
@@ -47,7 +47,7 @@ snapshot (per-process :meth:`~repro.cluster.runtime.Process.checkpoint_state`
 blobs, leftover worker-mailbox entries, fused-plane transients), and
 the parent retains each superstep's shipped inboxes until the step is
 acknowledged.  When a worker crashes, hangs, or raises, the parent
-kills it, respawns a fresh worker over the same shared-memory arenas,
+kills it, respawns a fresh worker over the same shared-memory arena,
 restores the last snapshot *in place* (so shm-backed arrays keep their
 aliases), re-ships the retained mail, and re-runs the exact same step
 list.  Steps are pure functions of their own state plus delivered
@@ -80,8 +80,7 @@ import numpy as np
 from repro.cluster.backends.base import (ExecutionBackend, WorkerProgram,
                                          WorkerStepError, merge_shares,
                                          run_steps, validate_execution_args)
-from repro.cluster.backends.shm import ShmArena, graph_from_views, \
-    graph_to_arrays
+from repro.cluster.backends.shm import ShmArena
 from repro.cluster.runtime import Process, SimulatedCluster
 from repro.observability.metrics import get_registry
 
@@ -160,15 +159,11 @@ def _inject_fault(fault, steps, owned_pids, conn):
 
 
 def _worker_main(conn, program: WorkerProgram, owned_pids,
-                 arena_specs: dict, supervise: bool) -> None:
-    views = {name: ShmArena.open(spec)
-             for name, spec in arena_specs.items()}
+                 arena_spec: dict, supervise: bool) -> None:
+    arena = ShmArena.open(arena_spec)
     try:
-        graph = graph_from_views(views["graph"]) if "graph" in views \
-            else None
-        arrays = {name: views["arrays"].array(name)
-                  for name in views["arrays"].keys()}
-        procs = program.build(owned_pids, graph, arrays)
+        arrays = {name: arena.array(name) for name in arena.keys()}
+        procs = program.build(owned_pids, arrays)
         plane = program.build_plane(procs)
         # Initial resident reports (made in constructors, before any
         # cluster attach) travel to the parent accountant with the
@@ -232,8 +227,7 @@ def _worker_main(conn, program: WorkerProgram, owned_pids,
                 conn.send(("ok", None))
                 return
     finally:
-        for view in views.values():
-            view.close()
+        arena.close()
         conn.close()
 
 
@@ -262,7 +256,7 @@ class ProcessesBackend(ExecutionBackend):
         self._ctx = _mp_context()
         self._procs_mp: list = []
         self._conns: list = []
-        self._arenas: dict = {}
+        self._arena: ShmArena | None = None
         self._worker_of: dict = {}
         self._started = False
         self._superstep = 0
@@ -271,14 +265,14 @@ class ProcessesBackend(ExecutionBackend):
         self.respawns = 0
 
     # ------------------------------------------------------------------
-    def start(self, cluster, program: WorkerProgram, pids, graph=None,
-              arrays=None) -> None:
-        """Map ``graph`` and ``arrays`` into shared memory, spawn the
-        workers that own a pid and build their process shares.
+    def start(self, cluster, program: WorkerProgram, pids,
+              arrays: dict) -> None:
+        """Map ``arrays`` into shared memory, spawn the workers that
+        own a pid and build their process shares.
 
         Every pid is a ``(role, slot)`` pair owned by worker
-        ``slot % workers``.  The arenas belong to the backend from the
-        moment they exist: :meth:`close` unlinks them, and so does a
+        ``slot % workers``.  The arena belongs to the backend from the
+        moment it exists: :meth:`close` unlinks it, and so does a
         failed start.  The parent cluster registers a plain
         :class:`~repro.cluster.runtime.Process` stub per pid, in
         ``pids`` order, so replay can resolve destinations and account
@@ -304,12 +298,7 @@ class ProcessesBackend(ExecutionBackend):
             table[list(by_slot)] = list(by_slot.values())
             self._slot_worker[role] = table
         try:
-            self._arenas["arrays"] = ShmArena.create(dict(arrays or {}))
-            if graph is not None:
-                self._arenas["graph"] = ShmArena.create(
-                    graph_to_arrays(graph))
-            self._specs = {name: arena.spec()
-                           for name, arena in self._arenas.items()}
+            self._arena = ShmArena.create(arrays)
             for pid in pids:
                 cluster.add_process(Process(pid))
             self._snapshots = [None] * nworkers
@@ -337,8 +326,8 @@ class ProcessesBackend(ExecutionBackend):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._program, self._owned[w], self._specs,
-                  supervise),
+            args=(child_conn, self._program, self._owned[w],
+                  self._arena.spec(), supervise),
             daemon=True, name=f"repro-backend-{w}")
         proc.start()
         child_conn.close()
@@ -387,7 +376,7 @@ class ProcessesBackend(ExecutionBackend):
         """Replace a failed worker and restore its last snapshot.
 
         The replacement rebuilds from the WorkerProgram over the same
-        arenas (which may reset shm-backed arrays to constructor-time
+        arena (which may reset shm-backed arrays to constructor-time
         values), then the snapshot restore rewrites every process's
         mutable state *in place* — safe because the parent is
         sequential across supersteps, so no sibling reads shared state
@@ -573,7 +562,7 @@ class ProcessesBackend(ExecutionBackend):
 
         The goodbye handshake is polled with a timeout (a hung or dead
         worker simply doesn't answer), joins are bounded, and a worker
-        that survives ``terminate()`` is ``kill()``-ed.  Arenas are
+        that survives ``terminate()`` is ``kill()``-ed.  The arena is
         closed *and unlinked* regardless of worker health, so no
         ``/dev/shm`` segment outlives the backend — pinned by the leak
         tests in ``tests/test_faults.py``.
@@ -599,9 +588,9 @@ class ProcessesBackend(ExecutionBackend):
                 proc.join(timeout=5)
         self._conns = []
         self._procs_mp = []
-        for arena in self._arenas.values():
-            arena.close()
-            arena.unlink()
-        self._arenas = {}
+        if self._arena is not None:
+            self._arena.close()
+            self._arena.unlink()
+            self._arena = None
         self._snapshots = []
         self._started = False

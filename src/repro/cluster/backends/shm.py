@@ -2,12 +2,12 @@
 
 One :class:`ShmArena` packs a set of named NumPy arrays into a single
 ``multiprocessing.shared_memory`` segment with an 8-byte-aligned
-offset table.  The processes backend creates the arenas (copying the
-arrays in once); workers open them by spec and get zero-copy views —
-the mechanism that maps the CSR graph arrays (indptr / neighbours /
-edge ids / canonical edges) and a program's named arrays (for DNE the
-per-partition remaining-degree and local-vertex arrays) into every
-worker without per-worker copies or pickling.
+offset table.  The processes backend creates the arena (copying the
+arrays in once); workers open it by spec and get zero-copy views —
+the mechanism that maps a program's named arrays (for DNE the
+canonical edge array, the home-grouped edge ids and the per-partition
+remaining-degree and local-vertex arrays) into every worker without
+per-worker copies or pickling.
 
 Ownership rules: the parent calls :meth:`ShmArena.unlink` exactly once
 after the run (destroying the segment); every mapping — parent and
@@ -22,9 +22,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-
-__all__ = ["ShmArena", "graph_to_arrays", "graph_from_views"]
+__all__ = ["ShmArena"]
 
 
 def _aligned(nbytes: int) -> int:
@@ -95,22 +93,3 @@ class ShmArena:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 
-
-# ----------------------------------------------------------------------
-# Graph packing: the read-only CSR arrays every worker maps.
-# ----------------------------------------------------------------------
-def graph_to_arrays(graph: CSRGraph) -> dict:
-    """The four CSR arrays that define a graph, keyed for an arena."""
-    return {
-        "graph_edges": graph.edges,
-        "graph_indptr": graph.indptr,
-        "graph_indices": graph.indices,
-        "graph_edge_ids": graph.edge_ids,
-    }
-
-
-def graph_from_views(arena: ShmArena) -> CSRGraph:
-    """Reconstruct the graph as zero-copy views over a shared arena."""
-    return CSRGraph.from_csr_arrays(
-        arena.array("graph_edges"), arena.array("graph_indptr"),
-        arena.array("graph_indices"), arena.array("graph_edge_ids"))

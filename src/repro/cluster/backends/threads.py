@@ -54,9 +54,8 @@ class ThreadsBackend(ExecutionBackend):
         self.workers = workers
         self._pool: ThreadPoolExecutor | None = None
 
-    def start(self, cluster, program, pids, graph=None,
-              arrays=None) -> None:
-        super().start(cluster, program, pids, graph, arrays)
+    def start(self, cluster, program, pids, arrays: dict) -> None:
+        super().start(cluster, program, pids, arrays)
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers,
             thread_name_prefix="repro-backend")

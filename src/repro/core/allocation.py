@@ -98,7 +98,6 @@ from collections import defaultdict
 import numpy as np
 
 from repro.cluster.runtime import Process
-from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 
 __all__ = ["AllocationProcess", "DenseMembership", "PackedMembership",
@@ -285,23 +284,27 @@ class PackedMembership:
 class AllocationProcess(Process):
     """One allocation process holding a 2D-hash slice of the graph."""
 
-    #: checkpoint/restore excludes: the shared CSR graph and placement,
-    #: the local index structures derived once in the constructor
-    #: (immutable for the life of the process, rebuilt identically by a
-    #: respawned worker), and the own one-machine plane (kernel wiring
-    #: over this process's arrays, not state) — everything else is
-    #: mutable allocation state.
+    #: checkpoint/restore excludes: the shared edge array, |V| and the
+    #: placement, the local index structures derived once in the
+    #: constructor (immutable for the life of the process, rebuilt
+    #: identically by a respawned worker), and the own one-machine
+    #: plane (kernel wiring over this process's arrays, not state) —
+    #: everything else is mutable allocation state.
     _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({
-        "graph", "placement", "eids", "local_vertices", "_lsrc", "_ldst",
-        "_vindex", "_adj_ptr", "_adj_eid", "_adj_other", "_plane"})
+        "edges", "num_vertices", "placement", "eids", "local_vertices",
+        "_lsrc", "_ldst", "_vindex", "_adj_ptr", "_adj_eid", "_adj_other",
+        "_plane"})
 
-    def __init__(self, machine: int, graph: CSRGraph, edge_ids: np.ndarray,
-                 placement, two_hop: bool = True,
+    def __init__(self, machine: int, edges: np.ndarray, num_vertices: int,
+                 edge_ids: np.ndarray, placement, two_hop: bool = True,
                  kernel: str = "vectorized"):
         super().__init__(("alloc", machine))
         validate_kernel(kernel)
         self.machine = machine
-        self.graph = graph
+        #: the canonical ``(|E|, 2)`` edge array, shared read-only, and
+        #: the graph's vertex count — all of the graph a machine reads
+        self.edges = edges
+        self.num_vertices = num_vertices
         self.placement = placement
         self.two_hop = two_hop
         self.kernel = kernel
@@ -315,8 +318,8 @@ class AllocationProcess(Process):
         # a plane adopts ``_adj_ptr`` / ``_adj_eid`` / ``_adj_other`` /
         # ``_lsrc`` / ``_ldst`` and sets them to None here: one copy.
         self.eids = np.asarray(edge_ids, dtype=np.int64)
-        src = graph.edges[self.eids, 0]
-        dst = graph.edges[self.eids, 1]
+        src = edges[self.eids, 0]
+        dst = edges[self.eids, 1]
         self.local_vertices, inverse = np.unique(
             np.concatenate([src, dst]), return_inverse=True)
         k = len(self.eids)

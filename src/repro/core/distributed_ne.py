@@ -36,9 +36,9 @@ Execution backends
 The phase loop is expressed as *supersteps* against an execution
 backend (:mod:`repro.cluster.backends`), entered one way:
 ``backend.start`` takes a :class:`DneWorkerProgram`, the pids
-(allocators, then expanders), the graph and the per-partition arrays
-(home-grouped edge ids, each allocator's local-vertex ids and
-remaining degrees), and builds the processes where they run —
+(allocators, then expanders) and the program's arrays (the canonical
+edge array, home-grouped edge ids, each allocator's local-vertex ids
+and remaining degrees), and builds the processes where they run —
 in-process for ``backend="simulated"`` (default; inline, in
 deterministic order) and ``"threads"`` (a thread pool over the
 GIL-releasing NumPy kernels), inside worker processes over
@@ -62,13 +62,13 @@ third arm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.cluster.backends import (WorkerProgram, create_backend,
                                     validate_execution_args)
-from repro.cluster.checkpoint import CheckpointStore
+from repro.cluster.checkpoint import CheckpointMismatch, CheckpointStore
 from repro.cluster.runtime import SimulatedCluster
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
                                    TAG_SYNC, AllocationProcess)
@@ -83,12 +83,19 @@ from repro.partitioners.base import EdgePartition, Partitioner
 
 __all__ = ["DistributedNE", "DneWorkerProgram"]
 
+#: layout version of DNE's snapshots, checked on resume like the rest
+#: of ``meta``: bump it when the payload's layout changes (a
+#: ``_LoopState`` field added or dropped is also caught by name)
+_CHECKPOINT_FORMAT = 1
+
 
 @dataclass
 class DneWorkerProgram(WorkerProgram):
     """Builds a share of the DNE cluster.
 
-    :meth:`arrays` is everything :meth:`build` reads besides the graph:
+    :meth:`arrays` is everything :meth:`build` reads besides the
+    program's own fields (|V| among them): the canonical edge array
+    ``edges`` — the only graph array a machine reads, no adjacency —
     the edge ids grouped by home allocator (the initial distribution),
     and per allocator its local-vertex ids ``lv<k>`` and remaining
     degrees ``rd<k>``.  ``build`` constructs
@@ -108,14 +115,15 @@ class DneWorkerProgram(WorkerProgram):
     seed: int
     seed_strategy: str
     limit: int
-    total_edges: int
+    num_vertices: int
 
-    def arrays(self, graph: CSRGraph) -> dict:
-        """The named arrays :meth:`build` reads; the ``rd<k>`` are
-        filled by the allocator that owns them, at build time."""
+    def arrays(self, edges: np.ndarray) -> dict:
+        """The named arrays :meth:`build` reads, over the canonical
+        ``edges``; the ``rd<k>`` are filled by the allocator that owns
+        them, at build time."""
         p = self.num_partitions
-        homes = self.placement.place_edges(graph.edges) \
-            if graph.num_edges else np.empty(0, dtype=np.int64)
+        homes = self.placement.place_edges(edges) \
+            if len(edges) else np.empty(0, dtype=np.int64)
         # One stable grouping pass instead of |P| O(E) flatnonzero
         # scans: slice k of eids_by_home is exactly
         # np.flatnonzero(homes == k) (stable sort keeps edge ids
@@ -124,19 +132,21 @@ class DneWorkerProgram(WorkerProgram):
             np.int64, copy=False)
         eids_ptr = np.zeros(p + 1, dtype=np.int64)
         np.cumsum(np.bincount(homes, minlength=p), out=eids_ptr[1:])
-        arrays = {"eids_by_home": eids_by_home, "eids_ptr": eids_ptr}
+        arrays = {"edges": edges, "eids_by_home": eids_by_home,
+                  "eids_ptr": eids_ptr}
         # A home's sorted distinct endpoints, by marking them on one
         # reused per-vertex mask: half the time of a sort per home at
         # |P| = 8, where the homes are largest.
-        seen = np.zeros(graph.num_vertices, dtype=bool)
+        seen = np.zeros(self.num_vertices, dtype=bool)
         for k in range(p):
-            seen[graph.edges[eids_by_home[eids_ptr[k]:eids_ptr[k + 1]]]] = True
+            seen[edges[eids_by_home[eids_ptr[k]:eids_ptr[k + 1]]]] = True
             lv = arrays[f"lv{k}"] = np.flatnonzero(seen)
             seen[lv] = False
             arrays[f"rd{k}"] = np.zeros(len(lv), dtype=np.int32)
         return arrays
 
-    def build(self, owned_pids, graph, arrays: dict) -> dict:
+    def build(self, owned_pids, arrays: dict) -> dict:
+        edges = arrays["edges"]
         eids_by_home, eids_ptr = arrays["eids_by_home"], arrays["eids_ptr"]
         parts = range(self.num_partitions)
         seed_source = SharedSeedSource([arrays[f"lv{k}"] for k in parts],
@@ -145,7 +155,8 @@ class DneWorkerProgram(WorkerProgram):
         for role, k in owned_pids:
             if role == "alloc":
                 proc = AllocationProcess(
-                    k, graph, eids_by_home[eids_ptr[k]:eids_ptr[k + 1]],
+                    k, edges, self.num_vertices,
+                    eids_by_home[eids_ptr[k]:eids_ptr[k + 1]],
                     self.placement, two_hop=self.two_hop, kernel=self.kernel)
                 # Same contents (the home's sorted endpoint ids), one copy.
                 proc.local_vertices = arrays[f"lv{k}"]
@@ -154,7 +165,7 @@ class DneWorkerProgram(WorkerProgram):
                 proc.rest_degree = shared_rd
             else:
                 proc = ExpansionProcess(
-                    k, self.num_partitions, self.limit, self.total_edges,
+                    k, self.num_partitions, self.limit, len(edges),
                     self.lam, self.seed, self.placement,
                     seed_strategy=self.seed_strategy, kernel=self.kernel,
                     seed_source=seed_source)
@@ -364,13 +375,14 @@ class DistributedNE(Partitioner):
         t0 = time.perf_counter()
         program = DneWorkerProgram(
             p, placement, self.two_hop, self.kernel, self.lam,
-            self.seed, self.seed_strategy, limit, graph.num_edges)
-        arrays = program.arrays(graph)
+            self.seed, self.seed_strategy, limit, graph.num_vertices)
+        arrays = program.arrays(graph.edges)
         # Checkpoint identity: everything that must agree before a
         # snapshot's state blobs can be poured back into this run.
         # The backend is deliberately absent — blobs are backend-
         # neutral, so a processes-backend run may resume simulated.
-        meta = {"partitioner": self.name, "p": p, "seed": self.seed,
+        meta = {"partitioner": self.name, "format": _CHECKPOINT_FORMAT,
+                "p": p, "seed": self.seed,
                 "kernel": self.kernel, "placement": self.placement_kind,
                 "alpha": self.alpha, "lam": self.lam,
                 "two_hop": self.two_hop,
@@ -392,8 +404,7 @@ class DistributedNE(Partitioner):
         t_run = time.perf_counter()
 
         try:
-            backend.start(cluster, program, alloc_pids + exp_pids, graph,
-                          arrays)
+            backend.start(cluster, program, alloc_pids + exp_pids, arrays)
             load_seconds = time.perf_counter() - t0
 
             # Empty-mailbox short-circuit: a step whose entire input —
@@ -421,7 +432,7 @@ class DistributedNE(Partitioner):
                 cluster.stats = resume_snapshot["stats"]
                 backend.steps_executed, backend.steps_skipped = \
                     resume_snapshot["ledger"]
-                loop = _LoopState(**resume_snapshot["loop"])
+                loop = _restore_loop(resume_snapshot["loop"])
             while True:
                 loop.iterations += 1
                 # Step 1: selection + multicast (a finished process's
@@ -633,6 +644,20 @@ class DistributedNE(Partitioner):
                                 minlength=self.num_partitions)
             assignment[left] = _water_fill_targets(loads, len(left))
         return assignment
+
+
+def _restore_loop(saved: dict) -> _LoopState:
+    """The saved loop variables as a :class:`_LoopState`; a snapshot
+    whose field names differ from this build's raises
+    :class:`~repro.cluster.checkpoint.CheckpointMismatch` naming each
+    unknown or missing field."""
+    known = {f.name for f in fields(_LoopState)}
+    if set(saved) != known:
+        raise CheckpointMismatch(
+            {f"loop.{name}": ("present" if name in saved else "missing",
+                              "present" if name in known else "missing")
+             for name in set(saved) ^ known})
+    return _LoopState(**saved)
 
 
 def _share(part: float, rest: float) -> float:

@@ -412,7 +412,7 @@ class FusedDnePlane:
             self._width = placement.num_processes
             self._g = 1
             return
-        self._g = max(allocs[0].graph.num_vertices, 1)
+        self._g = max(allocs[0].num_vertices, 1)
         width = len(allocs[0]._part_loads)
         if any(len(a._part_loads) != width for a in allocs):
             raise ValueError("allocators disagree on partition width")
@@ -446,7 +446,7 @@ class FusedDnePlane:
         self._ldst = _adopt_int32(allocs, "_ldst", self._voff, "vertex")
         for a in allocs:
             a._adj_ptr = None
-        _check_fused_bound(allocs[0].graph.num_edges, "global edge")
+        _check_fused_bound(len(allocs[0].edges), "global edge")
         #: fused local edge id -> global edge id (the allocators keep
         #: theirs: views of the home-grouped id array of
         #: ``DneWorkerProgram.arrays``)

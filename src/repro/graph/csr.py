@@ -167,9 +167,9 @@ class CSRGraph:
         works — one that fails :func:`~repro.graph.edgelist.is_canonical`
         is canonicalised into a fresh array — but a canonical array is
         **adopted, not copied**: the graph keeps a read-only view of the
-        caller's buffer, which the caller must not write to afterwards
-        (the contract :meth:`from_csr_arrays` already has).  A
-        negative vertex id raises ``ValueError`` naming it.
+        caller's buffer, which the caller must not write to
+        afterwards.  A negative vertex id raises ``ValueError`` naming
+        it.
 
         The id space is bounded against |E|: without a
         ``num_vertices`` override the largest id must be below
@@ -226,27 +226,6 @@ class CSRGraph:
         # Symmetrise: each canonical edge contributes (u->v) and (v->u).
         self.indptr, self.indices, self.edge_ids = symmetrised_csr(
             edges, self.n)
-
-    @classmethod
-    def from_csr_arrays(cls, edges: np.ndarray, indptr: np.ndarray,
-                        indices: np.ndarray, edge_ids: np.ndarray
-                        ) -> "CSRGraph":
-        """Wrap prebuilt CSR arrays without copying or re-deriving.
-
-        The arrays are trusted to be a consistent
-        canonical-edges/symmetrised-CSR quadruple (as produced by the
-        normal constructor).  Used by the shared-memory execution
-        backend to reconstruct the graph in worker processes as
-        zero-copy views over one shared segment.
-        """
-        graph = cls.__new__(cls)
-        graph.edges = edges
-        graph.m = len(edges)
-        graph.n = len(indptr) - 1
-        graph.indptr = indptr
-        graph.indices = indices
-        graph.edge_ids = edge_ids
-        return graph
 
     # ------------------------------------------------------------------
     # Basic accessors

@@ -48,8 +48,8 @@ def _single_proc_setup(graph, num_partitions=2, two_hop=True,
     cluster = SimulatedCluster()
     placement = Hash2DPlacement(1, seed=0)
     alloc = cluster.add_process(AllocationProcess(
-        0, graph, np.arange(graph.num_edges), placement, two_hop=two_hop,
-        kernel=kernel))
+        0, graph.edges, graph.num_vertices, np.arange(graph.num_edges),
+        placement, two_hop=two_hop, kernel=kernel))
     # One process, several partitions: the vectorized kernel sizes its
     # partition width before the first step.
     alloc._ensure_partition_capacity(num_partitions - 1)
@@ -141,8 +141,8 @@ class TestMultiProcessSync:
         placement = Hash2DPlacement(2, seed=0)
         homes = placement.place_edges(g.edges)
         allocs = [cluster.add_process(AllocationProcess(
-            k, g, np.flatnonzero(homes == k), placement,
-            kernel=kernel)) for k in range(2)]
+            k, g.edges, g.num_vertices, np.flatnonzero(homes == k),
+            placement, kernel=kernel)) for k in range(2)]
         for p in range(2):
             _Sink(cluster, p)
 

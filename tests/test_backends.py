@@ -4,17 +4,18 @@ The contract of :mod:`repro.cluster.backends`: the ``simulated``,
 ``threads`` and ``processes`` backends run the *same* Process/barrier
 programs and must be observationally identical — bit-identical
 ``assignment`` arrays and identical message/byte/barrier/memory
-accounting totals — for DNE and SNE, under both kernels, at |P| well
-below and at the dense-membership width.  Wall clock is the only thing
-a backend may change.
+accounting totals — for DNE, the one program on the plane, under both
+kernels, at |P| well below and at the dense-membership width.  Wall
+clock is the only thing a backend may change.
 
 Every harness here enters a backend the one way there is,
-``start(cluster, program, pids, graph, arrays)``.  Also covered: the
+``start(cluster, program, pids, arrays)``.  Also covered: the
 one dispatch function behind all three backends (``run_steps``: fused
 vs per-process, arming, failure naming) as a table, the outbox replay
 protocol in isolation (each parallel backend == inline for every
 payload shape; threads for every share boundary), the shared-memory
-arena round trip, the processes backend spawning only workers that own
+arena round trip and what DNE maps into it (of the graph, the edge
+array only), the processes backend spawning only workers that own
 a pid, and crash propagation over all three backends — a step that
 raises on a parallel backend must surface as :class:`WorkerStepError`
 naming the partition, promptly, with no hang and no orphaned workers.
@@ -23,6 +24,8 @@ Run with ``--workers N`` (root conftest option; default 2, CI runs 4).
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -37,8 +40,6 @@ from repro.core.distributed_ne import DistributedNE, DneWorkerProgram
 from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
-from repro.partitioners.sne import SNEPartitioner, _run_sne_stream, \
-    _SneProgram
 from tests.conftest import dense_membership_shapes
 
 PARALLEL = ("threads", "processes")
@@ -132,10 +133,10 @@ class TestDneBackendEquivalence:
         homes = placement.place_edges(graph.edges)
         program = DneWorkerProgram(parts, placement, True, kernel, 0.1, 0,
                                    "random", graph.num_edges,
-                                   graph.num_edges)
-        arrays = program.arrays(graph)
+                                   graph.num_vertices)
+        arrays = program.arrays(graph.edges)
         pids = [("alloc", k) for k in range(parts)] + [("expansion", 0)]
-        procs = program.build(pids, graph, arrays)
+        procs = program.build(pids, arrays)
         assert list(procs) == pids
         for k in range(parts):
             alloc = procs["alloc", k]
@@ -143,6 +144,7 @@ class TestDneBackendEquivalence:
             assert np.array_equal(alloc.eids, np.flatnonzero(homes == k))
             assert alloc.local_vertices is arrays[f"lv{k}"]
             assert alloc.rest_degree is arrays[f"rd{k}"]
+            assert alloc.edges is arrays["edges"] is graph.edges
             assert np.array_equal(alloc.local_vertices, np.unique(home))
             assert alloc.rest_degree.sum() == home.size
         assert procs["expansion", 0].seed_source.live().all()
@@ -156,44 +158,6 @@ class TestDneBackendEquivalence:
                                 backend=backend,
                                 workers=workers).partition(graph)
             assert res.extra["history"] == base.extra["history"], backend
-
-
-class TestSneBackendEquivalence:
-    @pytest.mark.parametrize("kernel", ["vectorized", "python"])
-    @pytest.mark.parametrize("partitions", [4, 64])
-    def test_backends_bit_identical(self, graph, kernel, partitions,
-                                    workers):
-        base = SNEPartitioner(partitions, seed=0, kernel=kernel).partition(
-            graph)
-        for backend in PARALLEL:
-            res = SNEPartitioner(partitions, seed=0, kernel=kernel,
-                                 backend=backend,
-                                 workers=workers).partition(graph)
-            assert np.array_equal(res.assignment, base.assignment), backend
-            assert res.extra["state_bytes"] == base.extra["state_bytes"]
-            assert res.extra["buffer_capacity"] == \
-                base.extra["buffer_capacity"]
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_program_path_equals_the_stream(self, graph, name, workers):
-        """SNE's one-process program, started on each backend and run
-        as one superstep, returns exactly the stream called directly —
-        on one worker whatever ``workers`` is."""
-        params = (8, 1, 1.1, "vectorized", None, False)
-        want, want_extra = _run_sne_stream(graph, *params)
-        pid = ("sne", 0)
-        backend = create_backend(name, workers)
-        try:
-            backend.start(SimulatedCluster(), _SneProgram(params), [pid],
-                          graph)
-            if name == "processes":
-                assert len(backend._procs_mp) == 1
-            got, extra = backend.run_superstep(
-                [(pid, "stream", ())])[pid].value
-        finally:
-            backend.close()
-        assert np.array_equal(got, want)
-        assert extra["state_bytes"] == want_extra["state_bytes"]
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +308,7 @@ class _Program(WorkerProgram):
     def __init__(self, process_cls):
         self.process_cls = process_cls
 
-    def build(self, owned_pids, graph, arrays):
+    def build(self, owned_pids, arrays):
         return {pid: self.process_cls(pid) for pid in owned_pids}
 
 
@@ -352,7 +316,7 @@ def _drive_echo(backend_name, workers):
     cluster = SimulatedCluster()
     pids = [("echo", k) for k in range(3)]
     backend = create_backend(backend_name, workers)
-    backend.start(cluster, _Program(_EchoProcess), pids)
+    backend.start(cluster, _Program(_EchoProcess), pids, {})
     try:
         values = []
         for round_no in range(3):
@@ -418,7 +382,7 @@ class TestCrashPropagation:
         parallel backends — and close() still tears the workers down."""
         pids = [("boom", k) for k in range(3)]
         backend = create_backend(name, workers)
-        backend.start(SimulatedCluster(), _Program(_BoomProcess), pids)
+        backend.start(SimulatedCluster(), _Program(_BoomProcess), pids, {})
         try:
             with pytest.raises(Exception) as excinfo:
                 backend.run_superstep([(pid, "step", ()) for pid in pids])
@@ -440,7 +404,7 @@ class TestWorkerTopology:
         pids = [(role, k) for role in ("alloc", "expansion")
                 for k in range(2)]
         backend = ProcessesBackend(4)
-        backend.start(SimulatedCluster(), _Program(_BoomProcess), pids)
+        backend.start(SimulatedCluster(), _Program(_BoomProcess), pids, {})
         try:
             assert len(backend._procs_mp) == 2
             assert backend._owned == [[pids[0], pids[2]], [pids[1], pids[3]]]
@@ -478,6 +442,34 @@ class TestShmArena:
             arena.close()
             arena.unlink()
 
+    def test_dne_maps_only_the_edge_array_of_the_graph(self, graph, workers,
+                                                       monkeypatch):
+        """A DNE run on ``processes`` maps one arena, and of the graph
+        only the canonical edge array — exactly 16 bytes per edge, no
+        CSR adjacency (49 bytes per edge with it).  Everything else in
+        the arena is the program's per-partition state.  The run still
+        equals the simulated one."""
+        mapped = []
+        create = ShmArena.create.__func__
+
+        def recording(cls, arrays):
+            mapped.append({name: np.asarray(arr).nbytes
+                           for name, arr in arrays.items()})
+            return create(cls, arrays)
+
+        monkeypatch.setattr(ShmArena, "create", classmethod(recording))
+        res = _run_dne(graph, 4, "vectorized", "processes", workers)
+        base = _run_dne(graph, 4, "vectorized", "simulated", None)
+        program_state = re.compile(r"eids_by_home|eids_ptr|lv\d+|rd\d+")
+        graph_bytes = sum(nbytes for arena in mapped
+                          for name, nbytes in arena.items()
+                          if not program_state.fullmatch(name))
+        assert graph_bytes == 16 * graph.num_edges
+        assert len(mapped) == 1
+        assert np.array_equal(res.assignment, base.assignment)
+        for key in _PINNED_EXTRA:
+            assert res.extra[key] == base.extra[key], key
+
 
 class TestValidation:
     def test_backend_names(self):
@@ -487,8 +479,6 @@ class TestValidation:
             validate_backend("mpi")
         with pytest.raises(ValueError, match="backend must be one of"):
             DistributedNE(4, backend="mpi")
-        with pytest.raises(ValueError, match="backend must be one of"):
-            SNEPartitioner(4, backend="mpi")
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
@@ -498,10 +488,8 @@ class TestValidation:
         # Fail-fast at construction, not deep inside the run.
         with pytest.raises(ValueError, match="workers"):
             DistributedNE(4, backend="threads", workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            SNEPartitioner(4, backend="processes", workers=-1)
 
-    @pytest.mark.parametrize("cls", [DistributedNE, SNEPartitioner])
+    @pytest.mark.parametrize("cls", [DistributedNE])
     @pytest.mark.parametrize("kwargs, message", [
         ({"step_timeout": -1.0}, "step_timeout must be positive or None"),
         ({"step_timeout": 0}, "step_timeout must be positive or None"),

@@ -67,6 +67,29 @@ class TestCommands:
         assert code == 2
         assert "step_timeout must be positive or None" in caplog.text
 
+    def test_sne_takes_checkpoints_but_no_backend(self, tmp_path, caplog,
+                                                  capsys):
+        """SNE runs in-process: a backend flag is a usage error naming
+        ``backend=``, while its on-disk checkpoint/resume works — the
+        resumed run prints the same partition."""
+        path = tmp_path / "edges.tsv"
+        save_edges_tsv(path, rmat_edges(8, 4, seed=0))
+        sne = ["partition", "--edges", str(path), "--method", "sne", "-p", "4"]
+        with caplog.at_level("ERROR", logger="repro.cli"):
+            assert main(sne + ["--backend", "processes"]) == 2
+        assert "backend=" in caplog.text
+        ckpt = str(tmp_path / "ckpt")
+        assert main(sne + ["--checkpoint-dir", ckpt]) == 0
+        first = capsys.readouterr().out
+        assert main(sne + ["--checkpoint-dir", ckpt, "--resume"]) == 0
+        resumed = capsys.readouterr().out
+
+        def quality(out):
+            return [line for line in out.splitlines()
+                    if "replication factor" in line or "balance" in line]
+        assert len(quality(first)) == 3
+        assert quality(resumed) == quality(first)
+
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
         out = capsys.readouterr().out

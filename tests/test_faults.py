@@ -5,8 +5,10 @@ that suffers injected worker crashes/hangs/step errors *and recovers*
 (``max_retries > 0`` on the processes backend) must be bit-identical —
 assignments and every message/byte/barrier/memory total — to the
 fault-free run; and a checkpointed run killed mid-flight and resumed
-must be bit-identical to the uninterrupted one.  Both are pinned here
-for DNE and SNE.
+must be bit-identical to the uninterrupted one.  Supervision is pinned
+for DNE, the one program on the execution plane; checkpoint/resume for
+DNE and SNE, including the snapshot-format check that refuses a
+snapshot another build wrote.
 
 Also covered: corrupt-snapshot detection and fallback (a truncated or
 byte-flipped newest snapshot resumes from the retained older one, all
@@ -42,6 +44,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
 from repro.observability import (MetricsRegistry, disable_metrics,
                                  enable_metrics)
+from repro.partitioners.ne import ExpansionState
 from repro.partitioners.sne import SNEPartitioner
 from tests.conftest import dense_membership_shapes
 
@@ -211,31 +214,6 @@ class TestRecoveryEquivalence:
                             max_retries=1, fault_plan=plan).partition(graph)
         _assert_identical(res, base4)
 
-    def test_sne_task_kill_retries_bit_identical(self, graph, workers):
-        """SNE's stream is superstep 1 of its one worker: killed there,
-        the worker is respawned and the superstep re-run; the pure
-        re-run matches the simulated result."""
-        base = SNEPartitioner(4, seed=3).partition(graph)
-        plan = FaultPlan().kill(0, 1)
-        res = SNEPartitioner(4, seed=3, backend="processes",
-                             workers=workers, step_timeout=60,
-                             max_retries=1, fault_plan=plan).partition(graph)
-        assert np.array_equal(res.assignment, base.assignment)
-        assert res.extra["state_bytes"] == base.extra["state_bytes"]
-        assert not plan.pending()
-
-    def test_sne_hang_recovers_bit_identical(self, graph, workers):
-        """A hung SNE worker trips step_timeout like a DNE one: killed,
-        respawned, the stream re-run bit-identically."""
-        base = SNEPartitioner(4, seed=3).partition(graph)
-        plan = FaultPlan().hang(0, 1)
-        res = SNEPartitioner(4, seed=3, backend="processes",
-                             workers=workers, step_timeout=2,
-                             max_retries=1, fault_plan=plan).partition(graph)
-        assert np.array_equal(res.assignment, base.assignment)
-        assert res.extra["state_bytes"] == base.extra["state_bytes"]
-        assert not plan.pending()
-
 
 # ----------------------------------------------------------------------
 # Checkpoint / resume
@@ -357,6 +335,35 @@ class TestCheckpointResume:
             DistributedNE(4, seed=1, checkpoint_dir=ckpt,
                           resume=True).partition(graph)
 
+    def test_unknown_loop_field_fails_loudly(self, graph, tmp_path):
+        """A snapshot whose loop variables are not this build's — here
+        one a former build saved and this one dropped — is refused as a
+        mismatch naming the field, not a bare ``TypeError``."""
+        ckpt = str(tmp_path / "ckpt")
+        DistributedNE(4, seed=0, max_iterations=2,
+                      checkpoint_dir=ckpt).partition(graph)
+        store = CheckpointStore(ckpt)
+        snapshot = store.load_latest()
+        snapshot["loop"]["allocation_seconds"] = 0.0
+        store.save(store.steps()[-1] + 1, snapshot)
+        with pytest.raises(CheckpointMismatch,
+                           match="loop.allocation_seconds"):
+            DistributedNE(4, seed=0, checkpoint_dir=ckpt,
+                          resume=True).partition(graph)
+
+    @pytest.mark.parametrize("cls", [DistributedNE, SNEPartitioner])
+    def test_older_snapshot_format_fails_loudly(self, graph, tmp_path, cls):
+        """A snapshot stamped with an older format number is refused by
+        the ``meta`` check before any state is read."""
+        ckpt = str(tmp_path / "ckpt")
+        cls(4, seed=0, checkpoint_dir=ckpt).partition(graph)
+        store = CheckpointStore(ckpt)
+        snapshot = store.load_latest()
+        snapshot["meta"]["format"] = 0
+        store.save(store.steps()[-1] + 1, snapshot)
+        with pytest.raises(CheckpointMismatch, match="format"):
+            cls(4, seed=0, checkpoint_dir=ckpt, resume=True).partition(graph)
+
     def test_resume_empty_store_is_fresh_start(self, graph, tmp_path, base4):
         res = DistributedNE(4, seed=0, checkpoint_dir=str(tmp_path / "empty"),
                             resume=True).partition(graph)
@@ -417,6 +424,39 @@ class TestCheckpointResume:
         assert np.array_equal(res.assignment, base.assignment)
         assert res.extra["state_bytes"] == base.extra["state_bytes"]
 
+    @pytest.mark.parametrize("kernel", ["vectorized", "python"])
+    @pytest.mark.parametrize("partitions", [4, 64])
+    def test_sne_crash_mid_stream_resumes_bit_identical(
+            self, graph, tmp_path, monkeypatch, kernel, partitions):
+        """SNE's recovery is its checkpoint plane: a run that dies
+        halfway through the stream (here, at the start of partition
+        ``partitions // 2``) resumes from the newest boundary snapshot
+        and ends bit-identical to the uninterrupted run."""
+        ckpt = str(tmp_path / "ckpt")
+        base = SNEPartitioner(partitions, seed=3,
+                              kernel=kernel).partition(graph)
+        crash_at = partitions // 2
+        begin = ExpansionState.begin_partition
+        calls = []
+
+        def dying(state):
+            calls.append(None)
+            if len(calls) > crash_at:
+                raise RuntimeError("killed mid-stream")
+            begin(state)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExpansionState, "begin_partition", dying)
+            with pytest.raises(RuntimeError, match="killed mid-stream"):
+                SNEPartitioner(partitions, seed=3, kernel=kernel,
+                               checkpoint_dir=ckpt).partition(graph)
+        assert CheckpointStore(ckpt).steps()[-1] == crash_at
+        res = SNEPartitioner(partitions, seed=3, kernel=kernel,
+                             checkpoint_dir=ckpt,
+                             resume=True).partition(graph)
+        assert np.array_equal(res.assignment, base.assignment)
+        assert res.extra["state_bytes"] == base.extra["state_bytes"]
+
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             DistributedNE(4, resume=True)
@@ -448,19 +488,19 @@ class _SleepProcess(Process):
 
 
 class _PingProgram(WorkerProgram):
-    def build(self, owned_pids, graph, arrays):
+    def build(self, owned_pids, arrays):
         return {pid: _PingProcess(pid) for pid in owned_pids}
 
 
 class _SleepProgram(WorkerProgram):
-    def build(self, owned_pids, graph, arrays):
+    def build(self, owned_pids, arrays):
         return {pid: _SleepProcess(pid) for pid in owned_pids}
 
 
 def _start_pair(backend):
     cluster = SimulatedCluster()
     pids = [("ping", 0), ("ping", 1)]
-    backend.start(cluster, _PingProgram(), pids)
+    backend.start(cluster, _PingProgram(), pids, {})
     return cluster, pids
 
 
@@ -470,7 +510,7 @@ class TestSupervisionProtocol:
         reply wait is bounded and the failure names the worker."""
         pid = ("ping", 0)
         backend = ProcessesBackend(1, step_timeout=0.5)
-        backend.start(SimulatedCluster(), _SleepProgram(), [pid])
+        backend.start(SimulatedCluster(), _SleepProgram(), [pid], {})
         try:
             with pytest.raises(WorkerStepError,
                                match=r"timed out after 0\.5s"):
@@ -524,8 +564,6 @@ class TestSupervisionProtocol:
         with pytest.raises(ValueError, match="processes"):
             DistributedNE(4, max_retries=1)
         with pytest.raises(ValueError, match="processes"):
-            SNEPartitioner(4, backend="simulated", fault_plan=FaultPlan())
-        with pytest.raises(ValueError, match="processes"):
             create_backend("threads", 2, fault_plan=FaultPlan())
         with pytest.raises(ValueError):
             ProcessesBackend(2, step_timeout=0)
@@ -569,15 +607,6 @@ class TestShmLeaks:
         DistributedNE(4, seed=0, backend="processes", workers=workers,
                       step_timeout=60, max_retries=1,
                       fault_plan=plan).partition(graph)
-        assert _shm_segments() - before == set()
-
-    def test_no_leak_after_sne_task_kill(self, graph, workers):
-        before = _shm_segments()
-        plan = FaultPlan().kill(0, 1)
-        with pytest.raises(WorkerStepError):
-            SNEPartitioner(4, seed=3, backend="processes", workers=workers,
-                           step_timeout=60,
-                           fault_plan=plan).partition(graph)
         assert _shm_segments() - before == set()
 
 

@@ -220,7 +220,8 @@ class TestPackedMembership:
             cluster = SimulatedCluster()
             placement = Hash2DPlacement(1, seed=0)
             alloc = cluster.add_process(AllocationProcess(
-                0, graph, np.arange(graph.num_edges), placement))
+                0, graph.edges, graph.num_vertices,
+                np.arange(graph.num_edges), placement))
             alloc._ensure_partition_capacity(min(partitions, 4) - 1)
             alloc._member = layout(len(alloc.local_vertices),
                                    min(partitions, 4))
@@ -297,7 +298,8 @@ def _mini_dne(graph, placement):
     homes = placement.place_edges(graph.edges)
     cluster = SimulatedCluster()
     allocs = [cluster.add_process(AllocationProcess(
-        k, graph, np.flatnonzero(homes == k), placement))
+        k, graph.edges, graph.num_vertices, np.flatnonzero(homes == k),
+        placement))
         for k in range(machines)]
     source = SharedSeedSource([a.local_vertices for a in allocs],
                               [a.rest_degree for a in allocs])
@@ -393,10 +395,10 @@ class TestFusedDispatchEquivalence:
         placement = Hash2DPlacement(4, seed=0)
         program = DneWorkerProgram(4, placement, True, "vectorized", 0.5,
                                    0, "random", graph.num_edges,
-                                   graph.num_edges)
+                                   graph.num_vertices)
         pids = [(role, k) for role in ("alloc", "expansion")
                 for k in range(4)]
-        procs = program.build(pids, graph, program.arrays(graph))
+        procs = program.build(pids, program.arrays(graph.edges))
         allocs = [procs["alloc", k] for k in range(4)]
         local = [{name: getattr(a, name).copy()
                   for name in ("_adj_eid", "_adj_other", "_lsrc", "_ldst")}
@@ -753,8 +755,8 @@ class TestTwoHopLoadsDelta:
             cluster = SimulatedCluster()
             placement = Hash2DPlacement(1, seed=0)
             alloc = cluster.add_process(AllocationProcess(
-                0, graph, np.arange(graph.num_edges), placement,
-                kernel=kernel))
+                0, graph.edges, graph.num_vertices,
+                np.arange(graph.num_edges), placement, kernel=kernel))
             alloc._ensure_partition_capacity(partitions - 1)
             cluster.add_process(Process(("alloc", 1)))
             for p in range(partitions):
@@ -866,8 +868,8 @@ class TestReferencePathHygiene:
         cluster = SimulatedCluster()
         placement = Hash2DPlacement(1, seed=0)
         alloc = cluster.add_process(AllocationProcess(
-            0, graph, np.arange(graph.num_edges), placement,
-            kernel="python"))
+            0, graph.edges, graph.num_vertices, np.arange(graph.num_edges),
+            placement, kernel="python"))
         driver = cluster.add_process(Process(("expansion", 0)))
         cluster.add_process(Process(("expansion", 1)))
         # Two rounds of selections, exercising one-hop and two-hop.
@@ -891,8 +893,8 @@ class TestReferencePathHygiene:
             cluster = SimulatedCluster()
             placement = Hash2DPlacement(1, seed=0)
             alloc = cluster.add_process(AllocationProcess(
-                0, graph, np.arange(graph.num_edges), placement,
-                kernel=kernel))
+                0, graph.edges, graph.num_vertices,
+                np.arange(graph.num_edges), placement, kernel=kernel))
             alloc._ensure_partition_capacity(1)
             cluster.add_process(Process(("expansion", 0)))
             cluster.add_process(Process(("expansion", 1)))

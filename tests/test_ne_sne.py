@@ -131,17 +131,15 @@ class TestSNEPartitioner:
         with pytest.raises(ValueError, match="alpha must be >= 1.0"):
             SNEPartitioner(4, alpha=0.9)
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"backend": "threads", "workers": 0}, "workers must be >= 1"),
-        ({"step_timeout": 1.0}, "require backend='processes'"),
-        ({"backend": "threads", "max_retries": 1},
-         "require backend='processes'"),
-    ])
-    def test_execution_argument_validation(self, kwargs, message):
-        """The checks SNE shares with Distributed NE
-        (``validate_execution_args``), same messages."""
-        with pytest.raises(ValueError, match=message):
-            SNEPartitioner(4, **kwargs)
+    @pytest.mark.parametrize("option, value", [
+        ("backend", "processes"), ("workers", 2), ("step_timeout", 1.0),
+        ("max_retries", 1), ("fault_plan", None), ("tracer", None)])
+    def test_execution_plane_options_are_not_taken(self, option, value):
+        """SNE is a sequential baseline run in-process: none of the
+        execution-plane options Distributed NE takes reaches it, so
+        passing one is an error naming it, not a silent no-op."""
+        with pytest.raises(TypeError, match=option):
+            SNEPartitioner(4, **{option: value})
 
     def test_quality_between_hash_and_ne(self, medium_rmat):
         """Table 4's shape: SNE lands in NE's quality class (within

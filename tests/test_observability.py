@@ -9,7 +9,7 @@ The observability contract (PR 9) has three load-bearing clauses:
 2. **Result-neutral** — running with the full telemetry plane live
    (registry + tracer) is bit-identical to running without it:
    assignments, ops counters, and every deterministic accounting total,
-   for DNE and SNE, both kernels, all three execution backends.
+   for DNE, both kernels, all three execution backends.
 3. **Deterministic structure** — the *structure* of a trace (span
    names, categories, ordering, args minus wall-clock fields) is a
    pure function of the run parameters, not of the backend or worker
@@ -49,7 +49,6 @@ from repro.observability import (
     summarize,
 )
 from repro.observability.trace import NULL_TRACER
-from repro.partitioners.sne import SNEPartitioner
 
 PARALLEL = ("threads", "processes")
 
@@ -239,24 +238,6 @@ class TestResultNeutrality:
         for key in _PINNED_EXTRA:
             assert traced.extra[key] == base.extra[key], key
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "python"])
-    @pytest.mark.parametrize("backend", ["simulated", *PARALLEL])
-    def test_sne_traced_equals_untraced(self, graph, kernel, backend,
-                                        workers):
-        w = None if backend == "simulated" else workers
-        base = SNEPartitioner(4, seed=0, kernel=kernel, backend=backend,
-                              workers=w).partition(graph)
-        enable_metrics(MetricsRegistry())
-        try:
-            traced = SNEPartitioner(
-                4, seed=0, kernel=kernel, backend=backend, workers=w,
-                tracer=Tracer()).partition(graph)
-        finally:
-            disable_metrics()
-        assert np.array_equal(traced.assignment, base.assignment)
-        for key in ("state_bytes", "buffer_capacity"):
-            assert traced.extra[key] == base.extra[key], key
-
     def test_partitioners_default_to_null_telemetry(self, graph):
         """Zero-cost-when-off: no tracer flag, no live registry — the
         run records nothing anywhere."""
@@ -288,22 +269,6 @@ class TestTraceStructure:
         # backend identity rides in metadata, not structure
         for backend, events in backends.items():
             assert events[0]["args"] == {"name": backend}
-
-    def test_sne_structure_identical_across_backends(self, graph,
-                                                     workers):
-        structures = {}
-        for backend in ("simulated", *PARALLEL):
-            w = None if backend == "simulated" else workers
-            tracer = Tracer()
-            SNEPartitioner(4, seed=0, backend=backend, workers=w,
-                           tracer=tracer).partition(graph)
-            structures[backend] = tracer.structure()
-        assert structures["simulated"] == [
-            ("run:sne", "run", 0,
-             (("kernel", "vectorized"), ("method", "sne"),
-              ("partitions", 4)))]
-        for backend in PARALLEL:
-            assert structures[backend] == structures["simulated"], backend
 
     def test_spans_reconcile_with_superstep_ledger(self, graph):
         """--trace-out's spans must agree with the run's own step

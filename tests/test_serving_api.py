@@ -301,3 +301,20 @@ def test_job_rides_the_checkpoint_plane(api, tmp_path):
     assert final["state"] == "done", final
     assert final["checkpoints"], "job reported no checkpointed steps"
     assert final["checkpoints"] == sorted(final["checkpoints"])
+
+
+def test_sne_job_checkpoints_but_records_no_trace(api):
+    """SNE runs in-process: a job for it takes the checkpoint plane
+    (a snapshot per partition boundary, the store keeping the newest
+    two) but, having no ``tracer=``, records no trace — like ``ne``
+    and ``hdrf``."""
+    status, doc = api.handle(
+        "POST", "/api/runs",
+        body=_body({"method": "sne", "dataset": "roadnet-pa",
+                    "partitions": 4, "seed": 1, "checkpoint_every": 8}))
+    assert status == 202
+    final = _poll_done(api, doc["job_id"], timeout=300.0)
+    assert final["state"] == "done", final
+    assert final["checkpoints"] == [2, 3]
+    status, doc = api.handle("GET", f"/api/runs/{final['run_id']}/trace")
+    assert status == 404 and "trace" in doc["error"]

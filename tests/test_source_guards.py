@@ -45,7 +45,14 @@ One way onto a backend: ``ExecutionBackend.start`` with a
 ``WorkerProgram`` is the only lifecycle entry — no ``attach`` beside
 it, no whole-graph ``run_graph_task`` offload and no fault-plan axis
 for one — and shared memory is the processes backend's business alone:
-no partitioner builds an arena or asks which backend it runs on.
+no partitioner builds an arena or asks which backend it runs on.  One
+program runs there: Distributed NE is the only ``WorkerProgram`` and
+the only caller of ``create_backend`` (SNE, a sequential baseline, runs
+in-process like NE, importing nothing from the plane), and since DNE's
+machines read the canonical edge array alone, nothing under
+``cluster/backends/`` names a CSR adjacency array, the lifecycle
+(``start`` / ``build``) takes no graph, and the graph arena's packers
+stay deleted.
 
 One HTTP server: ``src/repro/serving/`` imports no ``asyncio`` and no
 ``ThreadPoolExecutor`` — the stdlib ``ThreadingHTTPServer`` bounds
@@ -85,6 +92,8 @@ from pathlib import Path
 import pytest
 
 import repro.core  # noqa: F401  (registers distributed_ne)
+from repro.cluster.backends import (ExecutionBackend, ProcessesBackend,
+                                   ThreadsBackend, WorkerProgram)
 from repro.partitioners import (PARTITIONER_REGISTRY, ObliviousPartitioner,
                                 SheepPartitioner)
 
@@ -367,14 +376,105 @@ def _uses(paths, name) -> list[tuple[str, int]]:
             for lineno, used in _names(path.read_text()) if used == name]
 
 
-@pytest.mark.parametrize("name", ["ShmArena", "graph_to_arrays"])
+@pytest.mark.parametrize("name", ["ShmArena"])
 def test_shared_memory_stays_inside_the_backends(name):
-    """The processes backend packs the graph and a program's arrays
-    into shared memory itself; nothing else builds an arena."""
+    """The processes backend packs a program's arrays into shared
+    memory itself; nothing else builds an arena."""
     backends = _SRC / "cluster" / "backends"
     outside = [path for path in sorted(_SRC.rglob("*.py"))
                if backends not in path.parents]
     assert _uses(outside, name) == []
+
+
+def _program_sites(source: str) -> list[int]:
+    """Line numbers of ``WorkerProgram`` subclasses and
+    ``create_backend(...)`` calls."""
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name)
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ClassDef)
+            and any(named(base, "WorkerProgram") for base in node.bases))
+        or (isinstance(node, ast.Call) and named(node.func,
+                                                 "create_backend")))
+
+
+def test_program_guard_sees_subclasses_and_calls():
+    source = ('"""class P(WorkerProgram) in prose"""\n'
+              "class P(backends.WorkerProgram):\n"
+              "    def run(self):\n"
+              "        return create_backend('simulated')\n"
+              "def create_backend():\n"
+              "    pass\n")
+    assert _program_sites(source) == [2, 4]
+
+
+def test_distributed_ne_is_the_only_program():
+    """Only DNE puts a program on the execution plane; a sequential
+    baseline runs in-process."""
+    found = sorted({str(path.relative_to(_SRC).as_posix())
+                    for path in sorted(_SRC.rglob("*.py"))
+                    if _program_sites(path.read_text())})
+    assert found == ["core/distributed_ne.py"]
+
+
+@pytest.mark.parametrize("name", ["indptr", "indices", "edge_ids"])
+def test_backends_name_no_adjacency_array(name):
+    """A worker maps what its program's ``arrays`` name — for DNE the
+    edge array — never the graph's CSR adjacency."""
+    assert _uses(sorted((_SRC / "cluster" / "backends").glob("*.py")),
+                 name) == []
+
+
+@pytest.mark.parametrize("name", ["graph_to_arrays", "graph_from_views",
+                                  "from_csr_arrays"])
+def test_graph_arena_stays_deleted(name):
+    """No worker rebuilds a ``CSRGraph`` out of shared memory: the
+    graph packer, its view-side inverse and the CSR-from-arrays
+    constructor they needed are named nowhere under ``src/repro``."""
+    assert _uses(sorted(_SRC.rglob("*.py")), name) == []
+
+
+@pytest.mark.parametrize("owner, method, params", [
+    (ExecutionBackend, "start", ("cluster", "program", "pids", "arrays")),
+    (ThreadsBackend, "start", ("cluster", "program", "pids", "arrays")),
+    (ProcessesBackend, "start", ("cluster", "program", "pids", "arrays")),
+    (WorkerProgram, "build", ("owned_pids", "arrays")),
+], ids=["ExecutionBackend.start", "ThreadsBackend.start",
+        "ProcessesBackend.start", "WorkerProgram.build"])
+def test_lifecycle_takes_no_graph(owner, method, params):
+    """A program reaches its workers through the arrays it names alone;
+    the lifecycle has no graph argument to hand a second copy along."""
+    signature = inspect.signature(getattr(owner, method))
+    assert tuple(signature.parameters)[1:] == params
+
+
+def _backend_imports(source: str) -> list[int]:
+    """Line numbers of imports from ``repro.cluster.backends``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("repro.cluster.backends"))
+            or (isinstance(node, ast.Import)
+                and any(alias.name.startswith("repro.cluster.backends")
+                        for alias in node.names))]
+
+
+def test_backend_import_guard_sees_both_forms():
+    source = ('"""from repro.cluster.backends import x"""\n'
+              "import repro.cluster.backends.shm\n"
+              "from repro.cluster.backends import create_backend\n"
+              "from repro.cluster.checkpoint import CheckpointStore\n")
+    assert _backend_imports(source) == [2, 3]
+
+
+def test_sequential_partitioners_import_no_backend():
+    """The baselines under ``partitioners/`` — SNE among them — run
+    in-process; none imports the execution plane."""
+    found = [(str(path.relative_to(_SRC).as_posix()), lineno)
+             for path in sorted((_SRC / "partitioners").rglob("*.py"))
+             for lineno in _backend_imports(path.read_text())]
+    assert found == []
 
 
 def test_partitioners_do_not_name_the_processes_backend():
@@ -614,20 +714,20 @@ def test_every_public_name_is_reached_outside_tests():
 #: Every registry class's constructor options after ``num_partitions``
 #: and ``seed``.  The baselines run at one fixed setting each (§7.1);
 #: DNE keeps Eq. 2's ``alpha``, Fig. 6's ``lam``, its ablations and the
-#: execution / checkpoint options the CLI, serving jobs and the gate set.
-_EXECUTION = ("backend", "workers", "checkpoint_dir")
-_SUPERVISION = ("step_timeout", "max_retries", "fault_plan", "tracer")
+#: execution / checkpoint options the CLI, serving jobs and the gate set;
+#: SNE, sequential, keeps only its on-disk checkpoint/resume.
 _REGISTRY_OPTIONS = {
     "random": (), "grid": (), "dbh": (), "hybrid": (), "oblivious": (),
     "sheep": (), "spinner": (), "metis_like": (), "xtrapulp": (),
     "fennel": ("kernel",), "hdrf": ("kernel",),
     "hybrid_ginger": ("kernel",),
     "ne": ("alpha", "kernel"),
-    "sne": ("alpha", "kernel", *_EXECUTION, "resume", *_SUPERVISION),
+    "sne": ("alpha", "kernel", "checkpoint_dir", "resume"),
     "distributed_ne": ("alpha", "lam", "two_hop", "placement",
                        "seed_strategy", "max_iterations", "collect_history",
-                       "kernel", *_EXECUTION, "checkpoint_every", "resume",
-                       *_SUPERVISION),
+                       "kernel", "backend", "workers", "checkpoint_dir",
+                       "checkpoint_every", "resume", "step_timeout",
+                       "max_retries", "fault_plan", "tracer"),
 }
 
 
@@ -638,5 +738,5 @@ def test_registry_constructor_options_are_pinned():
                == ("self", "num_partitions", "seed")
                for cls in PARTITIONER_REGISTRY.values())
     assert options == _REGISTRY_OPTIONS
-    assert sum(map(len, options.values())) == 32
+    assert sum(map(len, options.values())) == 26
 

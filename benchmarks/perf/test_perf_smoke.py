@@ -13,8 +13,8 @@ at |P| = 256 and the serving bulk lookup (the full bench shows 2.5–100×; 2× 
 robust to noisy CI boxes); Hybrid Ginger at |P| = 256 must clear 1.5×
 (~2.5× measured), ``csr_build`` 1.2×, tracing cost
 at most 1.25× untraced, and every kernel pair must agree on its outputs.
-One ceiling counts bytes, not seconds: the ``tracemalloc`` peak of one
-DNE partition, per edge.
+Two ceilings count bytes, not seconds: the ``tracemalloc`` peak of one
+DNE partition, per edge, and what building a ``CSRGraph`` allocates.
 
 The full trajectory lives in ``BENCH_kernels.json`` (regenerate with
 ``python -m repro bench perf``).
@@ -174,6 +174,32 @@ def test_dne_traced_peak_bytes_per_edge_under_ceiling(scale, partitions,
     assert per_edge <= ceiling, (
         f"DNE memory regressed: traced peak {per_edge:.0f} B/edge > "
         f"{ceiling} at RMAT {scale}, |P| = {partitions}")
+
+
+def test_csr_graph_holds_its_edges_and_little_else():
+    """Memory ceiling of ``CSRGraph(canonical RMAT 16)`` (477k edges):
+    what construction still holds is at most 1 B/edge beyond one int64
+    per vertex, and its ``tracemalloc`` peak at most 4 B/edge (the
+    canonical-order check's boolean temporaries, 3 B/edge).  With the
+    global adjacency built eagerly it held ≈ 33 B/edge and peaked at
+    ≈ 84; now ``indptr`` / ``indices`` / ``edge_ids`` wait for the
+    first partitioner that walks them."""
+    CSRGraph(rmat_edges(6, 4, seed=0))          # imports, lazy caches
+    edges = rmat_edges(16, 8, seed=0)
+    tracemalloc.start()
+    try:
+        graph = CSRGraph(edges)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_vertex = 8 * (graph.num_vertices + 1)
+    m = graph.num_edges
+    assert m > 400_000
+    assert held - per_vertex <= 1 * m, (
+        f"CSRGraph holds {held / m:.1f} B/edge beyond its edge array")
+    assert peak - per_vertex <= 4 * m, (
+        f"CSRGraph construction peaked at {peak / m:.1f} B/edge")
+    assert graph._adjacency is None
 
 
 def test_dne_backend_threads_floor_or_skip():

@@ -65,7 +65,11 @@ def method_memory_bytes(result: EdgePartition) -> int:
     CSR-only design and the copy-heavy competitors.
     """
     graph = result.graph
-    base_csr = graph.memory_bytes()
+    # The whole int64 CSR a baseline holds — edges, indptr, indices and
+    # edge_ids — priced from |V| and |E|, whether or not this method
+    # walked the lazily built adjacency.
+    base_csr = 8 * (2 * graph.num_edges + graph.num_vertices + 1
+                    + 2 * 2 * graph.num_edges)
     assignment = result.assignment.nbytes
 
     if result.method == "distributed_ne":

@@ -46,8 +46,9 @@ proved its mailbox payload is empty): the step is not invoked — it
 costs nothing on any backend — but its ``gathered`` attributes are
 still read, and the template counts executed vs skipped steps in
 ``steps_executed`` / ``steps_skipped``.  ``phase=(name, iteration)`` is
-the driver's label for the superstep; it only adds a ``phase:<name>``
-span when tracing.  Every named method must be a step function: it may
+the driver's label for the superstep; it adds a ``phase:<name>`` span
+when tracing, and its iteration reaches the fused plane, whose errors
+name it.  Every named method must be a step function: it may
 read shared *read-only* structures (edge array, placement), mutate only
 its own process state, and emit effects only through the
 outbox-capable :class:`~repro.cluster.runtime.Process` helpers.  The
@@ -167,7 +168,7 @@ def apply_outbox(cluster, src_pid, outbox: list) -> None:
             raise ValueError(f"unknown outbox entry kind {kind!r}")
 
 
-def run_steps(procs, plane, steps, gather, armed):
+def run_steps(procs, plane, steps, gather, armed, iteration=None):
     """Run one share of a superstep — the single dispatch site.
 
     ``procs`` maps pid -> process, ``plane`` is the fused dispatch
@@ -192,7 +193,8 @@ def run_steps(procs, plane, steps, gather, armed):
     fused emission sweep is one ``segments`` entry in the first live
     pid's) for the caller to replay via :func:`apply_outbox`; unarmed,
     effects hit the cluster as they are made and ``outboxes`` is
-    empty.  Outboxes are disarmed on every exit.
+    empty.  Outboxes are disarmed on every exit.  ``iteration`` (the
+    driver's, or ``None``) is handed to ``plane.run`` for its errors.
     """
     pids = [pid for pid, method, _ in steps if method is not None]
     fused = None
@@ -211,7 +213,7 @@ def run_steps(procs, plane, steps, gather, armed):
     try:
         if fused is not None:
             t0 = time.perf_counter()
-            values = plane.run(fused, pids)
+            values = plane.run(fused, pids, iteration)
             seconds = dict.fromkeys(pids, time.perf_counter() - t0)
         else:
             for running, method, args in steps:
@@ -273,7 +275,7 @@ class WorkerProgram:
 
         Called once after :meth:`build`.  Return ``None`` (the
         default) for per-process dispatch; return an object with
-        ``methods`` / ``run(method, pids)`` (e.g.
+        ``methods`` / ``run(method, pids, iteration)`` (e.g.
         :class:`~repro.core.fused.FusedDnePlane`) to let
         :func:`run_steps` fuse a share whenever its dispatch rule
         allows.
@@ -339,19 +341,20 @@ class ExecutionBackend:
         identical with tracing on or off (pinned by
         ``tests/test_observability.py``).
         """
+        iteration = phase[1] if phase is not None else None
         executed = sum(1 for _, method, _ in steps if method is not None)
         skipped = len(steps) - executed
         self.steps_executed += executed
         self.steps_skipped += skipped
         tracer = self.tracer
         if not tracer.enabled:
-            return self._execute_superstep(steps, gather)
+            return self._execute_superstep(steps, gather, iteration)
         t_phase = time.perf_counter()
         methods = {method for _, method, _ in steps if method is not None}
         name = next(iter(methods)) if len(methods) == 1 else \
             ("idle" if not methods else "mixed")
         t0 = time.perf_counter()
-        out = self._execute_superstep(steps, gather)
+        out = self._execute_superstep(steps, gather, iteration)
         seconds = time.perf_counter() - t0
         tracer.span(
             f"superstep:{name}", cat="superstep", seconds=seconds,
@@ -366,7 +369,7 @@ class ExecutionBackend:
                               "executed": executed, "skipped": skipped})
         return out
 
-    def _execute_superstep(self, steps, gather=()) -> dict:
+    def _execute_superstep(self, steps, gather=(), iteration=None) -> dict:
         raise NotImplementedError
 
     def _finish(self, steps, values, seconds, outboxes, gathered) -> dict:
@@ -419,9 +422,9 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
 
-    def _execute_superstep(self, steps, gather=()) -> dict:
+    def _execute_superstep(self, steps, gather=(), iteration=None) -> dict:
         results, failure = run_steps(self._procs, self._plane, steps, gather,
-                                     armed=False)
+                                     armed=False, iteration=iteration)
         if failure is not None:
             raise failure[1]
         return self._finish(steps, *results)

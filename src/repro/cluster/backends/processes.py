@@ -185,13 +185,13 @@ def _worker_main(conn, program: WorkerProgram, owned_pids,
             msg = conn.recv()
             kind = msg[0]
             if kind == "step":
-                _, steps, inbox, gather, fault, snap = msg
+                _, steps, inbox, gather, iteration, fault, snap = msg
                 if fault is not None and _inject_fault(
                         fault, steps, owned_pids, conn):
                     continue
                 _file_mail(wcluster, inbox)
                 results, failure = run_steps(procs, plane, steps, gather,
-                                             armed=True)
+                                             armed=True, iteration=iteration)
                 if failure is not None:
                     conn.send(("step_error", failure[0], failure[2]))
                 else:
@@ -402,7 +402,7 @@ class ProcessesBackend(ExecutionBackend):
         get_registry().counter_inc("repro_worker_respawns_total")
 
     # ------------------------------------------------------------------
-    def _execute_superstep(self, steps, gather=()) -> dict:
+    def _execute_superstep(self, steps, gather=(), iteration=None) -> dict:
         assert self._started, "backend not started"
         self._superstep += 1
         supervise = self.max_retries > 0
@@ -439,7 +439,7 @@ class ProcessesBackend(ExecutionBackend):
             fault = plan.take(w, self._superstep) if plan is not None else None
             try:
                 self._send_to(w, ("step", per_worker[w], inboxes[w], gather,
-                                  fault, supervise))
+                                  iteration, fault, supervise))
             except WorkerStepError as exc:
                 failures[w] = exc
         # Collect ALL replies before any recovery: siblings must not be
@@ -464,7 +464,7 @@ class ProcessesBackend(ExecutionBackend):
                 try:
                     self._respawn(w)
                     self._send_to(w, ("step", per_worker[w], inboxes[w],
-                                      gather, None, True))
+                                      gather, iteration, None, True))
                     reply = self._recv(w, timeout=self.step_timeout)
                 except WorkerStepError as exc:
                     error = exc

@@ -66,13 +66,13 @@ class ThreadsBackend(ExecutionBackend):
             self._pool = None
 
     # ------------------------------------------------------------------
-    def _execute_superstep(self, steps, gather=()) -> dict:
+    def _execute_superstep(self, steps, gather=(), iteration=None) -> dict:
         assert self._pool is not None, "backend not started"
         nshares = min(self.workers, len(steps)) or 1
         bounds = [len(steps) * i // nshares for i in range(nshares + 1)]
         futures = [self._pool.submit(run_steps, self._procs, self._plane,
                                      steps[bounds[i]:bounds[i + 1]], gather,
-                                     armed=True)
+                                     armed=True, iteration=iteration)
                    for i in range(nshares)]
         # Await everything before touching the cluster: replay must see
         # the complete superstep, and an error must not leave stragglers

@@ -107,6 +107,13 @@ The mechanisms:
   exact because loads are per (machine, partition), each edge has one
   home machine, the walk is machine-major and ingest re-sorts its mail.
   A call under the budget is one group: the single-sweep code, as is.
+* **Mail conservation.**  A two-hop call takes every row queued for
+  the machines it runs — delivered sync mail and both parked one-hop
+  queues.  After the call those counts (segment lengths, no row
+  touched) must be zero, or it raises naming the iteration, machine,
+  queue and row count: mail a group left behind fails the superstep
+  that lost it, not the stall check iterations later.  A ``processes``
+  worker checks its private cluster.
 * **Deterministic emission and ingest order.**  One stable sort by
   (machine, destination) makes a sweep's segments exactly the
   per-``(src, dst, tag)`` messages the accounting model prices, in the
@@ -512,8 +519,10 @@ class FusedDnePlane:
                                            "alloc", slots))
 
     # ------------------------------------------------------------------
-    def run(self, method: str, pids) -> dict:
-        """Run one fused superstep for ``pids``; returns pid -> value."""
+    def run(self, method: str, pids, iteration: int | None = None) -> dict:
+        """Run one fused superstep for ``pids``; returns pid -> value.
+        ``iteration`` is the driver's, named by a mail-conservation
+        error."""
         if method == "select_and_multicast":
             return self._run_select(pids)
         if method == "one_hop_and_sync":
@@ -522,6 +531,7 @@ class FusedDnePlane:
             out = {}
             for mis in self._two_hop_groups(pids):
                 out.update(self._run_two_hop(mis))
+            self._check_drained(pids, iteration)
             return out
         if method == "update_state":
             return self._run_update(pids)
@@ -727,6 +737,23 @@ class FusedDnePlane:
             self._pending_bp.rows(slots),
             cluster.queued_rows("alloc", TAG_SYNC, slots))]
         return [mis[lo:hi] for lo, hi in _budget_groups(queued, _SWEEP_ROWS)]
+
+    def _check_drained(self, pids, iteration: int | None) -> None:
+        """Raise unless a two-hop over ``pids`` left no sync mail and no
+        parked one-hop rows queued for their machines."""
+        slots = [pid[1] for pid in pids]
+        cluster = self._alloc_procs[self._mindex[slots[0]]].cluster
+        where = "" if iteration is None else f" in iteration {iteration}"
+        for tag, queued in (
+                (TAG_SYNC, cluster.queued_rows("alloc", TAG_SYNC, slots)),
+                ("parked one-hop boundary", self._pending_bp.rows(slots)),
+                ("parked one-hop edges", self._pending_edges.rows(slots))):
+            for slot, rows in zip(slots, queued):
+                if rows:
+                    raise RuntimeError(
+                        f"two_hop_and_report{where} left {rows} {tag!r} "
+                        f"rows queued for machine {slot}: a machine "
+                        "group's mail was not taken")
 
     def _run_two_hop(self, mis: list) -> dict:
         """Two-hop over one machine group (sorted machine idx ``mis``)."""

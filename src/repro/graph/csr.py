@@ -1,12 +1,19 @@
-"""Immutable CSR adjacency structure.
+"""Undirected graph: a canonical edge array, with its CSR adjacency
+built on first walk.
 
 The paper stores the graph inside each allocation process as a
 compressed sparse row array (§4, "Data Structure"): a contiguous
 ``indptr`` / ``indices`` pair rather than hash maps, which is the source
 of its order-of-magnitude memory advantage over ParMETIS/Sheep.  This
 module provides the same structure for the whole library: generators
-produce edge lists, everything that needs traversal builds a
-:class:`CSRGraph`.
+produce edge lists, and :class:`CSRGraph` wraps one.  The graph *is*
+its canonical edge array (16 bytes per edge); the global adjacency
+(``indptr`` / ``indices`` / ``edge_ids``, ≈ 32 more bytes per edge) is
+built the first time a partitioner walks it — NE, SNE, Sheep,
+``metis_like``, Spinner, XtraPuLP, Ginger — and kept.  Distributed NE
+builds only each machine's local CSR, and the hash and streaming
+methods, the metrics and the run store read the edge array and
+:meth:`CSRGraph.degrees` alone, so none of them pays for it.
 
 For an undirected graph each edge ``{u, v}`` appears twice in the
 adjacency (once per endpoint); ``edge_ids`` maps each adjacency slot
@@ -157,7 +164,8 @@ _IDS_PER_EDGE = 16
 
 
 class CSRGraph:
-    """Undirected graph in CSR form.
+    """Undirected graph: its canonical edge array, plus the CSR
+    adjacency built on first walk.
 
     Parameters
     ----------
@@ -179,27 +187,40 @@ class CSRGraph:
         :func:`~repro.graph.edgelist.relabel_compact` maps it onto
         ``0..n-1``.
     num_vertices:
-        Optional vertex-count override.  Must be at least ``max id + 1``;
-        ids in ``[0, num_vertices)`` with no incident edge are isolated
+        Optional vertex-count override, an integer (a ``bool``, a float
+        or a string raises ``ValueError`` naming it — it may come
+        straight from a file).  Must be at least ``max id + 1``; ids in
+        ``[0, num_vertices)`` with no incident edge are isolated
         vertices (degree 0).  It states the id space explicitly, so the
         bound above does not apply (a sampled subgraph keeps its
         parent's id space).
 
     Attributes
     ----------
+    edges:
+        The canonical ``(m, 2)`` edge array, read-only; edge ``i`` is
+        ``edges[i] = (u, v)`` with ``u < v``.  The only O(m) array a
+        graph holds from construction.
     indptr, indices:
-        Standard CSR arrays over the *symmetrised* adjacency.
+        Standard CSR arrays over the *symmetrised* adjacency, built by
+        :func:`symmetrised_csr` on the first read of either of them or
+        of ``edge_ids``, and kept.
     edge_ids:
         Parallel to ``indices``; ``edge_ids[k]`` is the canonical edge
         index of the adjacency slot ``k``.
-    edges:
-        The canonical ``(m, 2)`` edge array, read-only; edge ``i`` is
-        ``edges[i] = (u, v)`` with ``u < v``.
+
+    The lazy build takes no lock: no code shares a graph between
+    threads before its first walk (execution backends receive arrays,
+    not a graph), the build is deterministic and the three arrays are
+    published by one attribute assignment, so a race could only build
+    them twice, never expose a half-built adjacency.
     """
 
-    __slots__ = ("edges", "indptr", "indices", "edge_ids", "n", "m")
+    __slots__ = ("edges", "n", "m", "_adjacency", "_degrees")
 
     def __init__(self, edges: np.ndarray, num_vertices: int | None = None):
+        if num_vertices is not None:
+            num_vertices = _vertex_count(num_vertices)
         if not is_canonical(edges):
             edges = canonical_edges(edges)
             # rows are sorted with u < v: the first u is the least id
@@ -221,11 +242,9 @@ class CSRGraph:
         elif num_vertices < inferred:
             raise ValueError(
                 f"num_vertices={num_vertices} smaller than max id + 1 = {inferred}")
-        self.n = int(num_vertices)
-
-        # Symmetrise: each canonical edge contributes (u->v) and (v->u).
-        self.indptr, self.indices, self.edge_ids = symmetrised_csr(
-            edges, self.n)
+        self.n = num_vertices
+        self._adjacency = None
+        self._degrees = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -240,9 +259,36 @@ class CSRGraph:
         """Number of canonical undirected edges."""
         return self.m
 
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, edge_ids)``, built on the first call."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            adjacency = self._adjacency = symmetrised_csr(self.edges, self.n)
+        return adjacency
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._walk()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._walk()[1]
+
+    @property
+    def edge_ids(self) -> np.ndarray:
+        return self._walk()[2]
+
     def degrees(self) -> np.ndarray:
-        """Vector of all vertex degrees."""
-        return np.diff(self.indptr)
+        """Vector of all vertex degrees, read-only and kept: a
+        ``bincount`` of the edge array, which equals ``np.diff(indptr)``
+        (canonical edges have no self-loops) without building the
+        adjacency."""
+        degrees = self._degrees
+        if degrees is None:
+            degrees = np.bincount(self.edges.ravel(), minlength=self.n)
+            degrees.flags.writeable = False
+            self._degrees = degrees
+        return degrees
 
     def max_degree(self) -> int:
         """Maximum degree, 0 for an empty graph."""
@@ -252,23 +298,36 @@ class CSRGraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour ids of ``v``, ascending (view into ``indices``)."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        indptr, indices, _ = self._walk()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def incident_edge_ids(self, v: int) -> np.ndarray:
         """Canonical edge ids incident to ``v`` (view into ``edge_ids``)."""
-        return self.edge_ids[self.indptr[v]:self.indptr[v + 1]]
+        indptr, _, edge_ids = self._walk()
+        return edge_ids[indptr[v]:indptr[v + 1]]
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Bytes held by the CSR arrays.
+        """Bytes held by the graph's arrays that exist now: the edge
+        array, plus the degrees and the adjacency once built.
 
-        This is the quantity Figure 9's "mem score" normalises: the
-        resident size of the graph structure itself.
+        Figure 9's "mem score" prices a baseline's whole CSR from |V|
+        and |E| instead (:func:`~repro.bench.harness.method_memory_bytes`),
+        so it does not depend on what was read first.
         """
-        return (self.edges.nbytes + self.indptr.nbytes
-                + self.indices.nbytes + self.edge_ids.nbytes)
+        held = [self.edges, self._degrees, *(self._adjacency or ())]
+        return sum(arr.nbytes for arr in held if arr is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.m})"
+
+
+def _vertex_count(value) -> int:
+    """``value`` as a vertex count, or ``ValueError`` naming it: an
+    integer (NumPy's included) that is not a ``bool``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, np.integer)):
+        raise ValueError(f"num_vertices must be an integer, got {value!r}")
+    return int(value)

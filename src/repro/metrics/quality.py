@@ -15,7 +15,9 @@ Definitions follow the paper:
 
 Every vertex-side number reads one relation, the vertex→replica CSR of
 :func:`vertex_replica_csr`: ``|V(E_p)|`` is a ``bincount`` of its
-partition ids.  The free functions here build it per call;
+partition ids, and the covered vertices are its non-empty rows (a
+vertex is covered iff it has a replica), so no metric walks the graph's
+adjacency.  The free functions here build it per call;
 :class:`~repro.partitioners.base.EdgePartition` builds it once and its
 metric methods read the ``*_of_counts`` forms.
 """
@@ -31,6 +33,7 @@ __all__ = [
     "partition_vertex_counts",
     "replication_factor",
     "vertex_cut_count",
+    "covered_vertex_count",
     "replication_factor_of_counts",
     "vertex_cuts_of_counts",
     "balance",
@@ -87,6 +90,22 @@ def vertex_replica_csr(edges: np.ndarray, assignment: np.ndarray,
     return indptr, parts
 
 
+def covered_vertex_count(replica_indptr: np.ndarray) -> int:
+    """Vertices with at least one replica — those with degree >= 1,
+    |V| in the paper's formulas — from a replica CSR's ``indptr``."""
+    return int(np.count_nonzero(np.diff(replica_indptr)))
+
+
+def _replica_counts(graph: CSRGraph, assignment: np.ndarray,
+                    num_partitions: int) -> tuple[np.ndarray, int]:
+    """``(|V(E_p)| per partition, covered vertices)`` of one replica
+    CSR."""
+    indptr, parts = vertex_replica_csr(graph.edges, assignment,
+                                       graph.num_vertices, num_partitions)
+    return (np.bincount(parts, minlength=num_partitions),
+            covered_vertex_count(indptr))
+
+
 def partition_vertex_counts(graph: CSRGraph, assignment: np.ndarray,
                             num_partitions: int) -> np.ndarray:
     """``|V(E_p)|`` for each partition p: a ``bincount`` of the replica
@@ -101,28 +120,29 @@ def replication_factor(graph: CSRGraph, assignment: np.ndarray,
     """Equation 1: mean number of partitions each (non-isolated) vertex
     appears in."""
     return replication_factor_of_counts(
-        graph, partition_vertex_counts(graph, assignment, num_partitions))
+        *_replica_counts(graph, assignment, num_partitions))
 
 
 def vertex_cut_count(graph: CSRGraph, assignment: np.ndarray,
                      num_partitions: int) -> int:
     """Total number of vertex cuts: ``Σ_v (replicas(v) - 1)``."""
     return vertex_cuts_of_counts(
-        graph, partition_vertex_counts(graph, assignment, num_partitions))
+        *_replica_counts(graph, assignment, num_partitions))
 
 
-def replication_factor_of_counts(graph: CSRGraph,
-                                 vertex_counts: np.ndarray) -> float:
-    """:func:`replication_factor` from the partition's ``|V(E_p)|``."""
-    covered = _num_covered_vertices(graph)
+def replication_factor_of_counts(vertex_counts: np.ndarray,
+                                 covered: int) -> float:
+    """:func:`replication_factor` from the partition's ``|V(E_p)|`` and
+    its covered-vertex count."""
     if covered == 0:
         return 0.0
     return float(vertex_counts.sum()) / covered
 
 
-def vertex_cuts_of_counts(graph: CSRGraph, vertex_counts: np.ndarray) -> int:
-    """:func:`vertex_cut_count` from the partition's ``|V(E_p)|``."""
-    return int(vertex_counts.sum()) - _num_covered_vertices(graph)
+def vertex_cuts_of_counts(vertex_counts: np.ndarray, covered: int) -> int:
+    """:func:`vertex_cut_count` from the partition's ``|V(E_p)|`` and
+    its covered-vertex count."""
+    return int(vertex_counts.sum()) - covered
 
 
 def partition_edge_counts(assignment: np.ndarray,
@@ -154,8 +174,3 @@ def vertex_balance(graph: CSRGraph, assignment: np.ndarray,
     """VB: balance of per-partition covered-vertex counts."""
     return balance(partition_vertex_counts(graph, assignment,
                                            num_partitions))
-
-
-def _num_covered_vertices(graph: CSRGraph) -> int:
-    """Vertices with degree >= 1 (|V| in the paper's formulas)."""
-    return int(np.count_nonzero(np.diff(graph.indptr)))

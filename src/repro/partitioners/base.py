@@ -25,6 +25,7 @@ from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 from repro.metrics.quality import (
     balance,
+    covered_vertex_count,
     edge_balance,
     replication_factor_of_counts,
     validate_assignment,
@@ -104,11 +105,14 @@ class EdgePartition:
         return np.bincount(self.replicas[1], minlength=self.num_partitions)
 
     def replication_factor(self) -> float:
-        """Equation 1's RF for this partition."""
-        return replication_factor_of_counts(self.graph, self.vertex_counts())
+        """Equation 1's RF for this partition; its covered vertices are
+        :attr:`replicas`' non-empty rows."""
+        return replication_factor_of_counts(
+            self.vertex_counts(), covered_vertex_count(self.replicas[0]))
 
     def vertex_cut_count(self) -> int:
-        return vertex_cuts_of_counts(self.graph, self.vertex_counts())
+        return vertex_cuts_of_counts(
+            self.vertex_counts(), covered_vertex_count(self.replicas[0]))
 
     def edge_balance(self) -> float:
         return edge_balance(self.assignment, self.num_partitions)

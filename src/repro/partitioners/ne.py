@@ -62,7 +62,7 @@ class ExpansionState:
         self.assignment = np.full(graph.num_edges, -1, dtype=np.int64)
         self.allowed = allowed
         if allowed is None:
-            self.rest_degree = graph.degrees().astype(np.int64).copy()
+            self.rest_degree = graph.degrees().astype(np.int64)
         else:
             self.rest_degree = np.zeros(graph.num_vertices, dtype=np.int64)
             vis = graph.edges[allowed]
@@ -228,16 +228,17 @@ class ExpansionState:
     def _expand_vertex_python(self, v: int, pid: int, limit: int,
                               allocated: int) -> int:
         """Reference expansion: one adjacency slot at a time."""
-        graph = self.graph
+        indptr, indices, edge_ids = (self.graph.indptr, self.graph.indices,
+                                     self.graph.edge_ids)
         self._cover(v)
         new_cover: list[int] = []
-        for slot in range(graph.indptr[v], graph.indptr[v + 1]):
+        for slot in range(indptr[v], indptr[v + 1]):
             if allocated >= limit:
                 return allocated
-            eid = int(graph.edge_ids[slot])
+            eid = int(edge_ids[slot])
             if self.assignment[eid] != -1 or not self._visible(eid):
                 continue
-            u = int(graph.indices[slot])
+            u = int(indices[slot])
             self.allocate_edge(eid, pid)
             allocated += 1
             if not self.in_part[u]:
@@ -249,13 +250,13 @@ class ExpansionState:
         for u in new_cover:
             if allocated >= limit:
                 break
-            for slot in range(graph.indptr[u], graph.indptr[u + 1]):
+            for slot in range(indptr[u], indptr[u + 1]):
                 if allocated >= limit:
                     break
-                eid = int(graph.edge_ids[slot])
+                eid = int(edge_ids[slot])
                 if self.assignment[eid] != -1 or not self._visible(eid):
                     continue
-                w = int(graph.indices[slot])
+                w = int(indices[slot])
                 if self.in_part[w]:
                     self.allocate_edge(eid, pid)
                     allocated += 1

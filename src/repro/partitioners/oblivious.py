@@ -49,7 +49,7 @@ class ObliviousPartitioner(StreamingEdgePartitioner):
 
         replicas = [set() for _ in range(graph.num_vertices)]
         loads = np.zeros(p, dtype=np.int64)
-        remaining = graph.degrees().astype(np.int64).copy()
+        remaining = graph.degrees().astype(np.int64)
         assignment = np.empty(graph.num_edges, dtype=np.int64)
 
         for eid in order:

@@ -198,7 +198,7 @@ class _StubPlane:
         self.procs = procs
         self.calls = []
 
-    def run(self, method, pids):
+    def run(self, method, pids, iteration=None):
         self.calls.append((method, list(pids)))
         return {pid: getattr(self.procs[pid], method)() for pid in pids}
 

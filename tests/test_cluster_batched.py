@@ -548,10 +548,10 @@ class TestMailboxEntriesIndependentOfP:
             groups.append(len(out))
             return out
 
-        def counting_execute(self, steps, gather=()):
+        def counting_execute(self, steps, gather=(), iteration=None):
             methods = {m for _, m, _ in steps if m is not None}
             before, cut = len(created), len(groups)
-            out = execute(self, steps, gather)
+            out = execute(self, steps, gather, iteration)
             listed = sum(len(v) for v in self.cluster._delivered.values())
             if methods:
                 per_step.setdefault(methods.pop(), []).append(

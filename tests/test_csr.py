@@ -1,5 +1,7 @@
 """Unit tests for repro.graph.csr: CSRGraph and the dedup primitives."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,19 @@ class TestConstruction:
         # an explicit num_vertices states the id space itself
         assert CSRGraph(np.array([[0, 1]]), num_vertices=2 ** 20 + 1) \
             .num_vertices == 2 ** 20 + 1
+
+    @pytest.mark.parametrize("bad", ["5", 5.5, 5.0, np.float64(5), True,
+                                     np.True_])
+    def test_non_integral_num_vertices_is_named(self, bad):
+        """No silent ``int()`` truncation and no bare ``TypeError``:
+        only an integer states a vertex count."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"num_vertices must be an integer, got {bad!r}")):
+            CSRGraph(np.array([[0, 1]]), num_vertices=bad)
+
+    def test_numpy_integer_num_vertices_is_taken(self):
+        graph = CSRGraph(np.array([[0, 1]]), num_vertices=np.int32(7))
+        assert graph.num_vertices == 7 and type(graph.num_vertices) is int
 
     def test_defensive_canonicalisation(self):
         g = CSRGraph(np.array([[2, 0], [0, 2], [1, 1]]))
@@ -170,6 +185,67 @@ class TestAccessors:
 
     def test_memory_bytes_positive(self, small_rmat):
         assert small_rmat.memory_bytes() > 0
+
+
+def _degree_graphs():
+    """RMAT, road, isolated-vertex and empty graphs."""
+    return {"rmat": CSRGraph(rmat_edges(10, 8, seed=3)),
+            "road": CSRGraph(grid_road_network(12, 9, seed=3)),
+            "isolated": CSRGraph(np.array([[1, 4], [4, 6]]),
+                                 num_vertices=9),
+            "empty": CSRGraph(np.empty((0, 2), dtype=np.int64)),
+            "empty_with_vertices": CSRGraph(
+                np.empty((0, 2), dtype=np.int64), num_vertices=3)}
+
+
+class TestLazyAdjacency:
+    """The graph holds its edge array; the adjacency is built on the
+    first walk, from :func:`symmetrised_csr`, and kept."""
+
+    @pytest.mark.parametrize("name", sorted(_degree_graphs()))
+    def test_degrees_without_the_adjacency_equal_its_row_lengths(self,
+                                                                  name):
+        graph = _degree_graphs()[name]
+        degrees = graph.degrees()
+        assert graph._adjacency is None
+        assert degrees.dtype == np.int64
+        assert np.array_equal(degrees, np.diff(graph.indptr))
+        _assert_same_arrays(
+            (graph.indptr, graph.indices, graph.edge_ids),
+            symmetrised_csr(graph.edges, graph.num_vertices))
+
+    def test_built_once_on_first_walk_and_kept(self, monkeypatch):
+        graph = CSRGraph(rmat_edges(9, 6, seed=1))
+        calls = []
+        real = csr_module.symmetrised_csr
+
+        def counting(edges, n):
+            calls.append(n)
+            return real(edges, n)
+        monkeypatch.setattr(csr_module, "symmetrised_csr", counting)
+        graph.degrees(), graph.max_degree(), graph.memory_bytes()
+        assert calls == [] and graph._adjacency is None
+        assert graph.memory_bytes() == graph.edges.nbytes \
+            + graph.degrees().nbytes
+        indptr = graph.indptr
+        graph.neighbors(3), graph.incident_edge_ids(3), graph.indices
+        assert calls == [graph.num_vertices]
+        assert graph.indptr is indptr
+        assert graph.memory_bytes() == sum(
+            a.nbytes for a in (graph.edges, graph.degrees(), graph.indptr,
+                               graph.indices, graph.edge_ids))
+
+    def test_degrees_are_kept_and_read_only(self, small_rmat):
+        degrees = small_rmat.degrees()
+        assert small_rmat.degrees() is degrees
+        with pytest.raises(ValueError, match="read-only"):
+            degrees[0] = 99
+        with pytest.raises(ValueError, match="read-only"):
+            degrees += 1
+        # a converted copy is the caller's own to write
+        mine = degrees.astype(np.int64)
+        mine[0] += 1
+        assert small_rmat.degrees()[0] == mine[0] - 1
 
 
 class TestCSRInvariants:

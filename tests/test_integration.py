@@ -128,3 +128,38 @@ class TestCrossMethodConsistency:
                .replication_factor() for s in range(5)]
         med = float(np.median(rfs))
         assert max(rfs) - min(rfs) < 0.5 * med
+
+
+class TestAdjacencyStaysUnbuilt:
+    """Distributed NE, HDRF, DBH, the report and the run store read the
+    edge array and ``degrees()`` only: the graph's CSR adjacency is
+    still unbuilt after all of them.  Work the benchmark times must not
+    move into an untimed reader (a metric, the store) instead of going
+    away."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: DistributedNE(8, seed=0), id="dne-simulated"),
+        pytest.param(lambda: DistributedNE(8, seed=0, backend="threads",
+                                           workers=2), id="dne-threads"),
+        pytest.param(lambda: DistributedNE(8, seed=0, backend="processes",
+                                           workers=2), id="dne-processes"),
+        pytest.param(lambda: PARTITIONER_REGISTRY["hdrf"](8, seed=0),
+                     id="hdrf"),
+        pytest.param(lambda: PARTITIONER_REGISTRY["dbh"](8, seed=0),
+                     id="dbh")])
+    def test_partition_report_and_store(self, make, tmp_path):
+        from repro.metrics.report import partition_report
+        from repro.serving import RunStore
+        graph = CSRGraph(rmat_edges(scale=10, edge_factor=8, seed=2))
+        part = make().partition(graph)
+        report = partition_report(part)
+        store = RunStore(str(tmp_path / "runs.db"))
+        try:
+            store.add_run(part, seed=0)
+        finally:
+            store.close()
+        assert graph._adjacency is None
+        # the covered vertices came from the replica CSR, and agree
+        covered = int(np.count_nonzero(graph.degrees()))
+        assert report.vertex_cuts == report.vertex_counts.sum() - covered
+        assert graph._adjacency is None

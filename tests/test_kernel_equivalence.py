@@ -33,6 +33,7 @@ and seeds:
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -644,16 +645,17 @@ class TestBoundedSweeps:
     def test_untaken_group_mail_raises_instead_of_spinning(self,
                                                            monkeypatch):
         """A two-hop that skips one machine group in every ``processes``
-        worker leaves that group's sync mail queued in the worker: the
-        run loses those edges' reports, every live expander ends with
-        an empty boundary and no seed, and without the driver's stall
-        check the loop repeats one no-op iteration for ever.  It must
-        raise, naming the iteration."""
+        worker, replacing the plane's whole call (so its conservation
+        check never runs), leaves that group's sync mail queued in the
+        worker: the run loses those edges' reports, every live expander
+        ends with an empty boundary and no seed, and without the
+        driver's stall check the loop repeats one no-op iteration for
+        ever.  It must raise, naming the iteration."""
         real_run = fused_module.FusedDnePlane.run
 
-        def skip_second_group(plane, method, pids):
+        def skip_second_group(plane, method, pids, iteration=None):
             if method != "two_hop_and_report":
-                return real_run(plane, method, pids)
+                return real_run(plane, method, pids, iteration)
             out = dict.fromkeys(pids)
             for i, mis in enumerate(plane._two_hop_groups(pids)):
                 if i != 1:
@@ -668,6 +670,47 @@ class TestBoundedSweeps:
                            match=r"stalled in iteration \d+: no vertex"):
             DistributedNE(64, seed=0, backend="processes", workers=2,
                           max_iterations=500).partition(graph)
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("simulated", None), ("threads", 3), ("processes", 2)])
+    def test_untaken_group_mail_raises_at_the_two_hop_that_lost_it(
+            self, backend, workers, monkeypatch, tmp_path):
+        """The same lost group, inside the plane's own call: every
+        two-hop drops its machine group 1.  The plane's conservation
+        check raises in the first iteration whose two-hop had two
+        groups, naming the sync tag — on a ``processes`` worker's
+        private cluster too — not iterations later through the stall
+        check.  The log is a file: forked workers append to it."""
+        log = tmp_path / "two_group_iterations"
+        log.write_text("")
+        real_groups = fused_module.FusedDnePlane._two_hop_groups
+        real_run = fused_module.FusedDnePlane.run
+
+        def logging_run(plane, method, pids, iteration=None):
+            if (method == "two_hop_and_report"
+                    and len(real_groups(plane, pids)) > 1):
+                with open(log, "a") as fh:
+                    fh.write(f"{iteration}\n")
+            return real_run(plane, method, pids, iteration)
+
+        def drop_group_1(plane, pids):
+            groups = real_groups(plane, pids)
+            return groups[:1] + groups[2:]
+
+        monkeypatch.setattr(fused_module.FusedDnePlane, "run", logging_run)
+        monkeypatch.setattr(fused_module.FusedDnePlane, "_two_hop_groups",
+                            drop_group_1)
+        monkeypatch.setattr(fused_module, "_SWEEP_ROWS", 64)
+        graph = CSRGraph(rmat_edges(10, 8, seed=0))
+        with pytest.raises(RuntimeError, match=(
+                r"two_hop_and_report in iteration (\d+) left \d+ "
+                r"'sync' rows queued for machine \d+")) as info:
+            DistributedNE(64, seed=0, backend=backend, workers=workers,
+                          max_iterations=500).partition(graph)
+        raised = int(re.search(r"in iteration (\d+) left",
+                               str(info.value)).group(1))
+        assert raised == min(map(int, log.read_text().split()))
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("partitions", [1, 4, 9])

@@ -70,3 +70,21 @@ class TestRoundtrip:
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError):
             load_partition(path)
+
+    @pytest.mark.parametrize("bad", ["5", 5.5, True])
+    def test_non_integral_num_vertices_rejected(self, small_rmat, tmp_path,
+                                                bad):
+        """A crafted file's ``num_vertices`` is checked, not truncated."""
+        import json
+        part = RandomPartitioner(2, seed=0).partition(small_rmat)
+        path = tmp_path / "p.npz"
+        save_partition(path, part)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["meta"]).decode())
+        meta["num_vertices"] = bad
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                     dtype=np.uint8)
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match="num_vertices must be an "
+                           f"integer, got {bad!r}"):
+            load_partition(path)

@@ -163,34 +163,14 @@ def kernel_arms(bench, *args, **kwargs) -> dict:
 # ----------------------------------------------------------------------
 # DNE allocation phases
 # ----------------------------------------------------------------------
-def _feed(cluster: SimulatedCluster, kernel: str, tag: str,
-          rows: np.ndarray, src_role: str, src_slots: np.ndarray,
-          dst_role: str, dst_slots: np.ndarray) -> None:
+def _feed(cluster: SimulatedCluster, tag: str, rows: np.ndarray,
+          src_role: str, src_slots: np.ndarray, dst_role: str,
+          dst_slots: np.ndarray) -> None:
     """Untimed feed of one emission sweep (``rows`` grouped by
-    ``(src, dst)``, as :meth:`SegmentBatch.from_runs` takes them) in the
-    mail format ``kernel`` reads: the plane gets the sweep whole, the
-    reference one eager ``send`` per segment, pair rows as tuple lists.
-    Both price identically.
-    """
-    batch = SegmentBatch.from_runs(rows, src_role, src_slots,
-                                   dst_role, dst_slots)
-    if kernel == "vectorized":
-        cluster.deliver_segments(tag, batch)
-        return
-    for dst, (src, payload) in batch.messages():
-        if payload.ndim == 2:
-            payload = [tuple(row) for row in payload.tolist()]
-        cluster.process(src).send(dst, tag, payload)
-
-
-def _discard_mail(cluster: SimulatedCluster, role: str, slots: int,
-                  *tags: str) -> None:
-    """Drop the mail delivered to ``role`` so payloads don't pile up
-    across rounds (both mailbox layouts)."""
-    cluster.pop_segment_mail()
-    for slot in range(slots):
-        for tag in tags:
-            cluster._receive((role, slot), tag)
+    ``(src, dst)``, as :meth:`SegmentBatch.from_runs` takes them) —
+    the mail both kernels read."""
+    cluster.deliver_segments(tag, SegmentBatch.from_runs(
+        rows, src_role, src_slots, dst_role, dst_slots))
 
 
 def _selection_schedule(graph: CSRGraph, partitions: int,
@@ -238,15 +218,14 @@ def bench_allocation_phases(graph: CSRGraph, partitions: int, kernel: str,
     cluster, alloc = _bench_allocator(graph, partitions, kernel)
     one_hop = two_hop = 0.0
     for rows in _selection_schedule(graph, partitions, batch):
-        _feed(cluster, kernel, TAG_SELECT, rows, "expansion", rows[:, 1],
+        _feed(cluster, TAG_SELECT, rows, "expansion", rows[:, 1],
               "alloc", np.zeros(len(rows), dtype=np.int64))
         cluster.barrier()
         one_hop += _timed(alloc.one_hop_and_sync)
         cluster.barrier()
         two_hop += _timed(alloc.two_hop_and_report)
         cluster.barrier()
-        _discard_mail(cluster, "expansion", partitions,
-                      TAG_BOUNDARY, TAG_EDGES)
+        cluster.pop_segment_mail()
     return one_hop, two_hop
 
 
@@ -258,9 +237,8 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
     sync pairs, so after a couple of rounds most merged vertices share
     several partitions with their neighbours — the regime where
     contested (multi-shared) edges dominate and the loads-delta
-    tie-break replay is the whole phase.  The schedule is identical for
-    both kernels (a tuple list over ``send`` for the reference, a
-    one-segment sweep for the vectorized kernel).
+    tie-break replay is the whole phase.  The schedule, one one-segment
+    sweep per round, is identical for both kernels.
     """
     cluster, alloc = _bench_allocator(graph, partitions, kernel)
     cluster.add_process(Process(("alloc", 1)))
@@ -272,15 +250,14 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
     for _ in range(rounds):
         vs = rng.integers(0, graph.num_vertices, batch)
         ps = rng.integers(0, partitions, batch)
-        _feed(cluster, kernel, TAG_SYNC,
+        _feed(cluster, TAG_SYNC,
               np.column_stack([vs, ps]).astype(np.int64),
               "alloc", peer, "alloc", np.zeros_like(peer))
         alloc.one_hop_and_sync()   # no selects: just arms the phase state
         cluster.barrier()
         elapsed += _timed(alloc.two_hop_and_report)
         cluster.barrier()
-        _discard_mail(cluster, "expansion", partitions,
-                      TAG_BOUNDARY, TAG_EDGES)
+        cluster.pop_segment_mail()
     return elapsed
 
 
@@ -300,11 +277,10 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
     multi-thousand-entry steady state real DNE runs sustain) plus an
     edge-id batch, folds them in, and selects/multicasts its
     ``ceil(lam |B|)`` minimum-Drest vertices; then expanders drain until
-    their boundary falls under one feed batch.  The reference gets
-    tuple lists over eager ``send`` and per-process steps, the
-    vectorized kernel ``send_segments`` sweeps and one plane call per
-    phase (production dispatch), priced identically — so the timings
-    isolate the boundary, multicast, and fold implementations.
+    their boundary falls under one feed batch.  Both kernels read the
+    same sweeps; the reference runs per-process steps, the vectorized
+    kernel one plane call per phase (production dispatch) — so the
+    timings isolate the boundary, multicast, and fold implementations.
     """
     n = graph.num_vertices
     stream = min(n, max(192, n // 24))
@@ -357,7 +333,7 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
                     (TAG_BOUNDARY, np.column_stack([vs, degs[vs]])),
                     (TAG_EDGES, eid_feed)):
                 dst = np.repeat(every, len(payload))
-                _feed(cluster, kernel, tag,
+                _feed(cluster, tag,
                       np.concatenate([payload] * partitions).astype(np.int64),
                       "alloc", np.zeros_like(dst), "expansion", dst)
         cluster.barrier()
@@ -376,7 +352,7 @@ def bench_selection_phase(graph: CSRGraph, partitions: int, kernel: str,
 
         t_select += _timed(lambda: step("select_and_multicast"))
         cluster.barrier()
-        _discard_mail(cluster, "alloc", partitions, TAG_SELECT)
+        cluster.pop_segment_mail()
     return t_select, t_fold
 
 

@@ -3,13 +3,13 @@
 The paper runs on up to 256 MPI machines; this package provides the
 substitute substrate (see DESIGN.md §2): a deterministic, single-host
 message-passing simulator.  Algorithms written against it look like
-their MPI counterparts — named processes exchange tagged messages and
-synchronise on barriers — and the runtime *accounts* for everything the
+their MPI counterparts — ``(role, slot)`` processes exchange tagged
+row arrays and synchronise on barriers — and the runtime *accounts* for everything the
 paper's evaluation measures: bytes moved, message counts, barrier
 (iteration) counts, and per-process peak memory of registered
 structures.
 
-* :mod:`repro.cluster.accounting` — counters and the byte-sizing model.
+* :mod:`repro.cluster.accounting` — counters and the memory scores.
 * :mod:`repro.cluster.runtime` — :class:`SimulatedCluster` and
   :class:`Process`.
 * :mod:`repro.cluster.backends` — pluggable superstep execution:
@@ -17,7 +17,7 @@ structures.
   shared-memory worker processes, all bit-identical on accounting.
 """
 
-from repro.cluster.accounting import ClusterStats, ProcessStats, payload_nbytes
+from repro.cluster.accounting import ClusterStats, ProcessStats
 from repro.cluster.runtime import Process, SimulatedCluster
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "Process",
     "ClusterStats",
     "ProcessStats",
-    "payload_nbytes",
 ]

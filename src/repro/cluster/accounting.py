@@ -5,9 +5,9 @@ across processes, normalised by edge count — and §5/§7 argue about
 barrier counts and communication volume.  This module provides the
 measurement model:
 
-* :func:`payload_nbytes` sizes a message payload the way a compact
-  binary MPI encoding would (numpy arrays at their buffer size, ints at
-  8 bytes, containers as the sum of their items).
+* message bytes are the rows' buffer size: a
+  :class:`~repro.cluster.runtime.SegmentBatch` prices each segment at
+  the bytes of its row slice, free between processes on one machine.
 * :class:`ProcessStats` accumulates per-process traffic and tracks the
   peak of registered memory.
 * :class:`ClusterStats` aggregates across processes and produces the
@@ -18,41 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-__all__ = ["payload_nbytes", "record_rpc_pair", "ProcessStats",
-           "ClusterStats"]
-
-_SCALAR_BYTES = 8
-
-
-def payload_nbytes(payload) -> int:
-    """Estimate the wire size of a message payload in bytes.
-
-    The model mirrors a compact binary encoding: numpy arrays count
-    their raw buffers, python ints/floats count 8 bytes, strings their
-    UTF-8 length, and containers the sum of their elements.  ``None``
-    is free (a control-only message).
-    """
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bool, int, float, np.integer, np.floating)):
-        return _SCALAR_BYTES
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, dict):
-        return sum(payload_nbytes(k) + payload_nbytes(v)
-                   for k, v in payload.items())
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(payload_nbytes(item) for item in payload)
-    # Dataclass-like objects expose __dict__; fall back to sizing it.
-    if hasattr(payload, "__dict__"):
-        return payload_nbytes(vars(payload))
-    raise TypeError(f"cannot size payload of type {type(payload)!r}")
+__all__ = ["record_rpc_pair", "ProcessStats", "ClusterStats"]
 
 
 def record_rpc_pair(stats: "ClusterStats", requester, responder,

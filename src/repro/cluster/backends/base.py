@@ -2,8 +2,8 @@
 
 The simulated cluster (:mod:`repro.cluster.runtime`) models a
 bulk-synchronous program: per superstep, every process runs one step
-method (compute + sends), then a barrier delivers and prices the
-traffic.  This module carves that *superstep contract* out of the
+method (compute + sends, each sweep priced and delivered as it is
+sent), then a barrier closes the superstep.  This module carves that *superstep contract* out of the
 driver loops so the same Process/barrier programs run unchanged on
 three schedulers:
 
@@ -16,9 +16,8 @@ three schedulers:
 * ``processes`` — :mod:`repro.cluster.backends.processes`: steps run in
   worker processes holding the big arrays as zero-copy
   ``multiprocessing.shared_memory`` views; only message payloads —
-  eager ``send`` messages and whole
-  :class:`~repro.cluster.runtime.SegmentBatch` sweeps — cross the
-  parent boundary.
+  whole :class:`~repro.cluster.runtime.SegmentBatch` sweeps — cross
+  the parent boundary.
 
 The deterministic-equivalence rule every parallel backend must obey:
 a step executes with its outbox armed (``Process._outbox``), so its
@@ -146,20 +145,17 @@ def apply_outbox(cluster, src_pid, outbox: list) -> None:
     """Replay one step's recorded effects against the parent cluster.
 
     Entries are the exact calls the step would have made inline
-    (``send`` -> per-message accounting + in-flight queue, ``segments``
-    -> one bulk-priced :class:`~repro.cluster.runtime.SegmentBatch`
-    sweep, ``resident`` -> memory report, ``rpc`` -> the seed-scan
-    request/response counter pattern), so replaying every step's outbox
-    in step-list order reproduces the simulated scheduler's cluster
-    state bit-for-bit.
+    (``segments`` -> one bulk-priced
+    :class:`~repro.cluster.runtime.SegmentBatch` sweep, ``resident`` ->
+    memory report, ``rpc`` -> the seed-scan request/response counter
+    pattern), so replaying every step's outbox in step-list order
+    reproduces the simulated scheduler's cluster state bit-for-bit.
     """
     stats = cluster.stats
     for entry in outbox:
         kind = entry[0]
         if kind == "segments":
             cluster.deliver_segments(entry[1], entry[2])
-        elif kind == "send":
-            cluster._send(src_pid, entry[1], entry[2], entry[3])
         elif kind == "resident":
             stats.stats_for(src_pid).set_resident(entry[1], entry[2])
         elif kind == "rpc":

@@ -34,7 +34,7 @@ the contract new fault kinds or backends must keep:
   it, or recovery tests would race themselves;
 * **atomic terminal failure** — when retries are exhausted, no
   partial outbox is applied, retained inboxes return to the parent's
-  delivered map, and accounting is untouched;
+  mailboxes, and accounting is untouched;
 * **no resource leaks** — every failure path leaves ``/dev/shm``
   clean after ``close()``;
 * **delay neutrality** — ``delay`` and ``seeded_delays`` events must

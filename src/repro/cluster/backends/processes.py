@@ -5,12 +5,10 @@ DNE the canonical edge array and the flat per-partition state — are
 mapped into every worker as zero-copy ``multiprocessing.shared_memory``
 views (:mod:`repro.cluster.backends.shm`); the only data crossing the parent
 boundary per superstep is message payloads (worker outboxes in,
-delivered mail out) plus small counter gathers.  Mail travels in the
-layout it was delivered in: per-``(dst, tag)`` lists for the eager
-``send`` plane, and for segment sweeps
-(:class:`~repro.cluster.runtime.SegmentBatch`) one vectorised
-sub-batch per worker, selected by destination mask — never one object
-per ``(src, dst)`` pair.
+delivered mail out) plus small counter gathers.  Mail travels as
+segment sweeps (:class:`~repro.cluster.runtime.SegmentBatch`): one
+vectorised sub-batch per worker, selected by destination mask — never
+one object per ``(src, dst)`` pair.
 
 Topology: process ``(role, slot)`` belongs to worker ``slot % workers``
 for the whole run, and only workers that own a process are spawned.
@@ -44,7 +42,7 @@ a ``WorkerStepError`` instead of blocking the parent forever.
 Supervision (``max_retries > 0``) upgrades those failures from fatal
 to recoverable.  Each successful step reply piggybacks a worker-state
 snapshot (per-process :meth:`~repro.cluster.runtime.Process.checkpoint_state`
-blobs, leftover worker-mailbox entries, fused-plane transients), and
+blobs, leftover worker mail, fused-plane transients), and
 the parent retains each superstep's shipped inboxes until the step is
 acknowledged.  When a worker crashes, hangs, or raises, the parent
 kills it, respawns a fresh worker over the same shared-memory arena,
@@ -56,8 +54,8 @@ assignments, and delivery order match a fault-free run exactly (pinned
 by ``tests/test_faults.py``).
 
 If retries are exhausted the superstep fails *atomically*: no outbox
-has been applied, the retained inboxes are pushed back into the parent
-cluster's delivered map, and accounting totals are untouched.  Worker-
+has been applied, the retained inboxes are filed back into the parent
+cluster's mailboxes, and accounting totals are untouched.  Worker-
 local state is indeterminate at that point, so the only supported
 operation on the backend afterwards is :meth:`ProcessesBackend.close`.
 
@@ -101,14 +99,12 @@ def _mp_context():
 def _snapshot_worker(procs, wcluster, plane):
     """Everything the parent needs to rebuild this worker elsewhere.
 
-    ``(per-pid state blobs, undrained worker mail in both layouts,
-    fused-plane transients)`` — exactly the state a respawned worker
-    restores before re-running a failed superstep.
+    ``(per-pid state blobs, undrained worker mail, fused-plane
+    transients)`` — exactly the state a respawned worker restores
+    before re-running a failed superstep.
     """
     states = {pid: proc.checkpoint_state() for pid, proc in procs.items()}
-    mail = ([(key, list(msgs))
-             for key, msgs in wcluster._delivered.items() if msgs],
-            wcluster.segment_mail())
+    mail = wcluster.segment_mail()
     plane_state = None
     if plane is not None and hasattr(plane, "checkpoint_state"):
         plane_state = plane.checkpoint_state()
@@ -120,7 +116,6 @@ def _restore_worker(procs, wcluster, plane, snapshot) -> None:
     states, mail, plane_state = snapshot
     for pid, state in states.items():
         procs[pid].restore_state(state)
-    wcluster._delivered.clear()
     wcluster.pop_segment_mail()
     _file_mail(wcluster, mail)
     if plane is not None and plane_state is not None:
@@ -128,11 +123,8 @@ def _restore_worker(procs, wcluster, plane, snapshot) -> None:
 
 
 def _file_mail(cluster, mail) -> None:
-    """File already-priced ``(per-pid lists, segment sweeps)`` mail."""
-    listed, sweeps = mail
-    for key, msgs in listed:
-        cluster._delivered[key].extend(msgs)
-    for tag, batch in sweeps:
+    """File already-priced ``(tag, batch)`` sweeps."""
+    for tag, batch in mail:
         cluster.put_segments(tag, batch)
 
 
@@ -171,8 +163,7 @@ def _worker_main(conn, program: WorkerProgram, owned_pids,
         pending = {pid: dict(proc._pending_resident)
                    for pid, proc in procs.items()}
         # Worker-local cluster: mailboxes only.  All accounting flows
-        # through outboxes; steps never send eagerly here because the
-        # outbox is always armed while they run.
+        # through outboxes, which are always armed while steps run.
         wcluster = SimulatedCluster()
         for pid in owned_pids:
             wcluster.add_process(procs[pid])
@@ -411,27 +402,22 @@ class ProcessesBackend(ExecutionBackend):
         for step in steps:
             per_worker[self._worker_of[step[0]]].append(step)
         # Ship every owned pid's freshly-delivered mail along with the
-        # step list (exactly the payload buffers the last barrier
+        # step list (exactly the sweeps the last superstep's replay
         # priced).  The parent *retains* each worker's inbox until the
         # step is acknowledged: a retried step gets the identical mail
         # re-shipped, and a terminal failure pushes it back into the
-        # cluster so the delivered map is well-defined afterwards.
-        inboxes = [([], []) for _ in range(nworkers)]
-        delivered = self.cluster._delivered
-        for key in list(delivered.keys()):
-            w = self._worker_of.get(key[0])
-            if w is not None:
-                inboxes[w][0].append((key, delivered.pop(key)))
+        # cluster so its mailboxes are well-defined afterwards.
+        inboxes = [[] for _ in range(nworkers)]
         for tag, batch in self.cluster.pop_segment_mail():
             # One destination-masked sub-batch per addressed worker;
-            # like listed mail, segments nobody owns stay put.
+            # segments nobody owns stay put.
             owner = self._slot_worker[batch.dst_role][batch.dst_slots]
             for w in np.unique(owner).tolist():
                 part = batch.select(np.flatnonzero(owner == w))
                 if w < 0:
                     self.cluster.put_segments(tag, part)
                 else:
-                    inboxes[w][1].append((tag, part))
+                    inboxes[w].append((tag, part))
         gather = tuple(gather)
         plan = self.fault_plan
         failures: dict = {}
@@ -478,7 +464,7 @@ class ProcessesBackend(ExecutionBackend):
             if error is not None:
                 # Terminal failure: the superstep fails atomically.  No
                 # outbox has been applied (accounting totals untouched)
-                # and every retained inbox returns to the delivered map.
+                # and every retained inbox returns to the mailboxes.
                 # Worker-local state is indeterminate — only close() is
                 # supported on this backend afterwards.
                 for inbox in inboxes:

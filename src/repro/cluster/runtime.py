@@ -1,15 +1,18 @@
 """Deterministic message-passing simulator.
 
-:class:`SimulatedCluster` hosts a set of named :class:`Process` objects
-and gives them the three primitives the paper's algorithm needs:
+:class:`SimulatedCluster` hosts a set of :class:`Process` objects, each
+named by a ``(role, slot)`` pid — the paper co-locates one expansion
+and one allocation process on machine ``slot`` — and gives them the
+primitives the paper's algorithm needs:
 
-* ``send(dst, tag, payload)`` — asynchronous tagged message, accounted
-  by the byte-sizing model in :mod:`repro.cluster.accounting`;
-* ``barrier()`` — delivers all in-flight messages and bumps the global
-  barrier counter (the unit Figure 6 counts as an "iteration" cost);
-* ``receive(tag)`` — drain the mailbox for a tag.
+* ``send_segments(tag, batch)`` — one emission sweep, a
+  :class:`SegmentBatch`, priced and delivered at once;
+* ``send(dst, tag, rows)`` — one message, sent as a one-segment sweep;
+* ``barrier()`` — bumps the global barrier counter (the unit Figure 6
+  counts as an "iteration" cost);
+* ``receive(tag)`` — drain this process's mail for a tag.
 
-Messages between a process and itself are accounted as local (zero
+Messages between processes on one machine are accounted as local (zero
 bytes on the wire, still counted as a message) — matching how the
 paper's implementation co-locates an expansion process and an
 allocation process on each machine and exchanges data through memory.
@@ -17,42 +20,30 @@ allocation process on each machine and exchanges data through memory.
 The simulator is *deterministic*: mailboxes preserve send order, and
 all iteration orders are over sorted process ids.
 
-Payload contract
-----------------
-Payloads are sized by :func:`repro.cluster.accounting.payload_nbytes`,
-which prices a ``(k, 2)`` int64 ndarray and a list of ``k`` int pairs
-identically (``16k`` bytes) — so the vectorized kernel ships structured
-ndarrays end-to-end (``select`` / ``sync`` / ``boundary`` pair rows,
-``edges`` id rows) while the reference kernel ships tuple lists, and
-the two stay byte-for-byte identical under the accounting model.
+One message plane
+-----------------
+Every message rides a :class:`SegmentBatch` — one row array, segment
+offsets, aligned source/destination slots.  At |P| ≫ 64 a DNE phase
+emits O(|P|²) tiny ``(src, dst)`` payloads per superstep, and one
+Python object per payload is what the run would spend its time on, so
+the fused plane hands a whole emission sweep over as a single value;
+the reference kernel sends each payload as a sweep of one segment.
+Either way:
 
-Two send planes, one job each
------------------------------
-``send`` is the eager plane: one message, priced and accounted at call
-time, delivered at the next ``barrier()`` / ``flush()`` in send order.
-The reference kernel and all control traffic use it.
-
-``send_segments`` is the vectorized kernel's plane.  At |P| ≫ 64 a DNE
-phase emits O(|P|²) tiny ``(src, dst)`` payloads per superstep, and one
-Python object per payload is what the run would spend its time on.
-:class:`SegmentBatch` makes a whole emission sweep a single value — one
-row array, segment offsets, aligned source/destination slots — and
-:meth:`Process.send_segments` /
-:meth:`SimulatedCluster.deliver_segments` move it as such:
-
-* pricing is one integer pass over the offsets, total-identical to one
-  eager ``send`` per segment (one message per segment, wire bytes zero
-  iff the machine slots match; integer adds commute) — pinned by
-  ``tests/test_cluster_batched.py``; ``send_batches`` /
-  ``receive_batches`` additionally count one bulk pass per segment;
-* a mailbox may therefore hold two layouts: per-``(dst, tag)`` lists of
-  ``(src, payload)`` (the ``send`` plane) and, per ``(dst_role, tag)``,
-  a list of delivered :class:`SegmentBatch` sweeps — **one entry per
-  sweep**, however many processes it addresses.  ``Process.receive``
-  reads both (eager mail first, then segment mail as the same
-  ``(src, payload)`` pairs, payloads being row slices); bulk consumers
-  take whole sweeps with :meth:`SimulatedCluster.take_segments` and
-  never materialise the per-segment objects;
+* rows are one ``(k, 2)`` or ``(k,)`` int64 array, and a segment is
+  never empty;
+* pricing is one integer pass over the offsets: one message per
+  segment, wire bytes zero iff the machine slots match, plus one
+  ``send_batches`` / ``receive_batches`` tick per segment (pinned by
+  ``tests/test_cluster_batched.py``);
+* the sweep lands in the mailbox of its ``(dst_role, tag)`` as **one
+  entry**, however many processes it addresses, at send time — a step
+  reads only mail sent before the last barrier because no step of a
+  superstep reads the tag that superstep writes;
+* ``Process.receive`` serves a process's segments as ``(src,
+  payload)`` pairs in delivery order, payloads being row slices; bulk
+  consumers take whole sweeps with :meth:`SimulatedCluster.take_segments`
+  and never materialise the per-segment objects;
 * ``send_segments`` is outbox-aware like every other helper: under a
   parallel backend the sweep is one recorded entry that the parent
   replays through the same ``deliver_segments``.
@@ -66,7 +57,7 @@ step methods inline (the deterministic reference scheduler); the
 ``threads`` / ``processes`` backends run them on real concurrent
 workers.  To keep accounting and delivery order bit-identical under
 concurrency, a parallel backend arms each process with an *outbox*
-(:attr:`Process._outbox`) before running its step: every ``send`` /
+(:attr:`Process._outbox`) before running its step: every
 ``send_segments`` / ``set_resident`` / RPC-accounting call is recorded
 instead of applied, and the parent replays the outboxes against the
 cluster in deterministic step order afterwards (see
@@ -79,12 +70,12 @@ from __future__ import annotations
 
 import copy
 import threading
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.accounting import ClusterStats, payload_nbytes
+from repro.cluster.accounting import ClusterStats
 from repro.graph.csr import sorted_unique
 
 __all__ = ["Process", "SegmentBatch", "SegmentQueue", "SimulatedCluster",
@@ -222,43 +213,50 @@ class SegmentQueue:
     """Delivered sweeps awaiting their addressees: put whole, taken by
     destination slot.
 
-    Thread-pool chunks of one fused superstep take disjoint slot
-    subsets of the same sweeps concurrently, so the bookkeeping runs
-    under a lock and a partial take only *marks* segments — each
-    segment's rows are gathered once, by whoever takes it, outside the
-    lock; the stored batches are never copied or rebuilt.
+    Each sweep is indexed by the destination slots it still addresses,
+    so a take touches only the sweeps that address one of its slots —
+    a per-process ``receive`` among |P|² one-segment sweeps reads its
+    own mail, not the whole mailbox.  Thread-pool chunks of one fused
+    superstep take disjoint slot subsets of the same sweeps
+    concurrently, so the bookkeeping runs under a lock and a partial
+    take only *marks* segments — each segment's rows are gathered
+    once, by whoever takes it, outside the lock; the stored batches
+    are never copied or rebuilt.
     """
 
     def __init__(self, batches=()):
-        #: (batch, remaining) pairs: ``remaining`` indexes the segments
-        #: nobody took yet (``None`` = all of them)
-        self._entries: list = []
-        #: destination slots with a segment waiting
-        self._slots: set = set()
+        #: put sequence number -> (batch, remaining): ``remaining``
+        #: indexes the segments nobody took yet (``None`` = all of them)
+        self._entries: dict = {}
+        #: destination slot -> sequence numbers of the entries holding
+        #: a segment for it
+        self._by_slot: dict = {}
+        self._puts = 0
         self._lock = threading.Lock()
         for batch in batches:
             self.put(batch)
 
     def put(self, batch: SegmentBatch) -> None:
-        slots = sorted_unique(batch.dst_slots).tolist()
+        slots = (batch.dst_slots.tolist() if len(batch) == 1
+                 else sorted_unique(batch.dst_slots).tolist())
         with self._lock:
-            self._entries.append((batch, None))
-            self._slots.update(slots)
-
-    def has(self, slot) -> bool:
-        """True when a segment addressed to ``slot`` is waiting."""
-        return slot in self._slots
+            seq = self._puts
+            self._puts += 1
+            self._entries[seq] = (batch, None)
+            for slot in slots:
+                self._by_slot.setdefault(slot, []).append(seq)
 
     def slots(self) -> set:
         """Every destination slot with a segment waiting."""
-        return set(self._slots)
+        with self._lock:
+            return set(self._by_slot)
 
     def rows(self, slots) -> list:
         """Rows waiting for each of ``slots`` — what a :meth:`take` of
         that slot would return — counted from the waiting segments'
         lengths, no row touched."""
         with self._lock:
-            entries = list(self._entries)
+            entries = list(self._entries.values())
         slots = np.asarray(slots, dtype=np.int64)
         if not len(slots):
             return []
@@ -281,7 +279,7 @@ class SegmentQueue:
     def batches(self) -> list:
         """The waiting segments as batches, put order kept."""
         with self._lock:
-            entries = list(self._entries)
+            entries = list(self._entries.values())
         return self._materialise(entries)
 
     def take(self, slots) -> list:
@@ -289,29 +287,34 @@ class SegmentQueue:
         segment addressed to one of ``slots`` (whole sweeps pass
         through uncopied)."""
         with self._lock:
-            wanted = self._slots.intersection(slots)
+            by_slot = self._by_slot
+            wanted = [slot for slot in set(slots) if slot in by_slot]
             if not wanted:
                 return []
-            self._slots -= wanted
-            if not self._slots:
-                picked, self._entries = self._entries, []
-            else:
-                wanted = np.fromiter(wanted, dtype=np.int64)
-                picked, kept = [], []
-                for entry in self._entries:
-                    batch, remaining = entry
-                    mask = np.isin(batch.dst_slots if remaining is None
-                                   else batch.dst_slots[remaining], wanted)
-                    if mask.all():
-                        picked.append(entry)
-                    elif mask.any():
-                        if remaining is None:
-                            remaining = np.arange(len(batch))
-                        picked.append((batch, remaining[mask]))
-                        kept.append((batch, remaining[~mask]))
-                    else:
-                        kept.append(entry)
-                self._entries = kept
+            seqs = set()
+            for slot in wanted:
+                seqs.update(by_slot.pop(slot))
+            entries = self._entries
+            if not by_slot:
+                picked = list(entries.values())
+                entries.clear()
+                return self._materialise(picked)
+            wanted = np.array(wanted, dtype=np.int64)
+            picked = []
+            for seq in sorted(seqs):
+                batch, remaining = entries[seq]
+                if len(batch) == 1:
+                    picked.append(entries.pop(seq))
+                    continue
+                mask = np.isin(batch.dst_slots if remaining is None
+                               else batch.dst_slots[remaining], wanted)
+                if mask.all():
+                    picked.append(entries.pop(seq))
+                    continue
+                if remaining is None:
+                    remaining = np.arange(len(batch))
+                picked.append((batch, remaining[mask]))
+                entries[seq] = (batch, remaining[~mask])
         return self._materialise(picked)
 
 
@@ -319,9 +322,10 @@ class Process:
     """Base class for a simulated process.
 
     Subclasses implement behaviour as plain methods and use
-    :meth:`send` / :meth:`receive`; the cluster injects itself at
-    registration time.  ``pid`` may be any hashable id; the paper's
-    deployment uses pairs like ``("expansion", 3)``.
+    :meth:`send` / :meth:`send_segments` / :meth:`receive`; the cluster
+    injects itself at registration time.  ``pid`` is a ``(role, slot)``
+    pair such as ``("expansion", 3)``: process ``slot`` of ``role``,
+    on machine ``slot``.
     """
 
     #: attributes excluded from state snapshots: cluster wiring, the
@@ -382,13 +386,18 @@ class Process:
         self._pending_resident.clear()
 
     # -- messaging -----------------------------------------------------
-    def send(self, dst, tag: str, payload=None) -> None:
-        """Send ``payload`` to process ``dst`` under ``tag``."""
-        if self._outbox is not None:
-            self._outbox.append(("send", dst, tag, payload))
-            return
-        assert self.cluster is not None, "process not registered with a cluster"
-        self.cluster._send(self.pid, dst, tag, payload)
+    def send(self, dst, tag: str, rows) -> None:
+        """Send ``rows`` — a non-empty ``(k, 2)`` or ``(k,)`` int64
+        array, or what ``np.asarray`` makes one of — to process ``dst``
+        under ``tag``, as a one-segment sweep."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim not in (1, 2):
+            raise ValueError(f"message rows must be (k,) or (k, 2), "
+                             f"got shape {rows.shape}")
+        (src_role, src), (dst_role, dst) = self.pid, dst
+        self.send_segments(tag, SegmentBatch(
+            rows, np.array([0, len(rows)]), src_role, np.array([src]),
+            dst_role, np.array([dst])))
 
     def send_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Hand a whole emission sweep to the segment plane.
@@ -407,9 +416,13 @@ class Process:
         self.cluster.deliver_segments(tag, batch)
 
     def receive(self, tag: str) -> list:
-        """Pop and return all delivered ``(src, payload)`` pairs for ``tag``."""
+        """Pop and return this process's delivered segments for ``tag``
+        as ``(src, payload)`` pairs in delivery order, each payload a
+        row slice of its sweep."""
         assert self.cluster is not None, "process not registered with a cluster"
-        return self.cluster._receive(self.pid, tag)
+        role, slot = self.pid
+        return [mail for batch in self.cluster.take_segments(role, tag, [slot])
+                for _, mail in batch.messages()]
 
     def set_resident(self, name: str, nbytes: int) -> None:
         """Report a resident structure's size to the memory accountant.
@@ -477,23 +490,26 @@ class SimulatedCluster:
 
     def __init__(self):
         self._processes: dict = {}
-        #: (dst, tag) -> list of (src, payload), already delivered
-        self._delivered: dict = defaultdict(list)
         #: (dst_role, tag) -> SegmentQueue of delivered sweeps, one
         #: entry per sweep
         self._segment_mail: dict = {}
-        #: in-flight messages, delivered at the next barrier
-        self._in_flight: list = []
         self.stats = ClusterStats()
 
     # -- membership ----------------------------------------------------
     def add_process(self, process: Process) -> Process:
-        """Register ``process``; its pid must be unique."""
-        if process.pid in self._processes:
-            raise ValueError(f"duplicate process id {process.pid!r}")
-        self._processes[process.pid] = process
+        """Register ``process``; its pid must be a unique ``(role,
+        slot)`` pair."""
+        pid = process.pid
+        if not (type(pid) is tuple and len(pid) == 2
+                and isinstance(pid[0], str) and type(pid[1]) is int):
+            raise ValueError(
+                f"process id must be a (role: str, slot: int) pair, "
+                f"got {pid!r}")
+        if pid in self._processes:
+            raise ValueError(f"duplicate process id {pid!r}")
+        self._processes[pid] = process
         process._attach(self)
-        self.stats.stats_for(process.pid)  # materialise counters
+        self.stats.stats_for(pid)  # materialise counters
         return process
 
     def process(self, pid) -> Process:
@@ -518,80 +534,34 @@ class SimulatedCluster:
         """All processes in deterministic pid order."""
         return [self._processes[pid] for pid in self.pids]
 
-    # -- messaging internals --------------------------------------------
-    def _send(self, src, dst, tag: str, payload) -> None:
-        if dst not in self._processes:
-            raise KeyError(f"unknown destination process {dst!r}")
-        # Same-machine exchange is free on the wire but still a message.
-        # The check and the stats lookups are inlined — this is the
-        # per-message floor every kernel pays, so it must stay at a few
-        # dict hits (ndarray payloads additionally size in O(1) via
-        # their nbytes instead of a per-element walk).  The inline MUST
-        # stay equivalent to _same_machine + payload_nbytes +
-        # record_send/record_receive; tests/test_cluster.py pins the
-        # composition.
-        if src == dst or (isinstance(src, tuple) and isinstance(dst, tuple)
-                          and len(src) == 2 and len(dst) == 2
-                          and src[1] == dst[1]):
-            nbytes = 0
-        elif isinstance(payload, np.ndarray):
-            nbytes = int(payload.nbytes)
-        else:
-            nbytes = payload_nbytes(payload)
-        per = self.stats.per_process
-        stats = per.get(src)
-        if stats is None:
-            stats = self.stats.stats_for(src)
-        stats.messages_sent += 1
-        stats.bytes_sent += nbytes
-        stats = per.get(dst)
-        if stats is None:
-            stats = self.stats.stats_for(dst)
-        stats.messages_received += 1
-        stats.bytes_received += nbytes
-        self._in_flight.append((src, dst, tag, payload))
-
-    def _receive(self, pid, tag: str) -> list:
-        out = self._delivered.pop((pid, tag), [])
-        if self._segment_mail and isinstance(pid, tuple) and len(pid) == 2:
-            for batch in self.take_segments(pid[0], tag, [pid[1]]):
-                out.extend(mail for _, mail in batch.messages())
-        return out
-
-    def has_mail(self, pid, tag: str) -> bool:
-        """True when ``receive(tag)`` on ``pid`` would return anything —
-        the probe behind the drivers' empty-mailbox short-circuit."""
-        if (pid, tag) in self._delivered:
-            return True
-        if not (isinstance(pid, tuple) and len(pid) == 2):
-            return False
-        queue = self._segment_mail.get((pid[0], tag))
-        return queue is not None and queue.has(pid[1])
-
+    # -- mail ----------------------------------------------------------
     def mail_slots(self, role: str, tag: str) -> set:
-        """The slots ``s`` for which ``has_mail((role, s), tag)`` is
-        true — one query per tag, not one probe per process."""
+        """The slots ``s`` for which ``receive(tag)`` on ``(role, s)``
+        would return anything — one query per tag, not one probe per
+        process (the drivers' empty-mailbox short-circuit)."""
         queue = self._segment_mail.get((role, tag))
-        slots = queue.slots() if queue is not None else set()
-        slots.update(pid[1] for pid, t in self._delivered
-                     if t == tag and isinstance(pid, tuple)
-                     and len(pid) == 2 and pid[0] == role)
-        return slots
+        return queue.slots() if queue is not None else set()
 
     # -- segment sweeps --------------------------------------------------
     def deliver_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Price and deliver one emission sweep.
 
-        Totals are identical to one eager ``send`` per segment — one
-        message each, wire bytes zero iff the machine slots match, plus
-        one ``send_batches`` / ``receive_batches`` tick per segment —
-        but accounting is one integer pass over the segment offsets
-        plus one update per touched process, and the sweep lands in the
-        mailbox as a single entry.  Delivery is inline, segments in
-        sweep order.  Callers own cross-sweep ordering: within a
-        superstep no other sender may target a ``(dst, tag)`` mailbox
-        this sweep also targets.
+        One message per segment, wire bytes zero iff the machine slots
+        match, plus one ``send_batches`` / ``receive_batches`` tick per
+        segment — accounted in one integer pass over the segment
+        offsets plus one update per touched process; the sweep lands in
+        the mailbox as a single entry.  Delivery is inline, segments in
+        sweep order after every sweep delivered before; senders that
+        share a ``(dst, tag)`` mailbox within a superstep therefore
+        send in step order, the order outbox replay keeps.
+
+        A one-segment sweep — the reference kernel's ``send`` — is
+        priced by the same rule on scalars: numpy's per-call overhead
+        is the whole cost of a message there.
         """
+        if len(batch) == 1:
+            self._deliver_message(tag, batch)
+            return
         nbytes = batch.nbytes
         if not len(batch) or (nbytes <= 0).any():
             raise ValueError("a segment sweep carries no empty segment")
@@ -625,6 +595,26 @@ class SimulatedCluster:
                     st.receive_batches += counts[slot]
         self.put_segments(tag, batch)
 
+    def _deliver_message(self, tag: str, batch: SegmentBatch) -> None:
+        """:meth:`deliver_segments` for a sweep of one segment."""
+        nbytes = batch.rows.nbytes
+        if not nbytes:
+            raise ValueError("a segment sweep carries no empty segment")
+        src = (batch.src_role, int(batch.src_slots[0]))
+        dst = (batch.dst_role, int(batch.dst_slots[0]))
+        if dst not in self._processes:
+            raise KeyError(f"unknown destination process {dst!r}")
+        wire = 0 if src[1] == dst[1] else nbytes
+        st = self.stats.stats_for(src)
+        st.messages_sent += 1
+        st.bytes_sent += wire
+        st.send_batches += 1
+        st = self.stats.stats_for(dst)
+        st.messages_received += 1
+        st.bytes_received += wire
+        st.receive_batches += 1
+        self.put_segments(tag, batch)
+
     def put_segments(self, tag: str, batch: SegmentBatch) -> None:
         """File an already-priced sweep in the mailbox (delivery, and
         mail moving between a parent cluster and its workers')."""
@@ -656,32 +646,27 @@ class SimulatedCluster:
 
     def pop_segment_mail(self) -> list:
         """:meth:`segment_mail`, emptying the mailboxes — how a parent
-        cluster hands its segment mail to workers."""
-        out = self.segment_mail()
+        cluster hands its segment mail to workers.  A mailbox's
+        consecutive sweeps of one source role and row shape travel
+        merged, so the reference kernel's |P|² one-segment sweeps cross
+        a pipe as a few batches; every mailbox reads back the same."""
+        out = []
+        for tag, batch in self.segment_mail():
+            last = out[-1] if out else None
+            if (last is not None and last[0] == tag
+                    and last[1][-1].dst_role == batch.dst_role
+                    and last[1][-1].src_role == batch.src_role
+                    and last[1][-1].rows.shape[1:] == batch.rows.shape[1:]):
+                last[1].append(batch)
+            else:
+                out.append((tag, [batch]))
         self._segment_mail.clear()
-        return out
+        return [(tag, SegmentBatch.merge(run)) for tag, run in out]
 
     # -- synchronisation -------------------------------------------------
-    def _drain(self) -> None:
-        """Deliver every in-flight eager message, in send order
-        (segment sweeps were delivered when they were sent)."""
-        delivered = self._delivered
-        for src, dst, tag, payload in self._in_flight:
-            delivered[(dst, tag)].append((src, payload))
-        self._in_flight.clear()
-
     def barrier(self) -> None:
-        """Deliver all in-flight messages; counts one global barrier."""
-        self._drain()
+        """Count one global barrier (sweeps are delivered when sent)."""
         self.stats.barriers += 1
-
-    def flush(self) -> None:
-        """Deliver in-flight messages *without* counting a barrier.
-
-        Used for the initial data distribution, which the paper excludes
-        from its elapsed-time measurements.
-        """
-        self._drain()
 
     # -- collectives ------------------------------------------------------
     def all_gather_sum(self, values: dict) -> float:
@@ -695,23 +680,15 @@ class SimulatedCluster:
         The wire pattern is completely regular, so the accounting is a
         single bulk update per process instead of an O(P²) message
         loop: each process sends P-1 messages, of which the ones to
-        co-located processes (pids of the form ``(role, k)`` sharing
-        ``k``) are free on the wire.
+        co-located processes (pids sharing the machine slot) are free
+        on the wire.
         """
         pids = list(values)
         n = len(pids)
         if n > 1:
-            # Same-machine partner counts per pid: 2-tuples group by
-            # their machine slot; any other pid is a singleton.
-            machines = defaultdict(int)
+            machines = Counter(slot for _, slot in pids)
             for pid in pids:
-                if isinstance(pid, tuple) and len(pid) == 2:
-                    machines[pid[1]] += 1
-            for pid in pids:
-                colocated = (machines[pid[1]] - 1
-                             if isinstance(pid, tuple) and len(pid) == 2
-                             else 0)
-                nbytes = 8 * (n - 1 - colocated)
+                nbytes = 8 * (n - machines[pid[1]])
                 stats = self.stats.stats_for(pid)
                 stats.record_send_bulk(n - 1, nbytes)
                 stats.record_receive_bulk(n - 1, nbytes)
@@ -719,14 +696,5 @@ class SimulatedCluster:
 
 
 def _same_machine(a, b) -> bool:
-    """True when two pids are co-located on one simulated machine.
-
-    Pids of the form ``(role, k)`` share machine ``k``; anything else is
-    co-located only with itself.
-    """
-    if a == b:
-        return True
-    if (isinstance(a, tuple) and isinstance(b, tuple)
-            and len(a) == 2 and len(b) == 2):
-        return a[1] == b[1]
-    return False
+    """True when two ``(role, slot)`` pids share machine ``slot``."""
+    return a[1] == b[1]

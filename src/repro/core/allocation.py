@@ -47,7 +47,7 @@ comes from.  The phases exist in exactly two implementations:
   only, and sizes its partition width before the first step.
 * ``kernel="python"`` — the slow reference, implemented here:
   dict-of-set replica state walked one adjacency slot at a time,
-  exchanging tuple-list payloads over eager per-message ``send``, kept
+  exchanging one message (a one-segment sweep) per destination, kept
   for golden equivalence tests (``tests/test_kernel_equivalence.py``
   pins vectorized == reference bit-for-bit) and as executable
   documentation of Algorithms 2–3.
@@ -507,8 +507,8 @@ class AllocationProcess(Process):
         #: (global vid, p) new pairs
         self._bp_new: list = []
         # Deterministic order: by (partition, vertex) over all messages.
-        pairs = sorted({(int(p), int(v)) for _, payload in received
-                        for (v, p) in payload})
+        pairs = sorted({(p, v) for _, payload in received
+                        for v, p in payload.tolist()})
         sync_out: dict[int, list] = defaultdict(list)
         if pairs:
             self._ensure_partition_capacity(max(p for p, _ in pairs))
@@ -560,15 +560,15 @@ class AllocationProcess(Process):
     def _two_hop_and_report_python(self, received) -> None:
         merged: list[tuple[int, int]] = list(self._bp_new)
         for _, payload in received:
-            for v, p in payload:
-                lv = self._vindex.get(int(v))
+            for v, p in payload.tolist():
+                lv = self._vindex.get(v)
                 if lv is None:
                     continue
-                self._ensure_partition_capacity(int(p))
+                self._ensure_partition_capacity(p)
                 parts_lv = self._parts.get(lv)
                 if parts_lv is None or p not in parts_lv:
                     self._parts[lv].add(p)
-                    merged.append((int(v), int(p)))
+                    merged.append((v, p))
 
         if self.two_hop:
             self._allocate_two_hop(merged)

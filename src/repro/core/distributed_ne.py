@@ -79,7 +79,8 @@ from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
 from repro.observability.metrics import get_registry
 from repro.observability.trace import NULL_TRACER
-from repro.partitioners.base import EdgePartition, Partitioner
+from repro.partitioners.base import (EdgePartition, Partitioner,
+                                     fill_least_loaded)
 
 __all__ = ["DistributedNE", "DneWorkerProgram"]
 
@@ -247,10 +248,10 @@ class DistributedNE(Partitioner):
         and every emission sweep is one ``SegmentBatch`` from kernel to
         mailbox to the next phase's input, which is what breaks the
         |P| ≫ 64 dispatch-overhead crossover.  ``"python"`` runs the
-        per-slot/per-pair reference loops, one step per process, with
-        tuple-list payloads over eager per-message sends.  Both
-        produce bit-identical assignments, counters, message traffic
-        and memory totals (pinned by the kernel equivalence tests).
+        per-slot/per-pair reference loops, one step per process, one
+        message per destination.  Both produce bit-identical
+        assignments, counters, message traffic and memory totals
+        (pinned by the kernel equivalence tests).
         At ``num_partitions > 64`` the vectorized replica membership
         switches to the packed uint64-bitset backend
         (``extra["membership"]``), still bit-identical.
@@ -638,11 +639,7 @@ class DistributedNE(Partitioner):
         assignment = np.full(graph.num_edges, -1, dtype=np.int64)
         for k in range(self.num_partitions):
             assignment[collected[("expansion", k)]] = k
-        left = np.flatnonzero(assignment == -1)
-        if len(left):
-            loads = np.bincount(assignment[assignment >= 0],
-                                minlength=self.num_partitions)
-            assignment[left] = _water_fill_targets(loads, len(left))
+        fill_least_loaded(assignment, self.num_partitions)
         return assignment
 
 
@@ -663,32 +660,3 @@ def _restore_loop(saved: dict) -> _LoopState:
 def _share(part: float, rest: float) -> float:
     """``part``'s share of ``part + rest`` (0 when both are 0)."""
     return part / (part + rest) if part + rest > 0 else 0.0
-
-
-def _water_fill_targets(loads: np.ndarray, count: int) -> np.ndarray:
-    """Batch form of the sequential least-loaded sweep.
-
-    The reference loop repeatedly takes ``argmin(loads)`` (ties to the
-    lowest partition id) and increments it; that sequence is exactly
-    all (level, partition) slots with ``level >= loads[partition]``
-    enumerated in ascending (level, partition) order.  Every level at
-    or above ``loads.min()`` fills at least one slot, so enumerating
-    the band in bounded chunks terminates after ~``count`` levels
-    total while keeping the transient mask O(chunk * |P|) — the
-    replaced loop's O(|P|) memory class, at C speed.
-    """
-    num = len(loads)
-    out = np.empty(count, dtype=np.int64)
-    parts = np.arange(num)
-    level = int(loads.min())
-    band = max(1, (1 << 20) // max(num, 1))
-    filled = 0
-    while filled < count:
-        levels = np.arange(level, level + band)
-        mask = levels[:, None] >= loads[None, :]
-        targets = np.broadcast_to(parts, mask.shape)[mask]
-        take = min(len(targets), count - filled)
-        out[filled:filled + take] = targets[:take]
-        filled += take
-        level += band
-    return out

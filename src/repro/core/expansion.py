@@ -45,15 +45,15 @@ allocation plane:
   only.
 * ``kernel="python"`` — the per-pair reference, implemented here: a
   heapq/set boundary (:class:`HeapqBoundaryQueue`), a per-vertex
-  ``replica_processes`` fan-out into tuple lists sent eagerly one
-  message at a time, and a dict-accumulator boundary fold.  Kept as
+  ``replica_processes`` fan-out into per-process pair lists sent one
+  message (a one-segment sweep) at a time, and a dict-accumulator
+  boundary fold over the received rows as Python ints.  Kept as
   executable documentation of Algorithm 4 and for the golden
   equivalence tests.
 
 Both kernels produce identical selections, identical message payloads
-byte-for-byte under the accounting model (a ``(k, 2)`` int64 array and
-a list of ``k`` int pairs both size to ``16k`` bytes), and identical
-boundary/memory accounting — pinned by
+(the same ``(k, 2)`` int64 rows, ``16k`` bytes on the wire), and
+identical boundary/memory accounting — pinned by
 ``tests/test_kernel_equivalence.py``.
 """
 
@@ -374,7 +374,7 @@ class ExpansionProcess(Process):
 
     def _select_and_multicast_python(self) -> int:
         """Reference selection: heapq pops, per-vertex replica fan-out
-        into per-process tuple lists."""
+        into per-process pair lists, one message each."""
         selected: list[int] = []
         if len(self.boundary):
             k = max(1, int(np.ceil(self.lam * len(self.boundary))))
@@ -457,15 +457,14 @@ class ExpansionProcess(Process):
             return
         drest_sums: dict[int, int] = defaultdict(int)
         for _, payload in self.receive(TAG_BOUNDARY):
-            for v, local_drest in payload:
-                drest_sums[int(v)] += int(local_drest)
+            for v, local_drest in payload.tolist():
+                drest_sums[v] += local_drest
         for v in sorted(drest_sums):
             self.boundary.insert(v, drest_sums[v])
 
         for _, payload in self.receive(TAG_EDGES):
-            if len(payload):
-                self.edge_ids.append(np.asarray(payload, dtype=np.int64))
-                self.edge_count += len(payload)
+            self.edge_ids.append(payload)
+            self.edge_count += len(payload)
 
         # Memory model: boundary entries + received partition edges
         # (one 64-bit edge id per collected edge).

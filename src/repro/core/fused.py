@@ -107,13 +107,15 @@ The mechanisms:
   exact because loads are per (machine, partition), each edge has one
   home machine, the walk is machine-major and ingest re-sorts its mail.
   A call under the budget is one group: the single-sweep code, as is.
-* **Mail conservation.**  A two-hop call takes every row queued for
-  the machines it runs — delivered sync mail and both parked one-hop
-  queues.  After the call those counts (segment lengths, no row
-  touched) must be zero, or it raises naming the iteration, machine,
-  queue and row count: mail a group left behind fails the superstep
-  that lost it, not the stall check iterations later.  A ``processes``
-  worker checks its private cluster.
+* **Mail conservation.**  Every call but selection takes every row
+  queued for the processes it runs: one-hop its ``select`` mail,
+  two-hop its ``sync`` mail and both parked one-hop queues, update
+  its ``boundary`` and ``edges`` mail.  After the call those counts
+  (segment lengths, no row touched) must be zero, or it raises naming
+  the method, iteration, machine, queue and row count: mail a step
+  left behind fails the superstep that lost it, not the stall check
+  iterations later.  A ``processes`` worker checks its private
+  cluster.
 * **Deterministic emission and ingest order.**  One stable sort by
   (machine, destination) makes a sweep's segments exactly the
   per-``(src, dst, tag)`` messages the accounting model prices, in the
@@ -152,7 +154,7 @@ breaks CI:
   checkpoint/resume and fault-recovery replay see the same step
   sequence on every backend (``tests/test_backends.py``,
   ``tests/test_faults.py``);
-* a ``SegmentBatch`` delivery equals one eager ``send`` per segment on
+* a ``SegmentBatch`` delivery equals one ``send`` per segment on
   every counter and on mailbox order, and the number of mailbox
   entries per superstep and machine group does not depend on |P|:
   ``tests/test_cluster_batched.py``;
@@ -214,6 +216,20 @@ def _budget_groups(sizes, budget: int) -> list:
         total += size
     groups.append((lo, len(sizes)))
     return groups
+
+
+def _check_taken(method: str, iteration: int | None, slots: list,
+                 queued: list) -> None:
+    """Raise unless every ``(queue, rows per slot)`` pair of
+    ``queued`` is zero for the machines ``slots`` a ``method`` call
+    ran."""
+    where = "" if iteration is None else f" in iteration {iteration}"
+    for name, rows in queued:
+        for slot, count in zip(slots, rows):
+            if count:
+                raise RuntimeError(
+                    f"{method}{where} left {count} {name!r} rows queued "
+                    f"for machine {slot}: a machine's mail was not taken")
 
 
 def _check_fused_bound(size: int, what: str) -> None:
@@ -525,17 +541,30 @@ class FusedDnePlane:
         error."""
         if method == "select_and_multicast":
             return self._run_select(pids)
+        slots = [pid[1] for pid in pids]
         if method == "one_hop_and_sync":
-            return self._run_one_hop(pids)
-        if method == "two_hop_and_report":
+            out = self._run_one_hop(pids)
+            cluster = self._alloc_procs[self._mindex[slots[0]]].cluster
+            queued = [(TAG_SELECT,
+                       cluster.queued_rows("alloc", TAG_SELECT, slots))]
+        elif method == "two_hop_and_report":
             out = {}
             for mis in self._two_hop_groups(pids):
                 out.update(self._run_two_hop(mis))
-            self._check_drained(pids, iteration)
-            return out
-        if method == "update_state":
-            return self._run_update(pids)
-        raise ValueError(f"unsupported fused method {method!r}")
+            cluster = self._alloc_procs[self._mindex[slots[0]]].cluster
+            queued = [
+                (TAG_SYNC, cluster.queued_rows("alloc", TAG_SYNC, slots)),
+                ("parked one-hop boundary", self._pending_bp.rows(slots)),
+                ("parked one-hop edges", self._pending_edges.rows(slots))]
+        elif method == "update_state":
+            out = self._run_update(pids)
+            cluster = self._exp[pids[0]].cluster
+            queued = [(tag, cluster.queued_rows("expansion", tag, slots))
+                      for tag in (TAG_BOUNDARY, TAG_EDGES)]
+        else:
+            raise ValueError(f"unsupported fused method {method!r}")
+        _check_taken(method, iteration, slots, queued)
+        return out
 
     # ------------------------------------------------------------------
     # Selection: one pop over every live expander's segment, one seed
@@ -737,23 +766,6 @@ class FusedDnePlane:
             self._pending_bp.rows(slots),
             cluster.queued_rows("alloc", TAG_SYNC, slots))]
         return [mis[lo:hi] for lo, hi in _budget_groups(queued, _SWEEP_ROWS)]
-
-    def _check_drained(self, pids, iteration: int | None) -> None:
-        """Raise unless a two-hop over ``pids`` left no sync mail and no
-        parked one-hop rows queued for their machines."""
-        slots = [pid[1] for pid in pids]
-        cluster = self._alloc_procs[self._mindex[slots[0]]].cluster
-        where = "" if iteration is None else f" in iteration {iteration}"
-        for tag, queued in (
-                (TAG_SYNC, cluster.queued_rows("alloc", TAG_SYNC, slots)),
-                ("parked one-hop boundary", self._pending_bp.rows(slots)),
-                ("parked one-hop edges", self._pending_edges.rows(slots))):
-            for slot, rows in zip(slots, queued):
-                if rows:
-                    raise RuntimeError(
-                        f"two_hop_and_report{where} left {rows} {tag!r} "
-                        f"rows queued for machine {slot}: a machine "
-                        "group's mail was not taken")
 
     def _run_two_hop(self, mis: list) -> dict:
         """Two-hop over one machine group (sorted machine idx ``mis``)."""

@@ -35,7 +35,49 @@ from repro.metrics.quality import (
 from repro.observability.metrics import get_registry
 
 __all__ = ["EdgePartition", "VertexPartition", "Partitioner",
-           "StreamingEdgePartitioner"]
+           "StreamingEdgePartitioner", "fill_least_loaded"]
+
+
+def fill_least_loaded(assignment: np.ndarray, num_partitions: int) -> None:
+    """Assign every ``-1`` entry of ``assignment``, in edge-id order,
+    to the least-loaded partition at that moment (ties to the lowest
+    id) — the leftover sweep that keeps an expansion result a true
+    partition of E when budgets or the iteration valve leave edges
+    unallocated."""
+    left = np.flatnonzero(assignment == -1)
+    if len(left):
+        loads = np.bincount(assignment[assignment >= 0],
+                            minlength=num_partitions)
+        assignment[left] = _least_loaded_targets(loads, len(left))
+
+
+def _least_loaded_targets(loads: np.ndarray, count: int) -> np.ndarray:
+    """Batch form of the sequential least-loaded sweep.
+
+    The sequential loop repeatedly takes ``argmin(loads)`` (ties to
+    the lowest partition id) and increments it; that sequence is
+    exactly all (level, partition) slots with ``level >=
+    loads[partition]`` enumerated in ascending (level, partition)
+    order.  Every level at or above ``loads.min()`` fills at least one
+    slot, so enumerating the band in bounded chunks terminates after
+    ~``count`` levels total while keeping the transient mask O(chunk *
+    |P|) — the loop's O(|P|) memory class, at C speed.
+    """
+    num = len(loads)
+    out = np.empty(count, dtype=np.int64)
+    parts = np.arange(num)
+    level = int(loads.min())
+    band = max(1, (1 << 20) // max(num, 1))
+    filled = 0
+    while filled < count:
+        levels = np.arange(level, level + band)
+        mask = levels[:, None] >= loads[None, :]
+        targets = np.broadcast_to(parts, mask.shape)[mask]
+        take = min(len(targets), count - filled)
+        out[filled:filled + take] = targets[:take]
+        filled += take
+        level += band
+    return out
 
 
 @dataclass

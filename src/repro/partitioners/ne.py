@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph, adjacency_slots, first_occurrence
 from repro.kernels import validate_kernel
-from repro.partitioners.base import EdgePartition, Partitioner
+from repro.partitioners.base import (EdgePartition, Partitioner,
+                                     fill_least_loaded)
 
 __all__ = ["NEPartitioner", "ExpansionState"]
 
@@ -297,25 +298,6 @@ class NEPartitioner(Partitioner):
                         break
                 allocated = state.expand_vertex(v, pid, limit, allocated)
 
-        _sweep_leftovers(state, p)
+        fill_least_loaded(state.assignment, p)
         return EdgePartition(graph, p, state.assignment, method=self.name,
                              extra={"alpha": self.alpha})
-
-
-def _sweep_leftovers(state: ExpansionState, num_partitions: int) -> None:
-    """Assign any still-unallocated edges to the least-loaded partitions.
-
-    Rarely needed (only when early partitions exhaust their budgets on a
-    component and the tail partitions never see edges); keeps coverage
-    total so the result is a true partition of E.
-    """
-    left = np.flatnonzero(state.assignment == -1)
-    if len(left) == 0:
-        return
-    loads = np.bincount(state.assignment[state.assignment >= 0],
-                        minlength=num_partitions).astype(np.int64)
-    for eid in left:
-        target = int(np.argmin(loads))
-        state.assignment[eid] = target
-        loads[target] += 1
-    state.unallocated = 0

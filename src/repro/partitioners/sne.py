@@ -30,8 +30,9 @@ import numpy as np
 from repro.cluster.checkpoint import CheckpointStore
 from repro.graph.csr import CSRGraph
 from repro.kernels import validate_kernel
-from repro.partitioners.base import EdgePartition, Partitioner
-from repro.partitioners.ne import ExpansionState, _sweep_leftovers
+from repro.partitioners.base import (EdgePartition, Partitioner,
+                                     fill_least_loaded)
+from repro.partitioners.ne import ExpansionState
 
 __all__ = ["SNEPartitioner"]
 
@@ -140,7 +141,7 @@ def _run_sne_stream(graph: CSRGraph, p: int, seed: int, alpha: float,
             if buffered < capacity // 2:
                 buffered = refill(buffered)
 
-    _sweep_leftovers(state, p)
+    fill_least_loaded(state.assignment, p)
     # Resident footprint of the streaming state (the bounded-memory
     # claim SNE exists for): per-edge assignment + visibility mask,
     # per-vertex degrees/coverage, and the probe order.

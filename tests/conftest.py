@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.checkpoint import CheckpointStore
-from repro.cluster.runtime import SegmentBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
@@ -67,26 +66,6 @@ def k6() -> CSRGraph:
 @pytest.fixture
 def small_road() -> CSRGraph:
     return CSRGraph(grid_road_network(12, 12, seed=3))
-
-
-def send_sweep(cluster, kernel: str, src, dst, tag: str, rows) -> None:
-    """Deliver ``rows`` from ``src`` to ``dst`` in the mail format
-    ``kernel`` reads.
-
-    The reference kernel takes a tuple list over eager ``send``; the
-    vectorized kernel (the plane) reads segment mail only, so it gets
-    the same rows as a one-segment sweep on ``send_segments``.  Both
-    price identically; pids are ``(role, slot)`` pairs and ``rows`` is
-    non-empty.
-    """
-    sender = cluster.process(src)
-    rows = np.asarray(rows, dtype=np.int64)
-    if kernel == "python":
-        sender.send(dst, tag, [tuple(row) for row in rows.tolist()])
-        return
-    sender.send_segments(tag, SegmentBatch(
-        rows, np.array([0, len(rows)]), src[0], np.array([src[1]]),
-        dst[0], np.array([dst[1]])))
 
 
 def dense_membership_shapes(checkpoint_dir: str) -> set:

@@ -12,7 +12,6 @@ from repro.core.allocation import (
 )
 from repro.core.hash2d import Hash2DPlacement
 from repro.graph.csr import CSRGraph
-from tests.conftest import send_sweep
 
 
 class _Sink:
@@ -25,14 +24,14 @@ class _Sink:
     def boundary(self):
         out = {}
         for _, payload in self.proc.receive(TAG_BOUNDARY):
-            for v, d in payload:
+            for v, d in payload.tolist():
                 out[v] = out.get(v, 0) + d
         return out
 
     def edges(self):
         out = []
         for _, payload in self.proc.receive(TAG_EDGES):
-            out.extend(np.asarray(payload).tolist())
+            out.extend(payload.tolist())
         return out
 
 
@@ -59,8 +58,8 @@ def _single_proc_setup(graph, num_partitions=2, two_hop=True,
 
 def _drive(cluster, alloc, selections):
     """Send selections, run both allocator phases with barriers."""
-    send_sweep(cluster, alloc.kernel, ("expansion", 0), alloc.pid,
-               TAG_SELECT, selections)
+    cluster.process(("expansion", 0)).send(alloc.pid, TAG_SELECT,
+                                           selections)
     cluster.barrier()
     alloc.one_hop_and_sync()
     cluster.barrier()
@@ -147,8 +146,8 @@ class TestMultiProcessSync:
             _Sink(cluster, p)
 
         for proc in placement.replica_processes(1):
-            send_sweep(cluster, kernel, ("expansion", 0), ("alloc", proc),
-                       TAG_SELECT, [(1, 0)])
+            cluster.process(("expansion", 0)).send(("alloc", proc),
+                                                   TAG_SELECT, [(1, 0)])
         cluster.barrier()
         for a in allocs:
             a.one_hop_and_sync()
@@ -177,8 +176,8 @@ class TestMultiProcessSync:
         _drive(cluster, alloc, [(1, 0)])
         with pytest.raises(ValueError, match="before the first step"):
             alloc._ensure_partition_capacity(5)
-        send_sweep(cluster, "vectorized", ("expansion", 0), alloc.pid,
-                   TAG_SELECT, [(2, 5)])
+        cluster.process(("expansion", 0)).send(alloc.pid, TAG_SELECT,
+                                               [(2, 5)])
         with pytest.raises(ValueError, match="partition capacity"):
             alloc.one_hop_and_sync()
         cluster, ref, _ = _single_proc_setup(path4, num_partitions=2,

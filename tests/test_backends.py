@@ -281,13 +281,13 @@ class TestRunSteps:
 # Superstep protocol in isolation
 # ----------------------------------------------------------------------
 class _EchoProcess(Process):
-    """Sends on both planes every step: one eager message, a
-    one-segment sweep to its peer and a three-segment fan-out sweep."""
+    """Sends every step: one message and a one-segment sweep to its
+    peer, and a three-segment fan-out sweep."""
 
     def step(self, round_no: int):
         role, k = self.pid
         peer = ("echo", (k + 1) % 3)
-        self.send(peer, "eager", [(k, round_no)])
+        self.send(peer, "one", [(k, round_no)])
         # Sweeps are delivered at send time, so a step reads the tag the
         # previous round wrote, never the one this superstep writes.
         self.send_segments(f"bulk{round_no % 2}", SegmentBatch(
@@ -336,9 +336,9 @@ def _drive_echo(backend_name, workers):
 class TestOutboxReplay:
     @pytest.mark.parametrize("name", PARALLEL)
     def test_parallel_replay_matches_inline(self, name, workers):
-        """Every outbox entry kind (eager send, segment sweep, resident
-        report, RPC pair) replays to the identical cluster state and
-        per-process counters."""
+        """Every outbox entry kind (segment sweep, from ``send`` and
+        ``send_segments``; resident report; RPC pair) replays to the
+        identical cluster state and per-process counters."""
         assert _drive_echo(name, workers) == _drive_echo("simulated", None)
 
     @pytest.mark.parametrize("share_workers", [1, 3, 9])

@@ -3,38 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster.accounting import ClusterStats, ProcessStats, payload_nbytes
+from repro.cluster.accounting import ClusterStats, ProcessStats
 from repro.cluster.runtime import Process, SimulatedCluster, _same_machine
-
-
-class TestPayloadSizing:
-    def test_none_is_free(self):
-        assert payload_nbytes(None) == 0
-
-    def test_scalars(self):
-        assert payload_nbytes(5) == 8
-        assert payload_nbytes(2.5) == 8
-        assert payload_nbytes(True) == 8
-
-    def test_numpy_array(self):
-        arr = np.zeros(10, dtype=np.int64)
-        assert payload_nbytes(arr) == 80
-
-    def test_containers_sum(self):
-        assert payload_nbytes([1, 2, 3]) == 24
-        assert payload_nbytes((1, 2)) == 16
-        assert payload_nbytes({1: 2}) == 16
-
-    def test_nested(self):
-        assert payload_nbytes([(1, 2), (3, 4)]) == 32
-
-    def test_strings_and_bytes(self):
-        assert payload_nbytes("abc") == 3
-        assert payload_nbytes(b"abcd") == 4
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(TypeError):
-            payload_nbytes(object())
 
 
 class TestProcessStats:
@@ -79,14 +49,11 @@ class TestClusterStats:
 
 class TestSameMachine:
     def test_identical_pids(self):
-        assert _same_machine("a", "a")
+        assert _same_machine(("alloc", 2), ("alloc", 2))
 
     def test_role_pairs_share_machine(self):
         assert _same_machine(("expansion", 3), ("alloc", 3))
         assert not _same_machine(("expansion", 3), ("alloc", 4))
-
-    def test_plain_distinct(self):
-        assert not _same_machine("a", "b")
 
 
 class TestSimulatedCluster:
@@ -98,20 +65,33 @@ class TestSimulatedCluster:
 
     def test_duplicate_pid_rejected(self):
         cluster = SimulatedCluster()
-        cluster.add_process(Process("x"))
+        cluster.add_process(Process(("x", 0)))
         with pytest.raises(ValueError):
-            cluster.add_process(Process("x"))
+            cluster.add_process(Process(("x", 0)))
 
-    def test_message_needs_barrier(self):
+    @pytest.mark.parametrize("pid", [
+        "x", ("x",), ("x", 0, 1), (0, 0), ("x", "0"), ("x", 1.0),
+        ("x", True), ["x", 0], ("x", np.int64(0))])
+    def test_pid_must_be_a_role_slot_pair(self, pid):
+        cluster = SimulatedCluster()
+        with pytest.raises(ValueError, match=r"\(role: str, slot: int\)"):
+            cluster.add_process(Process(pid))
+        assert cluster.pids == []
+
+    def test_message_readable_at_send(self):
+        """A message lands in the mailbox when it is sent; the barrier
+        only counts."""
         cluster, a, b = self._pair()
-        a.send(b.pid, "t", 42)
-        assert b.receive("t") == []  # not delivered yet
-        cluster.barrier()
-        assert b.receive("t") == [(a.pid, 42)]
+        a.send(b.pid, "t", [42])
+        assert cluster.mail_slots("alloc", "t") == {1}
+        [(src, payload)] = b.receive("t")
+        assert src == a.pid and payload.tolist() == [42]
+        assert payload.dtype == np.int64
+        assert cluster.stats.barriers == 0
 
     def test_receive_drains(self):
         cluster, a, b = self._pair()
-        a.send(b.pid, "t", 1)
+        a.send(b.pid, "t", [1])
         cluster.barrier()
         assert len(b.receive("t")) == 1
         assert b.receive("t") == []
@@ -119,7 +99,16 @@ class TestSimulatedCluster:
     def test_unknown_destination(self):
         cluster, a, _ = self._pair()
         with pytest.raises(KeyError):
-            a.send("nope", "t", 1)
+            a.send(("alloc", 7), "t", [1])
+        assert cluster.stats.stats_for(a.pid).messages_sent == 0
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 2)), 5,
+                                      [[[1, 2]]], ["a"]])
+    def test_rows_must_be_a_non_empty_int_array(self, rows):
+        cluster, a, b = self._pair()
+        with pytest.raises(ValueError):
+            a.send(b.pid, "t", rows)
+        assert cluster.mail_slots("alloc", "t") == set()
 
     def test_cross_machine_bytes_counted(self):
         cluster, a, b = self._pair()
@@ -142,20 +131,13 @@ class TestSimulatedCluster:
         cluster.barrier()
         assert cluster.stats.barriers == 2
 
-    def test_flush_does_not_count_barrier(self):
-        cluster, a, b = self._pair()
-        a.send(b.pid, "t", 1)
-        cluster.flush()
-        assert cluster.stats.barriers == 0
-        assert b.receive("t") == [(a.pid, 1)]
-
     def test_message_order_preserved(self):
         cluster, a, b = self._pair()
         for i in range(5):
-            a.send(b.pid, "t", i)
+            a.send(b.pid, "t", [i])
         cluster.barrier()
-        values = [payload for _, payload in b.receive("t")]
-        assert values == [0, 1, 2, 3, 4]
+        values = [payload.tolist() for _, payload in b.receive("t")]
+        assert values == [[0], [1], [2], [3], [4]]
 
     def test_all_gather_sum(self):
         cluster, a, b = self._pair()
@@ -165,46 +147,13 @@ class TestSimulatedCluster:
         assert cluster.stats.stats_for(a.pid).messages_sent == 1
 
     def test_pending_resident_flushed_on_attach(self):
-        p = Process("later")
+        p = Process(("later", 0))
         p.set_resident("pre", 512)
         cluster = SimulatedCluster()
         cluster.add_process(p)
-        assert cluster.stats.stats_for("later").peak_resident_bytes == 512
+        assert cluster.stats.stats_for(("later", 0)).peak_resident_bytes \
+            == 512
 
     def test_processes_sorted(self):
         cluster, a, b = self._pair()
         assert cluster.processes() == [a, b]
-
-    @pytest.mark.parametrize("src,dst", [
-        (("alloc", 0), ("alloc", 1)),          # cross-machine tuples
-        (("expansion", 2), ("alloc", 2)),      # co-located tuples
-        ("a", "b"),                            # plain ids
-        ("solo", "solo"),                      # self-send
-    ])
-    @pytest.mark.parametrize("payload", [
-        None, 7, [(1, 2), (3, 4)],
-        np.arange(6, dtype=np.int64).reshape(3, 2),
-    ])
-    def test_send_inline_matches_reference_accounting(self, src, dst,
-                                                      payload):
-        """_send's inlined fast path must equal the composition of
-        _same_machine + payload_nbytes + record_send/record_receive
-        (the API everything else uses) for every pid/payload shape."""
-        from repro.cluster.accounting import ProcessStats, payload_nbytes
-
-        cluster = SimulatedCluster()
-        sp = cluster.add_process(Process(src))
-        if dst != src:
-            cluster.add_process(Process(dst))
-        sp.send(dst, "t", payload)
-
-        ref_send, ref_recv = ProcessStats(), ProcessStats()
-        nbytes = 0 if _same_machine(src, dst) else payload_nbytes(payload)
-        ref_send.record_send(nbytes)
-        ref_recv.record_receive(nbytes)
-        got_s = cluster.stats.stats_for(src)
-        got_r = cluster.stats.stats_for(dst)
-        assert (got_s.messages_sent, got_s.bytes_sent) == \
-            (ref_send.messages_sent, ref_send.bytes_sent)
-        assert (got_r.messages_received, got_r.bytes_received) == \
-            (ref_recv.messages_received, ref_recv.bytes_received)

@@ -30,22 +30,16 @@ from repro.metrics.quality import validate_assignment
 class DuplicatingCluster(SimulatedCluster):
     """Delivers every matching message twice (at-least-once delivery).
 
-    Both message planes are covered: the reference kernel's eager
-    ``_send`` and the vectorized kernel's segment sweeps, where a
-    replayed sweep replays every one of its segments.  ``injected``
-    counts the messages delivered a second time.
+    Every message is a segment of a sweep — the reference kernel's
+    ``send`` a sweep of one — and a replayed sweep replays every one of
+    its segments.  ``injected`` counts the messages delivered a second
+    time.
     """
 
     def __init__(self, duplicate_tag: str):
         super().__init__()
         self._duplicate_tag = duplicate_tag
         self.injected = 0
-
-    def _send(self, src, dst, tag, payload):
-        super()._send(src, dst, tag, payload)
-        if tag == self._duplicate_tag:
-            self.injected += 1
-            super()._send(src, dst, tag, payload)
 
     def deliver_segments(self, tag, batch):
         super().deliver_segments(tag, batch)
@@ -56,8 +50,8 @@ class DuplicatingCluster(SimulatedCluster):
 
 class DroppingCluster(SimulatedCluster):
     """Drops a deterministic fraction of matching messages — every
-    ``drop_every``-th eager send or sweep segment, counted across both
-    planes.  ``injected`` counts the messages lost."""
+    ``drop_every``-th sweep segment, counted across sweeps.
+    ``injected`` counts the messages lost."""
 
     def __init__(self, drop_tag: str, drop_every: int = 3):
         super().__init__()
@@ -65,16 +59,6 @@ class DroppingCluster(SimulatedCluster):
         self._drop_every = drop_every
         self._count = 0
         self.injected = 0
-
-    def _send(self, src, dst, tag, payload):
-        if tag == self._drop_tag:
-            self._count += 1
-            if self._count % self._drop_every == 0:
-                # message lost on the wire (still accounted as sent)
-                self.stats.stats_for(src).record_send(0)
-                self.injected += 1
-                return
-        super()._send(src, dst, tag, payload)
 
     def deliver_segments(self, tag, batch):
         if tag == self._drop_tag:
@@ -109,9 +93,9 @@ def graph():
 
 
 # Each test walks both kernels in its body (not ``parametrize``) and
-# asserts ``injected > 0`` for each: the reference syncs over ``_send``,
-# the vectorized kernel over ``deliver_segments``, and a test that
-# injects at only one of them compares a run with itself.
+# asserts ``injected > 0`` for each: the reference sends one-segment
+# sweeps, the vectorized kernel whole ones, and a test whose injection
+# missed one of them would compare a run with itself.
 class TestDuplicateDelivery:
     def test_sync_is_idempotent(self, graph):
         """At-least-once delivery of sync messages must not change the

@@ -474,11 +474,11 @@ class _PingProcess(Process):
 
     def send_step(self):
         role, k = self.pid
-        self.send(("ping", 1 - k), "ping", [("hello", k)])
+        self.send(("ping", 1 - k), "ping", [k, 10 + k])
         return k
 
     def recv_step(self):
-        return len(self.receive("ping"))
+        return [(src, rows.tolist()) for src, rows in self.receive("ping")]
 
 
 class _SleepProcess(Process):
@@ -532,7 +532,7 @@ class TestSupervisionProtocol:
             out = backend.run_superstep(
                 [(pid, "recv_step", ()) for pid in pids])
             assert {pid: out[pid].value for pid in pids} == \
-                {pids[0]: 1, pids[1]: 1}
+                {pids[0]: [(pids[1], [1, 11])], pids[1]: [(pids[0], [0, 10])]}
             assert backend.respawns == 1
             assert not plan.pending()
         finally:
@@ -541,7 +541,7 @@ class TestSupervisionProtocol:
     def test_terminal_failure_restores_delivered_mail(self):
         """Documented atomic-superstep state: when retries are
         exhausted (here: none), every retained inbox returns to the
-        parent's delivered map and accounting is untouched."""
+        parent's mailboxes and accounting is untouched."""
         plan = FaultPlan().kill(0, 2)
         backend = ProcessesBackend(2, step_timeout=30, fault_plan=plan)
         cluster, pids = _start_pair(backend)
@@ -552,8 +552,10 @@ class TestSupervisionProtocol:
             with pytest.raises(WorkerStepError, match="worker process died"):
                 backend.run_superstep(
                     [(pid, "recv_step", ()) for pid in pids])
-            for pid in pids:
-                assert cluster._delivered[(pid, "ping")], pid
+            assert cluster.queued_rows("ping", "ping", [0, 1]) == [2, 2]
+            assert {src: rows.tolist() for src, rows in
+                    cluster.process(pids[0]).receive("ping")} \
+                == {pids[1]: [1, 11]}
             assert cluster.stats.summary() == stats_before
         finally:
             backend.close()

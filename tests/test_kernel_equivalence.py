@@ -29,7 +29,8 @@ and seeds:
   plane, and a run whose sweeps a small row budget cuts into many
   machine groups matches the one-group run on every backend;
 * the reference allocation path holds no phantom (empty) replica sets
-  — the ``defaultdict`` probe leak stays fixed.
+  — the ``defaultdict`` probe leak stays fixed;
+* the batch least-loaded fill equals the sequential ``argmin`` loop.
 """
 
 import hashlib
@@ -41,7 +42,8 @@ import pytest
 from repro.apps.engine import AppRunStats, DistributedGraphEngine
 from repro.cluster.runtime import Process, SimulatedCluster, _same_machine
 from repro.core import fused as fused_module
-from repro.core.allocation import (TAG_SELECT, TAG_SYNC, AllocationProcess,
+from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
+                                   TAG_SYNC, AllocationProcess,
                                    DenseMembership, PackedMembership)
 from repro.core.distributed_ne import DistributedNE, DneWorkerProgram
 from repro.core.expansion import (BoundarySegment, BoundaryStore,
@@ -53,9 +55,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import ring_graph, rmat_edges
 from repro.partitioners import PARTITIONER_REGISTRY
 from repro.partitioners import sne as sne_module
+from repro.partitioners.base import _least_loaded_targets
 from repro.partitioners.ne import NEPartitioner
 from repro.partitioners.sne import SNEPartitioner
-from tests.conftest import send_sweep
 
 GRAPHS = {
     "rmat": lambda: CSRGraph(rmat_edges(9, 6, seed=42)),
@@ -214,7 +216,9 @@ class TestPackedMembership:
     def test_allocation_backends_bit_identical(self, partitions):
         """Same selections through allocation processes holding the
         dense and the packed layout (injected before the first step —
-        production picks by |P| alone): identical state and messages."""
+        production picks by |P| alone): identical state, and identical
+        counters — messages, bytes, batch ticks, residents — on every
+        process."""
         graph = CSRGraph(rmat_edges(8, 6, seed=11))
         results = {}
         for layout in (DenseMembership, PackedMembership):
@@ -233,8 +237,8 @@ class TestPackedMembership:
                 sel = np.column_stack(
                     [rng.integers(0, graph.num_vertices, 12),
                      rng.integers(0, min(partitions, 4), 12)])
-                send_sweep(cluster, "vectorized", ("expansion", 0),
-                           alloc.pid, TAG_SELECT, sel)
+                cluster.process(("expansion", 0)).send(
+                    alloc.pid, TAG_SELECT, sel)
                 cluster.barrier()
                 alloc.one_hop_and_sync()
                 cluster.barrier()
@@ -245,7 +249,7 @@ class TestPackedMembership:
                 alloc.alloc.copy(), alloc.rest_degree.copy(),
                 alloc.ops_one_hop, alloc.ops_two_hop,
                 dict(alloc.vertex_parts),
-                cluster.stats.summary())
+                cluster.stats.per_process)
         for a, b in zip(results["dense"], results["packed"]):
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a, b)
@@ -711,6 +715,37 @@ class TestBoundedSweeps:
                                str(info.value)).group(1))
         assert raised == min(map(int, log.read_text().split()))
 
+    @pytest.mark.parametrize("backend,workers", [
+        ("simulated", None), ("threads", 3), ("processes", 2)])
+    @pytest.mark.parametrize("method,role,tag", [
+        ("one_hop_and_sync", "alloc", TAG_SELECT),
+        ("update_state", "expansion", TAG_BOUNDARY),
+        ("update_state", "expansion", TAG_EDGES)])
+    def test_untaken_mail_raises_at_the_step_that_lost_it(
+            self, backend, workers, method, role, tag, monkeypatch):
+        """Every take of ``tag`` mail skips the first machine that has
+        some: the plane's conservation check raises in iteration 1,
+        naming the method, the iteration and the tag — on a
+        ``processes`` worker's private cluster too (forked workers
+        inherit the patch)."""
+        real_take = SimulatedCluster.take_segments
+
+        def drop_one_machine(cluster, dst_role, mail_tag, slots):
+            if (dst_role, mail_tag) == (role, tag):
+                waiting = cluster.mail_slots(dst_role, mail_tag)
+                dropped = next(s for s in slots if s in waiting)
+                slots = [s for s in slots if s != dropped]
+            return real_take(cluster, dst_role, mail_tag, slots)
+
+        monkeypatch.setattr(SimulatedCluster, "take_segments",
+                            drop_one_machine)
+        graph = CSRGraph(rmat_edges(8, 6, seed=3))
+        with pytest.raises(RuntimeError, match=(
+                rf"{method} in iteration 1 left \d+ '{tag}' rows queued "
+                r"for machine \d+")):
+            DistributedNE(16, seed=0, backend=backend, workers=workers,
+                          max_iterations=500).partition(graph)
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("partitions", [1, 4, 9])
@@ -759,8 +794,8 @@ class TestAllGatherAccounting:
     @pytest.mark.parametrize("pids", [
         [("expansion", k) for k in range(6)],
         [("expansion", 0), ("alloc", 0), ("expansion", 1)],
-        ["a", "b", ("x", 1), ("y", 1)],
-        ["solo"],
+        [("a", 0), ("b", 2), ("x", 1), ("y", 1)],
+        [("solo", 0)],
     ])
     def test_bulk_matches_per_message_loop(self, pids):
         cluster = SimulatedCluster()
@@ -775,6 +810,44 @@ class TestAllGatherAccounting:
             assert [s.messages_received, s.bytes_received] == recv[pid]
 
 
+class TestLeastLoadedFill:
+    """The leftover sweep's batch form (NE, SNE and Distributed NE
+    share it) equals the sequential loop: take ``argmin(loads)``, ties
+    to the lowest partition id, and bump it."""
+
+    @staticmethod
+    def _argmin_loop(loads, count):
+        loads = loads.copy()
+        out = []
+        for _ in range(count):
+            target = int(np.argmin(loads))
+            out.append(target)
+            loads[target] += 1
+        return out
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_equals_the_argmin_loop(self, trial):
+        rng = np.random.default_rng(trial)
+        num = int(rng.integers(1, 40))
+        # few distinct levels, so ties are everywhere
+        loads = rng.integers(0, 6, num) * int(rng.integers(1, 4))
+        count = int(rng.integers(0, 5 * num))
+        assert _least_loaded_targets(loads, count).tolist() \
+            == self._argmin_loop(loads, count)
+
+    @pytest.mark.parametrize("num,count", [(1, 5), (7, 0), (7, 23),
+                                           (300, 1000)])
+    def test_all_equal_loads_fill_round_robin(self, num, count):
+        loads = np.full(num, 9, dtype=np.int64)
+        got = _least_loaded_targets(loads, count)
+        assert got.dtype == np.int64 and len(got) == count
+        assert got.tolist() == self._argmin_loop(loads, count) \
+            == [i % num for i in range(count)]
+
+    def test_count_zero_returns_empty(self):
+        assert _least_loaded_targets(np.array([3, 1, 2]), 0).tolist() == []
+
+
 class TestTwoHopLoadsDelta:
     """Conflict-heavy two-hop: the loads-delta batching (vectorized
     segment reductions + collision-only replay) must match the
@@ -784,6 +857,9 @@ class TestTwoHopLoadsDelta:
     @pytest.mark.parametrize("partitions", [3, 6])
     @pytest.mark.parametrize("seed", [0, 4])
     def test_sync_flood_bit_identical(self, partitions, seed, monkeypatch):
+        """Allocation state and every process's counters — messages,
+        bytes, batch ticks, residents — tie whole: both kernels send
+        on the one message plane."""
         contested = []
         orig = fused_module._resolve_multi_shared
         monkeypatch.setattr(
@@ -808,15 +884,15 @@ class TestTwoHopLoadsDelta:
             for _ in range(5):
                 vs = rng.integers(0, graph.num_vertices, 250)
                 ps = rng.integers(0, partitions, 250)
-                send_sweep(cluster, kernel, ("alloc", 1), alloc.pid,
-                           TAG_SYNC, np.column_stack([vs, ps]))
+                cluster.process(("alloc", 1)).send(
+                    alloc.pid, TAG_SYNC, np.column_stack([vs, ps]))
                 cluster.barrier()
                 alloc.two_hop_and_report()
                 cluster.barrier()
             results[kernel] = (
                 alloc.alloc.copy(), alloc._part_loads.copy(),
                 alloc.rest_degree.copy(), alloc.ops_two_hop,
-                cluster.stats.summary())
+                cluster.stats.per_process)
         for a, b in zip(results["python"], results["vectorized"]):
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a, b)
@@ -941,15 +1017,15 @@ class TestReferencePathHygiene:
             alloc._ensure_partition_capacity(1)
             cluster.add_process(Process(("expansion", 0)))
             cluster.add_process(Process(("expansion", 1)))
-            send_sweep(cluster, kernel, ("expansion", 0), alloc.pid,
-                       TAG_SELECT, [(0, 0), (1, 1)])
+            cluster.process(("expansion", 0)).send(
+                alloc.pid, TAG_SELECT, [(0, 0), (1, 1)])
             cluster.barrier()
             alloc.one_hop_and_sync()
             cluster.barrier()
             alloc.two_hop_and_report()
             cluster.barrier()
             results[kernel] = (
-                cluster.stats.stats_for(alloc.pid)._resident.copy(),
+                cluster.stats.per_process,
                 {lv: set(ps) for lv, ps in alloc.vertex_parts.items()
                  if ps})
         assert results["python"] == results["vectorized"]

@@ -33,6 +33,13 @@ array queue is gone — its name appears nowhere under ``src/``, the
 heapq reference aside — and the DNE driver asks the cluster which
 slots have mail once per tag (``mail_slots``), never once per process.
 
+One message plane: every message is a ``SegmentBatch`` sweep, the
+reference kernel's ``send`` a sweep of one segment.  The eager plane
+beside it — its per-pid mailbox, in-flight queue, per-message payload
+sizer and per-process mail probe — is named nowhere under ``src/``,
+and outbox replay knows exactly the ``segments``, ``resident`` and
+``rpc`` entry kinds.
+
 One edge-stream walker: HDRF and FENNEL's vectorized kernel is
 ``walk_edge_stream``; the chunked window driver it replaced
 (``EdgeStreamScorer``, ``run_chunked_stream``, ``block_tail_hints``)
@@ -320,11 +327,10 @@ def _method_calls(source: str, name: str) -> list[int]:
 
 
 def test_dne_driver_asks_for_mail_once_per_tag():
-    assert _method_calls('"""has_mail(p, t) in prose"""\n'
-                         "x = cluster.has_mail(pid, tag)\n",
-                         "has_mail") == [2]
+    assert _method_calls('"""mail_slots(r, t) in prose"""\n'
+                         "x = cluster.mail_slots(role, tag)\n",
+                         "mail_slots") == [2]
     driver = (_CORE / "distributed_ne.py").read_text()
-    assert _method_calls(driver, "has_mail") == []
     assert len(_method_calls(driver, "mail_slots")) == 4
 
 
@@ -343,6 +349,47 @@ def _names(source: str) -> list[tuple[int, str]]:
             found += [(node.lineno, alias.name.rsplit(".", 1)[-1])
                       for alias in node.names]
     return found
+
+
+def _outbox_kinds(source: str) -> set:
+    """The string constants ``kind`` is compared with inside
+    ``apply_outbox`` — the outbox entry kinds replay handles."""
+    (function,) = [node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "apply_outbox"]
+    return {other.value for node in ast.walk(function)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name) and node.left.id == "kind"
+            for other in node.comparators if isinstance(other, ast.Constant)}
+
+
+def test_outbox_kind_guard_sees_the_comparisons():
+    source = ('"""kind == \'prose\'"""\n'
+              "def apply_outbox(cluster, pid, outbox):\n"
+              "    for entry in outbox:\n"
+              "        kind = entry[0]\n"
+              "        if kind == 'a':\n"
+              "            pass\n"
+              "        elif kind == \"b\" or other == 'c':\n"
+              "            pass\n")
+    assert _outbox_kinds(source) == {"a", "b"}
+
+
+def test_outbox_replays_sweeps_residents_and_rpcs_only():
+    """One message plane: a step's messages reach the parent as
+    ``segments`` entries (``send`` is a one-segment sweep); no
+    per-message entry kind sits beside them."""
+    base = (_SRC / "cluster" / "backends" / "base.py").read_text()
+    assert _outbox_kinds(base) == {"segments", "resident", "rpc"}
+
+
+@pytest.mark.parametrize("name", ["_delivered", "_in_flight",
+                                  "payload_nbytes", "has_mail"])
+def test_one_message_plane(name):
+    """The eager plane's per-pid mailbox, its in-flight queue, its
+    per-message payload sizer and its per-process mail probe stay
+    deleted: every message is a segment of a sweep."""
+    assert _uses(sorted(_SRC.rglob("*.py")), name) == []
 
 
 def _defined(source: str) -> set:
@@ -687,7 +734,6 @@ _TEST_ONLY_ALLOWED = {
     "cluster/backends/faults.py::FaultPlan.raise_error",
     "cluster/backends/faults.py::FaultPlan.seeded_delays",
     "core/allocation.py::AllocationProcess.vertex_parts",
-    "cluster/runtime.py::SimulatedCluster.has_mail",
     "serving/store.py::RunStore.schema_version",
 }
 

@@ -7,7 +7,8 @@ primitives the paper's algorithm needs:
 
 * ``send_segments(tag, batch)`` — one emission sweep, a
   :class:`SegmentBatch`, priced and delivered at once;
-* ``send(dst, tag, rows)`` — one message, sent as a one-segment sweep;
+* ``send(dst_role, tag, messages)`` — one process's messages, one per
+  destination slot, sent as one sweep;
 * ``barrier()`` — bumps the global barrier counter (the unit Figure 6
   counts as an "iteration" cost);
 * ``receive(tag)`` — drain this process's mail for a tag.
@@ -27,8 +28,8 @@ offsets, aligned source/destination slots.  At |P| ≫ 64 a DNE phase
 emits O(|P|²) tiny ``(src, dst)`` payloads per superstep, and one
 Python object per payload is what the run would spend its time on, so
 the fused plane hands a whole emission sweep over as a single value;
-the reference kernel sends each payload as a sweep of one segment.
-Either way:
+a reference-kernel step sends one sweep per tag, a segment per
+destination.  Either way:
 
 * rows are one ``(k, 2)`` or ``(k,)`` int64 array, and a segment is
   never empty;
@@ -41,9 +42,11 @@ Either way:
   reads only mail sent before the last barrier because no step of a
   superstep reads the tag that superstep writes;
 * ``Process.receive`` serves a process's segments as ``(src,
-  payload)`` pairs in delivery order, payloads being row slices; bulk
-  consumers take whole sweeps with :meth:`SimulatedCluster.take_segments`
-  and never materialise the per-segment objects;
+  payload)`` pairs in delivery order, payloads being row slices (a
+  sweep splits into per-slot messages once, on its first such
+  receive); bulk consumers take whole sweeps with
+  :meth:`SimulatedCluster.take_segments` and never materialise the
+  per-segment objects;
 * ``send_segments`` is outbox-aware like every other helper: under a
   parallel backend the sweep is one recorded entry that the parent
   replays through the same ``deliver_segments``.
@@ -71,6 +74,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,23 +217,25 @@ class SegmentQueue:
     """Delivered sweeps awaiting their addressees: put whole, taken by
     destination slot.
 
-    Each sweep is indexed by the destination slots it still addresses,
-    so a take touches only the sweeps that address one of its slots —
-    a per-process ``receive`` among |P|² one-segment sweeps reads its
-    own mail, not the whole mailbox.  Thread-pool chunks of one fused
-    superstep take disjoint slot subsets of the same sweeps
-    concurrently, so the bookkeeping runs under a lock and a partial
-    take only *marks* segments — each segment's rows are gathered
-    once, by whoever takes it, outside the lock; the stored batches
+    A take removes every waiting segment of its slots at once, so the
+    bookkeeping is per slot: each sweep keeps the set of destination
+    slots it still holds segments for, and the queue indexes the sweeps
+    by those slots — a take touches only the sweeps that address one of
+    its slots, and a process's own receive reads its own mail, not the
+    whole mailbox.  Thread-pool chunks of one fused superstep take
+    disjoint slot subsets of the same sweeps concurrently, so the slot
+    sets change under a lock, and each segment's rows are found and
+    gathered by whoever takes it, outside the lock; the stored batches
     are never copied or rebuilt.
     """
 
     def __init__(self, batches=()):
-        #: put sequence number -> (batch, remaining): ``remaining``
-        #: indexes the segments nobody took yet (``None`` = all of them)
+        #: put sequence number -> [batch, slots it still addresses, how
+        #: many slots it addressed when put, its per-slot messages once
+        #: a receive asked for them]
         self._entries: dict = {}
         #: destination slot -> sequence numbers of the entries holding
-        #: a segment for it
+        #: its segments
         self._by_slot: dict = {}
         self._puts = 0
         self._lock = threading.Lock()
@@ -237,12 +243,11 @@ class SegmentQueue:
             self.put(batch)
 
     def put(self, batch: SegmentBatch) -> None:
-        slots = (batch.dst_slots.tolist() if len(batch) == 1
-                 else sorted_unique(batch.dst_slots).tolist())
+        slots = sorted_unique(batch.dst_slots).tolist()
         with self._lock:
             seq = self._puts
             self._puts += 1
-            self._entries[seq] = (batch, None)
+            self._entries[seq] = [batch, set(slots), len(slots), None]
             for slot in slots:
                 self._by_slot.setdefault(slot, []).append(seq)
 
@@ -251,71 +256,93 @@ class SegmentQueue:
         with self._lock:
             return set(self._by_slot)
 
+    def _waiting(self) -> list:
+        """``(batch, slots)`` per entry, put order: the slots whose
+        segments still wait (``None`` = every slot the batch
+        addresses)."""
+        with self._lock:
+            return [(batch, None if len(waiting) == nslots
+                     else list(waiting))
+                    for batch, waiting, nslots, _ in self._entries.values()]
+
+    @staticmethod
+    def _select(batch: SegmentBatch, slots) -> SegmentBatch:
+        """The segments of ``batch`` addressed to ``slots`` (``None`` =
+        the whole batch, uncopied)."""
+        if slots is None:
+            return batch
+        return batch.select(np.flatnonzero(np.isin(batch.dst_slots, slots)))
+
     def rows(self, slots) -> list:
         """Rows waiting for each of ``slots`` — what a :meth:`take` of
         that slot would return — counted from the waiting segments'
         lengths, no row touched."""
-        with self._lock:
-            entries = list(self._entries.values())
         slots = np.asarray(slots, dtype=np.int64)
         if not len(slots):
             return []
         counts = np.zeros(len(slots), dtype=np.int64)
         bound = int(slots.max()) + 1
-        for batch, remaining in entries:
+        for batch, waiting in self._waiting():
             dst, lengths = batch.dst_slots, batch.lengths
-            if remaining is not None:
-                dst, lengths = dst[remaining], lengths[remaining]
+            if waiting is not None:
+                mask = np.isin(dst, waiting)
+                dst, lengths = dst[mask], lengths[mask]
             # float64 weights: exact for any row count below 2**53
             counts += np.bincount(dst, weights=lengths, minlength=bound)[
                 slots].astype(np.int64)
         return counts.tolist()
 
-    @staticmethod
-    def _materialise(entries: list) -> list:
-        return [batch if remaining is None else batch.select(remaining)
-                for batch, remaining in entries]
-
     def batches(self) -> list:
         """The waiting segments as batches, put order kept."""
-        with self._lock:
-            entries = list(self._entries.values())
-        return self._materialise(entries)
+        return [self._select(batch, waiting)
+                for batch, waiting in self._waiting()]
+
+    def _pop(self, slots) -> list:
+        """Unindex ``slots``; returns ``(batch, slots taken from it)``
+        per entry holding their segments, put order (``None`` = the
+        whole batch).  Caller holds the lock."""
+        taken: dict = {}
+        for slot in slots:
+            for seq in self._by_slot.pop(slot, ()):
+                taken.setdefault(seq, []).append(slot)
+        out = []
+        for seq in sorted(taken):
+            batch, waiting, nslots, _ = self._entries[seq]
+            whole = len(waiting) == nslots
+            waiting.difference_update(taken[seq])
+            if not waiting:
+                del self._entries[seq]
+            out.append((batch, None if whole and not waiting
+                        else taken[seq]))
+        return out
 
     def take(self, slots) -> list:
         """Remove and return, as batches in put order, every waiting
         segment addressed to one of ``slots`` (whole sweeps pass
         through uncopied)."""
         with self._lock:
-            by_slot = self._by_slot
-            wanted = [slot for slot in set(slots) if slot in by_slot]
-            if not wanted:
-                return []
-            seqs = set()
-            for slot in wanted:
-                seqs.update(by_slot.pop(slot))
-            entries = self._entries
-            if not by_slot:
-                picked = list(entries.values())
-                entries.clear()
-                return self._materialise(picked)
-            wanted = np.array(wanted, dtype=np.int64)
-            picked = []
-            for seq in sorted(seqs):
-                batch, remaining = entries[seq]
-                if len(batch) == 1:
-                    picked.append(entries.pop(seq))
-                    continue
-                mask = np.isin(batch.dst_slots if remaining is None
-                               else batch.dst_slots[remaining], wanted)
-                if mask.all():
-                    picked.append(entries.pop(seq))
-                    continue
-                if remaining is None:
-                    remaining = np.arange(len(batch))
-                picked.append((batch, remaining[mask]))
-                entries[seq] = (batch, remaining[~mask])
-        return self._materialise(picked)
+            picked = self._pop(set(slots))
+        return [self._select(batch, taken) for batch, taken in picked]
+
+    def take_messages(self, slot: int) -> list:
+        """Remove and return the waiting segments addressed to ``slot``
+        as ``(src_pid, payload)`` pairs in put order, each payload a
+        row slice of its sweep — one process's receive.  A sweep splits
+        into per-slot messages once, on its first such take."""
+        out = []
+        with self._lock:
+            for seq in self._by_slot.pop(slot, ()):
+                entry = self._entries[seq]
+                batch, waiting, _, mail = entry
+                if mail is None:
+                    entry[3] = mail = {}
+                    for (_, dst), message in batch.messages():
+                        mail.setdefault(dst, []).append(message)
+                out.extend(mail[slot])
+                waiting.discard(slot)
+                if not waiting:
+                    del self._entries[seq]
+        return out
 
 
 class Process:
@@ -386,18 +413,35 @@ class Process:
         self._pending_resident.clear()
 
     # -- messaging -----------------------------------------------------
-    def send(self, dst, tag: str, rows) -> None:
-        """Send ``rows`` — a non-empty ``(k, 2)`` or ``(k,)`` int64
-        array, or what ``np.asarray`` makes one of — to process ``dst``
-        under ``tag``, as a one-segment sweep."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim not in (1, 2):
+    def send(self, dst_role: str, tag: str, messages) -> None:
+        """Send ``messages`` to ``dst_role`` processes under ``tag`` as
+        one sweep.
+
+        ``messages`` is a list of ``(dst_slot, rows)`` pairs in send
+        order, no slot twice; each ``rows`` is a non-empty list of ints
+        or of int pairs (or an int64 array of that shape), one message
+        each.  An empty list sends nothing.
+        """
+        if not messages:
+            return
+        slots = [slot for slot, _ in messages]
+        lengths = [len(rows) for _, rows in messages]
+        if len(set(slots)) != len(slots):
+            raise ValueError(f"a sweep names each destination slot at "
+                             f"most once, got {slots}")
+        if 0 in lengths:
+            raise ValueError("a message carries at least one row")
+        rows = np.array(list(chain.from_iterable(
+            rows for _, rows in messages)), dtype=np.int64)
+        if rows.shape[1:] not in ((), (2,)):
             raise ValueError(f"message rows must be (k,) or (k, 2), "
                              f"got shape {rows.shape}")
-        (src_role, src), (dst_role, dst) = self.pid, dst
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        src_role, src = self.pid
         self.send_segments(tag, SegmentBatch(
-            rows, np.array([0, len(rows)]), src_role, np.array([src]),
-            dst_role, np.array([dst])))
+            rows, offsets, src_role, np.full(len(slots), src, dtype=np.int64),
+            dst_role, np.array(slots, dtype=np.int64)))
 
     def send_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Hand a whole emission sweep to the segment plane.
@@ -420,9 +464,7 @@ class Process:
         as ``(src, payload)`` pairs in delivery order, each payload a
         row slice of its sweep."""
         assert self.cluster is not None, "process not registered with a cluster"
-        role, slot = self.pid
-        return [mail for batch in self.cluster.take_segments(role, tag, [slot])
-                for _, mail in batch.messages()]
+        return self.cluster.take_messages(self.pid, tag)
 
     def set_resident(self, name: str, nbytes: int) -> None:
         """Report a resident structure's size to the memory accountant.
@@ -554,14 +596,7 @@ class SimulatedCluster:
         sweep order after every sweep delivered before; senders that
         share a ``(dst, tag)`` mailbox within a superstep therefore
         send in step order, the order outbox replay keeps.
-
-        A one-segment sweep — the reference kernel's ``send`` — is
-        priced by the same rule on scalars: numpy's per-call overhead
-        is the whole cost of a message there.
         """
-        if len(batch) == 1:
-            self._deliver_message(tag, batch)
-            return
         nbytes = batch.nbytes
         if not len(batch) or (nbytes <= 0).any():
             raise ValueError("a segment sweep carries no empty segment")
@@ -595,26 +630,6 @@ class SimulatedCluster:
                     st.receive_batches += counts[slot]
         self.put_segments(tag, batch)
 
-    def _deliver_message(self, tag: str, batch: SegmentBatch) -> None:
-        """:meth:`deliver_segments` for a sweep of one segment."""
-        nbytes = batch.rows.nbytes
-        if not nbytes:
-            raise ValueError("a segment sweep carries no empty segment")
-        src = (batch.src_role, int(batch.src_slots[0]))
-        dst = (batch.dst_role, int(batch.dst_slots[0]))
-        if dst not in self._processes:
-            raise KeyError(f"unknown destination process {dst!r}")
-        wire = 0 if src[1] == dst[1] else nbytes
-        st = self.stats.stats_for(src)
-        st.messages_sent += 1
-        st.bytes_sent += wire
-        st.send_batches += 1
-        st = self.stats.stats_for(dst)
-        st.messages_received += 1
-        st.bytes_received += wire
-        st.receive_batches += 1
-        self.put_segments(tag, batch)
-
     def put_segments(self, tag: str, batch: SegmentBatch) -> None:
         """File an already-priced sweep in the mailbox (delivery, and
         mail moving between a parent cluster and its workers')."""
@@ -631,6 +646,14 @@ class SimulatedCluster:
         queue = self._segment_mail.get((dst_role, tag))
         return queue.take(slots) if queue is not None else []
 
+    def take_messages(self, pid, tag: str) -> list:
+        """Remove and return process ``pid``'s delivered segments for
+        ``tag`` as ``(src, payload)`` pairs in delivery order
+        (:meth:`SegmentQueue.take_messages`)."""
+        role, slot = pid
+        queue = self._segment_mail.get((role, tag))
+        return queue.take_messages(slot) if queue is not None else []
+
     def queued_rows(self, dst_role: str, tag: str, slots) -> list:
         """Rows delivered and not yet taken for ``(dst_role, s)``, per
         ``s`` in ``slots`` (:meth:`SegmentQueue.rows`)."""
@@ -646,22 +669,10 @@ class SimulatedCluster:
 
     def pop_segment_mail(self) -> list:
         """:meth:`segment_mail`, emptying the mailboxes — how a parent
-        cluster hands its segment mail to workers.  A mailbox's
-        consecutive sweeps of one source role and row shape travel
-        merged, so the reference kernel's |P|² one-segment sweeps cross
-        a pipe as a few batches; every mailbox reads back the same."""
-        out = []
-        for tag, batch in self.segment_mail():
-            last = out[-1] if out else None
-            if (last is not None and last[0] == tag
-                    and last[1][-1].dst_role == batch.dst_role
-                    and last[1][-1].src_role == batch.src_role
-                    and last[1][-1].rows.shape[1:] == batch.rows.shape[1:]):
-                last[1].append(batch)
-            else:
-                out.append((tag, [batch]))
+        cluster hands its segment mail to workers."""
+        out = self.segment_mail()
         self._segment_mail.clear()
-        return [(tag, SegmentBatch.merge(run)) for tag, run in out]
+        return out
 
     # -- synchronisation -------------------------------------------------
     def barrier(self) -> None:

@@ -47,7 +47,7 @@ comes from.  The phases exist in exactly two implementations:
   only, and sizes its partition width before the first step.
 * ``kernel="python"`` — the slow reference, implemented here:
   dict-of-set replica state walked one adjacency slot at a time,
-  exchanging one message (a one-segment sweep) per destination, kept
+  exchanging one sweep per step and tag, a message per destination, kept
   for golden equivalence tests (``tests/test_kernel_equivalence.py``
   pins vectorized == reference bit-for-bit) and as executable
   documentation of Algorithms 2–3.
@@ -513,8 +513,7 @@ class AllocationProcess(Process):
         if pairs:
             self._ensure_partition_capacity(max(p for p, _ in pairs))
         self._one_hop_python(pairs, sync_out)
-        for proc, payload in sorted(sync_out.items()):
-            self.send(("alloc", proc), TAG_SYNC, payload)
+        self.send("alloc", TAG_SYNC, sorted(sync_out.items()))
 
     def _one_hop_python(self, pairs, sync_out) -> None:
         """Reference one-hop: one adjacency slot at a time."""
@@ -581,12 +580,8 @@ class AllocationProcess(Process):
             drest = int(self.rest_degree[lv])
             if drest > 0:
                 boundary_out[p].append((v, drest))
-        for p, payload in sorted(boundary_out.items()):
-            self.send(("expansion", p), TAG_BOUNDARY, payload)
-
-        for p, eids in sorted(self._ep_new.items()):
-            self.send(("expansion", p), TAG_EDGES,
-                      np.asarray(eids, dtype=np.int64))
+        self.send("expansion", TAG_BOUNDARY, sorted(boundary_out.items()))
+        self.send("expansion", TAG_EDGES, sorted(self._ep_new.items()))
 
     def _allocate_two_hop(self, merged: list[tuple[int, int]]) -> None:
         """Condition 5 (reference): allocate local edges whose endpoints

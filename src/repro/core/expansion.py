@@ -45,8 +45,8 @@ allocation plane:
   only.
 * ``kernel="python"`` — the per-pair reference, implemented here: a
   heapq/set boundary (:class:`HeapqBoundaryQueue`), a per-vertex
-  ``replica_processes`` fan-out into per-process pair lists sent one
-  message (a one-segment sweep) at a time, and a dict-accumulator
+  ``replica_processes`` fan-out into per-process pair lists sent as
+  one sweep, a message per process, and a dict-accumulator
   boundary fold over the received rows as Python ints.  Kept as
   executable documentation of Algorithm 4 and for the golden
   equivalence tests.
@@ -374,7 +374,7 @@ class ExpansionProcess(Process):
 
     def _select_and_multicast_python(self) -> int:
         """Reference selection: heapq pops, per-vertex replica fan-out
-        into per-process pair lists, one message each."""
+        into per-process pair lists, one sweep of a message each."""
         selected: list[int] = []
         if len(self.boundary):
             k = max(1, int(np.ceil(self.lam * len(self.boundary))))
@@ -392,8 +392,7 @@ class ExpansionProcess(Process):
             self.selection_ops += len(procs)
             for proc in procs:
                 fanout[proc].append((v, self.partition))
-        for proc, payload in sorted(fanout.items()):
-            self.send(("alloc", proc), TAG_SELECT, payload)
+        self.send("alloc", TAG_SELECT, sorted(fanout.items()))
         return len(selected)
 
     def _random_seed(self, live: np.ndarray | None = None) -> int | None:

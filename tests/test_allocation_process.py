@@ -58,8 +58,8 @@ def _single_proc_setup(graph, num_partitions=2, two_hop=True,
 
 def _drive(cluster, alloc, selections):
     """Send selections, run both allocator phases with barriers."""
-    cluster.process(("expansion", 0)).send(alloc.pid, TAG_SELECT,
-                                           selections)
+    cluster.process(("expansion", 0)).send("alloc", TAG_SELECT,
+                                           [(alloc.pid[1], selections)])
     cluster.barrier()
     alloc.one_hop_and_sync()
     cluster.barrier()
@@ -145,9 +145,9 @@ class TestMultiProcessSync:
         for p in range(2):
             _Sink(cluster, p)
 
-        for proc in placement.replica_processes(1):
-            cluster.process(("expansion", 0)).send(("alloc", proc),
-                                                   TAG_SELECT, [(1, 0)])
+        cluster.process(("expansion", 0)).send(
+            "alloc", TAG_SELECT,
+            [(proc, [(1, 0)]) for proc in placement.replica_processes(1)])
         cluster.barrier()
         for a in allocs:
             a.one_hop_and_sync()
@@ -176,8 +176,8 @@ class TestMultiProcessSync:
         _drive(cluster, alloc, [(1, 0)])
         with pytest.raises(ValueError, match="before the first step"):
             alloc._ensure_partition_capacity(5)
-        cluster.process(("expansion", 0)).send(alloc.pid, TAG_SELECT,
-                                               [(2, 5)])
+        cluster.process(("expansion", 0)).send("alloc", TAG_SELECT,
+                                               [(alloc.pid[1], [(2, 5)])])
         with pytest.raises(ValueError, match="partition capacity"):
             alloc.one_hop_and_sync()
         cluster, ref, _ = _single_proc_setup(path4, num_partitions=2,

@@ -281,13 +281,13 @@ class TestRunSteps:
 # Superstep protocol in isolation
 # ----------------------------------------------------------------------
 class _EchoProcess(Process):
-    """Sends every step: one message and a one-segment sweep to its
-    peer, and a three-segment fan-out sweep."""
+    """Sends every step: one message over ``send`` and a one-segment
+    sweep to its peer, and a three-segment fan-out sweep."""
 
     def step(self, round_no: int):
         role, k = self.pid
         peer = ("echo", (k + 1) % 3)
-        self.send(peer, "one", [(k, round_no)])
+        self.send(role, "one", [(peer[1], [(k, round_no)])])
         # Sweeps are delivered at send time, so a step reads the tag the
         # previous round wrote, never the one this superstep writes.
         self.send_segments(f"bulk{round_no % 2}", SegmentBatch(

@@ -82,7 +82,7 @@ class TestSimulatedCluster:
         """A message lands in the mailbox when it is sent; the barrier
         only counts."""
         cluster, a, b = self._pair()
-        a.send(b.pid, "t", [42])
+        a.send("alloc", "t", [(1, [42])])
         assert cluster.mail_slots("alloc", "t") == {1}
         [(src, payload)] = b.receive("t")
         assert src == a.pid and payload.tolist() == [42]
@@ -91,7 +91,7 @@ class TestSimulatedCluster:
 
     def test_receive_drains(self):
         cluster, a, b = self._pair()
-        a.send(b.pid, "t", [1])
+        a.send("alloc", "t", [(1, [1])])
         cluster.barrier()
         assert len(b.receive("t")) == 1
         assert b.receive("t") == []
@@ -99,20 +99,44 @@ class TestSimulatedCluster:
     def test_unknown_destination(self):
         cluster, a, _ = self._pair()
         with pytest.raises(KeyError):
-            a.send(("alloc", 7), "t", [1])
+            a.send("alloc", "t", [(7, [1])])
         assert cluster.stats.stats_for(a.pid).messages_sent == 0
 
-    @pytest.mark.parametrize("rows", [[], np.empty((0, 2)), 5,
-                                      [[[1, 2]]], ["a"]])
-    def test_rows_must_be_a_non_empty_int_array(self, rows):
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("messages", [
+        [(1, [])], [(1, np.empty((0, 2)))], [(1, [[[1, 2]]])], [(1, ["a"])],
+        [(1, [(1, 2, 3)])], [(1, [1]), (0, [(1, 2)])], [(1, [1]), (1, [2])]])
+    def test_messages_must_be_non_empty_int_rows(self, messages, armed):
+        """A bad sweep raises in the step that sends it, before an
+        armed outbox records it."""
         cluster, a, b = self._pair()
+        a._outbox = [] if armed else None
         with pytest.raises(ValueError):
-            a.send(b.pid, "t", rows)
+            a.send("alloc", "t", messages)
+        assert a._outbox == ([] if armed else None)
         assert cluster.mail_slots("alloc", "t") == set()
+
+    def test_sweep_of_messages(self):
+        """One send is one sweep: a message per destination slot, in
+        send order, each priced alone."""
+        cluster = SimulatedCluster()
+        a, b, c = (cluster.add_process(Process(("alloc", k)))
+                   for k in range(3))
+        a.send("alloc", "t", [(2, [(1, 2), (3, 4)]), (1, [(5, 6)])])
+        assert cluster.mail_slots("alloc", "t") == {1, 2}
+        [(src, payload)] = c.receive("t")
+        assert src == a.pid and payload.tolist() == [[1, 2], [3, 4]]
+        [(_, payload)] = b.receive("t")
+        assert payload.tolist() == [[5, 6]]
+        stats = cluster.stats.stats_for(a.pid)
+        assert (stats.messages_sent, stats.bytes_sent,
+                stats.send_batches) == (2, 48, 2)
+        a.send("alloc", "t", [])
+        assert cluster.stats.stats_for(a.pid).messages_sent == 2
 
     def test_cross_machine_bytes_counted(self):
         cluster, a, b = self._pair()
-        a.send(b.pid, "t", np.zeros(4, dtype=np.int64))  # 32 bytes
+        a.send("alloc", "t", [(1, np.zeros(4, dtype=np.int64))])  # 32 bytes
         stats = cluster.stats.stats_for(a.pid)
         assert stats.bytes_sent == 32
         assert stats.messages_sent == 1
@@ -121,7 +145,7 @@ class TestSimulatedCluster:
         cluster = SimulatedCluster()
         e = cluster.add_process(Process(("expansion", 0)))
         al = cluster.add_process(Process(("alloc", 0)))
-        e.send(al.pid, "t", np.zeros(4, dtype=np.int64))
+        e.send("alloc", "t", [(0, np.zeros(4, dtype=np.int64))])
         assert cluster.stats.stats_for(e.pid).bytes_sent == 0
         assert cluster.stats.stats_for(e.pid).messages_sent == 1
 
@@ -134,7 +158,7 @@ class TestSimulatedCluster:
     def test_message_order_preserved(self):
         cluster, a, b = self._pair()
         for i in range(5):
-            a.send(b.pid, "t", [i])
+            a.send("alloc", "t", [(1, [i])])
         cluster.barrier()
         values = [payload.tolist() for _, payload in b.receive("t")]
         assert values == [[0], [1], [2], [3], [4]]

@@ -1,18 +1,18 @@
 """The one message plane: accounting, delivery order, and the central
 pricing pins.
 
-Every message is a ``SegmentBatch`` sweep: ``send_segments`` hands a
-whole emission sweep over (the vectorized kernel), ``send`` one
-message as a sweep of one segment (the reference kernel).  A sweep
-must be observationally *one* ``send`` *per segment* everywhere the
+Every message is a segment of a ``SegmentBatch`` sweep:
+``send_segments`` hands a whole emission sweep over (the vectorized
+kernel), ``send`` builds one from a process's per-destination row
+lists (the reference kernel, one sweep per step and tag).  A sweep
+must be observationally *one message per segment* everywhere the
 accounting model looks: identical per-process message/byte/batch
 counters on both sides, identical per-mailbox ``(src, payload)`` order
 through ``Process.receive``, exact bytes past 2^53, unchanged under
 outbox replay and destination-mask sub-batching — plus one mailbox
 entry per sweep at any |P|.  These tests pin that contract centrally
-so the counter-equality pins between the reference kernel (one
-``send`` per destination) and the vectorized kernel (row arrays in
-sweeps) cannot rot silently.
+so the counter-equality pins between the reference kernel and the
+vectorized kernel cannot rot silently.
 """
 
 import pickle
@@ -78,8 +78,8 @@ class TestBatchedAccountingEquality:
         replayed, (rp, *_rest) = _cluster(pids)
         rp._outbox = []
         for rows in ROWS:
-            ip.send(dst, "t", rows)
-            rp.send(dst, "t", rows)
+            ip.send(dst[0], "t", [(dst[1], rows)])
+            rp.send(dst[0], "t", [(dst[1], rows)])
         outbox, rp._outbox = rp._outbox, None
         assert [entry[0] for entry in outbox] == ["segments"] * len(ROWS)
         assert _totals(replayed, pids) != _totals(inline, pids)
@@ -114,12 +114,12 @@ class TestBatchedAccountingEquality:
         """The batching counters, asserted directly: one
         ``send_batches`` / ``receive_batches`` tick per segment — per
         (src, dst) edge of the sweep — however many rows it carries;
-        a ``send`` is a sweep of one segment and ticks once."""
+        a ``send`` of one message ticks once."""
         cluster, (a, b, c) = _cluster([("x", 0), ("x", 1), ("x", 2)])
         batch = _sweep(np.arange(9), [a.pid, a.pid, b.pid],
                        [b.pid, c.pid, c.pid], [5, 1, 3])
         a.send_segments("t", batch)
-        a.send(c.pid, "u", [1])
+        a.send("x", "u", [(2, [1])])
         stats = cluster.stats
         assert stats.stats_for(a.pid).messages_sent == 3
         assert stats.stats_for(a.pid).send_batches == 3   # (a,b), (a,c) x2
@@ -174,7 +174,7 @@ class TestPairArrayContract:
         for form in ("list", "array"):
             cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
             if form == "list":
-                a.send(b.pid, "t", list(pairs))
+                a.send("alloc", "t", [(1, list(pairs))])
             else:
                 a.send_segments("t", _sweep(pairs, [a.pid], [b.pid], [3]))
             cluster.barrier()
@@ -186,7 +186,7 @@ class TestPairArrayContract:
 class TestDeliveryOrder:
     def test_sweeps_land_at_send_and_the_barrier_only_counts(self):
         cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
-        a.send(b.pid, "one", [1])
+        a.send("alloc", "one", [(1, [1])])
         a.send_segments("bulk", _sweep(np.arange(4), [a.pid], [b.pid], [4]))
         assert cluster.mail_slots("alloc", "one") \
             == cluster.mail_slots("alloc", "bulk") == {1}
@@ -204,10 +204,10 @@ class TestDeliveryOrder:
         they were sent, segments in sweep order inside each sweep."""
         cluster, (a, b, c) = _cluster([("x", 0), ("x", 1), ("x", 2)])
         b.send_segments("t", _sweep([10], [b.pid], [c.pid], [1]))
-        a.send(c.pid, "t", [11, 12])
+        a.send("x", "t", [(2, [11, 12])])
         a.send_segments("t", _sweep([20, 21], [a.pid, b.pid],
                                     [c.pid, c.pid], [1, 1]))
-        b.send(c.pid, "t", [30])
+        b.send("x", "t", [(2, [30])])
         got = [(src, payload.tolist()) for src, payload in c.receive("t")]
         assert got == [(b.pid, [10]), (a.pid, [11, 12]), (a.pid, [20]),
                        (b.pid, [21]), (b.pid, [30])]
@@ -222,7 +222,7 @@ class TestDeliveryOrder:
             cluster, procs = _cluster(pids)
             if plane == "send":
                 for p in procs[1:]:
-                    p.send(procs[0].pid, "t", np.array([p.pid[1]]))
+                    p.send("alloc", "t", [(0, np.array([p.pid[1]]))])
             else:
                 procs[1].send_segments("t", _sweep(
                     [1, 2, 3], pids[1:], [pids[0]] * 3, [1, 1, 1]))
@@ -304,7 +304,7 @@ class TestSegmentBatchDelivery:
             sent, _ = _dne_cluster(machines)
             swept.process(("alloc", 0)).send_segments("t", batch)
             for dst, (src, payload) in batch.messages():
-                sent.process(src).send(dst, "t", payload)
+                sent.process(src).send(dst[0], "t", [(dst[1], payload)])
             assert _counters(swept, pids) == _counters(sent, pids)
             out = Counter(batch.src_slots.tolist())
             got = Counter(batch.dst_slots.tolist())
@@ -381,11 +381,10 @@ class TestSegmentBatchDelivery:
         assert _counters(replayed, pids) == _counters(inline, pids)
         assert _mailboxes(replayed, pids, "t") == _mailboxes(inline, pids, "t")
 
-    def test_popped_mail_merges_runs_and_reads_back_the_same(self):
-        """What a parent hands its workers: consecutive sweeps of one
-        mailbox, source role and row shape travel as one batch — the
-        reference kernel's one-segment sends too — and refiled, every
-        mailbox reads back unchanged."""
+    def test_popped_mail_reads_back_the_same(self):
+        """What a parent hands its workers: every sweep of every
+        mailbox, one entry each, unmerged; refiled, every mailbox reads
+        back unchanged."""
         pids = ([("alloc", k) for k in range(3)]
                 + [("expansion", k) for k in range(3)])
 
@@ -395,17 +394,17 @@ class TestSegmentBatchDelivery:
         def send_all(cluster):
             for k in range(3):
                 cluster.process(("alloc", k)).send(
-                    ("alloc", (k + 1) % 3), "t", [(k, 1)])
-            cluster.process(("expansion", 0)).send(("alloc", 1), "t",
-                                                   [(9, 9)])
-            cluster.process(("alloc", 2)).send(("alloc", 1), "t", [7])
-            cluster.process(("alloc", 0)).send(("alloc", 2), "u", [(5, 5)])
+                    "alloc", "t", [((k + 1) % 3, [(k, 1)]), (k, [(k, 2)])])
+            cluster.process(("expansion", 0)).send("alloc", "t",
+                                                   [(1, [(9, 9)])])
+            cluster.process(("alloc", 2)).send("alloc", "t", [(1, [7])])
+            cluster.process(("alloc", 0)).send("alloc", "u", [(2, [(5, 5)])])
             return cluster
 
         expected = mail_of(send_all(_cluster(pids)[0]))
         popped = send_all(_cluster(pids)[0]).pop_segment_mail()
         assert [(tag, len(batch)) for tag, batch in popped] \
-            == [("t", 3), ("t", 1), ("t", 1), ("u", 1)]
+            == [("t", 2)] * 3 + [("t", 1)] * 2 + [("u", 1)]
         refiled, _ = _cluster(pids)
         for tag, batch in popped:
             refiled.put_segments(tag, batch)

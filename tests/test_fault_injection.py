@@ -93,8 +93,8 @@ def graph():
 
 
 # Each test walks both kernels in its body (not ``parametrize``) and
-# asserts ``injected > 0`` for each: the reference sends one-segment
-# sweeps, the vectorized kernel whole ones, and a test whose injection
+# asserts ``injected > 0`` for each: the reference sends one sweep per
+# step and tag, the fused plane one per phase, and a test whose injection
 # missed one of them would compare a run with itself.
 class TestDuplicateDelivery:
     def test_sync_is_idempotent(self, graph):

@@ -474,7 +474,7 @@ class _PingProcess(Process):
 
     def send_step(self):
         role, k = self.pid
-        self.send(("ping", 1 - k), "ping", [k, 10 + k])
+        self.send(role, "ping", [(1 - k, [k, 10 + k])])
         return k
 
     def recv_step(self):

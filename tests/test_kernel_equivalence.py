@@ -238,7 +238,7 @@ class TestPackedMembership:
                     [rng.integers(0, graph.num_vertices, 12),
                      rng.integers(0, min(partitions, 4), 12)])
                 cluster.process(("expansion", 0)).send(
-                    alloc.pid, TAG_SELECT, sel)
+                    "alloc", TAG_SELECT, [(alloc.pid[1], sel)])
                 cluster.barrier()
                 alloc.one_hop_and_sync()
                 cluster.barrier()
@@ -885,7 +885,7 @@ class TestTwoHopLoadsDelta:
                 vs = rng.integers(0, graph.num_vertices, 250)
                 ps = rng.integers(0, partitions, 250)
                 cluster.process(("alloc", 1)).send(
-                    alloc.pid, TAG_SYNC, np.column_stack([vs, ps]))
+                    "alloc", TAG_SYNC, [(0, np.column_stack([vs, ps]))])
                 cluster.barrier()
                 alloc.two_hop_and_report()
                 cluster.barrier()
@@ -993,7 +993,7 @@ class TestReferencePathHygiene:
         cluster.add_process(Process(("expansion", 1)))
         # Two rounds of selections, exercising one-hop and two-hop.
         for payload in ([(0, 0), (1, 1)], [(2, 0), (3, 1)]):
-            driver.send(alloc.pid, TAG_SELECT, payload)
+            driver.send("alloc", TAG_SELECT, [(0, payload)])
             cluster.barrier()
             alloc.one_hop_and_sync()
             cluster.barrier()
@@ -1018,7 +1018,7 @@ class TestReferencePathHygiene:
             cluster.add_process(Process(("expansion", 0)))
             cluster.add_process(Process(("expansion", 1)))
             cluster.process(("expansion", 0)).send(
-                alloc.pid, TAG_SELECT, [(0, 0), (1, 1)])
+                "alloc", TAG_SELECT, [(0, [(0, 0), (1, 1)])])
             cluster.barrier()
             alloc.one_hop_and_sync()
             cluster.barrier()

@@ -33,12 +33,12 @@ array queue is gone — its name appears nowhere under ``src/``, the
 heapq reference aside — and the DNE driver asks the cluster which
 slots have mail once per tag (``mail_slots``), never once per process.
 
-One message plane: every message is a ``SegmentBatch`` sweep, the
-reference kernel's ``send`` a sweep of one segment.  The eager plane
-beside it — its per-pid mailbox, in-flight queue, per-message payload
-sizer and per-process mail probe — is named nowhere under ``src/``,
-and outbox replay knows exactly the ``segments``, ``resident`` and
-``rpc`` entry kinds.
+One message plane: every message is a segment of a ``SegmentBatch``
+sweep, the reference kernel's ``send`` one sweep per step and tag.  The
+eager plane beside it — its per-pid mailbox, in-flight queue,
+per-message payload sizer and per-process mail probe — is named nowhere
+under ``src/``, and outbox replay knows exactly the ``segments``,
+``resident`` and ``rpc`` entry kinds.
 
 One edge-stream walker: HDRF and FENNEL's vectorized kernel is
 ``walk_edge_stream``; the chunked window driver it replaced
@@ -377,7 +377,7 @@ def test_outbox_kind_guard_sees_the_comparisons():
 
 def test_outbox_replays_sweeps_residents_and_rpcs_only():
     """One message plane: a step's messages reach the parent as
-    ``segments`` entries (``send`` is a one-segment sweep); no
+    ``segments`` entries (``send`` builds a sweep); no
     per-message entry kind sits beside them."""
     base = (_SRC / "cluster" / "backends" / "base.py").read_text()
     assert _outbox_kinds(base) == {"segments", "resident", "rpc"}

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain
 from dataclasses import dataclass
 
@@ -236,7 +236,7 @@ class SegmentQueue:
         self._entries: dict = {}
         #: destination slot -> sequence numbers of the entries holding
         #: its segments
-        self._by_slot: dict = {}
+        self._by_slot: dict = defaultdict(list)
         self._puts = 0
         self._lock = threading.Lock()
         for batch in batches:
@@ -248,8 +248,9 @@ class SegmentQueue:
             seq = self._puts
             self._puts += 1
             self._entries[seq] = [batch, set(slots), len(slots), None]
+            by_slot = self._by_slot
             for slot in slots:
-                self._by_slot.setdefault(slot, []).append(seq)
+                by_slot[slot].append(seq)
 
     def slots(self) -> set:
         """Every destination slot with a segment waiting."""
@@ -259,11 +260,9 @@ class SegmentQueue:
     def _waiting(self) -> list:
         """``(batch, slots)`` per entry, put order: the slots whose
         segments still wait (``None`` = every slot the batch
-        addresses)."""
-        with self._lock:
-            return [(batch, None if len(waiting) == nslots
-                     else list(waiting))
-                    for batch, waiting, nslots, _ in self._entries.values()]
+        addresses).  Caller holds the lock."""
+        return [(batch, None if len(waiting) == nslots else list(waiting))
+                for batch, waiting, nslots, _ in self._entries.values()]
 
     @staticmethod
     def _select(batch: SegmentBatch, slots) -> SegmentBatch:
@@ -282,7 +281,9 @@ class SegmentQueue:
             return []
         counts = np.zeros(len(slots), dtype=np.int64)
         bound = int(slots.max()) + 1
-        for batch, waiting in self._waiting():
+        with self._lock:
+            entries = self._waiting()
+        for batch, waiting in entries:
             dst, lengths = batch.dst_slots, batch.lengths
             if waiting is not None:
                 mask = np.isin(dst, waiting)
@@ -294,13 +295,19 @@ class SegmentQueue:
 
     def batches(self) -> list:
         """The waiting segments as batches, put order kept."""
-        return [self._select(batch, waiting)
-                for batch, waiting in self._waiting()]
+        with self._lock:
+            waiting = self._waiting()
+        return [self._select(batch, slots) for batch, slots in waiting]
 
-    def _pop(self, slots) -> list:
+    def _pop(self, slots: set) -> list:
         """Unindex ``slots``; returns ``(batch, slots taken from it)``
         per entry holding their segments, put order (``None`` = the
         whole batch).  Caller holds the lock."""
+        if self._by_slot.keys() <= slots:
+            out = self._waiting()
+            self._entries.clear()
+            self._by_slot.clear()
+            return out
         taken: dict = {}
         for slot in slots:
             for seq in self._by_slot.pop(slot, ()):

@@ -261,16 +261,18 @@ class SegmentQueue:
         """``(batch, slots)`` per entry, put order: the slots whose
         segments still wait (``None`` = every slot the batch
         addresses).  Caller holds the lock."""
-        return [(batch, None if len(waiting) == nslots else list(waiting))
+        return [(batch, None if len(waiting) == nslots else set(waiting))
                 for batch, waiting, nslots, _ in self._entries.values()]
 
     @staticmethod
     def _select(batch: SegmentBatch, slots) -> SegmentBatch:
-        """The segments of ``batch`` addressed to ``slots`` (``None`` =
-        the whole batch, uncopied)."""
+        """The segments of ``batch`` addressed to ``slots``, a subset of
+        its destination slots (``None`` = the whole batch, uncopied)."""
         if slots is None:
             return batch
-        return batch.select(np.flatnonzero(np.isin(batch.dst_slots, slots)))
+        member = np.zeros(int(batch.dst_slots.max()) + 1, dtype=bool)
+        member[list(slots)] = True
+        return batch.select(np.flatnonzero(member[batch.dst_slots]))
 
     def rows(self, slots) -> list:
         """Rows waiting for each of ``slots`` — what a :meth:`take` of
@@ -284,20 +286,22 @@ class SegmentQueue:
         with self._lock:
             entries = self._waiting()
         for batch, waiting in entries:
-            dst, lengths = batch.dst_slots, batch.lengths
-            if waiting is not None:
-                mask = np.isin(dst, waiting)
-                dst, lengths = dst[mask], lengths[mask]
             # float64 weights: exact for any row count below 2**53
-            counts += np.bincount(dst, weights=lengths, minlength=bound)[
-                slots].astype(np.int64)
+            per_slot = np.bincount(batch.dst_slots, weights=batch.lengths,
+                                   minlength=bound)[slots].astype(np.int64)
+            if waiting is not None:
+                # a slot's segments in a sweep wait or went together
+                per_slot *= np.fromiter((slot in waiting
+                                         for slot in slots.tolist()),
+                                        dtype=bool, count=len(slots))
+            counts += per_slot
         return counts.tolist()
 
     def batches(self) -> list:
         """The waiting segments as batches, put order kept."""
         with self._lock:
-            waiting = self._waiting()
-        return [self._select(batch, slots) for batch, slots in waiting]
+            entries = self._waiting()
+        return [self._select(batch, slots) for batch, slots in entries]
 
     def _pop(self, slots: set) -> list:
         """Unindex ``slots``; returns ``(batch, slots taken from it)``
@@ -308,19 +312,18 @@ class SegmentQueue:
             self._entries.clear()
             self._by_slot.clear()
             return out
-        taken: dict = {}
+        seqs = set()
         for slot in slots:
-            for seq in self._by_slot.pop(slot, ()):
-                taken.setdefault(seq, []).append(slot)
+            seqs.update(self._by_slot.pop(slot, ()))
         out = []
-        for seq in sorted(taken):
+        for seq in sorted(seqs):
             batch, waiting, nslots, _ = self._entries[seq]
             whole = len(waiting) == nslots
-            waiting.difference_update(taken[seq])
+            taken = waiting & slots
+            waiting.difference_update(taken)
             if not waiting:
                 del self._entries[seq]
-            out.append((batch, None if whole and not waiting
-                        else taken[seq]))
+            out.append((batch, None if whole and not waiting else taken))
         return out
 
     def take(self, slots) -> list:

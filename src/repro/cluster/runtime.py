@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
 
@@ -219,14 +219,11 @@ class SegmentQueue:
 
     A take removes every waiting segment of its slots at once, so the
     bookkeeping is per slot: each sweep keeps the set of destination
-    slots it still holds segments for, and the queue indexes the sweeps
-    by those slots — a take touches only the sweeps that address one of
-    its slots, and a process's own receive reads its own mail, not the
-    whole mailbox.  Thread-pool chunks of one fused superstep take
-    disjoint slot subsets of the same sweeps concurrently, so the slot
-    sets change under a lock, and each segment's rows are found and
-    gathered by whoever takes it, outside the lock; the stored batches
-    are never copied or rebuilt.
+    slots it still holds segments for.  Thread-pool chunks of one fused
+    superstep take disjoint slot subsets of the same sweeps
+    concurrently, so the slot sets change under a lock, and each
+    segment's rows are found and gathered by whoever takes it, outside
+    the lock; the stored batches are never copied or rebuilt.
     """
 
     def __init__(self, batches=()):
@@ -234,28 +231,22 @@ class SegmentQueue:
         #: many slots it addressed when put, its per-slot messages once
         #: a receive asked for them]
         self._entries: dict = {}
-        #: destination slot -> sequence numbers of the entries holding
-        #: its segments
-        self._by_slot: dict = defaultdict(list)
         self._puts = 0
         self._lock = threading.Lock()
         for batch in batches:
             self.put(batch)
 
     def put(self, batch: SegmentBatch) -> None:
-        slots = sorted_unique(batch.dst_slots).tolist()
+        slots = set(sorted_unique(batch.dst_slots).tolist())
         with self._lock:
-            seq = self._puts
+            self._entries[self._puts] = [batch, slots, len(slots), None]
             self._puts += 1
-            self._entries[seq] = [batch, set(slots), len(slots), None]
-            by_slot = self._by_slot
-            for slot in slots:
-                by_slot[slot].append(seq)
 
     def slots(self) -> set:
         """Every destination slot with a segment waiting."""
         with self._lock:
-            return set(self._by_slot)
+            return set().union(*(entry[1]
+                                 for entry in self._entries.values()))
 
     def _waiting(self) -> list:
         """``(batch, slots)`` per entry, put order: the slots whose
@@ -304,22 +295,15 @@ class SegmentQueue:
         return [self._select(batch, slots) for batch, slots in entries]
 
     def _pop(self, slots: set) -> list:
-        """Unindex ``slots``; returns ``(batch, slots taken from it)``
-        per entry holding their segments, put order (``None`` = the
-        whole batch).  Caller holds the lock."""
-        if self._by_slot.keys() <= slots:
-            out = self._waiting()
-            self._entries.clear()
-            self._by_slot.clear()
-            return out
-        seqs = set()
-        for slot in slots:
-            seqs.update(self._by_slot.pop(slot, ()))
+        """Mark ``slots`` taken; returns ``(batch, slots taken from
+        it)`` per entry holding their segments, put order (``None`` =
+        the whole batch).  Caller holds the lock."""
         out = []
-        for seq in sorted(seqs):
-            batch, waiting, nslots, _ = self._entries[seq]
-            whole = len(waiting) == nslots
+        for seq, (batch, waiting, nslots, _) in list(self._entries.items()):
             taken = waiting & slots
+            if not taken:
+                continue
+            whole = len(waiting) == nslots
             waiting.difference_update(taken)
             if not waiting:
                 del self._entries[seq]
@@ -341,9 +325,10 @@ class SegmentQueue:
         into per-slot messages once, on its first such take."""
         out = []
         with self._lock:
-            for seq in self._by_slot.pop(slot, ()):
-                entry = self._entries[seq]
+            for seq, entry in list(self._entries.items()):
                 batch, waiting, _, mail = entry
+                if slot not in waiting:
+                    continue
                 if mail is None:
                     entry[3] = mail = {}
                     for (_, dst), message in batch.messages():

@@ -2,10 +2,11 @@
 
 A tiny slice of the ``repro bench perf`` suite, timed by the bench's
 own method: every floor compares the per-arm minimum of three
-interleaved repeats (:func:`repro.bench.perf.measure`), so one cold
-call or one scheduler hiccup on either arm can neither trip nor pass
-it.  On a ~50k-edge RMAT graph the vectorized DNE one-hop kernel, the
-plain and the conflict-heavy two-hop and the selection plane
+interleaved repeats (:func:`repro.bench.perf.measure`; ten after a
+warm-up round for the tracing-overhead ratio), so one cold call or one
+scheduler hiccup on either arm can neither trip nor pass it.  On a
+~50k-edge RMAT graph the vectorized DNE one-hop kernel, the plain and
+the conflict-heavy two-hop and the selection plane
 (segmented boundary store + enumerated multicast, and the boundary
 fold, at the paper's 64-machine scale-out regime) must each beat their
 per-pair reference by 2×, as must the streaming rows, end-to-end DNE
@@ -47,6 +48,11 @@ from repro.graph.generators import rmat_edges
 #: min of three interleaved repeats, no warm-up round: the minimum
 #: already drops a cold first call.
 _FLOOR = {"warmup": 0, "repeats": 3}
+
+#: interleaved repeats of the tracing-overhead floor, after one warm-up
+#: round: the only floor whose two arms run the same kernel, so the
+#: ratio it bounds is noise but for the overhead itself
+_OVERHEAD_REPEATS = 10
 
 
 def _smoke_graph() -> CSRGraph:
@@ -244,7 +250,13 @@ def test_observability_overhead_under_bound():
     sub-second and scheduler jitter alone exceeds 5%, so the floor is a
     noise-tolerant 1.25x — it trips on a hot-path regression (e.g.
     per-message metric calls), not on a noisy box; the gate's
-    ``observability.trace_overhead_ratio`` tracks the real ratio."""
+    ``observability.trace_overhead_ratio`` tracks the real ratio.
+
+    Both arms are ~0.3 s calls whose minimum moves by a quarter from
+    one set of three to the next (unchanged code read 0.77–1.32), so
+    this floor takes one warm-up round and the minimum of
+    ``_OVERHEAD_REPEATS`` interleaved repeats (0.96–1.10 over ten runs
+    on 2 vCPUs)."""
     from repro.observability.metrics import (MetricsRegistry,
                                              disable_metrics, enable_metrics)
     from repro.observability.trace import Tracer
@@ -260,12 +272,13 @@ def test_observability_overhead_under_bound():
 
     timings = measure({
         "untraced": lambda: bench_dne_end_to_end(graph, 256, "vectorized"),
-        "traced": traced}, **_FLOOR)
+        "traced": traced}, warmup=1, repeats=_OVERHEAD_REPEATS)
     t_off, t_on = timings["untraced"][0].min, timings["traced"][0].min
     assert t_off > 0
     assert t_on <= 1.25 * t_off, (
         f"telemetry overhead regressed: untraced {t_off:.3f}s vs "
-        f"traced {t_on:.3f}s ({t_on / t_off:.2f}x > 1.25x)")
+        f"traced {t_on:.3f}s ({t_on / t_off:.2f}x > 1.25x, min of "
+        f"{_OVERHEAD_REPEATS})")
 
 
 def test_selection_bench_kernels_agree_on_traffic(monkeypatch):

@@ -192,17 +192,28 @@ def _selection_schedule(graph: CSRGraph, partitions: int,
 
 def _bench_allocator(graph: CSRGraph, partitions: int, kernel: str):
     """A cluster with one allocation process owning every edge, plus
-    stand-in expansion processes to address."""
+    stand-in expansion processes to address, and ``step(method)``: one
+    allocation phase — the reference's step method, or one call of the
+    plane over the process (production dispatch)."""
     cluster = SimulatedCluster()
+    placement = Hash2DPlacement(1, seed=0)
     alloc = cluster.add_process(AllocationProcess(
         0, graph.edges, graph.num_vertices, np.arange(graph.num_edges),
-        Hash2DPlacement(1, seed=0), kernel=kernel))
-    # One machine, `partitions` partitions: the vectorized kernel sizes
-    # its partition width before the first step.
+        placement, kernel=kernel))
+    # One machine, `partitions` partitions: the width is sized before
+    # the plane adopts it.
     alloc._ensure_partition_capacity(partitions - 1)
     for p in range(partitions):
         cluster.add_process(Process(("expansion", p)))
-    return cluster, alloc
+    if kernel == "vectorized":
+        plane = FusedDnePlane([alloc], placement)
+
+        def step(method):
+            plane.run(method, [alloc.pid])
+    else:
+        def step(method):
+            getattr(alloc, method)()
+    return cluster, step
 
 
 def bench_allocation_phases(graph: CSRGraph, partitions: int, kernel: str,
@@ -215,15 +226,15 @@ def bench_allocation_phases(graph: CSRGraph, partitions: int, kernel: str,
     processes — and times the two allocation phases separately.  The
     vectorized kernel steps through the plane, as production runs do.
     """
-    cluster, alloc = _bench_allocator(graph, partitions, kernel)
+    cluster, step = _bench_allocator(graph, partitions, kernel)
     one_hop = two_hop = 0.0
     for rows in _selection_schedule(graph, partitions, batch):
         _feed(cluster, TAG_SELECT, rows, "expansion", rows[:, 1],
               "alloc", np.zeros(len(rows), dtype=np.int64))
         cluster.barrier()
-        one_hop += _timed(alloc.one_hop_and_sync)
+        one_hop += _timed(lambda: step("one_hop_and_sync"))
         cluster.barrier()
-        two_hop += _timed(alloc.two_hop_and_report)
+        two_hop += _timed(lambda: step("two_hop_and_report"))
         cluster.barrier()
         cluster.pop_segment_mail()
     return one_hop, two_hop
@@ -240,7 +251,7 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
     tie-break replay is the whole phase.  The schedule, one one-segment
     sweep per round, is identical for both kernels.
     """
-    cluster, alloc = _bench_allocator(graph, partitions, kernel)
+    cluster, step = _bench_allocator(graph, partitions, kernel)
     cluster.add_process(Process(("alloc", 1)))
 
     rng = np.random.default_rng(seed)
@@ -253,9 +264,9 @@ def bench_two_hop_conflict(graph: CSRGraph, partitions: int, kernel: str,
         _feed(cluster, TAG_SYNC,
               np.column_stack([vs, ps]).astype(np.int64),
               "alloc", peer, "alloc", np.zeros_like(peer))
-        alloc.one_hop_and_sync()   # no selects: just arms the phase state
+        step("one_hop_and_sync")   # no selects: just arms the phase state
         cluster.barrier()
-        elapsed += _timed(alloc.two_hop_and_report)
+        elapsed += _timed(lambda: step("two_hop_and_report"))
         cluster.barrier()
         cluster.pop_segment_mail()
     return elapsed

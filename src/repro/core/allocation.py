@@ -39,12 +39,11 @@ comes from.  The phases exist in exactly two implementations:
   dedup, ``rest_degree`` / per-partition load updates are
   ``np.bincount`` scatter-adds, and every emission sweep is one
   :class:`~repro.cluster.runtime.SegmentBatch` on ``send_segments``.
-  A scheduler builds one plane over all the processes it owns; a
-  process whose step methods are called directly (unit harnesses, the
-  microbenchmarks) runs *its own one-machine plane*, built on the
-  first such call — the same kernel over a one-machine subset, not a
-  second implementation.  Either way the process reads segment mail
-  only, and sizes its partition width before the first step.
+  A scheduler builds one plane over all the processes it owns — a
+  unit harness or microbenchmark builds one over the processes it
+  steps — and that plane is the only way in: a vectorized process's
+  own step methods raise.  The process reads segment mail only, and
+  its partition width is fixed once a plane adopts it.
 * ``kernel="python"`` — the slow reference, implemented here:
   dict-of-set replica state walked one adjacency slot at a time,
   exchanging one sweep per step and tag, a message per destination, kept
@@ -114,6 +113,17 @@ TAG_EDGES = "edges"
 DENSE_MEMBERSHIP_MAX_PARTITIONS = 64
 
 _U64_ONE = np.uint64(1)
+
+
+def refuse_vectorized_step(proc) -> None:
+    """Raise unless ``proc`` runs the reference kernel: a vectorized
+    process's phases run through its scheduler's
+    :class:`~repro.core.fused.FusedDnePlane`, never through its own
+    step methods."""
+    if proc.kernel != "python":
+        raise RuntimeError(
+            f"vectorized process {proc.pid!r} runs through its scheduler's "
+            "FusedDnePlane: call plane.run, not the step method")
 
 
 def seed_vertex_random(local_vertices: np.ndarray,
@@ -287,13 +297,11 @@ class AllocationProcess(Process):
     #: checkpoint/restore excludes: the shared edge array, |V| and the
     #: placement, the local index structures derived once in the
     #: constructor (immutable for the life of the process, rebuilt
-    #: identically by a respawned worker), and the own one-machine
-    #: plane (kernel wiring over this process's arrays, not state) —
-    #: everything else is mutable allocation state.
+    #: identically by a respawned worker) — everything else is mutable
+    #: allocation state.
     _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({
         "edges", "num_vertices", "placement", "eids", "local_vertices",
-        "_lsrc", "_ldst", "_vindex", "_adj_ptr", "_adj_eid", "_adj_other",
-        "_plane"})
+        "_lsrc", "_ldst", "_vindex", "_adj_ptr", "_adj_eid", "_adj_other"})
 
     def __init__(self, machine: int, edges: np.ndarray, num_vertices: int,
                  edge_ids: np.ndarray, placement, two_hop: bool = True,
@@ -348,9 +356,6 @@ class AllocationProcess(Process):
         self.unallocated = k
         #: local view of |E_p| — flat array in both kernels (exact ints)
         self._part_loads = np.zeros(self.num_partitions, dtype=np.int64)
-        #: the one-machine plane a directly stepped vectorized process
-        #: runs its phases through (see :meth:`_own_plane`)
-        self._plane = None
         #: set (vertex, partition) replica bits on this machine — the
         #: vectorized kernel counts them where it sets them (the plane
         #: tests before it sets), so the memory model never re-sums the
@@ -431,17 +436,18 @@ class AllocationProcess(Process):
         1:1, so the initial ``num_processes`` width already covers every
         id; unit harnesses may drive more partitions than processes.
         The reference kernel grows whenever a wider id arrives; the
-        vectorized kernel's width is fixed once a plane holds its state,
-        so its harnesses call this before the first step.
+        vectorized kernel's width is fixed once a plane adopts its state
+        (the plane drops ``_adj_ptr``), so its harnesses call this before
+        they build the plane.
         """
         width = len(self._part_loads)
         if p < width:
             return
         if self._member is not None:
-            if self._plane is not None:
+            if self._adj_ptr is None:
                 raise ValueError(
-                    "the vectorized kernel sizes its partition width "
-                    "before the first step")
+                    "the vectorized kernel's partition width is fixed once "
+                    "a plane adopts it: size it before the first step")
             self._member = type(self._member)(len(self.local_vertices), p + 1)
         self._part_loads = np.concatenate(
             [self._part_loads, np.zeros(p + 1 - width, dtype=np.int64)])
@@ -475,33 +481,10 @@ class AllocationProcess(Process):
             self._report("replica_sets", self._replica_entries() * 8)
 
     # ------------------------------------------------------------------
-    # Vectorized kernel: the phases live in the plane.
-    # ------------------------------------------------------------------
-    def _own_plane(self):
-        """The one-machine plane behind a directly stepped vectorized
-        process, built on the first such step.
-
-        A scheduler's plane spans every process it owns and never comes
-        through here; a harness that calls the step methods itself gets
-        the same kernel over this machine alone.  The plane re-points
-        ``alloc`` / ``_part_loads`` / the membership matrix at its own
-        arrays and adopts the local CSR (this process keeps no copy),
-        so a process is stepped either directly or through a
-        scheduler's plane, never both.
-        """
-        if self._plane is None:
-            # fused.py imports this module (tags, the process classes).
-            from repro.core.fused import FusedDnePlane
-            self._plane = FusedDnePlane([self], self.placement)
-        return self._plane
-
-    # ------------------------------------------------------------------
     # Phase 1+2: one-hop allocation, then send syncs.
     # ------------------------------------------------------------------
     def one_hop_and_sync(self) -> None:
-        if self.kernel == "vectorized":
-            self._own_plane().run("one_hop_and_sync", [self.pid])
-            return
+        refuse_vectorized_step(self)
         received = self.receive(TAG_SELECT)
         self._ep_new: dict[int, list] = defaultdict(list)  # p -> global eids
         #: (global vid, p) new pairs
@@ -548,9 +531,7 @@ class AllocationProcess(Process):
     # Phase 2(recv)+3+4: merge syncs, two-hop allocation, local Drest.
     # ------------------------------------------------------------------
     def two_hop_and_report(self) -> None:
-        if self.kernel == "vectorized":
-            self._own_plane().run("two_hop_and_report", [self.pid])
-            return
+        refuse_vectorized_step(self)
         self._two_hop_and_report_python(self.receive(TAG_SYNC))
         self._bp_new = []
         self._ep_new = defaultdict(list)

@@ -30,18 +30,19 @@ allocation plane:
 
 * ``kernel="vectorized"`` (default) — the boundary is a segment of a
   :class:`BoundaryStore` behind the queue interface of
-  :class:`BoundarySegment`: a process owns a one-segment store from
-  construction, and a :class:`~repro.core.fused.FusedDnePlane` adopts
-  its expanders' segments into one.  Selection + multicast and the
-  boundary/edge fold are the ``select_and_multicast`` /
+  :class:`BoundarySegment`: the
+  :class:`~repro.core.fused.FusedDnePlane` over a process makes the one
+  store and hands each of its expanders a segment (a process builds no
+  store of its own).  Selection + multicast and the boundary/edge fold
+  are the ``select_and_multicast`` /
   ``update_state`` kernels of the plane — one ``pop`` for every live
   expander, one seed-liveness query, one enumerated replica fan-out
   (``replica_hits``), the whole multicast one
   :class:`~repro.cluster.runtime.SegmentBatch` on ``send_segments``,
   the fold a ``sorted_unique`` + scatter-add over the taken sweeps
   into one ``insert``.  A scheduler runs one plane over all its
-  processes; a process stepped directly runs its own one-machine plane
-  (same kernel, built on the first such call) and reads segment mail
+  processes, and that plane is the only way in: a vectorized
+  process's own step methods raise.  The plane reads segment mail
   only.
 * ``kernel="python"`` — the per-pair reference, implemented here: a
   heapq/set boundary (:class:`HeapqBoundaryQueue`), a per-vertex
@@ -68,6 +69,7 @@ import numpy as np
 
 from repro.cluster.runtime import Process
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
+                                   refuse_vectorized_step,
                                    seed_vertex_min_degree,
                                    seed_vertex_random)
 from repro.graph.csr import first_occurrence
@@ -253,10 +255,10 @@ class BoundaryStore:
 class BoundarySegment:
     """One segment of a :class:`BoundaryStore` behind the interface of
     :class:`HeapqBoundaryQueue`, plus array forms: a vectorized process's
-    ``boundary``, its own one-segment store until a plane adopts it."""
+    ``boundary``, handed out by the plane that owns the store."""
 
-    def __init__(self, store: BoundaryStore | None = None, index: int = 0):
-        self.store = BoundaryStore() if store is None else store
+    def __init__(self, store: BoundaryStore, index: int):
+        self.store = store
         self.index = index
 
     def __len__(self) -> int:
@@ -284,17 +286,17 @@ class BoundarySegment:
 class ExpansionProcess(Process):
     """Drives the expansion of one partition."""
 
-    #: checkpoint/restore excludes: the shared placement, the injected
-    #: seed source and the own one-machine plane (wiring, not state) —
-    #: RNG, collected edges and counters ride the generic snapshot, the
-    #: boundary joins it in :meth:`checkpoint_state`.
+    #: checkpoint/restore excludes: the shared placement and the seed
+    #: source (wiring, not state) — RNG, collected edges and counters
+    #: ride the generic snapshot, the boundary joins it in
+    #: :meth:`checkpoint_state`.
     _STATE_EXCLUDE = Process._STATE_EXCLUDE | frozenset({
-        "placement", "seed_source", "_plane", "boundary"})
+        "placement", "seed_source", "boundary"})
 
     def __init__(self, partition: int, num_partitions: int,
                  limit: int, total_edges: int, lam: float,
                  seed: int, placement, seed_strategy: str = "random",
-                 kernel: str = "vectorized", seed_source=None):
+                 kernel: str = "vectorized", *, seed_source):
         super().__init__(("expansion", partition))
         validate_kernel(kernel)
         self.partition = partition
@@ -309,13 +311,12 @@ class ExpansionProcess(Process):
 
         #: where the empty-boundary fallback takes seed vertices from
         #: (a :class:`SharedSeedSource`, or any object with its three
-        #: methods); may be injected after construction.
+        #: methods)
         self.seed_source = seed_source
-        #: the one-machine plane a directly stepped vectorized process
-        #: runs its phases through (see :meth:`_own_plane`)
-        self._plane = None
-        self.boundary = (BoundarySegment() if kernel == "vectorized"
-                         else HeapqBoundaryQueue())
+        #: the reference's queue; under the vectorized kernel, the
+        #: :class:`BoundarySegment` the plane over this process sets
+        self.boundary = (HeapqBoundaryQueue() if kernel == "python"
+                         else None)
         self.edge_count = 0                     # |E_p|
         self.edge_ids: list[np.ndarray] = []    # received edge batches
         self.finished = False
@@ -349,25 +350,12 @@ class ExpansionProcess(Process):
     # ------------------------------------------------------------------
     # Iteration phase A: select vertices and multicast to allocators.
     # ------------------------------------------------------------------
-    def _own_plane(self):
-        """The one-machine plane behind a directly stepped vectorized
-        process, built on the first such step (a scheduler's plane
-        spans every process it owns and never comes through here)."""
-        if self._plane is None:
-            # fused.py imports this module.
-            from repro.core.fused import FusedDnePlane
-            self._plane = FusedDnePlane([self], self.placement)
-        return self._plane
-
     def select_and_multicast(self) -> int:
         """Run the selection step.  Returns how many vertices were sent.
 
-        The injected :attr:`seed_source` serves the empty-boundary
-        fallback.
+        The :attr:`seed_source` serves the empty-boundary fallback.
         """
-        if self.kernel == "vectorized":
-            return self._own_plane().run("select_and_multicast",
-                                         [self.pid])[self.pid]
+        refuse_vectorized_step(self)
         if self.finished:
             return 0
         return self._select_and_multicast_python()
@@ -413,12 +401,6 @@ class ExpansionProcess(Process):
         first live allocator, probe that one alone.
         """
         seed_source = self.seed_source
-        if seed_source is None:
-            raise RuntimeError(
-                f"expansion process {self.pid!r} hit the empty-boundary "
-                "seed fallback but no seed source is available — inject "
-                "seed_source (a SharedSeedSource) at or after "
-                "construction")
         if live is None:
             live = seed_source.live()
         self.random_seed_requests += 1
@@ -451,9 +433,7 @@ class ExpansionProcess(Process):
     # Iteration phase B: fold in allocation results.
     # ------------------------------------------------------------------
     def update_state(self) -> None:
-        if self.kernel == "vectorized":
-            self._own_plane().run("update_state", [self.pid])
-            return
+        refuse_vectorized_step(self)
         drest_sums: dict[int, int] = defaultdict(int)
         for _, payload in self.receive(TAG_BOUNDARY):
             for v, local_drest in payload.tolist():

@@ -13,9 +13,9 @@ code has two tiers, the ``kernel="python"`` reference in
 ``allocation.py`` / ``expansion.py`` and this plane.  A scheduler
 builds one plane over the processes it owns (the whole cluster for the
 simulated/threads backends, one worker's share for the processes
-backend); a vectorized process whose step methods are called directly
-runs its own plane over a one-machine subset, so per-process dispatch
-is this same kernel, not a second one.
+backend), and it is the only way into the kernel: a vectorized
+process's own step methods raise.  A unit harness or a microbenchmark
+builds its plane the same way, over the processes it steps.
 
 The message plane between the phases is segment-level too.  A phase's
 whole emission sweep is one
@@ -53,20 +53,19 @@ The mechanisms:
 * **One 32-bit copy of the local CSR.**  The plane *adopts* every
   allocator's int32 local CSR (adjacency edge ids and neighbours, edge
   endpoints) into fused int32 arrays with machine offsets added, and
-  the allocator drops its own — a process is stepped directly or
-  through a plane, never both, and the memory model was reported at
-  construction.  Fused edge, vertex and global edge ids must be below
-  2³¹: adoption past that raises ``ValueError`` (there is no int64
-  path), and every ``(id, partition)`` key is widened to int64 before
-  it is multiplied (:func:`_pair_keys`).  The first-occurrence
-  scratch buffers are int32 too.
-* **One boundary store.**  The expanders' one-segment stores are
-  adopted into one :class:`~repro.core.expansion.BoundaryStore`
-  (``boundary`` re-pointed at a segment, as ``alloc`` is at a slice):
-  selection is one ``pop``, the fold one ``insert`` — under the
-  store's lock, since shares of a superstep call ``run`` concurrently
-  over disjoint pid sets.  Contents ride the *process* snapshots as
-  plain arrays, not the plane's.
+  the allocator drops its own — one plane per process, and the memory
+  model was reported at construction.  Fused edge, vertex and global
+  edge ids must be below 2³¹: adoption past that raises ``ValueError``
+  (there is no int64 path), and every ``(id, partition)`` key is
+  widened to int64 before it is multiplied (:func:`_pair_keys`).  The
+  first-occurrence scratch buffers are int32 too.
+* **One boundary store.**  The plane makes the one
+  :class:`~repro.core.expansion.BoundaryStore` and sets each expander's
+  ``boundary`` to a segment of it (as ``alloc`` is a slice; a process
+  builds no store of its own): selection is one ``pop``, the fold one
+  ``insert`` — under the store's lock, since shares of a superstep
+  call ``run`` concurrently over disjoint pid sets.  Contents ride the
+  *process* snapshots as plain arrays, not the plane's.
 * **Single-pass one-hop.**  The reference walks a machine's
   (partition, vertex) groups in ascending partition order, each group
   observing the writes of earlier groups.  Only two kinds of write are
@@ -129,17 +128,16 @@ The mechanisms:
 The plane serves ``select_and_multicast``, ``one_hop_and_sync``,
 ``two_hop_and_report`` and ``update_state``; ``check_termination``
 stays per-process (no mail, one comparison).  It reads segment mail
-only, so whoever feeds a vectorized process — a scheduler's previous
-phase or a test harness — delivers a ``SegmentBatch``.  Vectorized
-kernel only — the reference kernel keeps its per-process steps and
-per-message sends.
+only, so whoever feeds it — a scheduler's previous phase or a test
+harness — delivers a ``SegmentBatch``.  Vectorized kernel only — the
+reference kernel keeps its per-process steps and per-message sends.
 
 Invariants pinned by the tests — where to look when a change here
 breaks CI:
 
 * plane == python reference on assignments and every accounting total
-  at |P| ∈ {4, 64, 256}, and a directly stepped process == the same
-  process inside a whole-cluster plane:
+  at |P| ∈ {4, 64, 256}, and one plane per machine == one plane over
+  the whole cluster (what each ``processes`` worker's plane relies on):
   ``tests/test_kernel_equivalence.py::TestFusedDispatchEquivalence``
   (also: incremental replica count == ``entries()`` after every
   phase; per superstep one ``adjacency_slots`` gather, one store
@@ -379,12 +377,12 @@ def _resolve_multi_shared(member, loads: np.ndarray,
 class FusedDnePlane:
     """Single-kernel-call-per-phase dispatch over a set of DNE processes.
 
-    Built from the (subset of) allocation/expansion processes one
-    scheduler owns — the whole cluster for the simulated/threads
-    backends, one worker's share for the processes backend, a single
-    process when that process is stepped directly.  ``run`` may be
-    called with any subset of the attached pids (empty-mailbox steps
-    are short-circuited by the driver before dispatch).
+    Built over the allocation/expansion processes one scheduler owns
+    (the whole cluster for the simulated/threads backends, one worker's
+    share for the processes backend) or a harness steps — the only way
+    to run a vectorized process's phases.  ``run`` may be called with
+    any subset of the attached pids (empty-mailbox steps are
+    short-circuited by the driver before dispatch).
     """
 
     #: step methods the plane can fuse
@@ -407,14 +405,12 @@ class FusedDnePlane:
         for a in allocs:
             a.report_memory()   # the fixed width's residents, on the books
         self._alloc_procs = allocs
-        # One boundary store: the expanders' one-segment stores, adopted.
+        # One boundary store, a segment of it each expander's boundary.
         self._store = BoundaryStore(len(self._exp))
         #: partition -> segment of the store, -1 elsewhere
         self._seg_of = np.full(placement.num_processes, -1, dtype=np.int64)
         for seg, proc in enumerate(self._exp.values()):
-            held = proc.boundary.entries()
             proc.boundary = BoundarySegment(self._store, seg)
-            proc.boundary.insert_many(*held)
             self._seg_of[proc.partition] = seg
         m = len(allocs)
         self._m = m
@@ -587,9 +583,8 @@ class FusedDnePlane:
         empty = np.flatnonzero(sizes == 0)
         if len(empty):
             # Empty-boundary fallback: one liveness query serves every
-            # requester (a missing source fails in ``_random_seed``).
-            source = live[empty[0]].seed_source
-            alive = source.live() if source is not None else None
+            # requester.
+            alive = live[empty[0]].seed_source.live()
             seeds, seeders = [], []
             for i in empty.tolist():
                 v = live[i]._random_seed(alive)

@@ -3,11 +3,12 @@
 The partitioning/engine hot paths each ship a flat-array NumPy kernel
 (``"vectorized"``, the default) and a per-slot reference kernel
 (``"python"``), pinned bit-identical by the kernel equivalence tests.
-The flag covers both planes of Distributed NE — the allocation phases
-(``core/allocation.py``) and the selection/expansion plane
-(``core/expansion.py``: boundary queue, multicast fan-out, boundary
-fold) — plus NE/SNE expansion, the GAS engine gathers, and the
-streaming baselines on the shared ``core/streaming.py`` substrate
+For Distributed NE the flag picks one of two tiers for every phase,
+allocation and selection alike: the reference steps of
+``core/allocation.py`` / ``core/expansion.py``, or the one vectorized
+kernel, ``core/fused.py``'s plane, which a scheduler builds over its
+processes.  It also covers NE/SNE expansion, the GAS engine gathers,
+and the streaming baselines on the shared ``core/streaming.py`` substrate
 (HDRF, FENNEL, and Hybrid Ginger's re-homing rounds, pinned by
 ``tests/test_streaming_equivalence.py``).  This module is the single
 home of the valid names so constructors all fail fast with the same

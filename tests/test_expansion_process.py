@@ -14,14 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.runtime import SimulatedCluster
 from repro.core.expansion import (BoundarySegment, BoundaryStore,
                                   ExpansionProcess, HeapqBoundaryQueue,
                                   SharedSeedSource)
 from repro.core.hash2d import Hash2DPlacement
 
 
-@pytest.fixture(params=[BoundarySegment, HeapqBoundaryQueue],
+def _segment() -> BoundarySegment:
+    """The one segment of a fresh one-segment store."""
+    return BoundarySegment(BoundaryStore(), 0)
+
+
+@pytest.fixture(params=[_segment, HeapqBoundaryQueue],
                 ids=["BoundaryQueue", "HeapqBoundaryQueue"])
 def queue_cls(request):
     """The one-segment store and the reference share one contract
@@ -74,7 +78,7 @@ class TestArrayBoundaryQueue:
     """Batched API specific to the one-segment store."""
 
     def test_insert_many_then_pop_array(self):
-        q = BoundarySegment()
+        q = _segment()
         q.insert_many(np.array([5, 1, 9]), np.array([2, 7, 2]))
         out = q.pop_k_min_array(2)
         assert out.dtype == np.int64
@@ -82,7 +86,7 @@ class TestArrayBoundaryQueue:
         assert len(q) == 1
 
     def test_insert_many_respects_existing_members(self):
-        q = BoundarySegment()
+        q = _segment()
         q.insert(4, 1)
         q.insert_many(np.array([4, 8]), np.array([99, 3]))
         assert len(q) == 2
@@ -91,20 +95,20 @@ class TestArrayBoundaryQueue:
     def test_membership_mask_grows_with_vertex_ids(self):
         """(Named for the per-queue mask; the store widens its packed
         vertex field instead.)"""
-        q = BoundarySegment()
+        q = _segment()
         q.insert(10_000, 1)
         q.insert_many(np.array([999_999]), np.array([0]))
         assert len(q) == 2
         assert q.pop_k_min(2) == [999_999, 10_000]
 
     def test_pop_empty_array(self):
-        q = BoundarySegment()
+        q = _segment()
         assert q.pop_k_min_array(3).tolist() == []
         q.insert(1, 1)
         assert q.pop_k_min_array(0).tolist() == []
 
     def test_entries_are_the_content_in_pop_order(self):
-        q = BoundarySegment()
+        q = _segment()
         q.insert_many(np.array([5, 1, 9]), np.array([2, 7, 2]))
         vertices, drests = q.entries()
         assert (vertices.tolist(), drests.tolist()) == ([5, 9, 1], [2, 2, 7])
@@ -325,14 +329,6 @@ class TestSeedScan:
         assert (found[0] is None) == (pattern == "none")
         if pattern in ("before", "after"):
             assert remote == 3 * {"before": 2, "after": 5}[pattern]
-
-    def test_missing_seed_source_fails_loudly(self):
-        cluster = SimulatedCluster()
-        proc = cluster.add_process(ExpansionProcess(
-            0, 1, limit=1, total_edges=1, lam=0.1, seed=0,
-            placement=Hash2DPlacement(1)))
-        with pytest.raises(RuntimeError, match="no seed source"):
-            proc.select_and_multicast()
 
 
 class TestMultiExpansionK:

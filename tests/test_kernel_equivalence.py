@@ -24,9 +24,8 @@ and seeds:
   reference kernel;
 * the plane (the one vectorized DNE kernel) stays bit-identical to the
   python reference at |P| ∈ {4, 64, 256} — tiny per-partition batches
-  included — and a vectorized process stepped directly (its own
-  one-machine plane) matches the same process inside a whole-cluster
-  plane, and a run whose sweeps a small row budget cuts into many
+  included — and one plane per machine matches one plane over the
+  whole cluster, and a run whose sweeps a small row budget cuts into many
   machine groups matches the one-group run on every backend;
 * the reference allocation path holds no phantom (empty) replica sets
   — the ``defaultdict`` probe leak stays fixed;
@@ -113,13 +112,18 @@ class TestPartitionerEquivalence:
         assert vec.replication_factor() == ref.replication_factor()
 
 
+def _segment() -> BoundarySegment:
+    """The one segment of a fresh one-segment store."""
+    return BoundarySegment(BoundaryStore(), 0)
+
+
 class TestBoundaryQueueEquivalence:
     """One-segment boundary store == heapq reference, op for op."""
 
     def test_random_op_sequences_match(self):
         for trial in range(25):
             rng = np.random.default_rng(trial)
-            arr, ref = BoundarySegment(), HeapqBoundaryQueue()
+            arr, ref = _segment(), HeapqBoundaryQueue()
             for _ in range(80):
                 if rng.random() < 0.6:
                     n = int(rng.integers(1, 9))
@@ -136,7 +140,7 @@ class TestBoundaryQueueEquivalence:
             assert arr.pop_k_min(10 ** 6) == ref.pop_k_min(10 ** 6)
 
     def test_reinsert_after_pop_takes_new_score(self):
-        q = BoundarySegment()
+        q = _segment()
         q.insert(7, 9)
         assert q.pop_k_min(1) == [7]
         q.insert(7, 1)          # membership cleared by the pop
@@ -144,13 +148,13 @@ class TestBoundaryQueueEquivalence:
         assert q.pop_k_min(2) == [7, 3]
 
     def test_insert_many_keeps_first_score_within_batch(self):
-        q = BoundarySegment()
+        q = _segment()
         q.insert_many(np.array([4, 4, 9]), np.array([8, 1, 5]))
         assert len(q) == 2
         assert q.pop_k_min(2) == [9, 4]  # 4 kept Drest 8, not 1
 
     def test_entry_time_scores_kept(self):
-        for cls in (BoundarySegment, HeapqBoundaryQueue):
+        for cls in (_segment, HeapqBoundaryQueue):
             q = cls()
             q.insert(5, 10)
             q.insert(5, 0)       # dropped: already a member
@@ -230,6 +234,7 @@ class TestPackedMembership:
             alloc._ensure_partition_capacity(min(partitions, 4) - 1)
             alloc._member = layout(len(alloc.local_vertices),
                                    min(partitions, 4))
+            plane = FusedDnePlane([alloc], placement)
             for p in range(min(partitions, 4)):
                 cluster.add_process(Process(("expansion", p)))
             rng = np.random.default_rng(0)
@@ -240,9 +245,9 @@ class TestPackedMembership:
                 cluster.process(("expansion", 0)).send(
                     "alloc", TAG_SELECT, [(alloc.pid[1], sel)])
                 cluster.barrier()
-                alloc.one_hop_and_sync()
+                plane.run("one_hop_and_sync", [alloc.pid])
                 cluster.barrier()
-                alloc.two_hop_and_report()
+                plane.run("two_hop_and_report", [alloc.pid])
                 cluster.barrier()
             assert alloc.membership_kind == layout.kind
             results[layout.kind] = (
@@ -317,8 +322,8 @@ def _mini_dne(graph, placement):
 
 
 class TestFusedDispatchEquivalence:
-    """The two DNE tiers: python reference == plane, and the plane over
-    a one-machine subset == the plane over the whole cluster.
+    """The two DNE tiers: python reference == plane, and one plane per
+    machine == one plane over the whole cluster.
 
     A small graph spread over 256 partitions is the worst case for
     the plane's segment bookkeeping: most per-partition batches hold a
@@ -348,15 +353,18 @@ class TestFusedDispatchEquivalence:
         vec = self._assert_plane_matches_reference(partitions)
         assert vec.extra["membership"] == "dense"
 
-    def test_directly_stepped_process_is_the_plane_over_one_machine(self):
-        """A vectorized process stepped directly runs its own
-        one-machine plane: same state, same counters and the same
-        sweeps, message for message, as inside a whole-cluster plane."""
+    def test_one_plane_per_machine_is_the_plane_over_the_whole_cluster(self):
+        """One explicit plane per machine (its allocator and expander —
+        the subset property each ``processes`` worker's plane relies
+        on): same state, same counters and the same sweeps, message for
+        message, as one plane over the whole cluster."""
         graph = CSRGraph(rmat_edges(9, 6, seed=5))
         placement = Hash2DPlacement(4, seed=0)
         whole, w_allocs, w_exps = _mini_dne(graph, placement)
         plane = FusedDnePlane(w_allocs + w_exps, placement)
         direct, d_allocs, d_exps = _mini_dne(graph, placement)
+        planes = [FusedDnePlane([a, e], placement)
+                  for a, e in zip(d_allocs, d_exps)]
         phases = [("select_and_multicast", w_exps, d_exps),
                   ("one_hop_and_sync", w_allocs, d_allocs),
                   ("two_hop_and_report", w_allocs, d_allocs),
@@ -366,14 +374,15 @@ class TestFusedDispatchEquivalence:
             for method, w_procs, d_procs in phases:
                 plane.run(method, [proc.pid for proc in w_procs])
                 for proc in d_procs:
-                    getattr(proc, method)()
+                    planes[proc.pid[1]].run(method, [proc.pid])
                 mail = _flat_mail(whole)
                 assert mail == _flat_mail(direct), method
                 sweeps += len(mail)
                 whole.barrier()
                 direct.barrier()
         assert sweeps >= 12          # the comparison saw real traffic
-        assert all(proc._plane is not None for proc in d_allocs + d_exps)
+        assert all(own._alloc_procs == [a] and own._exp == {e.pid: e}
+                   for own, a, e in zip(planes, d_allocs, d_exps))
         for w, d in zip(w_allocs, d_allocs):
             assert w.unallocated == d.unallocated < len(w.eids)
             assert np.array_equal(w.alloc, d.alloc)
@@ -395,7 +404,8 @@ class TestFusedDispatchEquivalence:
         """One 32-bit copy: once a scheduler's plane exists its fused
         adjacency arrays and scratch are int32, hold each allocator's
         local CSR plus its machine offset, and no allocator keeps a copy
-        — so a second plane (or a direct step) over them raises."""
+        — so a second plane over them raises (and a direct step raises
+        as it does for any vectorized process)."""
         graph = CSRGraph(rmat_edges(9, 6, seed=5))
         placement = Hash2DPlacement(4, seed=0)
         program = DneWorkerProgram(4, placement, True, "vectorized", 0.5,
@@ -424,7 +434,7 @@ class TestFusedDispatchEquivalence:
                 "_adj_ptr", "_adj_eid", "_adj_other", "_lsrc", "_ldst"))
         with pytest.raises(ValueError, match="already adopted"):
             FusedDnePlane(allocs, placement)
-        with pytest.raises(ValueError, match="already adopted"):
+        with pytest.raises(RuntimeError, match="FusedDnePlane"):
             allocs[0].one_hop_and_sync()
 
     def test_fused_id_bound_raises_past_2_31(self):
@@ -848,6 +858,16 @@ class TestLeastLoadedFill:
         assert _least_loaded_targets(np.array([3, 1, 2]), 0).tolist() == []
 
 
+def _step(alloc, plane, method):
+    """One allocation phase of ``alloc``: through ``plane`` under the
+    vectorized kernel (``plane`` not ``None``), the reference step
+    method otherwise."""
+    if plane is None:
+        getattr(alloc, method)()
+    else:
+        plane.run(method, [alloc.pid])
+
+
 class TestTwoHopLoadsDelta:
     """Conflict-heavy two-hop: the loads-delta batching (vectorized
     segment reductions + collision-only replay) must match the
@@ -877,6 +897,8 @@ class TestTwoHopLoadsDelta:
                 0, graph.edges, graph.num_vertices,
                 np.arange(graph.num_edges), placement, kernel=kernel))
             alloc._ensure_partition_capacity(partitions - 1)
+            plane = (FusedDnePlane([alloc], placement)
+                     if kernel == "vectorized" else None)
             cluster.add_process(Process(("alloc", 1)))
             for p in range(partitions):
                 cluster.add_process(Process(("expansion", p)))
@@ -887,7 +909,7 @@ class TestTwoHopLoadsDelta:
                 cluster.process(("alloc", 1)).send(
                     "alloc", TAG_SYNC, [(0, np.column_stack([vs, ps]))])
                 cluster.barrier()
-                alloc.two_hop_and_report()
+                _step(alloc, plane, "two_hop_and_report")
                 cluster.barrier()
             results[kernel] = (
                 alloc.alloc.copy(), alloc._part_loads.copy(),
@@ -1015,14 +1037,16 @@ class TestReferencePathHygiene:
                 0, graph.edges, graph.num_vertices,
                 np.arange(graph.num_edges), placement, kernel=kernel))
             alloc._ensure_partition_capacity(1)
+            plane = (FusedDnePlane([alloc], placement)
+                     if kernel == "vectorized" else None)
             cluster.add_process(Process(("expansion", 0)))
             cluster.add_process(Process(("expansion", 1)))
             cluster.process(("expansion", 0)).send(
                 "alloc", TAG_SELECT, [(0, [(0, 0), (1, 1)])])
             cluster.barrier()
-            alloc.one_hop_and_sync()
+            _step(alloc, plane, "one_hop_and_sync")
             cluster.barrier()
-            alloc.two_hop_and_report()
+            _step(alloc, plane, "two_hop_and_report")
             cluster.barrier()
             results[kernel] = (
                 cluster.stats.per_process,

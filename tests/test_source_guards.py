@@ -81,6 +81,13 @@ allocators' int32 local CSR instead of keeping int64 copies beside it
 (≈ 70 bytes per edge at |P| = 8), so its constructor and the adoption
 helpers it calls make no ``astype(np.int64)`` copy.
 
+One way into the vectorized DNE kernel: a scheduler's
+``FusedDnePlane``.  No process builds a one-machine plane of its own
+(``_own_plane`` is named nowhere under ``src/repro``), the reference
+steps in ``core/allocation.py`` / ``core/expansion.py`` neither import
+``repro.core.fused`` nor name the plane, and only
+``DneWorkerProgram.build_plane`` and the microbenchmarks construct one.
+
 Nothing only tests reach: every public ``def`` or ``class`` under
 ``src/repro`` is named somewhere outside ``tests/`` (code or an exact
 string constant, so a step dispatched by name counts; ``__all__`` and
@@ -659,6 +666,97 @@ def test_plane_constructor_adopts_without_int64_copies():
     source = (_CORE / "fused.py").read_text()
     assert _defined(source) >= {"_fuse_int32", "_adopt_int32"}
     assert _int64_casts(source, _ADOPTION) == []
+
+
+def _imported_modules(source: str) -> set:
+    """Every module an ``import`` names, ``from pkg import mod`` as
+    ``pkg.mod`` too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}"
+                         for alias in node.names)
+    return found
+
+
+def _call_sites(source: str, name: str) -> list[str]:
+    """The top-level scopes — ``function``, ``Class.method``, ``Class``
+    for the rest of a class body, ``<module>`` — that call ``name(...)``
+    (a nested function's calls count for its enclosing scope)."""
+    def calls(scope):
+        return any(isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))
+                   for node in ast.walk(scope))
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                if calls(item):
+                    found.append(f"{node.name}.{item.name}" if method
+                                 else node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if calls(node):
+                found.append(node.name)
+        elif calls(node):
+            found.append("<module>")
+    return found
+
+
+def test_plane_guards_see_code_not_prose():
+    source = ('"""import repro.core.fused; FusedDnePlane(x) in prose"""\n'
+              "from repro.core import fused\n"
+              "import repro.core.expansion as exp\n"
+              "class Program:\n"
+              "    def build_plane(self, procs):\n"
+              "        return fused.FusedDnePlane(procs, None)\n"
+              "    def build(self):\n"
+              "        return 'FusedDnePlane(procs)'\n"
+              "def bench(procs):\n"
+              "    def step():\n"
+              "        return FusedDnePlane(procs, None)\n"
+              "plane = FusedDnePlane([], None)\n")
+    assert _imported_modules(source) == {
+        "repro.core", "repro.core.fused", "repro.core.expansion"}
+    assert _call_sites(source, "FusedDnePlane") == [
+        "Program.build_plane", "bench", "<module>"]
+
+
+def test_own_plane_stays_deleted():
+    """No process builds a one-machine plane of its own: a vectorized
+    process's step methods raise, and its phases run through the plane
+    its scheduler (or a harness) builds."""
+    assert _uses(sorted(_SRC.rglob("*.py")), "_own_plane") == []
+
+
+@pytest.mark.parametrize("name", ["allocation.py", "expansion.py"])
+def test_reference_steps_do_not_reach_the_plane(name):
+    """The reference kernel's modules hold no way into the vectorized
+    one: they import nothing from ``repro.core.fused`` and name no
+    ``FusedDnePlane``."""
+    source = (_CORE / name).read_text()
+    assert "repro.core.fused" not in _imported_modules(source)
+    assert [lineno for lineno, used in _names(source)
+            if used == "FusedDnePlane"] == []
+
+
+def test_only_the_program_and_the_microbench_build_a_plane():
+    """Under ``src/repro`` a ``FusedDnePlane`` is built by
+    ``DneWorkerProgram.build_plane`` — once per scheduler — and by the
+    microbenchmarks' harnesses in ``bench/perf.py``, nowhere else."""
+    found = {(path.relative_to(_SRC).as_posix(), site)
+             for path in sorted(_SRC.rglob("*.py"))
+             for site in _call_sites(path.read_text(), "FusedDnePlane")}
+    assert {(path, site) for path, site in found
+            if path != "bench/perf.py"} == {
+        ("core/distributed_ne.py", "DneWorkerProgram.build_plane")}
+    assert any(path == "bench/perf.py" for path, _ in found)
 
 
 def _public_defs(source: str) -> list[tuple[str, int]]:

@@ -9,7 +9,7 @@ Conventions:
   and *asserts* the paper's qualitative claims — who wins, in what
   direction trends move;
 * every bench records its rows into ``benchmarks/results/*.json`` so
-  EXPERIMENTS.md can be regenerated from a bench run
+  ``benchmarks/results/REPORT.md`` can be regenerated from a bench run
   (``python examples/regenerate_experiments.py``).  The files are
   tracked and pinned, so a run rewrites one only when a field
   ``check_results_drift.drift`` pins has moved — wall-clock churn

@@ -45,7 +45,7 @@ def test_fig10_real_world(benchmark, record):
             # D.NE's simulated parallel time beats the multilevel
             # method's wall time (the paper's 9.1x is on MPI; our
             # simulator serialises D.NE's |P| machines, so parallel
-            # time is the like-for-like quantity — see EXPERIMENTS.md).
+            # time is the like-for-like quantity).
             assert par["distributed_ne"] < wall["metis_like"], (ds, p)
             # And stays within a small factor of the LP-based method
             # ("comparable to XtraPuLP").

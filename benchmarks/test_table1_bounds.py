@@ -10,8 +10,8 @@ Paper (256 partitions, alpha = 2.2 / 2.4 / 2.6 / 2.8):
 Our zeta-form evaluation reproduces the Distributed NE row exactly and
 the Random row to ~1.5%.  Grid uses the 2*sqrt(p)-1 constrained-set
 closed form (within 13% of the paper, ordering preserved); the DBH row
-is a tighter mean-field estimate (see EXPERIMENTS.md for the
-methodological note).
+is a tighter mean-field estimate (the methodological note is the
+docstring of ``repro.metrics.bounds.dbh_expected_bound_powerlaw``).
 """
 
 import pytest

@@ -3,8 +3,8 @@
 
 The benchmark suite (``pytest benchmarks/ --benchmark-only``) records
 every experiment's rows into ``benchmarks/results/*.json``.  This
-script renders them into ``benchmarks/results/REPORT.md`` — the
-measured side of EXPERIMENTS.md, regenerated from an actual run.
+script renders them into ``benchmarks/results/REPORT.md``: the measured
+tables, regenerated from an actual run.
 
 Run:  pytest benchmarks/ --benchmark-only     # produce the JSONs
       python examples/regenerate_experiments.py

@@ -62,8 +62,8 @@ def demo_table1() -> None:
         ["method (ours/paper)"] + [f"a={a}" for a in TABLE1_ALPHAS], rows))
     print("Distributed NE's bound beats Random and Grid at every alpha,")
     print("matching the paper's rows to ~1%.  Our DBH row is a tighter")
-    print("mean-field estimate than the loose bound the paper tabulates")
-    print("(see EXPERIMENTS.md), which is why it prints lower.")
+    print("mean-field estimate than the loose bound the paper tabulates,")
+    print("which is why it prints lower.")
 
 
 if __name__ == "__main__":

@@ -103,24 +103,37 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=1)
 
 
+#: rows per block of :func:`is_canonical` — bounds its boolean
+#: temporaries at a few hundred KB whatever m is
+CANONICAL_CHECK_ROWS = 1 << 16
+
+
 def is_canonical(edges) -> bool:
     """True iff ``edges`` is already in canonical form: a C-contiguous
     int64 ``(m, 2)`` array with ``0 <= src < dst`` in every row and
     rows strictly ascending lexicographically.  One vectorised O(m)
     pass — what lets :class:`~repro.graph.csr.CSRGraph` adopt a
-    generator's output without sorting it a second time."""
+    generator's output without sorting it a second time.  The pass runs
+    in blocks of :data:`CANONICAL_CHECK_ROWS` rows, each reaching one
+    row back so the order across a block seam is checked too, and
+    stops at the first block that fails."""
     if not (isinstance(edges, np.ndarray) and edges.dtype == np.int64
             and edges.ndim == 2 and edges.shape[1] == 2
             and edges.flags.c_contiguous):
         return False
     if len(edges) == 0:
         return True
-    u, v = edges[:, 0], edges[:, 1]
-    if u[0] < 0 or not (u < v).all():
+    if edges[0, 0] < 0:  # rows ascend, so no later src is negative
         return False
-    u_next, u_prev = u[1:], u[:-1]
-    return bool(((u_next > u_prev)
-                 | ((u_next == u_prev) & (v[1:] > v[:-1]))).all())
+    for start in range(0, len(edges), CANONICAL_CHECK_ROWS):
+        block = edges[max(start - 1, 0):start + CANONICAL_CHECK_ROWS]
+        u, v = block[:, 0], block[:, 1]
+        u_next, u_prev = u[1:], u[:-1]
+        if not ((u < v).all()
+                and ((u_next > u_prev)
+                     | ((u_next == u_prev) & (v[1:] > v[:-1]))).all()):
+            return False
+    return True
 
 
 def num_vertices(edges: np.ndarray) -> int:

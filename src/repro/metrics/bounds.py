@@ -201,8 +201,9 @@ def dbh_expected_bound_powerlaw(alpha: float, num_partitions: int,
 
     This is a mean-field *estimate* rather than the loose closed-form
     upper bound the paper tabulates, so it comes out lower than the
-    paper's DBH row (see EXPERIMENTS.md); the empirical DBH partitioner
-    in :mod:`repro.partitioners.dbh` is the like-for-like comparison.
+    paper's DBH row (``benchmarks/test_table1_bounds.py`` prints both);
+    the empirical DBH partitioner in :mod:`repro.partitioners.hashing`
+    is the like-for-like comparison.
     """
     p = float(num_partitions)
 

@@ -31,6 +31,12 @@ and bulk lookups vectorized:
 
 Out-of-range ids raise :class:`LookupRangeError` (the API maps it to
 HTTP 400) *before* any partial work, so both kernels fail identically.
+
+The stored arrays come in whatever integer width the store wrote them
+(narrow signed ids and int32 offsets now, int64 from earlier builds).
+Every answer is widened to int64 or Python ints, and no request mixes
+a narrow array with an int64 operand where NumPy would convert the
+whole mmap'd array first.
 """
 
 from __future__ import annotations
@@ -251,7 +257,10 @@ class LookupService:
         start = int(indptr[min(_after(cursor), arrays.num_vertices)])
         slots = _keyset_scan(lambda lo, hi: parts[lo:hi] == partition,
                              start, len(parts), limit + 1)
-        vertices = np.searchsorted(indptr, slots, side="right") - 1
+        # slots < indptr[-1], so they fit indptr's dtype; an int64 key
+        # against a narrower indptr would copy all of it per page
+        vertices = np.searchsorted(indptr, slots.astype(indptr.dtype),
+                                   side="right") - 1
         return vertices[:limit].tolist(), _next_cursor(vertices, limit)
 
 

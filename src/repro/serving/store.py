@@ -29,11 +29,17 @@ Tables
     only), JSON ``extra``.
 ``assignments``
     Checksummed array blobs, keyed ``(run_id, kind)``.  Kinds:
-    ``edge_assignment`` (the flat int64 per-edge partition array),
+    ``edge_assignment`` (the flat per-edge partition array),
     ``replica_indptr`` / ``replica_parts`` (the vertex→replica-set CSR
     every vertex lookup and listing reads).  Each blob records its
     dtype, element count, and SHA-256; reads verify the checksum before
-    trusting the bytes.
+    trusting the bytes.  :meth:`RunStore.add_run` writes partition ids
+    (``edge_assignment``, ``replica_parts``) in the narrowest signed
+    dtype that holds |P| − 1 — int8 up to 128 partitions, int16 up to
+    32 768, int32 above — and ``replica_indptr`` as int32 while its last
+    offset fits (int64 past 2³¹ − 1); see :func:`_stored_dtypes`.  The
+    readers take any integer width, so blobs an earlier build wrote as
+    int64 serve unchanged, with no migration.
 ``metrics``
     ``(run_id, name, value)`` quality numbers (replication factor,
     balances, vertex cuts, plus whatever an importer finds).  A
@@ -152,6 +158,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _stored_dtypes(num_partitions: int,
+                   num_slots: int) -> tuple[np.dtype, np.dtype]:
+    """``(partition id dtype, replica offset dtype)`` a run is stored
+    in: the narrowest *signed* integer that holds ``num_partitions - 1``,
+    and int32 for the replica CSR's offsets while its last one,
+    ``num_slots``, fits.
+
+    Signed on purpose: the readers mix these arrays with int64 ids.
+    Unsigned offsets make ``adjacency_slots``'s cumulative sum uint64,
+    uint64 with int64 promotes to float64, and floats cannot index.
+    """
+    ids = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+               if num_partitions - 1 <= np.iinfo(t).max)
+    offsets = np.int32 if num_slots <= np.iinfo(np.int32).max else np.int64
+    return np.dtype(ids), np.dtype(offsets)
+
+
 class RunStore:
     """Durable store of partitioner runs (see the module docstring).
 
@@ -259,10 +282,11 @@ class RunStore:
         """Persist an :class:`~repro.partitioners.base.EdgePartition`.
 
         Writes the run row, the checksummed array blobs (edge
-        assignment + the partition's vertex-replica CSR) and its quality
-        metrics, in one transaction.  Returns the new run id.  The CSR
-        and the metrics that count replicas come from
-        ``partition.replicas``, built at most once per partition.
+        assignment + the partition's vertex-replica CSR, narrowed by
+        :func:`_stored_dtypes`) and its quality metrics, in one
+        transaction.  Returns the new run id.  The CSR and the metrics
+        that count replicas come from ``partition.replicas``, built at
+        most once per partition.
         """
         graph = partition.graph
         num_partitions = partition.num_partitions
@@ -274,6 +298,10 @@ class RunStore:
             "vertex_balance": partition.vertex_balance(),
             "vertex_cuts": float(partition.vertex_cut_count()),
         }
+        # The casts cannot wrap: EdgePartition validated every id into
+        # [0, num_partitions) when it froze the assignment, and the last
+        # offset of the nondecreasing indptr is its largest.
+        ids, offsets = _stored_dtypes(num_partitions, int(indptr[-1]))
         conn = self._conn
         with conn:
             cur = conn.execute(
@@ -287,9 +315,9 @@ class RunStore:
                  source, _utc_now(), json.dumps(_jsonable_extra(
                      partition.extra))))
             run_id = int(cur.lastrowid)
-            for kind, arr in (("edge_assignment", assignment),
-                              ("replica_indptr", indptr),
-                              ("replica_parts", parts)):
+            for kind, arr in (("edge_assignment", assignment.astype(ids)),
+                              ("replica_indptr", indptr.astype(offsets)),
+                              ("replica_parts", parts.astype(ids))):
                 self._insert_blob(conn, run_id, kind, arr)
             _insert_metrics(conn, run_id, metrics)
         return run_id

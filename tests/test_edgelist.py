@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import edgelist
 from repro.graph.edgelist import (
     canonical_edges,
     edges_from_pairs,
@@ -156,6 +157,31 @@ class TestPackedCanonicalisation:
         assert is_canonical(np.empty((0, 2), dtype=np.int64))
         assert is_canonical(np.array([[0, 1]]))
         assert is_canonical(np.array([[0, 1], [0, 2], [1, 2], [5, 9]]))
+
+    def test_is_canonical_checks_across_block_seams(self, monkeypatch):
+        """The check runs in row blocks; a violation between the last
+        row of one block and the first of the next is still caught."""
+        rows = edgelist.CANONICAL_CHECK_ROWS
+        u = np.arange(2 * rows + 5, dtype=np.int64)
+        edges = np.stack([u, u + 1], axis=1)
+        assert is_canonical(edges)
+        swapped = edges.copy()
+        swapped[[rows - 1, rows]] = swapped[[rows, rows - 1]]
+        assert not is_canonical(swapped)
+        duplicate = edges.copy()
+        duplicate[rows] = duplicate[rows - 1]
+        assert not is_canonical(duplicate)
+        # every seam and in-block position at a four-row block
+        monkeypatch.setattr(edgelist, "CANONICAL_CHECK_ROWS", 4)
+        small = edges[:23]
+        assert is_canonical(small)
+        for i in range(1, len(small)):
+            bad = small.copy()
+            bad[[i - 1, i]] = bad[[i, i - 1]]
+            assert not is_canonical(bad), i
+        loop = small.copy()
+        loop[-1, 1] = loop[-1, 0]          # self-loop in the last block
+        assert not is_canonical(loop)
 
 
 class TestRelabelAndIds:

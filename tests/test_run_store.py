@@ -8,7 +8,9 @@ replica sets derivable from the in-memory assignment array — for both
 kernels.  The property test drives that whole chain on random graphs.
 The stored metrics must equal the :mod:`repro.metrics.quality` calls
 exactly, and the keyset listings (served from the replica CSR) must
-equal the same from-edges oracle.
+equal the same from-edges oracle.  Runs are stored with narrow ids and
+offsets; a store whose blobs are int64, as earlier builds wrote them,
+must answer every read identically.
 """
 
 import json
@@ -24,19 +26,27 @@ from repro.core import DistributedNE
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_road_network, rmat_edges
 from repro.metrics import quality
+from repro.observability.metrics import NullMetricsRegistry
 from repro.partitioners import HDRFPartitioner
+from repro.partitioners.base import EdgePartition
 from repro.partitioners.hashing import DBHPartitioner as DBH
 from repro.serving import (
     ChecksumError,
     LookupRangeError,
     LookupService,
     RunStore,
+    ServingAPI,
     StoreError,
     import_results,
     vertex_replica_csr,
 )
 from repro.serving import store as store_module
-from repro.serving.store import ASSIGNMENT_KINDS, MIGRATIONS, SCHEMA_VERSION
+from repro.serving.store import (
+    ASSIGNMENT_KINDS,
+    MIGRATIONS,
+    SCHEMA_VERSION,
+    _stored_dtypes,
+)
 
 
 def _store(tmp_path) -> RunStore:
@@ -180,6 +190,143 @@ def test_zero_edge_partition_round_trips(tmp_path):
         assert counts.tolist() == [0] * 5 and flat.size == 0
         assert lookup.boundary_page(run_id) == ([], None)
         assert lookup.replica_page(run_id, 3) == ([], None)
+
+
+# ----------------------------------------------------------------------
+# stored widths: narrow ids and offsets, and int64 stores still served
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("num_partitions, num_slots, ids, offsets", [
+    (1, 0, np.int8, np.int32),
+    (128, 2**31 - 1, np.int8, np.int32),
+    (129, 2**31, np.int16, np.int64),
+    (32768, 0, np.int16, np.int32),
+    (32769, 2**31, np.int32, np.int64),
+])
+def test_stored_dtypes_are_the_narrowest_signed_widths(
+        num_partitions, num_slots, ids, offsets):
+    """int8 holds ids up to 127, int16 up to 32767; offsets stay int32
+    through 2**31 - 1.  Signed only: unsigned offsets turn
+    ``adjacency_slots``'s sums uint64, which meet int64 ids as float64
+    and cannot index."""
+    got = _stored_dtypes(num_partitions, num_slots)
+    assert got == (np.dtype(ids), np.dtype(offsets))
+    assert all(dt.kind == "i" for dt in got)
+
+
+def _int64_store(monkeypatch, path, result) -> int:
+    """The run as an earlier build stored it: all three blobs int64."""
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "_stored_dtypes",
+                      lambda *_: (np.dtype(np.int64), np.dtype(np.int64)))
+        with RunStore(path) as store:
+            return store.add_run(result)
+
+
+@pytest.mark.parametrize("parts, ids", [(6, "|i1"), (128, "|i1"),
+                                        (200, "<i2")])
+def test_narrow_store_answers_like_an_int64_store(tmp_path, monkeypatch,
+                                                  parts, ids):
+    """Every read — point, bulk (both kernels), edge, the two listings,
+    and the same routes through ``ServingAPI.handle`` — answers the same
+    from the narrow blobs as from int64 ones."""
+    result = _partition(parts=parts)
+    graph = result.graph
+    wide_id = _int64_store(monkeypatch, str(tmp_path / "wide.db"), result)
+    with RunStore(str(tmp_path / "wide.db")) as wide, \
+            RunStore(str(tmp_path / "narrow.db")) as narrow:
+        run = narrow.add_run(result)
+        assert run == wide_id
+        widths = {s: {r["kind"]: r["dtype"] for r in s._conn.execute(
+            "SELECT kind, dtype FROM assignments WHERE run_id = ?",
+            (run,))} for s in (wide, narrow)}
+        assert widths[wide] == dict.fromkeys(ASSIGNMENT_KINDS, "<i8")
+        assert widths[narrow] == {"edge_assignment": ids,
+                                  "replica_indptr": "<i4",
+                                  "replica_parts": ids}
+        for kind in ASSIGNMENT_KINDS:
+            assert np.array_equal(narrow.load_array(run, kind),
+                                  wide.load_array(run, kind))
+            assert narrow.mmap_array(run, kind).dtype == np.dtype(
+                widths[narrow][kind])
+
+        looks = [LookupService(s) for s in (wide, narrow)]
+        vertices = np.arange(graph.num_vertices, dtype=np.int64)
+        edge_ids = np.arange(graph.num_edges, dtype=np.int64)[::-1]
+        for kernel in ("vectorized", "python"):
+            (cw, fw), (cn, fn) = (
+                look.bulk_vertex_lookup(run, vertices, kernel=kernel)
+                for look in looks)
+            assert cn.dtype == fn.dtype == np.int64
+            assert np.array_equal(cw, cn) and np.array_equal(fw, fn)
+            ew, en = (look.bulk_edge_lookup(run, edge_ids, kernel=kernel)
+                      for look in looks)
+            assert en.dtype == np.int64 and np.array_equal(ew, en)
+            assert np.array_equal(en, result.assignment[edge_ids])
+        for v in range(graph.num_vertices):
+            assert looks[0].vertex_lookup(run, v) == \
+                looks[1].vertex_lookup(run, v)
+        assert [looks[1].edge_lookup(run, e) for e in range(
+            graph.num_edges)] == result.assignment.tolist()
+        pages = [(_walk_pages(lambda c: look.boundary_page(
+            run, cursor=c, limit=9)), [_walk_pages(
+                lambda c: look.replica_page(run, p, cursor=c, limit=9))
+                for p in {0, parts // 2, parts - 1}]) for look in looks]
+        assert pages[0] == pages[1]
+
+        apis = [ServingAPI(s, registry=NullMetricsRegistry())
+                for s in (wide, narrow)]
+        requests = [("GET", f"/api/runs/{run}/vertex/{v}", None, None)
+                    for v in (0, graph.num_vertices // 2,
+                              graph.num_vertices - 1)]
+        requests += [("GET", f"/api/runs/{run}/edge/{e}", None, None)
+                     for e in (0, graph.num_edges - 1)]
+        requests += [("POST", f"/api/runs/{run}/lookup", None,
+                      json.dumps({key: ids_, "kernel": kernel}).encode())
+                     for key, ids_ in (("vertices", vertices[::7].tolist()),
+                                       ("edges", edge_ids[::5].tolist()))
+                     for kernel in ("vectorized", "python")]
+        requests += [("GET", f"/api/runs/{run}/boundary",
+                      {"limit": "20", "cursor": "3"}, None)]
+        requests += [("GET", f"/api/runs/{run}/replicas",
+                      {"partition": str(p), "limit": "20"}, None)
+                     for p in (0, parts - 1)]
+        for method, path, query, body in requests:
+            got = [api.handle(method, path, query, body) for api in apis]
+            assert got[0] == got[1], path
+            assert got[1][0] == 200, (path, got[1])
+
+
+def test_narrow_blobs_write_one_byte_per_edge(tmp_path):
+    """At |P| <= 128 the assignment blob is one byte per edge and the
+    replica offsets four bytes per vertex."""
+    result = _partition(parts=8)
+    with _store(tmp_path) as store:
+        run_id = store.add_run(result)
+        sizes = {r["kind"]: r["size"] for r in store._conn.execute(
+            "SELECT kind, LENGTH(data) AS size FROM assignments "
+            "WHERE run_id = ?", (run_id,))}
+    indptr, parts = result.replicas
+    assert sizes == {"edge_assignment": result.graph.num_edges,
+                     "replica_indptr": 4 * len(indptr),
+                     "replica_parts": len(parts)}
+
+
+def test_out_of_range_ids_never_reach_add_run():
+    """The narrowing casts in ``add_run`` cannot wrap: an
+    ``EdgePartition`` refuses an id outside ``[0, |P|)`` when it is
+    built, and its assignment cannot be changed afterwards."""
+    graph = CSRGraph(rmat_edges(6, 4, seed=1))
+    good = np.zeros(graph.num_edges, dtype=np.int64)
+    for bad in (128, -1, 2**40):
+        assignment = good.copy()
+        assignment[3] = bad
+        with pytest.raises(ValueError, match="out-of-range"):
+            EdgePartition(graph, 128, assignment)
+    result = EdgePartition(graph, 128, good)
+    with pytest.raises(ValueError, match="read-only"):
+        result.assignment[3] = 128
+    with pytest.raises(AttributeError, match="read-only"):
+        result.assignment = good
 
 
 # ----------------------------------------------------------------------

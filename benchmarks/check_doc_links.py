@@ -12,7 +12,7 @@ design:
   CI badge links ``../../actions/...``, which is a GitHub URL path,
   not a checkout path.
 
-Anchors on relative links (``FILE.md#section``) are checked for the
+Anchors on relative links (``docs/API.md#section``) are checked for the
 file part only.
 
 ``README.md`` and ``docs/*.md`` are additionally checked for code
@@ -23,6 +23,13 @@ the docs use — and every ``path/test_x.py::Name`` (or
 ``::Class::method``) must also find a ``class``/``def`` of each name in
 that file.  Bare file names with no directory part are prose shorthand
 and are not checked.
+
+The other direction too: every ``*.md`` name a ``.py`` file under
+``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` cites must
+resolve — beside the citing file, from the checkout root or from
+``docs/`` — or be a report the repo writes rather than tracks
+(``_GENERATED_MD``).  Docstrings that cite a design note nobody wrote
+are how a reader gets sent nowhere.
 
 Stdlib-only so the lint job can run it without the scientific stack.
 Exit code 0 when everything resolves, 1 otherwise.
@@ -46,6 +53,13 @@ _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 _CODE_REF = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.py)((?:::\w+)*)`")
 #: where a documented path may be rooted
 _CODE_ROOTS = ("", "src", os.path.join("src", "repro"))
+
+#: a markdown file cited in program text: a bare name, a path, ``../``
+_MD_CITE = re.compile(r"(?<![\w./-])((?:\.\.?/)*\w[\w./-]*\.md)\b")
+#: the trees whose ``.py`` files may cite markdown
+_CITING_DIRS = ("src", "benchmarks", "examples", "tests")
+#: markdown the repo writes but does not track (cited by path or name)
+_GENERATED_MD = ("benchmarks/results/REPORT.md",)
 
 
 def _markdown_files(root: str) -> list[str]:
@@ -110,15 +124,40 @@ def check_code_refs(root: str) -> list[str]:
     return broken
 
 
+def check_md_citations(root: str) -> list[str]:
+    """``*.md`` names cited by a ``.py`` under ``_CITING_DIRS`` that
+    resolve nowhere: not beside the citing file, not from the checkout
+    root or ``docs/``, and not a ``_GENERATED_MD`` report."""
+    root = os.path.realpath(root)
+    generated = set(_GENERATED_MD)
+    generated.update(os.path.basename(path) for path in _GENERATED_MD)
+    broken: list[str] = []
+    for top in _CITING_DIRS:
+        for py in sorted(glob.glob(os.path.join(root, top, "**", "*.py"),
+                                   recursive=True)):
+            bases = (os.path.dirname(py), root, os.path.join(root, "docs"))
+            with open(py, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    for name in _MD_CITE.findall(line):
+                        if name in generated or any(
+                                os.path.isfile(os.path.join(base, name))
+                                for base in bases):
+                            continue
+                        broken.append(f"{os.path.relpath(py, root)}:"
+                                      f"{lineno}: {name} (no such file)")
+    return broken
+
+
 def main() -> int:
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir)
-    broken = check(root) + check_code_refs(root)
+    broken = check(root) + check_code_refs(root) + check_md_citations(root)
     for line in broken:
         print(f"BROKEN {line}")
     checked = len(_markdown_files(os.path.realpath(root)))
-    print(f"checked {checked} markdown files: "
-          f"{len(broken)} broken link(s) or code reference(s)")
+    print(f"checked {checked} markdown files and the .py files under "
+          f"{', '.join(_CITING_DIRS)}: {len(broken)} broken link(s), "
+          f"code reference(s) or markdown citation(s)")
     return 1 if broken else 0
 
 

@@ -15,7 +15,7 @@ Conventions:
   ``check_results_drift.drift`` pins has moved — wall-clock churn
   alone leaves the tree clean.
 
-Scale: dataset stand-ins are 10^4–10^5 edges (see DESIGN.md §2);
+Scale: dataset stand-ins are 10^4–10^5 edges (``graph/datasets.py``);
 partition counts are trimmed to keep the full suite within a few
 minutes.
 """

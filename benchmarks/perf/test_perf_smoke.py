@@ -152,8 +152,8 @@ def test_dne_p256_end_to_end_at_least_2x():
 
 @pytest.mark.parametrize("scale, partitions, ceiling", [
     pytest.param(13, 8, 150, id="rmat13_p8"),
-    pytest.param(11, 256, 1600, id="rmat11_p256"),
-    pytest.param(13, 256, 700, id="rmat13_p256")])
+    pytest.param(11, 256, 720, id="rmat11_p256"),
+    pytest.param(13, 256, 330, id="rmat13_p256")])
 def test_dne_traced_peak_bytes_per_edge_under_ceiling(scale, partitions,
                                                       ceiling):
     """Memory ceiling of one vectorized ``DistributedNE.partition``:
@@ -166,7 +166,9 @@ def test_dne_traced_peak_bytes_per_edge_under_ceiling(scale, partitions,
     and a presence-first ingest, 117 / 2294.  At |P| = 256 one sweep
     held every machine's sync mail at once (2294, and 994 at RMAT 13);
     with sweeps cut into machine groups under the plane's row budget,
-    1273 / 468."""
+    1273 / 468 (RMAT 11 / 13); with mail held as int32, once (merged
+    batches dropped, one-hop's allocation temporaries freed before its
+    fan-out) and a budget of 2**15 rows, 660 / 299."""
     warm = CSRGraph(rmat_edges(6, 4, seed=0))   # imports, lazy caches
     DistributedNE(partitions, seed=0).partition(warm)
     graph = CSRGraph(rmat_edges(scale, 8, seed=0))

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md §5 calls out.
+"""Ablation benches for design choices the paper argues for.
 
 Not in the paper's evaluation, but each isolates one design decision
 the paper argues for in prose:

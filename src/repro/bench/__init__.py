@@ -3,7 +3,7 @@
 * :mod:`repro.bench.harness` — uniform method runner, memory model,
   table/series formatting.
 * :mod:`repro.bench.experiments` — one driver per paper figure/table
-  (see DESIGN.md §4 for the experiment index).
+  (the index is ``repro experiment``'s table, ``cli._EXPERIMENTS``).
 * :mod:`repro.bench.perf` — kernel microbenchmarks (vectorized vs
   reference) behind ``repro bench perf`` / ``BENCH_kernels.json``.
 """

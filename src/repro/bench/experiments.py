@@ -1,7 +1,7 @@
 """Per-figure / per-table experiment drivers.
 
-One function per experiment in the paper's evaluation (see DESIGN.md §4
-for the index).  Each driver returns structured rows *and* can render a
+One function per experiment in the paper's evaluation (the index is
+``repro experiment``'s table, ``cli._EXPERIMENTS``).  Each driver returns structured rows *and* can render a
 paper-style table via the harness formatters; the ``benchmarks/``
 pytest-benchmark suite calls these with scaled-down parameters, and the
 examples call them interactively.
@@ -395,7 +395,7 @@ def table6_road_networks(datasets=("roadnet-ca", "roadnet-pa", "roadnet-tx"),
 
 
 # ---------------------------------------------------------------------------
-# Ablations (DESIGN.md §5)
+# Ablations (benchmarks/test_ablations.py)
 # ---------------------------------------------------------------------------
 
 def ablation_two_hop(graph: CSRGraph, num_partitions: int = 16,

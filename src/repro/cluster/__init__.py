@@ -1,8 +1,8 @@
 """Simulated distributed runtime.
 
 The paper runs on up to 256 MPI machines; this package provides the
-substitute substrate (see DESIGN.md §2): a deterministic, single-host
-message-passing simulator.  Algorithms written against it look like
+substitute substrate (``docs/ARCHITECTURE.md``, "Layers"): a
+deterministic, single-host message-passing simulator.  Algorithms written against it look like
 their MPI counterparts — ``(role, slot)`` processes exchange tagged
 row arrays and synchronise on barriers — and the runtime *accounts* for everything the
 paper's evaluation measures: bytes moved, message counts, barrier

@@ -5,9 +5,11 @@ across processes, normalised by edge count — and §5/§7 argue about
 barrier counts and communication volume.  This module provides the
 measurement model:
 
-* message bytes are the rows' buffer size: a
+* message bytes follow a declared wire format, not the buffer: a
   :class:`~repro.cluster.runtime.SegmentBatch` prices each segment at
-  the bytes of its row slice, free between processes on one machine.
+  ``WIRE_ID_BYTES`` (8: the 64-bit id a 10¹² edge graph needs) per
+  row field — rows × arity × 8 — however narrow it is held (sweeps
+  hold int32), free between processes on one machine.
 * :class:`ProcessStats` accumulates per-process traffic and tracks the
   peak of registered memory.
 * :class:`ClusterStats` aggregates across processes and produces the

@@ -31,8 +31,14 @@ the fused plane hands a whole emission sweep over as a single value;
 a reference-kernel step sends one sweep per tag, a segment per
 destination.  Either way:
 
-* rows are one ``(k, 2)`` or ``(k,)`` int64 array, and a segment is
-  never empty;
+* rows are one ``(k, 2)`` or ``(k,)`` int32 array, offsets and slots
+  int32 too, and a segment is never empty; a row value past int32
+  raises where the rows enter (:meth:`SegmentBatch.from_runs`,
+  :meth:`Process.send`) instead of wrapping;
+* pricing follows the declared wire format, not the bytes held: every
+  row field is one ``WIRE_ID_BYTES`` (8-byte, 64-bit) id on the wire
+  — the width a 10¹² edge graph needs — so a segment costs its rows
+  × arity × 8 whatever dtype it is held in;
 * pricing is one integer pass over the offsets: one message per
   segment, wire bytes zero iff the machine slots match, plus one
   ``send_batches`` / ``receive_batches`` tick per segment (pinned by
@@ -83,7 +89,38 @@ from repro.cluster.accounting import ClusterStats
 from repro.graph.csr import sorted_unique
 
 __all__ = ["Process", "SegmentBatch", "SegmentQueue", "SimulatedCluster",
-           "restore_attr"]
+           "WIRE_ID_BYTES", "restore_attr"]
+
+#: the declared wire format: every row field travels as one 64-bit id
+#: (what a 10**12 edge graph needs), however narrow the rows are held
+WIRE_ID_BYTES = 8
+
+#: rows, offsets and slots are held as int32: a value past this raises
+_ROW_BOUND = 2 ** 31
+
+
+def _rows32(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as int32 — itself when it already is; otherwise a
+    checked copy that raises ``ValueError`` on a value int32 cannot
+    hold, never a silent wrap."""
+    if rows.dtype == np.int32:
+        return rows
+    if len(rows) and (int(rows.max()) >= _ROW_BOUND
+                      or int(rows.min()) < -_ROW_BOUND):
+        raise ValueError(f"message rows run past the int32 bound 2**31 - 1 "
+                         f"(max {int(rows.max())}, min {int(rows.min())})")
+    return rows.astype(np.int32)
+
+
+def _offsets32(lengths) -> np.ndarray:
+    """int32 segment offsets ``[0, cumsum(lengths)]``; raises when a
+    sweep's rows pass the int32 bound."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    if offsets[-1] >= _ROW_BOUND:
+        raise ValueError(f"a sweep of {int(offsets[-1])} rows passes the "
+                         f"int32 bound 2**31 - 1")
+    return offsets.astype(np.int32)
 
 
 def restore_attr(obj, name: str, value) -> None:
@@ -132,7 +169,10 @@ class SegmentBatch:
     Segment ``i`` is the payload ``rows[offsets[i]:offsets[i + 1]]``
     sent by process ``(src_role, src_slots[i])`` to process
     ``(dst_role, dst_slots[i])``.  ``rows`` is one ``(k, 2)`` or
-    ``(k,)`` int64 array for the whole sweep; segments are never empty
+    ``(k,)`` int32 array for the whole sweep (offsets and slots are
+    int32 too; :meth:`from_runs` and :meth:`Process.send` check the
+    bound, and the price is the declared wire format's, not the held
+    bytes'); segments are never empty
     and every ``(src, dst)`` pair appears at most once, so a segment is
     exactly one message and the order of the segments is the order
     sequential per-process steps would have sent them in; ``offsets``
@@ -154,20 +194,25 @@ class SegmentBatch:
         """Batch whose segments are the maximal runs of equal
         ``(src[i], dst[i])`` over the (non-empty) per-row slot arrays —
         the form a kernel holds right after its stable
-        ``(source, destination)`` sort."""
+        ``(source, destination)`` sort.  int32 rows are taken as they
+        are; wider ones are checked against the int32 bound and
+        narrowed (``ValueError`` past it)."""
+        rows = _rows32(rows)
+        if len(rows) >= _ROW_BOUND:
+            raise ValueError(f"a sweep of {len(rows)} rows passes the "
+                             f"int32 bound 2**31 - 1")
         starts = np.flatnonzero(np.concatenate(
             ([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))))
-        return cls(rows, np.append(starts, len(rows)), src_role,
-                   src[starts], dst_role, dst[starts])
+        return cls(rows, np.append(starts, len(rows)).astype(np.int32),
+                   src_role, src[starts].astype(np.int32), dst_role,
+                   dst[starts].astype(np.int32))
 
     @staticmethod
     def merge(batches: list) -> "SegmentBatch":
         """Concatenate same-role batches, segments in list order."""
         if len(batches) == 1:
             return batches[0]
-        offsets = np.zeros(sum(len(b) for b in batches) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([b.lengths for b in batches]),
-                  out=offsets[1:])
+        offsets = _offsets32(np.concatenate([b.lengths for b in batches]))
         first = batches[0]
         return SegmentBatch(
             np.concatenate([b.rows for b in batches]), offsets,
@@ -184,19 +229,20 @@ class SegmentBatch:
 
     @property
     def nbytes(self) -> np.ndarray:
-        """Payload bytes per segment (what ``ndarray.nbytes`` reports
-        for each segment's row slice)."""
-        return self.lengths * self.rows[:1].nbytes
+        """Wire bytes per segment under the declared wire format: rows
+        × fields per row × ``WIRE_ID_BYTES`` (int64 — the held dtype
+        does not enter)."""
+        arity = self.rows.shape[1] if self.rows.ndim > 1 else 1
+        return self.lengths.astype(np.int64) * (WIRE_ID_BYTES * arity)
 
     def select(self, index: np.ndarray) -> "SegmentBatch":
         """The sub-batch of segments ``index`` (an integer index array;
         its order becomes the segment order) — one row gather, no
         per-segment objects."""
         lengths = self.lengths[index]
-        offsets = np.zeros(len(index) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        offsets = _offsets32(lengths)
         gather = (np.repeat(self.offsets[index] - offsets[:-1], lengths)
-                  + np.arange(offsets[-1], dtype=np.int64))
+                  + np.arange(offsets[-1], dtype=offsets.dtype))
         return SegmentBatch(self.rows[gather], offsets, self.src_role,
                             self.src_slots[index], self.dst_role,
                             self.dst_slots[index])
@@ -414,8 +460,9 @@ class Process:
 
         ``messages`` is a list of ``(dst_slot, rows)`` pairs in send
         order, no slot twice; each ``rows`` is a non-empty list of ints
-        or of int pairs (or an int64 array of that shape), one message
-        each.  An empty list sends nothing.
+        or of int pairs (or an int array of that shape), one message
+        each.  An empty list sends nothing.  The sweep holds its rows
+        as int32: a value int32 cannot hold raises ``ValueError``.
         """
         if not messages:
             return
@@ -431,12 +478,11 @@ class Process:
         if rows.shape[1:] not in ((), (2,)):
             raise ValueError(f"message rows must be (k,) or (k, 2), "
                              f"got shape {rows.shape}")
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
         src_role, src = self.pid
         self.send_segments(tag, SegmentBatch(
-            rows, offsets, src_role, np.full(len(slots), src, dtype=np.int64),
-            dst_role, np.array(slots, dtype=np.int64)))
+            _rows32(rows), _offsets32(lengths), src_role,
+            np.full(len(slots), src, dtype=np.int32), dst_role,
+            np.array(slots, dtype=np.int32)))
 
     def send_segments(self, tag: str, batch: SegmentBatch) -> None:
         """Hand a whole emission sweep to the segment plane.

@@ -53,7 +53,7 @@ allocation plane:
   equivalence tests.
 
 Both kernels produce identical selections, identical message payloads
-(the same ``(k, 2)`` int64 rows, ``16k`` bytes on the wire), and
+(the same ``(k, 2)`` int32 rows, priced ``16k`` bytes on the wire), and
 identical boundary/memory accounting — pinned by
 ``tests/test_kernel_equivalence.py``.
 """
@@ -458,5 +458,5 @@ class ExpansionProcess(Process):
     # ------------------------------------------------------------------
     def collected_edge_ids(self) -> np.ndarray:
         if not self.edge_ids:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32)
         return np.concatenate(self.edge_ids)

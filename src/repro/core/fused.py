@@ -54,11 +54,24 @@ The mechanisms:
   allocator's int32 local CSR (adjacency edge ids and neighbours, edge
   endpoints) into fused int32 arrays with machine offsets added, and
   the allocator drops its own — one plane per process, and the memory
-  model was reported at construction.  Fused edge, vertex and global
-  edge ids must be below 2³¹: adoption past that raises ``ValueError``
-  (there is no int64 path), and every ``(id, partition)`` key is
-  widened to int64 before it is multiplied (:func:`_pair_keys`).  The
-  first-occurrence scratch buffers are int32 too.
+  model was reported at construction.  Fused edge and vertex ids, global
+  edge ids and global vertex ids must be below 2³¹: adoption past that
+  raises ``ValueError`` before anything is adopted (there is no int64
+  path), and every ``(id, partition)`` key is widened to int64 before it
+  is multiplied (:func:`_pair_keys`).  The first-occurrence scratch
+  buffers are int32 too.
+* **int32 mail, held once.**  Every sweep the plane emits or parks is
+  int32 — rows, offsets, slots — built int32 where its rows are made
+  (no cast-after copy): the global ids the rows carry are bounded at
+  adoption, and the cluster prices a segment by the declared wire
+  format (8 bytes per row field), not by the held width, so the
+  width moves no counter.  Products that can pass 2³¹ widen
+  first (``_pair_keys``; the update fold's ``slot * G`` row key and its
+  edge report's slot-pair sort key).  A phase holds its mail once: the
+  taken batches are dropped as soon as they are merged, two-hop's
+  ingest frees the merged mail once its present rows are gathered, and
+  one-hop's allocation pass (:meth:`FusedDnePlane._allocate_one_hop`)
+  returns before the sync fan-out, its temporaries freed.
 * **One boundary store.**  The plane makes the one
   :class:`~repro.core.expansion.BoundaryStore` and sets each expander's
   ``boundary`` to a segment of it (as ``alloc`` is a slice; a process
@@ -94,13 +107,14 @@ The mechanisms:
   the vertex, only those rows are gathered, and only pairs whose bit
   is not yet set are deduplicated (:meth:`FusedDnePlane._ingest`).
 * **Bounded sweeps.**  What one call holds at once is capped by the
-  module constant ``_SWEEP_ROWS`` (not a knob), so the transient stops
-  growing with |P|.  Two-hop cuts the call's machines, ascending, into
-  contiguous groups whose queued ingest rows (parked one-hop rows plus
-  delivered sync rows, read off the queues before anything is taken)
-  fit the budget, and runs once per group; one-hop allocates in one
-  pass and fans its new boundary rows out in machine-contiguous ranges
-  whose rows × placement fan-out fit it, one sweep per range.  A
+  module constant ``_SWEEP_ROWS`` (2¹⁵ rows, not a knob), so the
+  transient stops growing with |P|.  Two-hop cuts the call's machines,
+  ascending, into contiguous groups whose queued ingest rows (parked
+  one-hop rows plus delivered sync rows, read off the queues before
+  anything is taken) fit the budget, and runs once per group; one-hop
+  allocates in one pass and fans its new boundary rows out in
+  machine-contiguous ranges whose rows × placement fan-out fit it, one
+  sweep per range.  A
   machine is never split (one over budget is a group of its own), so
   every (source, destination) message is unchanged; the groups are
   exact because loads are per (machine, partition), each edge has one
@@ -130,7 +144,8 @@ The plane serves ``select_and_multicast``, ``one_hop_and_sync``,
 stays per-process (no mail, one comparison).  It reads segment mail
 only, so whoever feeds it — a scheduler's previous phase or a test
 harness — delivers a ``SegmentBatch``.  Vectorized kernel only — the
-reference kernel keeps its per-process steps and per-message sends.
+reference kernel keeps its per-process steps, one ``send`` sweep per
+step and tag.
 
 Invariants pinned by the tests — where to look when a change here
 breaks CI:
@@ -154,7 +169,8 @@ breaks CI:
   ``tests/test_faults.py``);
 * a ``SegmentBatch`` delivery equals one ``send`` per segment on
   every counter and on mailbox order, and the number of mailbox
-  entries per superstep and machine group does not depend on |P|:
+  entries per superstep and machine group does not depend on |P|; an
+  int32 sweep prices like its int64 twin, and a row past int32 raises:
   ``tests/test_cluster_batched.py``;
 * bounded sweeps — a run cut into many machine groups by a small
   budget == the one-group run == the python reference on every
@@ -165,9 +181,11 @@ breaks CI:
 * one 32-bit copy — fused arrays int32, no allocator copy, the 2³¹
   bound, widened keys:
   ``TestFusedDispatchEquivalence::test_scheduler_plane_adopts_the_local_csr_as_int32``
-  and the two tests after it, an AST guard against ``astype(np.int64)``
-  in the constructor (``tests/test_source_guards.py``), and a
-  ``tracemalloc`` ceiling per edge:
+  and the four tests after it (the global vertex bound and the update
+  kernel's widened products among them), an AST guard against
+  ``astype(np.int64)`` in the constructor
+  (``tests/test_source_guards.py``), and a ``tracemalloc`` ceiling per
+  edge:
   ``benchmarks/perf/test_perf_smoke.py::test_dne_traced_peak_bytes_per_edge_under_ceiling``;
 * the ``dne_p256`` end-to-end speedup floor:
   ``benchmarks/perf/test_perf_smoke.py::test_dne_p256_end_to_end_at_least_2x``
@@ -196,7 +214,7 @@ _FUSED_ID_BOUND = 2 ** 31
 #: rows one sweep may hold at once: two-hop ingests, and one-hop fans
 #: out, machine group by machine group under this budget (a machine
 #: over it is a group of its own); a call under it is one group
-_SWEEP_ROWS = 1 << 16
+_SWEEP_ROWS = 1 << 15
 
 
 def _budget_groups(sizes, budget: int) -> list:
@@ -452,6 +470,11 @@ class FusedDnePlane:
         soff = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(ns, out=soff[1:])
         g = self._g
+        # Message rows carry global vertex ids (sync, select, boundary)
+        # and global edge ids (edges) as int32: bound both before
+        # anything is adopted.
+        _check_fused_bound(g, "global vertex")
+        _check_fused_bound(len(allocs[0].edges), "global edge")
         #: machine-major presence keys: mi * G + vertex, sorted unique
         self._vkeys = np.concatenate(
             [i * g + a.local_vertices for i, a in enumerate(allocs)])
@@ -465,7 +488,6 @@ class FusedDnePlane:
         self._ldst = _adopt_int32(allocs, "_ldst", self._voff, "vertex")
         for a in allocs:
             a._adj_ptr = None
-        _check_fused_bound(len(allocs[0].edges), "global edge")
         #: fused local edge id -> global edge id (the allocators keep
         #: theirs: views of the home-grouped id array of
         #: ``DneWorkerProgram.arrays``)
@@ -598,7 +620,11 @@ class FusedDnePlane:
                 (src_idx, np.array(seeders, dtype=np.int64)))
         if not len(selected):
             return values
-        rows = np.column_stack((selected, parts[src_idx]))
+        # int32 (vertex, partition) rows: vertex ids are bounded below
+        # 2**31 where the plane adopts the graph.
+        rows = np.empty((len(selected), 2), dtype=np.int32)
+        rows[:, 0] = selected
+        rows[:, 1] = parts[src_idx]
         vidx, dsts = self._placement.replica_hits(selected)
         hit_src = src_idx[vidx]
         ops = np.bincount(hit_src, minlength=len(live)).tolist()
@@ -621,16 +647,40 @@ class FusedDnePlane:
     def _run_one_hop(self, pids) -> dict:
         mis = sorted(self._mindex[pid[1]] for pid in pids)
         out = {("alloc", int(self._machines[mi])): None for mi in mis}
-        g, width, m = self._g, self._width, self._m
         # Cluster and outbox state come from a process of THIS call's
         # subset: thread-pool chunks arm outboxes per chunk, workers
         # own a private cluster.
         carrier = self._alloc_procs[mis[0]]
+        bp_rows, nt_mi = self._allocate_one_hop(carrier, mis)
+        if len(bp_rows):
+            # The rows are machine-major: fan out machine-contiguous
+            # ranges of them whose rows × fan-out fit the sweep budget.
+            starts = np.searchsorted(nt_mi, np.arange(self._m + 1)).tolist()
+            fanout = self._placement.replica_count(0)
+            for lo, hi in _budget_groups(
+                    [(b - a) * fanout for a, b in zip(starts, starts[1:])],
+                    _SWEEP_ROWS):
+                a, b = starts[lo], starts[hi]
+                if b > a:
+                    self._send_sync(carrier, bp_rows[a:b], nt_mi[a:b])
+        return out
+
+    def _allocate_one_hop(self, carrier, mis: list):
+        """One-hop's allocation pass over the sorted machine idx
+        ``mis``: take their ``select`` mail, allocate, park the edge
+        events and the new boundary rows.  Returns those rows — int32
+        ``(vertex, partition)``, machine-major — and their machine idx,
+        what the sync fan-out sends.  A method of its own, so the
+        select mail and the per-slot temporaries are freed before the
+        fan-out."""
+        g, width, m = self._g, self._width, self._m
+        nothing = np.empty((0, 2), dtype=np.int32), np.empty(0, np.int64)
         mail = carrier.cluster.take_segments(
             "alloc", TAG_SELECT, self._machines[mis].tolist())
         if not mail:
-            return out
+            return nothing
         select = SegmentBatch.merge(mail)
+        del mail
         arr = select.rows
         m_row = np.repeat(self._mi_of_slot[select.dst_slots], select.lengths)
         if int(arr[:, 1].max()) >= width:
@@ -641,12 +691,13 @@ class FusedDnePlane:
         # sorted, which is each machine's (p, v)-lexicographic
         # reference walk order.
         keys = sorted_unique((m_row * width + arr[:, 1]) * g + arr[:, 0])
+        del select, arr, m_row
         mp = keys // g
         mi_r = mp // width
         p_r = mp % width
         pos, present = self._locate(mi_r * g + keys % g)
         if not present.any():
-            return out
+            return nothing
         lv = pos[present]
         mi_r, p_r = mi_r[present], p_r[present]
 
@@ -691,22 +742,16 @@ class FusedDnePlane:
             # The TAG_EDGES events, already machine-major in walk order
             # (partition groups ascending), as (partition, global edge
             # id) rows.
-            self._park(self._pending_edges,
-                       np.column_stack((p_ev, self._eids[new_les])), mi_ev)
+            ev_rows = np.empty((len(new_les), 2), dtype=np.int32)
+            ev_rows[:, 0] = p_ev
+            ev_rows[:, 1] = self._eids[new_les]
+            self._park(self._pending_edges, ev_rows, mi_ev)
+        bp_rows = np.empty((len(nt), 2), dtype=np.int32)
         if len(nt):
-            bp_rows = np.column_stack((self._vkeys[nt] % g, nt_p))
+            bp_rows[:, 0] = self._vkeys[nt] % g
+            bp_rows[:, 1] = nt_p
             self._park(self._pending_bp, bp_rows, nt_mi)
-            # The rows are machine-major: fan out machine-contiguous
-            # ranges of them whose rows × fan-out fit the sweep budget.
-            starts = np.searchsorted(nt_mi, np.arange(m + 1)).tolist()
-            fanout = self._placement.replica_count(0)
-            for lo, hi in _budget_groups(
-                    [(b - a) * fanout for a, b in zip(starts, starts[1:])],
-                    _SWEEP_ROWS):
-                a, b = starts[lo], starts[hi]
-                if b > a:
-                    self._send_sync(carrier, bp_rows[a:b], nt_mi[a:b])
-        return out
+        return bp_rows, nt_mi
 
     def _send_sync(self, carrier, bp_rows: np.ndarray,
                    mi_rows: np.ndarray) -> None:
@@ -770,14 +815,11 @@ class FusedDnePlane:
         procs = self._alloc_procs
         carrier = procs[mis[0]]       # this group's cluster + outbox
         slots = self._machines[mis].tolist()
-        own = self._pending_bp.take(slots)
-        merged_rows, merged_lv, merged_m, bits = self._ingest(
-            own + carrier.cluster.take_segments("alloc", TAG_SYNC, slots),
-            sum(len(b) for b in own))
+        merged_rows, merged_lv, merged_m, bits = self._ingest(carrier, slots)
 
         # Two-hop allocation over the merged batch (Condition 5).
-        cand_mi = np.empty(0, dtype=np.int64)
-        cand_tgt = cand_geids = cand_mi
+        cand_mi = cand_tgt = np.empty(0, dtype=np.int64)
+        cand_geids = np.empty(0, dtype=np.int32)
         two_hop = self._alloc_procs[0].two_hop if m else False
         ops2 = np.zeros(m, dtype=np.int64)
         if two_hop and len(merged_rows):
@@ -818,7 +860,7 @@ class FusedDnePlane:
                         alloc_f[cand_les] = tgt.astype(alloc_f.dtype)
                         self._book_allocated(cand_les, cand_mi, mis)
                         cand_tgt = tgt
-                        cand_geids = self._eids[cand_les].astype(np.int64)
+                        cand_geids = self._eids[cand_les]
         # Drest report, one sweep for all machines.  The unique
         # (machine, vertex, partition) keys come out sorted, so after
         # the stable (machine, partition) regroup each segment keeps
@@ -838,7 +880,7 @@ class FusedDnePlane:
             if len(keep):
                 keep = keep[np.argsort(
                     u_mi[keep] * width + ukeys[keep] % width, kind="stable")]
-                rows_out = np.empty((len(keep), 2), dtype=np.int64)
+                rows_out = np.empty((len(keep), 2), dtype=np.int32)
                 rows_out[:, 0] = u_v[keep]
                 rows_out[:, 1] = drest[keep]
                 carrier.send_segments(TAG_BOUNDARY, SegmentBatch.from_runs(
@@ -851,6 +893,7 @@ class FusedDnePlane:
         parked = self._pending_edges.take(slots)
         if parked:
             oh = SegmentBatch.merge(parked)
+            del parked
             ev_mi = np.concatenate((
                 np.repeat(self._mi_of_slot[oh.dst_slots], oh.lengths),
                 cand_mi))
@@ -882,13 +925,13 @@ class FusedDnePlane:
         pos = np.searchsorted(self._vkeys, vk)
         return pos, self._vkeys[np.minimum(pos, len(self._vkeys) - 1)] == vk
 
-    def _ingest(self, parts: list, nforced: int):
-        """Merge one two-hop machine group's boundary rows into replica
-        state.
+    def _ingest(self, carrier, slots: list):
+        """Take one two-hop machine group's boundary rows — the parked
+        one-hop batches of machine ``slots`` (each machine's own new
+        boundary pairs, merged unconditionally) then their sync mail —
+        and merge them into replica state.
 
-        ``parts`` are the parked one-hop batches (``nforced`` segments:
-        each machine's own new boundary pairs) then the sync mail.
-        Returns the merged ``(vertex, partition)`` rows in every
+        Returns the merged int32 ``(vertex, partition)`` rows in every
         mailbox's reference walk order, their fused local vertex ids and
         machine idx, and the replica bits set per machine.
 
@@ -899,14 +942,21 @@ class FusedDnePlane:
         sync row repeating a known pair merges nothing — so only pairs
         whose bit is not yet set are deduplicated (first occurrence in
         walk order) and set.  A method of its own, so its per-row
-        temporaries are freed before the allocation pass.
+        temporaries are freed before the allocation pass; the mail is
+        held once (merged, the taken batches dropped) and freed once
+        its present rows are gathered.
         """
         m, width = self._m, self._width
-        empty = np.empty(0, dtype=np.int64)
+        own = self._pending_bp.take(slots)
+        nforced = sum(len(b) for b in own)
+        parts = own + carrier.cluster.take_segments("alloc", TAG_SYNC, slots)
+        del own
         if not parts:
-            return np.empty((0, 2), dtype=np.int64), empty, empty, \
+            empty = np.empty(0, dtype=np.int64)
+            return np.empty((0, 2), dtype=np.int32), empty, empty, \
                 np.zeros(m, dtype=np.int64)
         mail = SegmentBatch.merge(parts)
+        del parts
         # Every mailbox's reference walk order: machine ascending; per
         # machine its own one-hop rows first (merged unconditionally),
         # then sync mail by ascending source — independent of the order
@@ -926,6 +976,7 @@ class FusedDnePlane:
         merged = np.repeat(order < nforced, lengths)[keep]
         idx, lv, m_row = idx[keep], lv[keep], m_row[keep]
         rows = mail.rows[idx]
+        del mail, idx
         ps = rows[:, 1]
         if len(ps) and int(ps.max()) >= width:
             raise ValueError(
@@ -953,8 +1004,11 @@ class FusedDnePlane:
             # each partition's slice inserts in ascending vertex order
             # (the reference's sorted-dict iteration).
             report = SegmentBatch.merge(mail)
+            del mail
             g = int(report.rows[:, 0].max()) + 1
-            row_keys = (np.repeat(report.dst_slots, report.lengths) * g
+            # int64 before the product: slot × g passes 2**31.
+            row_keys = (np.repeat(report.dst_slots.astype(np.int64),
+                                  report.lengths) * g
                         + report.rows[:, 0])
             keys = sorted_unique(row_keys)
             sums = np.zeros(len(keys), dtype=np.int64)
@@ -966,8 +1020,11 @@ class FusedDnePlane:
             # Mailbox order (destination, then ascending source) makes
             # a partition's edge ids one contiguous row range.
             report = SegmentBatch.merge(mail)
+            del mail
+            # int64 before the product: slot × slot passes 2**31.
             report = report.select(np.argsort(
-                report.dst_slots * (int(report.src_slots.max()) + 1)
+                report.dst_slots.astype(np.int64)
+                * (int(report.src_slots.max()) + 1)
                 + report.src_slots, kind="stable"))
             bounds = report.offsets.tolist()
             for p, a, b in _runs(report.dst_slots):

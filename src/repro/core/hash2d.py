@@ -101,16 +101,18 @@ class Hash2DPlacement:
         ``np.nonzero(replica_membership(vs))`` — vertex-major, processes
         ascending — without the ``k × |P|`` matrix.  A vertex's ``rows +
         cols - 1`` candidates depend only on its grid cell: one gather
-        from a per-cell table."""
+        from a per-cell table.  Both arrays are int32, like the
+        message rows they index and address."""
         table = getattr(self, "_hit_table", None)
         if table is None:
             cell = np.arange(self.num_processes, dtype=np.int64)
             row, col = cell // self.cols, cell % self.cols
             table = self._hit_table = np.nonzero(
-                (row[:, None] == row) | (col[:, None] == col))[1].reshape(
-                    self.num_processes, self.rows + self.cols - 1)
+                (row[:, None] == row) | (col[:, None] == col))[1].astype(
+                    np.int32).reshape(self.num_processes,
+                                      self.rows + self.cols - 1)
         r, c = self._grid_cells(vs)
-        return (np.repeat(np.arange(len(vs)), table.shape[1]),
+        return (np.repeat(np.arange(len(vs), dtype=np.int32), table.shape[1]),
                 table[r * self.cols + c].ravel())
 
 
@@ -143,6 +145,8 @@ class Hash1DPlacement:
         return np.ones((len(vs), self.num_processes), dtype=bool)
 
     def replica_hits(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every (vertex, process) pair — the 2D placement's contract."""
-        vidx, procs = np.indices((len(vs), self.num_processes))
+        """Every (vertex, process) pair — the 2D placement's contract
+        (int32, as there)."""
+        vidx, procs = np.indices((len(vs), self.num_processes),
+                                 dtype=np.int32)
         return vidx.ravel(), procs.ravel()

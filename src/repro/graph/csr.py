@@ -100,9 +100,12 @@ def adjacency_slots(indptr: np.ndarray, rows: np.ndarray
     adjacency arrays in (row, slot) order, ``counts`` is the per-row
     slice length.  Shared by every vectorized kernel that gathers whole
     adjacency slices (one-hop/two-hop allocation, NE expansion), so the
-    arithmetic lives in exactly one place.
+    arithmetic lives in exactly one place.  The gathered starts are
+    widened to int64 once, so an int32 ``indptr`` (a narrow store's
+    offsets, a sweep's segment offsets) costs no mixed-width
+    arithmetic below; both outputs are int64 for any ``indptr``.
     """
-    starts = indptr[rows]
+    starts = indptr[rows].astype(np.int64, copy=False)
     counts = indptr[rows + 1] - starts
     bases = np.cumsum(counts) - counts
     slot_idx = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(

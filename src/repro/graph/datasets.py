@@ -16,9 +16,9 @@ partitioning quality depends on:
   Twitter < Friendster < WebUK);
 * road networks use the perturbed-grid generator.
 
-The substitution is documented in DESIGN.md §2.  Every stand-in is a
-:class:`DatasetSpec` so benchmarks can iterate the registry; all are
-deterministic given the registry seed.
+Every stand-in is a :class:`DatasetSpec` so benchmarks can iterate the
+registry (``python -m repro list`` prints it); all are deterministic
+given the registry seed.
 """
 
 from __future__ import annotations

@@ -79,14 +79,14 @@ class TestSimulatedCluster:
         assert cluster.pids == []
 
     def test_message_readable_at_send(self):
-        """A message lands in the mailbox when it is sent; the barrier
-        only counts."""
+        """A message lands in the mailbox when it is sent, its rows held
+        as int32; the barrier only counts."""
         cluster, a, b = self._pair()
         a.send("alloc", "t", [(1, [42])])
         assert cluster.mail_slots("alloc", "t") == {1}
         [(src, payload)] = b.receive("t")
         assert src == a.pid and payload.tolist() == [42]
-        assert payload.dtype == np.int64
+        assert payload.dtype == np.int32
         assert cluster.stats.barriers == 0
 
     def test_receive_drains(self):

@@ -183,6 +183,90 @@ class TestPairArrayContract:
         assert totals["list"][a.pid][:2] == (1, 48)
 
 
+class TestWireFormat:
+    """Sweeps hold int32 and are priced by the declared wire format
+    (every row field one 64-bit id), so the held width never moves a
+    counter, and a row int32 cannot hold raises where it enters."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("shape", ["random", "colocated", "all_to_all"])
+    def test_int32_sweep_prices_like_its_int64_twin(self, shape, width):
+        """Every ``ClusterStats`` counter of every process — messages,
+        bytes and batch ticks, both sides — and every mailbox tie."""
+        rng = np.random.default_rng(hash((shape, width, 32)) % 2**32)
+        for _ in range(4):
+            machines = int(rng.integers(2, 9))
+            wide = _random_sweep(rng, machines, shape, "alloc", width)
+            narrow = SegmentBatch.from_runs(
+                wide.rows.astype(np.int32), "alloc",
+                np.repeat(wide.src_slots, wide.lengths), "alloc",
+                np.repeat(wide.dst_slots, wide.lengths))
+            assert (narrow.rows.dtype == narrow.offsets.dtype
+                    == narrow.src_slots.dtype == narrow.dst_slots.dtype
+                    == np.int32)
+            assert narrow.nbytes.tolist() == wide.nbytes.tolist() == (
+                wide.lengths * 8 * width).tolist()
+            clusters = []
+            for batch in (narrow, wide):
+                cluster, pids = _dne_cluster(machines)
+                cluster.deliver_segments("t", batch)
+                clusters.append(cluster)
+            assert (clusters[0].stats.per_process
+                    == clusters[1].stats.per_process)
+            assert (clusters[0].stats.summary()
+                    == clusters[1].stats.summary())
+            assert (_mailboxes(clusters[0], pids, "t")
+                    == _mailboxes(clusters[1], pids, "t"))
+
+    def test_send_holds_int32_and_prices_eight_bytes_a_field(self):
+        cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])
+        a.send("alloc", "t", [(1, [(1, 2), (3, 4)])])
+        a.send("alloc", "u", [(1, np.arange(3, dtype=np.int64))])
+        [batch] = [batch for _, batch in cluster.segment_mail()
+                   if batch.rows.ndim == 2]
+        assert (batch.rows.dtype == batch.offsets.dtype
+                == batch.src_slots.dtype == batch.dst_slots.dtype
+                == np.int32)
+        assert cluster.stats.stats_for(a.pid).bytes_sent == 32 + 24
+
+    @pytest.mark.parametrize("value", [2 ** 31, 2 ** 40, -2 ** 31 - 1])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_rows_past_int32_raise_instead_of_wrapping(self, value, width):
+        """At ``from_runs`` and at ``Process.send``; the edge values of
+        the int32 range pass exactly."""
+        rows = np.array([[0, 1], [value, 2]], dtype=np.int64)[:, :width]
+        rows = rows[:, 0] if width == 1 else rows
+        slots = np.array([0, 0])
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            SegmentBatch.from_runs(rows, "alloc", slots, "alloc", slots + 1)
+        cluster, (a, _) = _cluster([("alloc", 0), ("alloc", 1)])
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            a.send("alloc", "t", [(1, rows.tolist())])
+        assert cluster.segment_mail() == []
+        edge = np.array([2 ** 31 - 1, -2 ** 31], dtype=np.int64)
+        batch = SegmentBatch.from_runs(edge, "alloc", slots, "alloc",
+                                       slots + 1)
+        assert batch.rows.tolist() == edge.tolist()
+        a.send("alloc", "t", [(1, edge.tolist())])
+        [(_, payload)] = cluster.process(("alloc", 1)).receive("t")
+        assert payload.tolist() == edge.tolist()
+
+    def test_merge_and_select_stay_int32(self):
+        rng = np.random.default_rng(4)
+        parts = [SegmentBatch.from_runs(
+            rng.integers(0, 100, (6, 2)).astype(np.int32), "alloc",
+            np.array([k] * 3 + [k + 1] * 3), "alloc", np.array([0] * 6))
+            for k in (0, 2)]
+        merged = SegmentBatch.merge(parts)
+        picked = merged.select(np.array([3, 0]))
+        for batch in (merged, picked):
+            assert (batch.rows.dtype == batch.offsets.dtype
+                    == batch.src_slots.dtype == batch.dst_slots.dtype
+                    == np.int32)
+        assert picked.rows.tolist() == (parts[1].rows[3:].tolist()
+                                        + parts[0].rows[:3].tolist())
+
+
 class TestDeliveryOrder:
     def test_sweeps_land_at_send_and_the_barrier_only_counts(self):
         cluster, (a, b) = _cluster([("alloc", 0), ("alloc", 1)])

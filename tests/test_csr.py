@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.graph.csr as csr_module
-from repro.graph.csr import (CSRGraph, first_occurrence, sorted_unique,
-                             symmetrised_csr)
+from repro.graph.csr import (CSRGraph, adjacency_slots, first_occurrence,
+                             sorted_unique, symmetrised_csr)
 from repro.graph.edgelist import canonical_edges, relabel_compact
 from repro.graph.generators import grid_road_network, rmat_edges
 
@@ -356,3 +356,25 @@ class TestDedupPrimitives:
         scratch = np.empty(10, dtype=np.int64)
         with pytest.raises(ValueError, match="scratch bound"):
             first_occurrence(np.array([3, bad, 3]), scratch)
+
+
+class TestAdjacencySlots:
+    """The batched slice walk every kernel shares widens once, inside:
+    an int32 ``indptr`` (a narrow store's offsets, a sweep's segment
+    offsets) gathers exactly what an int64 one does, as int64."""
+
+    def test_int32_and_int64_indptr_gather_the_same_int64_slots(self):
+        graph = CSRGraph(rmat_edges(8, 6, seed=1))
+        rng = np.random.default_rng(0)
+        picks = rng.integers(0, graph.num_vertices, 300)
+        for rows in (picks, picks.astype(np.int32), picks[:1],
+                     np.empty(0, dtype=np.int64)):
+            expect = [np.arange(graph.indptr[r], graph.indptr[r + 1])
+                      for r in rows.tolist()]
+            for indptr in (graph.indptr.astype(np.int64),
+                           graph.indptr.astype(np.int32)):
+                slot_idx, counts = adjacency_slots(indptr, rows)
+                assert slot_idx.dtype == counts.dtype == np.int64
+                assert counts.tolist() == [len(e) for e in expect]
+                assert slot_idx.tolist() == (
+                    np.concatenate(expect).tolist() if expect else [])

@@ -10,7 +10,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
-from check_doc_links import check, check_code_refs  # noqa: E402
+from check_doc_links import (check, check_code_refs,  # noqa: E402
+                             check_md_citations)
 
 
 def _tree(tmp_path, readme: str, arch: str = "") -> str:
@@ -23,7 +24,7 @@ def _tree(tmp_path, readme: str, arch: str = "") -> str:
         "class TestPlane:\n    def test_run(self):\n        pass\n\n\n"
         "async def test_async():\n    pass\n")
     (tmp_path / "README.md").write_text(readme)
-    (tmp_path / "docs" / "ARCH.md").write_text(arch)
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text(arch)
     return str(tmp_path)
 
 
@@ -32,7 +33,8 @@ def test_existing_paths_and_names_resolve(tmp_path):
         tmp_path,
         "See `core/fused.py`, `src/repro/core/fused.py`, "
         "`repro/core/fused.py::Plane` and\n"
-        "`tests/test_x.py::TestPlane::test_run`; [arch](docs/ARCH.md).\n",
+        "`tests/test_x.py::TestPlane::test_run`; "
+        "[arch](docs/ARCHITECTURE.md).\n",
         "`tests/test_x.py::test_async` and bare `fused.py` shorthand.\n")
     assert check_code_refs(root) == []
     assert check(root) == []
@@ -51,8 +53,8 @@ def test_missing_file_and_missing_name_reported(tmp_path):
                for line in broken)
     assert any("no class/def TestGone" in line for line in broken)
     assert any("no class/def test_gone" in line for line in broken)
-    assert any(line.startswith("docs/ARCH.md") and "tests/test_y.py" in line
-               for line in broken)
+    assert any(line.startswith("docs/ARCHITECTURE.md")
+               and "tests/test_y.py" in line for line in broken)
 
 
 def test_other_markdown_files_are_not_code_checked(tmp_path):
@@ -61,3 +63,29 @@ def test_other_markdown_files_are_not_code_checked(tmp_path):
     root = _tree(tmp_path, "nothing here\n")
     (tmp_path / "CHANGES.md").write_text("removed `core/gone.py`\n")
     assert check_code_refs(root) == []
+
+
+def test_markdown_cited_from_code_must_resolve(tmp_path):
+    """A ``*.md`` name in a ``.py`` under src/, benchmarks/, examples/
+    or tests/ resolves beside the file, from the root or from docs/, or
+    is the generated report; anything else is reported with its line.
+    (The fixture's names are assembled from ``md``, so that this file
+    itself cites none that do not exist.)"""
+    md = ".md"
+    root = _tree(tmp_path, "readme\n")
+    (tmp_path / "benchmarks" / "e2e").mkdir(parents=True)
+    (tmp_path / "benchmarks" / "e2e" / f"README{md}").write_text("method\n")
+    (tmp_path / "benchmarks" / "e2e" / "run.py").write_text(
+        f'"""See README{md}, ../../docs/ARCHITECTURE{md} and\n'
+        f'benchmarks/results/REPORT{md} (written by a script)."""\n')
+    (tmp_path / "src" / "repro" / "core" / "fused.py").write_text(
+        f'"""Per ARCHITECTURE{md} and README{md}#quickstart."""\n'
+        f"# design notes: DESIGN{md} §2, docs/GONE{md}\n"
+        f"paths = glob('*{md}')   # a pattern, not a citation\n")
+    assert check_md_citations(root) == [
+        f"src/repro/core/fused.py:2: DESIGN{md} (no such file)",
+        f"src/repro/core/fused.py:2: docs/GONE{md} (no such file)"]
+
+
+def test_repository_cites_only_markdown_that_exists():
+    assert check_md_citations(str(Path(__file__).parent.parent)) == []

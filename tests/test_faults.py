@@ -351,6 +351,29 @@ class TestCheckpointResume:
             DistributedNE(4, seed=0, checkpoint_dir=ckpt,
                           resume=True).partition(graph)
 
+    def test_int64_edge_batches_of_an_earlier_build_resume(self, graph,
+                                                           tmp_path, base4):
+        """Collected edge batches are int32 since mail is; a snapshot
+        from a build that kept them int64 (same layout, wider arrays)
+        resumes bit-identical rather than needing a format bump."""
+        ckpt = str(tmp_path / "ckpt")
+        DistributedNE(4, seed=0, max_iterations=3,
+                      checkpoint_dir=ckpt).partition(graph)
+        store = CheckpointStore(ckpt)
+        snapshot = store.load_latest()
+        widened = 0
+        for pid, state in snapshot["procs"].items():
+            if pid[0] == "expansion":
+                assert all(b.dtype == np.int32 for b in state["edge_ids"])
+                state["edge_ids"] = [b.astype(np.int64)
+                                     for b in state["edge_ids"]]
+                widened += len(state["edge_ids"])
+        assert widened
+        store.save(store.steps()[-1] + 1, snapshot)
+        res = DistributedNE(4, seed=0, checkpoint_dir=ckpt,
+                            resume=True).partition(graph)
+        _assert_identical(res, base4)
+
     @pytest.mark.parametrize("cls", [DistributedNE, SNEPartitioner])
     def test_older_snapshot_format_fails_loudly(self, graph, tmp_path, cls):
         """A snapshot stamped with an older format number is refused by

@@ -83,14 +83,15 @@ def test_replica_hits_enumerate_the_membership_matrix(placement_cls, procs):
     """``replica_hits`` is ``np.nonzero(replica_membership)`` — vertex-
     major, processes ascending — on square, non-square (2x3, 3x4,
     10x10) and degenerate 1xP (prime |P|) grids, repeats and an empty
-    batch included, and agrees with the per-vertex ``replica_processes``."""
+    batch included, and agrees with the per-vertex ``replica_processes``.
+    Both arrays are int32, the width of the message rows they build."""
     placement = placement_cls(procs, seed=5)
     rng = np.random.default_rng(procs)
     for vs in (rng.integers(0, 10 ** 6, 300), np.array([7, 7, 0]),
                np.empty(0, dtype=np.int64)):
         vidx, dsts = placement.replica_hits(vs)
         expect = np.nonzero(placement.replica_membership(vs))
-        assert vidx.dtype == dsts.dtype == np.int64
+        assert vidx.dtype == dsts.dtype == np.int32
         assert np.array_equal(vidx, expect[0])
         assert np.array_equal(dsts, expect[1])
     vidx, dsts = placement.replica_hits(np.array([11, 12]))

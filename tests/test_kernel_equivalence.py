@@ -39,7 +39,8 @@ import numpy as np
 import pytest
 
 from repro.apps.engine import AppRunStats, DistributedGraphEngine
-from repro.cluster.runtime import Process, SimulatedCluster, _same_machine
+from repro.cluster.runtime import (Process, SegmentBatch, SimulatedCluster,
+                                   _same_machine)
 from repro.core import fused as fused_module
 from repro.core.allocation import (TAG_BOUNDARY, TAG_EDGES, TAG_SELECT,
                                    TAG_SYNC, AllocationProcess,
@@ -461,6 +462,59 @@ class TestFusedDispatchEquivalence:
         assert keys.dtype == np.int64
         assert keys.tolist() == [int(i) * width + int(p)
                                  for i, p in zip(ids, ps)]
+
+    def test_adoption_bounds_the_global_vertex_space(self, monkeypatch):
+        """Sync, select and boundary rows carry global vertex ids as
+        int32, so a vertex-id space past the bound raises at adoption —
+        before any allocator's CSR is adopted — instead of wrapping in
+        the mail.  The bound is patched down, nothing large is built."""
+        graph = CSRGraph(rmat_edges(9, 6, seed=5))
+        placement = Hash2DPlacement(4, seed=0)
+        program = DneWorkerProgram(4, placement, True, "vectorized", 0.5,
+                                   0, "random", graph.num_edges,
+                                   graph.num_vertices)
+        pids = [(role, k) for role in ("alloc", "expansion")
+                for k in range(4)]
+        procs = program.build(pids, program.arrays(graph.edges))
+        monkeypatch.setattr(fused_module, "_FUSED_ID_BOUND",
+                            graph.num_vertices - 1)
+        with pytest.raises(ValueError, match=(
+                rf"global vertex ids run to {graph.num_vertices - 1}")):
+            program.build_plane(procs)
+        assert all(procs["alloc", k]._adj_eid is not None
+                   for k in range(4))
+
+    def test_update_products_do_not_wrap_near_the_int32_bound(self):
+        """The update kernel widens int32 slots to int64 before its two
+        products: the boundary fold's ``slot * G`` row key (a vertex id
+        of 2**31 - 1 makes G = 2**31) and the edge report's ``dst *
+        (max src + 1)`` sort key (a source slot of 2**31 - 1).
+        Synthetic mail, filed straight into the mailboxes."""
+        placement = Hash2DPlacement(4, seed=0)
+        cluster = SimulatedCluster()
+        source = SharedSeedSource([], [])
+        exps = [cluster.add_process(ExpansionProcess(
+            k, 4, limit=100, total_edges=100, lam=0.5, seed=0,
+            placement=placement, seed_source=source)) for k in range(4)]
+        plane = FusedDnePlane(exps, placement)
+        top = 2 ** 31 - 1
+        cluster.put_segments(TAG_BOUNDARY, SegmentBatch.from_runs(
+            np.array([[top - 1, 2], [5, 1], [top - 1, 3], [top, 1], [7, 4]],
+                     dtype=np.int32), "alloc", np.array([0, 0, 1, 1, 1]),
+            "expansion", np.array([3, 3, 3, 1, 2])))
+        cluster.put_segments(TAG_EDGES, SegmentBatch.from_runs(
+            np.array([10, 11, 12, 13, 14, 15], dtype=np.int32), "alloc",
+            np.array([top, top, 3, 3, 3, top]), "expansion",
+            np.array([1, 1, 1, 2, 2, 3])))
+        plane.run("update_state", [proc.pid for proc in exps], iteration=1)
+        got = [tuple(arr.tolist() for arr in proc.boundary.entries())
+               for proc in exps]
+        assert got == [([], []), ([top], [1]), ([7], [4]),
+                       ([5, top - 1], [1, 5])]
+        # mailbox order: destination, then ascending source
+        assert [proc.collected_edge_ids().tolist() for proc in exps] == [
+            [], [12, 10, 11], [13, 14], [15]]
+        assert [proc.edge_count for proc in exps] == [0, 3, 2, 1]
 
     @pytest.mark.parametrize("machines", [4, 8, 13, 64, 256])
     def test_replica_count_is_maintained_where_bits_are_set(self, machines):
